@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark regression driver: kernel throughput + chaos invariants.
 
-Runs two regression baselines and writes one JSON file each:
+Runs three regression baselines and writes one JSON file each:
 
 * ``BENCH_kernel.json`` — the observability/kernel micro-benchmarks:
   events-per-second with tracing disabled and enabled per workload,
@@ -16,10 +16,6 @@ Runs two regression baselines and writes one JSON file each:
   counters per cell.  ``pass_chaos_invariants`` asserts zero kernel
   leaks, non-zero brokered throughput everywhere, and a strict
   resilient-over-baseline gain on the recoverable scenarios.
-* ``BENCH_scale.json`` — the k x Grid3/OSG scale sweep
-  (``bench_scale``): optimized (fast paths + delta sync) vs pre-change
-  baseline per cell; ``pass_scale_floor`` asserts the optimized stack
-  is at least 2x faster at k=10.
 * ``BENCH_autoscale.json`` — the closed-loop autoscale bench
   (``bench_autoscale``): 10x-OSG and 100x diurnal runs starting from
   one decision point; ``pass_autoscale`` asserts convergence to the
@@ -27,7 +23,8 @@ Runs two regression baselines and writes one JSON file each:
   bit-identical same-seed event journals.
 
 Compare a fresh run to the committed baselines before merging kernel,
-transport, fault, or resilience changes.
+transport, fault, or resilience changes.  End-to-end speed and memory
+(k=1 and k=10, monolithic and sharded) live in ``benchmarks/ledger/``.
 
 Usage::
 
@@ -192,30 +189,6 @@ def run_chaos_bench(args) -> bool:
     return not problems
 
 
-def run_scale_bench(args) -> bool:
-    """Scale sweep -> BENCH_scale.json; True when the floor holds."""
-    from benchmarks.bench_scale import (
-        CELL_DURATION_S,
-        FULL_CELLS,
-        QUICK_CELLS,
-        build_report,
-        run_sweep,
-    )
-
-    cells = QUICK_CELLS if args.quick else FULL_CELLS
-    rows = run_sweep(cells, CELL_DURATION_S)
-    report = build_report(rows, quick=args.quick)
-
-    out = Path(args.scale_out) if args.scale_out else \
-        Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    verdict = "PASS" if report["pass_scale_floor"] else "FAIL"
-    print(f"scale floor (k=10 >= {report['k10_speedup_floor']:.0f}x): "
-          f"min {report['k10_speedup_min']} -> {verdict}")
-    print(f"wrote {out}")
-    return report["pass_scale_floor"]
-
-
 def run_autoscale_bench(args) -> bool:
     """Autoscale convergence -> BENCH_autoscale.json; True on pass."""
     from benchmarks.bench_autoscale import (
@@ -266,7 +239,8 @@ def run_autoscale_bench(args) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark regression harness (kernel + chaos + scale)")
+        description="benchmark regression harness (kernel + chaos + "
+                    "autoscale)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller sizes + fewer repeats (CI smoke)")
     parser.add_argument("--repeats", type=int, default=None,
@@ -277,9 +251,6 @@ def main(argv=None) -> int:
     parser.add_argument("--chaos-out", default=None, metavar="PATH",
                         help="chaos report path (default: BENCH_faults.json "
                              "in the repo root)")
-    parser.add_argument("--scale-out", default=None, metavar="PATH",
-                        help="scale report path (default: BENCH_scale.json "
-                             "in the repo root)")
     parser.add_argument("--autoscale-out", default=None, metavar="PATH",
                         help="autoscale report path (default: "
                              "BENCH_autoscale.json in the repo root)")
@@ -287,8 +258,6 @@ def main(argv=None) -> int:
                         help="skip the kernel/tracing micro-bench")
     parser.add_argument("--skip-chaos", action="store_true",
                         help="skip the chaos matrix sweep")
-    parser.add_argument("--skip-scale", action="store_true",
-                        help="skip the scale sweep")
     parser.add_argument("--skip-autoscale", action="store_true",
                         help="skip the autoscale convergence bench")
     parser.add_argument("--strict", action="store_true",
@@ -300,8 +269,6 @@ def main(argv=None) -> int:
         ok = run_kernel_bench(args) and ok
     if not args.skip_chaos:
         ok = run_chaos_bench(args) and ok
-    if not args.skip_scale:
-        ok = run_scale_bench(args) and ok
     if not args.skip_autoscale:
         ok = run_autoscale_bench(args) and ok
     return 1 if (args.strict and not ok) else 0

@@ -8,8 +8,8 @@ nothing previously verified continuously:
   accounting invariants asserted at every checkpoint, not just at the
   end of a run.
 * :mod:`repro.check.differ` — differential replay: run a config pair
-  (fast paths on/off, indexed vs legacy view, delta vs flood sync,
-  spans on/off, 1 vs N workers) and bisect to the *first divergent
+  (delta vs flood sync, spans on/off, 1 vs N workers, 1 vs N shards,
+  uninterrupted vs restored) and bisect to the *first divergent
   event* instead of a bare "results differ".
 * :mod:`repro.check.lint` — AST determinism lint: wall-clock, ambient
   ``random``, unordered-set iteration, and unseeded-numpy use have no

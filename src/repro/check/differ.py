@@ -1,10 +1,10 @@
 """Differential replay: run a config pair, bisect the first divergence.
 
-PRs past made equivalence claims that a bare "results differ" cannot
-debug: fast paths are result-preserving, the indexed view is
-semantically identical to the legacy one, spans on/off leaves runs
-event-identical, ``run_parallel`` is worker-count independent, and
-delta sync converges to the same views as flooding.  Each claim maps to
+The planes make equivalence claims that a bare "results differ" cannot
+debug: spans and telemetry on/off leave runs event-identical,
+``run_parallel`` is worker-count independent, delta sync converges to
+the same views as flooding, any shard grouping replays the same
+journal, and a restored run continues the killed one.  Each claim maps to
 a named **pair** here; both sides run with journal probes installed
 (:func:`repro.check.digest.install_probes`) and the chained digests are
 compared, bisecting to the first divergent semantic event with its span
@@ -12,10 +12,6 @@ context.
 
 Pair semantics:
 
-* ``fast-paths`` — kernel fast paths on vs off, state-view index pinned
-  on both sides (the kernel claim in isolation);
-* ``indexed-view`` — indexed vs legacy ``GridStateView`` under
-  identical kernel configuration;
 * ``spans`` — span tracing off vs on (ctx rides outside the digest, so
   equality is exact);
 * ``telemetry`` — timeline sampler off vs on: periodic
@@ -33,16 +29,11 @@ Pair semantics:
   partition-independence claim: ``run_sharded`` over one shard vs two
   (or four), comparing the canonically merged per-neighborhood event
   journals.  Any shard grouping must replay to the same chained digest.
-* ``batch-dispatch`` — the kernel's event-batch dispatch loop vs the
-  scalar one-event-at-a-time loop, everything else pinned;
 * ``resume`` / ``resume-sharded`` — checkpoint/restore equivalence: an
   uninterrupted run vs one killed mid-flight and restored from its
   newest checkpoint (monolithic: verified replay with chaos and the
   strict checker riding; sharded: epoch-barrier checkpoints verified
-  during a lockstep rerun);
-* ``vectorized-sites`` — numpy FIFO drain + bucketed completion timers
-  vs the scalar site scheduler, on a congested grid so deep queues
-  actually engage the vectorized path.
+  during a lockstep rerun).
 """
 
 from __future__ import annotations
@@ -140,48 +131,6 @@ def _run_journaled(config) -> EventJournal:
     return journal
 
 
-def _pair_fast_paths(duration_s: float, seed: int) -> DiffReport:
-    # State index pinned on both sides: this pair isolates the kernel
-    # fast paths (heap compaction, pooled timeouts, process pinning).
-    base = _diff_config(duration_s, seed).with_(seed=seed, state_index=True)
-    return _report(
-        "fast-paths",
-        "fast", _run_journaled(base.with_(fast_paths=True)),
-        "legacy", _run_journaled(base.with_(fast_paths=False)))
-
-
-def _pair_batch_dispatch(duration_s: float, seed: int) -> DiffReport:
-    # Everything but the run loop pinned: same fast paths, same state
-    # index, same site scheduler — the pair isolates the claim that
-    # draining a timestamp as one batch replays the scalar pop order.
-    base = _diff_config(duration_s, seed).with_(seed=seed, state_index=True)
-    return _report(
-        "batch-dispatch",
-        "batched", _run_journaled(base.with_(batch_dispatch=True)),
-        "scalar", _run_journaled(base.with_(batch_dispatch=False)))
-
-
-def _pair_vectorized_sites(duration_s: float, seed: int) -> DiffReport:
-    # Congested variant of the diff smoke (many clients, few CPUs) so
-    # site queues outgrow the vectorization threshold and the numpy
-    # drain prefix path really runs on side A.
-    base = _diff_config(duration_s, seed).with_(
-        seed=seed, state_index=True, n_clients=16, n_sites=6,
-        total_cpus=72, name="diff-vec")
-    return _report(
-        "vectorized-sites",
-        "vectorized", _run_journaled(base.with_(vectorized_sites=True)),
-        "scalar-sites", _run_journaled(base.with_(vectorized_sites=False)))
-
-
-def _pair_indexed_view(duration_s: float, seed: int) -> DiffReport:
-    base = _diff_config(duration_s, seed).with_(seed=seed, fast_paths=True)
-    return _report(
-        "indexed-view",
-        "indexed", _run_journaled(base.with_(state_index=True)),
-        "legacy-view", _run_journaled(base.with_(state_index=False)))
-
-
 def _pair_spans(duration_s: float, seed: int) -> DiffReport:
     base = _diff_config(duration_s, seed, spans=False).with_(seed=seed)
     return _report(
@@ -260,14 +209,18 @@ def _pair_telemetry(duration_s: float, seed: int) -> DiffReport:
     event-identical to a bare one.  JSONL streaming rides along on
     side B to cover the sink path too.
     """
+    import os
+    import tempfile
+
     base = _diff_config(duration_s, seed).with_(seed=seed)
-    telemetry = base.with_(telemetry_enabled=True,
-                           telemetry_interval_s=30.0,
-                           telemetry_path="/tmp/diff-telemetry.jsonl")
-    return _report(
-        "telemetry",
-        "telemetry-off", _run_journaled(base),
-        "telemetry-on", _run_journaled(telemetry))
+    with tempfile.TemporaryDirectory() as tmp:
+        telemetry = base.with_(
+            telemetry_enabled=True, telemetry_interval_s=30.0,
+            telemetry_path=os.path.join(tmp, "diff-telemetry.jsonl"))
+        return _report(
+            "telemetry",
+            "telemetry-off", _run_journaled(base),
+            "telemetry-on", _run_journaled(telemetry))
 
 
 def _pair_delta_sync(duration_s: float, seed: int) -> DiffReport:
@@ -428,10 +381,6 @@ def _pair_resume_sharded(duration_s: float, seed: int) -> DiffReport:
 
 
 PAIRS: dict[str, Callable[[float, int], DiffReport]] = {
-    "fast-paths": _pair_fast_paths,
-    "batch-dispatch": _pair_batch_dispatch,
-    "vectorized-sites": _pair_vectorized_sites,
-    "indexed-view": _pair_indexed_view,
     "spans": _pair_spans,
     "telemetry": _pair_telemetry,
     "workers": _pair_workers,

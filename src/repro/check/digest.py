@@ -12,9 +12,8 @@ walk.
 Design constraints, learned the hard way:
 
 * Journal entries hash *semantic* state transitions, not kernel event
-  ids or heap ordering — fast mode elides sleep Events and the indexed
-  view returns the same record sets in a different internal order, and
-  neither may register as divergence.
+  ids or heap ordering — how a plane schedules its own bookkeeping
+  must not register as divergence.
 * Span/trace context rides along as an ``ctx`` side-field **excluded**
   from the digest and from comparison — a spans-on run must compare
   equal to a spans-off run, but a divergence report should still name
@@ -150,8 +149,7 @@ def install_probes(journal: EventJournal, *, deployment=None,
 
     * each decision point's engine gets ``engine.journal = journal`` —
       the engine emits ``rec.local`` per local dispatch record and
-      ``rec.adopt`` per remote merge (sorted key sets, so indexed and
-      legacy views hash identically);
+      ``rec.adopt`` per remote merge (sorted key sets);
     * each site's lifecycle observer lists get start/complete probes
       hashing the job id, VO, CPU delta, and resulting busy level.
 

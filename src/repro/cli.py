@@ -12,7 +12,7 @@ shell::
     digruber run --dps 3 --check --check-strict
     digruber run --dps 4 --shards 4 --duration 900
     digruber chaos --scenario partition2 --duration 900
-    digruber diff --pair fast-paths
+    digruber diff --pair delta-sync
     digruber diff --pair sharded-4
     digruber diff --pair resume
     digruber run --dps 3 --checkpoint-every 60 --checkpoint-dir ckpts/
@@ -139,15 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta-sync", action="store_true",
                      help="per-peer delta sync instead of horizon "
                      "re-flooding (smaller payloads at scale)")
-    run.add_argument("--no-fast-paths", action="store_true",
-                     help="disable the kernel/state-view fast paths "
-                     "(pre-optimization cost model, for A/B benchmarks)")
-    run.add_argument("--no-batch-dispatch", action="store_true",
-                     help="disable the kernel's event-batch dispatch "
-                     "(scalar one-event-at-a-time heap loop)")
-    run.add_argument("--no-vectorized-sites", action="store_true",
-                     help="disable the numpy site scheduler (scalar "
-                     "FIFO drain and per-job completion timers)")
     run.add_argument("--check", action="store_true",
                      help="enable the online invariant checker "
                      "(conservation/accounting assertions at every "
@@ -229,14 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="differential replay: run a config pair, bisect "
                      "to the first divergent event")
-    diff.add_argument("--pair", default="fast-paths",
-                      choices=("fast-paths", "batch-dispatch",
-                               "vectorized-sites", "indexed-view", "spans",
-                               "telemetry", "workers", "delta-sync",
+    diff.add_argument("--pair", required=True,
+                      choices=("spans", "telemetry", "workers", "delta-sync",
                                "autoscale-frozen", "sharded-2", "sharded-4",
                                "resume", "resume-sharded"),
-                      help="equivalence claim to check (default: "
-                           "fast-paths)")
+                      help="equivalence claim to check")
     diff.add_argument("--duration", type=float, default=300.0,
                       help="simulated seconds per side (default 300)")
     diff.add_argument("--seed", type=int, default=20050101)
@@ -499,12 +487,6 @@ def _cmd_run(args) -> int:
         overrides["dp_queue_bound"] = args.queue_bound
     if args.delta_sync:
         overrides["sync_delta"] = True
-    if args.no_fast_paths:
-        overrides["fast_paths"] = False
-    if args.no_batch_dispatch:
-        overrides["batch_dispatch"] = False
-    if args.no_vectorized_sites:
-        overrides["vectorized_sites"] = False
     if args.check or args.check_strict:
         overrides["check_enabled"] = True
         overrides["check_strict"] = args.check_strict
@@ -747,9 +729,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    from repro.sim.snapshot import SnapshotError
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SnapshotError as err:
+        # A stale, foreign or corrupt checkpoint is a usage error.
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # `digruber trace analyze ... | head` closes stdout early;
         # treat it as a clean exit, not a traceback.

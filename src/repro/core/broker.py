@@ -57,8 +57,7 @@ class DIGruberDeployment:
                  site_state_kb: float = 0.06,
                  assumed_job_lifetime_s: float = 900.0,
                  dp_queue_bound: Optional[int] = None,
-                 sync_delta: bool = False,
-                 state_index: bool = True):
+                 sync_delta: bool = False):
         if n_decision_points < 1:
             raise ValueError("need at least one decision point")
         self.sim = sim
@@ -76,11 +75,8 @@ class DIGruberDeployment:
         #: Bounded-queue load shedding for every decision point's
         #: container (``None`` = unbounded, the paper's behaviour).
         self.dp_queue_bound = dp_queue_bound
-        #: Scale-plane switches: per-peer delta sync (changes payload
-        #: sizes, opt-in) and the indexed state view (result-preserving,
-        #: default on).
+        #: Per-peer delta sync (changes payload sizes, opt-in).
         self.sync_delta = sync_delta
-        self.state_index = state_index
         self.decision_points: dict[str, DecisionPoint] = {}
         self.clients: list[GruberClient] = []
         #: Administratively retired decision points (scale-down).  They
@@ -117,8 +113,7 @@ class DIGruberDeployment:
             site_state_kb=self.site_state_kb,
             assumed_job_lifetime_s=self.assumed_job_lifetime_s,
             max_queue=self.dp_queue_bound,
-            sync_delta=self.sync_delta,
-            state_index=self.state_index)
+            sync_delta=self.sync_delta)
         self.decision_points[dp_id] = dp
         if self.journal is not None:
             dp.engine.journal = self.journal

@@ -54,8 +54,7 @@ class DecisionPoint(Endpoint):
                  assumed_job_lifetime_s: float = 900.0,
                  private: bool = False,
                  max_queue: Optional[int] = None,
-                 sync_delta: bool = False,
-                 state_index: bool = True):
+                 sync_delta: bool = False):
         super().__init__(network, node_id)
         self.sim = sim
         self.grid = grid
@@ -76,8 +75,7 @@ class DecisionPoint(Endpoint):
             owner=str(node_id), site_capacities=capacities,
             usla_aware=usla_aware,
             assumed_job_lifetime_s=assumed_job_lifetime_s,
-            tracer=sim.trace, metrics=sim.metrics,
-            state_index=state_index)
+            tracer=sim.trace, metrics=sim.metrics)
         self.monitor = SiteMonitor(sim, grid, self.engine,
                                    interval_s=monitor_interval_s,
                                    jitter_s=monitor_interval_s * 0.05, rng=rng)

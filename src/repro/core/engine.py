@@ -29,11 +29,10 @@ class GruberEngine:
                  usla_store: Optional[UslaStore] = None,
                  usla_aware: bool = False,
                  assumed_job_lifetime_s: float = 900.0,
-                 tracer=None, metrics=None, state_index: bool = True):
+                 tracer=None, metrics=None):
         self.owner = owner
         self.view = GridStateView(
-            site_capacities, assumed_job_lifetime_s=assumed_job_lifetime_s,
-            indexed=state_index)
+            site_capacities, assumed_job_lifetime_s=assumed_job_lifetime_s)
         self.usla_store = usla_store if usla_store is not None else UslaStore(owner)
         self.usla_aware = usla_aware
         self._policy_cache: Optional[PolicyEngine] = None
@@ -182,9 +181,8 @@ class GruberEngine:
         else:
             adopted = self.view.apply_records(records, now=now)
         if adopted_keys is not None and adopted:
-            # Sorted key set: the indexed and legacy views hand the sync
-            # plane the same record sets in different internal order,
-            # which must not register as divergence.
+            # Sorted key set: the journal pins *which* records were
+            # adopted, not the payload's internal order.
             keys = ",".join(f"{o}:{s}" for o, s in sorted(adopted_keys))
             self.journal.record(
                 now if now is not None else self.view.latest_time,

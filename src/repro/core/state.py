@@ -69,26 +69,22 @@ class GridStateView:
     assumed_job_lifetime_s:
         How long a dispatch record is presumed to occupy its CPUs.
         Calibrate to the workload's mean job runtime.
-    indexed:
-        Scale-plane fast paths (default on): a grid-wide expiry heap so
-        :meth:`expire` costs O(records expired) instead of O(sites), a
-        learn-order ring so :meth:`pending_records` costs O(records
-        learned since the cutoff) instead of O(all live records), and
-        an incrementally-maintained free map so availability queries
-        stop recomputing every site's estimate.  Result-preserving;
-        the switch exists for benchmark baselines and equivalence tests.
+
+    Three indexes keep the hot queries off the all-sites scan: a
+    grid-wide expiry heap (:meth:`expire` costs O(records expired)), a
+    learn-order ring (:meth:`pending_records` costs O(records learned
+    since the cutoff)), and an incrementally-maintained free map
+    (:meth:`free_map` is a dict copy).
     """
 
     def __init__(self, site_capacities: dict[str, int],
-                 assumed_job_lifetime_s: float = 900.0,
-                 indexed: bool = True):
+                 assumed_job_lifetime_s: float = 900.0):
         if not site_capacities:
             raise ValueError("need at least one site")
         if assumed_job_lifetime_s <= 0:
             raise ValueError("assumed_job_lifetime_s must be > 0")
         self.capacities = dict(site_capacities)
         self.assumed_job_lifetime_s = assumed_job_lifetime_s
-        self.indexed = indexed
         # Base usage from the last monitor refresh.
         self._base_busy: dict[str, float] = {s: 0.0 for s in site_capacities}
         self._base_time: dict[str, float] = {s: -float("inf")
@@ -128,7 +124,7 @@ class GridStateView:
         self._last_learn_time: float = _NEG_INF
         self._last_refresh_time: float = _NEG_INF
         self._site_learn_time: dict[str, float] = {}
-        # -- scale-plane indexes ------------------------------------------
+        # -- indexes ------------------------------------------------------
         # Grid-wide expiry heap, same (time, tiebreak) keys as the site
         # heaps.  Entries absorbed by a monitor refresh go stale here
         # and are skipped (liveness check) when their time passes.
@@ -192,30 +188,21 @@ class GridStateView:
             self.latest_time = now
         cutoff = now - self.assumed_job_lifetime_s
         dropped = 0
-        if self.indexed:
-            # O(records expired): pop the grid-wide heap.  A live entry
-            # here is necessarily its site heap's head — every earlier
-            # (time, tiebreak) live record was popped (and dropped)
-            # first, and site heaps hold live records only — so an
-            # entry is live iff its unique tiebreak matches the site
-            # head's.  (A key-membership test is not enough: entries
-            # absorbed by a monitor refresh go stale here, and their
-            # key can be live again via a redelivered record.)
-            g = self._expiry_heap
-            records = self._records
-            while g and g[0][0] < cutoff:
-                _, tb, rec = heapq.heappop(g)
-                site_heap = records[rec.site]
-                if site_heap and site_heap[0][1] == tb:
-                    heapq.heappop(site_heap)
-                    self._drop(rec)
-                    dropped += 1
-            if dropped:
-                self._prune_log()
-            return dropped
-        for heap in self._records.values():
-            while heap and heap[0][0] < cutoff:
-                _, _, rec = heapq.heappop(heap)
+        # O(records expired): pop the grid-wide heap.  A live entry here
+        # is necessarily its site heap's head — every earlier (time,
+        # tiebreak) live record was popped (and dropped) first, and site
+        # heaps hold live records only — so an entry is live iff its
+        # unique tiebreak matches the site head's.  (A key-membership
+        # test is not enough: entries absorbed by a monitor refresh go
+        # stale here, and their key can be live again via a redelivered
+        # record.)
+        g = self._expiry_heap
+        records = self._records
+        while g and g[0][0] < cutoff:
+            _, tb, rec = heapq.heappop(g)
+            site_heap = records[rec.site]
+            if site_heap and site_heap[0][1] == tb:
+                heapq.heappop(site_heap)
                 self._drop(rec)
                 dropped += 1
         if dropped:
@@ -253,8 +240,7 @@ class GridStateView:
             self._site_learn_time[rec.site] = learn_time
         entry = (rec.time, next(self._tiebreak), rec)
         heapq.heappush(self._records[rec.site], entry)
-        if self.indexed:
-            heapq.heappush(self._expiry_heap, entry)
+        heapq.heappush(self._expiry_heap, entry)
         self._extra_busy[rec.site] += rec.cpus
         self._learned_at[rec.key] = learn_time
         self._live_rec[rec.key] = rec
@@ -346,9 +332,7 @@ class GridStateView:
         """Estimated free CPUs for every site (the availability answer)."""
         if now is not None:
             self.expire(now)
-        if self.indexed:
-            return dict(self._free_cache)
-        return {s: self.estimated_free(s) for s in self.capacities}
+        return dict(self._free_cache)
 
     def free_subset(self, sites, now: Optional[float] = None) -> dict[str, float]:
         """Like :meth:`free_map`, restricted to ``sites`` — O(len(sites)).
@@ -359,10 +343,8 @@ class GridStateView:
         """
         if now is not None:
             self.expire(now)
-        if self.indexed:
-            cache = self._free_cache
-            return {s: cache[s] for s in sites}
-        return {s: self.estimated_free(s) for s in sites}
+        cache = self._free_cache
+        return {s: cache[s] for s in sites}
 
     def pending_records(self, newer_than: float) -> list[DispatchRecord]:
         """Live records this node *learned* after the cutoff.
@@ -371,26 +353,22 @@ class GridStateView:
         dispatch time) lets relayed records keep flooding outward on
         multi-hop overlays.
         """
+        # Walk the learn ring newest-first; the stored times are
+        # monotonic, so the first entry at or below the cutoff ends the
+        # scan — O(records learned since the cutoff).  The clamped time
+        # can only overshoot the real learn time, so the exact filter
+        # below never loses a record to the break.
         learned = self._learned_at
-        if self.indexed:
-            # Walk the learn ring newest-first; the stored times are
-            # monotonic, so the first entry at or below the cutoff ends
-            # the scan — O(records learned since the cutoff).  The
-            # clamped time can only overshoot the real learn time, so
-            # the exact filter below never loses a record to the break.
-            live = self._live_rec
-            out = []
-            for _, t_mono, rec in reversed(self._learn_log):
-                if t_mono <= newer_than:
-                    break
-                if (live.get(rec.key) is rec
-                        and learned[rec.key] > newer_than):
-                    out.append(rec)
-            out.reverse()
-            return out
-        return [rec for heap in self._records.values()
-                for _, _, rec in heap
-                if learned.get(rec.key, -float("inf")) > newer_than]
+        live = self._live_rec
+        out = []
+        for _, t_mono, rec in reversed(self._learn_log):
+            if t_mono <= newer_than:
+                break
+            if (live.get(rec.key) is rec
+                    and learned[rec.key] > newer_than):
+                out.append(rec)
+        out.reverse()
+        return out
 
     def records_since(self, seq: int) -> tuple[int, list[DispatchRecord]]:
         """Live records learned after watermark ``seq``, oldest first.
@@ -473,12 +451,11 @@ class GridStateView:
             if not (0.0 <= base <= cap):
                 problems.append(
                     f"base_busy[{site}]={base} outside [0, {cap}]")
-            if self.indexed:
-                busy = min(max(base + self._extra_busy[site], 0.0), cap)
-                if self._free_cache[site] != cap - busy:
-                    problems.append(
-                        f"free_cache[{site}]={self._free_cache[site]} != "
-                        f"recomputed {cap - busy}")
+            busy = min(max(base + self._extra_busy[site], 0.0), cap)
+            if self._free_cache[site] != cap - busy:
+                problems.append(
+                    f"free_cache[{site}]={self._free_cache[site]} != "
+                    f"recomputed {cap - busy}")
         if len(self._learn_log) < len(live_keys):
             problems.append(
                 f"learn ring holds {len(self._learn_log)} entries for "

@@ -99,28 +99,10 @@ class ExperimentConfig:
     # autoscaler has something to track.
     workload_profile: str = "steady"
 
-    # Scale plane.  ``fast_paths`` gates the result-preserving kernel
-    # and state-view optimizations (heap compaction, pooled timeouts,
-    # indexed view) — off reproduces the pre-optimization cost model
-    # for A/B benchmarks and determinism proofs.  ``sync_delta`` ships
-    # per-peer deltas instead of re-flooding the horizon; it changes
-    # payload sizes (hence simulated timing), so it is a separate
-    # opt-in rather than part of ``fast_paths``.
-    fast_paths: bool = True
+    # ``sync_delta`` ships per-peer deltas instead of re-flooding the
+    # horizon; it changes payload sizes (hence simulated timing), so it
+    # is an opt-in: the paper configs need it off, 10x grids need it on.
     sync_delta: bool = False
-    # Decouple the state-view index from the other fast paths for
-    # differential replay (indexed vs legacy view under identical
-    # kernel behaviour).  None = follow ``fast_paths``.
-    state_index: Optional[bool] = None
-    # Event-batch dispatch: the kernel drains each timestamp as one
-    # batch instead of re-peeking the heap per event.  Result-identical
-    # to the scalar loop (``digruber diff --pair batch-dispatch``); a
-    # separate flag so the equivalence stays independently testable.
-    batch_dispatch: bool = True
-    # Vectorized site scheduler: numpy FIFO drain prefix + bucketed
-    # completion timers on deep queues.  Result-identical to the scalar
-    # drain (``digruber diff --pair vectorized-sites``).
-    vectorized_sites: bool = True
 
     # Correctness plane (repro.check).  The online invariant checker
     # rides the run as a periodic checkpoint pass — opt-in because it

@@ -251,8 +251,7 @@ def build_experiment(config: ExperimentConfig,
     enforces.
     """
     if sim is None:
-        sim = Simulator(fast=config.fast_paths,
-                        batch_dispatch=config.batch_dispatch)
+        sim = Simulator()
     rng = RngRegistry(config.seed)
 
     trace_sink = None
@@ -288,7 +287,7 @@ def build_experiment(config: ExperimentConfig,
         n_sites=config.n_sites, total_cpus=config.total_cpus,
         n_vos=config.n_vos, groups_per_vo=config.groups_per_vo,
         users_per_group=config.users_per_group, name=config.name,
-        backfill=config.backfill, vectorized=config.vectorized_sites)
+        backfill=config.backfill)
 
     deployment = DIGruberDeployment(
         sim=sim, network=network, grid=grid, profile=config.profile,
@@ -300,9 +299,7 @@ def build_experiment(config: ExperimentConfig,
         site_state_kb=config.site_state_kb,
         assumed_job_lifetime_s=config.job_model.duration_mean_s,
         dp_queue_bound=config.dp_queue_bound,
-        sync_delta=config.sync_delta,
-        state_index=(config.state_index if config.state_index is not None
-                     else config.fast_paths))
+        sync_delta=config.sync_delta)
 
     hosts = [f"host{i:03d}" for i in range(config.n_clients)]
     ramp = RampSchedule(n_clients=config.n_clients, span_s=config.ramp_span_s)

@@ -111,8 +111,7 @@ class GridBuilder:
     def build(self, n_sites: int, total_cpus: int, n_vos: int = 10,
               groups_per_vo: int = 10, users_per_group: int = 5,
               min_site_cpus: int = 8, name: str = "grid",
-              size_sigma: float = 0.9, backfill: bool = False,
-              vectorized: bool = True) -> Grid:
+              size_sigma: float = 0.9, backfill: bool = False) -> Grid:
         """Construct a grid with heavy-tailed site sizes summing to target.
 
         Parameters mirror the paper's canonical environment; see
@@ -146,7 +145,7 @@ class GridBuilder:
             if leftover:
                 clusters[0] = Cluster(clusters[0].name, clusters[0].cpus + leftover)
             sites[site_name] = Site(self.sim, site_name, clusters,
-                                    backfill=backfill, vectorized=vectorized)
+                                    backfill=backfill)
 
         vos = VORegistry()
         for v in range(n_vos):

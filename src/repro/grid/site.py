@@ -58,8 +58,8 @@ class Site:
     equal-duration jobs started at the same instant shares one heap
     entry.  Both are result-preserving — the prefix is exactly the set
     the scalar while-loop would start, and bucketed completions run
-    each job through the same per-job path in the same order — proven
-    by ``digruber diff --pair vectorized-sites``.  Backfill is
+    each job through the same per-job path in the same order — checked
+    against ``vectorized=False`` in ``tests/test_grid_site.py``.  Backfill is
     sequential-dependent (each start changes what fits next for the
     jobs it skipped), so it always uses the scalar pass.
     """

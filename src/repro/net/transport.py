@@ -336,7 +336,7 @@ class Network:
 
         if timeout is not None:
             pool = self._expiry_pool
-            expire = pool.pop() if (pool and self.sim.fast) else _RpcExpiry(self)
+            expire = pool.pop() if pool else _RpcExpiry(self)
             expire.rpc_id = rpc_id
             expire.timeout_s = timeout
             pending.timeout_call = self.sim.schedule(timeout, expire)

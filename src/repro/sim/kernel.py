@@ -164,12 +164,11 @@ class _Condition(Event):
     __slots__ = ("events",)
 
     def _detach_pending(self) -> None:
-        fast = self.sim.fast
         for ev in self.events:
             if ev.triggered:
                 continue
             ev.remove_callback(self._on_child)
-            if (fast and not ev.callbacks and type(ev) is _Timeout):
+            if not ev.callbacks and type(ev) is _Timeout:
                 # Unobservable loser timer: drop its heap entry now
                 # (re-armed transparently if a watcher appears later).
                 ev.call.cancel()
@@ -355,16 +354,13 @@ class Process(Event):
         if isinstance(target, Event):
             ev = target
         elif isinstance(target, (int, float)):
-            if self.sim.fast:
-                # Plain sleep: resume directly from the heap — no Event,
-                # no callback list, no dispatch hop.  Fires at the same
-                # instant and seq as the timeout-event path it replaces.
-                delay = float(target)
-                if delay < 0:
-                    raise ValueError(f"negative timeout {delay}")
-                self._sleep = self.sim.schedule(delay, self._wake)
-                return
-            ev = self.sim.timeout(float(target))
+            # Plain sleep: resume directly from the heap — no Event, no
+            # callback list, no dispatch hop.
+            delay = float(target)
+            if delay < 0:
+                raise ValueError(f"negative timeout {delay}")
+            self._sleep = self.sim.schedule(delay, self._wake)
+            return
         else:
             self._resume(
                 None,
@@ -384,7 +380,7 @@ class Process(Event):
             self._resume(None, ev.value)
 
     def _wake(self) -> None:
-        """Direct resume from a plain sleep (the no-Event fast path)."""
+        """Direct resume from a plain sleep."""
         self._sleep = None
         self._resume(None, None)
 
@@ -434,12 +430,10 @@ class Process(Event):
 class Simulator:
     """The discrete-event loop: a clock plus a heap of pending callbacks.
 
-    ``fast`` (default on) enables the scale-plane fast paths — lazy heap
-    compaction, direct process-sleep wakeups, and loser-timer
-    cancellation in :class:`AnyOf`/:class:`AllOf` races.  They are
-    result-preserving (same seed ⇒ identical run summaries; see
-    ``tests/test_scale_plane.py``); the switch exists so benchmarks can
-    measure them and regression tests can prove the equivalence.
+    Entries pop in ``(time, seq)`` order — the whole ordering contract:
+    same-instant events fire in scheduling order, and an event scheduled
+    *during* an instant for that instant fires after every same-instant
+    entry already queued (DESIGN.md §6).
 
     ``compact_min`` is the minimum number of cancelled heap entries
     before a compaction is considered; compaction triggers once at
@@ -447,23 +441,10 @@ class Simulator:
     entries.  Pop order is unaffected: entries keep their unique
     ``(time, seq)`` keys, and a heap pops those in sorted order
     regardless of its internal layout.
-
-    ``batch_dispatch`` (default on) drains each timestamp as one batch:
-    the bounded run loop reads the head time once per *instant* rather
-    than once per event, dispatching every same-time entry (in seq
-    order, so the intra-timestamp ordering contract of DESIGN.md §6 is
-    untouched) before re-checking ``until``.  Cancelled entries are
-    skipped with the same per-pop accounting as the scalar loop, and
-    compaction during a batch is safe because :meth:`_compact` rebuilds
-    the heap in place.  Result-identical to the scalar loop — proven by
-    ``digruber diff --pair batch-dispatch``.
     """
 
-    def __init__(self, fast: bool = True, compact_min: int = 64,
-                 batch_dispatch: bool = True) -> None:
+    def __init__(self, compact_min: int = 64) -> None:
         self.now: float = 0.0
-        self.fast = fast
-        self.batch_dispatch = batch_dispatch
         self._compact_min = compact_min
         self._dead: int = 0
         self.compactions: int = 0
@@ -525,7 +506,7 @@ class Simulator:
             raise AssertionError(
                 f"cancel accounting skewed: {self._dead} dead entries "
                 f"noted for a heap of {len(self._heap)}")
-        if (self.fast and self._dead >= self._compact_min
+        if (self._dead >= self._compact_min
                 and 2 * self._dead >= len(self._heap)):
             self._compact()
 
@@ -533,9 +514,9 @@ class Simulator:
         """Rebuild the heap without cancelled entries (order-preserving).
 
         The rebuild is *in place* (``self._heap`` keeps its identity):
-        the batched run loop holds a local alias to the heap list across
+        :meth:`run` holds a local alias to the heap list across
         callback dispatch, and a callback cancelling enough entries can
-        trigger a compaction mid-batch.  Rebinding the attribute would
+        trigger a compaction mid-instant.  Rebinding the attribute would
         strand that alias on the stale list and silently drop every
         event scheduled afterwards.
         """
@@ -643,17 +624,21 @@ class Simulator:
         return _PeriodicHandle()  # type: ignore[return-value]
 
     # -- running ----------------------------------------------------------
+    def _pop_cancelled(self, call: ScheduledCall) -> None:
+        """Account for one cancelled entry leaving the heap."""
+        call._sim = None
+        self._dead -= 1
+        if self._dead < 0:
+            raise AssertionError(
+                "cancel accounting skewed: popped more cancelled "
+                "entries than were ever noted")
+
     def step(self) -> bool:
         """Execute the next pending callback; return False if none left."""
         while self._heap:
             time, _seq, call = heapq.heappop(self._heap)
             if call.cancelled:
-                call._sim = None
-                self._dead -= 1
-                if self._dead < 0:
-                    raise AssertionError(
-                        "cancel accounting skewed: popped more cancelled "
-                        "entries than were ever noted")
+                self._pop_cancelled(call)
                 continue
             if time < self.now:  # pragma: no cover - heap invariant guard
                 raise RuntimeError("event heap produced a past timestamp")
@@ -669,49 +654,19 @@ class Simulator:
 
         When ``until`` is given the clock is left exactly at ``until``,
         matching the fixed one-hour windows of the paper's experiments.
-        """
-        if self.batch_dispatch:
-            self._run_batched(until)
-            return
-        if until is None:
-            while self.step():
-                pass
-            return
-        if until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
-        while self._heap:
-            time, _seq, call = self._heap[0]
-            if time > until:
-                break
-            heapq.heappop(self._heap)
-            if call.cancelled:
-                call._sim = None
-                self._dead -= 1
-                if self._dead < 0:
-                    raise AssertionError(
-                        "cancel accounting skewed: popped more cancelled "
-                        "entries than were ever noted")
-                continue
-            call._sim = None  # left the heap; late cancels don't count
-            self.now = time
-            self._event_count += 1
-            call.fn()
-        self.now = until
-
-    def _run_batched(self, until: Optional[float]) -> None:
-        """Event-batch dispatch: drain each timestamp as one batch.
 
         The outer loop pays the head-peek and ``until`` comparison once
         per *instant*; the inner loop pops and dispatches every entry at
-        that instant.  New events scheduled during the batch for the
+        that instant.  New events scheduled during an instant for the
         same instant carry higher seq numbers, so they sort after the
         remaining same-time entries and are picked up by the inner loop
-        in scheduling order — exactly the scalar pop order.
+        in scheduling order — exactly the one-at-a-time :meth:`step`
+        order.
 
         The local ``heap`` alias stays valid across callbacks because
-        :meth:`_compact` rebuilds in place, and ``_dead`` keeps its
-        per-pop accounting so a mid-batch cancel can never observe a
-        stale count (``_note_cancelled`` asserts ``_dead <= len(heap)``).
+        :meth:`_compact` rebuilds in place, and ``_dead`` is accounted
+        per pop so a mid-instant cancel can never observe a stale count
+        (``_note_cancelled`` asserts ``_dead <= len(heap)``).
         """
         heap = self._heap
         pop = heapq.heappop
@@ -725,12 +680,7 @@ class Simulator:
             while heap and heap[0][0] == time:
                 call = pop(heap)[2]
                 if call.cancelled:
-                    call._sim = None
-                    self._dead -= 1
-                    if self._dead < 0:
-                        raise AssertionError(
-                            "cancel accounting skewed: popped more cancelled "
-                            "entries than were ever noted")
+                    self._pop_cancelled(call)
                     continue
                 call._sim = None  # left the heap; late cancels don't count
                 self.now = time
@@ -750,13 +700,13 @@ class Simulator:
 
     # -- snapshot support -------------------------------------------------
     def run_to_event(self, target: int) -> None:
-        """Scalar-step until exactly ``target`` events have executed.
+        """Step until exactly ``target`` events have executed.
 
         Replay primitive for ``repro.sim.snapshot``: a checkpoint records
         the event count *including* the checkpoint callback itself, so a
         restore replays to that exact boundary and then resumes the
-        bounded run.  Scalar stepping pops in the same ``(time, seq)``
-        order as both run loops, so replay is dispatch-mode agnostic.
+        bounded run.  :meth:`step` pops in the same ``(time, seq)`` order
+        as :meth:`run`.
         """
         if target < self._event_count:
             raise ValueError(

@@ -219,13 +219,9 @@ class _ShardRuntime:
 
     def __init__(self, config: ExperimentConfig, hood_ids: Sequence[int],
                  journal: bool):
-        # Batch windows respect epoch barriers for free: the batched
-        # run loop honors ``until`` per *timestamp*, and barrier
-        # instants bound every window via ``run_window``, so no batch
-        # can straddle a barrier (``sim.run(until=t)`` leaves the clock
-        # exactly at ``t`` either way).
-        self.sim = Simulator(fast=config.fast_paths,
-                             batch_dispatch=config.batch_dispatch)
+        # ``sim.run(until=t)`` honors ``until`` per timestamp and leaves
+        # the clock exactly at ``t``, so no instant straddles a barrier.
+        self.sim = Simulator()
         telemetry = bool(config.telemetry_enabled or config.telemetry_path)
         self.hoods = [_Hood(self.sim, config, h, journal, telemetry)
                       for h in hood_ids]

@@ -19,7 +19,7 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 1, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 2, "crc": ...},
      "snapshot": {...}}
 
 ``crc`` covers the canonical (sorted-keys) JSON of the snapshot body;
@@ -55,7 +55,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "digruber-snapshot"
-SNAPSHOT_VERSION = 1
+#: Bumped whenever :func:`encode_config`'s shape changes (v2: the four
+#: result-preserving variant knobs left ``ExperimentConfig``), so stale
+#: files are skipped by :func:`newest_checkpoint` instead of half-read.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -74,7 +77,9 @@ def decode_config(d: dict) -> "ExperimentConfig":
     """Rebuild an :class:`ExperimentConfig` from :func:`encode_config`.
 
     JSON round-trips lose tuple-ness and enum identity; this restores
-    both (``JobModel`` CPU mixes, the dissemination strategy).
+    both (``JobModel`` CPU mixes, the dissemination strategy).  A dict
+    whose fields are not this build's raises :class:`SnapshotError`
+    naming them.
     """
     from repro.control.policy import AutoscaleConfig
     from repro.core.sync import DisseminationStrategy
@@ -84,17 +89,29 @@ def decode_config(d: dict) -> "ExperimentConfig":
     from repro.workloads.models import JobModel
 
     d = dict(d)
-    d["profile"] = ContainerProfile(**d["profile"])
-    d["strategy"] = DisseminationStrategy(d["strategy"])
-    jm = dict(d["job_model"])
-    jm["cpu_choices"] = tuple(jm["cpu_choices"])
-    jm["cpu_weights"] = tuple(jm["cpu_weights"])
-    d["job_model"] = JobModel(**jm)
-    d["resilience"] = (ResilienceConfig(**d["resilience"])
-                       if d.get("resilience") else None)
-    d["autoscale"] = (AutoscaleConfig(**d["autoscale"])
-                      if d.get("autoscale") else None)
-    return ExperimentConfig(**d)
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+    if unknown or missing:
+        raise SnapshotError(
+            "snapshot config does not match this build's ExperimentConfig"
+            + (f"; unknown fields: {', '.join(unknown)}" if unknown else "")
+            + (f"; missing fields: {', '.join(missing)}" if missing else ""))
+    try:
+        d["profile"] = ContainerProfile(**d["profile"])
+        d["strategy"] = DisseminationStrategy(d["strategy"])
+        jm = dict(d["job_model"])
+        jm["cpu_choices"] = tuple(jm["cpu_choices"])
+        jm["cpu_weights"] = tuple(jm["cpu_weights"])
+        d["job_model"] = JobModel(**jm)
+        d["resilience"] = (ResilienceConfig(**d["resilience"])
+                           if d.get("resilience") else None)
+        d["autoscale"] = (AutoscaleConfig(**d["autoscale"])
+                          if d.get("autoscale") else None)
+        return ExperimentConfig(**d)
+    except (TypeError, KeyError, ValueError) as err:
+        raise SnapshotError(
+            f"snapshot config cannot be rebuilt: "
+            f"{type(err).__name__}: {err}") from err
 
 
 # -- state capture -------------------------------------------------------

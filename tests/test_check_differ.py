@@ -4,6 +4,10 @@ Each named pair is an equivalence claim made by an earlier change;
 these smokes hold every claim to "zero divergence, or name the first
 divergent event".  Durations are short — the point is exercising the
 machinery, not soak coverage (CI runs longer pairs).
+
+The retired pairs (kernel fast paths, batch dispatch, indexed view,
+vectorized sites) compared two code paths that produced one journal;
+``TestGoldenDigests`` pins that journal for the path that survived.
 """
 
 import pytest
@@ -12,31 +16,43 @@ from repro.check import PAIRS, run_pair
 from repro.check.differ import _diff_config, _run_journaled
 
 
+SEED = 20050101
+
+#: ``(events, EventJournal.digest)`` recorded at the last commit that
+#: still carried both halves of every result-preserving fork.  All 24
+#: settings of its four variant knobs produced these values, under
+#: PYTHONHASHSEED 0, 1 and random.
+GOLDEN = {
+    ("diff", 120.0): (276, 0xc892ef97),
+    ("diff-vec", 120.0): (275, 0xd3e69985),
+    ("diff", 300.0): (802, 0x3de59d0a),
+    ("diff-vec", 300.0): (644, 0x9b8adb8b),
+}
+
+
+def _golden_config(name, duration_s):
+    config = _diff_config(duration_s, SEED)
+    if name == "diff-vec":
+        # Congested (many clients, few CPUs): site queues outgrow the
+        # vectorization threshold, so the numpy drain really runs.
+        config = config.with_(n_clients=16, n_sites=6, total_cpus=72,
+                              name="diff-vec")
+    return config
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name,duration_s", sorted(GOLDEN))
+    def test_journal_reproduces_recorded_digest(self, name, duration_s):
+        journal = _run_journaled(_golden_config(name, duration_s))
+        assert (len(journal), journal.digest) == GOLDEN[name, duration_s]
+
+    def test_congested_config_engages_the_vector_drain(self):
+        from repro.experiments.runner import run_experiment
+        result = run_experiment(_golden_config("diff-vec", 120.0))
+        assert sum(s.vector_drains for s in result.grid.sites.values()) > 0
+
+
 class TestPairsIdentical:
-    def test_fast_paths_pair_identical(self):
-        report = run_pair("fast-paths", duration_s=120.0)
-        assert report.identical, report.describe()
-        # A silent no-op journal would also "match"; require real events.
-        assert len(report.journal_a) > 50
-        assert report.journal_a.digest == report.journal_b.digest
-
-    def test_batch_dispatch_pair_identical(self):
-        report = run_pair("batch-dispatch", duration_s=120.0)
-        assert report.identical, report.describe()
-        assert len(report.journal_a) > 50
-        assert report.journal_a.digest == report.journal_b.digest
-
-    def test_vectorized_sites_pair_identical(self):
-        report = run_pair("vectorized-sites", duration_s=120.0)
-        assert report.identical, report.describe()
-        assert len(report.journal_a) > 50
-        assert report.journal_a.digest == report.journal_b.digest
-
-    def test_indexed_view_pair_identical(self):
-        report = run_pair("indexed-view", duration_s=120.0)
-        assert report.identical, report.describe()
-        assert len(report.journal_a) > 50
-
     def test_spans_pair_identical_with_ctx_only_on_one_side(self):
         report = run_pair("spans", duration_s=120.0)
         assert report.identical, report.describe()
@@ -65,7 +81,7 @@ class TestPairsIdentical:
 
 class TestInjection:
     def test_injected_divergence_is_named_with_span_context(self):
-        report = run_pair("fast-paths", duration_s=120.0, inject=40)
+        report = run_pair("telemetry", duration_s=120.0, inject=40)
         assert not report.identical
         ea, eb = report.divergence
         assert ea.index == eb.index == 40
@@ -87,11 +103,10 @@ class TestApi:
             run_pair("no-such-pair")
 
     def test_pair_registry_matches_cli(self):
-        assert sorted(PAIRS) == ["autoscale-frozen", "batch-dispatch",
-                                 "delta-sync", "fast-paths", "indexed-view",
+        assert sorted(PAIRS) == ["autoscale-frozen", "delta-sync",
                                  "resume", "resume-sharded",
                                  "sharded-2", "sharded-4", "spans",
-                                 "telemetry", "vectorized-sites", "workers"]
+                                 "telemetry", "workers"]
         # The CLI's --pair choices must stay in lockstep with the
         # registry (an unlisted pair is unreachable from the shell).
         from repro.cli import build_parser
@@ -99,6 +114,8 @@ class TestApi:
         for pair in sorted(PAIRS):
             args = parser.parse_args(["diff", "--pair", pair])
             assert args.pair == pair
+        with pytest.raises(SystemExit):  # no default pair
+            parser.parse_args(["diff"])
 
     def test_same_config_reruns_identically(self):
         # The foundation the pairs stand on: the journaled run itself

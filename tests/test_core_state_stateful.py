@@ -2,8 +2,9 @@
 
 Hypothesis drives random interleavings of record application, monitor
 refreshes, expiry sweeps, and duplicate/out-of-order deliveries; after
-every step the view's incremental estimates must match a reference
-model that recomputes everything from scratch.
+every step the view's incremental estimates and its indexed queries
+(``free_map``, ``free_subset``, ``pending_records``, ``records_since``)
+must match a reference model that recomputes everything from scratch.
 """
 
 from hypothesis import settings
@@ -22,17 +23,22 @@ class ReferenceView:
     def __init__(self):
         self.base = {s: (0.0, -float("inf")) for s in SITES}  # busy, time
         self.records: dict[tuple, DispatchRecord] = {}
-        self.now = 0.0
+        # key -> (learn sequence number, learn time) of the live record
+        self.learned: dict[tuple, tuple[int, float]] = {}
+        self.learn_count = 0
 
     def apply(self, rec, learn_time):
         if rec.key in self.records:
-            return
+            return False
         busy, base_time = self.base[rec.site]
         if rec.time <= base_time:
-            return
+            return False
         if learn_time - rec.time >= LIFETIME:
-            return
+            return False
         self.records[rec.key] = rec
+        self.learn_count += 1
+        self.learned[rec.key] = (self.learn_count, learn_time)
+        return True
 
     def refresh(self, site, busy, now):
         self.base[site] = (busy, now)
@@ -48,6 +54,10 @@ class ReferenceView:
         extra = sum(r.cpus for r in self.records.values() if r.site == site)
         return min(max(busy + extra, 0.0), SITES[site])
 
+    def live_in_learn_order(self):
+        """``(learn_seq, learn_time, record)`` of every live record."""
+        return sorted((*self.learned[k], r) for k, r in self.records.items())
+
 
 class StateViewMachine(RuleBasedStateMachine):
     def __init__(self):
@@ -60,14 +70,19 @@ class StateViewMachine(RuleBasedStateMachine):
     @rule(site=st.sampled_from(sorted(SITES)),
           cpus=st.integers(1, 20),
           origin=st.sampled_from(["dp0", "dp1"]),
-          age=st.floats(0.0, 150.0))
-    def apply_fresh_record(self, site, cpus, origin, age):
+          age=st.floats(0.0, 150.0),
+          local=st.booleans())
+    def apply_fresh_record(self, site, cpus, origin, age, local):
         self.seq += 1
         rec = DispatchRecord(origin=origin, seq=self.seq, site=site,
                              vo="vo0", cpus=cpus,
                              time=max(self.clock - age, 0.0))
-        self.view.apply_record(rec, now=self.clock)
-        self.ref.apply(rec, learn_time=self.clock)
+        # A local dispatch omits ``now`` and is learned at its own
+        # (possibly older) dispatch time: learn times need not be
+        # monotonic, which is what the learn ring's clamp is for.
+        now = None if local else self.clock
+        assert self.view.apply_record(rec, now=now) == \
+            self.ref.apply(rec, learn_time=rec.time if local else self.clock)
 
     @rule(data=st.data())
     def replay_duplicate(self, data):
@@ -79,14 +94,15 @@ class StateViewMachine(RuleBasedStateMachine):
         # different contents — dedup must ignore it entirely.
         rec = DispatchRecord(origin="dp0", seq=seq, site="s0", vo="vo0",
                              cpus=99, time=self.clock)
-        before = {s: self.ref.estimated_busy(s) for s in SITES}
-        applied_view = self.view.apply_record(rec, now=self.clock)
-        self.ref.apply(rec, learn_time=self.clock)
-        if not applied_view:
-            after = {s: self.ref.estimated_busy(s) for s in SITES}
-            # reference also ignored it (or it was genuinely new there)
-            assert all(abs(before[s] - after[s]) < 1e-9 or True
-                       for s in SITES)
+        known = rec.key in self.ref.records
+        before = self.view.free_map()
+        applied = self.view.apply_record(rec, now=self.clock)
+        # A dropped record's key is free again, so the redelivery may
+        # be genuinely new — on both sides or on neither.
+        assert applied == self.ref.apply(rec, learn_time=self.clock)
+        if known:
+            assert not applied
+            assert self.view.free_map() == before
 
     @rule(site=st.sampled_from(sorted(SITES)),
           busy=st.floats(0.0, 100.0))
@@ -112,6 +128,25 @@ class StateViewMachine(RuleBasedStateMachine):
         for site in SITES:
             assert self.view.estimated_busy(site) == \
                 self.ref.estimated_busy(site), site
+
+    @invariant()
+    def indexed_queries_match_reference(self):
+        self.ref.expire(self.clock)
+        free = {s: SITES[s] - self.ref.estimated_busy(s) for s in SITES}
+        assert self.view.free_map(now=self.clock) == free
+        assert self.view.free_subset(["s2", "s0"]) == \
+            {"s2": free["s2"], "s0": free["s0"]}
+        live = self.ref.live_in_learn_order()
+        # Every boundary a cutoff can straddle: each live learn time.
+        cutoffs = {-float("inf"), self.clock, *(t for _, t, _ in live)}
+        for cutoff in cutoffs:
+            assert self.view.pending_records(cutoff) == \
+                [r for _, t, r in live if t > cutoff], cutoff
+        for mark in range(self.ref.learn_count + 1):
+            assert self.view.records_since(mark) == \
+                (self.ref.learn_count,
+                 [r for n, _, r in live if n > mark]), mark
+        assert self.view.audit() == []
 
     @invariant()
     def estimates_bounded(self):

@@ -1,9 +1,11 @@
 """Scale-plane regression tests.
 
 Covers the 10x-OSG survival work: cancellation-aware heap compaction,
-condition detach, pooled RPC timeouts, the indexed state view, delta
-sync, and the metrics fixes that only bite at scale — plus the
-determinism proof that the fast paths are result-preserving.
+condition detach, pooled RPC timeouts, the state view's indexes, delta
+sync, and the metrics fixes that only bite at scale.  Equivalence with
+the pre-optimization paths is pinned by the reference models in
+``test_sim_properties.py`` / ``test_core_state_stateful.py`` and the
+golden journal digests in ``test_check_differ.py``.
 """
 
 import numpy as np
@@ -30,18 +32,6 @@ class TestConditionDetach:
         # The loser's scheduled call was cancelled on detach.
         assert slow_ev.call.cancelled
         assert slow_ev.callbacks == []
-
-    def test_anyof_detach_without_fast_keeps_timer(self):
-        sim = Simulator(fast=False)
-        fast_ev = sim.timeout(1.0)
-        slow_ev = sim.timeout(1000.0)
-        race = sim.any_of([fast_ev, slow_ev])
-        sim.run(until=2.0)
-        assert race.triggered
-        # Callback detach still happens (no leaked condition refs) but
-        # the timer itself stays armed (pre-change cost model).
-        assert slow_ev.callbacks == []
-        assert not slow_ev.call.cancelled
 
     def test_allof_detaches_on_failure(self):
         sim = Simulator()
@@ -97,22 +87,6 @@ class TestRpcHeapBoundedness:
         assert len(sim._heap) < 100
         assert sim.heap_peak < 1000  # not O(completed RPCs)
 
-    def test_legacy_mode_exhibits_the_bloat(self):
-        """Sanity: fast=False reproduces the pre-change heap growth."""
-        sim = Simulator(fast=False)
-        net = Network(sim, ConstantLatency(0.01))
-        Endpoint(net, "client")
-        server = Endpoint(net, "server")
-        server.register_handler("echo", lambda payload, src: payload)
-
-        def driver():
-            for i in range(2_000):
-                yield net.rpc("client", "server", "echo", {}, timeout=300.0)
-
-        sim.process(driver())
-        sim.run(until=41.0)  # 2000 RPCs x 0.02 s, timeouts still armed
-        assert sim.heap_peak > 1000  # dead timeouts accumulate
-
 
 # ---------------------------------------------------------------------------
 # State view: churn, expiry index, learn ring
@@ -124,11 +98,9 @@ def _rec(seq, site="s0", vo="cms", cpus=4, time=0.0, group=""):
 
 
 class TestStateChurn:
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_vo_busy_keys_do_not_accumulate(self, indexed):
+    def test_vo_busy_keys_do_not_accumulate(self):
         """Long sweeps: dead (site, consumer) keys must be deleted."""
-        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0,
-                             indexed=indexed)
+        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0)
         for i in range(500):
             t = float(i)
             view.apply_record(_rec(i, vo=f"vo{i % 50}",
@@ -141,10 +113,8 @@ class TestStateChurn:
         assert view.n_records == 0
         assert view._vo_busy == {}
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_learn_log_pruned(self, indexed):
-        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0,
-                             indexed=indexed)
+    def test_learn_log_pruned(self):
+        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0)
         for i in range(2_000):
             t = float(i)
             view.apply_record(_rec(i, time=t))
@@ -153,39 +123,7 @@ class TestStateChurn:
 
 
 class TestIndexedEquivalence:
-    """The indexed view must answer exactly like the legacy scan."""
-
-    def _drive(self, view, rng):
-        t = 0.0
-        for i in range(400):
-            t += float(rng.uniform(0.0, 2.0))
-            action = rng.uniform()
-            if action < 0.6:
-                view.apply_record(
-                    _rec(i, site=f"s{int(rng.integers(0, 5))}",
-                         vo=f"vo{int(rng.integers(0, 3))}",
-                         cpus=int(rng.integers(1, 8)), time=t),
-                    now=t + float(rng.uniform(0.0, 1.0)))
-            elif action < 0.8:
-                view.refresh_site(f"s{int(rng.integers(0, 5))}",
-                                  busy_cpus=float(rng.integers(0, 50)),
-                                  now=t)
-            else:
-                view.expire(t)
-        return t
-
-    def test_free_map_and_pending_match_legacy(self):
-        caps = {f"s{i}": 100 for i in range(5)}
-        fast = GridStateView(caps, assumed_job_lifetime_s=30.0, indexed=True)
-        slow = GridStateView(caps, assumed_job_lifetime_s=30.0, indexed=False)
-        t1 = self._drive(fast, np.random.default_rng(42))
-        t2 = self._drive(slow, np.random.default_rng(42))
-        assert t1 == t2
-        assert fast.free_map(now=t1) == slow.free_map(now=t2)
-        assert fast.n_records == slow.n_records
-        for cutoff in (t1 - 20.0, t1 - 5.0, t1 - 0.5, t1):
-            assert (sorted(r.key for r in fast.pending_records(cutoff))
-                    == sorted(r.key for r in slow.pending_records(cutoff)))
+    """Watermark and key-reuse edge cases of the view's indexes."""
 
     def test_records_since_watermark(self):
         view = GridStateView({"s0": 100}, assumed_job_lifetime_s=100.0)
@@ -300,22 +238,19 @@ class TestConcurrencyRewrite:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: fast paths are result-preserving
+# Determinism
 # ---------------------------------------------------------------------------
 
 class TestDeterminism:
-    def _summary(self, fast):
+    def _summary(self):
         from repro.experiments import run_experiment
         from repro.experiments.configs import canonical_gt3
         config = canonical_gt3(3, duration_s=240.0, n_clients=24,
-                               n_sites=30, total_cpus=4000,
-                               fast_paths=fast)
+                               n_sites=30, total_cpus=4000)
         result = run_experiment(config)
         return (result.summary(), result.n_jobs,
                 result.dp_ops(), result.client_fallbacks())
 
-    def test_fast_paths_byte_identical(self):
-        assert self._summary(True) == self._summary(False)
-
     def test_fast_on_is_self_deterministic(self):
-        assert self._summary(True) == self._summary(True)
+        """Same seed ⇒ same summary, op counts and fallbacks."""
+        assert self._summary() == self._summary()

@@ -93,20 +93,6 @@ class TestPartitionIndependence:
                     for e in ref.journal.entries]
             assert other.journal.digest == ref.journal.digest
 
-    def test_batched_dispatch_digest_equal_across_shards(self):
-        """Batch windows respect epoch barriers: with event-batch
-        dispatch explicitly on, 1-shard and 4-shard runs still merge to
-        the same journal digest, and a batched run replays a scalar
-        (batch-off) run bit for bit."""
-        config = _config(batch_dispatch=True, vectorized_sites=True)
-        one = run_sharded(config, n_shards=1, journal=True)
-        four = run_sharded(config, n_shards=4, journal=True)
-        assert four.summary_digests == one.summary_digests
-        assert four.journal.digest == one.journal.digest
-        scalar = run_sharded(config.with_(batch_dispatch=False),
-                             n_shards=4, journal=True)
-        assert scalar.journal.digest == one.journal.digest
-
     def test_worker_mode_matches_lockstep(self):
         config = _config()
         lockstep = run_sharded(config, n_shards=2, mode="lockstep",

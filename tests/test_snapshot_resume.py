@@ -1,4 +1,4 @@
-"""Resume-equals-fresh equality across the kernel variant matrix."""
+"""Resume-equals-fresh equality, monolithic and sharded."""
 
 import pytest
 
@@ -21,14 +21,13 @@ def _digest(result):
 
 class TestResumeEqualsFresh:
     """The tentpole claim in unit form: a restored run's summary digest
-    equals the uninterrupted same-seed run's, across the same kernel
-    variants the differential-replay matrix covers."""
+    equals the uninterrupted same-seed run's, under both sync modes
+    (delta sync adds per-peer watermarks to the captured state)."""
 
     @pytest.mark.parametrize("overrides", [
-        {},                                # default: fast + batched
-        {"fast_paths": False, "state_index": True},
-        {"batch_dispatch": False},
-    ], ids=["default", "fast-paths-off", "batch-dispatch-off"])
+        {},
+        {"sync_delta": True, "decision_points": 3, "sync_interval_s": 30.0},
+    ], ids=["default", "delta-sync"])
     def test_matrix(self, tmp_path, overrides):
         config = smoke_config(n_clients=4, duration_s=200.0,
                               checkpoint_every_s=60.0,
