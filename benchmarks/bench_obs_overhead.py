@@ -179,13 +179,29 @@ def run_check_experiment(duration_s: int = 1800, n_clients: int = 24,
 
 # -- harness -------------------------------------------------------------------
 
+#: Rows that time a whole experiment (the rest are micro-loops).
+FULL_SIM = ("spans", "check", "telemetry")
+
+
+def _timed(fn, **kwargs) -> tuple[float, float]:
+    """``(fn's rate, wall seconds of the whole call)``."""
+    t0 = time.perf_counter()
+    rate = fn(**kwargs)
+    return rate, time.perf_counter() - t0
+
+
 def measure_all(quick: bool = False, repeats: int | None = None) -> dict:
     """Measure every workload tracing-off vs tracing-on.
 
-    Returns ``{workload: {disabled, enabled, overhead_pct}}`` where the
-    rates are events (or RPCs) per wall-clock second and
+    Returns ``{workload: {disabled_per_s, enabled_per_s, overhead_pct}}``
+    where the rates are events (or RPCs) per wall-clock second and
     ``overhead_pct`` is the enabled slowdown relative to disabled
-    (negative values = noise, clamped at 0 in the pass check).
+    (negative values = noise, clamped at 0 in the pass check).  The
+    full-experiment rows (``FULL_SIM``) also carry ``disabled_s`` /
+    ``enabled_s``, the absolute wall seconds of the best run: events/s
+    is not comparable across a change that deletes events, and a
+    percentage is a share of a base run that such a change shortens —
+    the seconds say what a plane costs regardless.
     Off/on runs are *interleaved* and the best of each taken, so slow
     drift (thermal, scheduler) cancels instead of biasing one side.
     """
@@ -220,14 +236,19 @@ def measure_all(quick: bool = False, repeats: int | None = None) -> dict:
         fn(tracing=False, **warm)
         fn(tracing=True, **warm)
         disabled = enabled = 0.0
+        disabled_s = enabled_s = float("inf")
         for _ in range(repeats):
-            disabled = max(disabled, fn(tracing=False, **sizes[name]))
-            enabled = max(enabled, fn(tracing=True, **sizes[name]))
+            rate, wall = _timed(fn, tracing=False, **sizes[name])
+            disabled, disabled_s = max(disabled, rate), min(disabled_s, wall)
+            rate, wall = _timed(fn, tracing=True, **sizes[name])
+            enabled, enabled_s = max(enabled, rate), min(enabled_s, wall)
         out[name] = {
             "disabled_per_s": disabled,
             "enabled_per_s": enabled,
             "overhead_pct": 100.0 * (disabled - enabled) / disabled,
         }
+        if name in FULL_SIM:
+            out[name].update(disabled_s=disabled_s, enabled_s=enabled_s)
         if "sample_every" in sizes[name]:
             # Pin the operating point in the JSON: the spans budget is
             # met *with* head sampling, not at full fidelity.

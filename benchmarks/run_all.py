@@ -104,7 +104,7 @@ def run_kernel_bench(args) -> bool:
         "wall_s": round(wall_s, 2),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "workloads": {name: {k: round(v, 2) for k, v in r.items()}
+        "workloads": {name: {k: round(v, 3) for k, v in r.items()}
                       for name, r in results.items()},
         "tracing": {
             "disabled_guard_overhead_pct": round(guard_pct, 2),
@@ -121,9 +121,11 @@ def run_kernel_bench(args) -> bool:
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     for name, r in results.items():
+        seconds = (f"   ({r['disabled_s']:.3f} s -> {r['enabled_s']:.3f} s "
+                   f"a run)" if "disabled_s" in r else "")
         print(f"{name:>10}: disabled {r['disabled_per_s']:>12,.0f}/s   "
               f"enabled {r['enabled_per_s']:>12,.0f}/s   "
-              f"overhead {r['overhead_pct']:+.1f}%")
+              f"overhead {r['overhead_pct']:+.1f}%{seconds}")
     top = ", ".join(f"{name} {b['pct']:.0f}%"
                     for name, b in list(profile["buckets"].items())[:4])
     print(f"subsystem profile ({profile['samples']} samples over "

@@ -278,19 +278,26 @@ class InvariantChecker:
         elif in_flight == 1 and not client.busy:
             self._flag("client.channel_state", name,
                        "one job in flight but channel not busy")
-        # Arrival conservation: every workload arrival at or before the
-        # checkpoint is either materialized or backlogged.  Arrivals at
-        # exactly the checkpoint instant may still be pending in the
-        # event queue (same-timestamp ordering), hence the left/right
-        # searchsorted tolerance.
-        arrivals = client.workload.arrivals
-        seen = len(client.jobs) + client.backlog_len
-        lo = int(np.searchsorted(arrivals, self.sim.now, side="left"))
-        hi = int(np.searchsorted(arrivals, self.sim.now, side="right"))
-        if not (lo <= seen <= hi):
-            self._flag("client.arrival_conservation", name,
-                       f"{seen} jobs+backlog vs {lo}..{hi} arrivals due "
-                       f"at t={self.sim.now}")
+        # Arrival cursor: the backlog is derived from the cursor, so the
+        # checkable facts are about the cursor itself — it counts the
+        # materialized jobs, never runs ahead of the clock, and its one
+        # timer is armed only while the channel idles with nothing due.
+        now = self.sim.now
+        cursor = client._next
+        due = int(np.searchsorted(client.workload.arrivals, now,
+                                  side="right"))
+        if not (len(client.jobs) == cursor <= due):
+            self._flag("client.arrival_cursor", name,
+                       f"{len(client.jobs)} jobs, cursor {cursor}, "
+                       f"{due} arrivals due at t={now}")
+        elif client.jobs and client.jobs[-1].created_at > now:
+            self._flag("client.arrival_cursor", name,
+                       f"job {client.jobs[-1].jid} created at "
+                       f"{client.jobs[-1].created_at} > now={now}")
+        if client._timer is not None and (client.busy or due > cursor):
+            self._flag("client.arrival_cursor", name,
+                       f"arrival timer armed with busy={client.busy}, "
+                       f"backlog={due - cursor}")
         for counter in ("n_handled", "n_fallback_timeout", "n_abandoned",
                         "n_retries", "backlog_peak"):
             if getattr(client, counter) < 0:

@@ -11,7 +11,10 @@ Implements the paper's client behaviour (§3.2, §4.3):
   channel is serialized, so jobs arriving while a query is in flight
   queue in the host's backlog — "when timeouts occur, job submissions
   are delayed and thus the total number of job submissions is reduced
-  during the time period" (§4.4.2);
+  during the time period" (§4.4.2).  The backlog is *derived*, not
+  stored: arrivals are a sorted array and the client keeps one cursor
+  into it, so an arrival costs a kernel event only when the channel is
+  idle and waiting for it;
 * **timeout fallback**: "each client was configured to apply a [15] s
   timeout ...  If this timeout expires, the client's site selector then
   selects a site at random, without considering USLAs" — the original
@@ -21,7 +24,6 @@ Implements the paper's client behaviour (§3.2, §4.3):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Optional
 
 import numpy as np
@@ -32,7 +34,7 @@ from repro.grid.job import Job
 from repro.net.container import ContainerProfile, lognormal_for_mean
 from repro.net.transport import Endpoint, Network, RpcError
 from repro.resilience.policy import CircuitBreaker, ResilienceConfig
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import ScheduledCall, Simulator
 from repro.workloads.generator import HostWorkload
 from repro.workloads.trace import TraceRecorder
 
@@ -83,7 +85,12 @@ class GruberClient(Endpoint):
 
         self.jobs: list[Job] = []
         self.busy = False
-        self._backlog: deque[int] = deque()  # workload indices awaiting the channel
+        #: Cursor into ``workload.arrivals``: jobs ``[0, _next)`` have
+        #: been materialized, ``[_next, due)`` wait for the channel.
+        self._next = 0
+        self._peak = 0  # deepest backlog any pump has seen
+        self._timer: Optional[ScheduledCall] = None  # the one arrival timer
+        self._started = False
         self.n_handled = 0
         self.n_fallback_timeout = 0
         self.n_abandoned = 0  # responses given up on (dead decision point)
@@ -91,30 +98,25 @@ class GruberClient(Endpoint):
         self.n_breaker_fastfail = 0
         self.n_failovers = 0
         self.rebinds = 0
-        self.backlog_peak = 0
-        self.active_from: Optional[float] = None
-        self.active_until: Optional[float] = None
-        self._proc = None
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> None:
-        if self._proc is not None:
+        if self._started:
             raise RuntimeError(f"client {self.node_id!r} already started")
-        self._proc = self.sim.process(self._run(), name=f"client:{self.node_id}")
+        self._started = True
+        self._pump()
 
     def snapshot_state(self) -> dict:
-        """Canonical client/workload-cursor state for snapshot digests.
-
-        The workload cursor is implicit: ``n_jobs`` jobs drawn so far
-        plus the backlog of arrived-but-unbrokered workload indices
-        pins exactly where in the arrival stream this host is.
-        """
+        """Canonical client state for snapshot digests: ``next`` (jobs
+        materialized) and ``due`` (arrivals at or before now) pin exactly
+        where in the arrival stream this host is."""
         return {
             "host": str(self.node_id),
             "decision_point": str(self.decision_point),
             "busy": self.busy,
-            "backlog": list(self._backlog),
-            "n_jobs": len(self.jobs),
+            "next": self._next,
+            "due": self._due(),
+            "armed": self._timer is not None,
             "n_handled": self.n_handled,
             "n_fallback_timeout": self.n_fallback_timeout,
             "n_abandoned": self.n_abandoned,
@@ -123,7 +125,6 @@ class GruberClient(Endpoint):
             "n_failovers": self.n_failovers,
             "rebinds": self.rebinds,
             "backlog_peak": self.backlog_peak,
-            "active_from": self.active_from,
         }
 
     def rebind(self, decision_point: Hashable) -> None:
@@ -142,37 +143,64 @@ class GruberClient(Endpoint):
             self.sim.trace.emit("client.rebind", node=self.node_id,
                                 prior=str(prior), new=str(decision_point))
 
+    # -- arrivals (derived from the cursor) -------------------------------
+    def _due(self) -> int:
+        """Arrivals at or before now (one exactly at ``now`` counts)."""
+        return int(self.workload.arrivals.searchsorted(self.sim.now, "right"))
+
     @property
     def backlog_len(self) -> int:
         """Jobs waiting at the host for the brokering channel."""
-        return len(self._backlog)
+        return self._due() - self._next
 
-    # -- main loop ------------------------------------------------------------
-    def _run(self):
-        for arrival, idx in self.workload:
-            delay = arrival - self.sim.now
-            if delay > 0:
-                yield delay
-            if self.active_from is None:
-                self.active_from = self.sim.now
-            # Jobs enter the host backlog (paper state 1: "submitted by
-            # a user to a submission host") and are brokered one at a
-            # time over the single decision-point connection.  Backlog
-            # entries stay as workload indices — jobs materialize only
-            # when the channel reaches them.
-            self._backlog.append(idx)
-            if len(self._backlog) > self.backlog_peak:
-                self.backlog_peak = len(self._backlog)
-            self._pump()
-        self.active_until = self.sim.now
+    @property
+    def backlog_peak(self) -> int:
+        """Deepest the backlog has been (it only grows between pumps)."""
+        return max(self._peak, self.backlog_len)
+
+    @property
+    def active_from(self) -> Optional[float]:
+        """When the first job arrived; ``None`` before that."""
+        arrivals = self.workload.arrivals
+        if len(arrivals) and arrivals[0] <= self.sim.now:
+            return float(arrivals[0])
+        return None
+
+    @property
+    def active_until(self) -> Optional[float]:
+        """When the last job arrived; ``None`` while arrivals remain
+        (an empty stream was exhausted at the start, t=0)."""
+        arrivals = self.workload.arrivals
+        last = float(arrivals[-1]) if len(arrivals) else 0.0
+        return last if last <= self.sim.now else None
+
+    def _on_arrival(self) -> None:
+        self._timer = None
+        self._pump()
 
     def _pump(self) -> None:
-        """Start brokering the next backlogged job if the channel is free."""
-        if self.busy or not self._backlog:
+        """The only arrival logic: broker the next due job, else wait for it.
+
+        Jobs enter the host backlog (paper state 1: "submitted by a user
+        to a submission host") and are brokered one at a time.  A busy
+        channel needs no event — its ``finally`` pumps again; an idle
+        one with nothing due arms the single timer for the next arrival.
+        """
+        if self.busy:
             return
-        idx = self._backlog.popleft()
+        idx = self._next
+        arrivals = self.workload.arrivals
+        if idx >= len(arrivals):
+            return
+        arrival = float(arrivals[idx])
+        if arrival > self.sim.now:
+            assert self._timer is None, "second live arrival timer"
+            self._timer = self.sim.schedule_at(arrival, self._on_arrival)
+            return
+        self._peak = max(self._peak, self.backlog_len)
+        self._next = idx + 1
         job = self.workload.job_at(idx)
-        job.mark_created(float(self.workload.arrivals[idx]))
+        job.mark_created(arrival)
         job.decision_point = str(self.decision_point)
         self.jobs.append(job)
         self.busy = True
@@ -185,21 +213,55 @@ class GruberClient(Endpoint):
             return self._broker_resilient(job)
         return self._broker_once(job)
 
+    def _open_spans(self, job: Job, t0: float):
+        """``(root, brokering)`` spans of one job; ``(None, None)`` if off.
+
+        The trace root covers the job's whole lifecycle, opened
+        retroactively at arrival so host backlog wait is on it.
+        """
+        spans = self.sim.spans
+        if not spans.enabled:
+            return None, None
+        root = spans.start_trace("submit", self.node_id,
+                                 start=job.created_at, jid=job.jid,
+                                 vo=job.vo, group=job.group, cpus=job.cpus,
+                                 dp=str(self.decision_point))
+        return root, spans.start_span("brokering", self.node_id, root,
+                                      start=t0)
+
+    def _query(self, job: Job, dp: Hashable, bspan,
+               timeout: Optional[float] = None):
+        """Issue the brokering RPC to ``dp`` (one- or two-phase protocol)."""
+        op, reply_kb = (("broker_job", REQUEST_KB) if self.one_phase
+                        else ("get_state", self.state_response_kb))
+        return self.network.rpc(self.node_id, dp, op,
+                                {"vo": job.vo, "group": job.group,
+                                 "cpus": job.cpus},
+                                size_kb=REQUEST_KB, response_size_kb=reply_kb,
+                                timeout=timeout,
+                                trace_ctx=self.sim.spans.ctx_of(bspan))
+
+    def _place(self, job: Job, dp: Hashable, answer, root,
+               timeout: Optional[float] = None):
+        """Dispatch ``job`` as the broker answered; returns the
+        ``report_dispatch`` RPC to await (``None``: one-phase, no report)."""
+        site = (answer["site"] if self.one_phase
+                else self._choose_site(answer, job.cpus))
+        self._dispatch(job, site, handled=True, parent=root)
+        self.n_handled += 1
+        if self.one_phase:
+            return None
+        return self.network.rpc(self.node_id, dp, "report_dispatch",
+                                {"site": site, "vo": job.vo,
+                                 "group": job.group, "cpus": job.cpus},
+                                size_kb=REPORT_KB, timeout=timeout,
+                                trace_ctx=self.sim.spans.ctx_of(root))
+
     def _broker_once(self, job: Job):
         """One two-phase brokering operation for one job (paper §4.3)."""
         t0 = self.sim.now
         spans = self.sim.spans
-        root = bspan = None
-        if spans.enabled:
-            # Trace root for the job's whole lifecycle, opened
-            # retroactively at arrival so host backlog wait is on it.
-            root = spans.start_trace("submit", self.node_id,
-                                     start=job.created_at, jid=job.jid,
-                                     vo=job.vo, group=job.group,
-                                     cpus=job.cpus,
-                                     dp=str(self.decision_point))
-            bspan = spans.start_span("brokering", self.node_id, root,
-                                     start=t0)
+        root, bspan = self._open_spans(job, t0)
         outcome = "incomplete"
         try:
             # Client-side stack work (auth, marshalling) ...
@@ -215,27 +277,10 @@ class GruberClient(Endpoint):
                                                    self.decision_point)
                           for _ in range(extra_rtts))
 
-            if self.one_phase:
-                ev = self.network.rpc(self.node_id, self.decision_point,
-                                      "broker_job",
-                                      {"vo": job.vo, "group": job.group,
-                                       "cpus": job.cpus},
-                                      size_kb=REQUEST_KB,
-                                      response_size_kb=REQUEST_KB,
-                                      trace_ctx=spans.ctx_of(bspan))
-            else:
-                ev = self.network.rpc(self.node_id, self.decision_point,
-                                      "get_state",
-                                      {"vo": job.vo, "group": job.group,
-                                       "cpus": job.cpus},
-                                      size_kb=REQUEST_KB,
-                                      response_size_kb=self.state_response_kb,
-                                      trace_ctx=spans.ctx_of(bspan))
+            ev = self._query(job, self.decision_point, bspan)
             remaining = self.timeout_s - (self.sim.now - t0)
-            timed_out = False
-            if remaining <= 0:
-                timed_out = True
-            else:
+            timed_out = remaining <= 0
+            if not timed_out:
                 race = self.sim.any_of([ev, self.sim.timeout(remaining)])
                 try:
                     yield race
@@ -269,21 +314,8 @@ class GruberClient(Endpoint):
                     self._record_query(t0, None, timed_out=True)
                 return
 
-            if self.one_phase:
-                site = ev.value["site"]
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-            else:
-                site = self._choose_site(ev.value, job.cpus)
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-                report = self.network.rpc(self.node_id, self.decision_point,
-                                          "report_dispatch",
-                                          {"site": site, "vo": job.vo,
-                                           "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REPORT_KB,
-                                          trace_ctx=spans.ctx_of(root))
+            report = self._place(job, self.decision_point, ev.value, root)
+            if report is not None:
                 # Bounded wait: a report whose request or response is
                 # lost would otherwise never resolve and wedge this
                 # host's single brokering channel for the rest of the
@@ -362,15 +394,7 @@ class GruberClient(Endpoint):
         t0 = self.sim.now
         attempt_timeout = policy.attempt_timeout_s or self.timeout_s
         spans = self.sim.spans
-        root = bspan = None
-        if spans.enabled:
-            root = spans.start_trace("submit", self.node_id,
-                                     start=job.created_at, jid=job.jid,
-                                     vo=job.vo, group=job.group,
-                                     cpus=job.cpus,
-                                     dp=str(self.decision_point))
-            bspan = spans.start_span("brokering", self.node_id, root,
-                                     start=t0)
+        root, bspan = self._open_spans(job, t0)
         outcome = "incomplete"
         attempts = 0
         try:
@@ -397,22 +421,7 @@ class GruberClient(Endpoint):
                 if extra_rtts:
                     yield sum(self.network.latency.rtt(self.node_id, dp)
                               for _ in range(extra_rtts))
-                if self.one_phase:
-                    ev = self.network.rpc(self.node_id, dp, "broker_job",
-                                          {"vo": job.vo, "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REQUEST_KB,
-                                          response_size_kb=REQUEST_KB,
-                                          timeout=attempt_timeout,
-                                          trace_ctx=spans.ctx_of(bspan))
-                else:
-                    ev = self.network.rpc(self.node_id, dp, "get_state",
-                                          {"vo": job.vo, "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REQUEST_KB,
-                                          response_size_kb=self.state_response_kb,
-                                          timeout=attempt_timeout,
-                                          trace_ctx=spans.ctx_of(bspan))
+                ev = self._query(job, dp, bspan, timeout=attempt_timeout)
                 try:
                     yield ev
                 except RpcError:
@@ -429,21 +438,9 @@ class GruberClient(Endpoint):
                         yield policy.backoff_delay(attempt, self.rng)
                     continue
                 breaker.on_success()
-                if self.one_phase:
-                    site = ev.value["site"]
-                else:
-                    site = self._choose_site(ev.value, job.cpus)
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-                if not self.one_phase:
-                    report = self.network.rpc(self.node_id, dp,
-                                              "report_dispatch",
-                                              {"site": site, "vo": job.vo,
-                                               "group": job.group,
-                                               "cpus": job.cpus},
-                                              size_kb=REPORT_KB,
-                                              timeout=attempt_timeout,
-                                              trace_ctx=spans.ctx_of(root))
+                report = self._place(job, dp, ev.value, root,
+                                     timeout=attempt_timeout)
+                if report is not None:
                     try:
                         yield report
                     except RpcError:

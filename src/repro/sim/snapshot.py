@@ -5,8 +5,9 @@ boundary: the kernel clock and heap (entries keyed by ``(time, seq,
 cancelled, qualname)``), every named RNG stream's bit-generator state,
 grid/site queues and busy ledgers, each decision point's view records,
 watermarks, USLA store and sync horizons, the control plane's streaks
-and cooldowns, and each client's workload cursor — all reduced to
-canonical JSON and CRC-digested per subsystem.
+and cooldowns, and each client's arrival cursor (``next``/``due``
+integers, never a backlog list) — all reduced to canonical JSON and
+CRC-digested per subsystem.
 
 Live generator frames (the simulated processes) are deliberately *not*
 serialized — CPython generators cannot be pickled portably.  Restore is
@@ -19,7 +20,7 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 2, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 3, "crc": ...},
      "snapshot": {...}}
 
 ``crc`` covers the canonical (sorted-keys) JSON of the snapshot body;
@@ -55,10 +56,13 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "digruber-snapshot"
-#: Bumped whenever :func:`encode_config`'s shape changes (v2: the four
-#: result-preserving variant knobs left ``ExperimentConfig``), so stale
-#: files are skipped by :func:`newest_checkpoint` instead of half-read.
-SNAPSHOT_VERSION = 2
+#: Bumped whenever a stale file could be half-read or replayed wrong:
+#: :func:`encode_config`'s shape changes (v2: the four result-preserving
+#: variant knobs left ``ExperimentConfig``), or the meaning of
+#: ``event_count`` does (v3: clients no longer execute one kernel event
+#: per arrival, so a v2 count would replay to the wrong boundary).
+#: :func:`newest_checkpoint` skips such files; a restore refuses them.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):

@@ -41,6 +41,15 @@ class HostWorkload:
     #: that embed jids (span exports) are byte-identical across runs.
     jid_base: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # The client derives its backlog with ``searchsorted`` over this
+        # array, so an out-of-order arrival must fail here, by name.
+        if len(self.arrivals) > 1 and np.any(np.diff(self.arrivals) < 0):
+            raise ValueError(
+                f"HostWorkload {self.host!r}: arrivals must be "
+                f"non-decreasing (first drop at index "
+                f"{int(np.argmax(np.diff(self.arrivals) < 0)) + 1})")
+
     def __len__(self) -> int:
         return len(self.arrivals)
 

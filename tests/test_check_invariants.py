@@ -12,6 +12,7 @@ from repro.net import ConstantLatency, GT3_PROFILE, Network
 from repro.sim import RngRegistry, Simulator
 from repro.usla import Agreement, AgreementContext, ServiceTerm
 from repro.usla.fairshare import FairShareRule, ShareKind
+from tests.test_core_client import FAST_PROFILE, SLOW_PROFILE, build
 
 
 @pytest.fixture
@@ -136,12 +137,13 @@ class TestClientInvariants:
         jobs = []
         for i in range(n_jobs):
             j = make_job(duration=duration)
+            j.mark_created(0.0)
             j.mark_dispatched(0.0, "s0")
             j.mark_running(0.0)
             j.mark_completed(duration if run_for is None else run_for)
             jobs.append(j)
         return SimpleNamespace(
-            node_id="h0", jobs=jobs, busy=False, backlog_len=0,
+            node_id="h0", jobs=jobs, busy=False, _next=n_jobs, _timer=None,
             n_handled=n_jobs, n_fallback_timeout=0, n_abandoned=0,
             n_retries=0, backlog_peak=0,
             workload=SimpleNamespace(
@@ -173,6 +175,69 @@ class TestClientInvariants:
         client.n_retries = -1
         c.watch_client(client)
         assert "client.counter_bounds" in rules_of(c.check())
+
+
+class TestArrivalCursorRule:
+    """Seeded bugs against a real client: each clause of
+    ``client.arrival_cursor`` fires, and a healthy client is clean."""
+
+    def _checked(self, profile, **kw):
+        sim, client, *_ = build(profile, **kw)
+        c = InvariantChecker(sim)
+        c.watch_client(client)
+        return sim, client, c
+
+    def _details(self, c):
+        return [v.detail for v in c.check()
+                if v.rule == "client.arrival_cursor"]
+
+    def test_healthy_client_is_clean_busy_idle_and_exhausted(self):
+        sim, client, c = self._checked(FAST_PROFILE)
+        for t in (0.0, 0.05, 10.0, 20.0, 20.05, 500.0):
+            sim.run(until=t)
+            assert self._details(c) == [], t
+
+    def test_cursor_advanced_past_now_fires(self):
+        sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
+                                       interarrival=1.0)
+        sim.run(until=5.5)
+        assert self._details(c) == []
+        # Seeded bug: materialize a job whose arrival is still 4 s away.
+        client._next = 10
+        client.jobs.append(client.workload.job_at(9))
+        client.jobs[-1].mark_created(9.0)
+        details = self._details(c)
+        assert len(details) == 1 and "cursor 10" in details[0]
+        # Cursor consistent with the clock but the job stamped ahead of it.
+        client._next, client.jobs = 2, client.jobs[:1] + client.jobs[-1:]
+        details = self._details(c)
+        assert len(details) == 1 and "created at 9.0" in details[0]
+
+    def test_cursor_disagreeing_with_jobs_fires(self):
+        sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
+                                       interarrival=1.0)
+        sim.run(until=5.5)
+        client._next += 1  # a job skipped: cursor moved, nothing brokered
+        assert len(self._details(c)) == 1
+
+    def test_timer_armed_while_busy_fires(self):
+        sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
+                                       interarrival=1.0)
+        sim.run(until=5.5)
+        assert client.busy and client._timer is None
+        # Seeded bug: a second arrival path arms a timer mid-brokering —
+        # when it fired it would start a second job on the one channel.
+        client._timer = sim.schedule_at(6.0, lambda: None)
+        details = self._details(c)
+        assert len(details) == 1 and "busy=True" in details[0]
+
+    def test_timer_armed_with_work_due_fires(self):
+        sim, client, c = self._checked(FAST_PROFILE)
+        sim.run(until=10.0)  # idle, waiting for the arrival at t=20
+        assert not client.busy and client._timer is not None
+        sim.now = 20.5  # the clock passes the arrival, the timer did not fire
+        details = self._details(c)
+        assert len(details) == 1 and "backlog=1" in details[0]
 
 
 def make_dp(sim, rng, net, grid, node_id="dp0", **kw):

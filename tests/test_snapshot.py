@@ -18,6 +18,7 @@ from repro.sim.snapshot import (
     encode_config,
     newest_checkpoint,
     read_snapshot,
+    resume_experiment,
     snapshot_experiment,
     state_digest,
     write_snapshot,
@@ -147,17 +148,40 @@ _RETIRED = {"fast" + "_paths": True, "state" + "_index": None,
             "batch" + "_dispatch": True, "vectorized" + "_sites": True}
 
 
+def _restamp(doc, path, version):
+    """Write ``doc`` back as ``version`` with a CRC valid for its body."""
+    body = json.dumps(doc["snapshot"], sort_keys=True, separators=(",", ":"))
+    doc["meta"].update(
+        version=version,
+        crc=format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x"))
+    open(path, "w").write(json.dumps(doc))
+
+
 def _restamp_as_v1(path):
     """Rewrite a checkpoint the way the last v1 build wrote it: version
     1, the four retired variant knobs in the embedded config, and a CRC
     that is valid for that body."""
     doc = json.loads(open(path).read())
     doc["snapshot"]["config"].update(_RETIRED)
-    body = json.dumps(doc["snapshot"], sort_keys=True, separators=(",", ":"))
-    doc["meta"].update(
-        version=1,
-        crc=format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x"))
-    open(path, "w").write(json.dumps(doc))
+    _restamp(doc, path, version=1)
+
+
+def _restamp_as_v2(path):
+    """Rewrite a checkpoint the way the last v2 build wrote it: every
+    client section carries the backlog as a list of workload indices
+    (and ``n_jobs``/``active_from``) instead of the cursor, the event
+    count includes the per-arrival wake-ups, and the CRC is valid."""
+    doc = json.loads(open(path).read())
+    snap = doc["snapshot"]
+    for c in snap["state"]["clients"]:
+        nxt, due = c.pop("next"), c.pop("due")
+        del c["armed"]
+        c.update(backlog=list(range(nxt, due)), n_jobs=nxt, active_from=0.0)
+        snap["event_count"] += due
+    snap["state"]["kernel"]["event_count"] = snap["event_count"]
+    snap["digests"] = {k: state_digest(v) for k, v in snap["state"].items()}
+    snap["digest"] = state_digest(snap["state"])
+    _restamp(doc, path, version=2)
 
 
 class TestStaleCheckpoints:
@@ -196,7 +220,23 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 2" in err
+        assert "snapshot version 1" in err and "reads version 3" in err
+
+    def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
+        """A v2 file's ``event_count`` includes one wake-up per arrival
+        that this build never executes: replaying to it would overshoot
+        the checkpoint instant, so it is refused, not replayed."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v2(path)
+        with pytest.raises(SnapshotError,
+                           match="snapshot version 2.*reads version 3"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        with pytest.raises(SnapshotError, match="snapshot version 2"):
+            resume_experiment(path)
+        assert main(["run", "--restore", path]) == 2
 
     def test_campaign_reruns_cells_whose_checkpoints_are_stale(
             self, tmp_path):
