@@ -5,11 +5,10 @@ Runs three regression baselines and writes one JSON file each:
 
 * ``BENCH_kernel.json`` — the observability/kernel micro-benchmarks:
   events-per-second with tracing disabled and enabled per workload,
-  plus the enabled-overhead percentage and a sampled wall-clock
-  profile attributing CPU time to subsystem buckets (dispatch,
-  site-drain, sync, decide, control, ...).  ``pass_overhead_budget``
+  plus the enabled-overhead percentage.  ``pass_overhead_budget``
   asserts the enabled overhead stays under 10% and the disabled guards
-  under 2%.
+  under 2%.  (Where the wall clock goes, layer by layer, is the
+  ledger's traced run: ``benchmarks/ledger/run.py --trace 1``.)
 * ``BENCH_faults.json`` — the chaos matrix (``bench_chaos_matrix``):
   every fault scenario x {timeout-only baseline, resilient stack},
   with brokered/timeout counts, policy-action tallies, and kernel leak
@@ -63,31 +62,12 @@ QUICK_CHAOS_DURATION_S = 600.0
 QUICK_AUTOSCALE_DURATION_S = 1200.0
 
 
-def profile_subsystems(quick: bool) -> dict:
-    """One profiled smoke run -> wall-clock attribution by subsystem.
-
-    Samples the experiment thread's stack (``repro.obs.profiler``)
-    through a full telemetry-on smoke run and reports where the wall
-    clock went: dispatch, site-drain, sync, decide, control, check,
-    telemetry, net, workload.
-    """
-    from benchmarks.bench_obs_overhead import run_telemetry_experiment
-    from repro.obs.profiler import SubsystemProfiler
-
-    with SubsystemProfiler(interval_s=0.002) as prof:
-        run_telemetry_experiment(duration_s=600 if quick else 1800,
-                                 n_clients=8 if quick else 24,
-                                 tracing=True)
-    return prof.report()
-
-
 def run_kernel_bench(args) -> bool:
     """Kernel/tracing micro-bench -> BENCH_kernel.json; True on pass."""
     from benchmarks.bench_obs_overhead import measure_all
 
     t0 = time.time()
     results = measure_all(quick=args.quick, repeats=args.repeats)
-    profile = profile_subsystems(quick=args.quick)
     wall_s = time.time() - t0
 
     # The "callbacks" workload has no trace points: its enabled-vs-
@@ -112,7 +92,6 @@ def run_kernel_bench(args) -> bool:
             "enabled_budget_pct": ENABLED_BUDGET_PCT,
             "disabled_budget_pct": DISABLED_BUDGET_PCT,
         },
-        "profile": profile,
         "pass_overhead_budget": ok,
     }
 
@@ -126,10 +105,6 @@ def run_kernel_bench(args) -> bool:
         print(f"{name:>10}: disabled {r['disabled_per_s']:>12,.0f}/s   "
               f"enabled {r['enabled_per_s']:>12,.0f}/s   "
               f"overhead {r['overhead_pct']:+.1f}%{seconds}")
-    top = ", ".join(f"{name} {b['pct']:.0f}%"
-                    for name, b in list(profile["buckets"].items())[:4])
-    print(f"subsystem profile ({profile['samples']} samples over "
-          f"{profile['wall_s']:.1f}s): {top}")
     verdict = "PASS" if ok else "FAIL"
     print(f"tracing overhead: worst enabled {worst:.1f}% "
           f"(budget {ENABLED_BUDGET_PCT:.0f}%), disabled guards "

@@ -1,7 +1,7 @@
 """Differential replay: run a config pair, bisect the first divergence.
 
 The planes make equivalence claims that a bare "results differ" cannot
-debug: spans and telemetry on/off leave runs event-identical,
+debug: every observer on/off leaves runs event-identical,
 ``run_parallel`` is worker-count independent, delta sync converges to
 the same views as flooding, any shard grouping replays the same
 journal, and a restored run continues the killed one.  Each claim maps to
@@ -12,11 +12,11 @@ context.
 
 Pair semantics:
 
-* ``spans`` — span tracing off vs on (ctx rides outside the digest, so
-  equality is exact);
-* ``telemetry`` — timeline sampler off vs on: periodic
-  ``MetricsRegistry.collect()`` sampling (with JSONL streaming) must
-  be strictly read-only, so both sides replay event-for-event;
+* ``observers`` — no observability at all vs every observer at once
+  (trace ring + sink file, span tracing, timeline sampler + file,
+  flight recorder armed): observing must be strictly read-only, so
+  both sides replay event-for-event (span ctx rides outside the
+  digest, so equality is exact);
 * ``workers`` — ``run_parallel`` with 1 vs 4 workers over the same
   config batch, comparing per-run summary digests;
 * ``delta-sync`` — flood vs per-peer delta dissemination.  Delta
@@ -131,12 +131,31 @@ def _run_journaled(config) -> EventJournal:
     return journal
 
 
-def _pair_spans(duration_s: float, seed: int) -> DiffReport:
+def _pair_observers(duration_s: float, seed: int) -> DiffReport:
+    """No observability vs every observer at once.
+
+    The observability plane's safety claim: recording is strictly
+    read-only — span IDs come from their own RNG stream, a
+    :class:`~repro.obs.timeline.TimelineSampler` tick mutates no
+    semantic state and schedules only itself, trace emission and the
+    armed flight recorder schedule nothing — so a fully observed run
+    must be event-identical to a bare one.  The trace and timeline
+    stream to files on side B to cover the sink path too.
+    """
+    import os
+    import tempfile
+
     base = _diff_config(duration_s, seed, spans=False).with_(seed=seed)
-    return _report(
-        "spans",
-        "spans-off", _run_journaled(base),
-        "spans-on", _run_journaled(base.with_(spans_enabled=True)))
+    with tempfile.TemporaryDirectory() as tmp:
+        observed = base.with_(
+            trace_path=os.path.join(tmp, "trace.jsonl"),
+            spans_enabled=True,
+            telemetry_path=os.path.join(tmp, "timeline.jsonl"),
+            flight_path=os.path.join(tmp, "flight.json"))
+        return _report(
+            "observers",
+            "unobserved", _run_journaled(base),
+            "observed", _run_journaled(observed))
 
 
 def _pair_workers(duration_s: float, seed: int) -> DiffReport:
@@ -197,30 +216,6 @@ def _pair_autoscale_frozen(duration_s: float, seed: int) -> DiffReport:
         "autoscale-frozen",
         "no-controller", _run_journaled(base),
         "frozen-controller", _run_journaled(frozen))
-
-
-def _pair_telemetry(duration_s: float, seed: int) -> DiffReport:
-    """Telemetry timeline off vs on.
-
-    The telemetry plane's safety claim: a
-    :class:`~repro.obs.timeline.TimelineSampler` tick is strictly
-    read-only (no RNG draws, no semantic state mutation; the only
-    events it schedules are its own) — so a ``--telemetry`` run must be
-    event-identical to a bare one.  JSONL streaming rides along on
-    side B to cover the sink path too.
-    """
-    import os
-    import tempfile
-
-    base = _diff_config(duration_s, seed).with_(seed=seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        telemetry = base.with_(
-            telemetry_enabled=True, telemetry_interval_s=30.0,
-            telemetry_path=os.path.join(tmp, "diff-telemetry.jsonl"))
-        return _report(
-            "telemetry",
-            "telemetry-off", _run_journaled(base),
-            "telemetry-on", _run_journaled(telemetry))
 
 
 def _pair_delta_sync(duration_s: float, seed: int) -> DiffReport:
@@ -381,8 +376,7 @@ def _pair_resume_sharded(duration_s: float, seed: int) -> DiffReport:
 
 
 PAIRS: dict[str, Callable[[float, int], DiffReport]] = {
-    "spans": _pair_spans,
-    "telemetry": _pair_telemetry,
+    "observers": _pair_observers,
     "workers": _pair_workers,
     "delta-sync": _pair_delta_sync,
     "autoscale-frozen": _pair_autoscale_frozen,

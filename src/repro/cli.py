@@ -60,15 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="JSONL",
                        help="enable the periodic telemetry timeline; "
                             "with a path, stream rows to a JSONL file "
-                            "(view with `digruber top`)")
+                            "(replay with `digruber top`, or tail the "
+                            "live run with `digruber top --follow`)")
         p.add_argument("--telemetry-interval", type=float, default=None,
                        metavar="S",
                        help="telemetry sampling interval in simulated "
                             "seconds (default 30)")
-        p.add_argument("--serve-telemetry", default=None, metavar="JSONL",
-                       help="stream + flush timeline rows to a file that "
-                            "a concurrent `digruber top --follow` can "
-                            "tail (implies --telemetry)")
         p.add_argument("--flight", nargs="?", const="", default=None,
                        metavar="JSON",
                        help="arm the flight recorder: dump a black box "
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="differential replay: run a config pair, bisect "
                      "to the first divergent event")
     diff.add_argument("--pair", required=True,
-                      choices=("spans", "telemetry", "workers", "delta-sync",
+                      choices=("observers", "workers", "delta-sync",
                                "autoscale-frozen", "sharded-2", "sharded-4",
                                "resume", "resume-sharded"),
                       help="equivalence claim to check")
@@ -265,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="terminal dashboard over a telemetry timeline "
                     "(replay a finished file, or --follow a live "
-                    "--serve-telemetry run)")
+                    "--telemetry run)")
     top.add_argument("timeline", metavar="TIMELINE_JSONL")
     top.add_argument("--replay", action="store_true",
                      help="replay mode (the default; flag kept for "
                           "explicitness)")
     top.add_argument("--follow", action="store_true",
-                     help="tail a live --serve-telemetry file instead "
-                          "of replaying")
+                     help="tail the file a live --telemetry run is "
+                          "writing instead of replaying")
     top.add_argument("--once", action="store_true",
                      help="render only the final frame and exit "
                           "(replay mode)")
@@ -298,24 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _obs_overrides(args) -> dict:
-    """Config overrides for the ``--trace``/``--trace-spans`` flags."""
+    """Config overrides for the observability flags (``add_obs``)."""
     overrides = {}
     if getattr(args, "trace", None) is not None:
         overrides["trace_enabled"] = True
         if args.trace:
-            parent = os.path.dirname(args.trace) or "."
-            if not os.path.isdir(parent):
-                raise SystemExit(
-                    f"error: --trace directory does not exist: {parent}")
+            _require_parent_dir("--trace", args.trace)
             overrides["trace_path"] = args.trace
     if getattr(args, "trace_spans", None) is not None:
         overrides["spans_enabled"] = True
         if args.trace_spans:
-            parent = os.path.dirname(args.trace_spans) or "."
-            if not os.path.isdir(parent):
-                raise SystemExit(
-                    f"error: --trace-spans directory does not exist: "
-                    f"{parent}")
+            _require_parent_dir("--trace-spans", args.trace_spans)
             overrides["spans_path"] = args.trace_spans
     if getattr(args, "trace_sample", 1) != 1:
         if args.trace_sample < 1:
@@ -328,11 +318,6 @@ def _obs_overrides(args) -> dict:
         if args.telemetry:
             _require_parent_dir("--telemetry", args.telemetry)
             overrides["telemetry_path"] = args.telemetry
-    if getattr(args, "serve_telemetry", None):
-        _require_parent_dir("--serve-telemetry", args.serve_telemetry)
-        overrides["telemetry_enabled"] = True
-        overrides["telemetry_path"] = args.serve_telemetry
-        overrides["serve_telemetry"] = True
     if getattr(args, "telemetry_interval", None) is not None:
         if args.telemetry_interval <= 0:
             raise SystemExit("error: --telemetry-interval must be > 0")
@@ -360,11 +345,9 @@ def _print_obs(args, result) -> None:
     if getattr(args, "trace_spans", None):
         print(f"spans written to {args.trace_spans} "
               f"(inspect: digruber trace analyze {args.trace_spans})")
-    tl_path = (getattr(args, "serve_telemetry", None)
-               or getattr(args, "telemetry", None))
-    if tl_path:
-        print(f"timeline written to {tl_path} "
-              f"(view: digruber top {tl_path})")
+    if getattr(args, "telemetry", None):
+        print(f"timeline written to {args.telemetry} "
+              f"(view: digruber top {args.telemetry})")
 
 
 def _base_config(args):
@@ -441,13 +424,39 @@ def _cmd_grubsim(args) -> int:
     return 0
 
 
+def _run_flight_armed(config, run):
+    """Call ``run()`` the way every monolithic ``digruber run`` leg must.
+
+    When ``config`` arms the flight recorder, SIGTERM is converted to
+    :class:`~repro.obs.flight.Terminated` first (so a killed run
+    unwinds through ``abort_experiment`` and leaves its black box),
+    and any abnormal exit prints where the dump went before re-raising.
+    """
+    armed = config.flight_enabled or bool(config.flight_path)
+    if armed:
+        from repro.obs.flight import install_sigterm_handler
+        install_sigterm_handler()
+    try:
+        return run()
+    except BaseException:
+        flight_path = config.flight_path or f"flight-{config.seed}.json"
+        if armed and os.path.exists(flight_path):
+            print(f"flight recorder dumped to {flight_path} "
+                  f"(analyze: digruber postmortem {flight_path})",
+                  file=sys.stderr)
+        raise
+
+
 def _cmd_run(args) -> int:
     from repro.experiments import run_experiment
     if args.restore is not None:
         if args.shards is not None:
             return _run_sharded_cmd(args, None, None)
-        from repro.sim.snapshot import resume_experiment
-        result = resume_experiment(args.restore)
+        from repro.sim.snapshot import (decode_config, read_snapshot,
+                                        resume_experiment)
+        config = decode_config(read_snapshot(args.restore)["config"])
+        result = _run_flight_armed(
+            config, lambda: resume_experiment(args.restore))
         print(result.summary())
         _print_obs(args, result)
         return 0
@@ -512,19 +521,7 @@ def _cmd_run(args) -> int:
         return _run_sharded_cmd(args, maker, overrides)
     overrides.update(_obs_overrides(args))
     config = maker(args.dps, **overrides)
-    if config.flight_enabled or config.flight_path:
-        from repro.obs.flight import install_sigterm_handler
-        install_sigterm_handler()
-    try:
-        result = run_experiment(config)
-    except BaseException:
-        flight_path = config.flight_path or f"flight-{config.seed}.json"
-        if ((config.flight_enabled or config.flight_path)
-                and os.path.exists(flight_path)):
-            print(f"flight recorder dumped to {flight_path} "
-                  f"(analyze: digruber postmortem {flight_path})",
-                  file=sys.stderr)
-        raise
+    result = _run_flight_armed(config, lambda: run_experiment(config))
     print(result.summary())
     cs = result.control_stats()
     if cs is not None:
@@ -560,11 +557,11 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
         raise SystemExit(
             "error: --shards forces per-sim observability off in every "
             "neighborhood; drop --trace/--trace-spans/--obs")
-    if args.serve_telemetry or args.flight is not None:
+    if args.flight is not None:
         raise SystemExit(
-            "error: --serve-telemetry/--flight need one live simulator; "
-            "sharded telemetry is barrier-sampled instead (--telemetry "
-            "FILE writes the merged grid-wide timeline)")
+            "error: --flight needs one live simulator; drop --flight "
+            "(--telemetry FILE still writes the merged grid-wide "
+            "timeline, sampled at the epoch barriers)")
     # Sharded telemetry works differently (hood-local barrier sampling,
     # merged at the end) but flows through the same config fields.
     overrides.update(_obs_overrides(args))
@@ -729,6 +726,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    from repro.obs.jsonl import JsonlError
     from repro.sim.snapshot import SnapshotError
     args = build_parser().parse_args(argv)
     try:
@@ -743,6 +741,13 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (OSError, JsonlError) as err:
+        # A missing, unreadable or malformed artifact handed to a
+        # reader command is a usage error too.
+        if args.command not in ("trace", "top"):
+            raise
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -117,7 +117,6 @@ class ExperimentConfig:
     # the structured trace is opt-in because it costs per-event work.
     trace_enabled: bool = False
     trace_path: str = ""        # stream events to this JSONL file
-    trace_capacity: int = 65536  # ring-buffer size when tracing
     # Causal span tracing (repro.obs.spans): per-job lifecycle spans,
     # decide-staleness annotations, sync-round propagation.  Setting a
     # path implies enabling; sampling keeps every Nth trace root.
@@ -128,13 +127,11 @@ class ExperimentConfig:
     # taking one MetricsRegistry.collect() pass per interval into a
     # bounded series.  Strictly read-only — telemetry-on runs are
     # event-identical to telemetry-off (``digruber diff --pair
-    # telemetry``).  Setting a path implies enabling; ``serve``
-    # flushes every row so ``digruber top`` can tail the live file.
+    # observers``).  Setting a path implies enabling; the file is
+    # flushed row by row, so ``digruber top --follow`` can tail it live.
     telemetry_enabled: bool = False
     telemetry_interval_s: float = 30.0
     telemetry_path: str = ""       # stream timeline rows to this JSONL file
-    telemetry_capacity: int = 512  # bound on the in-memory series
-    serve_telemetry: bool = False  # flush per row for live `digruber top`
     # Flight recorder (repro.obs.flight): bounded black box dumped on
     # crash / strict-check violation / SIGTERM.  Zero-cost while the
     # run is healthy (references only, nothing copied per event).
@@ -191,8 +188,6 @@ class ExperimentConfig:
             raise ValueError("spans_sample must be >= 1")
         if self.telemetry_interval_s <= 0:
             raise ValueError("telemetry_interval_s must be > 0")
-        if self.telemetry_capacity < 1:
-            raise ValueError("telemetry_capacity must be >= 1")
         if self.check_interval_s <= 0:
             raise ValueError("check_interval_s must be > 0")
         if self.jid_offset < 0:

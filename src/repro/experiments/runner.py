@@ -24,6 +24,7 @@ from repro.metrics import defs as metric_defs
 from repro.net.latency import LanLatency, PairwiseWanLatency
 from repro.net.topology import assign_clients, assign_clients_nearest
 from repro.net.transport import Network
+from repro.obs.jsonl import JsonlSink
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import WorkloadGenerator
@@ -234,10 +235,13 @@ class BuiltExperiment:
     failover: Optional[object] = None
     checker: Optional[object] = None
     planner: Optional[object] = None
-    trace_sink: Optional[object] = None
     sampler: Optional[object] = None
     flight: Optional[object] = None
     checkpointer: Optional[object] = None
+    #: Every streaming JSONL artifact of the run, by stream name
+    #: (``"trace"``, ``"telemetry"``): one mapping that finalize, abort
+    #: and the snapshot plane's byte-offset verification iterate.
+    sinks: dict = field(default_factory=dict)
 
 
 def build_experiment(config: ExperimentConfig,
@@ -254,14 +258,12 @@ def build_experiment(config: ExperimentConfig,
         sim = Simulator()
     rng = RngRegistry(config.seed)
 
-    trace_sink = None
+    sinks = {}
     if config.trace_enabled or config.trace_path:
         sim.trace.enabled = True
-        sim.trace.set_capacity(config.trace_capacity)
         if config.trace_path:
-            from repro.obs import JsonlSink
-            trace_sink = JsonlSink(config.trace_path)
-            sim.trace.add_sink(trace_sink)
+            trace_file = sinks["trace"] = JsonlSink(config.trace_path)
+            sim.trace.add_sink(lambda ev: trace_file.write(ev.to_dict()))
 
     if config.spans_enabled or config.spans_path:
         sim.spans.enabled = True
@@ -383,25 +385,20 @@ def build_experiment(config: ExperimentConfig,
         checker.install()
 
     sampler = None
-    if (config.telemetry_enabled or config.telemetry_path
-            or config.serve_telemetry):
-        from repro.obs.timeline import TimelineSampler
+    if config.telemetry_enabled or config.telemetry_path:
+        from repro.obs.timeline import TimelineSampler, timeline_meta
+        if config.telemetry_path:
+            sinks["telemetry"] = JsonlSink(
+                config.telemetry_path,
+                meta=timeline_meta(config, config.telemetry_interval_s))
         # With a planner present, its SignalBus is *the* control-plane
         # sampler; telemetry reads the gauges it publishes rather than
         # owning a second bus (one gauge computation per control tick).
         sampler = TimelineSampler(
             sim, interval_s=config.telemetry_interval_s,
-            capacity=config.telemetry_capacity,
             deployment=deployment if planner is None else None,
             bus=planner.bus if planner is not None else None,
-            grid=grid, path=config.telemetry_path,
-            flush_rows=config.serve_telemetry,
-            meta={"name": config.name, "seed": config.seed,
-                  "duration_s": config.duration_s,
-                  "decision_points": config.decision_points,
-                  "n_clients": config.n_clients,
-                  "n_sites": config.n_sites,
-                  "total_cpus": config.total_cpus})
+            grid=grid, sink=sinks.get("telemetry"))
         sampler.start()
 
     deployment.start()
@@ -417,7 +414,7 @@ def build_experiment(config: ExperimentConfig,
                             hosts=hosts, offsets=offsets, trace=trace,
                             injector=injector, failover=failover,
                             checker=checker, planner=planner,
-                            trace_sink=trace_sink, sampler=sampler)
+                            sampler=sampler, sinks=sinks)
     if config.flight_enabled or config.flight_path:
         from repro.obs.flight import FlightRecorder
         built.flight = FlightRecorder(built, path=config.flight_path)
@@ -440,15 +437,14 @@ def finalize_experiment(built: BuiltExperiment) -> ExperimentResult:
         built.checker.check()
 
     if built.sampler is not None:
-        # Stops the periodic chain, records one last row at end-of-run
-        # state, and flushes/closes the JSONL sink.
-        built.sampler.close()
+        # Stops the periodic chain and records one last row at
+        # end-of-run state.
+        built.sampler.finish()
 
-    if built.trace_sink is not None:
-        # Detach before closing: generator finalizers can still spawn
-        # (and trace) processes after the run window.
-        sim.trace.remove_sink(built.trace_sink)
-        built.trace_sink.close()
+    # Closed sinks ignore writes: generator finalizers can still spawn
+    # (and trace) processes after the run window.
+    for sink in built.sinks.values():
+        sink.close()
 
     if config.spans_path:
         # Spans still open here (suspended brokering generators, jobs
@@ -479,8 +475,7 @@ def abort_experiment(built: BuiltExperiment,
                      exc: BaseException) -> Optional[str]:
     """Best-effort teardown for a run that died mid-flight.
 
-    Dumps the flight recorder (when armed), then closes the telemetry
-    sampler and trace sink so their JSONL files end on whole lines —
+    Dumps the flight recorder (when armed), then closes every sink —
     an aborted run must still leave valid, tail-able artifacts.  Never
     raises; returns the flight-dump path (or ``None``).
     """
@@ -488,17 +483,8 @@ def abort_experiment(built: BuiltExperiment,
     if built.flight is not None:
         from repro.obs.flight import abort_reason
         path = built.flight.dump(reason=abort_reason(exc), exc=exc)
-    if built.sampler is not None:
-        try:
-            built.sampler.close(final_sample=False)
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-    if built.trace_sink is not None:
-        try:
-            built.sim.trace.remove_sink(built.trace_sink)
-        except ValueError:  # pragma: no cover - already detached
-            pass
-        built.trace_sink.close()
+    for sink in built.sinks.values():
+        sink.close()
     return path
 
 

@@ -5,10 +5,17 @@ throughput, response-time, and accuracy curves per decision point — so
 the simulator carries a first-class observability layer rather than
 ad-hoc print statements:
 
+* :mod:`repro.obs.jsonl` — the one I/O path every artifact below
+  shares: :class:`~repro.obs.jsonl.JsonlSink` is the only writer of a
+  JSONL file (flush per row, byte offsets for restore verification,
+  close-once) and :func:`~repro.obs.jsonl.read_jsonl` the only
+  line-decode loop (file or growing tail; tolerant skips bad lines,
+  strict raises :class:`~repro.obs.jsonl.JsonlError` naming
+  ``path:lineno``).
 * :mod:`repro.obs.trace` — a ring-buffered structured event trace
-  (sim-time, node, kind, detail) with pluggable sinks, including JSONL
-  export.  Disabled by default; the hot layers guard every emission so
-  the disabled cost is one attribute check.
+  (sim-time, node, kind, detail) with pluggable sinks.  Disabled by
+  default; the hot layers guard every emission so the disabled cost is
+  one attribute check.
 * :mod:`repro.obs.counters` — always-on named counters and fixed-bucket
   histograms (p50/p90/p99 without numpy) collected in a
   :class:`~repro.obs.counters.MetricsRegistry`.
@@ -20,15 +27,13 @@ ad-hoc print statements:
 * :mod:`repro.obs.timeline` — the time-resolved telemetry plane: a
   DES-clock :class:`~repro.obs.timeline.TimelineSampler` taking one
   unified :meth:`~repro.obs.counters.MetricsRegistry.collect` pass per
-  tick into a bounded series with JSONL / OpenMetrics export (what
-  ``digruber top`` replays or live-tails).
+  tick into a bounded series and a timeline file (what ``digruber top``
+  replays or live-tails); sharded runs merge per-neighborhood barrier
+  rows into the same row schema.
 * :mod:`repro.obs.flight` — the flight recorder: a bounded black box
   (trace tail, open spans, recent snapshots, kernel + checker state)
   dumped to ``flight-<seed>.json`` on crash, strict-check violation,
   or SIGTERM; analyzed by ``digruber postmortem``.
-* :mod:`repro.obs.profiler` — a sampling wall-clock profiler that
-  attributes CPU time to subsystem buckets (dispatch / site-drain /
-  sync / decide / control) for ``BENCH_kernel.json``.
 
 One :class:`~repro.obs.trace.Tracer` and one
 :class:`~repro.obs.counters.MetricsRegistry` hang off every
@@ -46,15 +51,17 @@ from repro.obs.counters import (
     MetricsRegistry,
 )
 from repro.obs.flight import FlightRecorder, Terminated
+from repro.obs.jsonl import JsonlError, JsonlSink, read_jsonl
 from repro.obs.spans import Span, SpanContext, SpanRecorder, chrome_trace
-from repro.obs.timeline import TimelineSampler, load_timeline, to_openmetrics
-from repro.obs.trace import JsonlSink, TraceEvent, Tracer
+from repro.obs.timeline import TimelineSampler, load_timeline
+from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
     "Histogram",
+    "JsonlError",
     "JsonlSink",
     "LATENCY_BUCKETS_S",
     "MetricsRegistry",
@@ -67,5 +74,5 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "load_timeline",
-    "to_openmetrics",
+    "read_jsonl",
 ]

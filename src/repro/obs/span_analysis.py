@@ -9,47 +9,34 @@ inspectable anywhere.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from typing import Optional
 
 from repro.metrics.report import format_table
+from repro.obs.jsonl import read_jsonl
 from repro.obs.spans import write_chrome
 
 __all__ = ["load_spans", "analyze_report", "critical_path_report",
            "slowest_report", "export_chrome_file"]
 
 
+#: The keys the analyses below index without ``.get``; a row lacking
+#: one is a bad line to the reader, not a ``KeyError`` three calls deep.
+_SPAN_KEYS = ("trace_id", "span_id", "parent_id", "name", "node", "start",
+              "end", "attrs")
+
+
 def load_spans(path: str, tolerant: bool = False) -> list[dict]:
     """Read a span JSONL export (order preserved).
 
-    Strict by default: a malformed line raises ``ValueError`` with the
-    path and line number, because silently dropping spans corrupts the
-    critical-path analysis.  ``tolerant=True`` skips undecodable lines
-    instead — for exports truncated mid-line by a killed run, where the
-    valid prefix is still worth analyzing.
+    Strict by default: a malformed line raises
+    :class:`~repro.obs.jsonl.JsonlError` with the path and line number,
+    because silently dropping spans corrupts the critical-path
+    analysis.  ``tolerant=True`` skips bad lines instead — for exports
+    truncated mid-line by a killed run, where the valid prefix is still
+    worth analyzing.
     """
-    spans = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if tolerant:
-                    continue
-                raise ValueError(
-                    f"{path}:{lineno}: not a span JSONL line: {exc}") from exc
-            if not isinstance(doc, dict):
-                if tolerant:
-                    continue
-                raise ValueError(
-                    f"{path}:{lineno}: not a span JSONL line: "
-                    f"expected an object, got {type(doc).__name__}")
-            spans.append(doc)
-    return spans
+    return list(read_jsonl(path, tolerant, require=_SPAN_KEYS))
 
 
 def _duration(span: dict) -> Optional[float]:

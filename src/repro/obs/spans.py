@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple, Optional
 
+from repro.obs.jsonl import jsonable, write_jsonl
+
 __all__ = ["Span", "SpanContext", "SpanRecorder", "chrome_trace"]
 
 #: IDs are drawn from the RNG in blocks so the per-span cost is a list
@@ -83,7 +85,7 @@ class Span:
             "start": float(self.start),
             "end": None if self.end is None else float(self.end),
             "orphan": self.end is None,
-            "attrs": {k: _attr_jsonable(v)
+            "attrs": {k: jsonable(v)
                       for k, v in sorted(self.attrs.items())},
         }
 
@@ -91,30 +93,6 @@ class Span:
         state = "open" if self.end is None else f"{self.duration_s:.4g}s"
         return (f"<Span {self.name} {self.span_id} node={self.node} "
                 f"{state}>")
-
-
-def _attr_jsonable(value: Any) -> Any:
-    """Coerce one attribute value to a JSON-native type.
-
-    Numpy scalars (``np.int64`` and ``np.float32`` are *not*
-    ``int``/``float`` subclasses) are unwrapped via their ``item()``;
-    anything else non-primitive degrades to ``str``.
-    """
-    if isinstance(value, (str, bool)) or value is None:
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):  # np.float64 is a float subclass
-        return float(value)
-    item = getattr(value, "item", None)
-    if callable(item):
-        try:
-            unwrapped = item()
-        except (TypeError, ValueError):  # pragma: no cover - exotic array
-            return str(value)
-        if isinstance(unwrapped, (str, int, float, bool)):
-            return unwrapped
-    return str(value)
 
 
 class SpanRecorder:
@@ -268,11 +246,7 @@ class SpanRecorder:
         orphan is information (severed causal chain), never noise to
         discard silently.
         """
-        dicts = self.to_dicts()
-        with open(path, "w", encoding="utf-8") as fh:
-            for d in dicts:
-                fh.write(json.dumps(d, allow_nan=False) + "\n")
-        return len(dicts)
+        return write_jsonl(path, self.to_dicts())
 
     def export_chrome(self, path: str) -> int:
         """Write Chrome ``trace_event`` JSON (load in Perfetto)."""

@@ -11,44 +11,49 @@ telemetry plane:
   :meth:`~repro.obs.counters.MetricsRegistry.collect` pass (counters,
   gauges, one-pass histogram summaries) plus a kernel section (heap
   size, dead-entry ratio, event rate) and appends the row to a bounded
-  in-memory series, optionally streaming it to a JSONL file.  When a
-  deployment is attached the sampler drives (or reuses) the control
-  plane's :class:`~repro.control.signals.SignalBus`, so control and
-  telemetry read **one** code path — gauges are computed once per tick,
-  never re-derived.
-* JSONL timeline files — a ``{"meta": ...}`` header line followed by
-  one snapshot row per line.  ``digruber top`` replays or live-tails
-  them; :func:`load_timeline` reads them back (tolerant of a truncated
-  final line, the normal state of a file being tailed mid-write).
-* OpenMetrics text export (:func:`to_openmetrics`) — the wire format a
-  future live-service ``/metrics`` endpoint serves; dotted metric names
-  map to OpenMetrics families with a ``dp`` label split off per-DP
-  series.
-* :func:`merge_hood_timelines` — sharded runs sample each DP
-  neighborhood at its epoch barriers from *hood-local* state only, so
-  the merged grid-wide timeline is bit-identical regardless of how
-  hoods are grouped onto shards (the same partition-independence
-  contract as the event journals).
+  in-memory series, optionally streaming it to a
+  :class:`~repro.obs.jsonl.JsonlSink`.  When a deployment is attached
+  the sampler drives (or reuses) the control plane's
+  :class:`~repro.control.signals.SignalBus`, so control and telemetry
+  read **one** code path — gauges are computed once per tick, never
+  re-derived.
+* Timeline files — a ``{"meta": ...}`` header line (see
+  :func:`timeline_meta`) followed by one row per line, every row in the
+  registry schema ``{"t", "counters", "gauges", "histograms"}``.
+  ``digruber top`` replays or live-tails them; :func:`load_timeline`
+  reads them back.
+* :func:`hood_row` / :func:`merge_hood_timelines` — sharded runs sample
+  each DP neighborhood at its epoch barriers from *hood-local* state
+  only and merge the hoods into one registry-schema row per barrier, so
+  the grid-wide timeline is bit-identical regardless of how hoods are
+  grouped onto shards (the same partition-independence contract as the
+  event journals) and renders through the same dashboard path.
 
 Determinism is a hard invariant: a sampler tick is strictly read-only
 with respect to the simulation — no RNG draws, no semantic state
 mutation; the only events it schedules are its own ticks.  A run with
 telemetry on therefore executes the exact same semantic event sequence
-as one without (``digruber diff --pair telemetry`` enforces this).
+as one without (``digruber diff --pair observers`` enforces this).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Optional
+
+from repro.obs.jsonl import JsonlSink, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.signals import SignalBus
+    from repro.experiments.configs import ExperimentConfig
     from repro.sim.kernel import Simulator
 
-__all__ = ["TimelineSampler", "load_timeline", "to_openmetrics",
-           "export_openmetrics", "merge_hood_timelines", "hood_snapshot"]
+__all__ = ["TIMELINE_CAPACITY", "TimelineSampler", "header_of", "hood_row",
+           "load_timeline", "merge_hood_timelines", "timeline_meta"]
+
+#: Bound on the in-memory series (~120 rows in a paper-length run); the
+#: flight recorder reads its tail, the sink file still sees every row.
+TIMELINE_CAPACITY = 512
 
 
 class TimelineSampler:
@@ -79,18 +84,16 @@ class TimelineSampler:
     grid:
         Optional :class:`~repro.grid.builder.Grid`; adds grid-wide
         utilization/queue gauges (``grid.*``) each tick.
-    path:
-        Stream every row (plus a leading meta line) to this JSONL file.
-    flush_rows:
-        Flush the file after every row — what ``--serve-telemetry``
-        uses so ``digruber top`` can tail a live run.
+    sink:
+        Stream every row to this :class:`~repro.obs.jsonl.JsonlSink`
+        (opened by the caller with a :func:`timeline_meta` header, and
+        closed by the caller — the sampler only writes).
     """
 
     def __init__(self, sim: "Simulator", interval_s: float = 30.0,
-                 capacity: int = 512, deployment: Any = None,
+                 capacity: int = TIMELINE_CAPACITY, deployment: Any = None,
                  bus: Optional["SignalBus"] = None, grid: Any = None,
-                 path: str = "", flush_rows: bool = False,
-                 meta: Optional[dict] = None):
+                 sink: Optional[JsonlSink] = None):
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
         if capacity <= 0:
@@ -106,18 +109,10 @@ class TimelineSampler:
             self._owns_bus = True
         self.rows: deque = deque(maxlen=capacity)
         self.samples_taken = 0
-        self.meta = dict(meta) if meta else {}
+        self.sink = sink
         self._prev_events = sim.events_executed
         self._prev_t = sim.now
         self._handle = None
-        self.path = path
-        self._flush_rows = flush_rows
-        self._fh: Optional[TextIO] = None
-        if path:
-            self._fh = open(path, "w", encoding="utf-8")
-            header = {"meta": {"interval_s": interval_s, **self.meta}}
-            self._fh.write(json.dumps(header) + "\n")
-            self._fh.flush()
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -132,38 +127,13 @@ class TimelineSampler:
             self._handle.cancel()
             self._handle = None
 
-    def byte_offset(self) -> int:
-        """Bytes written so far (flushes first; size once closed).
-
-        ``repro.sim.snapshot`` verifies the restored timeline stream
-        regenerated the same byte prefix.  Returns 0 for in-memory
-        samplers with no sink file.
-        """
-        if self._fh is None:
-            return 0
-        if self._fh.closed:
-            import os
-            return os.path.getsize(self.path)
-        self._fh.flush()
-        return self._fh.tell()
-
-    def close(self, final_sample: bool = True) -> None:
-        """Stop sampling and flush/close the JSONL sink.
-
-        Safe on every exit path (the runner calls it from a ``finally``)
-        and idempotent; ``final_sample`` records one last row at the
-        current instant so the timeline always covers end-of-run state.
-        """
+    def finish(self) -> None:
+        """Stop sampling and record one last row at the current instant
+        (unless a tick already landed on it), so the timeline always
+        covers end-of-run state."""
         self.stop()
-        if final_sample and (not self.rows
-                             or self.rows[-1]["t"] != self.sim.now):
-            try:
-                self.tick()
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
-        if self._fh is not None and not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        if not self.rows or self.rows[-1]["t"] != self.sim.now:
+            self.tick()
 
     # -- sampling -------------------------------------------------------
     def tick(self) -> dict:
@@ -181,10 +151,8 @@ class TimelineSampler:
         row = sim.metrics.collect(now=now)
         self.rows.append(row)
         self.samples_taken += 1
-        if self._fh is not None and not self._fh.closed:
-            self._fh.write(json.dumps(row) + "\n")
-            if self._flush_rows:
-                self._fh.flush()
+        if self.sink is not None:
+            self.sink.write(row)
         return row
 
     def _publish_kernel_gauges(self, now: float) -> None:
@@ -206,13 +174,7 @@ class TimelineSampler:
         metrics.gauge("kernel.processes").set(len(sim._processes), at=now)
 
     def _publish_grid_gauges(self, now: float) -> None:
-        busy = total = queued = running = completed = 0
-        for site in self.grid.sites.values():
-            busy += site.busy_cpus
-            total += site.total_cpus
-            queued += site.queue_length
-            running += site.running_jobs
-            completed += site.jobs_completed
+        busy, total, queued, running, completed = _grid_totals(self.grid)
         metrics = self.sim.metrics
         metrics.gauge("grid.busy_cpus").set(busy, at=now)
         metrics.gauge("grid.total_cpus").set(total, at=now)
@@ -231,19 +193,40 @@ class TimelineSampler:
         rows = list(self.rows)
         return rows[-n:]
 
-    def export_openmetrics(self, path: str) -> None:
-        """Write the newest row as OpenMetrics text."""
-        if not self.rows:
-            raise ValueError("no snapshots recorded yet")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_openmetrics(self.rows[-1]))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TimelineSampler every {self.interval_s}s "
                 f"rows={len(self.rows)} taken={self.samples_taken}>")
 
 
+def _grid_totals(grid) -> tuple[int, int, int, int, int]:
+    """``(busy, total, queued, running, completed)`` summed over sites."""
+    busy = total = queued = running = completed = 0
+    for site in grid.sites.values():
+        busy += site.busy_cpus
+        total += site.total_cpus
+        queued += site.queue_length
+        running += site.running_jobs
+        completed += site.jobs_completed
+    return busy, total, queued, running, completed
+
+
 # -- timeline files ----------------------------------------------------------
+
+def timeline_meta(config: "ExperimentConfig", interval_s: float) -> dict:
+    """The header of a timeline file: what ``digruber top`` titles its
+    frames with.  Deliberately free of shard count and mode — a sharded
+    run's file must be byte-identical under any grouping."""
+    return {"interval_s": interval_s, "name": config.name,
+            "seed": config.seed, "duration_s": config.duration_s,
+            "decision_points": config.decision_points,
+            "n_clients": config.n_clients, "n_sites": config.n_sites,
+            "total_cpus": config.total_cpus}
+
+
+def header_of(doc: dict) -> Optional[dict]:
+    """The meta dict if ``doc`` is a timeline file's header line."""
+    return doc["meta"] if "meta" in doc and "t" not in doc else None
+
 
 def load_timeline(path: str, tolerant: bool = True
                   ) -> tuple[dict, list[dict]]:
@@ -252,144 +235,75 @@ def load_timeline(path: str, tolerant: bool = True
     ``tolerant`` (the default) skips undecodable lines — a file being
     tailed mid-write, or truncated by a crash, routinely ends in half a
     row; replay and postmortem tooling must read everything before it.
-    With ``tolerant=False`` a malformed line raises ``ValueError`` with
-    its line number.
+    With ``tolerant=False`` a malformed line raises
+    :class:`~repro.obs.jsonl.JsonlError` with its line number.
     """
     meta: dict = {}
     rows: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if tolerant:
-                    continue
-                raise ValueError(
-                    f"{path}:{lineno}: not a timeline JSONL line: "
-                    f"{exc}") from exc
-            if "meta" in doc and "t" not in doc:
-                meta = doc["meta"]
-            else:
-                rows.append(doc)
+    for doc in read_jsonl(path, tolerant):
+        header = header_of(doc)
+        if header is None:
+            rows.append(doc)
+        else:
+            meta = header
     return meta, rows
-
-
-# -- OpenMetrics text --------------------------------------------------------
-
-def _om_name(name: str) -> tuple[str, str]:
-    """Split a dotted metric name into (family, dp label).
-
-    Per-DP series (``dp.queue_depth.dp0``) become one family with a
-    ``dp`` label; every other dotted name maps 1:1 to an underscored
-    family name.
-    """
-    parts = name.split(".")
-    dp = ""
-    if len(parts) >= 3 and parts[-1].startswith("dp"):
-        dp = parts[-1]
-        parts = parts[:-1]
-    return "_".join(p.replace("-", "_") for p in parts), dp
-
-
-def _om_line(family: str, dp: str, value: float,
-             extra_label: str = "") -> str:
-    labels = []
-    if dp:
-        labels.append(f'dp="{dp}"')
-    if extra_label:
-        labels.append(extra_label)
-    label_s = "{" + ",".join(labels) + "}" if labels else ""
-    return f"digruber_{family}{label_s} {value}\n"
-
-
-def to_openmetrics(row: dict) -> str:
-    """Render one snapshot row as OpenMetrics text (``# EOF``-terminated).
-
-    Counters map to ``counter`` families, gauges to ``gauge``,
-    histogram summaries to ``summary`` families (count/sum plus
-    ``quantile``-labelled series).
-    """
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def _head(family: str, om_type: str) -> None:
-        if family not in seen:
-            seen.add(family)
-            out.append(f"# TYPE digruber_{family} {om_type}\n")
-
-    for name, value in row.get("counters", {}).items():
-        family, dp = _om_name(name)
-        _head(family, "counter")
-        out.append(_om_line(family, dp, value))
-    for name, value in row.get("gauges", {}).items():
-        family, dp = _om_name(name)
-        _head(family, "gauge")
-        out.append(_om_line(family, dp, value))
-    for name, s in row.get("histograms", {}).items():
-        family, dp = _om_name(name)
-        _head(family, "summary")
-        out.append(_om_line(family + "_count", dp, s.get("count", 0)))
-        out.append(_om_line(family + "_sum", dp, s.get("sum", 0.0)))
-        for key, value in s.items():
-            if key.startswith("p") and value is not None:
-                q = float(key[1:]) / 100.0
-                out.append(_om_line(family, dp, value,
-                                    extra_label=f'quantile="{q:g}"'))
-    out.append("# EOF\n")
-    return "".join(out)
-
-
-def export_openmetrics(row: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_openmetrics(row))
 
 
 # -- sharded (per-neighborhood) timelines ------------------------------------
 
-def hood_snapshot(built, hood: int, t: float) -> dict:
-    """One DP neighborhood's telemetry row from hood-local state only.
+def hood_row(built, hood: int, t: float) -> dict:
+    """One DP neighborhood's barrier row, from hood-local state only.
 
     Sharded runs cannot sample the shared per-shard registry — two
     hoods on one shard would interleave their metrics and the result
     would depend on the grouping.  Everything here reads the hood's own
     deployment/grid/client objects, which are bit-identical across
-    shard groupings, so the merged timeline is too.
+    shard groupings, so the merged timeline is too.  The row is in the
+    registry schema; the hood's one decision point is labelled
+    ``dp<hood>``, its monolithic counterpart's name.
     """
     dp = next(iter(built.deployment.decision_points.values()))
-    busy = total = queued = completed = 0
-    for site in built.grid.sites.values():
-        busy += site.busy_cpus
-        total += site.total_cpus
-        queued += site.queue_length
-        completed += site.jobs_completed
-    return {
-        "t": t,
-        "hood": hood,
-        "dp_online": bool(dp.online),
-        "dp_queue_depth": dp.container.queue_len,
-        "dp_in_service": dp.container.in_service,
-        "dp_completed_ops": dp.container.completed_ops,
-        "clients": len(built.clients),
-        "client_backlog": sum(c.backlog_len for c in built.clients),
-        "jobs_handled": sum(c.n_handled for c in built.clients),
-        "busy_cpus": busy,
-        "total_cpus": total,
-        "util": busy / total if total else 0.0,
-        "queued_jobs": queued,
-        "jobs_completed": completed,
-    }
+    busy, total, queued, _running, completed = _grid_totals(built.grid)
+    return {"t": t, "counters": {}, "histograms": {}, "gauges": {
+        f"dp.online.dp{hood}": 1.0 if dp.online else 0.0,
+        f"dp.queue_depth.dp{hood}": dp.container.queue_len,
+        f"dp.in_service.dp{hood}": dp.container.in_service,
+        f"dp.ops.dp{hood}": dp.container.completed_ops,
+        f"dp.clients.dp{hood}": len(built.clients),
+        "control.client_backlog": sum(c.backlog_len for c in built.clients),
+        "grid.busy_cpus": busy,
+        "grid.total_cpus": total,
+        "grid.queued_jobs": queued,
+        "grid.jobs_completed": completed,
+    }}
 
 
 def merge_hood_timelines(per_hood: dict[int, list[dict]]) -> list[dict]:
-    """Canonical grid-wide merge of per-neighborhood timelines.
+    """Canonical grid-wide merge: one registry-schema row per barrier.
 
-    Rows sort by ``(t, hood)`` — per-hood order is already time-sorted
-    and the hood id breaks same-barrier ties identically under any
-    shard grouping, mirroring :func:`repro.sim.sharded._merge_journals`.
+    Per-DP gauges are carried over; every other gauge is a hood-local
+    share of a grid-wide total and is summed — in hood order, so the
+    arithmetic (and hence the bytes) is identical under any shard
+    grouping, mirroring :func:`repro.sim.sharded._merge_journals`.
+    ``grid.util`` and ``control.n_dps`` are derived from the sums.
     """
-    flat = [row for hood in sorted(per_hood) for row in per_hood[hood]]
-    flat.sort(key=lambda r: (r["t"], r["hood"]))
-    return flat
+    merged: dict[float, dict] = {}
+    for hood in sorted(per_hood):
+        for row in per_hood[hood]:
+            gauges = merged.setdefault(row["t"], {})
+            for name, value in row["gauges"].items():
+                if name.startswith("dp."):
+                    gauges[name] = value
+                else:
+                    gauges[name] = gauges.get(name, 0) + value
+    rows = []
+    for t in sorted(merged):
+        gauges = merged[t]
+        busy, total = gauges["grid.busy_cpus"], gauges["grid.total_cpus"]
+        gauges["grid.util"] = busy / total if total else 0.0
+        gauges["control.n_dps"] = sum(
+            v for name, v in gauges.items() if name.startswith("dp.online."))
+        rows.append({"t": t, "counters": {},
+                     "gauges": dict(sorted(gauges.items())),
+                     "histograms": {}})
+    return rows

@@ -7,15 +7,13 @@ kernel event rate, autoscale events — in two modes:
 * **replay**: read a finished timeline file and page through its rows,
   optionally paced (``--speed`` sim-seconds per wall-second) or
   collapsed to the final frame (``--once``, what the CI smoke uses);
-* **follow**: tail a file a live ``digruber run --serve-telemetry``
-  process is flushing row-by-row, rendering each new row as it lands
-  (tolerant of a half-written last line — the reader keeps the partial
-  tail buffered until the writer completes it).
+* **follow**: tail the file a live ``digruber run --telemetry FILE``
+  process is writing, rendering each new row as it lands (the reader
+  keeps a half-written last line buffered until the writer completes
+  it).
 
-Both monolithic rows (full ``MetricsRegistry.collect()`` documents)
-and sharded rows (per-neighborhood ``hood_snapshot`` documents, which
-the dashboard groups by barrier time and aggregates grid-wide) render
-through the same frame pipeline.
+Monolithic and sharded timelines carry the same registry-schema rows
+(see :mod:`repro.obs.timeline`), so one frame builder serves both.
 
 Pacing uses ``time.sleep`` only — the dashboard never *reads* a
 wall clock, so the determinism lint stays clean without suppressions.
@@ -23,14 +21,14 @@ wall clock, so the determinism lint stays clean without suppressions.
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Iterator, Optional, TextIO
+from typing import Optional, TextIO
 
 from repro.metrics.ascii_plot import sparkline
+from repro.obs.jsonl import read_jsonl
+from repro.obs.timeline import header_of, load_timeline
 
-__all__ = ["frames_from_rows", "render_frame", "replay", "follow",
-           "iter_jsonl_tail"]
+__all__ = ["frames_from_rows", "render_frame", "replay", "follow"]
 
 #: ANSI: cursor home + clear-to-end (redraw without scrollback spam).
 _ANSI_REDRAW = "\x1b[H\x1b[J"
@@ -39,7 +37,7 @@ _ANSI_REDRAW = "\x1b[H\x1b[J"
 # -- normalization -----------------------------------------------------------
 
 def _frame_from_registry_row(row: dict) -> dict:
-    """One frame from a monolithic ``MetricsRegistry.collect()`` row."""
+    """One frame from a registry-schema timeline row."""
     gauges = row.get("gauges", {})
     dps: dict[str, dict] = {}
     for name, value in gauges.items():
@@ -68,59 +66,9 @@ def _frame_from_registry_row(row: dict) -> dict:
     }
 
 
-def _frame_from_hood_rows(t: float, rows: list[dict]) -> dict:
-    """One frame from all hoods' rows at a single epoch barrier."""
-    dps: dict[str, dict] = {}
-    busy = total = queued = completed = backlog = 0
-    for r in rows:
-        dps[f"hood{r['hood']}"] = {
-            "online": 1.0 if r.get("dp_online", True) else 0.0,
-            "queue_depth": r.get("dp_queue_depth", 0),
-            "in_service": r.get("dp_in_service", 0),
-            "clients": r.get("clients", 0),
-            "ops": r.get("dp_completed_ops", 0),
-        }
-        busy += r.get("busy_cpus", 0)
-        total += r.get("total_cpus", 0)
-        queued += r.get("queued_jobs", 0)
-        completed += r.get("jobs_completed", 0)
-        backlog += r.get("client_backlog", 0)
-    return {
-        "t": t, "dps": dps,
-        "busy_cpus": busy, "total_cpus": total,
-        "util": busy / total if total else 0.0,
-        "queued_jobs": queued, "jobs_completed": completed,
-        "n_dps": sum(1 for d in dps.values() if d.get("online")),
-        "backlog": backlog, "sync_lag_s": 0.0,
-        "event_rate": 0.0, "heap_len": 0, "heap_dead_ratio": 0.0,
-    }
-
-
 def frames_from_rows(rows: list[dict]) -> list[dict]:
-    """Normalize timeline rows (either format) into render frames.
-
-    Sharded rows carry a ``hood`` field; all hoods sharing a barrier
-    time collapse into one grid-wide frame.  Monolithic rows map 1:1.
-    """
-    frames: list[dict] = []
-    hood_batch: list[dict] = []
-
-    def _flush_hoods() -> None:
-        if hood_batch:
-            frames.append(_frame_from_hood_rows(hood_batch[0]["t"],
-                                                hood_batch))
-            hood_batch.clear()
-
-    for row in rows:
-        if "hood" in row:
-            if hood_batch and row["t"] != hood_batch[0]["t"]:
-                _flush_hoods()
-            hood_batch.append(row)
-        else:
-            _flush_hoods()
-            frames.append(_frame_from_registry_row(row))
-    _flush_hoods()
-    return frames
+    """Normalize timeline rows into render frames, one per row."""
+    return [_frame_from_registry_row(row) for row in rows]
 
 
 # -- rendering ---------------------------------------------------------------
@@ -210,7 +158,6 @@ def replay(path: str, speed: float = 0.0, once: bool = False,
     appending frames.
     """
     import sys
-    from repro.obs.timeline import load_timeline
     out = out if out is not None else sys.stdout
     meta, rows = load_timeline(path)
     frames = frames_from_rows(rows)
@@ -238,70 +185,25 @@ def replay(path: str, speed: float = 0.0, once: bool = False,
     return len(frames)
 
 
-def iter_jsonl_tail(fh: TextIO, poll_s: float = 0.5,
-                    idle_polls: Optional[int] = None) -> Iterator[dict]:
-    """Yield JSON documents from a growing file, tail -f style.
-
-    Reads whole lines only — a half-written trailing line stays
-    buffered until the writer finishes it, so a live flush mid-row
-    never produces a decode error.  Stops after ``idle_polls``
-    consecutive empty polls (``None`` = wait forever).
-    """
-    buf = ""
-    idle = 0
-    while True:
-        chunk = fh.read()
-        if chunk:
-            idle = 0
-            buf += chunk
-            while "\n" in buf:
-                line, buf = buf.split("\n", 1)
-                line = line.strip()
-                if line:
-                    try:
-                        yield json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-        else:
-            idle += 1
-            if idle_polls is not None and idle >= idle_polls:
-                return
-            time.sleep(poll_s)
-
-
 def follow(path: str, poll_s: float = 0.5,
            idle_polls: Optional[int] = 20, ansi: bool = False,
            out: Optional[TextIO] = None) -> int:
-    """Attach to a live ``--serve-telemetry`` file; render rows as they
-    land.  Returns the number of frames rendered."""
+    """Attach to a timeline file a live run is writing; render rows as
+    they land.  Returns the number of frames rendered."""
     import sys
     out = out if out is not None else sys.stdout
     meta: dict = {}
     history: list[dict] = []
-    hood_batch: list[dict] = []
-    n = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for doc in iter_jsonl_tail(fh, poll_s=poll_s,
-                                   idle_polls=idle_polls):
-            if "meta" in doc and "t" not in doc:
-                meta = doc["meta"]
-                continue
-            if "hood" in doc:
-                # Sharded stream: render once per completed barrier.
-                if hood_batch and doc["t"] != hood_batch[0]["t"]:
-                    frame = _frame_from_hood_rows(hood_batch[0]["t"],
-                                                  hood_batch)
-                    hood_batch = [doc]
-                else:
-                    hood_batch.append(doc)
-                    continue
-            else:
-                frame = _frame_from_registry_row(doc)
-            history.append(frame)
-            n += 1
-            if ansi:
-                out.write(_ANSI_REDRAW)
-            out.write(render_frame(frame, meta, history,
-                                   _autoscale_events(history)))
-            out.flush()
-    return n
+    for doc in read_jsonl(path, tolerant=True, poll_s=poll_s,
+                          idle_polls=idle_polls):
+        header = header_of(doc)
+        if header is not None:
+            meta = header
+            continue
+        history.append(_frame_from_registry_row(doc))
+        if ansi:
+            out.write(_ANSI_REDRAW)
+        out.write(render_frame(history[-1], meta, history,
+                               _autoscale_events(history)))
+        out.flush()
+    return len(history)

@@ -15,11 +15,12 @@ enforces.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Callable, NamedTuple, Optional
 
-__all__ = ["TraceEvent", "Tracer", "JsonlSink", "SPAN_FIELDS"]
+from repro.obs.jsonl import jsonable, write_jsonl
+
+__all__ = ["TraceEvent", "Tracer", "SPAN_FIELDS"]
 
 #: Field names for compact (tuple-detail) events emitted through
 #: :meth:`Tracer.emit_compact` — the hot-path alternative to kwargs.
@@ -55,33 +56,7 @@ class TraceEvent(NamedTuple):
         # hand json.dumps a non-serializable value and crash every sink.
         return {"t": float(self.time), "node": str(self.node),
                 "kind": self.kind,
-                **{k: _jsonable(v) for k, v in self.detail_dict().items()}}
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce one detail value to a JSON-native type.
-
-    Numpy scalars are unwrapped via ``item()`` (``np.int64`` and
-    ``np.float32`` are *not* ``int``/``float`` subclasses, so they
-    would otherwise crash ``json.dumps``); other non-primitives — e.g.
-    a tuple-typed node id landing in a compact ``rpc.span`` ``dst``
-    field — degrade to ``str``.
-    """
-    if isinstance(value, (str, bool)) or value is None:
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):  # np.float64 is a float subclass
-        return float(value)
-    item = getattr(value, "item", None)
-    if callable(item):
-        try:
-            unwrapped = item()
-        except (TypeError, ValueError):  # pragma: no cover - exotic array
-            return str(value)
-        if isinstance(unwrapped, (str, int, float, bool)):
-            return unwrapped
-    return str(value)
+                **{k: jsonable(v) for k, v in self.detail_dict().items()}}
 
 
 class Tracer:
@@ -207,11 +182,7 @@ class Tracer:
     # -- export ---------------------------------------------------------
     def export_jsonl(self, path: str) -> int:
         """Dump the buffered events to a JSONL file; returns the count."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for ev in events:
-                fh.write(json.dumps(ev.to_dict()) + "\n")
-        return len(events)
+        return write_jsonl(path, (ev.to_dict() for ev in self.events()))
 
     def __len__(self) -> int:
         return len(self.buffer)
@@ -219,63 +190,3 @@ class Tracer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"
         return f"<Tracer {state} buffered={len(self.buffer)} kinds={len(self.counts)}>"
-
-
-class JsonlSink:
-    """Streams every traced event to a JSONL file as it happens.
-
-    Unlike :meth:`Tracer.export_jsonl` (a post-run ring-buffer dump),
-    a sink sees events that the ring later evicts — use it for long
-    runs where the full event stream matters.
-
-    Lifecycle: a sink buffers through the underlying file object, so a
-    run that aborts without closing it used to truncate the last
-    events mid-line.  It is a context manager whose ``__exit__``
-    flushes and closes on *every* path (exceptions included), and the
-    experiment runner's abort path closes it explicitly — either way
-    the file on disk is whole-line-valid JSONL.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8")
-        self.written = 0
-
-    def __call__(self, ev: TraceEvent) -> None:
-        if self._fh.closed:
-            return
-        self._fh.write(json.dumps(ev.to_dict()) + "\n")
-        self.written += 1
-
-    @property
-    def closed(self) -> bool:
-        return self._fh.closed
-
-    def flush(self) -> None:
-        """Push buffered lines to disk without closing (live tails)."""
-        if not self._fh.closed:
-            self._fh.flush()
-
-    def byte_offset(self) -> int:
-        """Bytes written so far (flushes first; file size once closed).
-
-        ``repro.sim.snapshot`` records this at checkpoint time and
-        verifies the replayed stream regenerated the same byte prefix.
-        """
-        if self._fh.closed:
-            import os
-            return os.path.getsize(self.path)
-        self._fh.flush()
-        return self._fh.tell()
-
-    def close(self) -> None:
-        """Flush + close; idempotent and safe on exception paths."""
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -126,7 +126,7 @@ def hood_config(config: ExperimentConfig, hood: int) -> ExperimentConfig:
         checkpoint_every_s=0.0, checkpoint_dir="",
         trace_enabled=False, trace_path="",
         spans_enabled=False, spans_path="",
-        telemetry_enabled=False, telemetry_path="", serve_telemetry=False,
+        telemetry_enabled=False, telemetry_path="",
         flight_enabled=False, flight_path="")
 
 
@@ -207,8 +207,8 @@ class _Hood:
         """
         if self.timeline is None:
             return
-        from repro.obs.timeline import hood_snapshot
-        self.timeline.append(hood_snapshot(self.built, self.hood, t))
+        from repro.obs.timeline import hood_row
+        self.timeline.append(hood_row(self.built, self.hood, t))
 
     def finalize(self) -> RunSummary:
         return summarize(finalize_experiment(self.built))
@@ -296,9 +296,9 @@ class ShardedRunResult:
     heap_peak: int
     wall_s: float
     journal: Optional[EventJournal] = field(default=None, repr=False)
-    #: Grid-wide merged telemetry rows (sorted by ``(t, hood)``), or
-    #: ``None`` when the config has telemetry off.  Identical across
-    #: shard counts and modes, like every other field here.
+    #: Grid-wide merged telemetry rows (one registry-schema row per
+    #: barrier), or ``None`` when the config has telemetry off.
+    #: Identical across shard counts and modes, like every other field.
     timeline: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -533,27 +533,6 @@ def _run_workers(config: ExperimentConfig, plan: list[list[int]],
                 proc.join()
 
 
-def _write_sharded_timeline(config: ExperimentConfig,
-                            rows: list[dict]) -> None:
-    """Write the merged grid-wide timeline as a JSONL file.
-
-    Deliberately omits the shard count and mode from the meta line —
-    the file must be byte-identical under any grouping (the
-    grouping-independence contract extends to telemetry artifacts).
-    """
-    import json
-    with open(config.telemetry_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": {
-            "interval_s": config.sync_interval_s, "sharded": True,
-            "name": config.name, "seed": config.seed,
-            "duration_s": config.duration_s,
-            "decision_points": config.decision_points,
-            "n_clients": config.n_clients, "n_sites": config.n_sites,
-            "total_cpus": config.total_cpus}}) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-
-
 def run_sharded(config: ExperimentConfig, n_shards: int = 1,
                 mode: str = "lockstep", journal: bool = False,
                 restore: Optional[str] = None) -> ShardedRunResult:
@@ -604,11 +583,13 @@ def run_sharded(config: ExperimentConfig, n_shards: int = 1,
         merged = _merge_journals({h: outcomes[h][1] for h in outcomes})
     timeline = None
     if config.telemetry_enabled or config.telemetry_path:
-        from repro.obs.timeline import merge_hood_timelines
+        from repro.obs.jsonl import write_jsonl
+        from repro.obs.timeline import merge_hood_timelines, timeline_meta
         timeline = merge_hood_timelines(
             {h: outcomes[h][2] for h in outcomes})
         if config.telemetry_path:
-            _write_sharded_timeline(config, timeline)
+            write_jsonl(config.telemetry_path, timeline,
+                        meta=timeline_meta(config, config.sync_interval_s))
     return ShardedRunResult(config=config, n_shards=n_shards, mode=mode,
                             summaries=summaries, total_events=events,
                             heap_peak=heap_peak, wall_s=wall,

@@ -20,7 +20,7 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 3, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 4, "crc": ...},
      "snapshot": {...}}
 
 ``crc`` covers the canonical (sorted-keys) JSON of the snapshot body;
@@ -60,9 +60,11 @@ SNAPSHOT_FORMAT = "digruber-snapshot"
 #: :func:`encode_config`'s shape changes (v2: the four result-preserving
 #: variant knobs left ``ExperimentConfig``), or the meaning of
 #: ``event_count`` does (v3: clients no longer execute one kernel event
-#: per arrival, so a v2 count would replay to the wrong boundary).
+#: per arrival, so a v2 count would replay to the wrong boundary; v4:
+#: three observability knobs left ``ExperimentConfig`` and ``sinks``
+#: lists only streams that have a file).
 #: :func:`newest_checkpoint` skips such files; a restore refuses them.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):
@@ -154,12 +156,7 @@ def _sink_offsets(built: "BuiltExperiment") -> dict:
     Replay regenerates each stream from t=0; restore verifies the
     regenerated prefix has exactly these lengths (sink reattach).
     """
-    offsets = {}
-    if built.trace_sink is not None:
-        offsets["trace"] = built.trace_sink.byte_offset()
-    if built.sampler is not None:
-        offsets["telemetry"] = built.sampler.byte_offset()
-    return offsets
+    return {name: sink.byte_offset() for name, sink in built.sinks.items()}
 
 
 def snapshot_experiment(built: "BuiltExperiment") -> dict:

@@ -54,10 +54,11 @@ class TestGoldenDigests:
 
 class TestPairsIdentical:
     def test_spans_pair_identical_with_ctx_only_on_one_side(self):
-        report = run_pair("spans", duration_s=120.0)
+        report = run_pair("observers", duration_s=120.0)
         assert report.identical, report.describe()
-        # Side A runs spans-off, side B spans-on: digests agree even
-        # though only B's entries carry span context.
+        # Side A runs unobserved, side B with every observer on (spans
+        # included): digests agree even though only B's entries carry
+        # span context.
         assert not any(e.ctx for e in report.journal_a.entries)
         assert any(e.ctx for e in report.journal_b.entries)
 
@@ -81,13 +82,13 @@ class TestPairsIdentical:
 
 class TestInjection:
     def test_injected_divergence_is_named_with_span_context(self):
-        report = run_pair("telemetry", duration_s=120.0, inject=40)
+        report = run_pair("observers", duration_s=120.0, inject=40)
         assert not report.identical
         ea, eb = report.divergence
         assert ea.index == eb.index == 40
         assert eb.detail.endswith("|INJECTED")
-        # _diff_config runs spans-on, so the report names the causal
-        # span of the first divergent event.
+        # Side B runs spans-on, so the report names the causal span of
+        # the first divergent event.
         text = report.describe()
         assert "DIVERGED" in text
         assert "#40" in text
@@ -104,9 +105,8 @@ class TestApi:
 
     def test_pair_registry_matches_cli(self):
         assert sorted(PAIRS) == ["autoscale-frozen", "delta-sync",
-                                 "resume", "resume-sharded",
-                                 "sharded-2", "sharded-4", "spans",
-                                 "telemetry", "workers"]
+                                 "observers", "resume", "resume-sharded",
+                                 "sharded-2", "sharded-4", "workers"]
         # The CLI's --pair choices must stay in lockstep with the
         # registry (an unlisted pair is unreachable from the shell).
         from repro.cli import build_parser

@@ -170,3 +170,112 @@ class TestPostmortemCommand:
         with pytest.raises(SystemExit):
             main(["run", "--duration", "60", "--shards", "2", "--dps", "2",
                   "--flight", str(tmp_path / "f.json")])
+
+
+#: Reader commands, each taking the artifact path as ``{path}``.
+_ARTIFACT_COMMANDS = {
+    "trace-analyze": ["trace", "analyze", "{path}"],
+    "trace-critical-path": ["trace", "critical-path", "{path}", "1"],
+    "trace-slowest": ["trace", "slowest", "{path}"],
+    "trace-export-chrome": ["trace", "export-chrome", "{path}", "{out}"],
+    "top-replay": ["top", "{path}", "--replay", "--once"],
+    "top-follow": ["top", "{path}", "--follow", "--poll", "0.001",
+                   "--idle", "1"],
+}
+
+#: Bad artifacts: file content (None = no file at all).
+_BAD_INPUTS = {
+    "missing": None,
+    "non-object-line": "42\n",
+    "not-json": "{broken\n",
+    "span-without-name-or-start": '{"span_id": "a", "end": 1.0}\n',
+}
+
+
+class TestMalformedArtifacts:
+    """Satellite: no artifact handed to a reader command may produce a
+    traceback — a one-line ``error:`` (exit 2) for what strict reading
+    refuses or the OS cannot open; tolerant readers skip the line and
+    report an empty timeline (exit 1)."""
+
+    @pytest.mark.parametrize("command,bad", [
+        (command, bad) for command in sorted(_ARTIFACT_COMMANDS)
+        for bad in sorted(_BAD_INPUTS)
+        # A span row is an object: a timeline reader has no quarrel.
+        if command.startswith("trace") or not bad.startswith("span")])
+    def test_exits_nonzero_without_traceback(self, tmp_path, capsys,
+                                             command, bad):
+        path = tmp_path / "artifact.jsonl"
+        if _BAD_INPUTS[bad] is not None:
+            path.write_text(_BAD_INPUTS[bad])
+        argv = [a.format(path=path, out=tmp_path / "out.json")
+                for a in _ARTIFACT_COMMANDS[command]]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if bad == "missing" or command.startswith("trace"):
+            assert rc == 2
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert "artifact.jsonl" in captured.err
+        else:  # timelines read tolerantly: the bad line is skipped
+            assert rc == 1
+
+    def test_tolerant_trace_analysis_skips_what_strict_refuses(
+            self, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        path.write_text(open(FIXTURE).read() + '42\n{"span_id": "x"}\n')
+        assert main(["trace", "analyze", str(path)]) == 2
+        assert "expected an object" in capsys.readouterr().err
+        assert main(["trace", "analyze", str(path), "--tolerant"]) == 0
+
+
+class TestRestoreFlightRecorder:
+    def test_sigterm_during_restore_leaves_a_loadable_dump(
+            self, tmp_path, capsys, monkeypatch):
+        """Satellite: ``run --restore`` arms SIGTERM -> Terminated just
+        like a fresh run when the embedded config arms the recorder, so
+        a killed restore still leaves its black box and the hint."""
+        import os
+        import signal
+
+        from repro.experiments.configs import smoke_config
+        from repro.experiments.runner import (abort_experiment,
+                                              build_experiment)
+        from repro.obs.flight import Terminated, load_flight
+        from repro.sim.kernel import Simulator
+        from repro.sim.snapshot import newest_checkpoint
+
+        flight = tmp_path / "flight.json"
+        config = smoke_config(n_clients=4, duration_s=300.0,
+                              checkpoint_every_s=60.0,
+                              checkpoint_dir=str(tmp_path / "ckpt"),
+                              flight_path=str(flight))
+        built = build_experiment(config)
+        built.sim.run(until=150.0)
+        abort_experiment(built, RuntimeError("killed"))
+        flight.unlink()  # only the restored leg's dump counts
+        checkpoint = newest_checkpoint(config.checkpoint_dir)
+
+        replay = Simulator.run_to_event
+
+        def replay_then_sigterm(self, event_count):
+            replay(self, event_count)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(Simulator, "run_to_event", replay_then_sigterm)
+        # A run that never installs the Terminated handler lands here
+        # and simply finishes — the failure mode under test.
+        ignored = []
+        previous = signal.signal(signal.SIGTERM,
+                                 lambda *_: ignored.append(1))
+        try:
+            with pytest.raises(Terminated):
+                main(["run", "--restore", checkpoint])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert not ignored
+        doc = load_flight(str(flight))
+        assert doc["reason"] == "sigterm"
+        assert 120.0 <= doc["meta"]["t_abort"] <= 300.0
+        assert f"digruber postmortem {flight}" in capsys.readouterr().err

@@ -9,6 +9,7 @@ satellite.
 """
 
 import json
+import os
 
 import pytest
 
@@ -139,18 +140,64 @@ class TestMidWriteKill:
         assert rows and rows[-1]["t"] <= 200.0
 
     def test_sink_context_manager_closes_on_exception(self, tmp_path):
-        from repro.obs import JsonlSink, TraceEvent
+        from repro.obs import JsonlSink
         path = tmp_path / "s.jsonl"
         with pytest.raises(RuntimeError):
             with JsonlSink(str(path)) as sink:
-                sink(TraceEvent(1.0, "n", "k", {}))
+                sink.write({"t": 1.0, "kind": "k"})
                 raise RuntimeError("boom")
         assert sink.closed
         (line,) = path.read_text().splitlines()
         assert json.loads(line)["kind"] == "k"
         sink.close()  # idempotent
-        sink(TraceEvent(2.0, "n", "k", {}))  # write-after-close: no-op
+        sink.write({"t": 2.0, "kind": "k"})  # write-after-close: no-op
         assert sink.written == 1
+        assert sink.byte_offset() == path.stat().st_size
+
+
+@pytest.fixture
+def effective_closes(monkeypatch):
+    """Effective-close spy: the ``(file name, sink id)`` of every
+    open->closed transition of a sink's file, so an idempotent re-close
+    never inflates the count."""
+    from repro.obs import JsonlSink
+    effective = []
+    real_close = JsonlSink.close
+
+    def spy(self):
+        if not self.closed:
+            effective.append((os.path.basename(self.path), id(self)))
+        real_close(self)
+
+    monkeypatch.setattr(JsonlSink, "close", spy)
+    return effective
+
+
+class TestSinkLifecycle:
+    def test_finalize_then_abort_closes_each_sink_file_once(
+            self, tmp_path, effective_closes):
+        """A run that finalizes and is *then* torn down again (a caller's
+        own ``finally``, a late signal) must not re-close — or worse,
+        reopen — any artifact: one effective close per sink."""
+        from repro.experiments.runner import (abort_experiment,
+                                              build_experiment,
+                                              finalize_experiment)
+        config = smoke_config(
+            duration_s=120.0, n_clients=2,
+            trace_path=str(tmp_path / "trace.jsonl"),
+            telemetry_path=str(tmp_path / "timeline.jsonl"),
+            spans_path=str(tmp_path / "spans.jsonl"))
+        built = build_experiment(config)
+        built.sim.run(until=config.duration_s)
+        finalize_experiment(built)
+        abort_experiment(built, RuntimeError("late teardown"))
+        # trace + telemetry stream through built.sinks; the span export
+        # opens and closes its own sink inside finalize.
+        assert sorted(name for name, _ in effective_closes) == [
+            "spans.jsonl", "timeline.jsonl", "trace.jsonl"]
+        for sink in built.sinks.values():
+            assert sink.closed
+            assert sink.byte_offset() == os.path.getsize(sink.path)
 
 
 class TestRestoredRunAbort:
@@ -159,12 +206,11 @@ class TestRestoredRunAbort:
     every reattached sink effectively closed exactly once."""
 
     def test_restored_abort_closes_sinks_once_and_artifacts_valid(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, effective_closes):
         from repro.experiments.runner import (abort_experiment,
                                               build_experiment)
         from repro.obs.flight import Terminated
-        from repro.obs.timeline import TimelineSampler, load_timeline
-        from repro.obs.trace import JsonlSink
+        from repro.obs.timeline import load_timeline
         from repro.sim.snapshot import newest_checkpoint, resume_experiment
 
         config = smoke_config(
@@ -183,31 +229,19 @@ class TestRestoredRunAbort:
         # verification would (correctly) refuse the restore.
         hook = _crashing_hook(450.0)
 
-        # Effective-close spy: counts open->closed transitions, so an
-        # idempotent re-close never inflates the count.
-        effective = []
-        real_sink_close = JsonlSink.close
-        real_sampler_close = TimelineSampler.close
-
-        def sink_close(self):
-            if not self.closed:
-                effective.append(("trace", id(self)))
-            real_sink_close(self)
-
-        def sampler_close(self, final_sample=True):
-            if self._fh is not None and not self._fh.closed:
-                effective.append(("timeline", id(self)))
-            real_sampler_close(self, final_sample=final_sample)
-
-        monkeypatch.setattr(JsonlSink, "close", sink_close)
-        monkeypatch.setattr(TimelineSampler, "close", sampler_close)
+        effective = effective_closes
 
         # Leg 1: run to t=300 (checkpoints at 100/200/300), SIGTERM.
         built = build_experiment(config)
         hook(sim=built.sim, deployment=built.deployment,
              network=built.network, grid=built.grid, rng=built.rng)
         built.sim.run(until=300.0)
+        assert sorted(built.sinks) == ["telemetry", "trace"]
         abort_experiment(built, Terminated("signal 15"))
+        abort_experiment(built, Terminated("signal 15"))  # re-close: no-op
+        assert len(effective) == 2
+        for sink in built.sinks.values():
+            assert sink.byte_offset() == os.path.getsize(sink.path)
         checkpoint = newest_checkpoint(config.checkpoint_dir)
         assert checkpoint is not None
         closes_before_resume = len(effective)
@@ -218,8 +252,8 @@ class TestRestoredRunAbort:
             resume_experiment(checkpoint, deployment_hook=hook)
 
         restored_closes = effective[closes_before_resume:]
-        assert sorted(kind for kind, _ in restored_closes) == \
-            ["timeline", "trace"]
+        assert sorted(name for name, _ in restored_closes) == \
+            ["timeline.jsonl", "trace.jsonl"]
         assert len({sid for _, sid in restored_closes}) == 2
 
         # Flight dump reflects the restored run's crash, not leg 1.

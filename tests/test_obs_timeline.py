@@ -5,11 +5,11 @@ The tentpole claims under test:
 * one unified sampling path — the sampler's rows come from
   ``MetricsRegistry.collect()``, the same registry the control plane
   publishes into, so control and telemetry can never disagree;
-* bounded in-memory series + JSONL + OpenMetrics export;
-* telemetry-on is event-identical to telemetry-off (the ``telemetry``
+* bounded in-memory series + JSONL export through the one sink;
+* telemetry-on is event-identical to telemetry-off (the ``observers``
   differ pair, exercised here at test duration);
-* sharded runs merge per-hood barrier snapshots into one grid-wide
-  timeline that is invariant in the shard count.
+* sharded runs merge per-hood barrier rows into one grid-wide timeline
+  in the same row schema, invariant in the shard count and mode.
 """
 
 import json
@@ -19,10 +19,10 @@ import pytest
 from repro.experiments.configs import smoke_config
 from repro.experiments.runner import build_experiment, run_experiment
 from repro.obs.timeline import (
+    TIMELINE_CAPACITY,
     TimelineSampler,
     load_timeline,
     merge_hood_timelines,
-    to_openmetrics,
 )
 
 
@@ -62,10 +62,14 @@ class TestSamplerRows:
                    for s in row["histograms"].values())
 
     def test_series_is_bounded(self):
-        result = _run_with_telemetry(telemetry_capacity=3)
-        sampler = result.sampler
+        built = build_experiment(smoke_config(duration_s=300.0, n_clients=4))
+        sampler = TimelineSampler(built.sim, interval_s=30.0, capacity=3,
+                                  grid=built.grid)
+        sampler.start()
+        built.sim.run(until=300.0)
         assert len(sampler.rows) == 3
         assert sampler.samples_taken > 3  # older rows evicted, not lost
+        assert _run_with_telemetry().sampler.rows.maxlen == TIMELINE_CAPACITY
 
     def test_sampler_off_by_default(self):
         result = run_experiment(smoke_config(duration_s=60.0, n_clients=2))
@@ -87,6 +91,7 @@ class TestJsonlExport:
         p.write_text('{"meta": {"interval_s": 5.0}}\n'
                      '{"t": 5.0, "gauges": {}}\n'
                      'not json at all\n'
+                     '42\n'  # valid JSON, not an object: was a TypeError
                      '{"t": 10.0, "gauges": {}}\n'
                      '{"t": 15.0, "gaug')  # truncated mid-write
         meta, rows = load_timeline(str(p))
@@ -95,9 +100,21 @@ class TestJsonlExport:
 
     def test_load_timeline_strict_raises_with_lineno(self, tmp_path):
         p = tmp_path / "t.jsonl"
-        p.write_text('{"t": 5.0}\nbroken\n')
-        with pytest.raises(ValueError, match="2"):
-            load_timeline(str(p), tolerant=False)
+        for bad in ("broken", "42"):
+            p.write_text('{"t": 5.0}\n' + bad + '\n')
+            with pytest.raises(ValueError, match=r"t\.jsonl:2"):
+                load_timeline(str(p), tolerant=False)
+
+    def test_file_is_tailable_while_the_run_is_live(self, tmp_path):
+        # The sink flushes per row: every row sampled so far is on disk
+        # before the run ends (what ``digruber top --follow`` relies on).
+        path = tmp_path / "timeline.jsonl"
+        built = build_experiment(smoke_config(
+            duration_s=300.0, n_clients=4, telemetry_path=str(path)))
+        built.sim.run(until=100.0)
+        meta, rows = load_timeline(str(path), tolerant=False)
+        assert meta["interval_s"] == 30.0
+        assert [r["t"] for r in rows] == [30.0, 60.0, 90.0]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -106,36 +123,10 @@ class TestJsonlExport:
         assert meta == {} and rows == []
 
 
-class TestOpenMetrics:
-    def test_exposition_format(self, tmp_path):
-        result = _run_with_telemetry()
-        out = tmp_path / "metrics.txt"
-        result.sampler.export_openmetrics(str(out))
-        text = out.read_text()
-        assert text.endswith("# EOF\n")
-        assert "# TYPE digruber_grid_util gauge" in text
-        # Dotted dp.*.dpN names split the DP id into a label.
-        assert 'dp="dp0"' in text
-        # Histograms export as summaries with quantile labels.
-        assert 'quantile="0.95"' in text
-        # Every sample line parses as name{labels} value.
-        for line in text.splitlines():
-            if line.startswith("#") or not line:
-                continue
-            name, _, value = line.rpartition(" ")
-            float(value)
-            assert name.startswith("digruber_")
-
-    def test_to_openmetrics_of_empty_row(self):
-        text = to_openmetrics({"t": 0.0, "counters": {}, "gauges": {},
-                               "histograms": {}})
-        assert text.endswith("# EOF\n")
-
-
 class TestEventIdentity:
     def test_telemetry_pair_identical(self):
         from repro.check import run_pair
-        report = run_pair("telemetry", duration_s=120.0)
+        report = run_pair("observers", duration_s=120.0)
         assert report.identical, report.describe()
         assert len(report.journal_a) > 50
         assert report.journal_a.digest == report.journal_b.digest
@@ -145,7 +136,7 @@ class TestSignalBusDedup:
     """Satellite: SignalBus publishes through the registry — gauges are
     computed once per control tick, and the unification did not move a
     single autoscale decision (same-seed journal equality is covered by
-    the ``telemetry`` pair above; here we pin the decision trail)."""
+    the ``observers`` pair above; here we pin the decision trail)."""
 
     def _autoscaled(self, telemetry: bool):
         from repro.control import AutoscaleConfig
@@ -198,33 +189,72 @@ class TestSignalBusDedup:
 
 
 class TestShardedTimeline:
-    def _sharded(self, shards: int, path):
+    def _sharded(self, shards: int, path, mode="lockstep"):
         from repro.sim.sharded import run_sharded
         config = smoke_config(duration_s=300.0, n_clients=8,
                               decision_points=4, sync_interval_s=30.0,
                               telemetry_enabled=True,
                               telemetry_path=str(path))
-        return run_sharded(config, n_shards=shards)
+        return run_sharded(config, n_shards=shards, mode=mode)
 
     def test_shard_count_invariance(self, tmp_path):
-        p1, p4 = tmp_path / "s1.jsonl", tmp_path / "s4.jsonl"
-        r1 = self._sharded(1, p1)
-        r4 = self._sharded(4, p4)
-        assert r1.timeline == r4.timeline
-        assert p1.read_bytes() == p4.read_bytes()
-        assert len(r1.timeline) > 0
+        paths = [tmp_path / f"s{i}.jsonl" for i in range(4)]
+        runs = [self._sharded(1, paths[0]), self._sharded(2, paths[1]),
+                self._sharded(4, paths[2]),
+                self._sharded(2, paths[3], mode="workers")]
+        assert len(runs[0].timeline) > 0
+        for run, path in zip(runs[1:], paths[1:]):
+            assert run.timeline == runs[0].timeline
+            assert path.read_bytes() == paths[0].read_bytes()
 
     def test_rows_sorted_by_barrier_then_hood(self, tmp_path):
+        path = tmp_path / "s2.jsonl"
+        r = self._sharded(2, path)
+        times = [row["t"] for row in r.timeline]
+        # One registry-schema row per barrier, plus end of run.
+        assert times == [30.0 * i for i in range(1, 11)]
+        for row in r.timeline:
+            assert set(row) == {"t", "counters", "gauges", "histograms"}
+            online = [k for k in row["gauges"] if k.startswith("dp.online.")]
+            assert online == [f"dp.online.dp{h}" for h in range(4)]
+        meta, rows = load_timeline(str(path), tolerant=False)
+        assert rows == r.timeline
+        assert meta["interval_s"] == 30.0 and meta["decision_points"] == 4
+
+    def test_totals_are_sums_over_hoods(self, tmp_path):
         r = self._sharded(2, tmp_path / "s2.jsonl")
-        keys = [(row["t"], row["hood"]) for row in r.timeline]
-        assert keys == sorted(keys)
-        # One row per hood per barrier.
-        assert len({k for k in keys}) == len(keys)
+        gauges = r.timeline[-1]["gauges"]
+        assert gauges["grid.total_cpus"] == 600  # smoke_config's grid
+        assert gauges["control.n_dps"] == 4
+        assert gauges["grid.util"] == pytest.approx(
+            gauges["grid.busy_cpus"] / gauges["grid.total_cpus"])
+        assert sum(gauges[f"dp.clients.dp{h}"] for h in range(4)) == 8
+
+    def test_top_renders_sharded_timeline_with_per_dp_rows(self, tmp_path):
+        import io
+        from repro.obs import top
+        path = tmp_path / "s2.jsonl"
+        self._sharded(2, path)
+        out = io.StringIO()
+        assert top.replay(str(path), once=True, out=out) == 1
+        text = out.getvalue()
+        assert "smoke seed=" in text and "t=300s (100%)" in text
+        for h in range(4):
+            assert f"dp{h}      up" in text
 
     def test_merge_helper_orders_and_flattens(self):
+        def hood(t, h, busy):
+            return {"t": t, "counters": {}, "histograms": {}, "gauges": {
+                f"dp.online.dp{h}": 1.0, "grid.busy_cpus": busy,
+                "grid.total_cpus": 10, "control.client_backlog": h}}
         merged = merge_hood_timelines({
-            1: [{"t": 30.0, "hood": 1}, {"t": 60.0, "hood": 1}],
-            0: [{"t": 30.0, "hood": 0}, {"t": 60.0, "hood": 0}],
+            1: [hood(30.0, 1, 2), hood(60.0, 1, 4)],
+            0: [hood(30.0, 0, 1), hood(60.0, 0, 3)],
         })
-        assert [(r["t"], r["hood"]) for r in merged] == \
-            [(30.0, 0), (30.0, 1), (60.0, 0), (60.0, 1)]
+        assert [r["t"] for r in merged] == [30.0, 60.0]
+        g = merged[1]["gauges"]
+        assert list(g) == sorted(g)
+        assert g["grid.busy_cpus"] == 7 and g["grid.total_cpus"] == 20
+        assert g["grid.util"] == 0.35 and g["control.n_dps"] == 2.0
+        assert g["control.client_backlog"] == 1
+        assert g["dp.online.dp0"] == g["dp.online.dp1"] == 1.0

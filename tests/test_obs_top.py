@@ -1,20 +1,19 @@
 """Tests for the ``digruber top`` dashboard (repro.obs.top).
 
-Covers both row formats through the one frame pipeline (monolithic
-``collect()`` rows and sharded hood rows), the autoscale event
-detector, replay over files, and the tail -f reader's partial-line
-buffering — the property that makes live ``--follow`` safe against a
-writer flushing mid-row.
+Covers the one frame pipeline over registry-schema rows, the autoscale
+event detector, replay over files, and the reader's tail mode — its
+partial-line buffering is the property that makes live ``--follow``
+safe against a writer caught mid-row.
 """
 
 import io
 import json
 
+from repro.obs.jsonl import read_jsonl
 from repro.obs.top import (
     _autoscale_events,
     follow,
     frames_from_rows,
-    iter_jsonl_tail,
     render_frame,
     replay,
 )
@@ -44,14 +43,6 @@ def _registry_row(t, util=0.5, n_dps=2, queue0=3):
     }
 
 
-def _hood_row(t, hood, online=True):
-    return {"t": t, "hood": hood, "dp_online": online,
-            "dp_queue_depth": 2, "dp_in_service": 1,
-            "dp_completed_ops": 50, "clients": 3, "client_backlog": 1,
-            "jobs_handled": 40, "busy_cpus": 100, "total_cpus": 200,
-            "util": 0.5, "queued_jobs": 4, "jobs_completed": 30}
-
-
 class TestFrameNormalization:
     def test_registry_row_maps_one_to_one(self):
         (f,) = frames_from_rows([_registry_row(30.0)])
@@ -60,22 +51,6 @@ class TestFrameNormalization:
         assert f["dps"]["dp0"]["queue_depth"] == 3
         assert f["dps"]["dp0"]["decide_p95_s"] == 0.3
         assert f["n_dps"] == 2 and f["sync_lag_s"] == 12.5
-
-    def test_hood_rows_collapse_per_barrier(self):
-        rows = [_hood_row(30.0, 0), _hood_row(30.0, 1),
-                _hood_row(60.0, 0), _hood_row(60.0, 1, online=False)]
-        frames = frames_from_rows(rows)
-        assert [f["t"] for f in frames] == [30.0, 60.0]
-        f = frames[0]
-        assert f["busy_cpus"] == 200 and f["total_cpus"] == 400
-        assert f["util"] == 0.5 and f["n_dps"] == 2
-        assert frames[1]["n_dps"] == 1  # hood1's DP went down
-
-    def test_mixed_streams_flush_hood_batches(self):
-        rows = [_hood_row(30.0, 0), _registry_row(60.0)]
-        frames = frames_from_rows(rows)
-        assert len(frames) == 2
-        assert "hood0" in frames[0]["dps"] and "dp0" in frames[1]["dps"]
 
     def test_empty(self):
         assert frames_from_rows([]) == []
@@ -163,20 +138,20 @@ class TestTail:
         with open(p, "w") as w:
             w.write(full + "\n" + half[: len(half) // 2])
             w.flush()
-            with open(p, "r") as r:
-                it = iter_jsonl_tail(r, poll_s=0.001, idle_polls=2)
-                assert next(it)["t"] == 30.0
-                # Writer completes the half row: reader resumes cleanly.
-                w.write(half[len(half) // 2:] + "\n")
-                w.flush()
-                assert next(it)["t"] == 60.0
-                assert list(it) == []  # idles out
+            it = read_jsonl(str(p), tolerant=True, poll_s=0.001,
+                            idle_polls=50)
+            assert next(it)["t"] == 30.0
+            # Writer completes the half row: reader resumes cleanly.
+            w.write(half[len(half) // 2:] + "\n")
+            w.flush()
+            assert next(it)["t"] == 60.0
+            assert list(it) == []  # idles out
 
     def test_garbage_lines_skipped(self, tmp_path):
         p = tmp_path / "t.jsonl"
-        p.write_text('{"t": 1.0}\nnot json\n{"t": 2.0}\n')
-        with open(p) as fh:
-            docs = list(iter_jsonl_tail(fh, poll_s=0.001, idle_polls=1))
+        p.write_text('{"t": 1.0}\nnot json\n42\n{"t": 2.0}\n')
+        docs = list(read_jsonl(str(p), tolerant=True, poll_s=0.001,
+                               idle_polls=1))
         assert [d["t"] for d in docs] == [1.0, 2.0]
 
     def test_follow_renders_rows_and_stops_when_idle(self, tmp_path):
@@ -189,12 +164,19 @@ class TestTail:
         assert out.getvalue().count("digruber top") == 2
 
     def test_follow_groups_sharded_rows_by_barrier(self, tmp_path):
+        # A sharded timeline is one registry-schema row per barrier
+        # (hoods merged at write time), so follow needs no batching:
+        # every row is a complete grid-wide frame the moment it lands.
+        from repro.obs.timeline import merge_hood_timelines
+        hood = lambda t, h: {"t": t, "counters": {}, "histograms": {},
+                             "gauges": {f"dp.online.dp{h}": 1.0,
+                                        f"dp.queue_depth.dp{h}": 2,
+                                        "grid.busy_cpus": 100,
+                                        "grid.total_cpus": 200}}
         p = tmp_path / "t.jsonl"
-        _write_timeline(str(p), [_hood_row(30.0, 0), _hood_row(30.0, 1),
-                                 _hood_row(60.0, 0), _hood_row(60.0, 1)])
+        _write_timeline(str(p), merge_hood_timelines(
+            {h: [hood(30.0, h), hood(60.0, h)] for h in (0, 1)}))
         out = io.StringIO()
-        # The trailing barrier can't know it is complete until more
-        # rows arrive, so a finished 2-barrier file renders 1 frame.
-        n = follow(str(p), poll_s=0.001, idle_polls=2, out=out)
-        assert n == 1
-        assert "hood0" in out.getvalue()
+        assert follow(str(p), poll_s=0.001, idle_polls=2, out=out) == 2
+        text = out.getvalue()
+        assert "dp0" in text and "dp1" in text and "/      400 cpus" in text

@@ -110,7 +110,7 @@ class TestSinks:
         path = tmp_path / "trace.jsonl"
         tr = Tracer(enabled=True)
         sink = JsonlSink(str(path))
-        tr.add_sink(sink)
+        tr.add_sink(lambda ev: sink.write(ev.to_dict()))
         tr.emit("a", n=1)
         tr.emit_compact("rpc.span", "cli", ("op", "d", 1, "ok", 0.1, 2.0))
         sink.close()
@@ -129,7 +129,7 @@ class TestSinks:
         path = tmp_path / "trace.jsonl"
         tr = Tracer(enabled=True)
         sink = JsonlSink(str(path))
-        tr.add_sink(sink)
+        tr.add_sink(lambda ev: sink.write(ev.to_dict()))
         tr.emit_compact(
             "rpc.span", ("dp0", 1),
             ("get_state", np.str_("dp1"), np.int64(3), "ok",

@@ -166,6 +166,23 @@ def _restamp_as_v1(path):
     _restamp(doc, path, version=1)
 
 
+#: The observability knobs v3 checkpoints carry and this build retired
+#: (two became module constants, per-row flushing became unconditional).
+_RETIRED_V3 = {"trace" + "_capacity": 65536, "telemetry" + "_capacity": 512,
+               "serve" + "_telemetry": False}
+
+
+def _restamp_as_v3(path):
+    """Rewrite a checkpoint the way the last v3 build wrote it: the
+    three retired observability knobs in the embedded config, a
+    ``telemetry`` sink offset even for a file-less sampler, and a CRC
+    valid for that body."""
+    doc = json.loads(open(path).read())
+    doc["snapshot"]["config"].update(_RETIRED_V3)
+    doc["snapshot"]["sinks"] = {"telemetry": 0}
+    _restamp(doc, path, version=3)
+
+
 def _restamp_as_v2(path):
     """Rewrite a checkpoint the way the last v2 build wrote it: every
     client section carries the backlog as a list of workload indices
@@ -220,7 +237,7 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 3" in err
+        assert "snapshot version 1" in err and "reads version 4" in err
 
     def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
         """A v2 file's ``event_count`` includes one wake-up per arrival
@@ -231,12 +248,32 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v2(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 2.*reads version 3"):
+                           match="snapshot version 2.*reads version 4"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError, match="snapshot version 2"):
             resume_experiment(path)
         assert main(["run", "--restore", path]) == 2
+
+    def test_v3_checkpoint_with_retired_obs_knobs_is_refused_by_name(
+            self, tmp_path):
+        """A v3 file embeds the three retired observability knobs:
+        skipped when picking a restore candidate, refused by version on
+        an explicit restore, and — were the version check ever
+        bypassed — refused by field name."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v3(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        with pytest.raises(SnapshotError,
+                           match="snapshot version 3.*reads version 4"):
+            resume_experiment(path)
+        assert main(["run", "--restore", path]) == 2
+        config = json.loads(open(path).read())["snapshot"]["config"]
+        with pytest.raises(SnapshotError, match="unknown fields: "
+                           + ", ".join(sorted(_RETIRED_V3))):
+            decode_config(config)
 
     def test_campaign_reruns_cells_whose_checkpoints_are_stale(
             self, tmp_path):

@@ -109,6 +109,30 @@ class TestRestoreVerification:
         with pytest.raises(SnapshotError):
             resume_experiment(tampered)
 
+    def test_sink_offsets_recorded_and_diverged_prefix_refused(
+            self, tmp_path):
+        """Every sink in ``built.sinks`` is offset-stamped at capture,
+        a faithful replay regenerates exactly those prefixes, and a
+        snapshot claiming any other prefix length is refused."""
+        config = smoke_config(
+            n_clients=4, duration_s=200.0, checkpoint_every_s=60.0,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            trace_path=str(tmp_path / "trace.jsonl"),
+            telemetry_path=str(tmp_path / "timeline.jsonl"))
+        built = build_experiment(config)
+        built.sim.run(until=150.0)
+        abort_experiment(built, RuntimeError("killed"))
+        path = newest_checkpoint(config.checkpoint_dir)
+        snapshot = read_snapshot(path)
+        assert sorted(snapshot["sinks"]) == ["telemetry", "trace"]
+        assert all(0 < offset <= built.sinks[name].byte_offset()
+                   for name, offset in snapshot["sinks"].items())
+        resume_experiment(path)  # faithful prefix: accepted
+        snapshot["sinks"]["telemetry"] += 1
+        tampered = write_snapshot(snapshot, str(tmp_path / "bad.json"))
+        with pytest.raises(SnapshotError, match="sink prefixes"):
+            resume_experiment(tampered)
+
     def test_replay_backwards_rejected(self):
         from repro.sim.kernel import Simulator
         sim = Simulator()

@@ -204,6 +204,14 @@ class TestSpanProperties:
                 cur = by_id[cur["parent_id"]]
 
 
+def _line(span_id: str) -> str:
+    """One complete exported span row (every key the analyses index)."""
+    return json.dumps({"trace_id": "t", "span_id": span_id,
+                       "parent_id": None, "name": "submit", "node": "h",
+                       "start": 1.0, "end": 2.0, "orphan": False,
+                       "attrs": {}})
+
+
 class TestLoadSpansRobustness:
     """Satellite: load_spans on empty, truncated, and malformed files.
 
@@ -218,33 +226,44 @@ class TestLoadSpansRobustness:
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "s.jsonl"
-        p.write_text('\n{"span_id": "a", "start": 1.0}\n\n')
+        p.write_text(f'\n{_line("a")}\n\n')
         assert len(load_spans(str(p))) == 1
 
     def test_malformed_line_raises_with_lineno(self, tmp_path):
         p = tmp_path / "s.jsonl"
-        p.write_text('{"span_id": "a"}\n{broken\n')
+        p.write_text(f'{_line("a")}\n{{broken\n')
         with pytest.raises(ValueError, match=r"s\.jsonl:2"):
             load_spans(str(p))
 
     def test_truncated_final_line_raises_strict(self, tmp_path):
         p = tmp_path / "s.jsonl"
-        p.write_text('{"span_id": "a"}\n{"span_id": "b", "sta')
+        p.write_text(f'{_line("a")}\n{_line("b")[:30]}')
         with pytest.raises(ValueError, match=":2"):
             load_spans(str(p))
 
     def test_tolerant_skips_truncation_keeps_valid_prefix(self, tmp_path):
         p = tmp_path / "s.jsonl"
-        p.write_text('{"span_id": "a"}\nnonsense\n'
-                     '{"span_id": "b"}\n{"span_id": "c", "sta')
+        p.write_text(f'{_line("a")}\nnonsense\n'
+                     f'{_line("b")}\n{_line("c")[:30]}')
         spans = load_spans(str(p), tolerant=True)
         assert [s["span_id"] for s in spans] == ["a", "b"]
 
     def test_non_object_line_rejected_strict_skipped_tolerant(
             self, tmp_path):
         p = tmp_path / "s.jsonl"
-        p.write_text('[1, 2]\n{"span_id": "a"}\n')
+        p.write_text(f'[1, 2]\n{_line("a")}\n')
         with pytest.raises(ValueError, match="expected an object"):
+            load_spans(str(p))
+        assert [s["span_id"] for s in load_spans(str(p), tolerant=True)] \
+            == ["a"]
+
+    def test_row_lacking_an_indexed_key_is_a_bad_line(self, tmp_path):
+        # Regression: the analyses index name/start/... without .get,
+        # so such a row used to surface as a KeyError deep inside them.
+        p = tmp_path / "s.jsonl"
+        p.write_text(f'{_line("a")}\n{{"span_id": "b", "end": 3.0}}\n')
+        with pytest.raises(ValueError, match=r"s\.jsonl:2.*lacks trace_id, "
+                                             r"parent_id, name, node, start"):
             load_spans(str(p))
         assert [s["span_id"] for s in load_spans(str(p), tolerant=True)] \
             == ["a"]
