@@ -15,7 +15,7 @@ accounting invariants the rest of the codebase merely claims:
   still-running remainder;
 * **view accounting** — each decision point's
   :meth:`~repro.core.state.GridStateView.audit` (incremental sums vs
-  ground truth, dedup-index agreement, free-cache coherence);
+  ground truth, dedup-index agreement, free-column coherence);
 * **USLA share bounds** — published fair-share fractions stay in
   ``[0, 1]`` and per-consumer usage never exceeds the site estimate;
 * **sync monotonicity** — learn-sequence watermarks only advance and

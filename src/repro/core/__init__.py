@@ -39,10 +39,11 @@ from repro.core.selectors import (
     SiteSelector,
     make_selector,
 )
-from repro.core.state import DispatchRecord, GridStateView
+from repro.core.state import AvailabilityView, DispatchRecord, GridStateView
 from repro.core.sync import DisseminationStrategy, SyncProtocol
 
 __all__ = [
+    "AvailabilityView",
     "DIGruberDeployment",
     "DecisionPoint",
     "DispatchRecord",

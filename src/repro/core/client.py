@@ -245,8 +245,12 @@ class GruberClient(Endpoint):
                timeout: Optional[float] = None):
         """Dispatch ``job`` as the broker answered; returns the
         ``report_dispatch`` RPC to await (``None``: one-phase, no report)."""
-        site = (answer["site"] if self.one_phase
-                else self._choose_site(answer, job.cpus))
+        if self.one_phase:
+            site = answer["site"]
+        else:  # the site selector; nothing fits → a least-bad site
+            site = self.selector.select(answer, job.cpus)
+            if site is None:
+                site = self.fallback.least_bad(answer)
         self._dispatch(job, site, handled=True, parent=root)
         self.n_handled += 1
         if self.one_phase:
@@ -463,18 +467,6 @@ class GruberClient(Endpoint):
             self._pump()
 
     # -- dispatch ------------------------------------------------------------
-    def _choose_site(self, availabilities: dict, cpus: int) -> str:
-        """Apply the site selector, with the least-bad tiebreak fallback."""
-        site = self.selector.select(availabilities, cpus)
-        if site is None:
-            # Nothing fits: take a least-bad site (most free, ties —
-            # e.g. a fully USLA-filtered view — broken randomly so the
-            # fallback stream spreads out).
-            best = max(availabilities.values())
-            top = [s for s, v in availabilities.items() if v >= best - 1e-9]
-            site = self.fallback.select_any(top)
-        return site
-
     def _dispatch(self, job: Job, site: str, handled: bool,
                   parent=None) -> None:
         """Send the job to a site; record SA_i against ground truth.

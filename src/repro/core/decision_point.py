@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.engine import GruberEngine
 from repro.core.monitor import SiteMonitor
+from repro.core.selectors import RandomSelector, make_selector
 from repro.core.sync import DisseminationStrategy, SyncProtocol
 from repro.grid.builder import Grid
 from repro.net.container import ContainerProfile, ServiceContainer
@@ -54,7 +55,8 @@ class DecisionPoint(Endpoint):
                  assumed_job_lifetime_s: float = 900.0,
                  private: bool = False,
                  max_queue: Optional[int] = None,
-                 sync_delta: bool = False):
+                 sync_delta: bool = False,
+                 selector: str = "least_used", selector_spread: float = 0.85):
         super().__init__(network, node_id)
         self.sim = sim
         self.grid = grid
@@ -98,9 +100,9 @@ class DecisionPoint(Endpoint):
         #: themselves.
         self.on_restart: list = []
 
-        # Server-side selector for the one-phase protocol variant.
-        from repro.core.selectors import LeastUsedSelector
-        self._server_selector = LeastUsedSelector(rng, spread=0.85)
+        # One-phase protocol: the configured policy, server-side.
+        self._server_selector = make_selector(selector, rng, selector_spread)
+        self._fallback = RandomSelector(rng)
 
         self.register_handler("get_state", self._handle_get_state)
         self.register_handler("report_dispatch", self._handle_report_dispatch)
@@ -306,11 +308,7 @@ class DecisionPoint(Endpoint):
                                                     now=now)
         site = self._server_selector.select(availabilities, cpus)
         if site is None:
-            # Nothing fits: least-bad site, random among ties (a fully
-            # USLA-filtered view must not funnel everything to one site).
-            best = max(availabilities.values())
-            top = [s for s, v in availabilities.items() if v >= best - 1e-9]
-            site = top[int(self.rng.integers(0, len(top)))]
+            site = self._fallback.least_bad(availabilities)
         self._decide_hist.observe(now - t_in)
         if dspan is not None:
             # Per-site staleness of the *chosen* site, pre-recording.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.core.state import DispatchRecord, GridStateView
+from repro.core.state import AvailabilityView, DispatchRecord, GridStateView
 from repro.usla.policy import PolicyEngine
 from repro.usla.store import UslaStore
 
@@ -54,8 +54,8 @@ class GruberEngine:
         #: restricted to these sites even though the view carries
         #: grid-wide static knowledge — a decision point brokers only
         #: into its own neighborhood.  An ordered tuple, NOT a set:
-        #: the answer dict's iteration order feeds tie-breaking in the
-        #: site selectors and must not depend on string hashing.
+        #: the answer's column order feeds tie-breaking in the site
+        #: selectors and must not depend on string hashing.
         self.broker_sites: Optional[tuple] = None
 
     # -- policy ----------------------------------------------------------
@@ -78,7 +78,7 @@ class GruberEngine:
     # -- availability queries ------------------------------------------------
     def availabilities(self, vo: Optional[str] = None,
                        now: Optional[float] = None,
-                       group: Optional[str] = None) -> dict[str, float]:
+                       group: Optional[str] = None) -> AvailabilityView:
         """Estimated free CPUs per site, USLA-filtered when enabled.
 
         ``now`` lets the view age out records past the assumed job
@@ -103,8 +103,8 @@ class GruberEngine:
             return free
         policy = self._policy()
         consumer = f"{vo}.{group}" if group else None
-        out: dict[str, float] = {}
-        for site, f in free.items():
+        out = free.free.copy()  # same columns, capped in place below
+        for i, (site, f) in enumerate(zip(free.names, out.tolist())):
             cap = self.view.capacities[site]
             entitled = policy.entitled_fraction(site, vo) * cap
             headroom = entitled - self.view.estimated_vo_busy(site, vo)
@@ -116,8 +116,8 @@ class GruberEngine:
                 group_headroom = (group_entitled
                                   - self.view.estimated_vo_busy(site, consumer))
                 headroom = min(headroom, group_headroom)
-            out[site] = max(min(f, headroom), 0.0)
-        return out
+            out[i] = max(min(f, headroom), 0.0)
+        return AvailabilityView(free.names, out)
 
     def utilization_view(self) -> dict[str, float]:
         """Estimated per-site utilization (monitor-style introspection)."""

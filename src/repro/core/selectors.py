@@ -6,9 +6,11 @@ run this job?  Site selectors can implement various task assignment
 policies, such as round robin, least used, or least recently used."
 
 Selectors run *client-side* in DI-GRUBER: the client fetches the
-availability map from its decision point and applies its policy
+availability view from its decision point and applies its policy
 locally (paper §3.7: the tester "executes site selector logic to
-determine the site to which the job should be dispatched").
+determine the site to which the job should be dispatched").  Policies
+run on the view's float64 ``free`` column and materialise one name,
+bit-identically to a dict scan (determinism rules: DESIGN.md §9.1).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
+
+from repro.core.state import as_view
 
 __all__ = [
     "SiteSelector",
@@ -31,17 +35,18 @@ __all__ = [
 class SiteSelector(ABC):
     """Maps an availability view to a site choice for one job."""
 
-    @abstractmethod
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        """Pick a site with >= ``cpus`` estimated free CPUs.
-
-        Returns None when no site fits — callers fall back to the
-        least-bad option (most free CPUs) or to random placement.
+    def select(self, availabilities, cpus: int) -> Optional[str]:
+        """Pick a site with >= ``cpus`` estimated free CPUs (a plain
+        mapping is coerced to a view).  None when no site fits — callers
+        fall back to :meth:`RandomSelector.least_bad` or random placement.
         """
+        view = as_view(availabilities)
+        i = self._pick(view, cpus)
+        return None if i is None else view.names[i]
 
-    @staticmethod
-    def _fitting(availabilities: dict[str, float], cpus: int) -> list[str]:
-        return [s for s, free in availabilities.items() if free >= cpus]
+    @abstractmethod
+    def _pick(self, view, cpus: int) -> Optional[int]:
+        """The policy: column index of the chosen site, None if none fits."""
 
 
 class RandomSelector(SiteSelector):
@@ -50,17 +55,24 @@ class RandomSelector(SiteSelector):
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
-        if not fitting:
+    def _pick(self, view, cpus: int) -> Optional[int]:
+        fitting = np.flatnonzero(view.free >= cpus)
+        if not len(fitting):
             return None
         return fitting[int(self.rng.integers(0, len(fitting)))]
 
-    def select_any(self, sites: list[str]) -> str:
-        """Unconditioned random pick (the USLA-blind timeout fallback)."""
-        if not sites:
+    def select_any(self, sites):
+        """Uniform pick from any sequence (names or indexes); always draws."""
+        if not len(sites):
             raise ValueError("no sites to select from")
         return sites[int(self.rng.integers(0, len(sites)))]
+
+    def least_bad(self, availabilities) -> str:
+        """Nothing fits: a most-free site, ties (e.g. a fully USLA-
+        filtered view) broken randomly so the fallback stream spreads."""
+        view = as_view(availabilities)
+        top = np.flatnonzero(view.free >= view.free.max() - 1e-9)
+        return view.names[self.select_any(top)]
 
 
 class RoundRobinSelector(SiteSelector):
@@ -68,14 +80,18 @@ class RoundRobinSelector(SiteSelector):
 
     def __init__(self) -> None:
         self._cursor = 0
+        self._names: Optional[tuple] = None  # whose sorted order _perm caches
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = sorted(self._fitting(availabilities, cpus))
-        if not fitting:
+    def _pick(self, view, cpus: int) -> Optional[int]:
+        if view.names is not self._names:
+            self._names = names = view.names
+            self._perm = np.array(
+                sorted(range(len(names)), key=names.__getitem__), np.intp)
+        fitting = self._perm[(view.free >= cpus)[self._perm]]
+        if not len(fitting):
             return None
-        choice = fitting[self._cursor % len(fitting)]
         self._cursor += 1
-        return choice
+        return fitting[(self._cursor - 1) % len(fitting)]
 
 
 class LeastUsedSelector(SiteSelector):
@@ -95,13 +111,13 @@ class LeastUsedSelector(SiteSelector):
         self.rng = rng
         self.spread = spread
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
-        if not fitting:
+    def _pick(self, view, cpus: int) -> Optional[int]:
+        free = view.free
+        best = free.max(initial=-np.inf)  # the best *fitting* value iff any fits
+        if best < cpus:
             return None
-        best = max(availabilities[s] for s in fitting)
-        top = [s for s in fitting if availabilities[s] >= self.spread * best]
-        if len(top) == 1:
+        top = np.flatnonzero((free >= cpus) & (free >= self.spread * best))
+        if len(top) == 1:  # no draw: the rng sequence is part of the contract
             return top[0]
         return top[int(self.rng.integers(0, len(top)))]
 
@@ -113,15 +129,16 @@ class LeastRecentlyUsedSelector(SiteSelector):
         self._last_used: dict[str, int] = {}
         self._tick = 0
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
+    def _pick(self, view, cpus: int) -> Optional[int]:
+        fitting = np.flatnonzero(view.free >= cpus).tolist()
         if not fitting:
             return None
-        choice = min(fitting,
-                     key=lambda s: (self._last_used.get(s, -1), s))
+        names = view.names
+        i = min(fitting,
+                key=lambda i: (self._last_used.get(names[i], -1), names[i]))
         self._tick += 1
-        self._last_used[choice] = self._tick
-        return choice
+        self._last_used[names[i]] = self._tick
+        return i
 
 
 _SELECTORS = {
@@ -144,12 +161,10 @@ def make_selector(name: str, rng: Optional[np.random.Generator] = None,
     except KeyError:
         raise ValueError(f"unknown selector {name!r}; "
                          f"expected one of {sorted(_SELECTORS)}") from None
-    if cls is LeastUsedSelector:
-        if rng is None:
-            raise ValueError(f"selector {name!r} needs an rng")
-        return cls(rng, spread=spread if spread is not None else 1.0)
+    if cls in (RoundRobinSelector, LeastRecentlyUsedSelector):
+        return cls()
+    if rng is None:
+        raise ValueError(f"selector {name!r} needs an rng")
     if cls is RandomSelector:
-        if rng is None:
-            raise ValueError(f"selector {name!r} needs an rng")
         return cls(rng)
-    return cls()
+    return cls(rng, spread=spread if spread is not None else 1.0)

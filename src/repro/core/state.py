@@ -27,10 +27,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["DispatchRecord", "GridStateView"]
+import numpy as np
+
+__all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 
 _NEG_INF = -float("inf")
 
@@ -59,6 +62,42 @@ class DispatchRecord:
         return (self.vo,)
 
 
+class AvailabilityView(Mapping):
+    """The availability answer: estimated free CPUs per site, frozen.
+
+    ``free`` is a float64 column labelled by the shared ``names`` tuple,
+    *copied* into an immutable buffer at construction: a reply in flight
+    must not see later dispatches (that staleness is what accuracy measures).
+    """
+
+    __slots__ = ("names", "free", "_index")
+
+    def __init__(self, names: tuple, free: np.ndarray):
+        self.names = names
+        # bytes cannot be written through: a read-only float64 copy.
+        self.free = np.frombuffer(np.asarray(free, float).tobytes())
+        self._index: Optional[dict] = None  # built on first lookup
+
+    def __getitem__(self, site: str) -> float:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.names)}
+        return float(self.free[self._index[site]])
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+def as_view(availabilities) -> AvailabilityView:
+    """A plain ``{site: free}`` mapping (tests, examples) coerced once."""
+    if type(availabilities) is AvailabilityView:
+        return availabilities
+    return AvailabilityView(tuple(availabilities),
+                            np.fromiter(availabilities.values(), float))
+
+
 class GridStateView:
     """Staleness-aware per-site busy-CPU estimates.
 
@@ -73,8 +112,8 @@ class GridStateView:
     Three indexes keep the hot queries off the all-sites scan: a
     grid-wide expiry heap (:meth:`expire` costs O(records expired)), a
     learn-order ring (:meth:`pending_records` costs O(records learned
-    since the cutoff)), and an incrementally-maintained free map
-    (:meth:`free_map` is a dict copy).
+    since the cutoff)), and an incrementally-maintained free column
+    (:meth:`free_map` is one array copy; see :class:`AvailabilityView`).
     """
 
     def __init__(self, site_capacities: dict[str, int],
@@ -134,21 +173,23 @@ class GridStateView:
         self._learn_log: deque[tuple[int, float, DispatchRecord]] = deque()
         self._learn_count = 0
         self._log_tail_time = _NEG_INF
-        # Estimated free CPUs per site, maintained on every mutation so
-        # free_map() is a dict copy instead of an all-sites recompute.
-        self._free_cache: dict[str, float] = {
-            s: float(c) for s, c in self.capacities.items()}
+        # Estimated free CPUs: one float64 column in ``capacities`` order,
+        # maintained on every mutation so free_map() is an array copy.
+        self._names: tuple = tuple(self.capacities)
+        self._col: dict[str, int] = {s: i for i, s in enumerate(self._names)}
+        self._free = np.fromiter(self.capacities.values(), float)
+        self._subset: tuple = ((), np.empty(0, np.intp))  # last free_subset()
 
     def _update_free(self, site: str) -> None:
-        """Re-derive one site's cached free estimate (same formula as
-        :meth:`estimated_busy`, so the cache is bit-identical)."""
+        """Re-derive one site's column entry, bit-identically to
+        :meth:`estimated_busy` (same formula)."""
         cap = self.capacities[site]
         busy = self._base_busy[site] + self._extra_busy[site]
         if busy < 0.0:
             busy = 0.0
         elif busy > cap:
             busy = cap
-        self._free_cache[site] = cap - busy
+        self._free[self._col[site]] = cap - busy
 
     # -- internal removal ----------------------------------------------------
     def _drop(self, rec: DispatchRecord) -> None:
@@ -299,12 +340,16 @@ class GridStateView:
         for site, cap in site_capacities.items():
             if site in self.capacities:
                 continue
+            self._col[site] = len(self.capacities)
             self.capacities[site] = cap
             self._base_busy[site] = 0.0
             self._base_time[site] = -float("inf")
             self._records[site] = []
             self._extra_busy[site] = 0.0
-            self._free_cache[site] = float(cap)
+        # Append-only: answers already given keep their names and copy.
+        self._names = tuple(self.capacities)
+        self._free = np.append(self._free, [
+            self.capacities[s] for s in self._names[len(self._free):]])
 
     # -- queries ---------------------------------------------------------------
     def estimated_busy(self, site: str, now: Optional[float] = None) -> float:
@@ -328,23 +373,27 @@ class GridStateView:
             self.expire(now)
         return max(self._vo_busy.get((site, vo), 0.0), 0.0)
 
-    def free_map(self, now: Optional[float] = None) -> dict[str, float]:
+    def free_map(self, now: Optional[float] = None) -> AvailabilityView:
         """Estimated free CPUs for every site (the availability answer)."""
         if now is not None:
             self.expire(now)
-        return dict(self._free_cache)
+        return AvailabilityView(self._names, self._free)
 
-    def free_subset(self, sites, now: Optional[float] = None) -> dict[str, float]:
-        """Like :meth:`free_map`, restricted to ``sites`` — O(len(sites)).
+    def free_subset(self, sites, now: Optional[float] = None) -> AvailabilityView:
+        """Like :meth:`free_map`, restricted to ``sites``, in their order.
 
         The sharded runtime's availability answers stay neighborhood-
         local even when the view carries grid-wide static knowledge.
-        Values are bit-identical to the :meth:`free_map` entries.
+        Values are bit-identical to the :meth:`free_map` entries; the
+        column indexes are kept for the next call with the same tuple.
         """
         if now is not None:
             self.expire(now)
-        cache = self._free_cache
-        return {s: cache[s] for s in sites}
+        if sites is not self._subset[0]:
+            sites = tuple(sites)
+            self._subset = (sites, np.array([self._col[s] for s in sites], np.intp))
+        sites, idx = self._subset
+        return AvailabilityView(sites, self._free[idx])
 
     def pending_records(self, newer_than: float) -> list[DispatchRecord]:
         """Live records this node *learned* after the cutoff.
@@ -452,10 +501,10 @@ class GridStateView:
                 problems.append(
                     f"base_busy[{site}]={base} outside [0, {cap}]")
             busy = min(max(base + self._extra_busy[site], 0.0), cap)
-            if self._free_cache[site] != cap - busy:
+            free = float(self._free[self._col[site]])
+            if free != cap - busy:
                 problems.append(
-                    f"free_cache[{site}]={self._free_cache[site]} != "
-                    f"recomputed {cap - busy}")
+                    f"free[{site}]={free} != recomputed {cap - busy}")
         if len(self._learn_log) < len(live_keys):
             problems.append(
                 f"learn ring holds {len(self._learn_log)} entries for "

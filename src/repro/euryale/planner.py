@@ -228,8 +228,8 @@ class EuryalePlanner:
                 self.data_aware_hits += 1
         if site is None:
             site = self.selector.select(availabilities, job.cpus)
-        if site is None:
-            site = max(availabilities, key=availabilities.get)
+        if site is None:  # nothing fits: the most-free site, first on ties
+            site = availabilities.names[int(availabilities.free.argmax())]
         report = self.network.rpc(self.origin, self.decision_point,
                                   "report_dispatch",
                                   {"site": site, "vo": job.vo,

@@ -301,7 +301,8 @@ def build_experiment(config: ExperimentConfig,
         site_state_kb=config.site_state_kb,
         assumed_job_lifetime_s=config.job_model.duration_mean_s,
         dp_queue_bound=config.dp_queue_bound,
-        sync_delta=config.sync_delta)
+        sync_delta=config.sync_delta, selector=config.selector,
+        selector_spread=config.selector_spread)
 
     hosts = [f"host{i:03d}" for i in range(config.n_clients)]
     ramp = RampSchedule(n_clients=config.n_clients, span_s=config.ramp_span_s)

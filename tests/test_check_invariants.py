@@ -267,6 +267,22 @@ class TestDecisionPointInvariants:
                                         cpus=2, now=0.0)
         assert c.check() == []
 
+    def test_free_column_corruption_detected(self, env):
+        """A free column that drifted from ``cap - busy`` is a
+        ``view.audit`` violation naming the site and both numbers."""
+        sim, rng, net, grid = env
+        dp = make_dp(sim, rng, net, grid)
+        c = InvariantChecker(sim)
+        c.watch_dp(dp)
+        site = grid.site_names[2]
+        dp.engine.record_local_dispatch(site=site, vo="vo0", cpus=2, now=0.0)
+        assert c.check() == []
+        view = dp.engine.view
+        view._free[view._col[site]] += 1.0  # seeded: column no longer cap-busy
+        found = c.check()
+        assert rules_of(found) == ["view.audit"]
+        assert found[0].detail == f"free[{site}]=15.0 != recomputed 14.0"
+
     def test_watermark_bound_violation(self, env):
         sim, rng, net, grid = env
         dp = make_dp(sim, rng, net, grid)

@@ -77,6 +77,22 @@ class TestOnePhaseProtocol:
         assert (one.diperf().response_stats().average
                 < two.diperf().response_stats().average)
 
+    @staticmethod
+    def _placements(**overrides):
+        result = run_experiment(smoke_config(one_phase=True, **overrides))
+        return [j.site for c in result.clients for j in c.jobs
+                if j.handled_by_gruber]
+
+    def test_server_side_selector_follows_config(self):
+        """Regression: the decision point hard-coded LeastUsed(0.85), so
+        ``selector`` / ``selector_spread`` silently did nothing in
+        one-phase runs.  The defaults stay what the hard-coding was."""
+        default = self._placements()
+        assert default == self._placements(selector="least_used",
+                                           selector_spread=0.85)
+        assert default != self._placements(selector="round_robin")
+        assert default != self._placements(selector_spread=1.0)
+
     def test_lan_config_runs(self):
         res = run_experiment(smoke_config(n_clients=6, duration_s=200.0,
                                           lan=True))

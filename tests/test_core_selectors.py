@@ -1,8 +1,12 @@
 """Tests for site-selector policies."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    AvailabilityView,
     LeastRecentlyUsedSelector,
     LeastUsedSelector,
     RandomSelector,
@@ -95,3 +99,145 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_selector("random")
         assert make_selector("round_robin") is not None
+
+
+# -- differential: array selectors vs the dict scans they replaced -----------
+# The reference policies below are the pre-columnar implementations, kept
+# here (and only here) verbatim.  The array selectors must return the same
+# site AND consume the rng identically, selection after selection.
+
+def _fitting(availabilities, cpus):
+    return [s for s, free in availabilities.items() if free >= cpus]
+
+
+class RefRandom:
+    def __init__(self, rng):
+        self.rng = rng
+
+    def select(self, availabilities, cpus):
+        fitting = _fitting(availabilities, cpus)
+        if not fitting:
+            return None
+        return fitting[int(self.rng.integers(0, len(fitting)))]
+
+    def select_any(self, sites):
+        return sites[int(self.rng.integers(0, len(sites)))]
+
+
+class RefRoundRobin:
+    def __init__(self):
+        self._cursor = 0
+
+    def select(self, availabilities, cpus):
+        fitting = sorted(_fitting(availabilities, cpus))
+        if not fitting:
+            return None
+        choice = fitting[self._cursor % len(fitting)]
+        self._cursor += 1
+        return choice
+
+
+class RefLeastUsed:
+    def __init__(self, rng, spread=1.0):
+        self.rng = rng
+        self.spread = spread
+
+    def select(self, availabilities, cpus):
+        fitting = _fitting(availabilities, cpus)
+        if not fitting:
+            return None
+        best = max(availabilities[s] for s in fitting)
+        top = [s for s in fitting if availabilities[s] >= self.spread * best]
+        if len(top) == 1:
+            return top[0]
+        return top[int(self.rng.integers(0, len(top)))]
+
+
+class RefLRU:
+    def __init__(self):
+        self._last_used = {}
+        self._tick = 0
+
+    def select(self, availabilities, cpus):
+        fitting = _fitting(availabilities, cpus)
+        if not fitting:
+            return None
+        choice = min(fitting, key=lambda s: (self._last_used.get(s, -1), s))
+        self._tick += 1
+        self._last_used[choice] = self._tick
+        return choice
+
+
+def ref_least_bad(availabilities, fallback):
+    """The nothing-fits fallback as client and decision point wrote it."""
+    best = max(availabilities.values())
+    top = [s for s, v in availabilities.items() if v >= best - 1e-9]
+    return fallback.select_any(top)
+
+
+def _pair(policy, spread, seed):
+    """(array selector, reference, their rngs) — rngs seeded alike."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    if policy == "random":
+        return RandomSelector(a), RefRandom(b), a, b
+    if policy == "round_robin":
+        return RoundRobinSelector(), RefRoundRobin(), a, b
+    if policy == "least_used":
+        return LeastUsedSelector(a, spread), RefLeastUsed(b, spread), a, b
+    return LeastRecentlyUsedSelector(), RefLRU(), a, b
+
+
+#: Free-CPU estimates: small integers (ties, all-full), values one ulp
+#: either side of an integer, and ``cap - busy`` with fractional busy.
+free_values = st.one_of(
+    st.integers(0, 4).map(float),
+    st.sampled_from([0.5, 1.9999999999999998, 2.0000000000000004, 3.4]),
+    st.tuples(st.integers(1, 64), st.floats(0.0, 64.0)).map(
+        lambda cb: cb[0] - min(cb[1], cb[0])))
+
+
+@st.composite
+def availability_rows(draw):
+    """Unique site names in arbitrary (non-sorted) column order, plus a
+    few value rows over them — successive answers of one decision point."""
+    names = tuple(draw(st.lists(
+        st.text("abcXYZ019_", min_size=1, max_size=4),
+        min_size=1, max_size=9, unique=True)))
+    row = st.lists(free_values, min_size=len(names), max_size=len(names))
+    return names, draw(st.lists(row, min_size=1, max_size=4))
+
+
+class TestArraySelectorsMatchDictScans:
+    @settings(max_examples=150, deadline=None)
+    @given(data=availability_rows(),
+           policy=st.sampled_from(["random", "round_robin", "least_used", "lru"]),
+           spread=st.sampled_from([1.0, 0.85, 0.5]),
+           cpus=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+           seed=st.integers(0, 2**16), as_dict=st.booleans())
+    @example(data=(("b", "a", "c"), [[0.0, 0.0, 0.0]]), policy="least_used",
+             spread=0.85, cpus=[1], seed=0, as_dict=False)   # all full
+    @example(data=(("b", "a", "c"), [[0.0, 2.0, 1.0]]), policy="least_used",
+             spread=0.5, cpus=[2], seed=0, as_dict=False)    # one fits
+    @example(data=(("b", "a", "c"), [[3.0, 3.0, 3.0], [0.5, 0.5, 0.5]]),
+             policy="round_robin", spread=1.0, cpus=[1], seed=3,
+             as_dict=True)                                    # ties + fallback
+    def test_same_site_same_rng_state_for_50_selections(
+            self, data, policy, spread, cpus, seed, as_dict):
+        names, rows = data
+        sel, ref, sel_rng, ref_rng = _pair(policy, spread, seed)
+        fb_rng, ref_fb_rng = (np.random.default_rng(seed + 1),
+                              np.random.default_rng(seed + 1))
+        fallback, ref_fallback = RandomSelector(fb_rng), RefRandom(ref_fb_rng)
+        for k in range(50):
+            avail = dict(zip(names, rows[k % len(rows)]))
+            view = avail if as_dict else AvailabilityView(
+                names, np.array(rows[k % len(rows)]))
+            n = cpus[k % len(cpus)]
+            got, want = sel.select(view, n), ref.select(avail, n)
+            if want is None:   # the least-bad path, as the callers run it
+                assert got is None
+                got = fallback.least_bad(view)
+                want = ref_least_bad(avail, ref_fallback)
+            assert got == want, (k, avail, n)
+            assert sel_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert fb_rng.bit_generator.state == ref_fb_rng.bit_generator.state

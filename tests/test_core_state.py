@@ -1,5 +1,6 @@
 """Tests for the staleness-aware grid state view."""
 
+import numpy as np
 import pytest
 
 from repro.core import DispatchRecord, GridStateView
@@ -135,3 +136,47 @@ class TestExpiryAndPending:
     def test_lifetime_validation(self):
         with pytest.raises(ValueError):
             GridStateView({"s": 1}, assumed_job_lifetime_s=0.0)
+
+
+class TestAnswerSnapshotIsolation:
+    """An availability answer is a reply in flight: it is taken at
+    answer time and must not see anything the view does afterwards.
+    (Regression guard for the aliasing bug a columnar view makes
+    possible — ``free_map`` handing out its live column.)"""
+
+    @pytest.mark.parametrize("ask", [
+        lambda v: v.free_map(now=10.0),
+        lambda v: v.free_subset(("s1", "s0"), now=10.0)],
+        ids=["free_map", "free_subset"])
+    def test_reply_unchanged_by_later_writes(self, view, ask):
+        view.apply_record(rec(seq=1, site="s1", cpus=4))
+        reply = ask(view)
+        names, values = reply.names, reply.free.tolist()
+        assert dict(reply) == {"s0": 100.0, "s1": 46.0}
+
+        view.apply_record(rec(seq=2, site="s0", cpus=8, time=11.0))
+        view.refresh_site("s1", 30.0, now=12.0)
+        view.extend_capacities({"s2": 10})
+        view.expire(5000.0)
+
+        assert reply.names is names and len(reply) == 2
+        assert reply.free.tolist() == values
+        assert dict(reply) == {"s0": 100.0, "s1": 46.0}
+        assert "s2" not in reply
+        # ... while a fresh answer does see all of it.
+        assert dict(view.free_map()) == {"s0": 100.0, "s1": 20.0, "s2": 10.0}
+
+    def test_reply_refuses_writes(self, view):
+        reply = view.free_map()
+        assert reply.free.flags.writeable is False
+        with pytest.raises(ValueError):
+            reply.free[0] = 0.0
+        with pytest.raises(TypeError):
+            reply["s0"] = 0.0
+        assert view.free_map()["s0"] == 100.0
+
+    def test_answers_share_names_not_values(self, view):
+        a, b = view.free_map(), view.free_map()
+        assert a.names is b.names
+        assert not np.shares_memory(a.free, b.free)
+        assert not np.shares_memory(a.free, view._free)

@@ -5,7 +5,12 @@ refreshes, expiry sweeps, and duplicate/out-of-order deliveries; after
 every step the view's incremental estimates and its indexed queries
 (``free_map``, ``free_subset``, ``pending_records``, ``records_since``)
 must match a reference model that recomputes everything from scratch.
+The availability answers are checked as the selectors read them: column
+order, float64 values and names — including after ``extend_capacities``
+appends columns and for ``free_subset`` over an arbitrary ordered subset.
 """
+
+import numpy as np
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -14,6 +19,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.state import DispatchRecord, GridStateView
 
 SITES = {"s0": 100, "s1": 50, "s2": 10}
+#: Static knowledge learned later (``extend_capacities``); "s1" is
+#: already known and must be left untouched.  Deliberately not in name
+#: order: column order is insertion order, not sorted order.
+MORE_SITES = {"s9": 7, "s1": 999, "s3": 30}
 LIFETIME = 100.0
 
 
@@ -21,6 +30,7 @@ class ReferenceView:
     """Recompute-from-scratch model of the documented semantics."""
 
     def __init__(self):
+        self.capacities = dict(SITES)
         self.base = {s: (0.0, -float("inf")) for s in SITES}  # busy, time
         self.records: dict[tuple, DispatchRecord] = {}
         # key -> (learn sequence number, learn time) of the live record
@@ -49,10 +59,21 @@ class ReferenceView:
         self.records = {k: r for k, r in self.records.items()
                         if r.time >= now - LIFETIME}
 
+    def extend(self, capacities):
+        for site, cap in capacities.items():
+            if site not in self.capacities:
+                self.capacities[site] = cap
+                self.base[site] = (0.0, -float("inf"))
+
     def estimated_busy(self, site):
         busy, _ = self.base[site]
         extra = sum(r.cpus for r in self.records.values() if r.site == site)
-        return min(max(busy + extra, 0.0), SITES[site])
+        return min(max(busy + extra, 0.0), self.capacities[site])
+
+    def free(self, sites=None):
+        """``[(site, free)]`` in the asked order (default: all columns)."""
+        return [(s, float(self.capacities[s] - self.estimated_busy(s)))
+                for s in (self.capacities if sites is None else sites)]
 
     def live_in_learn_order(self):
         """``(learn_seq, learn_time, record)`` of every live record."""
@@ -66,14 +87,39 @@ class StateViewMachine(RuleBasedStateMachine):
         self.ref = ReferenceView()
         self.clock = 0.0
         self.seq = 0
+        # One tuple object reused for the machine's lifetime: the view
+        # keeps its column indexes across mutations and appended columns.
+        self.held_subset = ("s2", "s0")
 
-    @rule(site=st.sampled_from(sorted(SITES)),
+    def assert_answer(self, answer, want):
+        """An availability answer, read the way the selectors read it."""
+        assert answer.names == tuple(s for s, _ in want)
+        assert answer.free.dtype == np.float64
+        assert answer.free.tolist() == [f for _, f in want]
+        assert not answer.free.flags.writeable
+        assert dict(answer) == dict(want) and len(answer) == len(want)
+
+    @rule()
+    def extend_static_knowledge(self):
+        self.view.extend_capacities(MORE_SITES)
+        self.ref.extend(MORE_SITES)
+
+    @rule(data=st.data())
+    def read_ordered_subset(self, data):
+        sites = data.draw(st.permutations(list(self.ref.capacities)))
+        sites = sites[:data.draw(st.integers(0, len(sites)))]
+        self.ref.expire(self.clock)
+        self.assert_answer(self.view.free_subset(sites, now=self.clock),
+                           self.ref.free(sites))
+
+    @rule(data=st.data(),
           cpus=st.integers(1, 20),
           origin=st.sampled_from(["dp0", "dp1"]),
           age=st.floats(0.0, 150.0),
           local=st.booleans())
-    def apply_fresh_record(self, site, cpus, origin, age, local):
+    def apply_fresh_record(self, data, cpus, origin, age, local):
         self.seq += 1
+        site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
         rec = DispatchRecord(origin=origin, seq=self.seq, site=site,
                              vo="vo0", cpus=cpus,
                              time=max(self.clock - age, 0.0))
@@ -104,10 +150,10 @@ class StateViewMachine(RuleBasedStateMachine):
             assert not applied
             assert self.view.free_map() == before
 
-    @rule(site=st.sampled_from(sorted(SITES)),
-          busy=st.floats(0.0, 100.0))
-    def monitor_refresh(self, site, busy):
-        busy = min(busy, SITES[site])
+    @rule(data=st.data(), busy=st.floats(0.0, 100.0))
+    def monitor_refresh(self, data, busy):
+        site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
+        busy = min(busy, self.ref.capacities[site])
         self.view.refresh_site(site, busy, self.clock)
         self.ref.refresh(site, busy, self.clock)
 
@@ -125,17 +171,17 @@ class StateViewMachine(RuleBasedStateMachine):
         # Force lazy expiry on both sides before comparing.
         self.view.expire(self.clock)
         self.ref.expire(self.clock)
-        for site in SITES:
+        for site in self.ref.capacities:
             assert self.view.estimated_busy(site) == \
                 self.ref.estimated_busy(site), site
 
     @invariant()
     def indexed_queries_match_reference(self):
         self.ref.expire(self.clock)
-        free = {s: SITES[s] - self.ref.estimated_busy(s) for s in SITES}
-        assert self.view.free_map(now=self.clock) == free
-        assert self.view.free_subset(["s2", "s0"]) == \
-            {"s2": free["s2"], "s0": free["s0"]}
+        self.assert_answer(self.view.free_map(now=self.clock),
+                           self.ref.free())
+        self.assert_answer(self.view.free_subset(self.held_subset),
+                           self.ref.free(self.held_subset))
         live = self.ref.live_in_learn_order()
         # Every boundary a cutoff can straddle: each live learn time.
         cutoffs = {-float("inf"), self.clock, *(t for _, t, _ in live)}
@@ -150,7 +196,7 @@ class StateViewMachine(RuleBasedStateMachine):
 
     @invariant()
     def estimates_bounded(self):
-        for site, cap in SITES.items():
+        for site, cap in self.ref.capacities.items():
             assert 0.0 <= self.view.estimated_busy(site) <= cap
             assert 0.0 <= self.view.estimated_free(site) <= cap
 
