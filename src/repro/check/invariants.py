@@ -15,7 +15,7 @@ accounting invariants the rest of the codebase merely claims:
   still-running remainder;
 * **view accounting** — each decision point's
   :meth:`~repro.core.state.GridStateView.audit` (incremental sums vs
-  ground truth, dedup-index agreement, free-column coherence);
+  ground truth, live-table agreement, free-column coherence);
 * **USLA share bounds** — published fair-share fractions stay in
   ``[0, 1]`` and per-consumer usage never exceeds the site estimate;
 * **sync monotonicity** — learn-sequence watermarks only advance and
@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from repro.grid.job import JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GruberClient
@@ -96,6 +98,11 @@ class InvariantChecker:
         self._last_integral: dict[str, float] = {}
         self._last_learn_count: dict[str, int] = {}
         self._last_marks: dict[tuple[str, str], int] = {}
+        # client.job_duration verifies each job once: per client, how
+        # many of its jobs were taken up and which are not COMPLETED yet.
+        self._unverified: dict[str, tuple[int, list]] = {}
+        #: Jobs that rule has looked at, summed over passes.
+        self.jobs_inspected = 0
 
     # -- wiring ------------------------------------------------------------
     def watch_site(self, site: "Site") -> None:
@@ -306,14 +313,24 @@ class InvariantChecker:
         # A completed job ran for exactly its duration.  A stale
         # completion timer surviving a preempt-and-replan cycle
         # truncated the second run to the first run's deadline — this
-        # rule is the in-vivo detector for that class.
-        for job in client.jobs:
+        # rule is the in-vivo detector for that class.  COMPLETED is
+        # terminal and immutable, so each job is verified once, when
+        # first seen in it; unfinished and FAILED jobs stay pending (a
+        # re-plan can still complete them).
+        taken, unverified = self._unverified.get(name, (0, ()))
+        to_verify = (*unverified, *client.jobs[taken:])
+        self.jobs_inspected += len(to_verify)
+        pending = []
+        for job in to_verify:
+            if job.state is not JobState.COMPLETED:
+                pending.append(job)
+                continue
             et = job.execution_time_s
-            if (et is not None and not job.state.name == "FAILED"
-                    and abs(et - job.duration_s) > _ABS_TOL):
+            if et is not None and abs(et - job.duration_s) > _ABS_TOL:
                 self._flag("client.job_duration", name,
                            f"job {job.jid} ran {et:.6f}s, duration "
                            f"{job.duration_s:.6f}s")
+        self._unverified[name] = len(client.jobs), pending
 
     # -- decision points -----------------------------------------------------
     def _check_dp(self, dp: "DecisionPoint") -> None:

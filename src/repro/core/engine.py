@@ -161,29 +161,18 @@ class GruberEngine:
         ``sync.lag_s`` histogram, the measured counterpart to the
         paper's epoch-interval sufficiency claim.
         """
-        adopted_keys = [] if self.journal is not None else None
+        adopted_records = self.view.apply_records(records, now=now)
+        adopted = len(adopted_records)
         if now is not None and self.metrics is not None:
-            lag_hist = self.metrics.histogram(
-                "sync.lag_s", bounds=self.SYNC_LAG_BOUNDS_S)
-            adopted = 0
-            for rec in records:
-                if self.view.apply_record(rec, now=now):
-                    adopted += 1
-                    lag_hist.observe(max(now - rec.time, 0.0))
-                    if adopted_keys is not None:
-                        adopted_keys.append(rec.key)
-        elif adopted_keys is not None:
-            adopted = 0
-            for rec in records:
-                if self.view.apply_record(rec, now=now):
-                    adopted += 1
-                    adopted_keys.append(rec.key)
-        else:
-            adopted = self.view.apply_records(records, now=now)
-        if adopted_keys is not None and adopted:
+            observe_lag = self.metrics.histogram(
+                "sync.lag_s", bounds=self.SYNC_LAG_BOUNDS_S).observe
+            for rec in adopted_records:
+                observe_lag(max(now - rec.time, 0.0))
+        if adopted and self.journal is not None:
             # Sorted key set: the journal pins *which* records were
             # adopted, not the payload's internal order.
-            keys = ",".join(f"{o}:{s}" for o, s in sorted(adopted_keys))
+            keys = ",".join(f"{o}:{s}" for o, s in
+                            sorted(r.key for r in adopted_records))
             self.journal.record(
                 now if now is not None else self.view.latest_time,
                 "rec.adopt", f"{self.owner}|{keys}")

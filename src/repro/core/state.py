@@ -25,10 +25,8 @@ so the flooding protocol can relay them along arbitrary overlays.
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -38,9 +36,14 @@ __all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 _NEG_INF = -float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DispatchRecord:
-    """One job-dispatch event, as exchanged between decision points."""
+    """One job-dispatch event, as exchanged between decision points.
+
+    The same object is relayed to every view on the mesh, so the two
+    derived identities every view reads are stored once at construction
+    (outside equality, hash and ``repr``).
+    """
 
     origin: str      # decision point that made the recommendation
     seq: int         # per-origin sequence number (dedup key with origin)
@@ -49,17 +52,16 @@ class DispatchRecord:
     cpus: int
     time: float      # dispatch instant
     group: str = ""  # VO group, for group-level USLA accounting (§4.1)
+    #: Dedup identity ``(origin, seq)``.
+    key: tuple[str, int] = field(init=False, compare=False, repr=False)
+    #: USLA consumers this dispatch counts against (VO, VO.group).
+    consumers: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.origin, self.seq)
-
-    @property
-    def consumers(self) -> tuple[str, ...]:
-        """USLA consumers this dispatch counts against (VO, VO.group)."""
-        if self.group:
-            return (self.vo, f"{self.vo}.{self.group}")
-        return (self.vo,)
+    def __post_init__(self):
+        vo = self.vo
+        object.__setattr__(self, "key", (self.origin, self.seq))
+        object.__setattr__(self, "consumers",
+                           (vo, f"{vo}.{self.group}") if self.group else (vo,))
 
 
 class AvailabilityView(Mapping):
@@ -110,10 +112,13 @@ class GridStateView:
         Calibrate to the workload's mean job runtime.
 
     Three indexes keep the hot queries off the all-sites scan: a
-    grid-wide expiry heap (:meth:`expire` costs O(records expired)), a
-    learn-order ring (:meth:`pending_records` costs O(records learned
-    since the cutoff)), and an incrementally-maintained free column
-    (:meth:`free_map` is one array copy; see :class:`AvailabilityView`).
+    grid-wide expiry heap (:meth:`expire` costs O(records expired)), the
+    live table's own insertion order (:meth:`pending_records` costs
+    O(records learned since the cutoff)), and an incrementally-maintained
+    free column (:meth:`free_map` is one array copy; see
+    :class:`AvailabilityView`).  A live record is ONE entry tuple
+    ``(dispatch time, learn_seq, record, monotonic learn time, exact learn
+    time)`` shared by its site heap, the expiry heap and the live table.
     """
 
     def __init__(self, site_capacities: dict[str, int],
@@ -129,22 +134,20 @@ class GridStateView:
         self._base_time: dict[str, float] = {s: -float("inf")
                                              for s in site_capacities}
         # Live records per site, as a min-heap on dispatch time so both
-        # expiry and refresh absorption pop oldest-first.
-        self._records: dict[str, list[tuple[float, int, DispatchRecord]]] = {
+        # expiry and refresh absorption pop oldest-first (the unique
+        # learn_seq breaks ties, so later entry fields never compare).
+        self._records: dict[str, list[tuple]] = {
             s: [] for s in site_capacities}
-        self._tiebreak = itertools.count()
         # Incremental sums so estimates are O(1) per site per query.
         self._extra_busy: dict[str, float] = {s: 0.0 for s in site_capacities}
-        self._seen: set[tuple[str, int]] = set()
-        # When *this node* learned each live record — the flooding relay
-        # horizon keys off this, not the (possibly much older) dispatch
-        # time, so records can travel any number of overlay hops.
-        self._learned_at: dict[tuple[str, int], float] = {}
-        # The live record *object* per key.  Key membership alone is not
-        # a liveness test for index entries: an adversarial redelivery
-        # can reuse a dropped record's key (dedup discards keys on
-        # drop), leaving stale index entries whose key is live again.
-        self._live_rec: dict[tuple[str, int], DispatchRecord] = {}
+        # The live entry per key — the only keyed container: its key set
+        # is the dedup set, and since a dict keeps insertion order its
+        # values are the live records in learn order, newest last.  When
+        # *this node* learned a record is what the flooding relay horizon
+        # keys off, not the (possibly much older) dispatch time, so
+        # records can travel any number of overlay hops.  Dedup discards
+        # keys on drop, so a redelivered key is a new entry at the end.
+        self._live: dict[tuple[str, int], tuple] = {}
         # Per-(site, vo) incremental usage estimate for USLA filtering.
         # Entries are deleted when they return to zero — long sweeps
         # used to accumulate dead (site, consumer) keys forever.
@@ -164,15 +167,12 @@ class GridStateView:
         self._last_refresh_time: float = _NEG_INF
         self._site_learn_time: dict[str, float] = {}
         # -- indexes ------------------------------------------------------
-        # Grid-wide expiry heap, same (time, tiebreak) keys as the site
-        # heaps.  Entries absorbed by a monitor refresh go stale here
-        # and are skipped (liveness check) when their time passes.
-        self._expiry_heap: list[tuple[float, int, DispatchRecord]] = []
-        # Learn-order ring: (learn_seq, monotonic learn time, record).
-        # Newest at the right; dead entries are pruned from the left.
-        self._learn_log: deque[tuple[int, float, DispatchRecord]] = deque()
+        # Grid-wide expiry heap of the same entries as the site heaps.
+        # Entries absorbed by a monitor refresh go stale here and are
+        # skipped (liveness check) when their time passes.
+        self._expiry_heap: list[tuple] = []
+        # Records ever adopted: the delta-sync watermark.
         self._learn_count = 0
-        self._log_tail_time = _NEG_INF
         # Estimated free CPUs: one float64 column in ``capacities`` order,
         # maintained on every mutation so free_map() is an array copy.
         self._names: tuple = tuple(self.capacities)
@@ -192,13 +192,15 @@ class GridStateView:
         self._free[self._col[site]] = cap - busy
 
     # -- internal removal ----------------------------------------------------
-    def _drop(self, rec: DispatchRecord) -> None:
-        """Retract one record's contribution (already popped from heap)."""
-        self._extra_busy[rec.site] -= rec.cpus
+    def _forget(self, rec: DispatchRecord) -> None:
+        """Retract one record (already popped from its site heap) from
+        the per-consumer sums and the live table; the caller settles the
+        site's ``_extra_busy`` and free column."""
+        site, cpus = rec.site, rec.cpus
         vo_busy = self._vo_busy
         for consumer in rec.consumers:
-            key = (rec.site, consumer)
-            remaining = vo_busy.get(key, 0.0) - rec.cpus
+            key = (site, consumer)
+            remaining = vo_busy.get(key, 0.0) - cpus
             if remaining > 0.0:
                 vo_busy[key] = remaining
             else:
@@ -206,22 +208,7 @@ class GridStateView:
                 # delete instead of keeping a 0.0 — or a tiny negative,
                 # previously masked by max(..., 0.0) — forever.
                 vo_busy.pop(key, None)
-        self._learned_at.pop(rec.key, None)
-        self._seen.discard(rec.key)
-        if self._live_rec.get(rec.key) is rec:
-            del self._live_rec[rec.key]
-        self._update_free(rec.site)
-
-    def _prune_log(self) -> None:
-        """Drop dead entries from the learn ring's old end (amortized)."""
-        log = self._learn_log
-        live = self._live_rec
-        while log and live.get(log[0][2].key) is not log[0][2]:
-            log.popleft()
-        # Safety valve for dead entries wedged behind a long-lived one.
-        if len(log) > 64 and len(log) > 4 * len(self._learned_at):
-            self._learn_log = deque(
-                e for e in log if live.get(e[2].key) is e[2])
+        del self._live[rec.key]
 
     def expire(self, now: float) -> int:
         """Age out records past the assumed job lifetime; returns count."""
@@ -231,102 +218,123 @@ class GridStateView:
         dropped = 0
         # O(records expired): pop the grid-wide heap.  A live entry here
         # is necessarily its site heap's head — every earlier (time,
-        # tiebreak) live record was popped (and dropped) first, and site
-        # heaps hold live records only — so an entry is live iff its
-        # unique tiebreak matches the site head's.  (A key-membership
-        # test is not enough: entries absorbed by a monitor refresh go
-        # stale here, and their key can be live again via a redelivered
-        # record.)
+        # learn_seq) live record was popped (and dropped) first, and site
+        # heaps hold live records only.  (A key-membership test is not
+        # enough: entries absorbed by a monitor refresh go stale here,
+        # and their key can be live again via a redelivered record.)
         g = self._expiry_heap
         records = self._records
         while g and g[0][0] < cutoff:
-            _, tb, rec = heapq.heappop(g)
+            entry = heapq.heappop(g)
+            rec = entry[2]
             site_heap = records[rec.site]
-            if site_heap and site_heap[0][1] == tb:
+            if site_heap and site_heap[0] is entry:
                 heapq.heappop(site_heap)
-                self._drop(rec)
+                self._extra_busy[rec.site] -= rec.cpus
+                self._forget(rec)
+                self._update_free(rec.site)
                 dropped += 1
-        if dropped:
-            self._prune_log()
         return dropped
 
     # -- updates -------------------------------------------------------------
     def apply_record(self, rec: DispatchRecord,
                      now: Optional[float] = None) -> bool:
-        """Apply one dispatch record; returns False if already known.
-
-        ``now`` stamps when this node learned the record (defaults to
-        the dispatch time itself, appropriate for locally-originated
-        records).  Records for unknown sites are rejected loudly —
-        static knowledge is complete by assumption, so this indicates a
-        bug.
-        """
-        if rec.site not in self.capacities:
-            raise KeyError(f"dispatch record for unknown site {rec.site!r}")
-        if rec.key in self._seen:
-            return False
-        learn_time = rec.time if now is None else now
-        if learn_time > self.latest_time:
-            self.latest_time = learn_time
-        if rec.time <= self._base_time[rec.site]:
-            # Already reflected in the monitor's ground truth.
-            return False
-        if learn_time - rec.time >= self.assumed_job_lifetime_s:
-            # Arrived after its own expiry (very slow relay path).
-            return False
-        self._seen.add(rec.key)
-        if learn_time > self._last_learn_time:
-            self._last_learn_time = learn_time
-        if learn_time > self._site_learn_time.get(rec.site, _NEG_INF):
-            self._site_learn_time[rec.site] = learn_time
-        entry = (rec.time, next(self._tiebreak), rec)
-        heapq.heappush(self._records[rec.site], entry)
-        heapq.heappush(self._expiry_heap, entry)
-        self._extra_busy[rec.site] += rec.cpus
-        self._learned_at[rec.key] = learn_time
-        self._live_rec[rec.key] = rec
-        # Learn ring: the stored time is clamped monotonic so reverse
-        # scans can stop early; the exact per-record learn time stays
-        # in _learned_at.
-        self._learn_count += 1
-        if learn_time > self._log_tail_time:
-            self._log_tail_time = learn_time
-        self._learn_log.append((self._learn_count, self._log_tail_time, rec))
-        for consumer in rec.consumers:
-            key = (rec.site, consumer)
-            self._vo_busy[key] = self._vo_busy.get(key, 0.0) + rec.cpus
-        self._update_free(rec.site)
-        return True
+        """Apply one dispatch record; returns False if already known
+        (the one-element case of :meth:`apply_records`)."""
+        return (rec.key not in self._live
+                and self._adopt(rec, rec.time if now is None else now))
 
     def apply_records(self, records: Iterable[DispatchRecord],
-                      now: Optional[float] = None) -> int:
-        return sum(1 for r in records if self.apply_record(r, now=now))
+                      now: Optional[float] = None) -> list[DispatchRecord]:
+        """Apply a sync payload; returns the adopted records, in order.
+
+        ``now`` stamps when this node learned the records (defaults to
+        each record's own dispatch time, appropriate for locally-
+        originated records).  On a mesh most of a payload is echoes of
+        records this view already holds: those cost one probe of the
+        live table and nothing else — in particular they do not advance
+        ``latest_time``.  A new record that is rejected (absorbed by a
+        monitor refresh, or older than the assumed lifetime) does; a key
+        repeated inside the payload is adopted once.  A new record for
+        an unknown site raises ``KeyError`` with the records before it
+        applied — static knowledge is complete by assumption, so this
+        indicates a bug.
+        """
+        live, adopt = self._live, self._adopt
+        return [r for r in records if r.key not in live
+                and adopt(r, r.time if now is None else now)]
+
+    def _adopt(self, rec: DispatchRecord, learn_time: float) -> bool:
+        """Adopt one record whose key is not live; False if rejected."""
+        site, time = rec.site, rec.time
+        absorbed_until = self._base_time.get(site)
+        if absorbed_until is None:
+            raise KeyError(f"dispatch record for unknown site {site!r}")
+        if learn_time > self.latest_time:
+            self.latest_time = learn_time
+        if time <= absorbed_until:
+            return False  # already reflected in the monitor's ground truth
+        if learn_time - time >= self.assumed_job_lifetime_s:
+            return False  # arrived after its own expiry (very slow relay)
+        if learn_time > self._last_learn_time:
+            self._last_learn_time = learn_time
+        if learn_time > self._site_learn_time.get(site, _NEG_INF):
+            self._site_learn_time[site] = learn_time
+        # The first learn time is clamped monotonic (the running maximum)
+        # so reverse scans of the live table can stop early; the exact
+        # one rides beside it.
+        self._learn_count += 1
+        entry = self._live[rec.key] = (time, self._learn_count, rec,
+                                       self._last_learn_time, learn_time)
+        heapq.heappush(self._records[site], entry)
+        heapq.heappush(self._expiry_heap, entry)
+        cpus = rec.cpus
+        self._extra_busy[site] += cpus
+        vo_busy = self._vo_busy
+        for consumer in rec.consumers:
+            key = (site, consumer)
+            vo_busy[key] = vo_busy.get(key, 0.0) + cpus
+        self._update_free(site)
+        return True
 
     def refresh_site(self, site: str, busy_cpus: float, now: float) -> None:
-        """Monitor refresh: adopt ground truth for one site at ``now``.
+        """Monitor refresh of one site (see :meth:`refresh_all`)."""
+        self.refresh_all({site: busy_cpus}, now)
+
+    def refresh_all(self, busy_by_site: dict[str, float], now: float) -> None:
+        """Monitor sweep: adopt ground truth for these sites at ``now``.
 
         Records at or before the refresh instant are absorbed — their
         effect (if the job is still running) is inside the ground-truth
-        number now.
+        number now.  One pass: the horizons are stamped once and each
+        site's absorbed CPUs leave ``_extra_busy`` as one (exact, integer)
+        sum.
         """
-        if site not in self.capacities:
-            raise KeyError(f"refresh for unknown site {site!r}")
+        if not busy_by_site.keys() <= self.capacities.keys():
+            ghost = next(s for s in busy_by_site if s not in self.capacities)
+            raise KeyError(f"refresh for unknown site {ghost!r}")
+        if not busy_by_site:
+            return
         if now > self.latest_time:
             self.latest_time = now
-        self._base_busy[site] = busy_cpus
-        self._base_time[site] = now
         if now > self._last_refresh_time:
             self._last_refresh_time = now
-        heap = self._records[site]
-        while heap and heap[0][0] <= now:
-            _, _, rec = heapq.heappop(heap)
-            self._drop(rec)
-        self._update_free(site)
-        self._prune_log()
-
-    def refresh_all(self, busy_by_site: dict[str, float], now: float) -> None:
+        base_busy, base_time = self._base_busy, self._base_time
+        site_heaps, extra_busy = self._records, self._extra_busy
+        heappop, forget, update_free = (heapq.heappop, self._forget,
+                                        self._update_free)
         for site, busy in busy_by_site.items():
-            self.refresh_site(site, busy, now)
+            base_busy[site] = busy
+            base_time[site] = now
+            heap = site_heaps[site]
+            absorbed = 0
+            while heap and heap[0][0] <= now:
+                rec = heappop(heap)[2]
+                absorbed += rec.cpus
+                forget(rec)
+            if absorbed:
+                extra_busy[site] -= absorbed
+            update_free(site)
 
     def extend_capacities(self, site_capacities: dict[str, int]) -> None:
         """Add static knowledge of more sites (no usage yet).
@@ -402,19 +410,16 @@ class GridStateView:
         dispatch time) lets relayed records keep flooding outward on
         multi-hop overlays.
         """
-        # Walk the learn ring newest-first; the stored times are
+        # Walk the live table newest-first; the clamped times are
         # monotonic, so the first entry at or below the cutoff ends the
         # scan — O(records learned since the cutoff).  The clamped time
         # can only overshoot the real learn time, so the exact filter
         # below never loses a record to the break.
-        learned = self._learned_at
-        live = self._live_rec
         out = []
-        for _, t_mono, rec in reversed(self._learn_log):
+        for _, _, rec, t_mono, learn_time in reversed(self._live.values()):
             if t_mono <= newer_than:
                 break
-            if (live.get(rec.key) is rec
-                    and learned[rec.key] > newer_than):
+            if learn_time > newer_than:
                 out.append(rec)
         out.reverse()
         return out
@@ -427,13 +432,11 @@ class GridStateView:
         are not: two records learned at the same instant straddle no
         boundary.  Feed the returned watermark back on the next call.
         """
-        live = self._live_rec
         out = []
-        for learn_seq, _, rec in reversed(self._learn_log):
-            if learn_seq <= seq:
+        for entry in reversed(self._live.values()):
+            if entry[1] <= seq:
                 break
-            if live.get(rec.key) is rec:
-                out.append(rec)
+            out.append(entry[2])
         out.reverse()
         return self._learn_count, out
 
@@ -469,15 +472,6 @@ class GridStateView:
         must match their ground truth *exactly*.
         """
         problems: list[str] = []
-        live_keys = set(self._live_rec)
-        if live_keys != self._seen:
-            problems.append(
-                f"seen/live mismatch: {len(self._seen)} seen vs "
-                f"{len(live_keys)} live")
-        if live_keys != set(self._learned_at):
-            problems.append(
-                f"learned_at/live mismatch: {len(self._learned_at)} "
-                f"learn stamps vs {len(live_keys)} live")
         vo_sums: dict[str, float] = {}
         for (site, consumer), busy in self._vo_busy.items():
             if busy <= 0.0:
@@ -486,7 +480,7 @@ class GridStateView:
             if "." not in consumer:  # plain VO; groups mirror their VO
                 vo_sums[site] = vo_sums.get(site, 0.0) + busy
         for site, heap in self._records.items():
-            extra = sum(rec.cpus for _, _, rec in heap)
+            extra = sum(entry[2].cpus for entry in heap)
             if extra != self._extra_busy[site]:
                 problems.append(
                     f"extra_busy[{site}]={self._extra_busy[site]} but site "
@@ -505,10 +499,10 @@ class GridStateView:
             if free != cap - busy:
                 problems.append(
                     f"free[{site}]={free} != recomputed {cap - busy}")
-        if len(self._learn_log) < len(live_keys):
+        if len(self._live) != self.n_records:
             problems.append(
-                f"learn ring holds {len(self._learn_log)} entries for "
-                f"{len(live_keys)} live records")
+                f"live table holds {len(self._live)} records but the site "
+                f"heaps hold {self.n_records}")
         return problems
 
     def snapshot_state(self) -> dict:
@@ -524,8 +518,8 @@ class GridStateView:
 
         records = []
         for site in sorted(self._records):
-            for time, _tb, rec in sorted(
-                    self._records[site], key=lambda e: (e[0], e[1])):
+            for entry in sorted(self._records[site]):
+                rec = entry[2]
                 records.append([rec.origin, rec.seq, rec.site, rec.vo,
                                 rec.cpus, rec.time, rec.group])
         return {
@@ -538,7 +532,7 @@ class GridStateView:
             "latest_time": _f(self.latest_time),
             "last_learn_time": _f(self._last_learn_time),
             "last_refresh_time": _f(self._last_refresh_time),
-            "n_seen": len(self._seen),
+            "n_seen": len(self._live),
         }
 
     @property

@@ -186,11 +186,19 @@ class SyncProtocol:
         ctx = spans.ctx_of(sspan)
         round_records = 0
         round_kb = 0.0
+        # In steady state every peer holds the same watermark: scan the
+        # live table once per *distinct* one and share the list between
+        # those peers' payloads (receivers only read it).
+        since_mark: dict[int, tuple[int, list]] = {}
         for peer in dp.neighbors:
-            mark, records = view.records_since(self._peer_marks.get(peer, 0))
-            self._peer_marks[peer] = mark
-            if private:
-                records = [r for r in records if r.origin != dp.engine.owner]
+            since = self._peer_marks.get(peer, 0)
+            if since not in since_mark:
+                mark, records = view.records_since(since)
+                if private:
+                    records = [r for r in records
+                               if r.origin != dp.engine.owner]
+                since_mark[since] = mark, records
+            self._peer_marks[peer], records = since_mark[since]
             payload: dict = {"records": records}
             size_kb = len(records) * RECORD_KB + usla_kb
             if uslas is not None:

@@ -194,7 +194,7 @@ class _Hood:
             if not dp.online:
                 return
             for _src, records in batches:
-                engine.merge_remote_records(list(records), now=barrier_t)
+                engine.merge_remote_records(records, now=barrier_t)
         self.built.sim.schedule_at(barrier_t, _adopt)
 
     def sample_timeline(self, t: float) -> None:

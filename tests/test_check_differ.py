@@ -14,6 +14,7 @@ import pytest
 
 from repro.check import PAIRS, run_pair
 from repro.check.differ import _diff_config, _run_journaled
+from repro.experiments.configs import scale_config
 
 
 SEED = 20050101
@@ -27,10 +28,22 @@ GOLDEN = {
     ("diff-vec", 120.0): (275, 0xd3e69985),
     ("diff", 300.0): (802, 0x3de59d0a),
     ("diff-vec", 300.0): (644, 0x9b8adb8b),
+    # The 10-DP mesh write path (81 % of what sync offers a view there
+    # is echoes), recorded at the last commit that applied a payload one
+    # ``apply_record`` at a time: 540 ``rec.adopt`` rows each, so an
+    # adoption-order or payload-order slip moves the digest.  A 60 s
+    # interval, or a cell this short sees one round and the two modes
+    # coincide.
+    ("mesh10-delta", 400.0): (7801, 0x7413c864),
+    ("mesh10-flood", 400.0): (7839, 0x717177c7),
 }
 
 
 def _golden_config(name, duration_s):
+    if name.startswith("mesh10-"):
+        return scale_config(1, 10, duration_s=duration_s, timeout_s=60.0,
+                            sync_interval_s=60.0,
+                            sync_delta=name == "mesh10-delta")
     config = _diff_config(duration_s, SEED)
     if name == "diff-vec":
         # Congested (many clients, few CPUs): site queues outgrow the
@@ -45,6 +58,8 @@ class TestGoldenDigests:
     def test_journal_reproduces_recorded_digest(self, name, duration_s):
         journal = _run_journaled(_golden_config(name, duration_s))
         assert (len(journal), journal.digest) == GOLDEN[name, duration_s]
+        if name.startswith("mesh10-"):
+            assert sum(e.kind == "rec.adopt" for e in journal.entries) == 540
 
     def test_congested_config_engages_the_vector_drain(self):
         from repro.experiments.runner import run_experiment

@@ -169,6 +169,61 @@ class TestClientInvariants:
         c.watch_client(client)
         assert "client.job_duration" in rules_of(c.check())
 
+    def test_bad_job_is_flagged_once_not_once_per_pass(self, sim):
+        c = InvariantChecker(sim)
+        c.watch_client(self._client(n_jobs=3, duration=100.0, run_for=60.0))
+        assert rules_of(c.check()) == ["client.job_duration"] * 3
+        assert c.check() == [] and c.check() == []
+
+    def test_failed_then_replanned_job_is_still_verified(self, sim):
+        # FAILED is not final: the job stays pending through the failure
+        # and the re-plan, and is verified when it finally completes.
+        c = InvariantChecker(sim)
+        client = self._client(n_jobs=1)
+        job = make_job(duration=100.0)
+        job.mark_created(0.0)
+        job.mark_dispatched(0.0, "s0")
+        job.mark_running(0.0)
+        job.mark_failed(30.0)  # ran 30 s of 100: not this rule's business
+        client.jobs.append(job)
+        client._next, client.n_handled = 2, 2
+        client.workload.arrivals = np.zeros(2)
+        c.watch_client(client)
+        assert c.check() == []
+        job.reset_for_replan()
+        job.mark_dispatched(40.0, "s1")
+        job.mark_running(40.0)
+        assert c.check() == []
+        job.mark_completed(100.0)  # the stale first-run deadline: 60 s short
+        found = c.check()
+        assert rules_of(found) == ["client.job_duration"]
+        assert "ran 60.000000s, duration 100.000000s" in found[0].detail
+        assert c.check() == []
+
+    def test_a_pass_inspects_only_pending_and_new_jobs(self, sim):
+        c = InvariantChecker(sim)
+        client = self._client(n_jobs=5)
+        c.watch_client(client)
+        c.check()
+        assert c.jobs_inspected == 5  # all new, all COMPLETED: verified
+        c.check()
+        assert c.jobs_inspected == 5  # nothing pending, nothing new
+        running = make_job(duration=50.0)
+        running.mark_created(0.0)
+        running.mark_dispatched(0.0, "s0")
+        running.mark_running(0.0)
+        client.jobs.append(running)
+        client._next, client.busy = 6, True
+        client.workload.arrivals = np.zeros(6)
+        for _ in range(3):  # one unfinished job: looked at every pass
+            assert c.check() == []
+        assert c.jobs_inspected == 5 + 3
+        running.mark_completed(50.0)
+        client.n_handled, client.busy = 6, False
+        c.check()
+        c.check()
+        assert c.jobs_inspected == 5 + 3 + 1  # verified, then dropped
+
     def test_negative_counter_detected(self, sim):
         c = InvariantChecker(sim)
         client = self._client()

@@ -199,3 +199,93 @@ class TestSyncProtocol:
         sim.run(until=200.0)  # several sync + monitor rounds
         assert dp0.engine.view.estimated_busy(target) == 8.0
         assert dp1.engine.view.estimated_busy(target) == 8.0
+
+
+class TestDeltaPayloadSharing:
+    """A delta tick on the mesh scans the learn order once per distinct
+    peer watermark and hands those peers ONE shared list — which is only
+    sound while every receiver treats its payload as read-only."""
+
+    @pytest.fixture
+    def mesh(self):
+        from repro.core.broker import DIGruberDeployment
+        sim = Simulator()
+        rng = RngRegistry(11)
+        net = Network(sim, ConstantLatency(0.03))
+        grid = GridBuilder(sim, rng.stream("grid")).uniform(
+            n_sites=6, cpus_per_site=64)
+        deployment = DIGruberDeployment(
+            sim=sim, network=net, grid=grid, profile=GT3_PROFILE, rng=rng,
+            n_decision_points=10, sync_delta=True)
+        dps = list(deployment.decision_points.values())
+        sent = []  # (dst, records list) of every sync message
+        send = net.send_oneway
+
+        def spy(src, dst, op, payload, **kw):
+            sent.append((dst, payload["records"]))
+            return send(src, dst, op, payload, **kw)
+        net.send_oneway = spy
+        return sim, grid, dps, sent
+
+    @staticmethod
+    def _dispatch(dp, grid, n, now):
+        for k in range(n):
+            dp.engine.record_local_dispatch(
+                site=grid.site_names[k % 6], vo=f"vo{k % 3}", cpus=1, now=now)
+
+    @staticmethod
+    def _scans(dp):
+        """Count the tick's ``records_since`` evaluations."""
+        calls = []
+        scan = dp.engine.view.records_since
+        dp.engine.view.records_since = lambda seq: (calls.append(seq),
+                                                    scan(seq))[1]
+        return calls
+
+    def test_one_scan_per_distinct_watermark(self, mesh):
+        sim, grid, dps, sent = mesh
+        dp0 = dps[0]
+        scans = self._scans(dp0)
+        self._dispatch(dp0, grid, 5, now=0.0)
+        dp0.sync.tick()
+        assert scans == [0]  # nine peers, one watermark, one scan
+        lists = [records for _dst, records in sent]
+        assert len(lists) == 9 and len(lists[0]) == 5
+        assert all(records is lists[0] for records in lists)
+        # A peer that lags (say, it rejoined) holds its own watermark:
+        # two distinct marks, two scans, two lists of different length.
+        del scans[:], sent[:]
+        dp0.sync._peer_marks["dp4"] = 2
+        self._dispatch(dp0, grid, 3, now=1.0)
+        dp0.sync.tick()
+        assert sorted(scans) == [2, 5]
+        by_peer = dict(sent)
+        assert [r.seq for r in by_peer["dp4"]] == [3, 4, 5, 6, 7, 8]
+        assert [r.seq for r in by_peer["dp1"]] == [6, 7, 8]
+        assert by_peer["dp1"] == by_peer["dp9"]
+        assert set(dp0.sync._peer_marks.values()) == {8}
+        assert dp0.sync.records_sent == 9 * 5 + 8 * 3 + 6
+
+    def test_receivers_leave_the_shared_list_alone(self, mesh):
+        sim, grid, dps, sent = mesh
+        dp0, peers = dps[0], dps[1:]
+        self._dispatch(dp0, grid, 5, now=0.0)
+        for dp in peers:  # peers hold records of their own to echo back
+            self._dispatch(dp, grid, 2, now=0.0)
+        dp0.sync.tick()
+        shared = sent[0][1]
+        at_send = list(shared)
+        sim.run(until=5.0)  # nine receivers merge the one list in turn
+        assert shared == at_send
+        # The last receiver was offered exactly what the first one was.
+        assert [dp.sync.records_adopted for dp in peers] == [5] * 9
+        # ... and what the sender offers next is unaffected by the merges:
+        # only what it learns from the peers' own ticks, in learn order.
+        for dp in peers:
+            dp.sync.tick()
+        sim.run(until=10.0)
+        del sent[:]
+        dp0.sync.tick()
+        assert all(records is sent[0][1] for _dst, records in sent)
+        assert [r.key for r in sent[0][1]] == [
+            (f"dp{i}", seq) for i in range(1, 10) for seq in (1, 2)]

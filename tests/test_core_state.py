@@ -1,5 +1,7 @@
 """Tests for the staleness-aware grid state view."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,31 @@ class TestRecords:
         assert view.estimated_vo_busy("s0", "lhcb") == 0
 
     def test_apply_records_counts_fresh(self, view):
-        n = view.apply_records([rec(seq=1), rec(seq=2), rec(seq=1)])
-        assert n == 2
+        first, second = rec(seq=1), rec(seq=2)
+        adopted = view.apply_records([first, second, rec(seq=1)])
+        # The adopted records themselves, in payload order.
+        assert [id(r) for r in adopted] == [id(first), id(second)]
+
+    def test_echo_payload_changes_nothing(self, view):
+        view.apply_records([rec(seq=1), rec(seq=2)], now=20.0)
+        before = view.snapshot_state()
+        assert view.apply_records([rec(seq=2), rec(seq=1)], now=500.0) == []
+        assert view.snapshot_state() == before
+        assert view.latest_time == 20.0  # echoes witness nothing
+
+    def test_rejected_new_record_still_advances_latest_time(self, view):
+        view.refresh_site("s0", busy_cpus=0.0, now=100.0)
+        absorbed, too_old = rec(seq=1, time=50.0), rec(seq=2, time=150.0)
+        assert view.apply_records([absorbed], now=200.0) == []
+        assert view.latest_time == 200.0
+        assert view.apply_records([too_old], now=750.0) == []
+        assert view.latest_time == 750.0 and view.n_records == 0
+
+    def test_unknown_site_mid_payload_keeps_the_prefix(self, view):
+        payload = [rec(seq=1), rec(seq=2, site="ghost"), rec(seq=3)]
+        with pytest.raises(KeyError, match="ghost"):
+            view.apply_records(payload)
+        assert sorted(view._live) == [("dp0", 1)]
 
 
 class TestRefresh:
@@ -136,6 +161,66 @@ class TestExpiryAndPending:
     def test_lifetime_validation(self):
         with pytest.raises(ValueError):
             GridStateView({"s": 1}, assumed_job_lifetime_s=0.0)
+
+
+class TestRecordIdentity:
+    """``key`` and ``consumers`` are stored once at construction and
+    stay outside equality, hash and ``repr``."""
+
+    def test_identity_fields_derive_from_the_init_fields(self):
+        plain = rec(origin="dp3", seq=9, vo="atlas")
+        grouped = DispatchRecord(origin="dp3", seq=9, site="s0", vo="atlas",
+                                 cpus=2, time=10.0, group="higgs")
+        assert plain.key == grouped.key == ("dp3", 9)
+        assert plain.consumers == ("atlas",)
+        assert grouped.consumers == ("atlas", "atlas.higgs")
+        assert plain.key is plain.key  # stored, not rebuilt per read
+
+    def test_equality_hash_and_repr_read_the_init_fields_only(self):
+        a, b = rec(seq=4), rec(seq=4)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != rec(seq=4, cpus=3)
+        assert "key" not in repr(a) and "consumers" not in repr(a)
+        with pytest.raises(AttributeError):
+            a.key = ("dp9", 9)  # frozen
+        with pytest.raises(TypeError):
+            DispatchRecord(origin="dp0", seq=1, site="s0", vo="vo0",
+                           cpus=1, time=0.0, key=("dp9", 9))
+
+    def test_pickle_round_trip(self):
+        # Sharded workers exchange records through pickle.
+        sent = DispatchRecord(origin="dp1", seq=7, site="s1", vo="cms",
+                              cpus=3, time=42.5, group="top")
+        got = pickle.loads(pickle.dumps(sent))
+        assert got == sent and hash(got) == hash(sent)
+        assert (got.key, got.consumers) == (sent.key, sent.consumers)
+
+
+class TestAuditCatchesSeededCorruption:
+    """Each ``audit`` rule fires on the drift it names (and only then)."""
+
+    @pytest.mark.parametrize("corrupt,problem", [
+        (lambda v: v._extra_busy.__setitem__("s0", 9.0),
+         "extra_busy[s0]=9.0 but site heap holds 4 CPUs"),
+        (lambda v: v._vo_busy.__setitem__(("s0", "atlas"), 5.0),
+         "vo_busy sum 5.0 != extra_busy[s0]=4.0"),
+        (lambda v: v._vo_busy.__setitem__(("s1", "cms"), 0.0),
+         "non-positive vo_busy[s1,cms]=0.0"),
+        (lambda v: v._base_busy.__setitem__("s1", 51.0),
+         "base_busy[s1]=51.0 outside [0, 50]"),
+        (lambda v: v._free.__setitem__(0, 97.0),
+         "free[s0]=97.0 != recomputed 96.0"),
+        (lambda v: v._live.pop(("dp0", 1)),
+         "live table holds 0 records but the site heaps hold 1"),
+        (lambda v: v._live.__setitem__(("dp7", 7), v._live["dp0", 1]),
+         "live table holds 2 records but the site heaps hold 1"),
+    ], ids=["extra_busy", "vo_busy-sum", "vo_busy-sign", "base_busy",
+            "free-column", "live-table-lost", "live-table-extra"])
+    def test_rule_fires(self, view, corrupt, problem):
+        view.apply_record(rec(seq=1, vo="atlas", cpus=4))
+        assert view.audit() == []
+        corrupt(view)
+        assert problem in view.audit()
 
 
 class TestAnswerSnapshotIsolation:

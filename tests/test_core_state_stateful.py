@@ -8,9 +8,17 @@ must match a reference model that recomputes everything from scratch.
 The availability answers are checked as the selectors read them: column
 order, float64 values and names — including after ``extend_capacities``
 appends columns and for ``free_subset`` over an arbitrary ordered subset.
+
+The write side is driven both ways: one record / one site at a time and
+as batches (``apply_records``, ``refresh_all``).  The reference only
+knows the per-record semantics, so every batch rule is a proof that the
+batch path equals the per-record one — duplicates and repeated keys
+inside a payload, replays of dropped keys, ``now=None``, an unknown site
+mid-batch — down to ``latest_time`` and ``info_age_s``.
 """
 
 import numpy as np
+import pytest
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -36,10 +44,19 @@ class ReferenceView:
         # key -> (learn sequence number, learn time) of the live record
         self.learned: dict[tuple, tuple[int, float]] = {}
         self.learn_count = 0
+        # Everything the view ever witnessed, for the monotone horizons:
+        # instants seen, (site, learn time) per adoption, (site, time)
+        # per refresh.
+        self.witnessed: list[float] = []
+        self.adoptions: list[tuple[str, float]] = []
+        self.refreshes: list[tuple[str, float]] = []
 
     def apply(self, rec, learn_time):
         if rec.key in self.records:
-            return False
+            return False  # an echo: nothing moves, not even latest_time
+        if rec.site not in self.capacities:
+            raise KeyError(rec.site)
+        self.witnessed.append(learn_time)
         busy, base_time = self.base[rec.site]
         if rec.time <= base_time:
             return False
@@ -48,16 +65,28 @@ class ReferenceView:
         self.records[rec.key] = rec
         self.learn_count += 1
         self.learned[rec.key] = (self.learn_count, learn_time)
+        self.adoptions.append((rec.site, learn_time))
         return True
 
     def refresh(self, site, busy, now):
         self.base[site] = (busy, now)
+        self.witnessed.append(now)
+        self.refreshes.append((site, now))
         self.records = {k: r for k, r in self.records.items()
                         if r.site != site or r.time > now}
 
     def expire(self, now):
+        self.witnessed.append(now)
         self.records = {k: r for k, r in self.records.items()
                         if r.time >= now - LIFETIME}
+
+    def latest_time(self):
+        return max(self.witnessed, default=-float("inf"))
+
+    def info_age_s(self, now, site=None):
+        seen = [t for s, t in self.adoptions + self.refreshes
+                if site is None or s == site]
+        return max(now - max(seen), 0.0) if seen else None
 
     def extend(self, capacities):
         for site, cap in capacities.items():
@@ -150,12 +179,71 @@ class StateViewMachine(RuleBasedStateMachine):
             assert not applied
             assert self.view.free_map() == before
 
+    @rule(data=st.data(), local=st.booleans(), ghost=st.booleans())
+    def apply_payload(self, data, local, ghost):
+        """A sync payload: fresh records, echoes of live ones, replays of
+        dropped keys and keys repeated inside the payload, in any order —
+        optionally with a record for an unknown site somewhere in it."""
+        sites = sorted(self.ref.capacities) + ["ghost"] * ghost
+        first = self.seq + 1
+        self.seq += data.draw(st.integers(0, 3))
+        payload = [
+            DispatchRecord(origin=origin, seq=seq, site=site, vo="vo0",
+                           group=group, cpus=cpus,
+                           time=max(self.clock - age, 0.0))
+            for origin, seq, site, group, cpus, age in data.draw(st.lists(
+                st.tuples(st.sampled_from(["dp0", "dp1"]),
+                          st.integers(max(first - 6, 1), max(self.seq, 1)),
+                          st.sampled_from(sites), st.sampled_from(["", "g"]),
+                          st.integers(1, 20), st.floats(0.0, 150.0)),
+                max_size=8))]
+        now = None if local else self.clock
+        want, unknown_site = [], False
+        for rec in payload:
+            try:
+                if self.ref.apply(rec, rec.time if local else self.clock):
+                    want.append(rec)
+            except KeyError:
+                unknown_site = True  # the prefix stays applied
+                break
+        if unknown_site:
+            with pytest.raises(KeyError, match="ghost"):
+                self.view.apply_records(payload, now=now)
+        else:
+            got = self.view.apply_records(payload, now=now)
+            # The adopted record *objects*, in payload order.
+            assert [id(r) for r in got] == [id(r) for r in want]
+
+    @rule()
+    def replay_everything_live(self):
+        """An all-duplicate payload (a mesh echo) changes nothing."""
+        before = self.view.snapshot_state()
+        echoes = [DispatchRecord(origin=r.origin, seq=r.seq, site="ghost",
+                                 vo="vo9", cpus=99, time=self.clock + 1e6)
+                  for r in self.ref.records.values()]
+        assert self.view.apply_records(echoes, now=self.clock + 1e6) == []
+        assert self.view.snapshot_state() == before
+
     @rule(data=st.data(), busy=st.floats(0.0, 100.0))
     def monitor_refresh(self, data, busy):
         site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
         busy = min(busy, self.ref.capacities[site])
         self.view.refresh_site(site, busy, self.clock)
         self.ref.refresh(site, busy, self.clock)
+
+    @rule(data=st.data())
+    def monitor_sweep(self, data):
+        sweep = data.draw(st.dictionaries(
+            st.sampled_from(sorted(self.ref.capacities)),
+            st.floats(0.0, 7.0)))  # the smallest capacity
+        self.view.refresh_all(sweep, self.clock)
+        for site, busy in sweep.items():
+            self.ref.refresh(site, busy, self.clock)
+        # Sites are validated before anything is stamped.
+        before = self.view.snapshot_state()
+        with pytest.raises(KeyError, match="ghost"):
+            self.view.refresh_all({**sweep, "ghost": 1.0}, self.clock + 1e6)
+        assert self.view.snapshot_state() == before
 
     @rule(dt=st.floats(0.1, 60.0))
     def advance_time(self, dt):
@@ -193,6 +281,13 @@ class StateViewMachine(RuleBasedStateMachine):
                 (self.ref.learn_count,
                  [r for n, _, r in live if n > mark]), mark
         assert self.view.audit() == []
+
+    @invariant()
+    def horizons_match_reference(self):
+        assert self.view.latest_time == self.ref.latest_time()
+        for site in (None, *self.ref.capacities):
+            assert self.view.info_age_s(self.clock, site) == \
+                self.ref.info_age_s(self.clock, site), site
 
     @invariant()
     def estimates_bounded(self):

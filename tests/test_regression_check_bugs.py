@@ -217,7 +217,7 @@ class TestSyncRelayHorizon:
         # The t=50 tick must flood the t=26 record (cutoff = previous
         # tick's predecessor at t=0.5, not 50 - 2*10 = 30).
         assert dp1.sync.records_adopted == 1
-        assert ("dp0", 1) in dp1.engine.view._seen
+        assert ("dp0", 1) in dp1.engine.view._live
 
     def test_record_flooded_exactly_two_rounds(self, env):
         sim, rng, net, grid = env
@@ -259,7 +259,7 @@ class TestSyncRelayHorizon:
         # dp2 and dp3 are both two hops from dp0 on the 5-ring; the
         # record must reach every decision point.
         for dp_id, dp in dep.decision_points.items():
-            assert ("dp0", 1) in dp.engine.view._seen, \
+            assert ("dp0", 1) in dp.engine.view._live, \
                 f"{dp_id} never learned dp0's record"
 
 

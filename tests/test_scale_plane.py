@@ -114,12 +114,15 @@ class TestStateChurn:
         assert view._vo_busy == {}
 
     def test_learn_log_pruned(self):
+        # The learn order is the live table's own insertion order: there
+        # is no separate log left to prune, and the table holds live
+        # records only.
         view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0)
         for i in range(2_000):
             t = float(i)
             view.apply_record(_rec(i, time=t))
             view.expire(t)
-        assert len(view._learn_log) < 200  # not O(records ever learned)
+        assert len(view._live) < 200  # not O(records ever learned)
 
 
 class TestIndexedEquivalence:
