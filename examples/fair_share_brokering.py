@@ -1,152 +1,73 @@
 #!/usr/bin/env python
 """USLA-aware brokering: fair shares across competing VOs.
 
-Three VOs share a grid under grid-level fair-share USLAs (the paper's
-Maui-semantics × WS-Agreement representation):
+Three VOs share an oversubscribed grid under per-site fair-share USLAs
+(the paper's Maui-semantics × WS-Agreement representation):
 
-* ``atlas``  — 50% target of every site,
-* ``cms``    — 25% upper limit,
-* ``cdf``    — 25% upper limit.
+* ``vo0`` — 50% target of every site,
+* ``vo1`` — 30% upper limit,
+* ``vo2`` — 20% upper limit.
 
-Each VO drives jobs through a USLA-aware decision point; a GRUBER
-queue manager also throttles cms at the submission host.  At the end,
-the delivered CPU shares are verified against the published rules.
+The agreement is published to every decision point of a three-DP
+DI-GRUBER deployment; the USLA-aware engines recommend only sites where
+the asking VO still has headroom, and site policy enforcement points
+hold what arrives over a cap.  At the end the delivered CPU-time shares
+are printed next to the published rules.
 
 Run:  python examples/fair_share_brokering.py
 """
 
-from repro.core import (
-    DecisionPoint,
-    LeastUsedSelector,
-    QueueManager,
-)
-from repro.grid import GridBuilder, Job
-from repro.net import GT3_PROFILE, Network, PairwiseWanLatency
-from repro.sim import RngRegistry, Simulator
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.grid import SitePolicyEnforcementPoint
+from repro.net import GT4C_PROFILE
 from repro.usla import (
     Agreement,
     AgreementContext,
+    PolicyEngine,
     ServiceTerm,
     parse_policy,
-    verify_usage,
 )
+from repro.workloads import JobModel
 
-DURATION = 3600.0
-VOS = ("atlas", "cms", "cdf")
-
-
-def publish_shares(dp, grid):
-    """Publish per-site fair-share agreements to the decision point."""
-    policy_text = "\n".join(
-        f"{site}:atlas=50%\n{site}:cms=25%+\n{site}:cdf=25%+"
-        for site in grid.site_names)
-    rules = parse_policy(policy_text)
-    ag = Agreement(
-        name="grid-shares",
-        context=AgreementContext(provider="grid", consumer="all-vos"),
-        terms=[ServiceTerm(f"t{i}", r) for i, r in enumerate(rules)])
-    dp.engine.usla_store.publish(ag)
-    dp.engine.invalidate_policy_cache()
-
-
-def vo_submitter(sim, net, grid, dp, vo, rng, rate_s, queue_manager=None):
-    """A simple per-VO submission loop using the brokering protocol."""
-    selector = LeastUsedSelector(rng)
-
-    def broker_one(job):
-        ev = net.rpc(f"{vo}-host", dp.node_id, "get_state",
-                     {"vo": job.vo, "cpus": job.cpus})
-        try:
-            availabilities = yield ev
-        except Exception:
-            return
-        site = selector.select(availabilities, job.cpus)
-        if site is None:
-            return  # USLA filter says: no headroom anywhere right now
-        yield net.rpc(f"{vo}-host", dp.node_id, "report_dispatch",
-                      {"site": site, "vo": job.vo, "cpus": job.cpus})
-        grid.site(site).submit(job)
-
-    def release(job):
-        sim.process(broker_one(job))
-
-    def submit_loop():
-        while sim.now < DURATION:
-            job = Job(vo=vo, group=f"{vo}-g0", user=f"{vo}-u0",
-                      cpus=2, duration_s=float(rng.uniform(300, 900)))
-            job.mark_created(sim.now)
-            if queue_manager is not None:
-                queue_manager.enqueue(job)
-            else:
-                release(job)
-            yield rate_s
-
-    sim.process(submit_loop())
-    return release
+SHARES = {"vo0": "50%", "vo1": "30%+", "vo2": "20%+"}
 
 
 def main() -> None:
-    sim = Simulator()
-    rng = RngRegistry(11)
-    net = Network(sim, PairwiseWanLatency(rng.stream("wan")),
-                  kb_transfer_s=0.01)
-    grid = GridBuilder(sim, rng.stream("grid")).build(
-        n_sites=20, total_cpus=800, n_vos=3, groups_per_vo=1)
+    config = ExperimentConfig(
+        name="fair-share", profile=GT4C_PROFILE, decision_points=3,
+        n_clients=30, duration_s=1800.0,
+        n_sites=20, total_cpus=800, n_vos=3, groups_per_vo=1,
+        usla_aware=True, sync_interval_s=60.0,
+        job_model=JobModel(duration_mean_s=600.0,
+                           cpu_choices=(1, 2, 4), cpu_weights=(0.5, 0.3, 0.2)),
+        seed=11,
+    )
+    speps = []
 
-    dp = DecisionPoint(sim, net, "dp0", grid, GT3_PROFILE,
-                       rng.stream("dp"), usla_aware=True,
-                       monitor_interval_s=120.0)
-    publish_shares(dp, grid)
-    dp.start(neighbors=[])
+    def publish_shares(sim, deployment, grid, **_):
+        rules = parse_policy("\n".join(
+            f"{site}:{vo}={share}"
+            for site in grid.site_names for vo, share in SHARES.items()))
+        deployment.publish_usla(Agreement(
+            name="grid-shares",
+            context=AgreementContext(provider="grid", consumer="all-vos"),
+            terms=[ServiceTerm(f"t{i}", r) for i, r in enumerate(rules)]))
+        policy = PolicyEngine(rules)
+        speps.extend(SitePolicyEnforcementPoint(site, policy)
+                     for site in grid.sites.values())
 
-    # cms additionally runs a GRUBER queue manager that holds jobs at
-    # the submission host while cms exceeds its grid-wide share.
-    from repro.net.transport import Endpoint
-    for vo in VOS:
-        Endpoint(net, f"{vo}-host")
+    result = run_experiment(config, deployment_hook=publish_shares)
 
-    cms_release = {"fn": None}
-    policy = dp.engine.usla_store.policy_engine()
-
-    def cms_usage():
-        used = sum(s.vo_cpu_seconds.get("cms", 0.0)
-                   for s in grid.sites.values())
-        total = sum(sum(s.vo_cpu_seconds.values()) or 1.0
-                    for s in grid.sites.values())
-        return used / total
-
-    qm = QueueManager(sim, "cms", policy, usage_probe=cms_usage,
-                      release=lambda job: cms_release["fn"](job),
-                      interval_s=30.0, batch_size=10,
-                      provider=grid.site_names[0])
-
-    # atlas and cdf submit directly; cms goes through the queue manager.
-    vo_submitter(sim, net, grid, dp, "atlas", rng.stream("atlas"), 4.0)
-    cms_release["fn"] = vo_submitter(sim, net, grid, dp, "cms",
-                                     rng.stream("cms"), 4.0,
-                                     queue_manager=qm)
-    vo_submitter(sim, net, grid, dp, "cdf", rng.stream("cdf"), 12.0)
-    qm.start()
-
-    sim.run(until=DURATION)
-
-    # Delivered shares, grid-wide.
-    delivered = {vo: sum(s.vo_cpu_seconds.get(vo, 0.0)
-                         for s in grid.sites.values()) for vo in VOS}
+    delivered = {vo: sum(site.vo_cpu_seconds.get(vo, 0.0)
+                         for site in result.grid.sites.values())
+                 for vo in SHARES}
     total = sum(delivered.values())
-    print("Delivered CPU-seconds by VO:")
-    for vo in VOS:
-        print(f"  {vo:<6} {delivered[vo]:12,.0f}  ({delivered[vo] / total:6.1%})")
-
-    usage = {("grid", vo): delivered[vo] / total for vo in VOS}
-    report = verify_usage(parse_policy(
-        "grid:atlas=50%\ngrid:cms=25%+\ngrid:cdf=25%+"), usage,
-        tolerance=0.05)
-    print("\nUSLA compliance verification:")
-    print(report.summary())
-    print(f"\ncms jobs held at the submission host: "
-          f"{qm.held_ticks} hold-ticks, {qm.released} released")
-    print("compliant:", report.compliant)
+    print("Delivered CPU-seconds by VO (published share):")
+    for vo, share in SHARES.items():
+        print(f"  {vo:<4} {delivered[vo]:12,.0f}  "
+              f"({delivered[vo] / total:6.1%} delivered, {share} published)")
+    print(f"\njobs held at sites by S-PEPs: {sum(s.holds for s in speps)}")
+    print(result.summary())
 
 
 if __name__ == "__main__":

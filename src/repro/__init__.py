@@ -4,9 +4,8 @@ A production-quality Python reimplementation of the GRUBER / DI-GRUBER
 grid USLA resource-brokering system of Dumitrescu, Raicu & Foster,
 together with every substrate its evaluation depends on: a
 discrete-event simulation kernel, a WAN/service-container model, an
-emulated Grid3-scale fabric, the Euryale concrete planner, the DiPerF
-performance-testing harness, and the GRUB-SIM trace-driven
-decision-point sizing simulator.
+emulated Grid3-scale fabric, the DiPerF performance-testing harness,
+and the GRUB-SIM trace-driven decision-point sizing simulator.
 
 Quick start::
 

@@ -373,7 +373,7 @@ class InvariantChecker:
         # Policy-cache coherence: any cache the engine would *serve*
         # (mutation counters agree, so ``_policy()`` would return it
         # as-is) must agree with a fresh flatten of the store.  A
-        # negotiator publishing straight into the store used to leave
+        # caller publishing straight into the store used to leave
         # the engine answering availability queries from stale
         # entitlements.
         cache = dp.engine._policy_cache

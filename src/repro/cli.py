@@ -27,10 +27,26 @@ shell::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """Bad input: ``main`` prints ``error: <message>`` and returns 2."""
+
+
+@contextlib.contextmanager
+def _bad_input():
+    """Wraps config construction and the experiment build — never the
+    run: a ``ValueError`` there is bad input (``--sites 0``), not a
+    crash."""
+    try:
+        yield
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,7 +464,7 @@ def _run_flight_armed(config, run):
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments import run_experiment
+    from repro.experiments.runner import build_experiment, run_built
     if args.restore is not None:
         if args.shards is not None:
             return _run_sharded_cmd(args, None, None)
@@ -520,8 +536,10 @@ def _cmd_run(args) -> int:
     if args.shards is not None:
         return _run_sharded_cmd(args, maker, overrides)
     overrides.update(_obs_overrides(args))
-    config = maker(args.dps, **overrides)
-    result = _run_flight_armed(config, lambda: run_experiment(config))
+    with _bad_input():
+        config = maker(args.dps, **overrides)
+        built = build_experiment(config)
+    result = _run_flight_armed(config, lambda: run_built(built))
     print(result.summary())
     cs = result.control_stats()
     if cs is not None:
@@ -565,7 +583,8 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
     # Sharded telemetry works differently (hood-local barrier sampling,
     # merged at the end) but flows through the same config fields.
     overrides.update(_obs_overrides(args))
-    config = maker(args.dps, **overrides)
+    with _bad_input():
+        config = maker(args.dps, **overrides)
     mode = "workers" if args.shard_workers else "lockstep"
     result = run_sharded(config, n_shards=args.shards, mode=mode)
     print(result.describe())
@@ -577,7 +596,7 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.experiments import run_experiment
+    from repro.experiments.runner import build_experiment, run_built
     from repro.experiments.configs import chaos_smoke_config
     from repro.faults.scenarios import scenario_names
     if args.list:
@@ -597,9 +616,10 @@ def _cmd_chaos(args) -> int:
         overrides["seed"] = args.seed
     last = None
     for label, resilient in variants:
-        config = chaos_smoke_config(scenario=args.scenario,
-                                    resilient=resilient, **overrides)
-        result = run_experiment(config)
+        with _bad_input():
+            built = build_experiment(chaos_smoke_config(
+                scenario=args.scenario, resilient=resilient, **overrides))
+        result = run_built(built)
         fb = result.client_fallbacks()
         stats = result.resilience_stats()
         print(f"--- {args.scenario} / {label} ---")
@@ -615,7 +635,8 @@ def _cmd_chaos(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.experiments.campaign import (campaign_configs,
                                             campaign_manifest, run_campaign)
-    configs = campaign_configs(args.preset, duration_s=args.duration)
+    with _bad_input():
+        configs = campaign_configs(args.preset, duration_s=args.duration)
     manifest = campaign_manifest(args.out, configs)
     label = "resuming" if args.resume else "starting"
     print(f"{label} campaign {args.preset!r}: {len(configs)} cell(s) -> "
@@ -731,8 +752,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SnapshotError as err:
-        # A stale, foreign or corrupt checkpoint is a usage error.
+    except (SnapshotError, _UsageError) as err:
+        # A stale, foreign or corrupt checkpoint is a usage error, and
+        # so is an experiment that cannot be built as asked.
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:

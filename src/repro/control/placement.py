@@ -50,10 +50,6 @@ class PlacementStep:
     forced: dict[str, str] = field(default_factory=dict)    # evacuations
     deferred: int = 0    # voluntary moves withheld by the bound
 
-    @property
-    def n_moves(self) -> int:
-        return len(self.moves) + len(self.forced)
-
 
 def _crc(key: str) -> int:
     return zlib.crc32(key.encode("utf-8"))

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.control.actuator import Actuator, ControlAction
 from repro.control.policy import SCALE_RULES, AutoscaleConfig
-from repro.control.signals import ControlSample, SignalBus
+from repro.control.signals import SignalBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.broker import DIGruberDeployment
@@ -127,10 +127,6 @@ class AutoscalePlanner:
         }
 
     # -- reporting ---------------------------------------------------------
-    @property
-    def last_sample(self) -> Optional[ControlSample]:
-        return self.bus.samples[-1] if self.bus.samples else None
-
     def converged_dps(self, tail_fraction: float = 0.25) -> int:
         """Modal live-DP count over the trailing fraction of the run."""
         if not self.timeline:

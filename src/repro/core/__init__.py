@@ -14,9 +14,6 @@
   three dissemination strategies;
 * :mod:`repro.core.client` — the submission-host client with the
   paper's timeout → random-fallback degradation;
-* :mod:`repro.core.queue_manager` — the GRUBER queue manager (VO-policy
-  controlled job release; not used in the paper's experiments but part
-  of GRUBER);
 * :mod:`repro.core.broker` — deployment facade wiring everything up;
 * :mod:`repro.core.saturation` / :mod:`repro.core.rebalance` — §5's
   dynamic evaluation: saturation signals and the third-party observer
@@ -28,7 +25,6 @@ from repro.core.client import GruberClient
 from repro.core.decision_point import DecisionPoint
 from repro.core.engine import GruberEngine
 from repro.core.monitor import SiteMonitor
-from repro.core.queue_manager import QueueManager
 from repro.core.rebalance import ReconfigurationObserver
 from repro.core.saturation import SaturationDetector, SaturationSignal
 from repro.core.selectors import (
@@ -53,7 +49,6 @@ __all__ = [
     "GruberEngine",
     "LeastRecentlyUsedSelector",
     "LeastUsedSelector",
-    "QueueManager",
     "RandomSelector",
     "ReconfigurationObserver",
     "RoundRobinSelector",

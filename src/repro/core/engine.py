@@ -62,7 +62,7 @@ class GruberEngine:
     def _policy(self) -> PolicyEngine:
         # Self-invalidating: the store's mutation counter moves on any
         # publish/remove/merge, including paths that never knew about
-        # this cache (a negotiator publishing straight into the store
+        # this cache (a caller publishing straight into the store
         # left availability queries answering from stale entitlements).
         if (self._policy_cache is None
                 or self._policy_mutations != self.usla_store.mutations):

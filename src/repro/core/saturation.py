@@ -39,10 +39,6 @@ class SaturationSignal:
     queue_len: int
     reason: str = "saturated"
 
-    @property
-    def load_factor(self) -> float:
-        return self.ops_rate / self.capacity_qps if self.capacity_qps else 0.0
-
 
 class SaturationDetector:
     """Periodic sampling of decision points with signal callbacks."""

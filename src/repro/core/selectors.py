@@ -10,7 +10,7 @@ availability view from its decision point and applies its policy
 locally (paper §3.7: the tester "executes site selector logic to
 determine the site to which the job should be dispatched").  Policies
 run on the view's float64 ``free`` column and materialise one name,
-bit-identically to a dict scan (determinism rules: DESIGN.md §9.1).
+bit-identically to a dict scan (determinism rules: DESIGN.md §9.3).
 """
 
 from __future__ import annotations

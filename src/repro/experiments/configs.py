@@ -235,9 +235,11 @@ def scale_config(multiplier: int = 1, decision_points: int = 3,
     """A k×-grid configuration for the scale sweep.
 
     Scales the canonical GT3 environment by ``multiplier``: k× sites,
-    k× CPUs, and k× submission hosts.  ``multiplier=10`` is the paper's
-    headline question — a grid ten times Grid3/OSG.  Short default
-    duration keeps a full sweep benchable.
+    k× CPUs, and k× submission hosts.  The canonical environment
+    (``multiplier=1``) already *is* the paper's headline question — a
+    grid ten times Grid3/OSG — so ``multiplier=10`` is ten times the
+    paper's grid (100× Grid3).  Short default duration keeps a full
+    sweep benchable.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")

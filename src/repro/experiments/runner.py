@@ -31,7 +31,8 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.trace import TraceRecorder
 
 __all__ = ["BuiltExperiment", "ExperimentResult", "abort_experiment",
-           "build_experiment", "finalize_experiment", "run_experiment"]
+           "build_experiment", "finalize_experiment", "run_built",
+           "run_experiment"]
 
 
 @dataclass
@@ -507,8 +508,18 @@ def run_experiment(config: ExperimentConfig,
         deployment_hook(sim=built.sim, deployment=built.deployment,
                         network=built.network, grid=built.grid,
                         rng=built.rng)
+    return run_built(built)
+
+
+def run_built(built: BuiltExperiment) -> ExperimentResult:
+    """Run a built experiment to ``duration_s`` and finalize it.
+
+    Split from :func:`run_experiment` so the CLI can tell a bad input
+    (a ``ValueError`` out of config construction or the build) from a
+    failure of the run itself.
+    """
     try:
-        built.sim.run(until=config.duration_s)
+        built.sim.run(until=built.config.duration_s)
     except BaseException as exc:
         abort_experiment(built, exc)
         raise

@@ -148,9 +148,6 @@ class TransportFaultModel:
     def link_fault(self, a: Hashable, b: Hashable) -> Optional[LinkFault]:
         return self._links.get((a, b))
 
-    def node_fault(self, node: Hashable) -> Optional[LinkFault]:
-        return self._nodes.get(node)
-
     # -- the per-message consultation -------------------------------------
     def on_message(self, msg: "Message") -> Fate:
         """Decide one message's fate; counts and traces what it does."""

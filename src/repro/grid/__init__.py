@@ -12,7 +12,6 @@ from repro.grid.builder import Grid, GridBuilder
 from repro.grid.job import Job, JobState
 from repro.grid.site import Cluster, Site
 from repro.grid.spep import SitePolicyEnforcementPoint
-from repro.grid.storage import StorageAllocation, StorageManager, build_storage
 from repro.grid.vo import Group, User, VirtualOrganization, VORegistry
 
 __all__ = [
@@ -24,10 +23,7 @@ __all__ = [
     "JobState",
     "Site",
     "SitePolicyEnforcementPoint",
-    "StorageAllocation",
-    "StorageManager",
     "User",
     "VORegistry",
     "VirtualOrganization",
-    "build_storage",
 ]

@@ -28,9 +28,9 @@ class Grid:
     """A built grid: sites plus the participating VO hierarchy.
 
     Maintains an incrementally-updated free-CPU vector (hooked into
-    every site's start/complete callbacks) so per-dispatch ground-truth
-    lookups — the Accuracy metric needs one per job — are O(sites) numpy
-    reductions instead of Python attribute walks.
+    every site's start/complete callbacks) so the per-dispatch
+    ground-truth lookup — the Accuracy metric needs one per job — is
+    one array read (:meth:`free_at`).
     """
 
     sites: dict[str, Site]
@@ -66,28 +66,11 @@ class Grid:
     def total_cpus(self) -> int:
         return sum(s.total_cpus for s in self._site_list)
 
-    @property
-    def total_free_cpus(self) -> int:
-        return sum(s.free_cpus for s in self._site_list)
-
     def site(self, name: str) -> Site:
         try:
             return self.sites[name]
         except KeyError:
             raise KeyError(f"unknown site {name!r}") from None
-
-    def free_cpu_vector(self) -> np.ndarray:
-        """Ground-truth free CPUs per site, in ``site_names`` order.
-
-        Used by the Accuracy metric: SA_i compares the free capacity of
-        the selected site against the best available site at the
-        dispatch instant.
-        """
-        return self._free.copy()
-
-    def max_free_cpus(self) -> int:
-        """Ground-truth best free capacity across the grid (for SA_i)."""
-        return int(self._free.max())
 
     def free_at(self, site: str) -> int:
         """Ground-truth free CPUs at one site (cached, O(1))."""
@@ -114,8 +97,8 @@ class GridBuilder:
               size_sigma: float = 0.9, backfill: bool = False) -> Grid:
         """Construct a grid with heavy-tailed site sizes summing to target.
 
-        Parameters mirror the paper's canonical environment; see
-        :func:`grid3` and :func:`grid3_x10` for the presets.
+        The paper's emulated environment (ten times Grid3: 300 sites,
+        40,000 CPUs) is ``ExperimentConfig``'s default.
         """
         if n_sites < 1:
             raise ValueError("need at least one site")
@@ -152,18 +135,6 @@ class GridBuilder:
             vos.create(f"vo{v}", n_groups=groups_per_vo,
                        users_per_group=users_per_group)
         return Grid(sites=sites, vos=vos, name=name)
-
-    def grid3(self, **overrides) -> Grid:
-        """Grid3/OSG-scale preset: ~30 sites, ~4500 CPUs."""
-        params = dict(n_sites=30, total_cpus=4500, name="grid3")
-        params.update(overrides)
-        return self.build(**params)
-
-    def grid3_x10(self, **overrides) -> Grid:
-        """The paper's emulated environment: ten times Grid3."""
-        params = dict(n_sites=300, total_cpus=40000, name="grid3x10")
-        params.update(overrides)
-        return self.build(**params)
 
     def uniform(self, n_sites: int, cpus_per_site: int,
                 name: str = "uniform", **overrides) -> Grid:

@@ -55,7 +55,7 @@ class Job:
     handled_by_gruber: bool = False   # answered within the client timeout?
     query_response_s: Optional[float] = None  # brokering query response time
     scheduling_accuracy: Optional[float] = None  # SA_i at dispatch instant
-    replans: int = 0                  # Euryale re-planning count
+    replans: int = 0                  # re-planning count
     #: Span context of the dispatch span (``(trace_id, span_id)``), set
     #: by the client when span tracing is on so the site can parent its
     #: queue span to the causal chain.  None when tracing is off or the
@@ -96,7 +96,7 @@ class Job:
         self.completed_at = now
 
     def reset_for_replan(self) -> None:
-        """Return a failed job to CREATED for Euryale re-planning."""
+        """Return a failed job to CREATED so it can be planned again."""
         if self.state != JobState.FAILED:
             raise ValueError(f"only failed jobs can be re-planned, job {self.jid} "
                              f"is {self.state}")

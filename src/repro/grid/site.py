@@ -318,7 +318,7 @@ class Site:
             cb(job)
 
     def fail_running_job(self, jid: int) -> Job:
-        """Fault injection: kill a running job (Euryale replanning tests)."""
+        """Fault injection: kill a running job (preemption tests)."""
         job = self._running.pop(jid, None)
         if job is None:
             raise KeyError(f"job {jid} is not running at site {self.name!r}")

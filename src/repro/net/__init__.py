@@ -29,7 +29,6 @@ from repro.net.latency import (
     LanLatency,
     LatencyModel,
     PairwiseWanLatency,
-    UniformLatency,
 )
 from repro.net.topology import (
     BrokerTopology,
@@ -57,7 +56,6 @@ __all__ = [
     "RpcError",
     "RpcTimeout",
     "ServiceContainer",
-    "UniformLatency",
     "assign_clients",
     "assign_clients_nearest",
     "cross_pairs",

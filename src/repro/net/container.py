@@ -220,37 +220,6 @@ class ServiceContainer:
             raise ValueError(f"degrade factor must be > 0, got {factor}")
         self.degrade_factor = factor
 
-    def set_queue_bound(self, max_queue: int | None) -> None:
-        """Change the admission bound; tightening sheds immediately.
-
-        Admission only checks the bound on arrival, so a bound lowered
-        mid-run (the autoscale actuator does this under drain) used to
-        leave requests already queued beyond the new bound sitting
-        there — under-shedding until the next arrival, and never
-        shedding at all once arrivals stop.  Now the excess waiters are
-        shed at the instant the bound tightens, newest first (exactly
-        the requests that would have been refused at admission had the
-        bound arrived before them), through the same counter/trace/
-        exception path as an admission-time shed.
-        """
-        if max_queue is not None and max_queue < 0:
-            raise ValueError("max_queue must be >= 0 or None")
-        self.max_queue = max_queue
-        if max_queue is None:
-            return
-        excess = self._query_server.queue_len - max_queue
-        if excess <= 0:
-            return
-        for ev in self._query_server.drop_newest(excess):
-            self.shed_ops += 1
-            self.sim.metrics.counter("container.shed").inc()
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("container.shed", node=self.name,
-                                    queue_len=self._query_server.queue_len,
-                                    max_queue=max_queue)
-            ev.fail(OverloadShed(
-                f"{self.name}: queued beyond tightened bound {max_queue}"))
-
     def _admit(self) -> None:
         """Shed the request if the admission queue is full."""
         if (self.max_queue is not None
@@ -310,10 +279,6 @@ class ServiceContainer:
     def draw_client_overhead(self, rng: np.random.Generator) -> float:
         """Client stack time per query (drawn on the client's own stream)."""
         return _lognormal_for_mean(rng, self.profile.client_overhead_s,
-                                   self.profile.sigma)
-
-    def draw_instance_client_overhead(self, rng: np.random.Generator) -> float:
-        return _lognormal_for_mean(rng, self.profile.instance_client_overhead_s,
                                    self.profile.sigma)
 
     # -- introspection -------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LanLatency",
     "PairwiseWanLatency",
 ]
@@ -46,18 +45,6 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, src: Hashable, dst: Hashable) -> float:
         return self.value
-
-
-class UniformLatency(LatencyModel):
-    """Uniform jitter in ``[lo, hi]``, independent per message."""
-
-    def __init__(self, lo: float, hi: float, rng: np.random.Generator):
-        if not 0 <= lo <= hi:
-            raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-        self.lo, self.hi, self.rng = lo, hi, rng
-
-    def sample(self, src: Hashable, dst: Hashable) -> float:
-        return float(self.rng.uniform(self.lo, self.hi))
 
 
 class LanLatency(ConstantLatency):

@@ -213,10 +213,6 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name)
         return g
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        g = self.gauges.get(name)
-        return float(g.value) if g is not None else default
-
     def histogram(self, name: str,
                   bounds: Sequence[float] = LATENCY_BUCKETS_S) -> Histogram:
         h = self.histograms.get(name)

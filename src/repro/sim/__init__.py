@@ -17,7 +17,6 @@ from repro.sim.kernel import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     ProcessKilled,
     ScheduledCall,
@@ -31,7 +30,6 @@ __all__ = [
     "AnyOf",
     "Event",
     "Gate",
-    "Interrupt",
     "Process",
     "ProcessKilled",
     "RngRegistry",

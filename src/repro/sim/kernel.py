@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "Process",
     "ProcessKilled",
     "ScheduledCall",
@@ -40,19 +39,6 @@ __all__ = [
 ]
 
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The interrupting party supplies a ``cause`` which is available as
-    ``exc.cause``; the paper's client timeout logic, for example,
-    interrupts an in-flight RPC process with the elapsed deadline.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class ProcessKilled(Exception):
@@ -331,10 +317,6 @@ class Process(Event):
                 self.sim.trace.emit("process.finish", node=self.name)
             self.succeed(stop.value)
             return
-        except Interrupt as unhandled:
-            self._trace_fail(unhandled)
-            self.fail(unhandled)
-            return
         except ProcessKilled as killed:
             self._trace_fail(killed)
             self.fail(killed)
@@ -390,14 +372,6 @@ class Process(Event):
             self._sleep = None
 
     # -- external control ---------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the generator at this instant."""
-        if self.triggered:
-            return
-        self._waiting_on = None
-        self._cancel_sleep()
-        self.sim._schedule_now(lambda: self._resume(None, Interrupt(cause)))
-
     def kill(self) -> None:
         """Terminate the process without giving it a chance to clean up."""
         if self.triggered:

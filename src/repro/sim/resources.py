@@ -79,22 +79,6 @@ class Server:
         else:
             self.in_service -= 1
 
-    def drop_newest(self, n: int) -> list[Event]:
-        """Remove and return up to ``n`` waiters from the queue tail.
-
-        Newest-first eviction: the requests shed are exactly the ones
-        that would have been refused at admission had the (tighter)
-        bound been in force when they arrived, so FIFO order among the
-        survivors is untouched.  The events are returned still pending
-        — deciding their fate (typically failing them with a shed
-        exception) is the caller's policy, not the server's.
-        """
-        dropped: list[Event] = []
-        while n > 0 and self._waiting:
-            dropped.append(self._waiting.pop())
-            n -= 1
-        return dropped
-
     def utilization_snapshot(self) -> float:
         """Fraction of capacity currently in service."""
         return self.in_service / self.capacity

@@ -4,8 +4,9 @@ The paper's USLA representation is "based on Maui semantics and
 WS-Agreement syntax": fair-share entries with a percentage and a type —
 target (no sign), upper limit (``+``), or lower limit (``-``) — extended
 with an explicit (provider, consumer) pair and applied recursively to
-VOs, groups, and users.  Allocations cover processor time, permanent
-storage, or network bandwidth.
+VOs, groups, and users.  The paper's allocations cover processor time,
+permanent storage, or network bandwidth; only processor-time shares are
+brokered here.
 
 * :mod:`repro.usla.fairshare` — the rule model;
 * :mod:`repro.usla.parser` — the textual rule syntax;
@@ -14,9 +15,7 @@ storage, or network bandwidth.
 * :mod:`repro.usla.policy` — evaluation: entitlements, headroom, and
   violation checks against observed usage;
 * :mod:`repro.usla.store` — a decision point's USLA repository
-  (publish / discover / merge);
-* :mod:`repro.usla.verify` — post-hoc compliance verification over
-  execution records.
+  (publish / discover / merge).
 """
 
 from repro.usla.agreement import Agreement, AgreementContext, Goal, ServiceTerm
@@ -24,12 +23,10 @@ from repro.usla.fairshare import FairShareRule, ResourceType, ShareKind
 from repro.usla.parser import UslaParseError, format_rule, parse_policy, parse_rule
 from repro.usla.policy import PolicyDecision, PolicyEngine
 from repro.usla.store import UslaStore
-from repro.usla.verify import ComplianceReport, verify_goals, verify_usage
 
 __all__ = [
     "Agreement",
     "AgreementContext",
-    "ComplianceReport",
     "FairShareRule",
     "Goal",
     "PolicyDecision",
@@ -42,6 +39,4 @@ __all__ = [
     "format_rule",
     "parse_policy",
     "parse_rule",
-    "verify_goals",
-    "verify_usage",
 ]

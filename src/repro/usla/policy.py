@@ -78,13 +78,6 @@ class PolicyEngine:
                 if r.kind in (ShareKind.TARGET, ShareKind.UPPER_LIMIT)]
         return min(caps) if caps else default
 
-    def guaranteed_fraction(self, provider: str, consumer: str,
-                            resource: ResourceType = ResourceType.CPU) -> float:
-        """The floor promised by lower-limit rules (0 when none)."""
-        floors = [r.fraction for r in self.rules_for(provider, consumer, resource)
-                  if r.kind is ShareKind.LOWER_LIMIT]
-        return max(floors) if floors else 0.0
-
     def check_admission(self, provider: str, consumer: str,
                         usage_fraction: float,
                         request_fraction: float = 0.0,

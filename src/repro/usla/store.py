@@ -28,8 +28,8 @@ class UslaStore:
         #: Monotone mutation counter.  Consumers that cache derived
         #: views (the engine's flattened policy) compare against it
         #: instead of relying on every mutation site to remember a
-        #: manual invalidation call — the negotiation path published
-        #: straight into the store and left a decision point answering
+        #: manual invalidation call — a caller that published
+        #: straight into the store left a decision point answering
         #: availability queries from a stale entitlement cache.
         self.mutations = 0
 

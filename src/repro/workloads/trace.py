@@ -18,7 +18,6 @@ vectorize-the-post-processing guidance in the HPC guides.
 from __future__ import annotations
 
 import csv
-import math
 from typing import Optional
 
 import numpy as np
@@ -127,32 +126,7 @@ class TraceRecorder:
             "failed": np.asarray(cols[12], dtype=bool),
         }
 
-    # -- persistence (GRUB-SIM replays saved traces) -------------------------
-    def save_queries_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(QUERY_FIELDS)
-            writer.writerows(self._queries)
-
-    @staticmethod
-    def load_queries_csv(path: str) -> "TraceRecorder":
-        rec = TraceRecorder()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != QUERY_FIELDS:
-                raise ValueError(f"unexpected query-trace header {header!r}")
-            for row in reader:
-                sent, responded = float(row[0]), float(row[1])
-                rec.record_query(
-                    sent_at=sent,
-                    responded_at=None if math.isnan(responded) else responded,
-                    timed_out=row[3] == "True",
-                    client=row[4],
-                    decision_point=row[5],
-                )
-        return rec
-
+    # -- persistence (workload replay reads saved job tables) ----------------
     def save_jobs_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

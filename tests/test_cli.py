@@ -230,6 +230,23 @@ class TestMalformedArtifacts:
         assert main(["trace", "analyze", str(path), "--tolerant"]) == 0
 
 
+class TestBadRunInput:
+    """An experiment that cannot be built as asked is a usage error
+    (one ``error:`` line, exit 2), not a ``ValueError`` traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--sites", "0"], ["--dps", "0"], ["--clients", "0"],
+        ["--sync", "0"], ["--sites", "5", "--cpus", "3"]],
+        ids=" ".join)
+    def test_exits_2_with_one_error_line(self, capsys, argv):
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestRestoreFlightRecorder:
     def test_sigterm_during_restore_leaves_a_loadable_dump(
             self, tmp_path, capsys, monkeypatch):

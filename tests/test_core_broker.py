@@ -1,17 +1,16 @@
-"""Tests for the deployment facade, queue manager, saturation, rebalance."""
+"""Tests for the deployment facade, saturation, rebalance."""
 
 import pytest
 
 from repro.core import (
     DIGruberDeployment,
-    QueueManager,
     ReconfigurationObserver,
     SaturationDetector,
 )
-from repro.grid import GridBuilder, Job
+from repro.grid import GridBuilder
 from repro.net import ConstantLatency, GT3_PROFILE, Network
 from repro.sim import RngRegistry, Simulator
-from repro.usla import Agreement, AgreementContext, PolicyEngine, parse_policy
+from repro.usla import Agreement, AgreementContext
 
 
 @pytest.fixture
@@ -102,59 +101,6 @@ class TestRebalancing:
         dep = make_deployment(env, k=2)
         with pytest.raises(ValueError):
             dep.rebalance_clients("dp0", "dp1", fraction=0.0)
-
-
-class TestQueueManager:
-    def _setup(self, env, usage=0.1):
-        sim, rng, net, grid = env
-        policy = PolicyEngine(parse_policy("grid:vo0=30%+"))
-        released = []
-        state = {"usage": usage}
-        qm = QueueManager(sim, "vo0", policy,
-                          usage_probe=lambda: state["usage"],
-                          release=released.append,
-                          interval_s=10.0, batch_size=2)
-        return sim, qm, released, state
-
-    def _job(self):
-        return Job(vo="vo0", group="g", user="u")
-
-    def test_releases_within_share(self, env):
-        sim, qm, released, _ = self._setup(env, usage=0.1)
-        for _ in range(5):
-            qm.enqueue(self._job())
-        qm.start()
-        sim.run(until=35.0)
-        assert len(released) == 5  # 2+2+1 over three ticks
-        assert qm.released == 5 and qm.queued == 0
-
-    def test_holds_when_over_share(self, env):
-        sim, qm, released, state = self._setup(env, usage=0.5)
-        qm.enqueue(self._job())
-        qm.start()
-        sim.run(until=50.0)
-        assert released == []
-        assert qm.held_ticks >= 4
-
-    def test_resumes_when_usage_drops(self, env):
-        sim, qm, released, state = self._setup(env, usage=0.5)
-        qm.enqueue(self._job())
-        qm.start()
-        sim.run(until=25.0)
-        state["usage"] = 0.1
-        sim.run(until=45.0)
-        assert len(released) == 1
-
-    def test_wrong_vo_rejected(self, env):
-        sim, qm, *_ = self._setup(env)
-        with pytest.raises(ValueError):
-            qm.enqueue(Job(vo="other", group="g", user="u"))
-
-    def test_validation(self, env):
-        sim, rng, net, grid = env
-        with pytest.raises(ValueError):
-            QueueManager(sim, "v", PolicyEngine(), lambda: 0.0,
-                         lambda j: None, interval_s=0.0)
 
 
 class TestSaturationAndRebalance:

@@ -10,8 +10,7 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 ALL_SCRIPTS = sorted(p.name for p in EXAMPLES.glob("*.py"))
-QUICK_SCRIPTS = ["quickstart.py", "euryale_workflow.py",
-                 "usla_negotiation.py"]
+QUICK_SCRIPTS = ["quickstart.py", "fair_share_brokering.py"]
 
 
 class TestExamples:
@@ -19,8 +18,7 @@ class TestExamples:
         """The README's example table stays in sync with the directory."""
         assert set(ALL_SCRIPTS) == {
             "quickstart.py", "fair_share_brokering.py",
-            "scalability_study.py", "dynamic_reconfiguration.py",
-            "euryale_workflow.py", "usla_negotiation.py"}
+            "scalability_study.py", "dynamic_reconfiguration.py"}
 
     @pytest.mark.parametrize("script", ALL_SCRIPTS)
     def test_compiles(self, script):

@@ -53,6 +53,7 @@ class TestGridBuilder:
         grid = builder.build(n_sites=20, total_cpus=1000)
         assert grid.total_cpus == 1000
         assert len(grid) == 20
+        assert len(grid.vos) == 10
 
     def test_min_site_size_respected(self, builder):
         grid = builder.build(n_sites=50, total_cpus=2000, min_site_cpus=8)
@@ -70,15 +71,6 @@ class TestGridBuilder:
         # Top decile holds well over its proportional share.
         assert sum(sizes[:10]) > 0.2 * 10000
 
-    def test_grid3_preset(self, builder):
-        grid = builder.grid3()
-        assert len(grid) == 30 and grid.total_cpus == 4500
-        assert len(grid.vos) == 10
-
-    def test_grid3_x10_preset(self, builder):
-        grid = builder.grid3_x10()
-        assert len(grid) == 300 and grid.total_cpus == 40000
-
     def test_uniform_preset(self, builder):
         grid = builder.uniform(n_sites=5, cpus_per_site=16)
         assert [s.total_cpus for s in grid.sites.values()] == [16] * 5
@@ -91,11 +83,9 @@ class TestGridBuilder:
         assert ([s.total_cpus for s in g1.sites.values()]
                 == [s.total_cpus for s in g2.sites.values()])
 
-    def test_free_cpu_vector_matches_sites(self, builder):
+    def test_free_at_matches_sites(self, builder):
         grid = builder.uniform(n_sites=4, cpus_per_site=8)
-        vec = grid.free_cpu_vector()
-        assert vec.tolist() == [8, 8, 8, 8]
-        assert grid.total_free_cpus == 32
+        assert [grid.free_at(n) for n in grid.site_names] == [8, 8, 8, 8]
 
     def test_site_lookup(self, builder):
         grid = builder.uniform(n_sites=2, cpus_per_site=4, name="u")

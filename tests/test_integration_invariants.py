@@ -50,9 +50,9 @@ class TestJobConservation:
 class TestSiteAccounting:
     def test_free_cpu_cache_matches_sites(self, result):
         grid = result.grid
-        cached = grid.free_cpu_vector()
-        actual = np.array([s.free_cpus for s in grid.sites.values()])
-        assert np.array_equal(cached, actual)
+        cached = [grid.free_at(name) for name in grid.site_names]
+        actual = [s.free_cpus for s in grid.sites.values()]
+        assert cached == actual
 
     def test_busy_cpus_bounded(self, result):
         for site in result.grid.sites.values():

@@ -95,47 +95,3 @@ class TestServiceContainer:
         assert all(d > 0 for d in draws)
         mean = sum(draws) / len(draws)
         assert mean == pytest.approx(GT3_PROFILE.client_overhead_s, rel=0.35)
-
-
-class TestQueueBoundTightening:
-    def test_tighten_sheds_newest_excess_waiters(self, sim, rng):
-        # Regression: lowering the bound mid-run used to leave requests
-        # already queued beyond the new bound waiting forever (admission
-        # only checks on arrival) — the autoscale actuator's tightened
-        # bound under-shed until the next arrival.
-        from repro.net import OverloadShed
-        c = ServiceContainer(sim, GT3_PROFILE, rng, max_queue=10)
-        procs = [sim.process(c.service_query()) for _ in range(6)]
-        sim.run(until=0.0)
-        assert c.in_service == 1 and c.queue_len == 5
-        c.set_queue_bound(2)
-        assert c.queue_len == 2
-        assert c.shed_ops == 3
-        sim.run()
-        # Survivors (the request in service + the two oldest waiters)
-        # complete; the three newest waiters failed with the shed error.
-        assert [p.ok for p in procs] == [True] * 3 + [False] * 3
-        assert all(isinstance(p.value, OverloadShed) for p in procs[3:])
-        assert c.completed_ops == 3
-
-    def test_loosen_and_clear_shed_nothing(self, sim, rng):
-        c = ServiceContainer(sim, GT3_PROFILE, rng, max_queue=3)
-        procs = [sim.process(c.service_query()) for _ in range(4)]
-        sim.run(until=0.0)
-        assert c.queue_len == 3
-        c.set_queue_bound(8)   # loosening keeps every waiter
-        assert c.queue_len == 3 and c.shed_ops == 0
-        c.set_queue_bound(None)  # unbounded keeps every waiter
-        assert c.queue_len == 3 and c.shed_ops == 0
-        sim.run()
-        assert all(p.ok for p in procs)
-
-    def test_tighten_to_current_depth_is_a_noop(self, sim, rng):
-        c = ServiceContainer(sim, GT3_PROFILE, rng)
-        sim.process(c.service_query())
-        sim.process(c.service_query())
-        sim.run(until=0.0)
-        c.set_queue_bound(1)  # queue_len == 1 == bound: nothing to shed
-        assert c.shed_ops == 0
-        sim.run()
-        assert c.completed_ops == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import ConstantLatency, LanLatency, PairwiseWanLatency, UniformLatency
+from repro.net import ConstantLatency, LanLatency, PairwiseWanLatency
 from repro.sim import RngRegistry
 
 
@@ -17,21 +17,6 @@ class TestConstantLatency:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-
-
-class TestUniformLatency:
-    def test_within_bounds(self):
-        rng = RngRegistry(0).stream("t")
-        model = UniformLatency(0.01, 0.02, rng)
-        samples = [model.sample("a", "b") for _ in range(100)]
-        assert all(0.01 <= s <= 0.02 for s in samples)
-
-    def test_bad_bounds_rejected(self):
-        rng = RngRegistry(0).stream("t")
-        with pytest.raises(ValueError):
-            UniformLatency(0.05, 0.01, rng)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.1, 0.01, rng)
 
 
 class TestLanLatency:

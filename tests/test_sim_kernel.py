@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, ProcessKilled, Simulator
+from repro.sim import AllOf, AnyOf, Event, ProcessKilled, Simulator
 
 
 @pytest.fixture
@@ -244,39 +244,6 @@ class TestProcesses:
         sim.run()
         assert p.value == 100 and sim.now == 3.0
 
-    def test_interrupt_raises_inside(self, sim):
-        got = []
-
-        def proc():
-            try:
-                yield 100.0
-            except Interrupt as i:
-                got.append((sim.now, i.cause))
-
-        p = sim.process(proc())
-        sim.schedule(2.0, lambda: p.interrupt("deadline"))
-        sim.run()
-        assert got == [(2.0, "deadline")]
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def proc():
-            yield 100.0
-
-        p = sim.process(proc())
-        sim.schedule(1.0, lambda: p.interrupt())
-        sim.run()
-        assert p.ok is False and isinstance(p.value, Interrupt)
-
-    def test_interrupt_after_completion_is_noop(self, sim):
-        def proc():
-            yield 1.0
-
-        p = sim.process(proc())
-        sim.run()
-        p.interrupt()
-        sim.run()
-        assert p.ok is True
-
     def test_kill(self, sim):
         def proc():
             yield 100.0
@@ -293,26 +260,6 @@ class TestProcesses:
         p = sim.process(proc())
         sim.run()
         assert p.ok is False and isinstance(p.value, TypeError)
-
-    def test_stale_event_ignored_after_interrupt(self, sim):
-        """An event the process was waiting on must not resume it after
-        an interrupt redirected control flow."""
-        ev = sim.event()
-        trace = []
-
-        def proc():
-            try:
-                yield ev
-            except Interrupt:
-                trace.append("interrupted")
-                yield 5.0
-                trace.append("slept")
-
-        p = sim.process(proc())
-        sim.schedule(1.0, lambda: p.interrupt())
-        sim.schedule(2.0, lambda: ev.succeed("late"))
-        sim.run()
-        assert trace == ["interrupted", "slept"]
 
     def test_abandoned_process_survives_gc(self, sim):
         """A process stuck on an event that can never fire must stay

@@ -47,10 +47,6 @@ class TestEntitlements:
     def test_lower_limit_does_not_cap(self, engine):
         assert engine.entitled_fraction("grid", "cdf") == 1.0
 
-    def test_guaranteed_fraction(self, engine):
-        assert engine.guaranteed_fraction("grid", "cdf") == 0.10
-        assert engine.guaranteed_fraction("grid", "atlas") == 0.0
-
 
 class TestAdmission:
     def test_within_share_allowed(self, engine):
@@ -112,19 +108,6 @@ class TestPolicyProperties:
         d_high = engine.check_admission("g", "v", usage + 0.1, 0.05)
         if not d_low.allowed:
             assert not d_high.allowed
-
-    @given(shares)
-    def test_guaranteed_never_exceeds_entitled_when_consistent(self, percents):
-        """A floor above the cap is a provider misconfiguration; with
-        floors below caps, guaranteed <= entitled always."""
-        from repro.usla import FairShareRule, PolicyEngine, ShareKind
-        cap = max(percents)
-        floor = min(percents) / 2.0
-        engine = PolicyEngine([
-            FairShareRule("g", "v", cap, ShareKind.UPPER_LIMIT),
-            FairShareRule("g", "v", floor, ShareKind.LOWER_LIMIT)])
-        assert engine.guaranteed_fraction("g", "v") <= \
-            engine.entitled_fraction("g", "v") + 1e-12
 
 
 class TestViolations:

@@ -162,21 +162,3 @@ class TestTraceRecorder:
         rec = TraceRecorder()
         assert len(rec.query_arrays()["sent_at"]) == 0
         assert len(rec.job_arrays()["jid"]) == 0
-
-    def test_csv_roundtrip(self, tmp_path):
-        rec = TraceRecorder()
-        rec.record_query(1.0, 2.0, False, "c0", "dp0")
-        rec.record_query(5.0, None, True, "c1", "dp1")
-        path = str(tmp_path / "queries.csv")
-        rec.save_queries_csv(path)
-        loaded = TraceRecorder.load_queries_csv(path)
-        q1, q2 = rec.query_arrays(), loaded.query_arrays()
-        assert np.array_equal(q1["sent_at"], q2["sent_at"])
-        assert np.array_equal(q1["timed_out"], q2["timed_out"])
-        assert math.isnan(q2["responded_at"][1])
-
-    def test_csv_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("not,a,real,header\n")
-        with pytest.raises(ValueError):
-            TraceRecorder.load_queries_csv(str(path))
