@@ -33,10 +33,8 @@ def _skew_workload(result_clients):
     """Rewrite half of each client's jobs to the greedy VO (pre-run)."""
     for client in result_clients:
         wl = client.workload
-        for i in range(0, len(wl.vo_names), 2):
-            wl.vo_names[i] = GREEDY_VO
-            wl.group_names[i] = f"{GREEDY_VO}-g0"
-            wl.user_names[i] = f"{GREEDY_VO}-g0-u0"
+        wl.identity[::2] = wl.identities.index(
+            (GREEDY_VO, f"{GREEDY_VO}-g0", f"{GREEDY_VO}-g0-u0"))
 
 
 def _delivered_shares(result):

@@ -81,7 +81,6 @@ class GruberClient(Endpoint):
         #: supplying deployment-wide health info and failover targets.
         self.failover = failover
         self._breakers: dict[Hashable, CircuitBreaker] = {}
-        self._site_names = grid.site_names
 
         self.jobs: list[Job] = []
         self.busy = False
@@ -509,7 +508,7 @@ class GruberClient(Endpoint):
             self.sim.schedule(latency, deliver)
 
     def _dispatch_random(self, job: Job, parent=None) -> None:
-        self._dispatch(job, self.fallback.select_any(self._site_names),
+        self._dispatch(job, self.fallback.select_any(self.grid.site_names),
                        handled=False, parent=parent)
 
     def _record_query(self, sent_at: float, responded_at: Optional[float],

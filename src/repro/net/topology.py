@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["BrokerTopology", "assign_clients", "assign_clients_nearest",
@@ -21,7 +20,7 @@ _KINDS = ("mesh", "ring", "star", "line")
 
 
 class BrokerTopology:
-    """Overlay graph among decision points.
+    """Overlay graph among decision points, as an adjacency table.
 
     Parameters
     ----------
@@ -30,6 +29,10 @@ class BrokerTopology:
     kind:
         ``"mesh"`` (complete graph — the paper's configuration),
         ``"ring"``, ``"star"`` (first node is the hub), or ``"line"``.
+
+    A node's neighbours are listed in the order its edges were laid
+    down (by the edge lists below); that order is each decision point's
+    sync send order, so it is part of the determinism contract.
     """
 
     def __init__(self, nodes: Sequence[Hashable], kind: str = "mesh"):
@@ -42,39 +45,32 @@ class BrokerTopology:
             raise ValueError("topology requires at least one node")
         self.kind = kind
         self.nodes = nodes
-        self.graph = self._build(nodes, kind)
+        # Dicts as insertion-ordered sets: a repeated edge (two-node
+        # ring) keeps its first position.
+        adjacency: dict[Hashable, dict] = {n: {} for n in nodes}
+        for a, b in self._edges(nodes, kind):
+            adjacency[a][b] = None
+            adjacency[b][a] = None
+        self._adjacency = {n: tuple(peers) for n, peers in adjacency.items()}
 
     @staticmethod
-    def _build(nodes: Sequence[Hashable], kind: str) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(nodes)
+    def _edges(nodes: Sequence[Hashable], kind: str
+               ) -> list[tuple[Hashable, Hashable]]:
         n = len(nodes)
         if n == 1:
-            return g
+            return []
         if kind == "mesh":
-            g.add_edges_from((nodes[i], nodes[j])
-                             for i in range(n) for j in range(i + 1, n))
-        elif kind == "ring":
-            g.add_edges_from((nodes[i], nodes[(i + 1) % n]) for i in range(n))
-        elif kind == "star":
-            hub = nodes[0]
-            g.add_edges_from((hub, other) for other in nodes[1:])
-        elif kind == "line":
-            g.add_edges_from((nodes[i], nodes[i + 1]) for i in range(n - 1))
-        return g
+            return [(nodes[i], nodes[j])
+                    for i in range(n) for j in range(i + 1, n)]
+        if kind == "ring":
+            return [(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+        if kind == "star":
+            return [(nodes[0], other) for other in nodes[1:]]
+        return [(nodes[i], nodes[i + 1]) for i in range(n - 1)]  # line
 
     def neighbors(self, node: Hashable) -> list[Hashable]:
         """Peers this decision point exchanges state with directly."""
-        return list(self.graph.neighbors(node))
-
-    def diameter(self) -> int:
-        """Hops for information to reach every decision point (flooding depth)."""
-        if len(self.nodes) == 1:
-            return 0
-        return nx.diameter(self.graph)
-
-    def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        return list(self._adjacency[node])
 
     def __len__(self) -> int:
         return len(self.nodes)

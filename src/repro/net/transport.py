@@ -465,9 +465,10 @@ class Network:
             # The RPC resolved first; don't leave the timeout ticking
             # in the heap (long-timeout storms used to bloat it).
             call = pending.timeout_call
+            expire = call.fn  # read first: a cancel may compact it away
             call.cancel()
-            if type(call.fn) is _RpcExpiry:
-                self._recycle_expiry(call.fn)
+            if type(expire) is _RpcExpiry:
+                self._recycle_expiry(expire)
             pending.timeout_call = None
         result = pending.event
         if resp.ok:

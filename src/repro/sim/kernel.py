@@ -225,7 +225,10 @@ class ScheduledCall:
     popped — but each cancel is *accounted* so the simulator can compact
     the heap once dead entries dominate (see
     :meth:`Simulator._note_cancelled`).  ``_sim`` is cleared when the
-    entry leaves the heap so late cancels don't skew the accounting.
+    entry leaves the heap so late cancels don't skew the accounting, and
+    so is ``fn``: a handle kept by the object its callable is bound to
+    (``_Timeout.call`` → ``_fire`` → the timeout) would otherwise be a
+    reference cycle only the cyclic collector can free.
     """
 
     __slots__ = ("time", "fn", "cancelled", "_sim")
@@ -309,7 +312,7 @@ class Process(Event):
         self._waiting_on = None
         try:
             if exc is not None:
-                target = self.gen.throw(exc)
+                target = self._throw(exc)
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
@@ -326,6 +329,22 @@ class Process(Event):
             self.fail(err)
             return
         self._wait_on(target)
+
+    def _throw(self, exc: BaseException) -> Any:
+        """Throw an event's failure into the generator.
+
+        Once the generator has handled it, the traceback goes: it points
+        at the generator's frame, whose locals still hold the failed
+        event, whose value is ``exc`` — a cycle only the collector could
+        free.  An exception that escapes the generator keeps it.
+        """
+        try:
+            target = self.gen.throw(exc)
+        except StopIteration:
+            exc.__traceback__ = None
+            raise
+        exc.__traceback__ = None
+        return target
 
     def _trace_fail(self, err: BaseException) -> None:
         if self.sim.trace.enabled:
@@ -399,6 +418,64 @@ class Process(Event):
                 self.sim.trace.emit(
                     "process.unhandled_failure", node=self.name,
                     error=f"{type(self.value).__name__}: {self.value}")
+
+
+class _Periodic:
+    """The chain behind :meth:`Simulator.every`: one slotted object whose
+    bound :meth:`tick` is the scheduled callable and whose :meth:`cancel`
+    stops the chain — no class or closure per call (the house pattern of
+    ``net.transport._RpcExpiry``).
+    """
+
+    __slots__ = ("sim", "interval", "fn", "jitter", "rng", "on_error",
+                 "name", "stopped", "next")
+
+    def __init__(self, sim: "Simulator", interval: float,
+                 fn: Callable[[], None], jitter: float, rng,
+                 on_error: Union[str, Callable[[Exception], None]],
+                 name: str):
+        self.sim = sim
+        self.interval = interval
+        self.fn = fn
+        self.jitter = jitter
+        self.rng = rng
+        self.on_error = on_error
+        self.name = name
+        self.stopped = False
+        self.next: Optional[ScheduledCall] = None
+
+    def delay(self, base: float) -> float:
+        if self.jitter and self.rng is not None:
+            return base + float(self.rng.uniform(0.0, self.jitter))
+        return base
+
+    def tick(self) -> None:
+        if self.stopped:
+            return
+        try:
+            self.fn()
+        except Exception as err:
+            sim = self.sim
+            sim.metrics.counter("kernel.periodic_errors").inc()
+            if sim.trace.enabled:
+                sim.trace.emit("periodic.error", node=self.name,
+                               error=f"{type(err).__name__}: {err}")
+            if self.on_error == "raise":
+                raise
+            if callable(self.on_error):
+                self.on_error(err)
+        finally:
+            if not self.stopped:
+                self.next = self.sim.schedule(self.delay(self.interval),
+                                              self.tick)
+
+    # Snapshots key heap entries by callable qualname (format v4); this
+    # is the name the tick has always had there.
+    tick.__qualname__ = "Simulator.every.<locals>.tick"
+
+    def cancel(self) -> None:
+        self.stopped = True
+        self.next.cancel()
 
 
 class Simulator:
@@ -498,10 +575,11 @@ class Simulator:
         live = []
         for entry in heap:
             if entry[2].cancelled:
-                # Left the heap; clear the back-reference so the entry
+                # Left the heap; clear the back-references so the entry
                 # upholds the same contract as a popped one (and does
-                # not pin the simulator alive from stray handles).
+                # not pin the simulator or its callable's owner alive).
                 entry[2]._sim = None
+                entry[2].fn = None
             else:
                 live.append(entry)
         heap[:] = live
@@ -535,14 +613,14 @@ class Simulator:
               start: Optional[float] = None, jitter: float = 0.0,
               rng=None,
               on_error: Union[str, Callable[[Exception], None]] = "raise",
-              name: str = "") -> ScheduledCall:
+              name: str = "") -> _Periodic:
         """Call ``fn()`` periodically.
 
-        Returns the handle of the *next* scheduled call; cancelling it
-        stops the periodic chain.  ``jitter`` (uniform in ``[0, jitter]``,
-        drawn from ``rng``) desynchronizes repeated timers, which the
-        decision-point sync protocol uses so that all brokers do not
-        flood the mesh at the same instant.
+        Returns the chain's handle; cancelling it stops the chain.
+        ``jitter`` (uniform in ``[0, jitter]``, drawn from ``rng``)
+        desynchronizes repeated timers, which the decision-point sync
+        protocol uses so that all brokers do not flood the mesh at the
+        same instant.
 
         An exception in ``fn()`` no longer kills the chain: the next
         tick is rescheduled in a ``finally`` (one bad sync round used to
@@ -562,45 +640,17 @@ class Simulator:
             raise ValueError(
                 f"on_error must be 'raise', 'record', or callable, "
                 f"got {on_error!r}")
-        state: dict[str, Any] = {"stopped": False}
-
-        def tick() -> None:
-            if state["stopped"]:
-                return
-            try:
-                fn()
-            except Exception as err:
-                self.metrics.counter("kernel.periodic_errors").inc()
-                if self.trace.enabled:
-                    self.trace.emit("periodic.error", node=name,
-                                    error=f"{type(err).__name__}: {err}")
-                if on_error == "raise":
-                    raise
-                if callable(on_error):
-                    on_error(err)
-            finally:
-                if not state["stopped"]:
-                    delay = interval
-                    if jitter and rng is not None:
-                        delay += float(rng.uniform(0.0, jitter))
-                    state["next"] = self.schedule(delay, tick)
-
+        periodic = _Periodic(self, interval, fn, jitter, rng, on_error, name)
         first_delay = interval if start is None else start
-        if jitter and rng is not None:
-            first_delay += float(rng.uniform(0.0, jitter))
-        state["next"] = self.schedule(first_delay, tick)
-
-        class _PeriodicHandle:
-            def cancel(self_inner) -> None:
-                state["stopped"] = True
-                state["next"].cancel()
-
-        return _PeriodicHandle()  # type: ignore[return-value]
+        periodic.next = self.schedule(periodic.delay(first_delay),
+                                      periodic.tick)
+        return periodic
 
     # -- running ----------------------------------------------------------
     def _pop_cancelled(self, call: ScheduledCall) -> None:
         """Account for one cancelled entry leaving the heap."""
         call._sim = None
+        call.fn = None
         self._dead -= 1
         if self._dead < 0:
             raise AssertionError(
@@ -617,9 +667,10 @@ class Simulator:
             if time < self.now:  # pragma: no cover - heap invariant guard
                 raise RuntimeError("event heap produced a past timestamp")
             call._sim = None  # left the heap; late cancels don't count
+            fn, call.fn = call.fn, None
             self.now = time
             self._event_count += 1
-            call.fn()
+            fn()
             return True
         return False
 
@@ -657,9 +708,10 @@ class Simulator:
                     self._pop_cancelled(call)
                     continue
                 call._sim = None  # left the heap; late cancels don't count
+                fn, call.fn = call.fn, None
                 self.now = time
                 self._event_count += 1
-                call.fn()
+                fn()
         if bounded:
             self.now = until
 

@@ -23,10 +23,15 @@ On-disk format (``write_snapshot``)::
     {"meta": {"format": "digruber-snapshot", "version": 4, "crc": ...},
      "snapshot": {...}}
 
-``crc`` covers the canonical (sorted-keys) JSON of the snapshot body;
-writes are atomic (tmp + ``os.rename``) so a SIGKILL mid-write never
-leaves a truncated restore candidate — ``newest_checkpoint`` validates
-every candidate and skips corrupt or partial files.
+``crc`` covers the canonical (sorted-keys, compact) JSON of the snapshot
+body, and the body is written in exactly that form.  Canonical JSON is
+compositional — an object's encoding is its sorted members' encodings
+joined — so a capture encodes each state section once and assembles the
+section digests, the state digest, the CRC'd body and the file from
+those strings (:func:`_encode_snapshot`).  Writes are atomic (tmp +
+``os.rename``) so a SIGKILL mid-write never leaves a truncated restore
+candidate — ``newest_checkpoint`` validates every candidate and skips
+corrupt or partial files.
 """
 
 from __future__ import annotations
@@ -144,10 +149,23 @@ def capture_state(built: "BuiltExperiment") -> dict:
     return state
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _join(members: dict[str, str]) -> str:
+    """Canonical JSON of an object, from its members' canonical JSON."""
+    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}"
+                          for key in sorted(members)) + "}"
+
+
+def _crc(blob: str) -> str:
+    return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
+
+
 def state_digest(state: dict) -> str:
     """8-hex CRC32 over the canonical JSON of a state section."""
-    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    return _crc(_canonical(state))
 
 
 def _sink_offsets(built: "BuiltExperiment") -> dict:
@@ -159,42 +177,54 @@ def _sink_offsets(built: "BuiltExperiment") -> dict:
     return {name: sink.byte_offset() for name, sink in built.sinks.items()}
 
 
-def snapshot_experiment(built: "BuiltExperiment") -> dict:
-    """Capture one full snapshot of a built run at the current instant."""
+def _encode_snapshot(built: "BuiltExperiment") -> tuple[dict, str]:
+    """Capture one full snapshot and its canonical JSON, encoding once.
+
+    Each state section is encoded once; its digest, the state digest
+    and the body are assembled from those strings, byte-identical to
+    encoding each of them separately.
+    """
     state = capture_state(built)
-    digests = {section: state_digest(value)
-               for section, value in state.items()}
-    return {
+    sections = {name: _canonical(value) for name, value in state.items()}
+    state_blob = _join(sections)
+    snapshot = {
         "time": built.sim.now,
         "event_count": built.sim.events_executed,
         "config": encode_config(built.config),
         "state": state,
-        "digests": digests,
-        "digest": state_digest(state),
+        "digests": {name: _crc(blob) for name, blob in sections.items()},
+        "digest": _crc(state_blob),
         "sinks": _sink_offsets(built),
     }
+    members = {key: _canonical(value) for key, value in snapshot.items()
+               if key != "state"}
+    members["state"] = state_blob
+    return snapshot, _join(members)
+
+
+def snapshot_experiment(built: "BuiltExperiment") -> dict:
+    """Capture one full snapshot of a built run at the current instant."""
+    return _encode_snapshot(built)[0]
 
 
 # -- on-disk format ------------------------------------------------------
-def _canonical(snapshot: dict) -> str:
-    return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-
-
-def write_snapshot(snapshot: dict, path: str) -> str:
+def write_snapshot(snapshot: dict, path: str,
+                   body: Optional[str] = None) -> str:
     """Atomically write a CRC-stamped snapshot file; returns ``path``.
 
-    tmp + ``os.rename`` on the same filesystem: a SIGKILL mid-write
-    leaves at worst an orphaned ``*.tmp`` that every reader ignores,
-    never a truncated file under the final name.
+    ``body`` is the snapshot's canonical JSON when the caller already
+    has it (:func:`_encode_snapshot`).  tmp + ``os.rename`` on the same
+    filesystem: a SIGKILL mid-write leaves at worst an orphaned ``*.tmp``
+    that every reader ignores, never a truncated file under the final
+    name.
     """
-    body = _canonical(snapshot)
-    crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    doc = {"meta": {"format": SNAPSHOT_FORMAT,
-                    "version": SNAPSHOT_VERSION, "crc": crc},
-           "snapshot": snapshot}
+    if body is None:
+        body = _canonical(snapshot)
+    meta = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
+            "crc": _crc(body)}
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(f'{{"meta": {json.dumps(meta)}, "snapshot": {body}}}')
         fh.flush()
         os.fsync(fh.fileno())
     os.rename(tmp, path)
@@ -285,20 +315,18 @@ class Checkpointer:
         self.directory = config.checkpoint_dir
         self.suspended = False
         self.written: list[str] = []
-        self.last: Optional[dict] = None
         self._next = built.sim.schedule(self.interval_s, self.tick)
 
     def tick(self) -> None:
         self._next = self.built.sim.schedule(self.interval_s, self.tick)
         if self.suspended:
             return
-        snap = snapshot_experiment(self.built)
-        self.last = snap
+        snap, body = _encode_snapshot(self.built)
         os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(
             self.directory,
             checkpoint_filename(snap["time"], snap["event_count"]))
-        write_snapshot(snap, path)
+        write_snapshot(snap, path, body)
         self.written.append(path)
 
     def suspend(self) -> None:

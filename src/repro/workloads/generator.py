@@ -5,7 +5,8 @@ submission host: arrival times (the paper's fixed one-job-per-second
 cadence, optionally Poisson), and per-job VO/group/user assignments and
 attributes, all pre-drawn as numpy arrays (vectorized per the HPC
 guides) with :class:`~repro.grid.job.Job` objects materialized lazily
-as the simulation consumes them.
+as the simulation consumes them.  A job's VO/group/user is one small
+integer into an ``(vo, group, user)`` table the whole fleet shares.
 """
 
 from __future__ import annotations
@@ -24,16 +25,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["HostWorkload", "WorkloadGenerator"]
 
+#: One job's ``(vo, group, user)``.
+Identity = tuple[str, str, str]
+
+
+def _identity_column(picks: np.ndarray, n_identities: int) -> np.ndarray:
+    """``picks`` in the smallest unsigned dtype that indexes the table."""
+    dtype = np.min_scalar_type(max(n_identities - 1, 0))
+    return np.asarray(picks).astype(dtype)
+
 
 @dataclass
 class HostWorkload:
-    """Pre-generated job stream for one submission host."""
+    """Pre-generated job stream for one submission host.
+
+    Job ``i`` is ``identities[identity[i]]``, ``cpus[i]``,
+    ``durations[i]``, submitted at ``arrivals[i]``.  ``identities`` is
+    shared by every workload of a fleet, so a host costs its columns
+    and nothing per job beyond them.
+    """
 
     host: str
     arrivals: np.ndarray       # absolute submission times, seconds
-    vo_names: list[str]        # per job
-    group_names: list[str]
-    user_names: list[str]
+    identity: np.ndarray       # per job: index into ``identities``
+    identities: tuple[Identity, ...]
     cpus: np.ndarray
     durations: np.ndarray
     #: When set, job ``index`` gets ``jid_base + index`` instead of the
@@ -49,16 +64,28 @@ class HostWorkload:
                 f"HostWorkload {self.host!r}: arrivals must be "
                 f"non-decreasing (first drop at index "
                 f"{int(np.argmax(np.diff(self.arrivals) < 0)) + 1})")
+        n = len(self.arrivals)
+        for name in ("identity", "cpus", "durations"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(
+                    f"HostWorkload {self.host!r}: {name} has "
+                    f"{len(getattr(self, name))} entries for {n} arrivals")
+        if n and (int(self.identity.min()) < 0
+                  or int(self.identity.max()) >= len(self.identities)):
+            raise ValueError(
+                f"HostWorkload {self.host!r}: identity index out of range "
+                f"for a table of {len(self.identities)}")
 
     def __len__(self) -> int:
         return len(self.arrivals)
 
     def job_at(self, index: int) -> Job:
         """Materialize the index-th job (lazily, at its arrival)."""
+        vo, group, user = self.identities[self.identity[index]]
         job = Job(
-            vo=self.vo_names[index],
-            group=self.group_names[index],
-            user=self.user_names[index],
+            vo=vo,
+            group=group,
+            user=user,
             cpus=int(self.cpus[index]),
             duration_s=float(self.durations[index]),
             submission_host=self.host,
@@ -95,18 +122,20 @@ class WorkloadGenerator:
         self.vos = vos
         self.model = model
         self.rng = rng
-        # Flatten the hierarchy once for vectorized assignment.
-        self._triples: list[tuple[str, str, str]] = []
+        # Flatten the hierarchy once: the identity table every workload
+        # this generator makes indexes into.
+        triples: list[Identity] = []
         for vo in vos:
             for group in vo.groups.values():
                 if group.users:
                     for user in group.users:
-                        self._triples.append((vo.name, group.name, user.name))
+                        triples.append((vo.name, group.name, user.name))
                 else:
-                    self._triples.append((vo.name, group.name,
-                                          f"{group.name}-anon"))
-        if not self._triples:
+                    triples.append((vo.name, group.name,
+                                    f"{group.name}-anon"))
+        if not triples:
             raise ValueError("VO registry has no groups")
+        self.identities: tuple[Identity, ...] = tuple(triples)
 
     def host_workload(self, host: str, duration_s: float,
                       interarrival_s: float = 1.0,
@@ -170,19 +199,12 @@ class WorkloadGenerator:
                 (self.rng.random(len(arrivals)) < 1.0 / burst_factor)
             arrivals = arrivals[keep]
         n = len(arrivals)
-        picks = self.rng.integers(0, len(self._triples), size=n)
-        vo_names, group_names, user_names = [], [], []
-        for p in picks:
-            v, g, u = self._triples[int(p)]
-            vo_names.append(v)
-            group_names.append(g)
-            user_names.append(u)
+        picks = self.rng.integers(0, len(self.identities), size=n)
         return HostWorkload(
             host=host,
             arrivals=arrivals,
-            vo_names=vo_names,
-            group_names=group_names,
-            user_names=user_names,
+            identity=_identity_column(picks, len(self.identities)),
+            identities=self.identities,
             cpus=self.model.draw_cpus(self.rng, n),
             durations=self.model.draw_durations(self.rng, n),
         )
@@ -216,8 +238,6 @@ def workload_from_job_trace(trace, host: str = "replay",
     counterpart to the synthetic generator; GRUB-SIM does the same with
     query traces).
     """
-    import numpy as np  # local: keep module import surface unchanged
-
     jobs = trace.job_arrays()
     if len(jobs["jid"]) == 0:
         raise ValueError("trace contains no jobs to replay")
@@ -228,13 +248,13 @@ def workload_from_job_trace(trace, host: str = "replay",
     def col(name):
         return jobs[name][keep][order]
 
-    vo_names = [str(v) for v in col("vo")]
+    vos, picks = np.unique(col("vo").astype(str), return_inverse=True)
+    identities = tuple((str(v), f"{v}-g0", f"{v}-{user_suffix}") for v in vos)
     return HostWorkload(
         host=host,
         arrivals=col("created_at").astype(np.float64),
-        vo_names=vo_names,
-        group_names=[f"{v}-g0" for v in vo_names],
-        user_names=[f"{v}-{user_suffix}" for v in vo_names],
+        identity=_identity_column(picks, len(identities)),
+        identities=identities,
         cpus=col("cpus").astype(np.int64),
         durations=col("duration_s").astype(np.float64),
     )

@@ -10,6 +10,8 @@ vectorized sites) compared two code paths that produced one journal;
 ``TestGoldenDigests`` pins that journal for the path that survived.
 """
 
+import gc
+
 import pytest
 
 from repro.check import PAIRS, run_pair
@@ -60,6 +62,24 @@ class TestGoldenDigests:
         assert (len(journal), journal.digest) == GOLDEN[name, duration_s]
         if name.startswith("mesh10-"):
             assert sum(e.kind == "rec.adopt" for e in journal.entries) == 540
+
+    @pytest.mark.parametrize("collector", ["disabled", "threshold-1"])
+    def test_journal_is_blind_to_the_collector(self, collector):
+        """The cyclic GC is unobservable to the simulation: the diff
+        smoke's golden journal reproduces with automatic collection off
+        and with a collection pass after every allocation."""
+        thresholds, enabled = gc.get_threshold(), gc.isenabled()
+        try:
+            if collector == "disabled":
+                gc.disable()
+            else:
+                gc.set_threshold(1)
+            journal = _run_journaled(_golden_config("diff", 300.0))
+        finally:
+            gc.set_threshold(*thresholds)
+            if enabled:
+                gc.enable()
+        assert (len(journal), journal.digest) == GOLDEN["diff", 300.0]
 
     def test_congested_config_engages_the_vector_drain(self):
         from repro.experiments.runner import run_experiment

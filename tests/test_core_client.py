@@ -176,8 +176,8 @@ def cursor_client(arrivals, cls=_FixedOpClient, profile=FAST_PROFILE):
     n = len(arrivals)
     workload = HostWorkload(
         host="h0", arrivals=np.asarray(arrivals, dtype=float),
-        vo_names=["vo0"] * n, group_names=["vo0-g0"] * n,
-        user_names=["u"] * n, cpus=np.ones(n, dtype=int),
+        identity=np.zeros(n, dtype=np.uint8),
+        identities=(("vo0", "vo0-g0", "u"),), cpus=np.ones(n, dtype=int),
         durations=np.full(n, 1000.0))
     client = cls(sim, net, "h0", "dp0", grid, workload,
                  selector=LeastUsedSelector(rng.stream("sel")),

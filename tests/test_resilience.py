@@ -47,8 +47,8 @@ def make_workload(grid, host, arrivals, duration_s=50.0):
     n = len(arrivals)
     return HostWorkload(
         host=host, arrivals=np.asarray(arrivals, dtype=float),
-        vo_names=[vo.name] * n, group_names=[group.name] * n,
-        user_names=["u"] * n, cpus=np.ones(n, dtype=int),
+        identity=np.zeros(n, dtype=np.uint8),
+        identities=((vo.name, group.name, "u"),), cpus=np.ones(n, dtype=int),
         durations=np.full(n, duration_s))
 
 

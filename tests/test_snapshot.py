@@ -107,6 +107,69 @@ class TestOnDiskFormat:
         assert os.listdir(tmp_path) == ["s.json"]
 
 
+def _legacy_write(snapshot, path):
+    """``write_snapshot`` as it stood before bodies were written in their
+    canonical form: the same envelope and CRC, the body in insertion
+    order with default separators."""
+    body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+    crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    doc = {"meta": {"format": "digruber-snapshot", "version": 4, "crc": crc},
+           "snapshot": snapshot}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    return path
+
+
+def _legacy_crc_ok(path):
+    """``read_snapshot``'s CRC check as it stood in that build."""
+    doc = json.loads(open(path).read())
+    body = json.dumps(doc["snapshot"], sort_keys=True, separators=(",", ":"))
+    return format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF,
+                  "08x") == doc["meta"]["crc"]
+
+
+class TestEncodeOnce:
+    def test_assembled_body_equals_one_canonical_encoding(self):
+        from repro.sim.snapshot import _encode_snapshot
+        built = build_experiment(_config(decision_points=2))
+        built.sim.run(until=90.0)
+        snap, body = _encode_snapshot(built)
+        assert body == json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        assert snap["digests"] == {k: state_digest(v)
+                                   for k, v in snap["state"].items()}
+        assert snap["digest"] == state_digest(snap["state"])
+
+    def test_checkpoint_file_is_the_envelope_around_the_body(self, tmp_path):
+        config = _config(checkpoint_every_s=40.0,
+                         checkpoint_dir=str(tmp_path))
+        built = build_experiment(config)
+        built.sim.run(until=config.duration_s)
+        assert built.checkpointer.written
+        for path in built.checkpointer.written:
+            text = open(path).read()
+            doc = json.loads(text)
+            body = json.dumps(doc["snapshot"], sort_keys=True,
+                              separators=(",", ":"))
+            assert text == (f'{{"meta": {json.dumps(doc["meta"])}, '
+                            f'"snapshot": {body}}}')
+            assert _legacy_crc_ok(path)
+            read_snapshot(path)
+
+    def test_legacy_written_checkpoint_restores(self, tmp_path):
+        from repro.experiments.parallel import summarize, summary_digest
+        from repro.experiments.runner import run_experiment
+        config = _config()
+        fresh = summary_digest(summarize(run_experiment(config)))
+        built = build_experiment(config)
+        built.sim.run_to_event(600)
+        path = _legacy_write(
+            snapshot_experiment(built),
+            str(tmp_path / checkpoint_filename(built.sim.now, 600)))
+        assert newest_checkpoint(str(tmp_path)) == path
+        restored = resume_experiment(path)
+        assert summary_digest(summarize(restored)) == fresh
+
+
 def _write_checkpoint(directory, t, n):
     built = build_experiment(_config())
     built.sim.run(until=t)

@@ -26,7 +26,10 @@ class TestWorkloadFromTrace:
         n = int((~np.isnan(jobs["created_at"])).sum())
         assert len(wl) == n
         assert np.all(np.diff(wl.arrivals) >= 0)  # time-ordered
-        assert set(wl.vo_names) <= set(jobs["vo"])
+        assert {vo for vo, _, _ in wl.identities} <= set(jobs["vo"])
+        assert [wl.job_at(i).vo for i in range(len(wl))] == \
+            [str(v) for v in jobs["vo"][np.argsort(jobs["created_at"],
+                                                    kind="stable")]]
         assert wl.cpus.sum() == jobs["cpus"].sum()
 
     def test_materialized_jobs_reproduce_attributes(self, recorded):

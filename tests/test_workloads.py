@@ -1,13 +1,15 @@
 """Tests for workload models, generation, and trace recording."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.grid import Job, VORegistry
 from repro.sim import RngRegistry
-from repro.workloads import JobModel, TraceRecorder, WorkloadGenerator
+from repro.workloads import (HostWorkload, JobModel, TraceRecorder,
+                             WorkloadGenerator)
 
 
 @pytest.fixture
@@ -78,7 +80,8 @@ class TestWorkloadGenerator:
     def test_jobs_cover_all_vos(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
         wl = gen.host_workload("h0", duration_s=600.0)
-        assert set(wl.vo_names) == {"vo0", "vo1", "vo2"}
+        assert {wl.identities[i][0] for i in wl.identity} == \
+            {"vo0", "vo1", "vo2"}
 
     def test_job_materialization(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
@@ -86,7 +89,8 @@ class TestWorkloadGenerator:
         job = wl.job_at(2)
         assert isinstance(job, Job)
         assert job.submission_host == "h7"
-        assert job.vo == wl.vo_names[2]
+        assert (job.vo, job.group, job.user) == \
+            wl.identities[wl.identity[2]]
         assert job.cpus == int(wl.cpus[2])
 
     def test_iteration_order(self, vos, rng):
@@ -107,7 +111,8 @@ class TestWorkloadGenerator:
                                     RngRegistry(3).stream("w"))
             return gen.host_workload("h", duration_s=50.0)
         w1, w2 = build(), build()
-        assert w1.vo_names == w2.vo_names
+        assert np.array_equal(w1.identity, w2.identity)
+        assert w1.identities == w2.identities
         assert np.array_equal(w1.durations, w2.durations)
 
     def test_empty_registry_rejected(self, rng):
@@ -118,6 +123,66 @@ class TestWorkloadGenerator:
         gen = WorkloadGenerator(vos, JobModel(), rng)
         with pytest.raises(ValueError):
             gen.host_workload("h", duration_s=0.0)
+
+    def test_identity_table_is_shared_by_the_fleet(self, vos, rng):
+        gen = WorkloadGenerator(vos, JobModel(), rng)
+        a = gen.host_workload("a", duration_s=50.0)
+        b = gen.host_workload("b", duration_s=50.0)
+        assert a.identities is b.identities is gen.identities
+        assert a.identity.dtype.itemsize == 1  # 12 identities fit a byte
+
+
+#: CRC32 over ``vo|group|user|cpus|duration_s`` of every job of the
+#: seeded ``canonical_gt3(3)`` fleet, in fleet order, recorded when each
+#: workload still carried three per-job name lists.
+FLEET_JOBS = (324059, 0xb5845e0a)
+
+
+def test_canonical_fleet_jobs_pinned():
+    from repro.experiments.configs import canonical_gt3
+    from repro.experiments.runner import build_experiment
+    built = build_experiment(canonical_gt3(3))
+    crc = n = 0
+    for client in built.clients:
+        workload = client.workload
+        for i in range(len(workload)):
+            job = workload.job_at(i)
+            crc = zlib.crc32(f"{job.vo}|{job.group}|{job.user}|{job.cpus}|"
+                             f"{job.duration_s!r}\n".encode(), crc)
+            n += 1
+    assert (n, crc) == FLEET_JOBS
+
+
+class TestHostWorkloadValidation:
+    IDENTITIES = (("vo0", "vo0-g0", "u0"), ("vo1", "vo1-g0", "u0"))
+
+    def _workload(self, n=3, **overrides):
+        kw = dict(host="h", arrivals=np.arange(float(n)),
+                  identity=np.zeros(n, dtype=np.uint8),
+                  identities=self.IDENTITIES, cpus=np.ones(n, dtype=int),
+                  durations=np.full(n, 10.0))
+        kw.update(overrides)
+        return HostWorkload(**kw)
+
+    def test_resolves_jobs_through_the_table(self):
+        wl = self._workload(identity=np.array([1, 0, 1], dtype=np.uint8))
+        assert [(j.vo, j.group, j.user)
+                for j in map(wl.job_at, range(3))] == \
+            [self.IDENTITIES[1], self.IDENTITIES[0], self.IDENTITIES[1]]
+
+    @pytest.mark.parametrize("column", ["identity", "cpus", "durations"])
+    def test_mismatched_column_rejected_by_name(self, column):
+        full = self._workload()
+        with pytest.raises(ValueError, match=f"{column} has 2 entries"):
+            self._workload(**{column: getattr(full, column)[:2]})
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_out_of_range_identity_rejected(self, bad):
+        with pytest.raises(ValueError, match="identity index out of range"):
+            self._workload(identity=np.array([0, bad, 0]))
+
+    def test_empty_workload_is_valid(self):
+        assert len(self._workload(n=0)) == 0
 
 
 class TestTraceRecorder:
