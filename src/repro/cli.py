@@ -189,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="directory for periodic checkpoints")
     run.add_argument("--restore", default=None, metavar="FILE",
-                     help="restore a checkpointed run and finish it "
-                     "(the run's config comes from the snapshot; other "
-                     "experiment flags are ignored)")
+                     help="restore a checkpointed run and finish it (the "
+                     "run's config comes from the snapshot, so only "
+                     "--shards and --obs may accompany it)")
     add_obs(run)
 
     camp = sub.add_parser(
@@ -212,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "seconds (default 60)")
     camp.add_argument("--workers", type=int, default=None, metavar="N",
                       help="worker processes (default: min(cells, cpus))")
-    camp.add_argument("--resume", action="store_true",
-                      help="marker for relaunches; a campaign over the "
-                           "same --out always reuses completed cells and "
-                           "resumes interrupted ones")
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection run: scenario x policy comparison")
@@ -280,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(replay a finished file, or --follow a live "
                     "--telemetry run)")
     top.add_argument("timeline", metavar="TIMELINE_JSONL")
-    top.add_argument("--replay", action="store_true",
-                     help="replay mode (the default; flag kept for "
-                          "explicitness)")
     top.add_argument("--follow", action="store_true",
                      help="tail the file a live --telemetry run is "
                           "writing instead of replaying")
@@ -310,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _obs_overrides(args) -> dict:
-    """Config overrides for the observability flags (``add_obs``)."""
+def _obs_overrides(args, seed: int) -> dict:
+    """Config overrides for the observability flags (``add_obs``);
+    ``seed`` names a bare ``--flight``'s dump."""
     overrides = {}
     if getattr(args, "trace", None) is not None:
         overrides["trace_enabled"] = True
@@ -339,10 +333,9 @@ def _obs_overrides(args) -> dict:
             raise SystemExit("error: --telemetry-interval must be > 0")
         overrides["telemetry_interval_s"] = args.telemetry_interval
     if getattr(args, "flight", None) is not None:
-        overrides["flight_enabled"] = True
         if args.flight:
             _require_parent_dir("--flight", args.flight)
-            overrides["flight_path"] = args.flight
+        overrides["flight_path"] = args.flight or f"flight-{seed}.json"
     return overrides
 
 
@@ -367,12 +360,11 @@ def _print_obs(args, result) -> None:
 
 
 def _base_config(args):
-    from repro.experiments import canonical_gt3, canonical_gt4
+    from repro.experiments import (ExperimentConfig, canonical_gt3,
+                                   canonical_gt4)
     maker = canonical_gt3 if args.profile == "gt3" else canonical_gt4
-    overrides = {"duration_s": args.duration}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return maker, overrides
+    seed = ExperimentConfig.seed if args.seed is None else args.seed
+    return maker, {"duration_s": args.duration, "seed": seed}
 
 
 def _cmd_quickstart(args) -> int:
@@ -383,7 +375,7 @@ def _cmd_quickstart(args) -> int:
         duration_s=600.0, n_sites=40, total_cpus=4000, n_vos=4,
         groups_per_vo=3, sync_interval_s=60.0,
         job_model=JobModel(duration_mean_s=240.0, min_duration_s=20.0),
-        seed=7, **_obs_overrides(args))
+        seed=7, **_obs_overrides(args, seed=7))
     result = run_experiment(config)
     print(result.summary())
     _print_obs(args, result)
@@ -448,24 +440,41 @@ def _run_flight_armed(config, run):
     unwinds through ``abort_experiment`` and leaves its black box),
     and any abnormal exit prints where the dump went before re-raising.
     """
-    armed = config.flight_enabled or bool(config.flight_path)
-    if armed:
+    flight_path = config.flight_path
+    if flight_path:
         from repro.obs.flight import install_sigterm_handler
         install_sigterm_handler()
     try:
         return run()
     except BaseException:
-        flight_path = config.flight_path or f"flight-{config.seed}.json"
-        if armed and os.path.exists(flight_path):
+        if flight_path and os.path.exists(flight_path):
             print(f"flight recorder dumped to {flight_path} "
                   f"(analyze: digruber postmortem {flight_path})",
                   file=sys.stderr)
         raise
 
 
+#: What ``run --restore`` honours besides the file: the run's config
+#: comes from the snapshot.
+_RESTORE_DESTS = {"command", "restore", "shards", "obs"}
+
+
+def _restore_ignored_flags(args) -> list[str]:
+    """The flags of a ``run --restore`` that the snapshot's config
+    would silently override."""
+    defaults = vars(build_parser().parse_args(["run"]))
+    return ["--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if dest not in _RESTORE_DESTS and value != defaults[dest]]
+
+
 def _cmd_run(args) -> int:
     from repro.experiments.runner import build_experiment, run_built
     if args.restore is not None:
+        ignored = _restore_ignored_flags(args)
+        if ignored:
+            raise _UsageError("--restore takes the run's config from the "
+                              f"snapshot; drop {' '.join(ignored)}")
         if args.shards is not None:
             return _run_sharded_cmd(args, None, None)
         from repro.sim.snapshot import (decode_config, read_snapshot,
@@ -535,7 +544,7 @@ def _cmd_run(args) -> int:
         overrides["autoscale"] = AutoscaleConfig(**kw)
     if args.shards is not None:
         return _run_sharded_cmd(args, maker, overrides)
-    overrides.update(_obs_overrides(args))
+    overrides.update(_obs_overrides(args, overrides["seed"]))
     with _bad_input():
         config = maker(args.dps, **overrides)
         built = build_experiment(config)
@@ -560,10 +569,6 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
     """``digruber run --shards=N``: the space-parallel kernel path."""
     from repro.sim.sharded import run_sharded
     if args.restore is not None:
-        if args.shard_workers:
-            raise SystemExit(
-                "error: barrier restore is lockstep-only; drop "
-                "--shard-workers")
         from repro.sim.snapshot import decode_config, read_snapshot
         config = decode_config(read_snapshot(args.restore)["config"])
         result = run_sharded(config, n_shards=args.shards,
@@ -582,7 +587,7 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
             "timeline, sampled at the epoch barriers)")
     # Sharded telemetry works differently (hood-local barrier sampling,
     # merged at the end) but flows through the same config fields.
-    overrides.update(_obs_overrides(args))
+    overrides.update(_obs_overrides(args, overrides["seed"]))
     with _bad_input():
         config = maker(args.dps, **overrides)
     mode = "workers" if args.shard_workers else "lockstep"
@@ -611,9 +616,8 @@ def _cmd_chaos(args) -> int:
         variants.append(("baseline", False))
     if not args.baseline_only:
         variants.append(("resilient", True))
-    overrides = {"duration_s": args.duration, **_obs_overrides(args)}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    _, overrides = _base_config(args)
+    overrides.update(_obs_overrides(args, overrides["seed"]))
     last = None
     for label, resilient in variants:
         with _bad_input():
@@ -638,7 +642,8 @@ def _cmd_campaign(args) -> int:
     with _bad_input():
         configs = campaign_configs(args.preset, duration_s=args.duration)
     manifest = campaign_manifest(args.out, configs)
-    label = "resuming" if args.resume else "starting"
+    label = ("resuming" if manifest["completed"] or manifest["resumable"]
+             else "starting")
     print(f"{label} campaign {args.preset!r}: {len(configs)} cell(s) -> "
           f"{args.out} (completed={len(manifest['completed'])} "
           f"resumable={len(manifest['resumable'])} "

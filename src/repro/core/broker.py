@@ -58,7 +58,7 @@ class DIGruberDeployment:
                  assumed_job_lifetime_s: float = 900.0,
                  dp_queue_bound: Optional[int] = None,
                  sync_delta: bool = False,
-                 selector: str = "least_used", selector_spread: float = 0.85):
+                 selector: str = "least_used"):
         if n_decision_points < 1:
             raise ValueError("need at least one decision point")
         self.sim = sim
@@ -79,7 +79,7 @@ class DIGruberDeployment:
         #: Per-peer delta sync (changes payload sizes, opt-in).
         self.sync_delta = sync_delta
         #: Server-side site-selection policy (one-phase protocol).
-        self.selector, self.selector_spread = selector, selector_spread
+        self.selector = selector
         self.decision_points: dict[str, DecisionPoint] = {}
         self.clients: list[GruberClient] = []
         #: Administratively retired decision points (scale-down).  They
@@ -116,8 +116,7 @@ class DIGruberDeployment:
             site_state_kb=self.site_state_kb,
             assumed_job_lifetime_s=self.assumed_job_lifetime_s,
             max_queue=self.dp_queue_bound,
-            sync_delta=self.sync_delta, selector=self.selector,
-            selector_spread=self.selector_spread)
+            sync_delta=self.sync_delta, selector=self.selector)
         self.decision_points[dp_id] = dp
         if self.journal is not None:
             dp.engine.journal = self.journal

@@ -56,7 +56,7 @@ class DecisionPoint(Endpoint):
                  private: bool = False,
                  max_queue: Optional[int] = None,
                  sync_delta: bool = False,
-                 selector: str = "least_used", selector_spread: float = 0.85):
+                 selector: str = "least_used"):
         super().__init__(network, node_id)
         self.sim = sim
         self.grid = grid
@@ -101,7 +101,7 @@ class DecisionPoint(Endpoint):
         self.on_restart: list = []
 
         # One-phase protocol: the configured policy, server-side.
-        self._server_selector = make_selector(selector, rng, selector_spread)
+        self._server_selector = make_selector(selector, rng)
         self._fallback = RandomSelector(rng)
 
         self.register_handler("get_state", self._handle_get_state)

@@ -149,13 +149,9 @@ _SELECTORS = {
 }
 
 
-def make_selector(name: str, rng: Optional[np.random.Generator] = None,
-                  spread: Optional[float] = None) -> SiteSelector:
-    """Factory by policy name; rng required for stochastic policies.
-
-    ``spread`` configures :class:`LeastUsedSelector` and is ignored by
-    the other policies.
-    """
+def make_selector(name: str, rng: Optional[np.random.Generator] = None
+                  ) -> SiteSelector:
+    """Factory by policy name; rng required for stochastic policies."""
     try:
         cls = _SELECTORS[name]
     except KeyError:
@@ -167,4 +163,4 @@ def make_selector(name: str, rng: Optional[np.random.Generator] = None,
         raise ValueError(f"selector {name!r} needs an rng")
     if cls is RandomSelector:
         return cls(rng)
-    return cls(rng, spread=spread if spread is not None else 1.0)
+    return cls(rng, spread=0.85)  # the herd-avoidance window every run uses

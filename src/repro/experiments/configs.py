@@ -46,15 +46,13 @@ class ExperimentConfig:
     strategy: DisseminationStrategy = DisseminationStrategy.USAGE_ONLY
     usla_aware: bool = False
     selector: str = "least_used"
-    selector_spread: float = 0.85  # least-used herd-avoidance window
 
-    # Client side.
+    # Client side.  Every host submits one job per second and binds to
+    # one decision point drawn at random (paper §4.3).
     n_clients: int = 120
     timeout_s: float = CANONICAL_TIMEOUT_S
-    interarrival_s: float = 1.0
     ramp_fraction: float = 0.5   # clients join over this fraction of the run
     one_phase: bool = False      # §7's broker/job-manager tight coupling
-    client_assignment: str = "random"  # "random" (paper §4.3) | "nearest"
 
     # Environment.
     duration_s: float = 3600.0
@@ -66,13 +64,12 @@ class ExperimentConfig:
     users_per_group: int = 3
     job_model: JobModel = field(default_factory=JobModel)
 
-    # WAN.  ``lan=True`` swaps in sub-millisecond LAN latency and free
-    # transfers (the paper: "we expect that performance will be
-    # significantly better in a LAN environment").
+    # WAN: PlanetLab-like pairwise latency (``PairwiseWanLatency``'s
+    # defaults).  ``lan=True`` swaps in sub-millisecond LAN latency and
+    # free transfers (the paper: "we expect that performance will be
+    # significantly better in a LAN environment").  Message loss comes
+    # from the fault layer (``chaos_scenario``) only.
     lan: bool = False
-    wan_median_ms: float = 60.0
-    wan_sigma: float = 0.6
-    wan_loss_rate: float = 0.0   # per-message drop probability
     kb_transfer_s: float = 0.15
     site_state_kb: float = 0.06
 
@@ -132,11 +129,11 @@ class ExperimentConfig:
     telemetry_enabled: bool = False
     telemetry_interval_s: float = 30.0
     telemetry_path: str = ""       # stream timeline rows to this JSONL file
-    # Flight recorder (repro.obs.flight): bounded black box dumped on
-    # crash / strict-check violation / SIGTERM.  Zero-cost while the
-    # run is healthy (references only, nothing copied per event).
-    flight_enabled: bool = False
-    flight_path: str = ""          # "" = flight-<seed>.json
+    # Flight recorder (repro.obs.flight): bounded black box dumped to
+    # ``flight_path`` on crash / strict-check violation / SIGTERM; a
+    # path arms it.  Zero-cost while the run is healthy (references
+    # only, nothing copied per event).
+    flight_path: str = ""
 
     # Checkpointing (repro.sim.snapshot): write a CRC-stamped snapshot
     # every ``checkpoint_every_s`` simulated seconds into
@@ -166,9 +163,6 @@ class ExperimentConfig:
             raise ValueError("ramp_fraction must be in (0, 1]")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be > 0")
-        if self.client_assignment not in ("random", "nearest"):
-            raise ValueError(
-                f"unknown client_assignment {self.client_assignment!r}")
         if self.chaos_scenario:
             from repro.faults.scenarios import scenario_names
             if self.chaos_scenario not in scenario_names():

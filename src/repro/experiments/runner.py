@@ -8,7 +8,7 @@ table row derives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.experiments.configs import ExperimentConfig
 from repro.grid.builder import Grid, GridBuilder
 from repro.metrics import defs as metric_defs
 from repro.net.latency import LanLatency, PairwiseWanLatency
-from repro.net.topology import assign_clients, assign_clients_nearest
+from repro.net.topology import assign_clients
 from repro.net.transport import Network
 from repro.obs.jsonl import JsonlSink
 from repro.sim.kernel import Simulator
@@ -36,24 +36,49 @@ __all__ = ["BuiltExperiment", "ExperimentResult", "abort_experiment",
 
 
 @dataclass
-class ExperimentResult:
-    """Everything one run produced, with metric/table accessors."""
+class BuiltExperiment:
+    """A fully constructed, started-but-not-run experiment.
+
+    ``build_experiment`` returns one of these with every component
+    started (deployment, failover, clients) and zero simulated seconds
+    elapsed; the caller decides how the clock advances.  The plain
+    runner calls ``sim.run(until=duration)`` once; the sharded runtime
+    (:mod:`repro.sim.sharded`) advances many of these in lockstep epoch
+    windows on a shared simulator.
+    """
 
     config: ExperimentConfig
+    sim: Simulator
+    rng: RngRegistry
+    network: Network
+    grid: Grid
+    deployment: DIGruberDeployment
+    clients: list[GruberClient]
+    hosts: list[str]
+    offsets: dict
     trace: TraceRecorder
+    injector: Optional[object] = None
+    failover: Optional[object] = None
+    checker: Optional[object] = None
+    planner: Optional[object] = None
+    sampler: Optional[object] = None
+    flight: Optional[object] = None
+    checkpointer: Optional[object] = None
+    #: Every streaming JSONL artifact of the run, by stream name
+    #: (``"trace"``, ``"telemetry"``): one mapping that finalize, abort
+    #: and the snapshot plane's byte-offset verification iterate.
+    sinks: dict = field(default_factory=dict)
+
+
+@dataclass(kw_only=True)
+class ExperimentResult(BuiltExperiment):
+    """A finished run, with metric/table accessors: the built run plus
+    each host's active window and the job table.
+    :func:`finalize_experiment` is its only constructor."""
+
     client_starts: np.ndarray
     client_ends: np.ndarray
-    grid: Grid
-    deployment: DIGruberDeployment = field(repr=False)
-    clients: list[GruberClient] = field(repr=False, default_factory=list)
-    sim: Optional[Simulator] = field(default=None, repr=False)
-    network: Optional[Network] = field(default=None, repr=False)
-    injector: Optional[object] = field(default=None, repr=False)
-    failover: Optional[object] = field(default=None, repr=False)
-    checker: Optional[object] = field(default=None, repr=False)
-    planner: Optional[object] = field(default=None, repr=False)
-    sampler: Optional[object] = field(default=None, repr=False)
-    _jobs: dict = field(default=None, repr=False)  # type: ignore[assignment]
+    _jobs: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._jobs = self.trace.job_arrays()
@@ -132,17 +157,13 @@ class ExperimentResult:
         """Counters, latency histograms, and trace tallies for this run."""
         from repro.metrics.report import render_obs_summary
         return render_obs_summary(
-            self.sim.metrics if self.sim is not None else None,
-            network_stats=self.network.stats if self.network is not None else None,
-            tracer=self.sim.trace if self.sim is not None else None,
-            spans=self.sim.spans if self.sim is not None else None,
+            self.sim.metrics, network_stats=self.network.stats,
+            tracer=self.sim.trace, spans=self.sim.spans,
             title=f"{self.config.name}: observability")
 
     def dropped_sync_chains(self) -> int:
         """Periodic-chain errors during the run (should be zero — the
         accuracy figures assume every sync/monitor tick fired)."""
-        if self.sim is None:
-            return 0
         return self.sim.metrics.counter_value("kernel.periodic_errors")
 
     # -- broker-side stats -----------------------------------------------------
@@ -210,41 +231,6 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-@dataclass
-class BuiltExperiment:
-    """A fully constructed, started-but-not-run experiment.
-
-    ``build_experiment`` returns one of these with every component
-    started (deployment, failover, clients) and zero simulated seconds
-    elapsed; the caller decides how the clock advances.  The plain
-    runner calls ``sim.run(until=duration)`` once; the sharded runtime
-    (:mod:`repro.sim.sharded`) advances many of these in lockstep epoch
-    windows on a shared simulator.
-    """
-
-    config: ExperimentConfig
-    sim: Simulator
-    rng: RngRegistry
-    network: Network
-    grid: Grid
-    deployment: DIGruberDeployment
-    clients: list[GruberClient]
-    hosts: list[str]
-    offsets: dict
-    trace: TraceRecorder
-    injector: Optional[object] = None
-    failover: Optional[object] = None
-    checker: Optional[object] = None
-    planner: Optional[object] = None
-    sampler: Optional[object] = None
-    flight: Optional[object] = None
-    checkpointer: Optional[object] = None
-    #: Every streaming JSONL artifact of the run, by stream name
-    #: (``"trace"``, ``"telemetry"``): one mapping that finalize, abort
-    #: and the snapshot plane's byte-offset verification iterate.
-    sinks: dict = field(default_factory=dict)
-
-
 def build_experiment(config: ExperimentConfig,
                      sim: Optional[Simulator] = None) -> BuiltExperiment:
     """Construct and start one experiment without running the clock.
@@ -273,18 +259,11 @@ def build_experiment(config: ExperimentConfig,
         # so a spans-on run replays a spans-off run event for event.
         sim.spans.seed_ids(rng.stream("spans"))
 
-    loss_kw = ({"loss_rate": config.wan_loss_rate,
-                "loss_rng": rng.stream("loss")}
-               if config.wan_loss_rate > 0 else {})
     if config.lan:
-        latency = LanLatency()
-        network = Network(sim, latency, kb_transfer_s=0.0, **loss_kw)
+        network = Network(sim, LanLatency())
     else:
-        latency = PairwiseWanLatency(rng.stream("wan"),
-                                     median_ms=config.wan_median_ms,
-                                     sigma=config.wan_sigma)
-        network = Network(sim, latency, kb_transfer_s=config.kb_transfer_s,
-                          **loss_kw)
+        network = Network(sim, PairwiseWanLatency(rng.stream("wan")),
+                          kb_transfer_s=config.kb_transfer_s)
 
     grid = GridBuilder(sim, rng.stream("grid")).build(
         n_sites=config.n_sites, total_cpus=config.total_cpus,
@@ -302,17 +281,13 @@ def build_experiment(config: ExperimentConfig,
         site_state_kb=config.site_state_kb,
         assumed_job_lifetime_s=config.job_model.duration_mean_s,
         dp_queue_bound=config.dp_queue_bound,
-        sync_delta=config.sync_delta, selector=config.selector,
-        selector_spread=config.selector_spread)
+        sync_delta=config.sync_delta, selector=config.selector)
 
     hosts = [f"host{i:03d}" for i in range(config.n_clients)]
     ramp = RampSchedule(n_clients=config.n_clients, span_s=config.ramp_span_s)
     offsets = ramp.offsets(hosts)
-    if config.client_assignment == "nearest":
-        assignment = assign_clients_nearest(hosts, deployment.dp_ids, latency)
-    else:
-        assignment = assign_clients(hosts, deployment.dp_ids,
-                                    rng.stream("assignment"))
+    assignment = assign_clients(hosts, deployment.dp_ids,
+                                rng.stream("assignment"))
 
     generator = WorkloadGenerator(grid.vos, config.job_model,
                                   rng.stream("workload"))
@@ -338,16 +313,14 @@ def build_experiment(config: ExperimentConfig,
     for host in hosts:
         workload = generator.host_workload(
             host, duration_s=config.duration_s - offsets[host],
-            interarrival_s=config.interarrival_s, start_s=offsets[host],
-            profile=profile)
+            start_s=offsets[host], profile=profile)
         workload.jid_base = next_jid
         next_jid += len(workload)
         client = GruberClient(
             sim=sim, network=network, host_id=host,
             decision_point=assignment[host], grid=grid, workload=workload,
             selector=make_selector(config.selector,
-                                   rng.stream(f"selector:{host}"),
-                                   spread=config.selector_spread),
+                                   rng.stream(f"selector:{host}")),
             profile=config.profile, rng=rng.stream(f"client:{host}"),
             trace=trace, timeout_s=config.timeout_s,
             state_response_kb=state_kb, one_phase=config.one_phase,
@@ -417,7 +390,7 @@ def build_experiment(config: ExperimentConfig,
                             injector=injector, failover=failover,
                             checker=checker, planner=planner,
                             sampler=sampler, sinks=sinks)
-    if config.flight_enabled or config.flight_path:
+    if config.flight_path:
         from repro.obs.flight import FlightRecorder
         built.flight = FlightRecorder(built, path=config.flight_path)
     if config.checkpoint_every_s > 0:
@@ -463,14 +436,9 @@ def finalize_experiment(built: BuiltExperiment) -> ExperimentResult:
         c.active_until if c.active_until is not None else config.duration_s
         for c in clients])
 
-    return ExperimentResult(config=config, trace=trace,
-                            client_starts=client_starts,
-                            client_ends=client_ends, grid=built.grid,
-                            deployment=built.deployment, clients=clients,
-                            sim=sim, network=built.network,
-                            injector=built.injector, failover=built.failover,
-                            checker=built.checker, planner=built.planner,
-                            sampler=built.sampler)
+    return ExperimentResult(
+        **{f.name: getattr(built, f.name) for f in fields(BuiltExperiment)},
+        client_starts=client_starts, client_ends=client_ends)
 
 
 def abort_experiment(built: BuiltExperiment,

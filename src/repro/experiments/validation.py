@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.analysis.queueing import QueueMetrics, machine_repairman
 from repro.experiments.configs import ExperimentConfig
+from repro.net.latency import WAN_MEDIAN_MS
 
 __all__ = ["EquilibriumPrediction", "predict_equilibrium", "validate_result"]
 
@@ -46,7 +47,7 @@ class EquilibriumPrediction:
 
 def _think_time_s(config: ExperimentConfig) -> float:
     """Mean off-container time per brokering operation."""
-    wan_rtt = 0.0 if config.lan else 2.0 * config.wan_median_ms / 1000.0
+    wan_rtt = 0.0 if config.lan else 2.0 * WAN_MEDIAN_MS / 1000.0
     rtts = config.profile.query_rtts + 1  # protocol RTTs + the report RTT
     transfer = (0.0 if config.lan else
                 config.kb_transfer_s * config.site_state_kb * config.n_sites)

@@ -1,12 +1,12 @@
 """Per-link and per-node transport fault emulation.
 
-The global ``Network.loss_rate`` models an independently-lossy WAN;
-real outages are *structured* — one flapping PlanetLab path, one
+Real outages are *structured* — one flapping PlanetLab path, one
 overloaded node, one asymmetric cut.  :class:`TransportFaultModel` is
-the structured layer: the transport consults it once per message (when
-installed at all — ``Network.faults is None`` costs one attribute
-check) and gets back a :class:`Fate` saying whether the message is
-dropped and, per delivered copy, how much extra delay it suffers.
+the transport's one way to lose a message: the transport consults it
+once per message (when installed at all — ``Network.faults is None``
+costs one attribute check) and gets back a :class:`Fate` saying whether
+the message is dropped and, per delivered copy, how much extra delay it
+suffers.
 
 Rules compose:
 

@@ -33,7 +33,6 @@ from repro.net.latency import (
 from repro.net.topology import (
     BrokerTopology,
     assign_clients,
-    assign_clients_nearest,
     cross_pairs,
 )
 from repro.net.transport import Endpoint, Message, Network, RpcError, RpcTimeout
@@ -57,6 +56,5 @@ __all__ = [
     "RpcTimeout",
     "ServiceContainer",
     "assign_clients",
-    "assign_clients_nearest",
     "cross_pairs",
 ]

@@ -20,7 +20,11 @@ __all__ = [
     "ConstantLatency",
     "LanLatency",
     "PairwiseWanLatency",
+    "WAN_MEDIAN_MS",
 ]
+
+#: Median base one-way WAN latency every experiment runs with.
+WAN_MEDIAN_MS = 60.0
 
 
 class LatencyModel(ABC):
@@ -63,9 +67,9 @@ class PairwiseWanLatency(LatencyModel):
         Source of randomness (a named stream from ``RngRegistry``).
     median_ms:
         Median *base* one-way latency between two nodes.  PlanetLab
-        pings cluster around 40-80 ms; SOAP-payload-bearing messages
-        are effectively slower, so experiment configs use a higher
-        value (see ``repro.experiments.configs``).
+        pings cluster around 40-80 ms; every experiment runs with
+        :data:`WAN_MEDIAN_MS` (SOAP payload transfer is modelled
+        separately, by ``Network.kb_transfer_s``).
     sigma:
         Lognormal shape for the base latency draw (pair diversity).
     jitter_frac:
@@ -74,7 +78,8 @@ class PairwiseWanLatency(LatencyModel):
         implemented as base times a lognormal with unit median.
     """
 
-    def __init__(self, rng: np.random.Generator, median_ms: float = 60.0,
+    def __init__(self, rng: np.random.Generator,
+                 median_ms: float = WAN_MEDIAN_MS,
                  sigma: float = 0.6, jitter_sigma: float = 0.15):
         if median_ms <= 0:
             raise ValueError(f"median_ms must be > 0, got {median_ms}")

@@ -13,8 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["BrokerTopology", "assign_clients", "assign_clients_nearest",
-           "cross_pairs"]
+__all__ = ["BrokerTopology", "assign_clients", "cross_pairs"]
 
 _KINDS = ("mesh", "ring", "star", "line")
 
@@ -114,34 +113,3 @@ def assign_clients(clients: Sequence[Hashable], decision_points: Sequence[Hashab
     dps = list(decision_points)
     picks = rng.integers(0, len(dps), size=len(clients))
     return {c: dps[int(i)] for c, i in zip(clients, picks)}
-
-
-def assign_clients_nearest(clients: Sequence[Hashable],
-                           decision_points: Sequence[Hashable],
-                           latency, max_skew: int = 2
-                           ) -> dict[Hashable, Hashable]:
-    """Latency-aware assignment: each host binds to its nearest broker.
-
-    An alternative to the paper's random static assignment — hosts sort
-    decision points by measured base latency and take the closest one
-    whose load does not exceed the current minimum by more than
-    ``max_skew`` clients (so a popular corner of the WAN cannot starve
-    a broker of clients entirely).  ``latency`` is any
-    :class:`~repro.net.latency.LatencyModel` with stable per-pair bases.
-    """
-    if not decision_points:
-        raise ValueError("need at least one decision point")
-    if max_skew < 1:
-        raise ValueError("max_skew must be >= 1")
-    dps = list(decision_points)
-    loads = {d: 0 for d in dps}
-    base = getattr(latency, "base_latency", latency.sample)
-    out: dict[Hashable, Hashable] = {}
-    for c in clients:
-        ranked = sorted(dps, key=lambda d: base(c, d))
-        floor = min(loads.values())
-        chosen = next((d for d in ranked if loads[d] - floor < max_skew),
-                      ranked[0])
-        out[c] = chosen
-        loads[chosen] += 1
-    return out

@@ -188,25 +188,18 @@ class Network:
     """
 
     def __init__(self, sim: Simulator, latency: LatencyModel,
-                 kb_transfer_s: float = 0.0,
-                 loss_rate: float = 0.0, loss_rng=None):
+                 kb_transfer_s: float = 0.0):
         if kb_transfer_s < 0:
             raise ValueError("kb_transfer_s must be >= 0")
-        if not (0.0 <= loss_rate < 1.0):
-            raise ValueError("loss_rate must be in [0, 1)")
-        if loss_rate > 0.0 and loss_rng is None:
-            raise ValueError("loss_rate > 0 requires loss_rng")
         self.sim = sim
         self.latency = latency
         self.kb_transfer_s = kb_transfer_s
-        #: Independent per-message drop probability (lossy WAN).  A
+        #: Fault layer (``repro.faults``), the one way a message is
+        #: lost: when installed, consulted once per message for
+        #: per-link/per-node loss, extra delay, and duplication.  A
         #: dropped request or response simply never arrives; callers
         #: see their own timeouts, exactly as with a crashed peer.
-        self.loss_rate = loss_rate
-        self._loss_rng = loss_rng
-        #: Structured fault layer (``repro.faults``): when installed,
-        #: consulted once per message for per-link/per-node loss, extra
-        #: delay, and duplication.  ``None`` costs one attribute check.
+        #: ``None`` costs one attribute check.
         self.faults = None
         self.stats = NetworkStats()
         self._endpoints: dict[Hashable, Endpoint] = {}
@@ -219,14 +212,6 @@ class Network:
     def _recycle_expiry(self, expiry: _RpcExpiry) -> None:
         if len(self._expiry_pool) < 256:
             self._expiry_pool.append(expiry)
-
-    def _lost(self) -> bool:
-        if self.loss_rate == 0.0:
-            return False
-        lost = bool(self._loss_rng.random() < self.loss_rate)
-        if lost:
-            self.stats.dropped += 1
-        return lost
 
     def _fault_delays(self, msg: Message) -> Optional[tuple]:
         """Per-copy extra delays from the fault layer; ``None`` = dropped.
@@ -269,11 +254,6 @@ class Network:
                       trace_ctx=trace_ctx)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        if self._lost():
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("msg.drop", node=src, dst=str(dst), op=op,
-                                    kind="oneway", size_kb=size_kb)
-            return
         delays = self._fault_delays(msg)
         if delays is None:
             return
@@ -323,16 +303,11 @@ class Network:
                       trace_ctx=trace_ctx)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        request_lost = self._lost()
-        if not request_lost:
-            delays = self._fault_delays(msg)
-            if delays is None:
-                request_lost = True
-            else:
-                for extra in delays:
-                    self.sim.schedule(
-                        self._delivery_delay(msg) + extra,
-                        lambda: self._handle_request(msg, response_size_kb))
+        delays = self._fault_delays(msg)
+        for extra in delays or ():  # None: the request was dropped
+            self.sim.schedule(
+                self._delivery_delay(msg) + extra,
+                lambda: self._handle_request(msg, response_size_kb))
 
         if timeout is not None:
             pool = self._expiry_pool
@@ -340,7 +315,7 @@ class Network:
             expire.rpc_id = rpc_id
             expire.timeout_s = timeout
             pending.timeout_call = self.sim.schedule(timeout, expire)
-        elif request_lost:
+        elif delays is None:
             # No response will ever come and no timeout will reap the
             # entry — retire it now (the caller's event stays pending
             # forever, exactly like talking to a crashed peer).
@@ -432,13 +407,10 @@ class Network:
         if trace.verbose and trace.enabled:
             trace.emit("rpc.respond", node=request.dst, op=request.op,
                        rpc_id=request.rpc_id, ok=ok, size_kb=size_kb)
-        if self._lost():
-            # Dropped response: without a timeout nothing else would
-            # ever reap the caller's pending entry.
-            self._abandon_if_unreaped(resp.rpc_id, "response_dropped")
-            return
         delays = self._fault_delays(resp)
         if delays is None:
+            # Dropped response: without a timeout nothing else would
+            # ever reap the caller's pending entry.
             self._abandon_if_unreaped(resp.rpc_id, "response_dropped")
             return
         for extra in delays:

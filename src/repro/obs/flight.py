@@ -71,11 +71,11 @@ class FlightRecorder:
     armed recorder adds zero work to a healthy run.
     """
 
-    def __init__(self, built: Any, path: str = "",
+    def __init__(self, built: Any, path: str,
                  last_n_trace: int = 256, last_n_snapshots: int = 16,
                  last_n_violations: int = 32):
         self.built = built
-        self.path = path or f"flight-{built.config.seed}.json"
+        self.path = path
         self.last_n_trace = last_n_trace
         self.last_n_snapshots = last_n_snapshots
         self.last_n_violations = last_n_violations

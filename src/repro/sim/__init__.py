@@ -14,27 +14,21 @@ instances the callers already hold.
 """
 
 from repro.sim.kernel import (
-    AllOf,
     AnyOf,
     Event,
     Process,
-    ProcessKilled,
     ScheduledCall,
     Simulator,
 )
-from repro.sim.resources import Gate, Server, Store
+from repro.sim.resources import Server
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
-    "Gate",
     "Process",
-    "ProcessKilled",
     "RngRegistry",
     "ScheduledCall",
     "Server",
     "Simulator",
-    "Store",
 ]

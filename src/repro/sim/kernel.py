@@ -31,18 +31,12 @@ from repro.obs.trace import Tracer
 __all__ = [
     "Event",
     "AnyOf",
-    "AllOf",
     "Process",
-    "ProcessKilled",
     "ScheduledCall",
     "Simulator",
 ]
 
 _PENDING = object()
-
-
-class ProcessKilled(Exception):
-    """Failure value given to the termination event of a killed process."""
 
 
 class Event:
@@ -136,8 +130,11 @@ class Event:
         return f"<Event {self.name!r} {state}>"
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`.
+class AnyOf(Event):
+    """Succeeds as soon as any of the given events triggers.
+
+    The value is a dict mapping the triggered events (so far) to their
+    values; a failed child event fails the condition with its exception.
 
     Once the condition resolves it *detaches* from every still-pending
     child: otherwise a completed RPC's race against its timeout keeps
@@ -148,29 +145,6 @@ class _Condition(Event):
     """
 
     __slots__ = ("events",)
-
-    def _detach_pending(self) -> None:
-        for ev in self.events:
-            if ev.triggered:
-                continue
-            ev.remove_callback(self._on_child)
-            if not ev.callbacks and type(ev) is _Timeout:
-                # Unobservable loser timer: drop its heap entry now
-                # (re-armed transparently if a watcher appears later).
-                ev.call.cancel()
-
-    def _on_child(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as any of the given events triggers.
-
-    The value is a dict mapping the triggered events (so far) to their
-    values; a failed child event fails the condition with its exception.
-    """
-
-    __slots__ = ()
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, name="any_of")
@@ -190,32 +164,15 @@ class AnyOf(_Condition):
             self.fail(ev.value)
         self._detach_pending()
 
-
-class AllOf(_Condition):
-    """Succeeds once every given event has succeeded."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            self.succeed({})
-            return
+    def _detach_pending(self) -> None:
         for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            self._detach_pending()
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self.events})
+            if ev.triggered:
+                continue
+            ev.remove_callback(self._on_child)
+            if not ev.callbacks and type(ev) is _Timeout:
+                # Unobservable loser timer: drop its heap entry now
+                # (re-armed transparently if a watcher appears later).
+                ev.call.cancel()
 
 
 class ScheduledCall:
@@ -288,13 +245,12 @@ class Process(Event):
     the generator.
     """
 
-    __slots__ = ("gen", "_waiting_on", "_sleep")
+    __slots__ = ("gen", "_waiting_on")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
         self._waiting_on: Optional[Event] = None
-        self._sleep: Optional[ScheduledCall] = None
         # The simulator pins every live process (see Simulator._processes):
         # a process abandoned mid-wait (e.g. its wake-up event can never
         # fire) must stay suspended, NOT become cyclic garbage — the GC
@@ -319,10 +275,6 @@ class Process(Event):
             if self.sim.trace.enabled:
                 self.sim.trace.emit("process.finish", node=self.name)
             self.succeed(stop.value)
-            return
-        except ProcessKilled as killed:
-            self._trace_fail(killed)
-            self.fail(killed)
             return
         except Exception as err:
             self._trace_fail(err)
@@ -360,7 +312,7 @@ class Process(Event):
             delay = float(target)
             if delay < 0:
                 raise ValueError(f"negative timeout {delay}")
-            self._sleep = self.sim.schedule(delay, self._wake)
+            self.sim.schedule(delay, self._wake)
             return
         else:
             self._resume(
@@ -382,25 +334,7 @@ class Process(Event):
 
     def _wake(self) -> None:
         """Direct resume from a plain sleep."""
-        self._sleep = None
         self._resume(None, None)
-
-    def _cancel_sleep(self) -> None:
-        if self._sleep is not None:
-            self._sleep.cancel()
-            self._sleep = None
-
-    # -- external control ---------------------------------------------
-    def kill(self) -> None:
-        """Terminate the process without giving it a chance to clean up."""
-        if self.triggered:
-            return
-        self._waiting_on = None
-        self._cancel_sleep()
-        self.gen.close()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("process.kill", node=self.name)
-        self.fail(ProcessKilled(self.name))
 
     # -- unhandled-failure detection ------------------------------------
     def _dispatch(self) -> None:
@@ -411,8 +345,7 @@ class Process(Event):
         had_watchers = bool(self.callbacks)
         super()._dispatch()
         self.sim._processes.discard(self)
-        if (self.ok is False and not had_watchers
-                and not isinstance(self.value, ProcessKilled)):
+        if self.ok is False and not had_watchers:
             self.sim.metrics.counter("kernel.unhandled_failures").inc()
             if self.sim.trace.enabled:
                 self.sim.trace.emit(
@@ -469,8 +402,8 @@ class _Periodic:
                 self.next = self.sim.schedule(self.delay(self.interval),
                                               self.tick)
 
-    # Snapshots key heap entries by callable qualname (format v4); this
-    # is the name the tick has always had there.
+    # Snapshots key heap entries by callable qualname; this is the name
+    # the tick has always had there.
     tick.__qualname__ = "Simulator.every.<locals>.tick"
 
     def cancel(self) -> None:
@@ -605,9 +538,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def every(self, interval: float, fn: Callable[[], None],
               start: Optional[float] = None, jitter: float = 0.0,

@@ -1,4 +1,4 @@
-"""Queueing resources built on the kernel: servers, stores, gates.
+"""The queueing resource built on the kernel: a multi-server FIFO.
 
 :class:`Server` is the workhorse — the GT3/GT4 service-container model
 (`repro.net.container`) is a :class:`Server` whose capacity is the
@@ -9,11 +9,11 @@ growth the paper measures under load is exactly this queue filling up.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.kernel import Event, Simulator
 
-__all__ = ["Server", "Store", "Gate"]
+__all__ = ["Server"]
 
 
 class Server:
@@ -82,75 +82,3 @@ class Server:
     def utilization_snapshot(self) -> float:
         """Fraction of capacity currently in service."""
         return self.in_service / self.capacity
-
-
-class Store:
-    """An unbounded FIFO store of items with blocking ``get``.
-
-    Used for mailbox-style communication (e.g. a decision point's
-    inbound message queue in the transport layer).
-    """
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.sim.event(name=f"{self.name}.get")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-
-class Gate:
-    """A level-triggered condition: processes wait until it is open.
-
-    The dynamic-reconfiguration observer uses a gate to pause client
-    re-assignment while a new decision point is bootstrapping.
-    """
-
-    def __init__(self, sim: Simulator, open_: bool = False, name: str = "gate"):
-        self.sim = sim
-        self.name = name
-        self._open = open_
-        self._waiting: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        self._open = True
-        waiting, self._waiting = self._waiting, []
-        for ev in waiting:
-            ev.succeed(None)
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait(self) -> Event:
-        ev = self.sim.event(name=f"{self.name}.wait")
-        if self._open:
-            ev.succeed(None)
-        else:
-            self._waiting.append(ev)
-        return ev

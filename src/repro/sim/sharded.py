@@ -126,8 +126,7 @@ def hood_config(config: ExperimentConfig, hood: int) -> ExperimentConfig:
         checkpoint_every_s=0.0, checkpoint_dir="",
         trace_enabled=False, trace_path="",
         spans_enabled=False, spans_path="",
-        telemetry_enabled=False, telemetry_path="",
-        flight_enabled=False, flight_path="")
+        telemetry_enabled=False, telemetry_path="", flight_path="")
 
 
 class _Hood:

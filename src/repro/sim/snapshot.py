@@ -20,7 +20,7 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 4, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 5, "crc": ...},
      "snapshot": {...}}
 
 ``crc`` covers the canonical (sorted-keys, compact) JSON of the snapshot
@@ -67,9 +67,10 @@ SNAPSHOT_FORMAT = "digruber-snapshot"
 #: ``event_count`` does (v3: clients no longer execute one kernel event
 #: per arrival, so a v2 count would replay to the wrong boundary; v4:
 #: three observability knobs left ``ExperimentConfig`` and ``sinks``
-#: lists only streams that have a file).
+#: lists only streams that have a file; v5: seven settings no
+#: experiment changed became constants).
 #: :func:`newest_checkpoint` skips such files; a restore refuses them.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

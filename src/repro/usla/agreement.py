@@ -114,19 +114,6 @@ class Agreement:
         exp = self.context.expiration_s
         return exp is not None and now >= exp
 
-    def check_goals(self, observations: dict[str, float]) -> dict[str, bool]:
-        """Evaluate each goal against observed metric values.
-
-        Metrics absent from ``observations`` evaluate to ``False`` —
-        an unverifiable guarantee is treated as unmet, which is the
-        conservative reading for enforcement.
-        """
-        out = {}
-        for g in self.goals:
-            observed = observations.get(g.metric)
-            out[g.metric] = g.satisfied_by(observed) if observed is not None else False
-        return out
-
     # -- serialization ("simple schema") -------------------------------------
     def to_dict(self) -> dict:
         return {

@@ -68,21 +68,6 @@ class FairShareRule:
         return self.percent / 100.0
 
     # -- evaluation helpers -------------------------------------------------
-    def violated_by(self, usage_fraction: float, tolerance: float = 0.0) -> bool:
-        """Does an observed usage fraction violate this rule?
-
-        Targets are steering hints and are never *violated*; upper
-        limits are violated when exceeded, lower limits when the
-        provider failed to deliver the floor.
-        """
-        if usage_fraction < 0:
-            raise ValueError(f"usage fraction must be >= 0, got {usage_fraction}")
-        if self.kind is ShareKind.UPPER_LIMIT:
-            return usage_fraction > self.fraction + tolerance
-        if self.kind is ShareKind.LOWER_LIMIT:
-            return usage_fraction < self.fraction - tolerance
-        return False
-
     def headroom(self, usage_fraction: float) -> float:
         """Remaining entitlement before this rule binds.
 

@@ -103,15 +103,3 @@ class PolicyEngine:
         return PolicyDecision(False, headroom, binding,
                               f"over {binding.kind.name.lower()} "
                               f"{binding.percent:g}%")
-
-    def violations(self, provider: str,
-                   usage_by_consumer: dict[str, float],
-                   resource: ResourceType = ResourceType.CPU,
-                   tolerance: float = 0.0) -> list[tuple[FairShareRule, float]]:
-        """All (rule, observed) pairs violated by an observed usage map."""
-        out = []
-        for consumer, usage in usage_by_consumer.items():
-            for rule in self.rules_for(provider, consumer, resource):
-                if rule.violated_by(usage, tolerance=tolerance):
-                    out.append((rule, usage))
-        return out

@@ -16,7 +16,6 @@ tables — the input format shared by the metrics module and GRUB-SIM.
 from repro.workloads.generator import (
     HostWorkload,
     WorkloadGenerator,
-    workload_from_job_trace,
 )
 from repro.workloads.models import JobModel
 from repro.workloads.profiles import (ARRIVAL_PROFILES, ArrivalProfile,
@@ -35,5 +34,4 @@ __all__ = [
     "WorkloadGenerator",
     "arrival_profile",
     "arrival_profile_names",
-    "workload_from_job_trace",
 ]

@@ -224,37 +224,3 @@ class WorkloadGenerator:
                                   poisson=poisson, profile=profile)
             for h in hosts
         }
-
-
-def workload_from_job_trace(trace, host: str = "replay",
-                            user_suffix: str = "u0") -> HostWorkload:
-    """Rebuild a replayable :class:`HostWorkload` from a recorded trace.
-
-    Takes the job table of a :class:`~repro.workloads.trace.TraceRecorder`
-    (e.g. loaded via ``load_jobs_csv``) and reconstructs the submission
-    stream: creation times become arrivals; VO, CPU counts, and runtimes
-    are reproduced verbatim.  This is how a recorded run is replayed
-    against a different broker configuration (the trace-driven
-    counterpart to the synthetic generator; GRUB-SIM does the same with
-    query traces).
-    """
-    jobs = trace.job_arrays()
-    if len(jobs["jid"]) == 0:
-        raise ValueError("trace contains no jobs to replay")
-    created = jobs["created_at"]
-    keep = ~np.isnan(created)
-    order = np.argsort(created[keep], kind="stable")
-
-    def col(name):
-        return jobs[name][keep][order]
-
-    vos, picks = np.unique(col("vo").astype(str), return_inverse=True)
-    identities = tuple((str(v), f"{v}-g0", f"{v}-{user_suffix}") for v in vos)
-    return HostWorkload(
-        host=host,
-        arrivals=col("created_at").astype(np.float64),
-        identity=_identity_column(picks, len(identities)),
-        identities=identities,
-        cpus=col("cpus").astype(np.int64),
-        durations=col("duration_s").astype(np.float64),
-    )

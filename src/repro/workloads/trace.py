@@ -17,7 +17,6 @@ vectorize-the-post-processing guidance in the HPC guides.
 
 from __future__ import annotations
 
-import csv
 from typing import Optional
 
 import numpy as np
@@ -125,29 +124,3 @@ class TraceRecorder:
             "queue_time_s": np.asarray(cols[11], dtype=np.float64),
             "failed": np.asarray(cols[12], dtype=bool),
         }
-
-    # -- persistence (workload replay reads saved job tables) ----------------
-    def save_jobs_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(JOB_FIELDS)
-            writer.writerows(self._jobs)
-
-    @staticmethod
-    def load_jobs_csv(path: str) -> "TraceRecorder":
-        """Load a saved job table (offline analysis / workload replay)."""
-        rec = TraceRecorder()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != JOB_FIELDS:
-                raise ValueError(f"unexpected job-trace header {header!r}")
-            for row in reader:
-                rec._jobs.append((
-                    int(row[0]), row[1],
-                    float(row[2]), float(row[3]), float(row[4]), float(row[5]),
-                    int(row[6]), float(row[7]), row[8],
-                    row[9] == "True", float(row[10]), float(row[11]),
-                    row[12] == "True",
-                ))
-        return rec

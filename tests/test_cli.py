@@ -122,7 +122,7 @@ FLIGHT_FIXTURE = "tests/fixtures/flight_smoke.json"
 
 class TestTopCommand:
     def test_replay_renders_committed_diurnal_timeline(self, capsys):
-        rc = main(["top", TIMELINE_FIXTURE, "--replay", "--once"])
+        rc = main(["top", TIMELINE_FIXTURE, "--once"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "digruber top — timeline-10x-diurnal" in out
@@ -178,7 +178,7 @@ _ARTIFACT_COMMANDS = {
     "trace-critical-path": ["trace", "critical-path", "{path}", "1"],
     "trace-slowest": ["trace", "slowest", "{path}"],
     "trace-export-chrome": ["trace", "export-chrome", "{path}", "{out}"],
-    "top-replay": ["top", "{path}", "--replay", "--once"],
+    "top-replay": ["top", "{path}", "--once"],
     "top-follow": ["top", "{path}", "--follow", "--poll", "0.001",
                    "--idle", "1"],
 }
@@ -245,6 +245,35 @@ class TestBadRunInput:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestRestoreRefusesExperimentFlags:
+    """``run --restore`` takes the run's config from the snapshot, so an
+    experiment flag given with it would be silently ignored: one
+    ``error:`` line naming each such flag, exit 2, nothing run."""
+
+    @pytest.mark.parametrize("extra,dropped", [
+        ([], "--dps --chaos"),
+        (["--shards", "2", "--shard-workers"],
+         "--dps --chaos --shard-workers"),
+    ], ids=["monolithic", "sharded"])
+    def test_exits_2_naming_the_ignored_flags(self, tmp_path, capsys,
+                                              extra, dropped):
+        from repro.experiments.configs import smoke_config
+        from repro.experiments.runner import build_experiment
+        from repro.sim.snapshot import (checkpoint_filename,
+                                        snapshot_experiment, write_snapshot)
+        built = build_experiment(smoke_config(n_clients=4, duration_s=120.0))
+        built.sim.run(until=60.0)
+        path = write_snapshot(snapshot_experiment(built), str(
+            tmp_path / checkpoint_filename(60.0, built.sim.events_executed)))
+        argv = ["run", "--restore", path, *extra, "--dps", "5", "--chaos",
+                "flaky_dp", "--obs"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --restore takes the run's config "
+                                f"from the snapshot; drop {dropped}\n")
 
 
 class TestRestoreFlightRecorder:

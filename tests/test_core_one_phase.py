@@ -85,13 +85,12 @@ class TestOnePhaseProtocol:
 
     def test_server_side_selector_follows_config(self):
         """Regression: the decision point hard-coded LeastUsed(0.85), so
-        ``selector`` / ``selector_spread`` silently did nothing in
-        one-phase runs.  The defaults stay what the hard-coding was."""
+        ``selector`` silently did nothing in one-phase runs.  The
+        default stays what the hard-coding was."""
         default = self._placements()
-        assert default == self._placements(selector="least_used",
-                                           selector_spread=0.85)
+        assert default == self._placements(selector="least_used")
         assert default != self._placements(selector="round_robin")
-        assert default != self._placements(selector_spread=1.0)
+        assert default != self._placements(selector="lru")
 
     def test_lan_config_runs(self):
         res = run_experiment(smoke_config(n_clients=6, duration_s=200.0,

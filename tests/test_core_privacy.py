@@ -8,7 +8,7 @@ from repro.grid import GridBuilder, VORegistry
 from repro.net import ConstantLatency, GT3_PROFILE, Network
 from repro.sim import RngRegistry, Simulator
 from repro.usla import Agreement, AgreementContext
-from repro.workloads import JobModel, TraceRecorder, WorkloadGenerator
+from repro.workloads import JobModel, WorkloadGenerator
 
 
 @pytest.fixture
@@ -113,32 +113,3 @@ class TestDiurnalWorkload:
         gen = self._gen()
         with pytest.raises(ValueError):
             gen.host_workload("h", duration_s=10.0, diurnal_amplitude=1.0)
-
-
-class TestJobCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        from repro.grid import Job
-        rec = TraceRecorder()
-        j = Job(vo="v", group="g", user="u", cpus=2, duration_s=50.0)
-        j.mark_created(0.0)
-        j.mark_dispatched(1.0, "siteZ")
-        j.mark_running(2.0)
-        j.mark_completed(52.0)
-        j.handled_by_gruber = True
-        j.scheduling_accuracy = 0.75
-        rec.record_job(j)
-        path = str(tmp_path / "jobs.csv")
-        rec.save_jobs_csv(path)
-        loaded = TraceRecorder.load_jobs_csv(path)
-        a, b = rec.job_arrays(), loaded.job_arrays()
-        for col in ("jid", "cpus", "handled", "failed"):
-            assert np.array_equal(a[col], b[col])
-        for col in ("created_at", "completed_at", "accuracy", "queue_time_s"):
-            assert np.allclose(a[col], b[col], equal_nan=True)
-        assert b["site"][0] == "siteZ"
-
-    def test_bad_header_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("nope\n")
-        with pytest.raises(ValueError):
-            TraceRecorder.load_jobs_csv(str(p))

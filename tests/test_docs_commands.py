@@ -4,11 +4,16 @@ Invocations are taken from fenced blocks and inline code spans of
 README.md, EXPERIMENTS.md and DESIGN.md and handed to
 ``build_parser().parse_args`` — parsed, never executed.  A two-word
 span (`` `digruber top` ``) names a command rather than invoking it and
-only has to name one that exists.
+only has to name one that exists.  A case is keyed by its document and
+command text, so editing a document elsewhere never renames it; the
+id leads with a short digest of that key, so two long commands that
+share a prefix still differ in the first few dozen characters.
 """
 
+import hashlib
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,42 +27,44 @@ DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 PLACEHOLDERS = {"N": "1", "<name>": "observers"}
 
 
-def _logical_lines(block, first_line):
+def _logical_lines(block):
     """Fenced-block lines with ``\\`` continuations joined."""
-    pending, start = "", first_line
-    for offset, line in enumerate(block.split("\n")):
-        if not pending:
-            start = first_line + offset
+    pending = ""
+    for line in block.split("\n"):
         if line.rstrip().endswith("\\"):
             pending += line.rstrip()[:-1] + " "
             continue
-        yield start, pending + line
+        yield pending + line
         pending = ""
 
 
 def _invocations(doc):
-    """``(line number, command text)`` for every ``digruber`` mention."""
+    """The command text of every ``digruber`` mention, in order."""
     text = (REPO / doc).read_text()
     fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
     for m in fence.finditer(text):
-        first = text.count("\n", 0, m.start(1)) + 1
-        for lineno, line in _logical_lines(m.group(1), first):
+        for line in _logical_lines(m.group(1)):
             line = line.strip().removeprefix("$ ")
             if line.startswith("digruber "):
                 # Drop the trailing comment and anything the shell,
                 # not digruber, would consume.
-                yield lineno, re.split(r"\s#|\s[&|>;]", line)[0]
-    prose = fence.sub(lambda m: "\n" * m.group(0).count("\n"), text)
-    for m in re.finditer(r"`([^`]+)`", prose):
+                yield " ".join(re.split(r"\s#|\s[&|>;]", line)[0].split())
+    for m in re.finditer(r"`([^`]+)`", fence.sub("", text)):
         span = " ".join(m.group(1).split())
         if span.startswith("digruber "):
-            yield prose.count("\n", 0, m.start()) + 1, span
+            yield span
 
 
 def _cases():
     for doc in DOCS:
-        for lineno, command in _invocations(doc):
-            yield pytest.param(command, id="%s:%d" % (doc, lineno))
+        seen = Counter()
+        for command in _invocations(doc):
+            # The n-th repeat of a command in a document is "command #n".
+            seen[command] += 1
+            key = command if seen[command] == 1 else "%s #%d" % (
+                command, seen[command])
+            digest = hashlib.sha1(key.encode()).hexdigest()[:8]
+            yield pytest.param(command, id="%s:%s:%s" % (doc, digest, key))
 
 
 def test_docs_mention_the_cli():

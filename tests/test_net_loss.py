@@ -1,8 +1,14 @@
-"""Tests for lossy-WAN behavior (message drops)."""
+"""Tests for lossy-WAN behavior (message drops).
+
+The fault layer is the one way a message is lost: a
+:class:`~repro.faults.netem.TransportFaultModel` with a per-link
+``LinkFault(loss=…)`` drops each message independently.
+"""
 
 import pytest
 
 from repro.experiments import smoke_config, run_experiment
+from repro.faults.netem import LinkFault, TransportFaultModel
 from repro.net import ConstantLatency, Endpoint, Network
 from repro.sim import RngRegistry, Simulator
 
@@ -12,32 +18,34 @@ def sim():
     return Simulator()
 
 
-def lossy_net(sim, rate, seed=0):
-    return Network(sim, ConstantLatency(0.01), loss_rate=rate,
-                   loss_rng=RngRegistry(seed).stream("loss"))
+def lossy_net(sim, rate, a, b, seed=0):
+    """A network whose ``a``-``b`` link drops messages at ``rate``."""
+    net = Network(sim, ConstantLatency(0.01))
+    net.faults = TransportFaultModel(sim, RngRegistry(seed).stream("loss"))
+    net.faults.set_link(a, b, LinkFault(loss=rate))
+    return net
 
 
 class TestLossMechanics:
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Network(sim, ConstantLatency(0.01), loss_rate=1.0,
-                    loss_rng=RngRegistry(0).stream("l"))
-        with pytest.raises(ValueError):
-            Network(sim, ConstantLatency(0.01), loss_rate=0.5)  # no rng
+    def test_validation(self):
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="loss"):
+                LinkFault(loss=bad)
 
     def test_zero_loss_never_drops(self, sim):
-        net = Network(sim, ConstantLatency(0.01))
+        net = lossy_net(sim, rate=0.0, a="c", b="s")
         Endpoint(net, "c")
         srv = Endpoint(net, "s")
         srv.register_handler("e", lambda p, s: p)
         for i in range(50):
             net.rpc("c", "s", "e", i)
         sim.run()
+        assert net.faults.n_rules == 0  # a no-op rule is never installed
         assert net.stats.dropped == 0
         assert net.stats.rpcs_completed == 50
 
     def test_half_loss_fails_many_rpcs_by_timeout(self, sim):
-        net = lossy_net(sim, rate=0.5)
+        net = lossy_net(sim, rate=0.5, a="c", b="s")
         Endpoint(net, "c")
         srv = Endpoint(net, "s")
         srv.register_handler("e", lambda p, s: p)
@@ -50,9 +58,10 @@ class TestLossMechanics:
         # Both legs must survive: P ~ 0.25.
         assert 0.15 < completed / 200 < 0.40
         assert net.stats.dropped > 100
+        assert net.stats.dropped == net.faults.dropped
 
     def test_dropped_oneway_vanishes(self, sim):
-        net = lossy_net(sim, rate=0.999999, seed=3)
+        net = lossy_net(sim, rate=1.0, a="a", b="b", seed=3)
         Endpoint(net, "a")
 
         class Sink(Endpoint):
@@ -68,17 +77,27 @@ class TestLossMechanics:
             net.send_oneway("a", "b", "x", None)
         sim.run()
         assert sink.got == 0
+        assert net.stats.dropped == 20
+
+
+def _lossy_decision_points(sim, deployment, network, rng, **_):
+    """Deployment hook: 15 % of the messages touching any DP are lost."""
+    network.faults = TransportFaultModel(sim, rng.stream("loss"))
+    for dp_id in deployment.dp_ids:
+        network.faults.set_node(dp_id, LinkFault(loss=0.15))
 
 
 class TestEndToEndUnderLoss:
     def test_brokering_degrades_gracefully(self):
         """With a lossy WAN the system keeps placing jobs: lost
         queries become timeout fallbacks, not stuck clients."""
-        clean = run_experiment(smoke_config(n_clients=10, duration_s=400.0))
-        lossy = run_experiment(smoke_config(n_clients=10, duration_s=400.0,
-                                            wan_loss_rate=0.15))
+        config = smoke_config(n_clients=10, duration_s=400.0)
+        clean = run_experiment(config)
+        lossy = run_experiment(config,
+                               deployment_hook=_lossy_decision_points)
         fb_clean = clean.client_fallbacks()
         fb_lossy = lossy.client_fallbacks()
+        assert lossy.network.faults.dropped > 0
         # Loss converts handled operations into timeouts...
         assert fb_lossy["timeout"] > fb_clean["timeout"]
         assert fb_lossy["handled"] < fb_clean["handled"]

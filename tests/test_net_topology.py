@@ -151,60 +151,3 @@ class TestAssignClients:
     def test_no_dps_rejected(self):
         with pytest.raises(ValueError):
             assign_clients(["c"], [], RngRegistry(0).stream("assign"))
-
-
-class TestAssignClientsNearest:
-    def _model(self, seed=4):
-        from repro.net import PairwiseWanLatency
-        return PairwiseWanLatency(RngRegistry(seed).stream("wan"))
-
-    def test_every_client_assigned(self):
-        from repro.net import assign_clients_nearest
-        mapping = assign_clients_nearest(
-            [f"c{i}" for i in range(30)], ["d1", "d2", "d3"], self._model())
-        assert len(mapping) == 30
-        assert set(mapping.values()) == {"d1", "d2", "d3"}
-
-    def test_load_skew_bounded(self):
-        from repro.net import assign_clients_nearest
-        mapping = assign_clients_nearest(
-            [f"c{i}" for i in range(31)], ["d1", "d2", "d3"],
-            self._model(), max_skew=2)
-        counts = [sum(1 for v in mapping.values() if v == d)
-                  for d in ("d1", "d2", "d3")]
-        assert max(counts) - min(counts) <= 2
-
-    def test_prefers_nearest_when_unconstrained(self):
-        from repro.net import assign_clients_nearest
-        model = self._model()
-        mapping = assign_clients_nearest(
-            ["lonely"], ["d1", "d2", "d3"], model, max_skew=10)
-        best = min(("d1", "d2", "d3"),
-                   key=lambda d: model.base_latency("lonely", d))
-        assert mapping["lonely"] == best
-
-    def test_deterministic(self):
-        from repro.net import assign_clients_nearest
-        clients = [f"c{i}" for i in range(12)]
-        m1 = assign_clients_nearest(clients, ["a", "b"], self._model(7))
-        m2 = assign_clients_nearest(clients, ["a", "b"], self._model(7))
-        assert m1 == m2
-
-    def test_validation(self):
-        from repro.net import assign_clients_nearest
-        with pytest.raises(ValueError):
-            assign_clients_nearest(["c"], [], self._model())
-        with pytest.raises(ValueError):
-            assign_clients_nearest(["c"], ["d"], self._model(), max_skew=0)
-
-    def test_nearest_config_runs_end_to_end(self):
-        from repro.experiments import smoke_config, run_experiment
-        res = run_experiment(smoke_config(
-            n_clients=8, duration_s=150.0, decision_points=2,
-            client_assignment="nearest"))
-        assert res.n_jobs > 0
-
-    def test_unknown_assignment_rejected(self):
-        from repro.experiments import smoke_config
-        with pytest.raises(ValueError):
-            smoke_config(client_assignment="alphabetical")

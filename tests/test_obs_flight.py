@@ -58,7 +58,6 @@ class TestDumpOnAbort:
             duration_s=600.0, n_clients=4,
             check_enabled=True, check_strict=True,
             check_interval_s=60.0,
-            flight_enabled=True,
             flight_path=str(tmp_path / "flight.json"),
             **overrides)
 
@@ -103,7 +102,6 @@ class TestDumpOnAbort:
 
     def test_healthy_run_leaves_no_dump(self, tmp_path):
         config = smoke_config(duration_s=120.0, n_clients=2,
-                              flight_enabled=True,
                               flight_path=str(tmp_path / "flight.json"))
         run_experiment(config)
         assert not (tmp_path / "flight.json").exists()
@@ -220,7 +218,6 @@ class TestRestoredRunAbort:
             trace_enabled=True, trace_path=str(tmp_path / "trace.jsonl"),
             telemetry_enabled=True, telemetry_interval_s=30.0,
             telemetry_path=str(tmp_path / "timeline.jsonl"),
-            flight_enabled=True,
             flight_path=str(tmp_path / "flight.json"))
 
         # The crash event must ride BOTH legs: a hook that schedules
@@ -282,11 +279,20 @@ class TestRecorderEdges:
         assert rec.dumped_to is None
 
     def test_default_path_embeds_seed(self):
-        config = smoke_config(duration_s=60.0, n_clients=2)
+        """A bare ``--flight`` names the dump ``flight-<seed>.json``; a
+        config's ``flight_path`` alone arms the recorder."""
+        from repro.cli import _base_config, _obs_overrides, build_parser
         from repro.experiments.runner import build_experiment
-        built = build_experiment(config)
-        rec = FlightRecorder(built)
-        assert rec.path == f"flight-{config.seed}.json"
+        for argv, seed in ((["run", "--flight"], 20050101),
+                           (["run", "--seed", "42", "--flight"], 42)):
+            args = build_parser().parse_args(argv)
+            _, overrides = _base_config(args)
+            assert _obs_overrides(args, overrides["seed"]) == {
+                "flight_path": f"flight-{seed}.json"}
+        config = smoke_config(duration_s=60.0, n_clients=2)
+        assert build_experiment(config).flight is None
+        armed = build_experiment(config.with_(flight_path="f.json"))
+        assert armed.flight.path == "f.json"
 
     def test_load_flight_rejects_non_flight_json(self, tmp_path):
         p = tmp_path / "x.json"

@@ -17,6 +17,7 @@ Each test encodes a pre-fix failure mode and fails on the old code:
 import pytest
 
 from repro.core import DispatchRecord, GridStateView, GruberEngine
+from repro.faults.netem import LinkFault, TransportFaultModel
 from repro.net import ConstantLatency, Endpoint, Network, RpcTimeout
 from repro.sim import Simulator
 from repro.usla import (
@@ -118,6 +119,15 @@ class _ScriptedRng:
 
 
 class TestRpcBookkeeping:
+    @staticmethod
+    def _lossy_net(sim, draws):
+        """The a-b link loses a message whenever its scripted draw is
+        below 0.5 (the fault layer: the one way a message is lost)."""
+        net = Network(sim, ConstantLatency(0.1))
+        net.faults = TransportFaultModel(sim, _ScriptedRng(draws))
+        net.faults.set_link("a", "b", LinkFault(loss=0.5))
+        return net
+
     def _echo_pair(self, net):
         Endpoint(net, "a")
         server = Endpoint(net, "b")
@@ -147,8 +157,7 @@ class TestRpcBookkeeping:
         assert net._pending_rpcs == {}
 
     def test_lost_request_without_timeout_reaped(self, sim):
-        net = Network(sim, ConstantLatency(0.1), loss_rate=0.5,
-                      loss_rng=_ScriptedRng([0.0]))  # request dropped
+        net = self._lossy_net(sim, [0.0])  # request dropped
         self._echo_pair(net)
         ev = net.rpc("a", "b", "echo", 1)
         sim.run()
@@ -158,8 +167,7 @@ class TestRpcBookkeeping:
         assert net.stats.rpcs_failed == 1
 
     def test_lost_response_without_timeout_reaped(self, sim):
-        net = Network(sim, ConstantLatency(0.1), loss_rate=0.5,
-                      loss_rng=_ScriptedRng([0.9, 0.0]))  # response dropped
+        net = self._lossy_net(sim, [0.9, 0.0])  # response dropped
         self._echo_pair(net)
         ev = net.rpc("a", "b", "echo", 1)
         sim.run()
@@ -177,8 +185,7 @@ class TestRpcBookkeeping:
         assert net.stats.rpcs_lost == 1
 
     def test_lost_response_with_timeout_not_double_counted(self, sim):
-        net = Network(sim, ConstantLatency(0.1), loss_rate=0.5,
-                      loss_rng=_ScriptedRng([0.9, 0.0]))
+        net = self._lossy_net(sim, [0.9, 0.0])
         self._echo_pair(net)
         ev = net.rpc("a", "b", "echo", 1, timeout=5.0)
         sim.run()

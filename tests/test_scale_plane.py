@@ -33,11 +33,11 @@ class TestConditionDetach:
         assert slow_ev.call.cancelled
         assert slow_ev.callbacks == []
 
-    def test_allof_detaches_on_failure(self):
+    def test_anyof_detaches_on_failure(self):
         sim = Simulator()
         ev = sim.event()
         pending = sim.timeout(1000.0)
-        combo = sim.all_of([ev, pending])
+        combo = sim.any_of([ev, pending])
         combo.add_callback(lambda e: None)
         ev.fail(RuntimeError("boom"))
         sim.run(until=1.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, ProcessKilled, Simulator
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -156,21 +156,6 @@ class TestConditions:
         sim.run()
         assert cond.ok is False and isinstance(cond.value, ValueError)
 
-    def test_all_of_waits_for_all(self, sim):
-        evs = [sim.timeout(t) for t in (1.0, 2.0, 3.0)]
-        cond = sim.all_of(evs)
-        done_at = []
-        cond.add_callback(lambda e: done_at.append(sim.now))
-        sim.run()
-        assert done_at == [3.0]
-
-    def test_all_of_failure_short_circuits(self, sim):
-        a = sim.event()
-        cond = sim.all_of([a, sim.timeout(10.0)])
-        a.fail(KeyError("k"))
-        sim.run()
-        assert cond.ok is False
-
 
 class TestProcesses:
     def test_process_sleeps(self, sim):
@@ -243,15 +228,6 @@ class TestProcesses:
         p = sim.process(parent())
         sim.run()
         assert p.value == 100 and sim.now == 3.0
-
-    def test_kill(self, sim):
-        def proc():
-            yield 100.0
-
-        p = sim.process(proc())
-        sim.schedule(1.0, p.kill)
-        sim.run()
-        assert p.ok is False and isinstance(p.value, ProcessKilled)
 
     def test_bad_yield_type_fails_process(self, sim):
         def proc():

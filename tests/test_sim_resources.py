@@ -1,8 +1,8 @@
-"""Unit tests for Server / Store / Gate queueing resources."""
+"""Unit tests for the Server queueing resource."""
 
 import pytest
 
-from repro.sim import Gate, Server, Simulator, Store
+from repro.sim import Server, Simulator
 
 
 @pytest.fixture
@@ -103,70 +103,3 @@ class TestServer:
         srv.acquire()
         srv.acquire()
         assert srv.utilization_snapshot() == 0.5
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        st = Store(sim)
-        st.put("x")
-        ev = st.get()
-        assert ev.triggered and ev.value == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        st = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield st.get()
-            got.append((sim.now, item))
-
-        sim.process(consumer())
-        sim.schedule(5.0, lambda: st.put("late"))
-        sim.run()
-        assert got == [(5.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        st = Store(sim)
-        for i in range(3):
-            st.put(i)
-        assert [st.get().value for _ in range(3)] == [0, 1, 2]
-
-    def test_waiting_getters_fifo(self, sim):
-        st = Store(sim)
-        order = []
-        st.get().add_callback(lambda e: order.append(("first", e.value)))
-        st.get().add_callback(lambda e: order.append(("second", e.value)))
-        st.put("a")
-        st.put("b")
-        sim.run()
-        assert order == [("first", "a"), ("second", "b")]
-
-    def test_try_get(self, sim):
-        st = Store(sim)
-        assert st.try_get() is None
-        st.put(1)
-        assert st.try_get() == 1
-        assert len(st) == 0
-
-
-class TestGate:
-    def test_closed_gate_blocks(self, sim):
-        g = Gate(sim)
-        ev = g.wait()
-        assert not ev.triggered
-
-    def test_open_gate_passes(self, sim):
-        g = Gate(sim, open_=True)
-        assert g.wait().triggered
-
-    def test_open_releases_all_waiters(self, sim):
-        g = Gate(sim)
-        evs = [g.wait() for _ in range(3)]
-        g.open()
-        sim.run()
-        assert all(e.triggered for e in evs)
-
-    def test_reclose(self, sim):
-        g = Gate(sim, open_=True)
-        g.close()
-        assert not g.wait().triggered

@@ -113,7 +113,7 @@ def _legacy_write(snapshot, path):
     order with default separators."""
     body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
     crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    doc = {"meta": {"format": "digruber-snapshot", "version": 4, "crc": crc},
+    doc = {"meta": {"format": "digruber-snapshot", "version": 5, "crc": crc},
            "snapshot": snapshot}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
@@ -246,6 +246,24 @@ def _restamp_as_v3(path):
     _restamp(doc, path, version=3)
 
 
+#: The settings v4 checkpoints carry and this build fixed as constants
+#: (the paper's static random assignment, PlanetLab WAN and one-second
+#: cadence; the least-used spread; one drop path; a path arms the
+#: flight recorder).
+_RETIRED_V4 = {"client" + "_assignment": "random",
+               "wan" + "_median_ms": 60.0, "wan" + "_sigma": 0.6,
+               "wan" + "_loss_rate": 0.0, "inter" + "arrival_s": 1.0,
+               "selector" + "_spread": 0.85, "flight" + "_enabled": False}
+
+
+def _restamp_as_v4(path):
+    """Rewrite a checkpoint the way the last v4 build wrote it: the
+    seven retired settings in the embedded config, a valid CRC."""
+    doc = json.loads(open(path).read())
+    doc["snapshot"]["config"].update(_RETIRED_V4)
+    _restamp(doc, path, version=4)
+
+
 def _restamp_as_v2(path):
     """Rewrite a checkpoint the way the last v2 build wrote it: every
     client section carries the backlog as a list of workload indices
@@ -300,7 +318,7 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 4" in err
+        assert "snapshot version 1" in err and "reads version 5" in err
 
     def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
         """A v2 file's ``event_count`` includes one wake-up per arrival
@@ -311,7 +329,7 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v2(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 2.*reads version 4"):
+                           match="snapshot version 2.*reads version 5"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError, match="snapshot version 2"):
@@ -330,12 +348,38 @@ class TestStaleCheckpoints:
         _restamp_as_v3(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError,
-                           match="snapshot version 3.*reads version 4"):
+                           match="snapshot version 3.*reads version 5"):
             resume_experiment(path)
         assert main(["run", "--restore", path]) == 2
         config = json.loads(open(path).read())["snapshot"]["config"]
         with pytest.raises(SnapshotError, match="unknown fields: "
                            + ", ".join(sorted(_RETIRED_V3))):
+            decode_config(config)
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                             ids=["monolithic", "sharded"])
+    def test_v4_checkpoint_with_retired_settings_is_refused_by_name(
+            self, tmp_path, capsys, extra):
+        """A v4 file embeds the seven settings that became constants:
+        refused by version when read, skipped when picking a restore
+        candidate, one ``error:`` line from ``run --restore`` (either
+        runtime) — and, were the version check ever bypassed, refused
+        by field name."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v4(path)
+        with pytest.raises(SnapshotError,
+                           match="snapshot version 4.*reads version 5"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        assert main(["run", "--restore", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot version 4" in err and "reads version 5" in err
+        config = json.loads(open(path).read())["snapshot"]["config"]
+        with pytest.raises(SnapshotError, match="unknown fields: "
+                           + ", ".join(sorted(_RETIRED_V4))):
             decode_config(config)
 
     def test_campaign_reruns_cells_whose_checkpoints_are_stale(

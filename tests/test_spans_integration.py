@@ -171,11 +171,11 @@ class TestSpanProperties:
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=1, max_value=2 ** 31 - 1),
-           loss=st.sampled_from([0.0, 0.05, 0.2]))
-    def test_span_intervals_nest_and_links_are_acyclic(self, seed, loss):
+           chaos=st.sampled_from(["", "flaky_dp", "dup_reorder"]))
+    def test_span_intervals_nest_and_links_are_acyclic(self, seed, chaos):
         config = smoke_config(decision_points=2, n_clients=5,
                               duration_s=900.0, sync_interval_s=120.0,
-                              wan_loss_rate=loss, seed=seed,
+                              chaos_scenario=chaos, seed=seed,
                               spans_enabled=True)
         result = run_experiment(config)
         spans = [s.to_dict() for s in result.sim.spans.spans()]

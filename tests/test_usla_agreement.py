@@ -58,11 +58,6 @@ class TestGoals:
         with pytest.raises(ValueError):
             Goal("m", "!=", 0.5)
 
-    def test_check_goals_missing_metric_is_unmet(self):
-        ag = make_agreement()
-        assert ag.check_goals({}) == {"utilization": False}
-        assert ag.check_goals({"utilization": 0.7}) == {"utilization": True}
-
 
 class TestRecursion:
     def test_all_rules_flattens_tree(self):

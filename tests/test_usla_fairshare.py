@@ -30,26 +30,6 @@ class TestFairShareRule:
         with pytest.raises(ValueError):
             FairShareRule("grid", "", 10.0)
 
-    def test_target_never_violated(self):
-        r = FairShareRule("grid", "v", 25.0, ShareKind.TARGET)
-        assert not r.violated_by(0.99)
-
-    def test_upper_limit_violation(self):
-        r = FairShareRule("grid", "v", 25.0, ShareKind.UPPER_LIMIT)
-        assert r.violated_by(0.30)
-        assert not r.violated_by(0.25)
-        assert not r.violated_by(0.30, tolerance=0.10)
-
-    def test_lower_limit_violation(self):
-        r = FairShareRule("grid", "v", 25.0, ShareKind.LOWER_LIMIT)
-        assert r.violated_by(0.10)
-        assert not r.violated_by(0.25)
-
-    def test_negative_usage_rejected(self):
-        r = FairShareRule("grid", "v", 25.0)
-        with pytest.raises(ValueError):
-            r.violated_by(-0.1)
-
     def test_headroom(self):
         upper = FairShareRule("grid", "v", 40.0, ShareKind.UPPER_LIMIT)
         assert upper.headroom(0.25) == pytest.approx(0.15)
@@ -140,6 +120,7 @@ def test_format_parse_roundtrip(rule):
 
 @given(rule_strategy, st.floats(min_value=0, max_value=2, allow_nan=False))
 def test_headroom_sign_consistent_with_violation(rule, usage):
-    """Negative headroom on an upper limit implies violation and vice versa."""
+    """Negative headroom on an upper limit means usage exceeds it, and
+    vice versa."""
     if rule.kind is ShareKind.UPPER_LIMIT:
-        assert (rule.headroom(usage) < 0) == rule.violated_by(usage)
+        assert (rule.headroom(usage) < 0) == (usage > rule.fraction)

@@ -108,19 +108,3 @@ class TestPolicyProperties:
         d_high = engine.check_admission("g", "v", usage + 0.1, 0.05)
         if not d_low.allowed:
             assert not d_high.allowed
-
-
-class TestViolations:
-    def test_violations_detected(self, engine):
-        v = engine.violations("grid", {"cms": 0.35, "atlas": 0.5, "cdf": 0.05})
-        violated = {(r.consumer, r.kind) for r, _ in v}
-        # cms exceeded its upper limit; cdf fell below its floor; atlas's
-        # target is advisory.
-        assert violated == {("cms", ShareKind.UPPER_LIMIT),
-                            ("cdf", ShareKind.LOWER_LIMIT)}
-
-    def test_no_violations_when_within(self, engine):
-        assert engine.violations("grid", {"cms": 0.30, "cdf": 0.10}) == []
-
-    def test_tolerance(self, engine):
-        assert engine.violations("grid", {"cms": 0.31}, tolerance=0.02) == []
