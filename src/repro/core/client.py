@@ -89,6 +89,10 @@ class GruberClient(Endpoint):
         self._next = 0
         self._peak = 0  # deepest backlog any pump has seen
         self._timer: Optional[ScheduledCall] = None  # the one arrival timer
+        #: The brokering operation in flight (paper path): job, start,
+        #: spans, queried DP, RPC handle and the one race timer.
+        self._job, self._t0 = None, 0.0
+        self._root = self._bspan = self._dp = self._rpc = self._race = None
         self._started = False
         self.n_handled = 0
         self.n_fallback_timeout = 0
@@ -182,7 +186,7 @@ class GruberClient(Endpoint):
 
         Jobs enter the host backlog (paper state 1: "submitted by a user
         to a submission host") and are brokered one at a time.  A busy
-        channel needs no event — its ``finally`` pumps again; an idle
+        channel needs no event — its operation's end pumps again; an idle
         one with nothing due arms the single timer for the next arrival.
         """
         if self.busy:
@@ -203,14 +207,12 @@ class GruberClient(Endpoint):
         job.decision_point = str(self.decision_point)
         self.jobs.append(job)
         self.busy = True
-        self.sim.process(self._broker(job),
-                         name=f"broker:{self.node_id}:{job.jid}")
-
-    def _broker(self, job: Job):
-        """Broker one job: paper-faithful path, or the resilient one."""
-        if self.resilience is not None:
-            return self._broker_resilient(job)
-        return self._broker_once(job)
+        if self.resilience is None:  # the paper-faithful callbacks
+            self._broker_once(job)
+        else:
+            self.sim.process(self._broker_resilient(job),
+                             name=f"broker:{self.node_id}:{job.jid}"
+                             if self.sim.trace.enabled else "")
 
     def _open_spans(self, job: Job, t0: float):
         """``(root, brokering)`` spans of one job; ``(None, None)`` if off.
@@ -229,7 +231,7 @@ class GruberClient(Endpoint):
                                       start=t0)
 
     def _query(self, job: Job, dp: Hashable, bspan,
-               timeout: Optional[float] = None):
+               timeout: Optional[float] = None, then=None):
         """Issue the brokering RPC to ``dp`` (one- or two-phase protocol)."""
         op, reply_kb = (("broker_job", REQUEST_KB) if self.one_phase
                         else ("get_state", self.state_response_kb))
@@ -238,10 +240,11 @@ class GruberClient(Endpoint):
                                  "cpus": job.cpus},
                                 size_kb=REQUEST_KB, response_size_kb=reply_kb,
                                 timeout=timeout,
-                                trace_ctx=self.sim.spans.ctx_of(bspan))
+                                trace_ctx=self.sim.spans.ctx_of(bspan),
+                                then=then)
 
     def _place(self, job: Job, dp: Hashable, answer, root,
-               timeout: Optional[float] = None):
+               timeout: Optional[float] = None, then=None):
         """Dispatch ``job`` as the broker answered; returns the
         ``report_dispatch`` RPC to await (``None``: one-phase, no report)."""
         if self.one_phase:
@@ -258,91 +261,108 @@ class GruberClient(Endpoint):
                                 {"site": site, "vo": job.vo,
                                  "group": job.group, "cpus": job.cpus},
                                 size_kb=REPORT_KB, timeout=timeout,
-                                trace_ctx=self.sim.spans.ctx_of(root))
+                                trace_ctx=self.sim.spans.ctx_of(root),
+                                then=then)
 
-    def _broker_once(self, job: Job):
-        """One two-phase brokering operation for one job (paper §4.3)."""
-        t0 = self.sim.now
+    # -- the paper's brokering operation, as callbacks -----------------------
+    def _broker_once(self, job: Job) -> None:
+        """One two-phase brokering operation (paper §4.3): a state machine
+        whose steps are the heap entries that advance time — overhead,
+        RTTs, the query raced against the one timer, report, ack.  The
+        channel is serialized, so what is in flight is client fields."""
+        self._job, self._t0 = job, self.sim.now
+        self._root, self._bspan = self._open_spans(job, self._t0)
+        # Client-side stack work (auth, marshalling) ...
+        overhead = lognormal_for_mean(self.rng, self.profile.client_overhead_s,
+                                      self.profile.sigma)
+        if overhead > 0:
+            self.sim.schedule(overhead, self._after_overhead)
+        else:
+            self._after_overhead()
+
+    def _after_overhead(self) -> None:
+        # ... plus the protocol's extra round trips beyond the
+        # request/response pair carried by the RPC itself.
+        extra_rtts = max(self.profile.query_rtts - 1, 0)
+        if extra_rtts:
+            rtt = self.network.latency.rtt
+            self.sim.schedule(sum(rtt(self.node_id, self.decision_point)
+                                  for _ in range(extra_rtts)),
+                              self._send_query)
+        else:
+            self._send_query()
+
+    def _send_query(self) -> None:
+        self._dp = self.decision_point
+        self._rpc = self._query(self._job, self._dp, self._bspan,
+                                then=self._on_answer)
+        remaining = self.timeout_s - (self.sim.now - self._t0)
+        if remaining > 0:
+            self._race = self.sim.schedule(remaining, self._on_timeout)
+        else:
+            self._on_timeout()
+
+    def _on_answer(self, ok: bool, answer) -> None:
+        self._race.cancel()
+        if not ok:  # remote error: the paper's USLA-blind fallback
+            self._record_query(self._t0, None, False, self._dp)
+            self._dispatch_random(self._job, parent=self._root)
+            self.n_fallback_timeout += 1
+            self._finish("error")
+            return
+        self._rpc = self._place(self._job, self.decision_point, answer,
+                                self._root, then=self._on_ack)
+        if self._rpc is None:  # one-phase: no report
+            self._answered()
+        else:  # a lost report must not wedge the channel: one timeout
+            self._race = self.sim.schedule(self.timeout_s,
+                                           self._on_ack_timeout)
+
+    def _on_timeout(self) -> None:
+        """Place the job USLA-blind; wait on for the answer (DiPerF still
+        measures it) up to an abandon deadline, so a decision point that
+        never answers (crashed, §2.2) cannot wedge the channel."""
+        self.n_fallback_timeout += 1
+        self._dispatch_random(self._job, parent=self._root)
+        self._rpc.then = self._on_late_answer
+        self._race = self.sim.schedule(max(4.0 * self.timeout_s, 60.0),
+                                       self._on_abandon)
+
+    def _on_late_answer(self, ok: bool, answer) -> None:
+        self._race.cancel()
+        self._record_query(self._t0, self.sim.now if ok else None, True,
+                           self._dp)
+        self._finish("timeout")
+
+    def _on_abandon(self) -> None:
+        self._rpc.then = None  # a response, if any, is counted, then dropped
+        self.n_abandoned += 1
+        self._record_query(self._t0, None, True, self._dp)
+        self._finish("timeout")
+
+    def _on_ack(self, ok: bool, ack) -> None:
+        self._race.cancel()  # a failed report is fine: sync catches up
+        self._answered()
+
+    def _on_ack_timeout(self) -> None:
+        self._rpc.then = None
+        self.sim.metrics.counter("client.report_timeouts").inc()
+        self._answered()
+
+    def _answered(self) -> None:
+        self._job.query_response_s = self.sim.now - self._t0
+        self._record_query(self._t0, self.sim.now, False, self._dp)
+        self._finish("ok")
+
+    def _finish(self, outcome: str) -> None:
+        """Close the spans (a run ending mid-operation leaves them open:
+        exported as orphans, by design), free the channel, pump."""
         spans = self.sim.spans
-        root, bspan = self._open_spans(job, t0)
-        outcome = "incomplete"
-        try:
-            # Client-side stack work (auth, marshalling) ...
-            overhead = lognormal_for_mean(self.rng, self.profile.client_overhead_s,
-                                          self.profile.sigma)
-            if overhead > 0:
-                yield overhead
-            # ... plus the protocol's extra round trips beyond the
-            # request/response pair carried by the RPC itself.
-            extra_rtts = max(self.profile.query_rtts - 1, 0)
-            if extra_rtts:
-                yield sum(self.network.latency.rtt(self.node_id,
-                                                   self.decision_point)
-                          for _ in range(extra_rtts))
-
-            ev = self._query(job, self.decision_point, bspan)
-            remaining = self.timeout_s - (self.sim.now - t0)
-            timed_out = remaining <= 0
-            if not timed_out:
-                race = self.sim.any_of([ev, self.sim.timeout(remaining)])
-                try:
-                    yield race
-                except RpcError:
-                    outcome = "error"
-                    self._record_query(t0, None, timed_out=False)
-                    self._dispatch_random(job, parent=root)
-                    self.n_fallback_timeout += 1
-                    return
-                timed_out = not ev.triggered
-
-            if timed_out:
-                outcome = "timeout"
-                # Place the job now, USLA-blind; keep waiting for the
-                # response so DiPerF still measures it — but only up to
-                # an abandon deadline: a decision point that never
-                # answers (crashed, §2.2) must not wedge the channel.
-                self.n_fallback_timeout += 1
-                self._dispatch_random(job, parent=root)
-                grace = max(4.0 * self.timeout_s, 60.0)
-                wait = self.sim.any_of([ev, self.sim.timeout(grace)])
-                try:
-                    yield wait
-                except RpcError:
-                    self._record_query(t0, None, timed_out=True)
-                    return
-                if ev.triggered:
-                    self._record_query(t0, self.sim.now, timed_out=True)
-                else:
-                    self.n_abandoned += 1
-                    self._record_query(t0, None, timed_out=True)
-                return
-
-            report = self._place(job, self.decision_point, ev.value, root)
-            if report is not None:
-                # Bounded wait: a report whose request or response is
-                # lost would otherwise never resolve and wedge this
-                # host's single brokering channel for the rest of the
-                # run.  The job is already placed — give the ack one
-                # client timeout, then move on.
-                ack = self.sim.any_of([report,
-                                       self.sim.timeout(self.timeout_s)])
-                try:
-                    yield ack
-                except RpcError:
-                    pass  # lost report: the sync/monitor path catches up
-                if not report.triggered:
-                    self.sim.metrics.counter("client.report_timeouts").inc()
-            job.query_response_s = self.sim.now - t0
-            self._record_query(t0, self.sim.now, timed_out=False)
-            outcome = "ok"
-        finally:
-            # Runs on every exit *except* end-of-run suspension (the
-            # kernel pins live generators), which leaves these spans
-            # open — exported flagged as orphans, by design.
-            spans.finish(bspan)
-            spans.finish(root, outcome=outcome)
-            self.busy = False
-            self._pump()
+        spans.finish(self._bspan)
+        spans.finish(self._root, outcome=outcome)
+        self._job = self._root = self._bspan = self._rpc = self._race = None
+        self.busy = False
+        self._pump()
 
     # -- resilient path (repro.resilience) --------------------------------
     def _breaker(self, dp) -> CircuitBreaker:
@@ -449,7 +469,7 @@ class GruberClient(Endpoint):
                     except RpcError:
                         pass  # lost report: the sync/monitor path catches up
                 job.query_response_s = self.sim.now - t0
-                self._record_query(t0, self.sim.now, timed_out=False)
+                self._record_query(t0, self.sim.now, False, dp)
                 outcome = "ok"
                 return
             # Every attempt failed or was breaker-skipped: the paper's
@@ -457,7 +477,7 @@ class GruberClient(Endpoint):
             self.n_fallback_timeout += 1
             self.sim.metrics.counter("client.resilient_fallbacks").inc()
             self._dispatch_random(job, parent=root)
-            self._record_query(t0, None, timed_out=True)
+            self._record_query(t0, None, True, self.decision_point)
             outcome = "timeout"
         finally:
             spans.finish(bspan, attempts=attempts)
@@ -512,7 +532,8 @@ class GruberClient(Endpoint):
                        handled=False, parent=parent)
 
     def _record_query(self, sent_at: float, responded_at: Optional[float],
-                      timed_out: bool) -> None:
+                      timed_out: bool, dp: Hashable) -> None:
+        """One query row, naming the decision point queried (``dp``)."""
         self.trace.record_query(sent_at, responded_at, timed_out,
                                 client=str(self.node_id),
-                                decision_point=str(self.decision_point))
+                                decision_point=str(dp))

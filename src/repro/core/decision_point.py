@@ -28,7 +28,7 @@ from repro.core.selectors import RandomSelector, make_selector
 from repro.core.sync import DisseminationStrategy, SyncProtocol
 from repro.grid.builder import Grid
 from repro.net.container import ContainerProfile, ServiceContainer
-from repro.net.transport import Endpoint, Message, Network, RpcError
+from repro.net.transport import Endpoint, Message, Network, Request, RpcError
 from repro.sim.kernel import Simulator
 
 __all__ = ["DecisionPoint"]
@@ -39,6 +39,10 @@ __all__ = ["DecisionPoint"]
 RESYNC_RESPONSE_KB = 4.0
 #: Patience per peer during post-restart resync.
 RESYNC_TIMEOUT_S = 60.0
+
+
+def _created(req: Request) -> dict:
+    return {"created": True}
 
 
 class DecisionPoint(Endpoint):
@@ -104,12 +108,13 @@ class DecisionPoint(Endpoint):
         self._server_selector = make_selector(selector, rng)
         self._fallback = RandomSelector(rng)
 
-        self.register_handler("get_state", self._handle_get_state)
-        self.register_handler("report_dispatch", self._handle_report_dispatch)
-        self.register_handler("broker_job", self._handle_broker_job)
-        self.register_handler("create_instance", self._handle_create_instance)
+        for op, handler in (("get_state", self._handle_get_state),
+                            ("report_dispatch", self._handle_report_dispatch),
+                            ("broker_job", self._handle_broker_job),
+                            ("create_instance", self._handle_create_instance),
+                            ("pull_records", self._handle_pull_records)):
+            self.register_handler(op, handler, deferred=True)
         self.register_handler("ping", self._handle_ping)
-        self.register_handler("pull_records", self._handle_pull_records)
 
     # -- lifecycle -------------------------------------------------------
     def start(self, neighbors: Optional[list[Hashable]] = None) -> None:
@@ -236,55 +241,59 @@ class DecisionPoint(Endpoint):
         self.neighbors = list(neighbors)
 
     # -- handlers ------------------------------------------------------------
-    def _handle_get_state(self, payload, src, ctx=None):
-        """Availability query; generator consumes container service time.
-
-        ``ctx`` is the caller's span context (the transport passes
-        ``Message.trace_ctx`` to three-argument handlers); the decide
-        span it parents is annotated with the view's *staleness* — the
-        sim-time age of the freshest information the answer rests on.
-        """
-        payload = payload or {}
-        vo = payload.get("vo")
-        group = payload.get("group")
-        t_in = self.sim.now
+    # The container-backed handlers are deferred: each is ``pre`` (parse,
+    # open the span), the container's service station, then ``post``
+    # (the answer), run at the instant the service completes.
+    def _open_span(self, req: Request, name: str, **attrs):
         spans = self.sim.spans
-        dspan = None
+        ctx = req.msg.trace_ctx
         if spans.enabled and ctx is not None:
-            dspan = spans.start_span("decide", self.node_id, ctx,
-                                     op="get_state", vo=vo)
-        yield from self.container.service_query()
+            req.span = spans.start_span(name, self.node_id, ctx, **attrs)
+
+    def _handle_get_state(self, req: Request) -> None:
+        """Availability query; the decide span is annotated with the
+        view's *staleness* — the sim-time age of the freshest
+        information the answer rests on."""
+        payload = req.msg.payload or {}
+        req.args = vo, group = payload.get("vo"), payload.get("group")
+        self._open_span(req, "decide", op="get_state", vo=vo)
+        req.post = self._get_state_served
+        self.container.serve_query(req.served)
+
+    def _get_state_served(self, req: Request):
+        vo, group = req.args
         now = self.sim.now
         out = self.engine.availabilities(vo=vo, group=group, now=now)
-        self._decide_hist.observe(now - t_in)
-        if dspan is not None:
-            spans.finish(dspan,
-                         staleness_s=self.engine.view.info_age_s(now))
+        self._decide_hist.observe(now - req.arrived_at)
+        if req.span is not None:
+            self.sim.spans.finish(
+                req.span, staleness_s=self.engine.view.info_age_s(now))
         return out
 
-    def _handle_report_dispatch(self, payload, src, ctx=None):
+    def _handle_report_dispatch(self, req: Request) -> None:
         """Site-selection report; updates the view, feeds the sync flood."""
-        site = payload["site"]
-        vo = payload["vo"]
-        cpus = int(payload["cpus"])
-        group = payload.get("group", "")
-        spans = self.sim.spans
-        rspan = None
-        if spans.enabled and ctx is not None:
-            rspan = spans.start_span("record", self.node_id, ctx,
-                                     site=site, vo=vo)
-        yield from self.container.service_report()
+        payload = req.msg.payload
+        req.args = site, vo, cpus, group = (
+            payload["site"], payload["vo"], int(payload["cpus"]),
+            payload.get("group", ""))
+        self._open_span(req, "record", site=site, vo=vo)
+        req.post = self._report_served
+        self.container.serve_report(req.served)
+
+    def _report_served(self, req: Request):
+        site, vo, cpus, group = req.args
         now = self.sim.now
         # Staleness *before* recording: the record itself would reset
         # the site's learn time to now and hide what the client raced.
-        if rspan is not None:
-            spans.finish(rspan, site_staleness_s=self.engine.view.info_age_s(
-                now, site=site))
+        if req.span is not None:
+            self.sim.spans.finish(
+                req.span, site_staleness_s=self.engine.view.info_age_s(
+                    now, site=site))
         rec = self.engine.record_local_dispatch(site=site, vo=vo, cpus=cpus,
                                                 now=now, group=group)
         return {"ack": True, "seq": rec.seq}
 
-    def _handle_broker_job(self, payload, src, ctx=None):
+    def _handle_broker_job(self, req: Request) -> None:
         """One-phase brokering: select server-side, return only the site.
 
         The paper's suggested optimization — "a tighter coupling
@@ -293,36 +302,35 @@ class DecisionPoint(Endpoint):
         one layer": a single round trip, no per-site state on the wire,
         and one combined container service slot instead of two.
         """
-        vo = payload["vo"]
-        cpus = int(payload["cpus"])
-        group = payload.get("group", "")
-        t_in = self.sim.now
-        spans = self.sim.spans
-        dspan = None
-        if spans.enabled and ctx is not None:
-            dspan = spans.start_span("decide", self.node_id, ctx,
-                                     op="broker_job", vo=vo)
-        yield from self.container.service_query()
+        payload = req.msg.payload
+        req.args = vo, cpus, group = (payload["vo"], int(payload["cpus"]),
+                                      payload.get("group", ""))
+        self._open_span(req, "decide", op="broker_job", vo=vo)
+        req.post = self._broker_job_served
+        self.container.serve_query(req.served)
+
+    def _broker_job_served(self, req: Request):
+        vo, cpus, group = req.args
         now = self.sim.now
         availabilities = self.engine.availabilities(vo=vo, group=group or None,
                                                     now=now)
         site = self._server_selector.select(availabilities, cpus)
         if site is None:
             site = self._fallback.least_bad(availabilities)
-        self._decide_hist.observe(now - t_in)
-        if dspan is not None:
+        self._decide_hist.observe(now - req.arrived_at)
+        if req.span is not None:
             # Per-site staleness of the *chosen* site, pre-recording.
-            spans.finish(dspan, site=site,
-                         staleness_s=self.engine.view.info_age_s(
-                             now, site=site))
+            self.sim.spans.finish(req.span, site=site,
+                                  staleness_s=self.engine.view.info_age_s(
+                                      now, site=site))
         self.engine.record_local_dispatch(site=site, vo=vo, cpus=cpus,
                                           now=now, group=group)
         return {"site": site}
 
-    def _handle_create_instance(self, payload, src):
+    def _handle_create_instance(self, req: Request) -> None:
         """Bare service-instance creation (the Fig 1 micro-benchmark)."""
-        yield from self.container.service_instance_creation()
-        return {"created": True}
+        req.post = _created
+        self.container.serve_instance_creation(req.served)
 
     def _handle_ping(self, payload, src):
         """Liveness probe: answers instantly, bypassing the container.
@@ -333,16 +341,20 @@ class DecisionPoint(Endpoint):
         """
         return {"ok": True, "queue_len": self.container.queue_len}
 
-    def _handle_pull_records(self, payload, src):
+    def _handle_pull_records(self, req: Request) -> None:
         """Resync pull: live records this node learned after the cutoff.
 
         Serves a restarting peer; costs one report-sized container slot
         (cheap, but not free — resync competes with live traffic).
         """
-        newer_than = float((payload or {}).get("newer_than", -float("inf")))
-        yield from self.container.service_report()
+        req.args = float((req.msg.payload or {}).get("newer_than",
+                                                     -float("inf")))
+        req.post = self._pull_records_served
+        self.container.serve_report(req.served)
+
+    def _pull_records_served(self, req: Request):
         return {"records": self.engine.view.pending_records(
-            newer_than=newer_than)}
+            newer_than=req.args)}
 
     # -- sync plumbing -----------------------------------------------------------
     def on_oneway(self, msg: Message) -> None:

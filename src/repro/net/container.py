@@ -25,7 +25,9 @@ under the canonical experiment (see DESIGN.md §5 and EXPERIMENTS.md):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +49,13 @@ class OverloadShed(Exception):
     """
 
 
+@functools.lru_cache(maxsize=64)
+def _lognormal_mu(mean: float, sigma: float) -> float:
+    """The location parameter giving mean ``mean``: a pure function of
+    profile constants, so computed once per pair, not once per draw."""
+    return float(np.log(mean) - 0.5 * sigma * sigma)
+
+
 def lognormal_for_mean(rng: np.random.Generator, mean: float, sigma: float) -> float:
     """Draw a lognormal variate with the requested *mean* (not median).
 
@@ -55,11 +64,7 @@ def lognormal_for_mean(rng: np.random.Generator, mean: float, sigma: float) -> f
     """
     if mean <= 0:
         return 0.0
-    mu = np.log(mean) - 0.5 * sigma * sigma
-    return float(rng.lognormal(mu, sigma))
-
-
-_lognormal_for_mean = lognormal_for_mean  # internal alias
+    return float(rng.lognormal(_lognormal_mu(mean, sigma), sigma))
 
 
 @dataclass(frozen=True)
@@ -181,12 +186,47 @@ GT4C_PROFILE = ContainerProfile(
 )
 
 
+class _Service:
+    """One request's pass through a container station; its bound
+    methods are the continuations (the ``net.transport._PendingRpc``
+    pattern).  :meth:`start` runs at the grant and draws the service
+    time; :meth:`finish` runs ``then`` *before* handing the slot on, so
+    post-service work (and its draws on the container's stream) precedes
+    the next waiter's service draw.
+    """
+
+    __slots__ = ("container", "server", "mean", "extra_s", "then")
+
+    def __init__(self, container: "ServiceContainer", server: Server,
+                 mean: float, extra_s: float, then: Callable[[], None]):
+        self.container = container
+        self.server = server
+        self.mean = mean
+        self.extra_s = extra_s
+        self.then = then
+
+    def start(self) -> None:
+        c = self.container
+        svc = lognormal_for_mean(c.rng, self.mean, c.profile.sigma)
+        c.sim.schedule((svc + self.extra_s) * c.degrade_factor, self.finish)
+
+    def finish(self) -> None:
+        c = self.container
+        c.completed_ops += 1
+        c.op_timestamps.append(c.sim.now)
+        try:
+            self.then()
+        finally:
+            self.server.release()
+
+
 class ServiceContainer:
     """A deployed container instance hosting one service (e.g. one DP).
 
-    Provides ``service_query()`` / ``service_instance_creation()``
-    generators that the owning endpoint's handlers delegate to: they
-    acquire a container slot, burn the drawn service time, and release.
+    The owning endpoint's handlers call ``serve_query(then)`` /
+    ``serve_report(then)`` / ``serve_instance_creation(then)``: the
+    request waits for a container slot, holds it for the drawn service
+    time, and ``then()`` runs at the instant the service completes.
     The container also keeps an operations log (timestamps of completed
     requests) that saturation detection samples.
     """
@@ -234,52 +274,33 @@ class ServiceContainer:
                 f"{self.name}: queue {self._query_server.queue_len} "
                 f">= bound {self.max_queue}")
 
-    # -- generators used inside RPC handlers ------------------------------
-    def service_query(self, extra_s: float = 0.0):
-        """Consume one brokering-query service slot.
+    # -- service stations used by RPC handlers ------------------------------
+    def _serve(self, server: Server, mean: float, extra_s: float,
+               then: Callable[[], None]) -> None:
+        server.acquire(_Service(self, server, mean, extra_s, then).start)
+
+    def serve_query(self, then: Callable[[], None],
+                    extra_s: float = 0.0) -> None:
+        """One brokering-query service slot, then ``then()``.
 
         ``extra_s`` adds request-specific work (e.g. per-site state
-        marshalling proportional to grid size).
+        marshalling proportional to grid size).  Raises
+        :class:`OverloadShed` at once when the bounded queue is full.
         """
         self._admit()
-        yield self._query_server.acquire()
-        try:
-            svc = _lognormal_for_mean(self.rng, self.profile.query_service_s,
-                                      self.profile.sigma) + extra_s
-            yield svc * self.degrade_factor
-        finally:
-            self._query_server.release()
-        self.completed_ops += 1
-        self.op_timestamps.append(self.sim.now)
+        self._serve(self._query_server, self.profile.query_service_s,
+                    extra_s, then)
 
-    def service_report(self):
-        """Consume the dispatch-report share of a brokering operation."""
+    def serve_report(self, then: Callable[[], None]) -> None:
+        """The dispatch-report share of a brokering operation."""
         self._admit()
-        yield self._query_server.acquire()
-        try:
-            yield _lognormal_for_mean(self.rng, self.profile.report_service_s,
-                                      self.profile.sigma) * self.degrade_factor
-        finally:
-            self._query_server.release()
-        self.completed_ops += 1
-        self.op_timestamps.append(self.sim.now)
+        self._serve(self._query_server, self.profile.report_service_s,
+                    0.0, then)
 
-    def service_instance_creation(self):
-        """Consume one bare instance-creation slot (Fig 1 workload)."""
-        yield self._instance_server.acquire()
-        try:
-            yield _lognormal_for_mean(self.rng, self.profile.instance_service_s,
-                                      self.profile.sigma) * self.degrade_factor
-        finally:
-            self._instance_server.release()
-        self.completed_ops += 1
-        self.op_timestamps.append(self.sim.now)
-
-    # -- client-side costs -------------------------------------------------
-    def draw_client_overhead(self, rng: np.random.Generator) -> float:
-        """Client stack time per query (drawn on the client's own stream)."""
-        return _lognormal_for_mean(rng, self.profile.client_overhead_s,
-                                   self.profile.sigma)
+    def serve_instance_creation(self, then: Callable[[], None]) -> None:
+        """One bare instance-creation slot (Fig 1 workload)."""
+        self._serve(self._instance_server, self.profile.instance_service_s,
+                    0.0, then)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -92,14 +92,16 @@ class PairwiseWanLatency(LatencyModel):
         self._base: dict[tuple[Hashable, Hashable], float] = {}
 
     def base_latency(self, src: Hashable, dst: Hashable) -> float:
-        """The stable component for this ordered pair (drawn once)."""
-        if src == dst:
-            return 0.0
-        key = (src, dst) if repr(src) <= repr(dst) else (dst, src)
-        base = self._base.get(key)
+        """The stable component for this pair, either direction: drawn
+        once, kept under the direction of the pair's first message."""
+        base = self._base.get((src, dst))
         if base is None:
-            base = self.median_s * float(np.exp(self.rng.normal(0.0, self.sigma)))
-            self._base[key] = base
+            if src == dst:
+                return 0.0
+            base = self._base.get((dst, src))
+            if base is None:
+                base = self._base[src, dst] = self.median_s * float(
+                    np.exp(self.rng.normal(0.0, self.sigma)))
         return base
 
     def sample(self, src: Hashable, dst: Hashable) -> float:

@@ -1,12 +1,11 @@
 """Simulated message passing and RPC.
 
-Endpoints register named operation handlers; a handler may return a
-plain value (instant work) or a generator (a process that consumes
-simulated time — e.g. acquiring the service container and spending the
-request's service time).  The RPC result event fires when the response
-message arrives back at the caller — so one RPC costs one full round
-trip plus server-side time, and the multi-round-trip brokering protocol
-of the paper is composed from several RPCs.
+Endpoints register named operation handlers: a plain one returns its
+result at once, a *deferred* one answers later through the
+:class:`Request` (e.g. after a service-container slot).  The caller
+learns the outcome when the response arrives back — one RPC costs a
+full round trip plus server-side time, and the paper's
+multi-round-trip brokering protocol is composed from several RPCs.
 
 A caller-side ``timeout`` only abandons *waiting*: the server still
 completes the request (and the response is discarded on arrival).  This
@@ -17,8 +16,6 @@ running to completion inside the decision point.
 
 from __future__ import annotations
 
-import inspect
-import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
@@ -26,7 +23,8 @@ from repro.sim.kernel import Event, ScheduledCall, Simulator
 
 from repro.net.latency import LatencyModel
 
-__all__ = ["Message", "Endpoint", "Network", "RpcError", "RpcTimeout"]
+__all__ = ["Message", "Endpoint", "Network", "Request", "RpcError",
+           "RpcTimeout"]
 
 
 class RpcError(Exception):
@@ -63,10 +61,7 @@ class NetworkStats:
 
     ``rpcs_failed`` counts *every* way an RPC can fail for the caller:
     remote errors, caller timeouts (``rpcs_timed_out``), and lost
-    requests/responses that can never complete because no timeout was
-    armed (``rpcs_lost``).  Timeouts used to be invisible here, which
-    made the saturation detector and the run summary undercount
-    failures under load.
+    requests/responses that no timeout will reap (``rpcs_lost``).
     """
 
     messages: int = 0
@@ -85,91 +80,107 @@ class NetworkStats:
 
 
 class _PendingRpc:
-    """Caller-side bookkeeping for one in-flight RPC."""
+    """Caller-side bookkeeping for one in-flight RPC (its request ``msg``
+    names it); the bound :meth:`expire` is its timeout callback.  Every
+    outcome reaches the caller once, as ``then(ok, value)`` via
+    :meth:`done`; ``then`` is ``None`` once the caller stopped listening."""
 
-    __slots__ = ("event", "op", "src", "dst", "started_at", "size_kb",
-                 "timeout_call")
+    __slots__ = ("network", "msg", "then", "timeout_s", "timeout_call")
 
-    def __init__(self, event: Event, op: str, src: Hashable, dst: Hashable,
-                 started_at: float, size_kb: float):
-        self.event = event
-        self.op = op
-        self.src = src
-        self.dst = dst
-        self.started_at = started_at
-        self.size_kb = size_kb
+    def __init__(self, network: "Network", msg: Message,
+                 then: Callable[[bool, Any], None]):
+        self.network = network
+        self.msg = msg
+        self.then: Optional[Callable[[bool, Any], None]] = then
+        self.timeout_s = 0.0
         self.timeout_call: Optional[ScheduledCall] = None
 
+    def done(self, ok: bool, value: Any) -> None:
+        then, self.then = self.then, None
+        if then is not None:
+            then(ok, value)
 
-class _RpcExpiry:
-    """Pooled per-RPC timeout callback (no closure per call).
-
-    Instances are recycled through :attr:`Network._expiry_pool` when the
-    timeout fires or the RPC resolves first.  Recycling while a
-    *cancelled* heap entry still references the object is safe: the
-    kernel never invokes cancelled entries, so a reused instance can
-    only be called through its newest arming.
-    """
-
-    __slots__ = ("network", "rpc_id", "timeout_s")
-
-    def __init__(self, network: "Network"):
-        self.network = network
-        self.rpc_id = 0
-        self.timeout_s = 0.0
-
-    def __call__(self) -> None:
-        net = self.network
-        rpc_id, timeout_s = self.rpc_id, self.timeout_s
-        net._recycle_expiry(self)
-        stale = net._pending_rpcs.pop(rpc_id, None)
-        if stale is None:
+    def expire(self) -> None:
+        """The caller's timeout fired before any response."""
+        net, msg = self.network, self.msg
+        self.timeout_call = None
+        if net._pending_rpcs.pop(msg.rpc_id, None) is None:
             return
-        stale.timeout_call = None
         net.stats.rpcs_failed += 1
         net.stats.rpcs_timed_out += 1
-        net._finish_span(stale, rpc_id, "timeout")
-        if not stale.event.triggered:
-            stale.event.fail(RpcTimeout(
-                f"rpc {stale.op!r} to {stale.dst!r} after {timeout_s}s"))
+        net._finish_span(self, "timeout")
+        self.done(False, RpcTimeout(
+            f"rpc {msg.op!r} to {msg.dst!r} after {self.timeout_s}s"))
+
+
+class Request:
+    """One delivered copy of an RPC request, server side; its bound
+    methods are the scheduled callables (the :class:`_PendingRpc`
+    pattern).  A deferred handler gets the request itself: it sets
+    ``post`` (called as ``post(request)`` once served; returns the
+    answer), its parsed ``args`` and server-side ``span``, and hands
+    :meth:`served` to its service station as the continuation.
+    """
+
+    __slots__ = ("network", "msg", "response_size_kb", "arrived_at",
+                 "post", "args", "span", "response")
+
+    def __init__(self, network: "Network", msg: Message,
+                 response_size_kb: float):
+        self.network = network
+        self.msg = msg
+        self.response_size_kb = response_size_kb
+        self.arrived_at = 0.0
+        self.post: Optional[Callable[["Request"], Any]] = None
+        self.args: Any = None
+        self.span = None
+        self.response: Optional[Message] = None
+
+    def arrive(self) -> None:
+        self.arrived_at = self.network.sim.now
+        self.network._handle_request(self)
+
+    def served(self) -> None:
+        """Run the handler's post-service step and answer with its value."""
+        try:
+            value = self.post(self)
+        except Exception as err:
+            self.fail(err)
+            return
+        self.network._send_response(self, value, True, self.response_size_kb)
+
+    def fail(self, err: Exception) -> None:
+        """Answer with the remote error ``err``."""
+        self.network._send_response(
+            self, RpcError(f"{type(err).__name__}: {err}"), False, 0.0)
+
+    def returned(self) -> None:
+        self.network._complete_rpc(self.response)
 
 
 class Endpoint:
-    """A named node attached to the network.
-
-    Handlers receive ``(payload, src)`` and either return a result
-    directly or return a generator which the transport runs as a
-    process; the generator's return value becomes the RPC result.
-    """
+    """A named node attached to the network.  Plain handlers are called
+    as ``fn(payload, src)`` and return the result; deferred ones as
+    ``fn(request)``, answering through the :class:`Request`."""
 
     def __init__(self, network: "Network", node_id: Hashable):
         self.network = network
         self.node_id = node_id
-        self.handlers: dict[str, Callable[[Any, Hashable], Any]] = {}
-        #: Ops whose handler takes a third positional parameter and so
-        #: receives the request's ``trace_ctx`` (see register_handler).
-        self._ctx_ops: set[str] = set()
+        self.handlers: dict[str, Callable[..., Any]] = {}
+        self._deferred_ops: set[str] = set()
         #: A downed endpoint swallows traffic: requests get no response
         #: (callers see their own timeouts — exactly how a crashed WAN
         #: service fails), one-way messages vanish.
         self.online = True
         network._register(self)
 
-    def register_handler(self, op: str, fn: Callable[[Any, Hashable], Any]) -> None:
+    def register_handler(self, op: str, fn: Callable[..., Any],
+                         deferred: bool = False) -> None:
         if op in self.handlers:
             raise ValueError(f"handler for op {op!r} already registered on {self.node_id!r}")
         self.handlers[op] = fn
-        # Handlers stay (payload, src) by default; one that declares a
-        # third positional parameter opts into receiving the request's
-        # span context — detected once here, not per message.
-        try:
-            positional = [
-                p for p in inspect.signature(fn).parameters.values()
-                if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-        except (TypeError, ValueError):  # builtins/partials w/o signature
-            positional = []
-        if len(positional) >= 3:
-            self._ctx_ops.add(op)
+        if deferred:
+            self._deferred_ops.add(op)
 
     # Subclasses may override for non-RPC one-way messages.
     def on_oneway(self, msg: Message) -> None:  # pragma: no cover - default
@@ -205,21 +216,14 @@ class Network:
         self._endpoints: dict[Hashable, Endpoint] = {}
         self._rpc_seq = 0
         self._pending_rpcs: dict[int, _PendingRpc] = {}
-        #: Free list of :class:`_RpcExpiry` callbacks (bounded; RPC
-        #: timeout arming is per-call hot-path work at scale).
-        self._expiry_pool: list[_RpcExpiry] = []
-
-    def _recycle_expiry(self, expiry: _RpcExpiry) -> None:
-        if len(self._expiry_pool) < 256:
-            self._expiry_pool.append(expiry)
+        #: ``rpc.<outcome>`` counters and the latency histogram, looked
+        #: up once each on first use (the registry creates on lookup).
+        self._outcome_counters: dict = {}
+        self._latency_hist = None
 
     def _fault_delays(self, msg: Message) -> Optional[tuple]:
-        """Per-copy extra delays from the fault layer; ``None`` = dropped.
-
-        With no fault model installed every message is delivered once
-        with no extra delay.  The fault model does its own counting and
-        tracing; the transport only tallies the drop.
-        """
+        """Per-copy extra delays from the fault layer; ``None`` = dropped
+        (tallied here; the fault model does its own counting/tracing)."""
         if self.faults is None:
             return (0.0,)
         fate = self.faults.on_message(msg)
@@ -268,100 +272,106 @@ class Network:
 
     def rpc(self, src: Hashable, dst: Hashable, op: str, payload: Any = None,
             size_kb: float = 0.0, response_size_kb: float = 0.0,
-            timeout: Optional[float] = None,
-            trace_ctx: Any = None) -> Event:
-        """Invoke ``op`` on ``dst``; event fires when the response returns.
-
-        The event succeeds with the handler's return value or fails with
-        :class:`RpcError` (remote exception) / :class:`RpcTimeout`
+            timeout: Optional[float] = None, trace_ctx: Any = None,
+            then: Optional[Callable] = None) -> Event | _PendingRpc:
+        """Invoke ``op`` on ``dst``: ``then(ok, value)`` runs the instant
+        the outcome is known — the handler's return value, else
+        :class:`RpcError` (remote exception) or :class:`RpcTimeout`
         (caller stopped waiting; the server-side work still completes).
+        Returns the pending handle (set its ``then`` to ``None`` to stop
+        listening); without ``then``, an :class:`Event` settled alike.
 
         Bookkeeping invariant: every entry in the pending-RPC table is
         eventually removed — on completion, on timeout, or the moment
         the transport *knows* no response can ever arrive (request or
         response dropped, or the destination is offline, with no
-        timeout armed).  The timeout's :class:`ScheduledCall` is
-        cancelled when the RPC resolves first, so long-timeout RPC
-        storms no longer bloat the event heap.
+        timeout armed).  A timeout is cancelled when the RPC resolves
+        first, so it leaves no live heap entry behind.
         """
         if dst not in self._endpoints:
             raise KeyError(f"unknown destination endpoint {dst!r}")
         self._rpc_seq += 1
         rpc_id = self._rpc_seq
-        result = self.sim.event(name=f"rpc:{op}:{rpc_id}")
-        pending = _PendingRpc(result, op, src, dst, self.sim.now, size_kb)
+        sim = self.sim
+        result = None
+        if then is None:
+            result = sim.event(name=f"rpc:{op}:{rpc_id}"
+                               if sim.trace.enabled else "rpc")
+            then = result.settle
+        msg = Message(src=src, dst=dst, kind="request", op=op, payload=payload,
+                      size_kb=size_kb, sent_at=sim.now, rpc_id=rpc_id,
+                      trace_ctx=trace_ctx)
+        pending = _PendingRpc(self, msg, then)
         self._pending_rpcs[rpc_id] = pending
         self.stats.rpcs_started += 1
         self.stats.count(op)
-        trace = self.sim.trace
+        trace = sim.trace
         if trace.verbose and trace.enabled:
             trace.emit("rpc.send", node=src, dst=str(dst), op=op,
                        rpc_id=rpc_id, size_kb=size_kb)
-
-        msg = Message(src=src, dst=dst, kind="request", op=op, payload=payload,
-                      size_kb=size_kb, sent_at=self.sim.now, rpc_id=rpc_id,
-                      trace_ctx=trace_ctx)
         self.stats.messages += 1
         self.stats.kb += size_kb
         delays = self._fault_delays(msg)
         for extra in delays or ():  # None: the request was dropped
-            self.sim.schedule(
-                self._delivery_delay(msg) + extra,
-                lambda: self._handle_request(msg, response_size_kb))
+            sim.schedule(self._delivery_delay(msg) + extra,
+                         Request(self, msg, response_size_kb).arrive)
 
         if timeout is not None:
-            pool = self._expiry_pool
-            expire = pool.pop() if pool else _RpcExpiry(self)
-            expire.rpc_id = rpc_id
-            expire.timeout_s = timeout
-            pending.timeout_call = self.sim.schedule(timeout, expire)
+            pending.timeout_s = timeout
+            pending.timeout_call = sim.schedule(timeout, pending.expire)
         elif delays is None:
             # No response will ever come and no timeout will reap the
-            # entry — retire it now (the caller's event stays pending
-            # forever, exactly like talking to a crashed peer).
+            # entry — retire it now (the caller is never answered,
+            # exactly like talking to a crashed peer).
             self._abandon(rpc_id, "request_dropped")
-        return result
+        return pending if result is None else result
 
     def _abandon(self, rpc_id: int, reason: str) -> None:
-        """Retire a pending RPC that can never complete (no timeout armed)."""
-        pending = self._pending_rpcs.pop(rpc_id, None)
-        if pending is None:
+        """Retire a pending RPC that can never complete — unless an
+        armed timeout will reap it later."""
+        pending = self._pending_rpcs.get(rpc_id)
+        if pending is None or pending.timeout_call is not None:
             return
+        del self._pending_rpcs[rpc_id]
         self.stats.rpcs_failed += 1
         self.stats.rpcs_lost += 1
-        self._finish_span(pending, rpc_id, reason)
+        self._finish_span(pending, reason)
 
-    def _finish_span(self, pending: _PendingRpc, rpc_id: int,
-                     outcome: str) -> None:
-        """Close one RPC span: latency histogram + counters + trace.
-
-        Emits a single compact ``rpc.span`` event per RPC (fields per
-        ``repro.obs.trace.SPAN_FIELDS``) — the full intermediate chain
-        is available under ``tracer.verbose``.
-        """
-        now = self.sim.now
-        latency = now - pending.started_at
+    def _finish_span(self, pending: _PendingRpc, outcome: str) -> None:
+        """Close one RPC span: latency histogram, ``rpc.<outcome>``
+        counter and one compact ``rpc.span`` trace event (fields per
+        ``repro.obs.trace.SPAN_FIELDS``; the full chain under
+        ``tracer.verbose``)."""
+        now, msg = self.sim.now, pending.msg
+        latency = now - msg.sent_at
         metrics = self.sim.metrics
         if outcome in ("ok", "error", "timeout"):
             # Caller-perceived latency; lost/abandoned RPCs have none.
-            metrics.histogram("rpc.latency_s").observe(latency)
-        metrics.counter(f"rpc.{outcome}").inc()
+            hist = self._latency_hist
+            if hist is None:
+                hist = self._latency_hist = metrics.histogram("rpc.latency_s")
+            hist.observe(latency)
+        counter = self._outcome_counters.get(outcome)
+        if counter is None:
+            counter = self._outcome_counters[outcome] = metrics.counter(
+                f"rpc.{outcome}")
+        counter.inc()
         trace = self.sim.trace
         if trace.enabled:
             trace.emit_compact(
-                "rpc.span", pending.src,
-                (pending.op, pending.dst, rpc_id, outcome, latency,
-                 pending.size_kb),
+                "rpc.span", msg.src,
+                (msg.op, msg.dst, msg.rpc_id, outcome, latency, msg.size_kb),
                 time=now)
 
     # -- server side --------------------------------------------------------
-    def _handle_request(self, msg: Message, response_size_kb: float) -> None:
+    def _handle_request(self, req: Request) -> None:
+        msg = req.msg
         ep = self._endpoints[msg.dst]
         if not ep.online:
             # Crashed service: the request is simply never answered;
             # the caller's timeout (if any) is its only signal — but
             # without one the pending entry must not leak.
-            self._abandon_if_unreaped(msg.rpc_id, "endpoint_offline")
+            self._abandon(msg.rpc_id, "endpoint_offline")
             return
         trace = self.sim.trace
         if trace.verbose and trace.enabled:
@@ -369,35 +379,22 @@ class Network:
                        rpc_id=msg.rpc_id, src=str(msg.src))
         handler = ep.handlers.get(msg.op)
         if handler is None:
-            self._send_response(msg, RpcError(f"no handler for {msg.op!r} on {msg.dst!r}"),
-                                ok=False, size_kb=0.0)
+            self._send_response(req, RpcError(f"no handler for {msg.op!r} on {msg.dst!r}"),
+                                False, 0.0)
             return
         try:
-            if msg.op in ep._ctx_ops:
-                outcome = handler(msg.payload, msg.src, msg.trace_ctx)
-            else:
-                outcome = handler(msg.payload, msg.src)
+            if msg.op in ep._deferred_ops:
+                handler(req)  # answers through ``req`` when served
+                return
+            outcome = handler(msg.payload, msg.src)
         except Exception as err:
-            self._send_response(msg, RpcError(f"{type(err).__name__}: {err}"),
-                                ok=False, size_kb=0.0)
+            req.fail(err)
             return
-        if isinstance(outcome, types.GeneratorType):
-            proc = self.sim.process(outcome, name=f"handler:{msg.op}")
+        self._send_response(req, outcome, True, req.response_size_kb)
 
-            def finished(ev: Event) -> None:
-                if ev.ok:
-                    self._send_response(msg, ev.value, ok=True, size_kb=response_size_kb)
-                else:
-                    self._send_response(
-                        msg, RpcError(f"{type(ev.value).__name__}: {ev.value}"),
-                        ok=False, size_kb=0.0)
-
-            proc.add_callback(finished)
-        else:
-            self._send_response(msg, outcome, ok=True, size_kb=response_size_kb)
-
-    def _send_response(self, request: Message, value: Any, ok: bool,
+    def _send_response(self, req: Request, value: Any, ok: bool,
                        size_kb: float) -> None:
+        request = req.msg
         resp = Message(src=request.dst, dst=request.src, kind="response",
                        op=request.op, payload=value, size_kb=size_kb,
                        sent_at=self.sim.now, rpc_id=request.rpc_id, ok=ok)
@@ -411,21 +408,15 @@ class Network:
         if delays is None:
             # Dropped response: without a timeout nothing else would
             # ever reap the caller's pending entry.
-            self._abandon_if_unreaped(resp.rpc_id, "response_dropped")
+            self._abandon(resp.rpc_id, "response_dropped")
             return
+        req.response = resp
         for extra in delays:
-            self.sim.schedule(self._delivery_delay(resp) + extra,
-                              lambda: self._complete_rpc(resp))
-
-    def _abandon_if_unreaped(self, rpc_id: int, reason: str) -> None:
-        """Abandon now unless an armed timeout will reap the entry later."""
-        pending = self._pending_rpcs.get(rpc_id)
-        if pending is not None and pending.timeout_call is None:
-            self._abandon(rpc_id, reason)
+            self.sim.schedule(self._delivery_delay(resp) + extra, req.returned)
 
     def _complete_rpc(self, resp: Message) -> None:
         pending = self._pending_rpcs.pop(resp.rpc_id, None)
-        if pending is None or pending.event.triggered:
+        if pending is None:
             # Caller timed out and went on; response discarded (paper §4.3).
             self.stats.responses_discarded += 1
             trace = self.sim.trace
@@ -436,19 +427,15 @@ class Network:
         if pending.timeout_call is not None:
             # The RPC resolved first; don't leave the timeout ticking
             # in the heap (long-timeout storms used to bloat it).
-            call = pending.timeout_call
-            expire = call.fn  # read first: a cancel may compact it away
-            call.cancel()
-            if type(expire) is _RpcExpiry:
-                self._recycle_expiry(expire)
+            pending.timeout_call.cancel()
             pending.timeout_call = None
-        result = pending.event
         if resp.ok:
             self.stats.rpcs_completed += 1
-            self._finish_span(pending, resp.rpc_id, "ok")
-            result.succeed(resp.payload)
+            self._finish_span(pending, "ok")
+            pending.done(True, resp.payload)
         else:
             self.stats.rpcs_failed += 1
-            self._finish_span(pending, resp.rpc_id, "error")
-            result.fail(resp.payload if isinstance(resp.payload, BaseException)
-                        else RpcError(str(resp.payload)))
+            self._finish_span(pending, "error")
+            pending.done(False, resp.payload
+                         if isinstance(resp.payload, BaseException)
+                         else RpcError(str(resp.payload)))

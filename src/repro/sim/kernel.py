@@ -1,14 +1,12 @@
 """Event loop, events, and generator-based processes.
 
-Design notes
-------------
 The simulator keeps a single binary heap of ``(time, seq, callback)``
 entries.  ``seq`` is a monotonically increasing tie-breaker so that two
 events scheduled for the same instant fire in scheduling order — this
 makes every run bit-for-bit deterministic, which the reproduction
-relies on (see DESIGN.md §6).
-
-Processes are plain Python generators.  A process may ``yield``:
+relies on (see DESIGN.md §6).  The brokering path schedules bound
+methods of slotted objects directly; processes serve the few
+multi-step paths still written as generators.  A process may ``yield``:
 
 * a ``float``/``int`` — sleep for that many simulated seconds;
 * an :class:`Event` — suspend until the event succeeds or fails;
@@ -85,6 +83,10 @@ class Event:
         self.sim._schedule_now(self._dispatch)
         return self
 
+    def settle(self, ok: bool, value: Any) -> None:
+        """Succeed with ``value`` if ``ok``, else fail with it."""
+        (self.succeed if ok else self.fail)(value)
+
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already dispatched: run at the current instant, preserving
@@ -137,11 +139,9 @@ class AnyOf(Event):
     values; a failed child event fails the condition with its exception.
 
     Once the condition resolves it *detaches* from every still-pending
-    child: otherwise a completed RPC's race against its timeout keeps
-    the whole condition (and every event it references) alive until the
-    timeout fires, and the losing timeout's heap entry burns a no-op
-    wakeup.  A detached child timeout that nobody else watches is
-    cancelled outright, so RPC storms no longer bloat the event heap.
+    child, so a won race does not keep the condition alive until its
+    timeout fires; a detached child timeout that nobody else watches is
+    cancelled outright, leaving no live heap entry behind.
     """
 
     __slots__ = ("events",)
@@ -206,12 +206,10 @@ class ScheduledCall:
 
 
 class _Timeout(Event):
-    """A timeout event scheduled via a pre-bound method (no per-call
-    closure, no per-call name formatting — this is the per-RPC hot
-    path).  ``call`` is the underlying heap entry; a race condition
-    (:class:`AnyOf`) that resolves first cancels it when nobody else is
-    watching, and :meth:`add_callback` transparently re-arms it if a
-    watcher appears after such a cancellation.
+    """A timeout event scheduled via a pre-bound method (no closure).
+    ``call`` is the heap entry; an :class:`AnyOf` that resolves first
+    cancels it when nobody else is watching, and :meth:`add_callback`
+    re-arms it if a watcher appears after such a cancellation.
     """
 
     __slots__ = ("_payload", "call")
@@ -357,7 +355,7 @@ class _Periodic:
     """The chain behind :meth:`Simulator.every`: one slotted object whose
     bound :meth:`tick` is the scheduled callable and whose :meth:`cancel`
     stops the chain — no class or closure per call (the house pattern of
-    ``net.transport._RpcExpiry``).
+    ``net.transport._PendingRpc``).
     """
 
     __slots__ = ("sim", "interval", "fn", "jitter", "rng", "on_error",

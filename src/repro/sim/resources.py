@@ -9,9 +9,9 @@ growth the paper measures under load is exactly this queue filling up.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Callable, Deque
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 __all__ = ["Server"]
 
@@ -19,17 +19,12 @@ __all__ = ["Server"]
 class Server:
     """A multi-server FIFO queue (an M/G/c station, workload permitting).
 
-    Usage from a process::
-
-        slot = yield server.acquire()
-        try:
-            yield service_time
-        finally:
-            server.release()
-
-    Acquisition events succeed in strict request order (FIFO), which
-    models the paper's service containers: requests beyond the
-    concurrency limit queue and their response time grows with load.
+    ``acquire(then)`` calls ``then()`` when a slot is granted — inside
+    :meth:`acquire` if one is free, else inside the :meth:`release` that
+    hands it over: no event, no kernel hop.  Grants happen in strict
+    request order (FIFO), which models the paper's service containers:
+    requests beyond the concurrency limit queue and their response time
+    grows with load.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "server"):
@@ -39,7 +34,7 @@ class Server:
         self.capacity = capacity
         self.name = name
         self.in_service = 0
-        self._waiting: Deque[Event] = deque()
+        self._waiting: Deque[Callable[[], None]] = deque()
         # Counters for saturation detection / reporting.
         self.total_acquired = 0
         self.peak_queue_len = 0
@@ -48,34 +43,26 @@ class Server:
     def queue_len(self) -> int:
         return len(self._waiting)
 
-    @property
-    def busy(self) -> bool:
-        return self.in_service >= self.capacity
-
-    def acquire(self) -> Event:
-        """Return an event that succeeds when a service slot is granted."""
-        ev = self.sim.event(name=f"{self.name}.acquire")
+    def acquire(self, then: Callable[[], None]) -> None:
+        """Call ``then()`` once a service slot is granted: now if one is
+        free, else when a :meth:`release` hands one over."""
         if self.in_service < self.capacity:
             self.in_service += 1
             self.total_acquired += 1
-            ev.succeed(self)
+            then()
         else:
-            self._waiting.append(ev)
+            self._waiting.append(then)
             if len(self._waiting) > self.peak_queue_len:
                 self.peak_queue_len = len(self._waiting)
-        return ev
 
     def release(self) -> None:
         """Free one slot, handing it to the longest-waiting acquirer."""
         if self.in_service <= 0:
             raise RuntimeError(f"{self.name}: release() without acquire()")
-        # Drop abandoned waiters (e.g. a client timed out and the
-        # acquisition event will never be consumed) is the caller's
-        # concern; the kernel keeps strict FIFO here.
         if self._waiting:
-            ev = self._waiting.popleft()
+            then = self._waiting.popleft()
             self.total_acquired += 1
-            ev.succeed(self)
+            then()
         else:
             self.in_service -= 1
 

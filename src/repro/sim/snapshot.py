@@ -68,9 +68,10 @@ SNAPSHOT_FORMAT = "digruber-snapshot"
 #: per arrival, so a v2 count would replay to the wrong boundary; v4:
 #: three observability knobs left ``ExperimentConfig`` and ``sinks``
 #: lists only streams that have a file; v5: seven settings no
-#: experiment changed became constants).
+#: experiment changed became constants; v6: brokering runs as callbacks,
+#: so a v5 count includes same-instant hops this build never executes).
 #: :func:`newest_checkpoint` skips such files; a restore refuses them.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
 class SnapshotError(RuntimeError):

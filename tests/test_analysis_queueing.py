@@ -87,19 +87,32 @@ class TestDESAgreesWithTheory:
         completions = []
 
         def client(i):
+            """Think, queue for a slot, hold it, release, repeat."""
             crng = rng.stream(f"c{i}")
-            while sim.now < horizon:
-                yield float(crng.exponential(think_s))
+            t0 = 0.0
+
+            def think():
+                if sim.now < horizon:
+                    sim.schedule(float(crng.exponential(think_s)), arrive)
+
+            def arrive():
+                nonlocal t0
                 t0 = sim.now
-                yield server.acquire()
-                try:
-                    yield float(crng.exponential(1.0 / service_rate))
-                finally:
-                    server.release()
+                server.acquire(granted)
+
+            def granted():
+                sim.schedule(float(crng.exponential(1.0 / service_rate)),
+                             served)
+
+            def served():
+                server.release()
                 completions.append(sim.now - t0)
+                think()
+
+            think()
 
         for i in range(n_clients):
-            sim.process(client(i))
+            client(i)
         sim.run(until=horizon)
         throughput = len(completions) / horizon
         response = sum(completions) / len(completions)

@@ -155,13 +155,13 @@ class _FixedOpClient(GruberClient):
 
     OP_S = 0.75
 
-    def _broker(self, job):
+    def _broker_once(self, job):
         self.starts.append(self.sim.now)
-        try:
-            yield self.OP_S
-        finally:
-            self.busy = False
-            self._pump()
+        self.sim.schedule(self.OP_S, self._op_done)
+
+    def _op_done(self):
+        self.busy = False
+        self._pump()
 
 
 def cursor_client(arrivals, cls=_FixedOpClient, profile=FAST_PROFILE):
@@ -254,9 +254,12 @@ class TestArrivalCursor:
         sim, client = cursor_client(np.arange(1000.0), cls=GruberClient,
                                     profile=SLOW_PROFILE)
         sim.run(until=1000.0)
-        assert 25 <= len(client.jobs) <= 40
+        assert len(client.jobs) == 34 and client.n_fallback_timeout == 33
         assert client.backlog_len == 1000 - len(client.jobs)
-        assert sim.events_executed <= 25 * len(client.jobs)
+        # Six per timed-out job (overhead sleep, get_state delivery, race
+        # timer, random site's delivery, service completion, late
+        # answer), two for the job in flight, five sync ticks.
+        assert sim.events_executed == 6 * 33 + 2 + 5
         assert sim.events_executed < 1000  # fewer events than arrivals
 
     def test_idle_client_wakes_exactly_at_its_next_arrival(self):
@@ -270,16 +273,100 @@ class TestArrivalCursor:
         sim.run(until=17.0)
         assert client.busy and client._timer is None
         assert client.jobs[-1].created_at == 17.0
-        assert sim.events_executed == before + 2  # the timer, the broker
+        # The timer; the job's brokering starts inside it.
+        assert sim.events_executed == before + 1
+
+    @staticmethod
+    def _events_per_job(one_phase):
+        from repro.experiments.configs import canonical_gt3
+        from repro.experiments.runner import run_experiment
+        result = run_experiment(canonical_gt3(3, duration_s=600.0,
+                                              one_phase=one_phase))
+        n_jobs = sum(len(c.jobs) for c in result.clients)
+        assert n_jobs > 1000
+        return result.sim.events_executed / n_jobs
 
     def test_events_per_job_trajectory_gate(self):
         # Hardware-independent: an exact counter.  The per-arrival model
-        # ran ~36 kernel events per brokered job on this config; the
-        # cursor runs ~19.5.  A change that reintroduces idle ticks
+        # ran ~36 kernel events per brokered job on this config, the
+        # cursor with generator brokering ~19.5, callbacks ~9.  A change
+        # that reintroduces idle ticks or a same-instant hop per job
         # fails here on any runner.
-        from repro.experiments.configs import canonical_gt3
-        from repro.experiments.runner import run_experiment
-        result = run_experiment(canonical_gt3(3, duration_s=600.0))
-        n_jobs = sum(len(c.jobs) for c in result.clients)
-        assert n_jobs > 1000
-        assert result.sim.events_executed / n_jobs <= 25.0
+        assert self._events_per_job(one_phase=False) <= 12.0
+
+    def test_events_per_job_trajectory_gate_one_phase(self):
+        assert self._events_per_job(one_phase=True) <= 12.0
+
+
+#: Two protocol round trips, so the brokering path has its RTT sleep.
+CENSUS_PROFILE = ContainerProfile(
+    name="census", query_service_s=0.1, report_service_s=0.02,
+    query_concurrency=1, query_rtts=2, client_overhead_s=0.1,
+    instance_service_s=0.05, instance_concurrency=1, instance_rtts=1,
+    instance_client_overhead_s=0.05, sigma=0.0)
+
+
+class TestEventCensus:
+    """Exact kernel events for one brokered job, each one named.  The
+    count is the difference against the same host with no arrivals, so
+    the decision point's own timers cancel out."""
+
+    def _events(self, arrivals, profile, one_phase=False, horizon=1200.0):
+        sim, client = cursor_client(arrivals, cls=GruberClient,
+                                    profile=profile)
+        client.one_phase = one_phase
+        sim.run(until=horizon)
+        return sim.events_executed, client
+
+    def _census(self, profile, **kw):
+        baseline, _ = self._events([], profile, **kw)
+        total, client = self._events([1.0], profile, **kw)
+        return total - baseline, client
+
+    def test_answered_two_phase_job(self):
+        events, client = self._census(CENSUS_PROFILE)
+        assert client.n_handled == 1 and client.jobs[0].completed_at
+        # arrival timer, overhead sleep, RTT sleep, get_state delivery,
+        # its service completion, the answer's delivery, the job's
+        # delivery to its site, report delivery, its service completion,
+        # the ack's delivery, the job's completion at the site.
+        assert events == 11
+
+    def test_timed_out_job(self):
+        events, client = self._census(SLOW_PROFILE)
+        assert client.n_fallback_timeout == 1 and client.n_abandoned == 0
+        # arrival timer, overhead sleep, get_state delivery, the race
+        # timer, the random site's delivery, the late service
+        # completion, the late answer's delivery, the job's completion.
+        assert events == 8
+
+    def test_one_phase_job(self):
+        events, client = self._census(CENSUS_PROFILE, one_phase=True)
+        assert client.n_handled == 1 and client.jobs[0].completed_at
+        # arrival timer, overhead sleep, RTT sleep, broker_job delivery,
+        # its service completion, the answer's delivery, the job's
+        # delivery to its site, the job's completion.
+        assert events == 8
+
+
+class TestQueryRecordNamesTheQueriedDp:
+    def _rebind_mid_query(self, profile):
+        sim, client, dp, grid, trace = build(profile, n_jobs=1)
+        DecisionPoint(sim, client.network, "dp1", grid, profile,
+                      RngRegistry(9).stream("dp1"),
+                      monitor_interval_s=600.0).start(neighbors=[])
+        sim.run(until=0.2)  # the query is in flight to dp0
+        assert client.busy
+        client.rebind("dp1")
+        sim.run(until=300.0)
+        return trace.query_arrays()
+
+    def test_answered_query_names_the_old_dp(self):
+        q = self._rebind_mid_query(FAST_PROFILE)
+        assert not q["timed_out"][0]
+        assert list(q["decision_point"]) == ["dp0"]
+
+    def test_timed_out_query_names_the_old_dp(self):
+        q = self._rebind_mid_query(SLOW_PROFILE)
+        assert q["timed_out"][0]
+        assert list(q["decision_point"]) == ["dp0"]

@@ -5,7 +5,7 @@ import pytest
 from repro.core import DecisionPoint, DisseminationStrategy, SiteMonitor
 from repro.core.engine import GruberEngine
 from repro.grid import Cluster, GridBuilder, Job, Site
-from repro.net import ConstantLatency, GT3_PROFILE, Network
+from repro.net import ConstantLatency, GT3_PROFILE, Network, RpcError
 from repro.sim import RngRegistry, Simulator
 from repro.usla import Agreement, AgreementContext
 
@@ -112,6 +112,34 @@ class TestDecisionPointHandlers:
             lambda e: results.append(e.value))
         sim.run(until=10.0)
         assert results == [{"created": True}]
+
+    def test_handler_failing_after_its_service_answers_rpc_error(self, env):
+        sim, rng, net, grid = env
+        dp = make_dp(env)
+        dp.start(neighbors=[])
+        ev = net.rpc("client", "dp0", "report_dispatch",
+                     {"site": "no-such-site", "vo": "vo0", "cpus": 1})
+        sim.run(until=10.0)
+        assert ev.ok is False and isinstance(ev.value, RpcError)
+        assert "no-such-site" in str(ev.value)
+        # It failed after the service time, and handed its slot back.
+        assert dp.container.completed_ops == 1
+        assert dp.container.in_service == 0
+
+    def test_shed_request_answers_rpc_error_one_round_trip_later(self, env):
+        sim, rng, net, grid = env
+        dp = make_dp(env, max_queue=1)
+        dp.start(neighbors=[])
+        outcomes = []
+        for _ in range(3):
+            net.rpc("client", "dp0", "get_state", {}).add_callback(
+                lambda e: outcomes.append((sim.now, e.ok, e.value)))
+        sim.run(until=30.0)
+        shed = outcomes[0]
+        assert shed[:2] == (pytest.approx(0.1), False)
+        assert isinstance(shed[2], RpcError) and "OverloadShed" in str(shed[2])
+        assert [ok for _, ok, _ in outcomes[1:]] == [True, True]
+        assert dp.container.shed_ops == 1
 
     def test_state_response_kb_scales_with_sites(self, env):
         dp = make_dp(env, site_state_kb=0.06)

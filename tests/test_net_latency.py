@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import ConstantLatency, LanLatency, PairwiseWanLatency
 from repro.sim import RngRegistry
@@ -65,3 +67,35 @@ class TestPairwiseWanLatency:
     def test_all_samples_positive(self):
         model = PairwiseWanLatency(RngRegistry(3).stream("wan"))
         assert all(model.sample("a", f"b{i}") > 0 for i in range(100))
+
+
+class _ReprKeyedWan(PairwiseWanLatency):
+    """The earlier key: one entry per pair under its ``repr``-canonical
+    ordering, built (two ``repr`` calls) on every message."""
+
+    def base_latency(self, src, dst):
+        if src == dst:
+            return 0.0
+        key = (src, dst) if repr(src) <= repr(dst) else (dst, src)
+        base = self._base.get(key)
+        if base is None:
+            base = self.median_s * float(np.exp(self.rng.normal(0.0, self.sigma)))
+            self._base[key] = base
+        return base
+
+
+_NODES = ["dp0", "dp1", "host000", "host001", "site-a", "site-b", 7]
+
+
+@given(messages=st.lists(st.tuples(st.sampled_from(_NODES),
+                                   st.sampled_from(_NODES)), max_size=60),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_ordered_key_draws_like_the_repr_canonical_key(messages, seed):
+    """Same value for every message, the first draw per unordered pair
+    unchanged, and one entry per pair either way (no reverse copy)."""
+    old = _ReprKeyedWan(RngRegistry(seed).stream("wan"))
+    new = PairwiseWanLatency(RngRegistry(seed).stream("wan"))
+    assert ([old.sample(s, d) for s, d in messages]
+            == [new.sample(s, d) for s, d in messages])
+    assert len(new._base) == len(old._base)

@@ -20,6 +20,15 @@ def make_endpoint(net, node_id):
     return Endpoint(net, node_id)
 
 
+def deferred(sim, service_s, post):
+    """A deferred handler: answers ``post(request)`` ``service_s`` after
+    the request arrives."""
+    def handler(request):
+        request.post = post
+        sim.schedule(service_s, request.served)
+    return handler
+
+
 class TestRegistration:
     def test_register_and_lookup(self, net):
         ep = make_endpoint(net, "a")
@@ -49,15 +58,12 @@ class TestRpc:
         sim.run()
         assert done == [(pytest.approx(0.2), {"x": 1})]
 
-    def test_generator_handler_consumes_time(self, sim, net):
+    def test_deferred_handler_consumes_time(self, sim, net):
         make_endpoint(net, "client")
         server = make_endpoint(net, "server")
-
-        def handler(payload, src):
-            yield 2.0
-            return payload * 2
-
-        server.register_handler("double", handler)
+        server.register_handler("double",
+                                deferred(sim, 2.0, lambda r: r.msg.payload * 2),
+                                deferred=True)
         ev = net.rpc("client", "server", "double", 21)
         done = []
         ev.add_callback(lambda e: done.append((sim.now, e.value)))
@@ -73,15 +79,15 @@ class TestRpc:
         assert ev.ok is False and isinstance(ev.value, RpcError)
         assert "bad" in str(ev.value)
 
-    def test_generator_handler_exception_fails_rpc(self, sim, net):
+    def test_deferred_handler_exception_fails_rpc(self, sim, net):
         make_endpoint(net, "client")
         server = make_endpoint(net, "server")
 
-        def handler(payload, src):
-            yield 1.0
+        def post(request):
             raise KeyError("missing")
 
-        server.register_handler("boom", handler)
+        server.register_handler("boom", deferred(sim, 1.0, post),
+                                deferred=True)
         ev = net.rpc("client", "server", "boom")
         sim.run()
         assert ev.ok is False and isinstance(ev.value, RpcError)
@@ -103,12 +109,12 @@ class TestRpc:
         server = make_endpoint(net, "server")
         served = []
 
-        def slow(payload, src):
-            yield 10.0
+        def post(request):
             served.append(sim.now)
             return "late"
 
-        server.register_handler("slow", slow)
+        server.register_handler("slow", deferred(sim, 10.0, post),
+                                deferred=True)
         ev = net.rpc("client", "server", "slow", timeout=1.0)
         sim.run()
         # Caller saw a timeout...
@@ -121,11 +127,8 @@ class TestRpc:
         make_endpoint(net, "client")
         server = make_endpoint(net, "server")
 
-        def slow(payload, src):
-            yield 5.0
-            return "x"
-
-        server.register_handler("slow", slow)
+        server.register_handler("slow", deferred(sim, 5.0, lambda r: "x"),
+                                deferred=True)
         net.rpc("client", "server", "slow", timeout=0.5)
         sim.run()  # must not raise when the response arrives at t=5.2
 
@@ -164,6 +167,80 @@ class TestRpc:
                 lambda e: results.append(e.value))
         sim.run()
         assert sorted(results) == [0, 1, 2, 3, 4]
+
+
+class TestContinuationForm:
+    def test_then_is_called_once_with_the_outcome(self, sim, net):
+        make_endpoint(net, "client")
+        server = make_endpoint(net, "server")
+        server.register_handler("echo", lambda payload, src: payload)
+        server.register_handler("boom", lambda p, s: {}["nope"])
+        seen = []
+        for op in ("echo", "boom"):
+            net.rpc("client", "server", op, 7,
+                    then=lambda ok, value: seen.append((sim.now, ok, value)))
+        sim.run()
+        assert [(t, ok) for t, ok, _ in seen] == [(pytest.approx(0.2), True),
+                                                 (pytest.approx(0.2), False)]
+        assert seen[0][2] == 7 and isinstance(seen[1][2], RpcError)
+        # Two deliveries and two returns: no hop between them.
+        assert sim.events_executed == 4
+
+    def test_timeout_reaches_then_as_rpc_timeout(self, sim, net):
+        make_endpoint(net, "client")
+        server = make_endpoint(net, "server")
+        server.register_handler("slow", deferred(sim, 5.0, lambda r: "x"),
+                                deferred=True)
+        seen = []
+        net.rpc("client", "server", "slow", timeout=1.0,
+                then=lambda ok, value: seen.append((sim.now, ok, value)))
+        sim.run()
+        assert len(seen) == 1 and seen[0][:2] == (1.0, False)
+        assert isinstance(seen[0][2], RpcTimeout)
+
+    def test_detached_caller_is_not_called_but_rpc_is_counted(self, sim, net):
+        make_endpoint(net, "client")
+        server = make_endpoint(net, "server")
+        server.register_handler("echo", lambda payload, src: payload)
+        seen = []
+        handle = net.rpc("client", "server", "echo", 1,
+                         then=lambda ok, value: seen.append(value))
+        handle.then = None
+        sim.run()
+        assert seen == [] and net.stats.rpcs_completed == 1
+        assert net._pending_rpcs == {}
+
+
+class TestRpcMetrics:
+    def test_outcome_counters_appear_on_first_use_and_count_exactly(
+            self, sim, net):
+        make_endpoint(net, "c")
+        server = make_endpoint(net, "s")
+        server.register_handler("ok", lambda p, s: 1)
+        server.register_handler("bad", lambda p, s: {}["nope"])
+        server.register_handler("slow", deferred(sim, 5.0, lambda r: 1),
+                                deferred=True)
+        metrics = sim.metrics
+        assert not any(n.startswith("rpc.") for n in metrics.counters)
+        assert "rpc.latency_s" not in metrics.histograms
+        net.rpc("c", "s", "ok")
+        sim.run()
+        assert sorted(n for n in metrics.counters if n.startswith("rpc.")) \
+            == ["rpc.ok"]
+        for op in ("ok", "ok", "bad", "slow"):
+            net.rpc("c", "s", op, timeout=1.0)
+        sim.run()
+        counts = {n: c.value for n, c in metrics.counters.items()
+                  if n.startswith("rpc.")}
+        assert counts == {"rpc.ok": 3, "rpc.error": 1, "rpc.timeout": 1}
+        assert metrics.histograms["rpc.latency_s"].count == 5
+
+    def test_event_names_are_formatted_only_when_tracing(self, sim, net):
+        make_endpoint(net, "c")
+        make_endpoint(net, "s")
+        assert net.rpc("c", "s", "op").name == "rpc"
+        sim.trace.enabled = True
+        assert net.rpc("c", "s", "op").name == "rpc:op:2"
 
 
 class TestOneway:

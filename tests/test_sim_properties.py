@@ -36,6 +36,28 @@ def test_run_until_partitions_events_exactly(delays, cutoff):
     assert sim.now == cutoff
 
 
+def serve_all(sim, srv, service_times, arrivals=None, on_grant=None):
+    """Each job arrives (at ``arrivals[i]``, default 0), takes a slot of
+    ``srv``, holds it ``service_times[i]``, releases it.  Returns the
+    completion log ``[(tag, time)]``."""
+    completed = []
+
+    def job(tag, svc):
+        def granted():
+            if on_grant is not None:
+                on_grant(tag)
+            sim.schedule(svc, finished)
+
+        def finished():
+            srv.release()
+            completed.append((tag, sim.now))
+        return lambda: srv.acquire(granted)
+
+    for i, svc in enumerate(service_times):
+        sim.schedule(arrivals[i] if arrivals else 0.0, job(i, svc))
+    return completed
+
+
 @given(service_times=st.lists(st.floats(min_value=0.001, max_value=100.0,
                                         allow_nan=False, allow_infinity=False),
                               min_size=1, max_size=50),
@@ -45,23 +67,15 @@ def test_server_never_exceeds_capacity_and_serves_everyone(service_times, capaci
     sim = Simulator()
     srv = Server(sim, capacity=capacity)
     max_seen = 0
-    completed = []
 
-    def job(tag, svc):
+    def on_grant(tag):
         nonlocal max_seen
-        yield srv.acquire()
         max_seen = max(max_seen, srv.in_service)
-        try:
-            yield svc
-        finally:
-            srv.release()
-        completed.append(tag)
 
-    for i, svc in enumerate(service_times):
-        sim.process(job(i, svc))
+    completed = serve_all(sim, srv, service_times, on_grant=on_grant)
     sim.run()
     assert max_seen <= capacity
-    assert sorted(completed) == list(range(len(service_times)))
+    assert sorted(tag for tag, _ in completed) == list(range(len(service_times)))
     assert srv.in_service == 0 and srv.queue_len == 0
 
 
@@ -73,18 +87,75 @@ def test_single_server_is_work_conserving(service_times):
     """With capacity 1 and all arrivals at t=0, makespan == sum of services."""
     sim = Simulator()
     srv = Server(sim, capacity=1)
+    serve_all(sim, srv, service_times)
+    sim.run()
+    assert abs(sim.now - sum(service_times)) < 1e-6 * len(service_times)
 
-    def job(svc):
+
+class EventFifoServer:
+    """The Event-based FIFO the callback :class:`Server` replaced: a grant
+    succeeds the waiter's acquire event, and the waiting process resumes
+    one same-instant kernel hop later."""
+
+    def __init__(self, sim, capacity):
+        self.sim, self.capacity = sim, capacity
+        self.in_service, self.waiting = 0, []
+
+    def acquire(self):
+        ev = self.sim.event()
+        if self.in_service < self.capacity:
+            self.in_service += 1
+            ev.succeed()
+        else:
+            self.waiting.append(ev)
+        return ev
+
+    def release(self):
+        if self.waiting:
+            self.waiting.pop(0).succeed()
+        else:
+            self.in_service -= 1
+
+
+def reference_grants(arrivals, service_times, capacity):
+    sim = Simulator()
+    srv = EventFifoServer(sim, capacity)
+    grants, completed = [], []
+
+    def job(tag, svc):
         yield srv.acquire()
+        grants.append((tag, sim.now))
         try:
             yield svc
         finally:
             srv.release()
+        completed.append((tag, sim.now))
 
-    for svc in service_times:
-        sim.process(job(svc))
+    for i, (at, svc) in enumerate(zip(arrivals, service_times)):
+        sim.schedule(at, lambda i=i, svc=svc: sim.process(job(i, svc)))
     sim.run()
-    assert abs(sim.now - sum(service_times)) < 1e-6 * len(service_times)
+    return grants, completed
+
+
+_HALVES = st.integers(0, 12).map(lambda k: k / 2.0)  # dense same-instant ties
+
+
+@given(jobs=st.lists(st.tuples(_HALVES, _HALVES), min_size=1, max_size=40),
+       capacity=st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_callback_server_grants_like_the_event_fifo(jobs, capacity):
+    """Same order, same instants: granting by continuation instead of by
+    an acquire event removes kernel hops, not grants or their timing."""
+    arrivals = [at for at, _ in jobs]
+    service_times = [svc for _, svc in jobs]
+    sim = Simulator()
+    srv = Server(sim, capacity=capacity)
+    grants = []
+    completed = serve_all(sim, srv, service_times, arrivals,
+                          on_grant=lambda tag: grants.append((tag, sim.now)))
+    sim.run()
+    assert (grants, completed) == reference_grants(arrivals, service_times,
+                                                   capacity)
 
 
 class ReferenceLoop:

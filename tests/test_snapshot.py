@@ -12,6 +12,7 @@ from repro.check.invariants import check_snapshot_invariants
 from repro.experiments.configs import canonical_gt4, smoke_config
 from repro.experiments.runner import build_experiment
 from repro.sim.snapshot import (
+    SNAPSHOT_VERSION,
     SnapshotError,
     checkpoint_filename,
     decode_config,
@@ -113,7 +114,8 @@ def _legacy_write(snapshot, path):
     order with default separators."""
     body = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
     crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    doc = {"meta": {"format": "digruber-snapshot", "version": 5, "crc": crc},
+    doc = {"meta": {"format": "digruber-snapshot",
+                    "version": SNAPSHOT_VERSION, "crc": crc},
            "snapshot": snapshot}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
@@ -161,10 +163,10 @@ class TestEncodeOnce:
         config = _config()
         fresh = summary_digest(summarize(run_experiment(config)))
         built = build_experiment(config)
-        built.sim.run_to_event(600)
+        built.sim.run_to_event(300)
         path = _legacy_write(
             snapshot_experiment(built),
-            str(tmp_path / checkpoint_filename(built.sim.now, 600)))
+            str(tmp_path / checkpoint_filename(built.sim.now, 300)))
         assert newest_checkpoint(str(tmp_path)) == path
         restored = resume_experiment(path)
         assert summary_digest(summarize(restored)) == fresh
@@ -264,6 +266,19 @@ def _restamp_as_v4(path):
     _restamp(doc, path, version=4)
 
 
+def _restamp_as_v5(path):
+    """Rewrite a checkpoint the way the last v5 build wrote it: an event
+    count that includes the same-instant hops of generator brokering
+    (the heap held ``Process`` resumes), and a CRC valid for the body."""
+    doc = json.loads(open(path).read())
+    snap = doc["snapshot"]
+    snap["event_count"] *= 2
+    snap["state"]["kernel"]["event_count"] = snap["event_count"]
+    snap["digests"] = {k: state_digest(v) for k, v in snap["state"].items()}
+    snap["digest"] = state_digest(snap["state"])
+    _restamp(doc, path, version=5)
+
+
 def _restamp_as_v2(path):
     """Rewrite a checkpoint the way the last v2 build wrote it: every
     client section carries the backlog as a list of workload indices
@@ -318,7 +333,7 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 5" in err
+        assert "snapshot version 1" in err and "reads version 6" in err
 
     def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
         """A v2 file's ``event_count`` includes one wake-up per arrival
@@ -329,7 +344,7 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v2(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 2.*reads version 5"):
+                           match="snapshot version 2.*reads version 6"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError, match="snapshot version 2"):
@@ -348,13 +363,35 @@ class TestStaleCheckpoints:
         _restamp_as_v3(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError,
-                           match="snapshot version 3.*reads version 5"):
+                           match="snapshot version 3.*reads version 6"):
             resume_experiment(path)
         assert main(["run", "--restore", path]) == 2
         config = json.loads(open(path).read())["snapshot"]["config"]
         with pytest.raises(SnapshotError, match="unknown fields: "
                            + ", ".join(sorted(_RETIRED_V3))):
             decode_config(config)
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                             ids=["monolithic", "sharded"])
+    def test_v5_checkpoint_counting_brokering_hops_is_refused_by_version(
+            self, tmp_path, capsys, extra):
+        """A v5 file's ``event_count`` includes the zero-delay kernel
+        hops of generator brokering, which this build never executes:
+        replaying to it would overshoot the checkpoint instant.  Refused
+        when read, skipped when picking a restore candidate, one
+        ``error:`` line from ``run --restore`` (either runtime)."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v5(path)
+        with pytest.raises(SnapshotError,
+                           match="snapshot version 5.*reads version 6"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        assert main(["run", "--restore", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot version 5" in err and "reads version 6" in err
 
     @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
                              ids=["monolithic", "sharded"])
@@ -370,13 +407,13 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v4(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 4.*reads version 5"):
+                           match="snapshot version 4.*reads version 6"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 4" in err and "reads version 5" in err
+        assert "snapshot version 4" in err and "reads version 6" in err
         config = json.loads(open(path).read())["snapshot"]["config"]
         with pytest.raises(SnapshotError, match="unknown fields: "
                            + ", ".join(sorted(_RETIRED_V4))):
