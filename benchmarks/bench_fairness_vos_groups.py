@@ -70,17 +70,17 @@ def _hook(state):
 
 
 def _delivered(result):
-    """CPU-seconds by VO (sites) and by vo0 group (client jobs)."""
+    """CPU-seconds by VO (sites) and by vo0 group (job rows)."""
     by_vo = {}
     for site in result.grid.sites.values():
         for vo, s in site.vo_cpu_seconds.items():
             by_vo[vo] = by_vo.get(vo, 0.0) + s
     by_group = {}
-    for client in result.clients:
-        for job in client.jobs:
-            if job.vo == "vo0" and job.cpu_seconds:
-                by_group[job.group] = (by_group.get(job.group, 0.0)
-                                       + job.cpu_seconds)
+    jobs = result.trace.job_arrays()
+    cpu_seconds = (jobs["completed_at"] - jobs["started_at"]) * jobs["cpus"]
+    for vo, group, secs in zip(jobs["vo"], jobs["group"], cpu_seconds):
+        if vo == "vo0" and secs > 0:  # NaN: never started or finished
+            by_group[group] = by_group.get(group, 0.0) + float(secs)
     return by_vo, by_group
 
 

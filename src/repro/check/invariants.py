@@ -98,15 +98,13 @@ class InvariantChecker:
         self._last_integral: dict[str, float] = {}
         self._last_learn_count: dict[str, int] = {}
         self._last_marks: dict[tuple[str, str], int] = {}
-        # client.job_duration verifies each job once: per client, how
-        # many of its jobs were taken up and which are not COMPLETED yet.
-        self._unverified: dict[str, tuple[int, list]] = {}
-        #: Jobs that rule has looked at, summed over passes.
+        #: Jobs ``client.job_duration`` has verified (one per completion).
         self.jobs_inspected = 0
 
     # -- wiring ------------------------------------------------------------
     def watch_site(self, site: "Site") -> None:
         self._sites.append(site)
+        site.on_job_completed.append(self._on_job_completed)
 
     def watch_client(self, client: "GruberClient") -> None:
         self._clients.append(client)
@@ -167,6 +165,7 @@ class InvariantChecker:
             self._check_site(site)
         for client in self._clients:
             self._check_client(client)
+        self._check_job_tables()
         for dp in self._dps:
             self._check_dp(dp)
         for deployment in self._deployments:
@@ -234,7 +233,12 @@ class InvariantChecker:
             self._flag("site.busy_bounds", name,
                        f"busy={site.busy_cpus} outside "
                        f"[0, {site.total_cpus}]")
-        running = sum(j.cpus for j in site._running.values())
+        now = self.sim.now
+        running = accruing = 0  # one walk, in the order sum() added
+        for j in site._running.values():
+            running += j.cpus
+            if j.started_at is not None:
+                accruing += (now - j.started_at) * j.cpus
         if running != site.busy_cpus:
             self._flag("site.busy_sum", name,
                        f"busy={site.busy_cpus} but running jobs hold "
@@ -252,7 +256,6 @@ class InvariantChecker:
         # share of running jobs.  A preempted job whose partial run is
         # never credited breaks the equality (that bug is how this rule
         # earned its place).
-        now = self.sim.now
         integral = site._busy_integral + site.busy_cpus * (now - site._last_change)
         last = self._last_integral.get(name, 0.0)
         if integral < last - _ABS_TOL:
@@ -260,9 +263,6 @@ class InvariantChecker:
                        f"busy integral {integral} fell below {last}")
         self._last_integral[name] = integral
         credited = sum(site.vo_cpu_seconds.values())
-        accruing = sum((now - j.started_at) * j.cpus
-                       for j in site._running.values()
-                       if j.started_at is not None)
         expected = credited + accruing
         if abs(integral - expected) > max(_ABS_TOL, _REL_TOL * integral):
             self._flag("site.cpu_seconds", name,
@@ -276,31 +276,33 @@ class InvariantChecker:
     # -- clients -----------------------------------------------------------
     def _check_client(self, client: "GruberClient") -> None:
         name = str(client.node_id)
+        cursor = client._next  # jobs materialized
         terminal = client.n_handled + client.n_fallback_timeout
-        in_flight = len(client.jobs) - terminal
+        in_flight = cursor - terminal
         if in_flight not in (0, 1):
             self._flag("client.job_conservation", name,
-                       f"{len(client.jobs)} materialized jobs vs "
+                       f"{cursor} materialized jobs vs "
                        f"{terminal} terminal (in-flight={in_flight})")
         elif in_flight == 1 and not client.busy:
             self._flag("client.channel_state", name,
                        "one job in flight but channel not busy")
         # Arrival cursor: the backlog is derived from the cursor, so the
-        # checkable facts are about the cursor itself — it counts the
-        # materialized jobs, never runs ahead of the clock, and its one
-        # timer is armed only while the channel idles with nothing due.
+        # checkable facts are about the cursor itself — it never runs
+        # ahead of the clock, the job in flight is the last arrival it
+        # took, and its one timer is armed only while the channel idles
+        # with nothing due.
         now = self.sim.now
-        cursor = client._next
-        due = int(np.searchsorted(client.workload.arrivals, now,
-                                  side="right"))
-        if not (len(client.jobs) == cursor <= due):
+        arrivals = client.workload.arrivals
+        due = int(np.searchsorted(arrivals, now, side="right"))
+        job = client._job
+        if not (0 <= cursor <= due):
             self._flag("client.arrival_cursor", name,
-                       f"{len(client.jobs)} jobs, cursor {cursor}, "
-                       f"{due} arrivals due at t={now}")
-        elif client.jobs and client.jobs[-1].created_at > now:
+                       f"cursor {cursor}, {due} arrivals due at t={now}")
+        elif job is not None and job.created_at != arrivals[cursor - 1]:
             self._flag("client.arrival_cursor", name,
-                       f"job {client.jobs[-1].jid} created at "
-                       f"{client.jobs[-1].created_at} > now={now}")
+                       f"job {job.jid} in flight created at "
+                       f"{job.created_at}, arrival {cursor - 1} is at "
+                       f"{arrivals[cursor - 1]} (now={now})")
         if client._timer is not None and (client.busy or due > cursor):
             self._flag("client.arrival_cursor", name,
                        f"arrival timer armed with busy={client.busy}, "
@@ -310,27 +312,32 @@ class InvariantChecker:
             if getattr(client, counter) < 0:
                 self._flag("client.counter_bounds", name,
                            f"{counter}={getattr(client, counter)} < 0")
-        # A completed job ran for exactly its duration.  A stale
-        # completion timer surviving a preempt-and-replan cycle
-        # truncated the second run to the first run's deadline — this
-        # rule is the in-vivo detector for that class.  COMPLETED is
-        # terminal and immutable, so each job is verified once, when
-        # first seen in it; unfinished and FAILED jobs stay pending (a
-        # re-plan can still complete them).
-        taken, unverified = self._unverified.get(name, (0, ()))
-        to_verify = (*unverified, *client.jobs[taken:])
-        self.jobs_inspected += len(to_verify)
-        pending = []
-        for job in to_verify:
-            if job.state is not JobState.COMPLETED:
-                pending.append(job)
-                continue
-            et = job.execution_time_s
-            if et is not None and abs(et - job.duration_s) > _ABS_TOL:
-                self._flag("client.job_duration", name,
-                           f"job {job.jid} ran {et:.6f}s, duration "
-                           f"{job.duration_s:.6f}s")
-        self._unverified[name] = len(client.jobs), pending
+
+    def _on_job_completed(self, job) -> None:
+        """``client.job_duration``, once per job at COMPLETED (FAILED is
+        not final: a re-plan can still complete it).  A stale completion
+        timer that survived a preempt-and-replan cycle truncated the
+        second run to the first run's deadline: this detects that class."""
+        if job.state is not JobState.COMPLETED:
+            return
+        self.jobs_inspected += 1
+        et = job.execution_time_s
+        if abs(et - job.duration_s) > _ABS_TOL:
+            self._flag("client.job_duration", str(job.submission_host),
+                       f"job {job.jid} ran {et:.6f}s, duration "
+                       f"{job.duration_s:.6f}s")
+
+    def _check_job_tables(self) -> None:
+        """``trace.job_table``: every job a client materialized is in its
+        recorder exactly once, as a row or live."""
+        opened: dict[int, list] = {}
+        for client in self._clients:
+            opened.setdefault(id(client.trace), [client.trace, 0])[1] += \
+                client._next
+        for trace, n in opened.values():
+            if trace.n_jobs + len(trace.live) != n:
+                self._flag("trace.job_table", "trace", f"{trace.n_jobs} rows "
+                           f"+ {len(trace.live)} live != {n} jobs materialized")
 
     # -- decision points -----------------------------------------------------
     def _check_dp(self, dp: "DecisionPoint") -> None:

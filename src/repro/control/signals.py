@@ -108,7 +108,7 @@ class SignalBus:
             dp_key = str(client.decision_point)
             bound[dp_key] = bound.get(dp_key, 0) + 1
             hid = str(client.node_id)
-            n_jobs = len(client.jobs)
+            n_jobs = client._next  # jobs materialized so far
             grew = n_jobs > self._prev_jobs.get(hid, 0)
             self._prev_jobs[hid] = n_jobs
             blog = client.backlog_len

@@ -82,7 +82,6 @@ class GruberClient(Endpoint):
         self.failover = failover
         self._breakers: dict[Hashable, CircuitBreaker] = {}
 
-        self.jobs: list[Job] = []
         self.busy = False
         #: Cursor into ``workload.arrivals``: jobs ``[0, _next)`` have
         #: been materialized, ``[_next, due)`` wait for the channel.
@@ -205,7 +204,7 @@ class GruberClient(Endpoint):
         job = self.workload.job_at(idx)
         job.mark_created(arrival)
         job.decision_point = str(self.decision_point)
-        self.jobs.append(job)
+        self.trace.open_job(job)
         self.busy = True
         if self.resilience is None:  # the paper-faithful callbacks
             self._broker_once(job)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.metrics.report import SummaryStats
-from repro.workloads.trace import TraceRecorder
+from repro.workloads.trace import QueryRows, TraceRecorder
 
 __all__ = ["FailedCell", "RunSummary", "summarize", "summary_digest",
            "run_parallel"]
@@ -48,7 +48,7 @@ class RunSummary:
     response_series: tuple
     throughput_series: tuple
     fallbacks: dict
-    query_rows: list = field(repr=False)  # raw trace rows for replay
+    query_rows: QueryRows = field(repr=False)  # raw trace rows for replay
 
     # -- derived -----------------------------------------------------------
     @property
@@ -71,9 +71,7 @@ class RunSummary:
 
     def to_trace(self) -> TraceRecorder:
         """Rebuild the query trace (GRUB-SIM input) from raw rows."""
-        rec = TraceRecorder()
-        rec._queries = list(self.query_rows)
-        return rec
+        return TraceRecorder.from_query_rows(self.query_rows)
 
     def figure_view(self) -> "_FigureView":
         """Duck-compatible with DiPerfResult for the figure renderers."""
@@ -139,7 +137,7 @@ def summarize(result: ExperimentResult, window_s: float = 60.0) -> RunSummary:
         response_series=d.response_series(),
         throughput_series=d.throughput_series(),
         fallbacks=result.client_fallbacks(),
-        query_rows=list(result.trace._queries),
+        query_rows=result.trace.query_rows(),
     )
 
 

@@ -298,6 +298,9 @@ def build_experiment(config: ExperimentConfig,
         from repro.workloads.profiles import arrival_profile
         profile = arrival_profile(config.workload_profile)
     trace = TraceRecorder()
+    # A completed job leaves memory as one row of this build's table.
+    for site in grid.sites.values():
+        site.on_job_completed.append(trace.job_ended)
     state_kb = config.n_sites * config.site_state_kb
 
     failover = None
@@ -426,10 +429,8 @@ def finalize_experiment(built: BuiltExperiment) -> ExperimentResult:
         # past the run window) export flagged as orphans.
         sim.spans.export_jsonl(config.spans_path)
 
-    # Finalize: record every job's terminal (or end-of-run) state.
-    for client in clients:
-        for job in client.jobs:
-            trace.record_job(job)
+    # Completed jobs are rows already; record the rest as they stand.
+    trace.close_live()
 
     client_starts = np.array([offsets[h] for h in hosts])
     client_ends = np.array([

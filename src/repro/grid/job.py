@@ -30,7 +30,7 @@ class JobState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A unit of work flowing through the brokering infrastructure."""
 

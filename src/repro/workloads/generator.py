@@ -29,10 +29,9 @@ __all__ = ["HostWorkload", "WorkloadGenerator"]
 Identity = tuple[str, str, str]
 
 
-def _identity_column(picks: np.ndarray, n_identities: int) -> np.ndarray:
-    """``picks`` in the smallest unsigned dtype that indexes the table."""
-    dtype = np.min_scalar_type(max(n_identities - 1, 0))
-    return np.asarray(picks).astype(dtype)
+def _narrow(values: np.ndarray, largest: int) -> np.ndarray:
+    """``values`` (all in ``[0, largest]``) in the smallest unsigned dtype."""
+    return np.asarray(values).astype(np.min_scalar_type(max(largest, 0)))
 
 
 @dataclass
@@ -42,7 +41,8 @@ class HostWorkload:
     Job ``i`` is ``identities[identity[i]]``, ``cpus[i]``,
     ``durations[i]``, submitted at ``arrivals[i]``.  ``identities`` is
     shared by every workload of a fleet, so a host costs its columns
-    and nothing per job beyond them.
+    (``identity`` and ``cpus`` in their smallest unsigned dtype) and
+    nothing per job beyond them.
     """
 
     host: str
@@ -75,6 +75,14 @@ class HostWorkload:
             raise ValueError(
                 f"HostWorkload {self.host!r}: identity index out of range "
                 f"for a table of {len(self.identities)}")
+        # A bad job attribute fails here, by host — not mid-run in
+        # ``Job.__post_init__``, and not wrapped by the narrowing.
+        for name, low, ok in (("cpus", ">= 1", lambda v: v >= 1),
+                              ("durations", "> 0", lambda v: v > 0)):
+            if n and not ok(np.min(getattr(self, name))):
+                raise ValueError(f"HostWorkload {self.host!r}: {name} entries "
+                                 f"must be {low}")
+        self.cpus = _narrow(self.cpus, int(np.max(self.cpus)) if n else 0)
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -203,7 +211,7 @@ class WorkloadGenerator:
         return HostWorkload(
             host=host,
             arrivals=arrivals,
-            identity=_identity_column(picks, len(self.identities)),
+            identity=_narrow(picks, len(self.identities) - 1),
             identities=self.identities,
             cpus=self.model.draw_cpus(self.rng, n),
             durations=self.model.draw_durations(self.rng, n),

@@ -10,117 +10,143 @@ tables recorded here:
 * **jobs** — one row per job with its full lifecycle timestamps and
   brokering annotations (handled flag, scheduling accuracy).
 
-Rows accumulate in plain Python lists (cheap appends in the hot path)
-and convert to numpy arrays once at analysis time, per the
-vectorize-the-post-processing guidance in the HPC guides.
+A job is *live* (in :attr:`TraceRecorder.live`) from materialization
+until it completes; then it is one row of typed, growable columns
+(an ``array`` or a list of shared strings each) and is released.
+Columns convert to numpy arrays once, at analysis time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from array import array
+from itertools import islice
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.grid.job import Job, JobState
 
-__all__ = ["TraceRecorder", "QUERY_FIELDS", "JOB_FIELDS"]
+__all__ = ["TraceRecorder", "QueryRows", "QUERY_FIELDS", "JOB_FIELDS"]
 
-QUERY_FIELDS = ("sent_at", "responded_at", "response_s", "timed_out",
-                "client", "decision_point")
-JOB_FIELDS = ("jid", "vo", "created_at", "dispatched_at", "started_at",
-              "completed_at", "cpus", "duration_s", "site", "handled",
-              "accuracy", "queue_time_s", "failed")
+#: Column -> ``array`` typecode (``""``: a list of shared strings).
+_QUERY_COLUMNS = {"sent_at": "d", "responded_at": "d", "response_s": "d",
+                  "timed_out": "b", "client": "", "decision_point": ""}
+_JOB_COLUMNS = {"jid": "q", "vo": "", "group": "", "created_at": "d",
+                "dispatched_at": "d", "started_at": "d", "completed_at": "d",
+                "cpus": "q", "duration_s": "d", "site": "", "handled": "b",
+                "accuracy": "d", "queue_time_s": "d", "failed": "b"}
+_DTYPES = {"d": np.float64, "q": np.int64, "b": bool, "": object}
+QUERY_FIELDS, JOB_FIELDS = tuple(_QUERY_COLUMNS), tuple(_JOB_COLUMNS)
 
 _NAN = float("nan")
 
 
+def _columns(spec: dict) -> dict:
+    return {name: array(code) if code else [] for name, code in spec.items()}
+
+
+def _add(appends: tuple, row: tuple) -> None:
+    for append, value in zip(appends, row):
+        append(value)
+
+
+def _or_nan(value: Optional[float]) -> float:
+    return _NAN if value is None else value
+
+
+class QueryRows:
+    """The query table as row tuples, built on the fly from the columns
+    (re-iterable and picklable; holds no second copy of the rows)."""
+
+    __slots__ = ("_columns", "_n")
+
+    def __init__(self, columns: dict):
+        self._columns = tuple(columns.values())
+        self._n = len(columns["sent_at"])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        sent, responded, response, timed_out, client, dp = self._columns
+        return islice(zip(sent, responded, response, map(bool, timed_out),
+                          client, dp), self._n)
+
+
 class TraceRecorder:
-    """Accumulates query and job rows during a run."""
+    """Accumulates query rows and owns the job table during a run."""
 
     def __init__(self) -> None:
-        self._queries: list[tuple] = []
-        self._jobs: list[tuple] = []
+        self._queries = _columns(_QUERY_COLUMNS)
+        self._jobs = _columns(_JOB_COLUMNS)
+        self._query_appends = tuple(c.append for c in self._queries.values())
+        self._job_appends = tuple(c.append for c in self._jobs.values())
+        #: Materialized jobs not yet recorded, by jid (creation order).
+        self.live: dict[int, Job] = {}
+
+    @classmethod
+    def from_query_rows(cls, rows: Iterable[tuple]) -> "TraceRecorder":
+        """A recorder holding exactly these query rows (GRUB-SIM replay)."""
+        rec = cls()
+        for row in rows:
+            _add(rec._query_appends, row)
+        return rec
 
     # -- recording ---------------------------------------------------------
     def record_query(self, sent_at: float, responded_at: Optional[float],
                      timed_out: bool, client: str, decision_point: str) -> None:
         response = (responded_at - sent_at) if responded_at is not None else _NAN
-        self._queries.append((sent_at,
-                              responded_at if responded_at is not None else _NAN,
-                              response, timed_out, client, decision_point))
+        _add(self._query_appends, (sent_at, _or_nan(responded_at), response,
+                                   timed_out, client, decision_point))
 
-    def record_job(self, job: Job) -> None:
-        """Record a job once it reaches a terminal or end-of-run state."""
+    def open_job(self, job: Job) -> None:
+        """Take a just-materialized job into the live table."""
+        self.live[job.jid] = job
+
+    def close_job(self, job: Job) -> None:
+        """Record a job's row and release it from the live table."""
+        self.live.pop(job.jid, None)
         qt = job.queue_time_s
-        self._jobs.append((
-            job.jid, job.vo,
-            job.created_at if job.created_at is not None else _NAN,
-            job.dispatched_at if job.dispatched_at is not None else _NAN,
-            job.started_at if job.started_at is not None else _NAN,
-            job.completed_at if job.completed_at is not None else _NAN,
-            job.cpus, job.duration_s,
-            job.site or "",
-            job.handled_by_gruber,
-            job.scheduling_accuracy if job.scheduling_accuracy is not None else _NAN,
-            qt if qt is not None else _NAN,
-            job.state is JobState.FAILED,
-        ))
+        _add(self._job_appends, (
+            job.jid, job.vo, job.group, _or_nan(job.created_at),
+            _or_nan(job.dispatched_at), _or_nan(job.started_at),
+            _or_nan(job.completed_at), job.cpus, job.duration_s,
+            job.site or "", job.handled_by_gruber,
+            _or_nan(job.scheduling_accuracy), _or_nan(qt),
+            job.state is JobState.FAILED))
+
+    def job_ended(self, job: Job) -> None:
+        """Site observer: a live job that COMPLETED becomes a row.  A
+        FAILED one stays live — a re-plan can still complete it."""
+        if job.state is JobState.COMPLETED and self.live.get(job.jid) is job:
+            self.close_job(job)
+
+    def close_live(self) -> None:
+        """Record every job still live (the end-of-run state)."""
+        for job in list(self.live.values()):
+            self.close_job(job)
 
     @property
     def n_queries(self) -> int:
-        return len(self._queries)
+        return len(self._queries["sent_at"])
 
     @property
     def n_jobs(self) -> int:
-        return len(self._jobs)
+        """Recorded job rows (live jobs are not rows yet)."""
+        return len(self._jobs["jid"])
 
     # -- columnar access -----------------------------------------------------
+    def query_rows(self) -> QueryRows:
+        return QueryRows(self._queries)
+
     def query_arrays(self) -> dict[str, np.ndarray]:
         """Queries as named columns (empty arrays when nothing recorded)."""
-        if not self._queries:
-            return {
-                "sent_at": np.empty(0), "responded_at": np.empty(0),
-                "response_s": np.empty(0),
-                "timed_out": np.empty(0, dtype=bool),
-                "client": np.empty(0, dtype=object),
-                "decision_point": np.empty(0, dtype=object),
-            }
-        cols = list(zip(*self._queries))
-        return {
-            "sent_at": np.asarray(cols[0], dtype=np.float64),
-            "responded_at": np.asarray(cols[1], dtype=np.float64),
-            "response_s": np.asarray(cols[2], dtype=np.float64),
-            "timed_out": np.asarray(cols[3], dtype=bool),
-            "client": np.asarray(cols[4], dtype=object),
-            "decision_point": np.asarray(cols[5], dtype=object),
-        }
+        return {name: np.array(col, dtype=_DTYPES[_QUERY_COLUMNS[name]])
+                for name, col in self._queries.items()}
 
     def job_arrays(self) -> dict[str, np.ndarray]:
-        if not self._jobs:
-            float_cols = ("created_at", "dispatched_at", "started_at",
-                          "completed_at", "duration_s", "accuracy",
-                          "queue_time_s")
-            out: dict[str, np.ndarray] = {k: np.empty(0) for k in float_cols}
-            out.update({"jid": np.empty(0, dtype=np.int64),
-                        "cpus": np.empty(0, dtype=np.int64),
-                        "vo": np.empty(0, dtype=object),
-                        "site": np.empty(0, dtype=object),
-                        "handled": np.empty(0, dtype=bool),
-                        "failed": np.empty(0, dtype=bool)})
-            return out
-        cols = list(zip(*self._jobs))
-        return {
-            "jid": np.asarray(cols[0], dtype=np.int64),
-            "vo": np.asarray(cols[1], dtype=object),
-            "created_at": np.asarray(cols[2], dtype=np.float64),
-            "dispatched_at": np.asarray(cols[3], dtype=np.float64),
-            "started_at": np.asarray(cols[4], dtype=np.float64),
-            "completed_at": np.asarray(cols[5], dtype=np.float64),
-            "cpus": np.asarray(cols[6], dtype=np.int64),
-            "duration_s": np.asarray(cols[7], dtype=np.float64),
-            "site": np.asarray(cols[8], dtype=object),
-            "handled": np.asarray(cols[9], dtype=bool),
-            "accuracy": np.asarray(cols[10], dtype=np.float64),
-            "queue_time_s": np.asarray(cols[11], dtype=np.float64),
-            "failed": np.asarray(cols[12], dtype=bool),
-        }
+        """Job rows as named columns, in jid order — a client's jids are
+        a dense block, so that is (client, creation index) order."""
+        order = np.argsort(np.array(self._jobs["jid"]), kind="stable")
+        return {name: np.array(col, dtype=_DTYPES[_JOB_COLUMNS[name]])[order]
+                for name, col in self._jobs.items()}

@@ -12,6 +12,7 @@ from repro.net import ConstantLatency, GT3_PROFILE, Network
 from repro.sim import RngRegistry, Simulator
 from repro.usla import Agreement, AgreementContext, ServiceTerm
 from repro.usla.fairshare import FairShareRule, ShareKind
+from repro.workloads import TraceRecorder
 from tests.test_core_client import FAST_PROFILE, SLOW_PROFILE, build
 
 
@@ -133,21 +134,31 @@ class TestKernelInvariants:
 
 
 class TestClientInvariants:
-    def _client(self, n_jobs=2, duration=50.0, run_for=None):
-        jobs = []
-        for i in range(n_jobs):
-            j = make_job(duration=duration)
+    def _client(self, n_jobs=2):
+        trace = TraceRecorder()
+        for _ in range(n_jobs):
+            j = make_job()
             j.mark_created(0.0)
-            j.mark_dispatched(0.0, "s0")
-            j.mark_running(0.0)
-            j.mark_completed(duration if run_for is None else run_for)
-            jobs.append(j)
+            trace.close_job(j)
         return SimpleNamespace(
-            node_id="h0", jobs=jobs, busy=False, _next=n_jobs, _timer=None,
-            n_handled=n_jobs, n_fallback_timeout=0, n_abandoned=0,
+            node_id="h0", trace=trace, busy=False, _next=n_jobs, _timer=None,
+            _job=None, n_handled=n_jobs, n_fallback_timeout=0, n_abandoned=0,
             n_retries=0, backlog_peak=0,
             workload=SimpleNamespace(
                 arrivals=np.zeros(n_jobs, dtype=float)))
+
+    @staticmethod
+    def _completed_early(sim, c, n_jobs=1, duration=100.0, run_for=60.0):
+        """Seeded stale-timer bug: complete jobs ``run_for`` s into a
+        ``duration`` s run, bypassing the site's stale-timer guard."""
+        site = make_site(sim)
+        c.watch_site(site)
+        jobs = [make_job(duration=duration) for _ in range(n_jobs)]
+        for job in jobs:
+            site.submit(job)
+        sim.run(until=run_for)
+        for job in jobs:
+            site._complete(job)
 
     def test_clean_client_passes(self, sim):
         c = InvariantChecker(sim)
@@ -165,64 +176,52 @@ class TestClientInvariants:
         # The stale-completion-timer bug signature: a COMPLETED job
         # whose measured execution time undershoots its duration.
         c = InvariantChecker(sim)
-        client = self._client(duration=100.0, run_for=60.0)
-        c.watch_client(client)
-        assert "client.job_duration" in rules_of(c.check())
+        self._completed_early(sim, c)
+        assert "client.job_duration" in rules_of(c.violations)
 
     def test_bad_job_is_flagged_once_not_once_per_pass(self, sim):
         c = InvariantChecker(sim)
-        c.watch_client(self._client(n_jobs=3, duration=100.0, run_for=60.0))
-        assert rules_of(c.check()) == ["client.job_duration"] * 3
+        self._completed_early(sim, c, n_jobs=3)
+        assert rules_of(c.violations) == ["client.job_duration"] * 3
+        sim.run(until=200.0)  # the jobs' own (now stale) timers fire
         assert c.check() == [] and c.check() == []
+        assert len(c.violations) == 3
 
     def test_failed_then_replanned_job_is_still_verified(self, sim):
-        # FAILED is not final: the job stays pending through the failure
-        # and the re-plan, and is verified when it finally completes.
+        # FAILED is not final: the failure is not verified, the re-plan
+        # runs on, and the job is verified when it finally completes.
         c = InvariantChecker(sim)
-        client = self._client(n_jobs=1)
+        site = make_site(sim)
+        c.watch_site(site)
         job = make_job(duration=100.0)
-        job.mark_created(0.0)
-        job.mark_dispatched(0.0, "s0")
-        job.mark_running(0.0)
-        job.mark_failed(30.0)  # ran 30 s of 100: not this rule's business
-        client.jobs.append(job)
-        client._next, client.n_handled = 2, 2
-        client.workload.arrivals = np.zeros(2)
-        c.watch_client(client)
-        assert c.check() == []
+        site.submit(job)
+        sim.run(until=30.0)
+        site.fail_running_job(job.jid)  # ran 30 s of 100: not this rule's
+        sim.run(until=40.0)
         job.reset_for_replan()
-        job.mark_dispatched(40.0, "s1")
-        job.mark_running(40.0)
-        assert c.check() == []
-        job.mark_completed(100.0)  # the stale first-run deadline: 60 s short
-        found = c.check()
-        assert rules_of(found) == ["client.job_duration"]
-        assert "ran 60.000000s, duration 100.000000s" in found[0].detail
+        site.submit(job)
+        sim.run(until=100.0)
+        assert c.violations == [] and c.jobs_inspected == 0
+        site._complete(job)  # the stale first-run deadline: 60 s short
+        assert rules_of(c.violations) == ["client.job_duration"]
+        assert "ran 60.000000s, duration 100.000000s" in \
+            c.violations[0].detail
         assert c.check() == []
 
-    def test_a_pass_inspects_only_pending_and_new_jobs(self, sim):
+    def test_each_job_is_verified_once_at_completion(self, sim):
         c = InvariantChecker(sim)
-        client = self._client(n_jobs=5)
-        c.watch_client(client)
-        c.check()
-        assert c.jobs_inspected == 5  # all new, all COMPLETED: verified
-        c.check()
-        assert c.jobs_inspected == 5  # nothing pending, nothing new
-        running = make_job(duration=50.0)
-        running.mark_created(0.0)
-        running.mark_dispatched(0.0, "s0")
-        running.mark_running(0.0)
-        client.jobs.append(running)
-        client._next, client.busy = 6, True
-        client.workload.arrivals = np.zeros(6)
-        for _ in range(3):  # one unfinished job: looked at every pass
+        site = make_site(sim)
+        c.watch_site(site)
+        for duration in (10.0, 20.0, 30.0):
+            site.submit(make_job(duration=duration))
+        sim.run(until=15.0)
+        assert c.jobs_inspected == 1  # one completion so far
+        for _ in range(3):  # passes re-inspect nothing
             assert c.check() == []
-        assert c.jobs_inspected == 5 + 3
-        running.mark_completed(50.0)
-        client.n_handled, client.busy = 6, False
+        assert c.jobs_inspected == 1
+        sim.run(until=100.0)
         c.check()
-        c.check()
-        assert c.jobs_inspected == 5 + 3 + 1  # verified, then dropped
+        assert c.jobs_inspected == 3 and c.violations == []
 
     def test_negative_counter_detected(self, sim):
         c = InvariantChecker(sim)
@@ -230,6 +229,21 @@ class TestClientInvariants:
         client.n_retries = -1
         c.watch_client(client)
         assert "client.counter_bounds" in rules_of(c.check())
+
+    def test_job_dropped_from_the_table_detected(self):
+        # ``trace.job_table``: rows + live == jobs materialized.  Seeded
+        # bug: a job leaves the live table without becoming a row.
+        sim, client, *_ = build(SLOW_PROFILE, n_jobs=30, interarrival=1.0)
+        c = InvariantChecker(sim)
+        c.watch_client(client)
+        sim.run(until=40.0)
+        assert c.check() == []
+        jid = next(iter(client.trace.live))
+        del client.trace.live[jid]
+        found = c.check()
+        assert rules_of(found) == ["trace.job_table"]
+        assert found[0].detail == (f"0 rows + {client._next - 1} live "
+                                   f"!= {client._next} jobs materialized")
 
 
 class TestArrivalCursorRule:
@@ -257,14 +271,13 @@ class TestArrivalCursorRule:
                                        interarrival=1.0)
         sim.run(until=5.5)
         assert self._details(c) == []
-        # Seeded bug: materialize a job whose arrival is still 4 s away.
+        # Seeded bug: the cursor takes a job whose arrival is 4 s away.
         client._next = 10
-        client.jobs.append(client.workload.job_at(9))
-        client.jobs[-1].mark_created(9.0)
         details = self._details(c)
         assert len(details) == 1 and "cursor 10" in details[0]
         # Cursor consistent with the clock but the job stamped ahead of it.
-        client._next, client.jobs = 2, client.jobs[:1] + client.jobs[-1:]
+        client._next = 1
+        client._job.created_at = 9.0
         details = self._details(c)
         assert len(details) == 1 and "created at 9.0" in details[0]
 
@@ -273,7 +286,8 @@ class TestArrivalCursorRule:
                                        interarrival=1.0)
         sim.run(until=5.5)
         client._next += 1  # a job skipped: cursor moved, nothing brokered
-        assert len(self._details(c)) == 1
+        details = self._details(c)
+        assert len(details) == 1 and "arrival 1 is at 1.0" in details[0]
 
     def test_timer_armed_while_busy_fires(self):
         sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,

@@ -22,6 +22,12 @@ SLOW_PROFILE = ContainerProfile(
     instance_client_overhead_s=0.1, sigma=0.0)
 
 
+def jobs(client):
+    """The client's jobs in creation order.  No site observer closes
+    them in these hand-built rigs, so every one is still live."""
+    return list(client.trace.live.values())
+
+
 def build(profile, n_jobs=5, interarrival=20.0, timeout_s=15.0, seed=0):
     sim = Simulator()
     rng = RngRegistry(seed)
@@ -55,7 +61,7 @@ class TestHandledPath:
         assert client.n_handled == 5
         assert client.n_fallback_timeout == 0
         assert client.backlog_len == 0
-        assert all(j.handled_by_gruber for j in client.jobs)
+        assert all(j.handled_by_gruber for j in jobs(client))
 
     def test_queries_recorded_with_response(self):
         sim, client, dp, grid, trace = build(FAST_PROFILE)
@@ -68,7 +74,7 @@ class TestHandledPath:
     def test_dispatch_reaches_site_and_runs(self):
         sim, client, dp, grid, trace = build(FAST_PROFILE)
         sim.run(until=400.0)
-        assert all(j.completed_at is not None for j in client.jobs)
+        assert all(j.completed_at is not None for j in jobs(client))
 
     def test_dp_view_reflects_reports(self):
         sim, client, dp, grid, trace = build(FAST_PROFILE)
@@ -79,7 +85,7 @@ class TestHandledPath:
     def test_accuracy_near_perfect_with_fresh_view(self):
         sim, client, dp, grid, trace = build(FAST_PROFILE)
         sim.run(until=200.0)
-        accs = [j.scheduling_accuracy for j in client.jobs]
+        accs = [j.scheduling_accuracy for j in jobs(client)]
         assert all(a == pytest.approx(1.0) for a in accs)
 
 
@@ -88,7 +94,7 @@ class TestTimeoutPath:
         sim, client, dp, grid, trace = build(SLOW_PROFILE)
         sim.run(until=300.0)
         assert client.n_fallback_timeout >= 1
-        first = client.jobs[0]
+        first = jobs(client)[0]
         assert not first.handled_by_gruber
         # Job was dispatched at ~timeout, well before the 30 s service.
         assert first.dispatched_at < 16.0
@@ -115,11 +121,12 @@ class TestTimeoutPath:
         sim, client, dp, grid, trace = build(SLOW_PROFILE, n_jobs=10,
                                              interarrival=1.0)
         sim.run(until=400.0)
-        created = [j.created_at for j in client.jobs]
+        taken = jobs(client)
+        created = [j.created_at for j in taken]
         assert created == sorted(created)
         # Every job the channel reached was dispatched somewhere.
-        assert all(j.site is not None for j in client.jobs
-                   if j is not client.jobs[-1] or not client.busy)
+        assert all(j.site is not None for j in taken
+                   if j is not taken[-1] or not client.busy)
 
 
 class TestRebind:
@@ -229,9 +236,9 @@ class TestArrivalCursor:
         # ``starts`` is complete only now; the reference replays it.
         for t, *got in seen:
             assert tuple(got) == reference_view(arrivals, client.starts, t), t
-        assert [j.created_at for j in client.jobs] == \
-            arrivals[:len(client.jobs)]
-        assert len(client.jobs) + client.backlog_len == \
+        taken = jobs(client)
+        assert [j.created_at for j in taken] == arrivals[:len(taken)]
+        assert len(taken) + client.backlog_len == \
             sum(t <= HORIZON_S for t in arrivals)
 
     def test_arrival_exactly_at_a_pump_instant_counts_as_due(self):
@@ -254,8 +261,8 @@ class TestArrivalCursor:
         sim, client = cursor_client(np.arange(1000.0), cls=GruberClient,
                                     profile=SLOW_PROFILE)
         sim.run(until=1000.0)
-        assert len(client.jobs) == 34 and client.n_fallback_timeout == 33
-        assert client.backlog_len == 1000 - len(client.jobs)
+        assert len(jobs(client)) == 34 and client.n_fallback_timeout == 33
+        assert client.backlog_len == 1000 - len(jobs(client))
         # Six per timed-out job (overhead sleep, get_state delivery, race
         # timer, random site's delivery, service completion, late
         # answer), two for the job in flight, five sync ticks.
@@ -272,7 +279,7 @@ class TestArrivalCursor:
         assert sim.events_executed == before  # nothing ticks while idle
         sim.run(until=17.0)
         assert client.busy and client._timer is None
-        assert client.jobs[-1].created_at == 17.0
+        assert jobs(client)[-1].created_at == 17.0
         # The timer; the job's brokering starts inside it.
         assert sim.events_executed == before + 1
 
@@ -282,7 +289,7 @@ class TestArrivalCursor:
         from repro.experiments.runner import run_experiment
         result = run_experiment(canonical_gt3(3, duration_s=600.0,
                                               one_phase=one_phase))
-        n_jobs = sum(len(c.jobs) for c in result.clients)
+        n_jobs = result.trace.n_jobs
         assert n_jobs > 1000
         return result.sim.events_executed / n_jobs
 
@@ -325,7 +332,7 @@ class TestEventCensus:
 
     def test_answered_two_phase_job(self):
         events, client = self._census(CENSUS_PROFILE)
-        assert client.n_handled == 1 and client.jobs[0].completed_at
+        assert client.n_handled == 1 and jobs(client)[0].completed_at
         # arrival timer, overhead sleep, RTT sleep, get_state delivery,
         # its service completion, the answer's delivery, the job's
         # delivery to its site, report delivery, its service completion,
@@ -342,7 +349,7 @@ class TestEventCensus:
 
     def test_one_phase_job(self):
         events, client = self._census(CENSUS_PROFILE, one_phase=True)
-        assert client.n_handled == 1 and client.jobs[0].completed_at
+        assert client.n_handled == 1 and jobs(client)[0].completed_at
         # arrival timer, overhead sleep, RTT sleep, broker_job delivery,
         # its service completion, the answer's delivery, the job's
         # delivery to its site, the job's completion.

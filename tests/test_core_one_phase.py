@@ -53,8 +53,8 @@ class TestOnePhaseProtocol:
         sim, client, dp, grid, trace = build_one_phase()
         sim.run(until=300.0)
         assert client.n_handled == 5
-        assert all(j.handled_by_gruber for j in client.jobs)
-        assert all(j.site is not None for j in client.jobs)
+        assert all(j.handled_by_gruber for j in trace.live.values())
+        assert all(j.site is not None for j in trace.live.values())
 
     def test_dispatch_recorded_at_dp(self):
         sim, client, dp, grid, trace = build_one_phase()
@@ -80,8 +80,8 @@ class TestOnePhaseProtocol:
     @staticmethod
     def _placements(**overrides):
         result = run_experiment(smoke_config(one_phase=True, **overrides))
-        return [j.site for c in result.clients for j in c.jobs
-                if j.handled_by_gruber]
+        rows = result.trace.job_arrays()  # (client, creation) order
+        return list(rows["site"][rows["handled"]])
 
     def test_server_side_selector_follows_config(self):
         """Regression: the decision point hard-coded LeastUsed(0.85), so

@@ -102,7 +102,7 @@ class TestClientGracefulDegradation:
         sim.run(until=2000.0)
         assert client.n_fallback_timeout == 5
         assert client.n_abandoned == 5       # waited out the grace period
-        assert all(j.site is not None for j in client.jobs)
+        assert all(j.site is not None for j in trace.live.values())
         q = trace.query_arrays()
         assert q["timed_out"].all()
 

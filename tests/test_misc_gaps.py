@@ -99,8 +99,9 @@ class TestOnePhaseTimeout:
         client.start()
         sim.run(until=200.0)
         assert client.n_fallback_timeout == 1
-        assert client.jobs[0].site is not None
-        assert not client.jobs[0].handled_by_gruber
+        job, = trace.live.values()  # no site observer: still live
+        assert job.site is not None
+        assert not job.handled_by_gruber
 
 
 class TestTransportAccounting:

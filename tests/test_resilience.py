@@ -430,7 +430,8 @@ class TestClientRebind:
         assert client.n_fallback_timeout == 1
         assert client.n_handled == 1
         assert client.rebinds == 1
-        assert all(j.site is not None for j in client.jobs)
+        assert all(j.site is not None
+                   for j in client.trace.live.values())
 
 
 class TestResilientClient:
@@ -453,7 +454,7 @@ class TestResilientClient:
         assert client.n_fallback_timeout == 0
         assert client.n_retries >= 1
         assert sim.metrics.counter_value("client.retries") == client.n_retries
-        assert client.jobs[0].handled_by_gruber
+        assert next(iter(client.trace.live.values())).handled_by_gruber
 
     def test_breaker_fastfails_then_falls_back(self, env):
         """A permanently dead DP: breaker opens, attempts stop burning
@@ -478,7 +479,8 @@ class TestResilientClient:
         assert sim.metrics.counter_value("breaker.opened") == 1
         assert sim.metrics.counter_value(
             "client.breaker_fastfail") == client.n_breaker_fastfail
-        assert all(j.site is not None for j in client.jobs)
+        assert all(j.site is not None
+                   for j in client.trace.live.values())
 
     def test_failover_to_healthy_secondary(self, env):
         """Probe-driven failover rebinds to the live DP and brokering

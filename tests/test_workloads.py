@@ -184,6 +184,25 @@ class TestHostWorkloadValidation:
     def test_empty_workload_is_valid(self):
         assert len(self._workload(n=0)) == 0
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_cpus_below_one_rejected_by_name(self, bad):
+        # Mid-run, from Job.__post_init__, this used to fail with no host
+        # name — and a narrowed column would wrap it silently.
+        with pytest.raises(ValueError, match="'h': cpus entries must be"):
+            self._workload(cpus=np.array([1, bad, 2]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_nonpositive_duration_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="'h': durations entries must"):
+            self._workload(durations=np.array([10.0, bad, 5.0]))
+
+    def test_cpus_stored_narrow_read_as_int(self):
+        wl = self._workload(cpus=np.array([1, 200, 3], dtype=np.int64))
+        assert wl.cpus.dtype == np.uint8
+        assert wl.job_at(1).cpus == 200 and type(wl.job_at(1).cpus) is int
+        assert self._workload(cpus=np.array([1, 300, 3])).cpus.dtype \
+            == np.uint16
+
 
 class TestTraceRecorder:
     def test_query_arrays(self):
@@ -207,7 +226,7 @@ class TestTraceRecorder:
         j.mark_completed(12.0)
         j.handled_by_gruber = True
         j.scheduling_accuracy = 0.9
-        rec.record_job(j)
+        rec.close_job(j)
         a = rec.job_arrays()
         assert a["queue_time_s"][0] == 1.0
         assert a["handled"][0]
@@ -218,7 +237,7 @@ class TestTraceRecorder:
         rec = TraceRecorder()
         j = Job(vo="v", group="g", user="u")
         j.mark_created(5.0)
-        rec.record_job(j)
+        rec.close_job(j)
         a = rec.job_arrays()
         assert math.isnan(a["started_at"][0])
         assert math.isnan(a["queue_time_s"][0])
