@@ -167,14 +167,15 @@ def install_probes(journal: EventJournal, *, deployment=None,
         if controller is not None:
             controller.journal = journal
 
-    def _job_ctx(job) -> str:
+    def _job_ctx(job, spans) -> str:
         # The dispatch span context the client stamped on the job, when
         # span tracing is on.  Excluded from the digest; surfaces in
         # divergence reports so the first divergent event names its
         # causal chain.
         ctx = getattr(job, "trace_ctx", None)
         if ctx is not None:
-            return f"trace={ctx[0]} span={ctx[1]}"
+            span = spans[ctx]
+            return f"trace={span.trace_id} span={span.span_id}"
         return ""
 
     for site in (sites or []):
@@ -183,14 +184,14 @@ def install_probes(journal: EventJournal, *, deployment=None,
                 _site.sim.now, "site.start",
                 f"{_site.name}|{job.jid}|{job.vo}|cpus={_fmt_cpu(job.cpus)}"
                 f"|busy={_fmt_cpu(_site.busy_cpus)}",
-                ctx=_job_ctx(job))
+                ctx=_job_ctx(job, _site.sim.spans))
 
         def _on_completed(job, *, _site=site):
             journal.record(
                 _site.sim.now, "site.done",
                 f"{_site.name}|{job.jid}|{job.state.name}"
                 f"|busy={_fmt_cpu(_site.busy_cpus)}",
-                ctx=_job_ctx(job))
+                ctx=_job_ctx(job, _site.sim.spans))
 
         site.on_job_started.append(_on_started)
         site.on_job_completed.append(_on_completed)

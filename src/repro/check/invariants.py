@@ -228,20 +228,20 @@ class InvariantChecker:
 
     # -- sites -------------------------------------------------------------
     def _check_site(self, site: "Site") -> None:
-        name = site.name
-        if not (0 <= site.busy_cpus <= site.total_cpus):
+        name, busy = site.name, site.busy_cpus
+        if not (0 <= busy <= site.total_cpus):
             self._flag("site.busy_bounds", name,
-                       f"busy={site.busy_cpus} outside "
-                       f"[0, {site.total_cpus}]")
+                       f"busy={busy} outside [0, {site.total_cpus}]")
         now = self.sim.now
         running = accruing = 0  # one walk, in the order sum() added
         for j in site._running.values():
-            running += j.cpus
-            if j.started_at is not None:
-                accruing += (now - j.started_at) * j.cpus
-        if running != site.busy_cpus:
+            cpus, started = j.cpus, j.started_at
+            running += cpus
+            if started is not None:
+                accruing += (now - started) * cpus
+        if running != busy:
             self._flag("site.busy_sum", name,
-                       f"busy={site.busy_cpus} but running jobs hold "
+                       f"busy={busy} but running jobs hold "
                        f"{running} CPUs")
         pipeline = (site.jobs_completed + site.jobs_failed
                     + site.running_jobs + site.queue_length)
@@ -256,7 +256,7 @@ class InvariantChecker:
         # share of running jobs.  A preempted job whose partial run is
         # never credited breaks the equality (that bug is how this rule
         # earned its place).
-        integral = site._busy_integral + site.busy_cpus * (now - site._last_change)
+        integral = site._busy_integral + busy * (now - site._last_change)
         last = self._last_integral.get(name, 0.0)
         if integral < last - _ABS_TOL:
             self._flag("site.integral_monotone", name,
@@ -298,6 +298,9 @@ class InvariantChecker:
         if not (0 <= cursor <= due):
             self._flag("client.arrival_cursor", name,
                        f"cursor {cursor}, {due} arrivals due at t={now}")
+        elif job is not None and cursor == 0:
+            self._flag("client.arrival_cursor", name,
+                       f"job {job.jid} in flight with cursor 0")
         elif job is not None and job.created_at != arrivals[cursor - 1]:
             self._flag("client.arrival_cursor", name,
                        f"job {job.jid} in flight created at "
@@ -309,9 +312,10 @@ class InvariantChecker:
                        f"backlog={due - cursor}")
         for counter in ("n_handled", "n_fallback_timeout", "n_abandoned",
                         "n_retries", "backlog_peak"):
-            if getattr(client, counter) < 0:
+            value = getattr(client, counter)
+            if value < 0:
                 self._flag("client.counter_bounds", name,
-                           f"{counter}={getattr(client, counter)} < 0")
+                           f"{counter}={value} < 0")
 
     def _on_job_completed(self, job) -> None:
         """``client.job_duration``, once per job at COMPLETED (FAILED is
@@ -394,9 +398,9 @@ class InvariantChecker:
                 self._flag("usla.policy_coherence", name,
                            "cached policy engine disagrees with the "
                            "USLA store contents")
-        extra = view._extra_busy
+        extra, tol = view._extra_busy, _ABS_TOL
         for (site, consumer), busy in view._vo_busy.items():
-            if busy > extra[site] + _ABS_TOL:
+            if busy > extra[site] + tol:
                 self._flag("usla.consumer_bound", name,
                            f"vo_busy[{site},{consumer}]={busy} exceeds "
                            f"site estimate {extra[site]}")

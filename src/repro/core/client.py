@@ -220,7 +220,8 @@ class GruberClient(Endpoint):
         retroactively at arrival so host backlog wait is on it.
         """
         spans = self.sim.spans
-        if not spans.enabled:
+        if not spans.next_root_sampled:
+            spans.start_trace("submit", self.node_id)  # counts a drop
             return None, None
         root = spans.start_trace("submit", self.node_id,
                                  start=job.created_at, jid=job.jid,
@@ -518,7 +519,7 @@ class GruberClient(Endpoint):
         if dspan is None:
             self.sim.schedule(latency, lambda: site_obj.submit(job))
         else:
-            job.trace_ctx = dspan.context
+            job.trace_ctx = dspan
 
             def deliver():
                 spans.finish(dspan)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -469,7 +470,9 @@ class GridStateView:
         a checked run stays event-identical to an unchecked one — an
         :meth:`expire` here would perturb subsequent sync payloads for
         relayed records.  CPU counts are ints, so the incremental sums
-        must match their ground truth *exactly*.
+        must match their ground truth *exactly*.  Per-site facts are
+        compared as float64 columns (the scalar rules' IEEE operations);
+        only a flagged site runs the scalar rules to word its problems.
         """
         problems: list[str] = []
         vo_sums: dict[str, float] = {}
@@ -479,31 +482,47 @@ class GridStateView:
                     f"non-positive vo_busy[{site},{consumer}]={busy}")
             if "." not in consumer:  # plain VO; groups mirror their VO
                 vo_sums[site] = vo_sums.get(site, 0.0) + busy
-        for site, heap in self._records.items():
-            extra = sum(entry[2].cpus for entry in heap)
-            if extra != self._extra_busy[site]:
-                problems.append(
-                    f"extra_busy[{site}]={self._extra_busy[site]} but site "
-                    f"heap holds {extra} CPUs")
-            if vo_sums.get(site, 0.0) != self._extra_busy[site]:
-                problems.append(
-                    f"vo_busy sum {vo_sums.get(site, 0.0)} != "
-                    f"extra_busy[{site}]={self._extra_busy[site]}")
-            cap = self.capacities[site]
-            base = self._base_busy[site]
-            if not (0.0 <= base <= cap):
-                problems.append(
-                    f"base_busy[{site}]={base} outside [0, {cap}]")
-            busy = min(max(base + self._extra_busy[site], 0.0), cap)
-            free = float(self._free[self._col[site]])
-            if free != cap - busy:
-                problems.append(
-                    f"free[{site}]={free} != recomputed {cap - busy}")
+        # Site dicts and the free column share capacities order.
+        names, n = self._names, len(self._names)
+        heap = np.array([sum(entry[2].cpus for entry in h)
+                         for h in self._records.values()], float)
+        extra = np.fromiter(self._extra_busy.values(), float, n)
+        vo = np.fromiter(map(vo_sums.get, names, repeat(0.0)), float, n)
+        base = np.fromiter(self._base_busy.values(), float, n)
+        cap = np.fromiter(self.capacities.values(), float, n)
+        used = np.minimum(np.maximum(base + extra, 0.0), cap)
+        flagged = ((heap != extra) | (vo != extra) | ~(0.0 <= base)
+                   | ~(base <= cap) | (self._free != cap - used))
+        for i in np.flatnonzero(flagged).tolist():
+            self._audit_site(names[i], vo_sums.get(names[i], 0.0), problems)
         if len(self._live) != self.n_records:
             problems.append(
                 f"live table holds {len(self._live)} records but the site "
                 f"heaps hold {self.n_records}")
         return problems
+
+    def _audit_site(self, site: str, vo_sum: float,
+                    problems: list[str]) -> None:
+        """The per-site rules of :meth:`audit`, worded."""
+        extra = sum(entry[2].cpus for entry in self._records[site])
+        if extra != self._extra_busy[site]:
+            problems.append(
+                f"extra_busy[{site}]={self._extra_busy[site]} but site "
+                f"heap holds {extra} CPUs")
+        if vo_sum != self._extra_busy[site]:
+            problems.append(
+                f"vo_busy sum {vo_sum} != "
+                f"extra_busy[{site}]={self._extra_busy[site]}")
+        cap = self.capacities[site]
+        base = self._base_busy[site]
+        if not (0.0 <= base <= cap):
+            problems.append(
+                f"base_busy[{site}]={base} outside [0, {cap}]")
+        busy = min(max(base + self._extra_busy[site], 0.0), cap)
+        free = float(self._free[self._col[site]])
+        if free != cap - busy:
+            problems.append(
+                f"free[{site}]={free} != recomputed {cap - busy}")
 
     def snapshot_state(self) -> dict:
         """Canonical view state for snapshot digests (JSON-able).

@@ -56,11 +56,11 @@ class Job:
     query_response_s: Optional[float] = None  # brokering query response time
     scheduling_accuracy: Optional[float] = None  # SA_i at dispatch instant
     replans: int = 0                  # re-planning count
-    #: Span context of the dispatch span (``(trace_id, span_id)``), set
+    #: Span context of the dispatch span (its recorder row), set
     #: by the client when span tracing is on so the site can parent its
     #: queue span to the causal chain.  None when tracing is off or the
     #: trace was sampled out.
-    trace_ctx: Optional[tuple] = None
+    trace_ctx: Optional[int] = None
 
     def __post_init__(self):
         if self.cpus < 1:

@@ -127,9 +127,9 @@ def render_obs_summary(metrics, network_stats=None, tracer=None,
         lines.append(f"trace: buffered={len(tracer)} evicted={tracer.evicted}")
 
     if spans is not None and (spans.enabled or len(spans)):
+        n_open = len(spans.open_spans)
         lines.append(
-            f"spans: finished={len(spans.finished)} "
-            f"open={len(spans.open_spans)} "
+            f"spans: finished={len(spans) - n_open} open={n_open} "
             f"sampled={spans.roots_sampled}/{spans.roots_seen} "
             f"(1/{spans.sample_every})")
 

@@ -48,10 +48,10 @@ class Message:
     sent_at: float = 0.0
     rpc_id: int = 0
     ok: bool = True              # for responses: handler succeeded?
-    #: Causal span context (``repro.obs.spans.SpanContext``) carried
-    #: with the message so spans opened on the receiving node link to
-    #: the sender's — the DES equivalent of trace-header propagation.
-    #: ``None`` = untraced (spans off, or an unsampled trace).
+    #: Causal span context (a ``repro.obs.spans.SpanRecorder`` row)
+    #: carried with the message so spans opened on the receiving node
+    #: link to the sender's — the DES equivalent of trace-header
+    #: propagation.  ``None`` = untraced (spans off, or unsampled).
     trace_ctx: Any = None
 
 

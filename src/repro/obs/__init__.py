@@ -52,7 +52,7 @@ from repro.obs.counters import (
 )
 from repro.obs.flight import FlightRecorder, Terminated
 from repro.obs.jsonl import JsonlError, JsonlSink, read_jsonl
-from repro.obs.spans import Span, SpanContext, SpanRecorder, chrome_trace
+from repro.obs.spans import Span, SpanRecorder, chrome_trace
 from repro.obs.timeline import TimelineSampler, load_timeline
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -66,7 +66,6 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "MetricsRegistry",
     "Span",
-    "SpanContext",
     "SpanRecorder",
     "Terminated",
     "TimelineSampler",

@@ -2,12 +2,14 @@
 
 Dapper-style distributed tracing adapted to a discrete-event simulator:
 a :class:`SpanRecorder` (one per :class:`~repro.sim.kernel.Simulator`)
-records :class:`Span` intervals on the *sim* clock, and a
-:class:`SpanContext` — a ``(trace_id, span_id)`` pair — travels on
+records span intervals on the *sim* clock as rows of typed columns.  A
+span's handle is its row index, and since one recorder serves a whole
+simulator that index is also its complete wire context: it travels on
 :class:`~repro.net.transport.Message` as ``trace_ctx`` so child spans
 created on remote nodes link to their parents.  Because sim processes
 are plain generators there is no ambient "current span"; context is
 always explicit, exactly like the wire propagation it models.
+:class:`Span` objects are built on demand (inspection, export).
 
 Determinism is a hard invariant:
 
@@ -30,22 +32,17 @@ signals the chaos analyses want to see.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, NamedTuple, Optional
+from array import array
+from typing import Any, Callable, Iterator, Optional
 
 from repro.obs.jsonl import jsonable, write_jsonl
 
-__all__ = ["Span", "SpanContext", "SpanRecorder", "chrome_trace"]
+__all__ = ["Span", "SpanRecorder", "chrome_trace"]
 
 #: IDs are drawn from the RNG in blocks so the per-span cost is a list
 #: pop, not a numpy scalar draw.
 _ID_BLOCK = 128
-
-
-class SpanContext(NamedTuple):
-    """The portable identity of a span: what travels on a Message."""
-
-    trace_id: str
-    span_id: str
+_NAN = float("nan")
 
 
 class Span:
@@ -65,10 +62,6 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs: dict = attrs if attrs is not None else {}
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
 
     @property
     def duration_s(self) -> Optional[float]:
@@ -98,6 +91,11 @@ class Span:
 class SpanRecorder:
     """Records causal spans on the sim clock; off (and free) by default.
 
+    One row per span, in start order (the deterministic total order):
+    64-bit trace/span ids, the parent's row (-1 for a root), start/end
+    (NaN = open), shared name/node, an interned attr-key tuple per call
+    shape plus a value tuple, and :meth:`finish` attrs in a column pair.
+
     Parameters
     ----------
     clock:
@@ -109,7 +107,9 @@ class SpanRecorder:
         context propagation, its whole subtree).  1 = record all.
     """
 
-    __slots__ = ("enabled", "clock", "sample_every", "_spans",
+    __slots__ = ("enabled", "clock", "sample_every", "_trace", "_sid",
+                 "_parent", "_start", "_end", "_name", "_node", "_keys",
+                 "_vals", "_fkeys", "_fvals", "_shapes",
                  "_id_rng", "_id_pool", "_id_counter",
                  "roots_seen", "roots_sampled", "roots_dropped")
 
@@ -118,16 +118,10 @@ class SpanRecorder:
         self.enabled = enabled
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.sample_every = max(int(sample_every), 1)
-        # One append-only list in start order (the deterministic total
-        # order); open vs finished is just ``end is None``.  No
-        # per-span dict bookkeeping — this path is on the 10% budget.
-        self._spans: list[Span] = []
         self._id_rng = None
         self._id_pool: list[int] = []
         self._id_counter = 0
-        self.roots_seen = 0
-        self.roots_sampled = 0
-        self.roots_dropped = 0
+        self.clear()
 
     # -- identity -------------------------------------------------------
     def seed_ids(self, rng) -> None:
@@ -139,21 +133,44 @@ class SpanRecorder:
         self._id_rng = rng
         self._id_pool = []
 
-    def _new_id(self) -> str:
+    def _new_id(self) -> int:
         if self._id_rng is not None:
             pool = self._id_pool
             if not pool:
                 self._id_pool = pool = self._id_rng.integers(
                     0, 2 ** 64, size=_ID_BLOCK, dtype="uint64").tolist()
                 pool.reverse()
-            return f"{pool.pop():016x}"
+            return pool.pop()
         self._id_counter += 1
-        return f"{self._id_counter:016x}"
+        return self._id_counter
 
     # -- recording ------------------------------------------------------
+    @property
+    def next_root_sampled(self) -> bool:
+        """Whether the next :meth:`start_trace` records (a pure read, so
+        a caller can skip building attrs for a root that is dropped)."""
+        return self.enabled and not self.roots_seen % self.sample_every
+
+    def _open(self, trace_id: int, parent: int, name: str, node: Any,
+              start: Optional[float], attrs: dict) -> int:
+        row = len(self._start)
+        self._trace.append(trace_id)
+        self._sid.append(self._new_id())
+        self._parent.append(parent)
+        self._start.append(self.clock() if start is None else start)
+        self._end.append(_NAN)
+        self._name.append(name)
+        self._node.append(node)
+        keys = tuple(attrs)
+        self._keys.append(self._shapes.setdefault(keys, keys))
+        self._vals.append(tuple(attrs.values()))
+        self._fkeys.append(None)
+        self._fvals.append(None)
+        return row
+
     def start_trace(self, name: str, node: Any,
                     start: Optional[float] = None,
-                    **attrs: Any) -> Optional[Span]:
+                    **attrs: Any) -> Optional[int]:
         """Open a root span (a new trace); ``None`` when off/unsampled."""
         if not self.enabled:
             return None
@@ -162,17 +179,12 @@ class SpanRecorder:
             self.roots_dropped += 1
             return None
         self.roots_sampled += 1
-        trace_id = self._new_id()
-        span = Span(trace_id, self._new_id(), None, name, node,
-                    self.clock() if start is None else float(start), attrs)
-        self._spans.append(span)
-        return span
+        return self._open(self._new_id(), -1, name, node, start, attrs)
 
     def start_span(self, name: str, node: Any,
-                   parent: Any, start: Optional[float] = None,
-                   **attrs: Any) -> Optional[Span]:
-        """Open a child span under ``parent`` (a Span, a SpanContext, or
-        a plain ``(trace_id, span_id)`` tuple).
+                   parent: Optional[int], start: Optional[float] = None,
+                   **attrs: Any) -> Optional[int]:
+        """Open a child span under ``parent`` (a span handle).
 
         ``parent=None`` returns ``None`` — that is how an unsampled (or
         span-off) trace silently turns off its whole subtree, locally
@@ -180,82 +192,96 @@ class SpanRecorder:
         """
         if not self.enabled or parent is None:
             return None
-        if isinstance(parent, Span):
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id, parent_id = parent[0], parent[1]
-        span = Span(trace_id, self._new_id(), parent_id, name, node,
-                    self.clock() if start is None else float(start), attrs)
-        self._spans.append(span)
-        return span
+        return self._open(self._trace[parent], parent, name, node, start,
+                          attrs)
 
-    def record(self, name: str, node: Any, parent: Any,
-               start: float, end: float, **attrs: Any) -> Optional[Span]:
+    def record(self, name: str, node: Any, parent: Optional[int],
+               start: float, end: float, **attrs: Any) -> Optional[int]:
         """One-shot retroactive span (e.g. a site queue wait whose start
         is only known in hindsight); opened and finished atomically."""
         span = self.start_span(name, node, parent, start=start, **attrs)
         if span is not None:
-            span.end = float(end)
+            self._end[span] = end
         return span
 
-    def finish(self, span: Optional[Span], end: Optional[float] = None,
+    def finish(self, span: Optional[int], end: Optional[float] = None,
                **attrs: Any) -> None:
         """Close a span; tolerant of ``None`` so call sites stay flat."""
-        if span is None or span.end is not None:
-            return
-        span.end = self.clock() if end is None else float(end)
+        if span is None or self._end[span] == self._end[span]:
+            return  # off, or already closed (first close wins)
+        self._end[span] = self.clock() if end is None else end
         if attrs:
-            span.attrs.update(attrs)
+            keys = tuple(attrs)
+            self._fkeys[span] = self._shapes.setdefault(keys, keys)
+            self._fvals[span] = tuple(attrs.values())
 
     @staticmethod
-    def ctx_of(span: Optional[Span]) -> Optional[SpanContext]:
-        """The wire context for a span, propagating ``None``."""
-        return None if span is None else span.context
+    def ctx_of(span: Optional[int]) -> Optional[int]:
+        """The wire context for a span: its handle (or ``None``)."""
+        return span
 
     # -- inspection -----------------------------------------------------
+    def __getitem__(self, row: int) -> Span:
+        """The span at one handle, as a fresh :class:`Span`."""
+        parent = self._parent[row]
+        attrs = dict(zip(self._keys[row], self._vals[row]))
+        if self._fkeys[row] is not None:
+            attrs.update(zip(self._fkeys[row], self._fvals[row]))
+        span = Span(f"{self._trace[row]:016x}", f"{self._sid[row]:016x}",
+                    None if parent < 0 else f"{self._sid[parent]:016x}",
+                    self._name[row], self._node[row], self._start[row],
+                    attrs)
+        end = self._end[row]
+        if end == end:
+            span.end = end
+        return span
+
+    def _rows(self, closed: Optional[bool] = None) -> Iterator[Span]:
+        for row, end in enumerate(self._end):
+            if closed is None or (end == end) is closed:
+                yield self[row]
+
     @property
     def finished(self) -> list[Span]:
-        """Closed spans (computed view; the store is one flat list)."""
-        return [s for s in self._spans if s.end is not None]
+        """Closed spans."""
+        return list(self._rows(True))
 
     @property
     def open_spans(self) -> list[Span]:
         """Spans started but never finished (orphans-to-be at export)."""
-        return [s for s in self._spans if s.end is None]
+        return list(self._rows(False))
 
     def spans(self) -> list[Span]:
         """Every recorded span, in start order (a deterministic total
         order — same run, same list)."""
-        return list(self._spans)
+        return list(self._rows())
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._start)
 
     def clear(self) -> None:
-        self._spans = []
+        self._trace, self._sid = array("Q"), array("Q")
+        self._parent = array("q")
+        self._start, self._end = array("d"), array("d")
+        self._name, self._node, self._keys, self._vals = [], [], [], []
+        self._fkeys, self._fvals, self._shapes = [], [], {}
         self.roots_seen = self.roots_sampled = self.roots_dropped = 0
 
     # -- export ---------------------------------------------------------
     def to_dicts(self) -> list[dict]:
-        return [s.to_dict() for s in self.spans()]
+        return [s.to_dict() for s in self._rows()]
 
     def export_jsonl(self, path: str) -> int:
-        """Write one span per line; identical runs give identical bytes.
-
-        Open spans are exported too, flagged ``"orphan": true`` — an
-        orphan is information (severed causal chain), never noise to
-        discard silently.
+        """Write one span per line, row by row; identical runs give
+        identical bytes.  Open spans are exported too, flagged
+        ``"orphan": true`` — an orphan is information (severed causal
+        chain), never noise to discard silently.
         """
-        return write_jsonl(path, self.to_dicts())
+        return write_jsonl(path, (s.to_dict() for s in self._rows()))
 
     def export_chrome(self, path: str) -> int:
         """Write Chrome ``trace_event`` JSON (load in Perfetto)."""
         return write_chrome(self.to_dicts(), path)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "on" if self.enabled else "off"
-        return (f"<SpanRecorder {state} finished={len(self.finished)} "
-                f"open={len(self.open_spans)} sample=1/{self.sample_every}>")
 
 
 # -- Chrome trace_event export ---------------------------------------------

@@ -681,11 +681,11 @@ class Simulator:
         independent of the heap's internal layout.
         """
         entries = []
-        for time, seq, call in self._heap:
+        # seq is unique, so sorting the heap tuples never compares calls.
+        for time, seq, call in sorted(self._heap):
             fn = call.fn
             entries.append([time, seq, bool(call.cancelled),
                             getattr(fn, "__qualname__", type(fn).__name__)])
-        entries.sort(key=lambda e: (e[0], e[1]))
         return {
             "now": self.now,
             "event_count": self._event_count,

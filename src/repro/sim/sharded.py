@@ -436,7 +436,11 @@ def _run_lockstep(config: ExperimentConfig, plan: list[list[int]],
                         f"{', '.join(diverged)}")
                 verified = True
             if due:
-                os.makedirs(ckpt_dir, exist_ok=True)
+                try:
+                    os.makedirs(ckpt_dir, exist_ok=True)
+                except OSError as err:
+                    raise SnapshotError(f"cannot create checkpoint directory "
+                                        f"{ckpt_dir!r}: {err}") from err
                 write_snapshot(
                     {"sharded": True, "barrier_t": t,
                      "barrier_index": index,

@@ -26,21 +26,23 @@ On-disk format (``write_snapshot``)::
 ``crc`` covers the canonical (sorted-keys, compact) JSON of the snapshot
 body, and the body is written in exactly that form.  Canonical JSON is
 compositional — an object's encoding is its sorted members' encodings
-joined — so a capture encodes each state section once and assembles the
-section digests, the state digest, the CRC'd body and the file from
-those strings (:func:`_encode_snapshot`).  Writes are atomic (tmp +
-``os.rename``) so a SIGKILL mid-write never leaves a truncated restore
-candidate — ``newest_checkpoint`` validates every candidate and skips
-corrupt or partial files.
+joined — so a checkpoint never holds its state or its body: it captures,
+encodes, CRCs and writes one bounded piece at a time
+(:func:`_stream_state`) and back-patches the fixed-width 8-hex
+``digest``/``digests``/``crc``.  Writes are atomic (tmp + ``os.rename``)
+so a SIGKILL mid-write never leaves a truncated restore candidate —
+``newest_checkpoint`` validates every candidate and skips corrupt or
+partial files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import zlib
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.configs import ExperimentConfig
@@ -128,37 +130,40 @@ def decode_config(d: dict) -> "ExperimentConfig":
 
 
 # -- state capture -------------------------------------------------------
-def capture_state(built: "BuiltExperiment") -> dict:
-    """Canonical per-subsystem state of a built run (JSON-able).
+#: State sections in canonical (sorted-key) order.
+_SECTIONS = ("clients", "control", "dps", "grid", "kernel", "rng")
+_NO_CRC = "0" * 8
+#: Longest list encoded in one piece (bounds the encoder's transient).
+_CHUNK = 256
+
+
+def _sections(built: "BuiltExperiment") -> Iterator[tuple[str, object]]:
+    """``(name, value)`` per state section, each captured as it is
+    reached; a list section's value is a lazy iterator of its elements.
 
     Every section comes from that subsystem's own ``snapshot_state()``;
     iteration orders are pinned (hosts in fleet order, sites and
     decision points name-sorted) so two captures of identical runs are
     byte-identical.
     """
-    deployment = built.deployment
-    state = {
-        "kernel": built.sim.snapshot_state(),
-        "rng": built.rng.snapshot_state(),
-        "grid": [built.grid.sites[name].snapshot_state()
-                 for name in sorted(built.grid.sites)],
-        "dps": [deployment.decision_points[k].snapshot_state()
-                for k in sorted(deployment.decision_points, key=str)],
-        "clients": [c.snapshot_state() for c in built.clients],
-        "control": (built.planner.snapshot_state()
-                    if built.planner is not None else None),
-    }
-    return state
+    dps, sites = built.deployment.decision_points, built.grid.sites
+    yield "clients", (c.snapshot_state() for c in built.clients)
+    yield "control", (built.planner.snapshot_state()
+                      if built.planner is not None else None)
+    yield "dps", (dps[k].snapshot_state() for k in sorted(dps, key=str))
+    yield "grid", (sites[name].snapshot_state() for name in sorted(sites))
+    yield "kernel", built.sim.snapshot_state()
+    yield "rng", built.rng.snapshot_state()
+
+
+def capture_state(built: "BuiltExperiment") -> dict:
+    """Canonical per-subsystem state of a built run (JSON-able)."""
+    return {name: list(value) if isinstance(value, Iterator) else value
+            for name, value in _sections(built)}
 
 
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _join(members: dict[str, str]) -> str:
-    """Canonical JSON of an object, from its members' canonical JSON."""
-    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}"
-                          for key in sorted(members)) + "}"
 
 
 def _crc(blob: str) -> str:
@@ -170,6 +175,54 @@ def state_digest(state: dict) -> str:
     return _crc(_canonical(state))
 
 
+def _pieces(value) -> Iterator[str]:
+    """Canonical JSON of ``value`` in bounded pieces: an iterator (a
+    lazily captured section) element by element, an object holding an
+    object or a long list member by member, a long list ``_CHUNK``
+    elements at a time."""
+    if isinstance(value, Iterator):
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _pieces(item)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    elif type(value) is dict and any(
+            type(v) is dict or type(v) is list and len(v) > _CHUNK
+            for v in value.values()) and all(type(k) is str for k in value):
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{json.dumps(key)}:"
+            yield from _pieces(value[key])
+            sep = ","
+        yield "}"
+    elif isinstance(value, list) and len(value) > _CHUNK:
+        for i in range(0, len(value), _CHUNK):
+            yield "[,"[i > 0] + _canonical(value[i:i + _CHUNK])[1:-1]
+        yield "]"
+    else:
+        yield _canonical(value)
+
+
+def _stream_state(sections: Iterable[tuple[str, object]],
+                  write: Callable[[bytes], object]) -> tuple[dict, str]:
+    """Write the canonical JSON of the state object, given as its
+    ``(name, value)`` sections in key order, through ``write`` piece by
+    piece; returns the section digests and the state digest."""
+    digests: dict[str, str] = {}
+    total = 0
+    for name, value in sections:
+        crc, key = 0, (("," if digests else "{") + f'"{name}":').encode()
+        write(key)
+        total = zlib.crc32(key, total)
+        for piece in map(str.encode, _pieces(value)):
+            write(piece)
+            crc, total = zlib.crc32(piece, crc), zlib.crc32(piece, total)
+        digests[name] = f"{crc:08x}"
+    write(b"}")
+    return digests, f"{zlib.crc32(b'}', total):08x}"
+
+
 def _sink_offsets(built: "BuiltExperiment") -> dict:
     """Byte offsets of every streaming sink at the capture instant.
 
@@ -179,58 +232,85 @@ def _sink_offsets(built: "BuiltExperiment") -> dict:
     return {name: sink.byte_offset() for name, sink in built.sinks.items()}
 
 
-def _encode_snapshot(built: "BuiltExperiment") -> tuple[dict, str]:
-    """Capture one full snapshot and its canonical JSON, encoding once.
-
-    Each state section is encoded once; its digest, the state digest
-    and the body are assembled from those strings, byte-identical to
-    encoding each of them separately.
-    """
+def snapshot_experiment(built: "BuiltExperiment") -> dict:
+    """Capture one full snapshot of a built run at the current instant."""
     state = capture_state(built)
-    sections = {name: _canonical(value) for name, value in state.items()}
-    state_blob = _join(sections)
-    snapshot = {
+    digests, digest = _stream_state(state.items(), lambda piece: None)
+    return {
         "time": built.sim.now,
         "event_count": built.sim.events_executed,
         "config": encode_config(built.config),
         "state": state,
-        "digests": {name: _crc(blob) for name, blob in sections.items()},
-        "digest": _crc(state_blob),
+        "digests": digests,
+        "digest": digest,
         "sinks": _sink_offsets(built),
     }
-    members = {key: _canonical(value) for key, value in snapshot.items()
-               if key != "state"}
-    members["state"] = state_blob
-    return snapshot, _join(members)
-
-
-def snapshot_experiment(built: "BuiltExperiment") -> dict:
-    """Capture one full snapshot of a built run at the current instant."""
-    return _encode_snapshot(built)[0]
 
 
 # -- on-disk format ------------------------------------------------------
-def write_snapshot(snapshot: dict, path: str,
-                   body: Optional[str] = None) -> str:
-    """Atomically write a CRC-stamped snapshot file; returns ``path``.
+def _write_file(path: str, write_body: Callable) -> str:
+    """Atomically write the meta envelope around the body ``write_body``
+    streams into the tmp file, CRC'd as written; returns ``path``.
 
-    ``body`` is the snapshot's canonical JSON when the caller already
-    has it (:func:`_encode_snapshot`).  tmp + ``os.rename`` on the same
-    filesystem: a SIGKILL mid-write leaves at worst an orphaned ``*.tmp``
-    that every reader ignores, never a truncated file under the final
-    name.
+    tmp + ``os.rename``: a SIGKILL mid-write leaves at worst an orphaned
+    ``*.tmp`` that every reader ignores.  An I/O failure removes the tmp
+    file and raises :class:`SnapshotError`.
     """
-    if body is None:
-        body = _canonical(snapshot)
     meta = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
-            "crc": _crc(body)}
+            "crc": _NO_CRC}
+    head = f'{{"meta": {json.dumps(meta)}, "snapshot": '.encode()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"meta": {json.dumps(meta)}, "snapshot": {body}}}')
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.rename(tmp, path)
+    try:
+        with open(tmp, "w+b") as fh:
+            fh.write(head)
+            write_body(fh)
+            left = fh.tell() - len(head)
+            fh.write(b"}")
+            fh.seek(len(head))
+            crc = 0
+            while left:
+                chunk = fh.read(min(left, 1 << 16))
+                crc = zlib.crc32(chunk, crc)
+                left -= len(chunk)
+            fh.seek(head.index(b'"crc": "') + 8)
+            fh.write(f"{crc:08x}".encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.rename(tmp, path)
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise SnapshotError(f"cannot write snapshot {path!r}: "
+                            f"{err.strerror or err}") from err
     return path
+
+
+def write_snapshot(snapshot: dict, path: str) -> str:
+    """Atomically write a CRC-stamped snapshot file; returns ``path``."""
+    return _write_file(
+        path, lambda fh: fh.write(_canonical(snapshot).encode("utf-8")))
+
+
+def _write_checkpoint(built: "BuiltExperiment", path: str) -> str:
+    """Write ``built``'s snapshot, streaming the state (the digests are
+    back-patched once it is out)."""
+    head = {"config": encode_config(built.config), "digest": _NO_CRC,
+            "digests": dict.fromkeys(_SECTIONS, _NO_CRC),
+            "event_count": built.sim.events_executed,
+            "sinks": _sink_offsets(built)}
+
+    def body(fh) -> None:
+        at = fh.tell()
+        fh.write(_canonical(head)[:-1].encode() + b',"state":')
+        head["digests"], head["digest"] = _stream_state(_sections(built),
+                                                        fh.write)
+        fh.write(f',"time":{_canonical(built.sim.now)}}}'.encode())
+        end = fh.tell()
+        fh.seek(at)
+        fh.write(_canonical(head)[:-1].encode())
+        fh.seek(end)
+
+    return _write_file(path, body)
 
 
 def read_snapshot(path: str) -> dict:
@@ -254,8 +334,7 @@ def read_snapshot(path: str) -> dict:
     snapshot = doc.get("snapshot")
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"{path!r} carries no snapshot body")
-    crc = format(zlib.crc32(_canonical(snapshot).encode("utf-8"))
-                 & 0xFFFFFFFF, "08x")
+    crc = _crc(_canonical(snapshot))
     if crc != meta.get("crc"):
         raise SnapshotError(
             f"{path!r} failed its CRC check "
@@ -315,6 +394,15 @@ class Checkpointer:
         self.built = built
         self.interval_s = config.checkpoint_every_s
         self.directory = config.checkpoint_dir
+        probe = os.path.join(self.directory, f".probe.tmp.{os.getpid()}")
+        try:  # refuse an unwritable directory at build, not at a tick
+            os.makedirs(self.directory, exist_ok=True)
+            open(probe, "w").close()
+            os.remove(probe)
+        except OSError as err:
+            raise ValueError(
+                f"checkpoint directory {self.directory!r} is not "
+                f"writable: {err.strerror or err}") from None
         self.suspended = False
         self.written: list[str] = []
         self._next = built.sim.schedule(self.interval_s, self.tick)
@@ -323,13 +411,10 @@ class Checkpointer:
         self._next = self.built.sim.schedule(self.interval_s, self.tick)
         if self.suspended:
             return
-        snap, body = _encode_snapshot(self.built)
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(
-            self.directory,
-            checkpoint_filename(snap["time"], snap["event_count"]))
-        write_snapshot(snap, path, body)
-        self.written.append(path)
+        sim = self.built.sim
+        path = os.path.join(self.directory, checkpoint_filename(
+            sim.now, sim.events_executed))
+        self.written.append(_write_checkpoint(self.built, path))
 
     def suspend(self) -> None:
         self.suspended = True
@@ -356,9 +441,7 @@ def _verify_state(built: "BuiltExperiment", snapshot: dict,
         raise SnapshotError(
             f"replay of {source} reached t={sim.now}, snapshot was taken "
             f"at t={snapshot['time']}")
-    state = capture_state(built)
-    digests = {section: state_digest(value)
-               for section, value in state.items()}
+    digests = _stream_state(_sections(built), lambda piece: None)[0]
     if digests != snapshot["digests"]:
         diverged = sorted(section for section in digests
                           if digests[section]
@@ -392,7 +475,11 @@ def resume_experiment(snapshot: Union[str, dict],
     if isinstance(snapshot, str):
         snapshot = read_snapshot(snapshot)
     config = decode_config(snapshot["config"])
-    built = build_experiment(config)
+    try:
+        built = build_experiment(config)
+    except ValueError as err:  # e.g. its checkpoint dir is unwritable now
+        raise SnapshotError(
+            f"cannot rebuild the run of {source}: {err}") from err
     if deployment_hook is not None:
         deployment_hook(sim=built.sim, deployment=built.deployment,
                         network=built.network, grid=built.grid,

@@ -13,7 +13,7 @@ tables recorded here:
 A job is *live* (in :attr:`TraceRecorder.live`) from materialization
 until it completes; then it is one row of typed, growable columns
 (an ``array`` or a list of shared strings each) and is released.
-Columns convert to numpy arrays once, at analysis time.
+At analysis time the job columns are sorted in place and viewed.
 """
 
 from __future__ import annotations
@@ -146,7 +146,19 @@ class TraceRecorder:
 
     def job_arrays(self) -> dict[str, np.ndarray]:
         """Job rows as named columns, in jid order — a client's jids are
-        a dense block, so that is (client, creation index) order."""
-        order = np.argsort(np.array(self._jobs["jid"]), kind="stable")
-        return {name: np.array(col, dtype=_DTYPES[_JOB_COLUMNS[name]])[order]
-                for name, col in self._jobs.items()}
+        a dense block, so that is (client, creation index) order.  The
+        recorder's columns are sorted in place and viewed, not copied
+        (strings as object arrays); a viewed ``array`` refuses to grow,
+        so a row closed after this raises ``BufferError``."""
+        order = np.argsort(np.frombuffer(self._jobs["jid"], np.int64),
+                           kind="stable")
+        table = {}
+        for name, col in self._jobs.items():
+            code = _JOB_COLUMNS[name]
+            if code:
+                table[name] = view = np.frombuffer(col, _DTYPES[code])
+                view[:] = view[order]
+            else:
+                col[:] = [col[i] for i in order.tolist()]
+                table[name] = np.array(col, dtype=object)
+        return table

@@ -289,6 +289,21 @@ class TestArrivalCursorRule:
         details = self._details(c)
         assert len(details) == 1 and "arrival 1 is at 1.0" in details[0]
 
+    def test_job_in_flight_with_cursor_zero_fires(self):
+        sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
+                                       interarrival=1.0)
+        sim.run(until=5.5)
+        job = client._job
+        assert job is not None
+        # Seeded bug: the cursor rewinds under the job in flight.  The
+        # rule used to compare against arrivals[-1], the last arrival.
+        client._next = 0
+        want = [f"job {job.jid} in flight with cursor 0"]
+        assert self._details(c) == want
+        # A host with no arrivals at all: flagged, not an IndexError.
+        client.workload.arrivals = client.workload.arrivals[:0]
+        assert self._details(c) == want
+
     def test_timer_armed_while_busy_fires(self):
         sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
                                        interarrival=1.0)

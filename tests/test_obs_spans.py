@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Span, SpanContext, SpanRecorder, chrome_trace
+from repro.obs import Span, SpanRecorder, chrome_trace
 
 
 def _recorder(**kw):
@@ -18,8 +18,8 @@ class TestDisabled:
         rec = SpanRecorder()
         assert rec.enabled is False
         assert rec.start_trace("submit", "h") is None
-        assert rec.start_span("child", "h", parent=("t", "s")) is None
-        assert rec.record("q", "h", ("t", "s"), start=0.0, end=1.0) is None
+        assert rec.start_span("child", "h", parent=0) is None
+        assert rec.record("q", "h", 0, start=0.0, end=1.0) is None
         rec.finish(None)  # tolerant, no raise
         assert len(rec) == 0 and rec.roots_seen == 0
 
@@ -38,32 +38,35 @@ class TestLinkage:
         rec, t = _recorder(enabled=True)
         root = rec.start_trace("submit", "host0", jid=7)
         t[0] = 1.5
-        child = rec.start_span("brokering", "host0", root)
+        child = rec[rec.start_span("brokering", "host0", root)]
+        root = rec[root]
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
         assert child.start == 1.5 and child.end is None
 
-    def test_parent_as_context_or_tuple(self):
+    def test_parent_is_a_row_handle(self):
         rec, _ = _recorder(enabled=True)
         root = rec.start_trace("submit", "h")
-        via_ctx = rec.start_span("a", "h", root.context)
-        via_tuple = rec.start_span("b", "h", (root.trace_id, root.span_id))
-        assert isinstance(root.context, SpanContext)
-        assert via_ctx.parent_id == via_tuple.parent_id == root.span_id
-        assert via_ctx.trace_id == via_tuple.trace_id == root.trace_id
+        via_ctx = rec[rec.start_span("a", "h", rec.ctx_of(root))]
+        via_row = rec[rec.start_span("b", "h", root)]
+        assert isinstance(root, int) and root == 0
+        assert via_ctx.parent_id == via_row.parent_id == rec[root].span_id
+        assert via_ctx.trace_id == via_row.trace_id == rec[root].trace_id
 
     def test_ctx_of_is_wire_ready(self):
         rec, _ = _recorder(enabled=True)
         root = rec.start_trace("submit", "h")
         ctx = SpanRecorder.ctx_of(root)
-        assert ctx == (root.trace_id, root.span_id)
+        assert ctx == root  # one recorder per sim: the row is the context
+        assert rec[ctx].span_id == rec[root].span_id
 
     def test_record_is_retroactive(self):
         rec, t = _recorder(enabled=True)
         t[0] = 100.0
         root = rec.start_trace("submit", "h")
         # Queue wait known only in hindsight: start < now is legal.
-        q = rec.record("queue", "site3", root, start=40.0, end=90.0, jid=1)
+        q = rec[rec.record("queue", "site3", root, start=40.0, end=90.0,
+                           jid=1)]
         assert q.start == 40.0 and q.end == 90.0
         assert q.duration_s == 50.0 and q.attrs["jid"] == 1
 
@@ -74,8 +77,9 @@ class TestLinkage:
         rec.finish(root, outcome="ok")
         t[0] = 9.0
         rec.finish(root, outcome="late")  # idempotent: first close wins
-        assert root.end == 2.0 and root.attrs["outcome"] == "ok"
-        assert root.duration_s == 2.0
+        span = rec[root]
+        assert span.end == 2.0 and span.attrs["outcome"] == "ok"
+        assert span.duration_s == 2.0
 
     def test_finished_and_open_views(self):
         rec, _ = _recorder(enabled=True)
@@ -85,16 +89,17 @@ class TestLinkage:
         assert [s.name for s in rec.finished] == ["a"]
         assert [s.name for s in rec.open_spans] == ["b"]
         assert [s.name for s in rec.spans()] == ["a", "b"]  # start order
+        built = rec[b]
         rec.clear()
         assert len(rec) == 0 and rec.roots_seen == 0
-        assert b.end is None  # clear drops the store, not the objects
+        assert built.end is None  # clear drops the store, not the objects
 
 
 class TestSampling:
     def test_every_nth_root_sampled(self):
         rec, _ = _recorder(enabled=True, sample_every=3)
         roots = [rec.start_trace("submit", "h", i=i) for i in range(7)]
-        kept = [r for r in roots if r is not None]
+        kept = [rec[r] for r in roots if r is not None]
         assert [r.attrs["i"] for r in kept] == [0, 3, 6]
         assert rec.roots_seen == 7
         assert rec.roots_sampled == 3 and rec.roots_dropped == 4
@@ -117,7 +122,8 @@ class TestDeterministicIds:
             rec.seed_ids(np.random.default_rng(42))
             root = rec.start_trace("submit", "h")
             child = rec.start_span("c", "h", root)
-            ids.append((root.trace_id, root.span_id, child.span_id))
+            ids.append((rec[root].trace_id, rec[root].span_id,
+                        rec[child].span_id))
         assert ids[0] == ids[1]
         assert len(set(ids[0])) == 3  # and distinct from each other
 
@@ -125,14 +131,14 @@ class TestDeterministicIds:
         np = pytest.importorskip("numpy")
         rec, _ = _recorder(enabled=True)
         rec.seed_ids(np.random.default_rng(1))
-        spans = [rec.start_trace("s", "h") for _ in range(300)]
+        spans = [rec[rec.start_trace("s", "h")] for _ in range(300)]
         all_ids = [s.span_id for s in spans] + [s.trace_id for s in spans]
         assert len(set(all_ids)) == len(all_ids)
         assert all(len(i) == 16 for i in all_ids)  # zero-padded hex64
 
     def test_counter_fallback_without_rng(self):
         rec, _ = _recorder(enabled=True)
-        root = rec.start_trace("s", "h")
+        root = rec[rec.start_trace("s", "h")]
         assert root.trace_id == f"{1:016x}" and root.span_id == f"{2:016x}"
 
 
@@ -160,7 +166,7 @@ class TestExport:
         rec, _ = _recorder(enabled=True)
         root = rec.start_trace("submit", "h", jid=np.int64(3),
                                lat=np.float32(0.5), site=("a", 1))
-        d = root.to_dict()
+        d = rec[root].to_dict()
         json.dumps(d, allow_nan=False)  # must not raise
         assert d["attrs"]["jid"] == 3
         assert d["attrs"]["lat"] == pytest.approx(0.5)
@@ -193,8 +199,8 @@ class TestExport:
         rec.start_span("c", "h", root)
         doc = chrome_trace(rec.to_dicts())
         xs = {ev["name"]: ev for ev in doc["traceEvents"] if ev["ph"] == "X"}
-        assert xs["c"]["args"]["parent_id"] == root.span_id
-        assert xs["c"]["args"]["trace_id"] == root.trace_id
+        assert xs["c"]["args"]["parent_id"] == rec[root].span_id
+        assert xs["c"]["args"]["trace_id"] == rec[root].trace_id
 
 
 class TestSpanObject:

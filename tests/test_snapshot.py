@@ -131,12 +131,14 @@ def _legacy_crc_ok(path):
 
 
 class TestEncodeOnce:
-    def test_assembled_body_equals_one_canonical_encoding(self):
-        from repro.sim.snapshot import _encode_snapshot
+    def test_assembled_body_equals_one_canonical_encoding(self, tmp_path):
+        from repro.sim.snapshot import _write_checkpoint
         built = build_experiment(_config(decision_points=2))
         built.sim.run(until=90.0)
-        snap, body = _encode_snapshot(built)
-        assert body == json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        text = open(_write_checkpoint(built, str(tmp_path / "s.json"))).read()
+        snap = snapshot_experiment(built)
+        body = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        assert text.endswith(f', "snapshot": {body}}}')
         assert snap["digests"] == {k: state_digest(v)
                                    for k, v in snap["state"].items()}
         assert snap["digest"] == state_digest(snap["state"])
