@@ -15,7 +15,8 @@ continuously and press the delivered share down.
 """
 
 from benchmarks.conftest import DURATION_S, bench_once
-from repro.experiments import canonical_gt3, run_experiment
+from repro.experiments import canonical_gt3
+from repro.experiments.runner import build_experiment, run_built
 from repro.grid import SitePolicyEnforcementPoint
 from repro.metrics.report import format_table
 from repro.usla import PolicyEngine, parse_policy
@@ -46,32 +47,31 @@ def _delivered_shares(result):
     return {vo: v / total for vo, v in totals.items()}
 
 
-def _hook_factory(state, enforce):
-    def hook(sim, deployment, grid, **_):
-        _skew_workload(deployment.clients)
-        if enforce:
-            rules = "\n".join(f"{s}:{GREEDY_VO}={CAP_PCT:g}%+"
-                              for s in grid.site_names)
-            policy = PolicyEngine(parse_policy(rules))
-            state["speps"] = [SitePolicyEnforcementPoint(site, policy)
-                              for site in grid.sites.values()]
-    return hook
+def _run_skewed(name, enforce):
+    """One skewed run, with S-PEPs capping the greedy VO if ``enforce``."""
+    built = build_experiment(_skewed_config(name))
+    _skew_workload(built.deployment.clients)
+    speps = []
+    if enforce:
+        rules = "\n".join(f"{s}:{GREEDY_VO}={CAP_PCT:g}%+"
+                          for s in built.grid.site_names)
+        policy = PolicyEngine(parse_policy(rules))
+        speps = [SitePolicyEnforcementPoint(site, policy)
+                 for site in built.grid.sites.values()]
+    return run_built(built), speps
 
 
 def test_ablation_spep_enforcement(benchmark):
     def sweep():
-        state = {}
-        off = run_experiment(_skewed_config("spep-off"),
-                             deployment_hook=_hook_factory({}, False))
-        on = run_experiment(_skewed_config("spep-on"),
-                            deployment_hook=_hook_factory(state, True))
-        return off, on, state
+        off, _ = _run_skewed("spep-off", enforce=False)
+        on, speps = _run_skewed("spep-on", enforce=True)
+        return off, on, speps
 
-    off, on, state = bench_once(benchmark, sweep)
+    off, on, speps = bench_once(benchmark, sweep)
 
     shares_off = _delivered_shares(off)
     shares_on = _delivered_shares(on)
-    holds = sum(s.holds for s in state["speps"])
+    holds = sum(s.holds for s in speps)
     rows = [["S-PEPs off", round(100 * shares_off.get(GREEDY_VO, 0), 1), 0],
             ["S-PEPs on", round(100 * shares_on.get(GREEDY_VO, 0), 1), holds]]
     print("\n" + format_table(

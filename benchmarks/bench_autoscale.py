@@ -33,6 +33,7 @@ from benchmarks.conftest import bench_once
 from repro.check.digest import EventJournal, install_probes
 from repro.control import AutoscaleConfig
 from repro.experiments import run_experiment
+from repro.experiments.runner import build_experiment, run_built
 from repro.experiments.configs import canonical_gt3, scale_config
 from repro.metrics.report import format_table
 
@@ -64,7 +65,6 @@ def run_cell(name: str, config) -> dict:
         "final_dps": stats["final_dps"],
         "scale_ups": stats["scale_ups"],
         "scale_downs": stats["scale_downs"],
-        "rebalances": stats["rebalances"],
         "ticks": stats["ticks"],
         "response_median_s": round(rt.median, 3),
         "response_avg_s": round(rt.average, 3),
@@ -102,18 +102,15 @@ def run_determinism(duration_s: float = 900.0) -> dict:
     digests = []
     for _ in range(2):
         journal = EventJournal()
-
-        def hook(sim=None, deployment=None, network=None, grid=None,
-                 rng=None, journal=journal):
-            install_probes(journal, deployment=deployment,
-                           sites=grid.sites.values(), sim=sim)
-
         config = canonical_gt3(1).with_(
             duration_s=duration_s, workload_profile="diurnal",
             autoscale=_autoscale_config(),
             check_enabled=True, check_strict=True,
             name="autoscale-determinism")
-        run_experiment(config, deployment_hook=hook)
+        built = build_experiment(config)
+        install_probes(journal, deployment=built.deployment,
+                       sites=built.grid.sites.values(), sim=built.sim)
+        run_built(built)
         ctl_entries = sum(1 for e in journal.entries
                           if e.kind == "ctl.scale")
         digests.append({"events": len(journal), "digest": journal.digest,

@@ -18,7 +18,8 @@ configurations — distributing the brokering does not break fairness
 """
 
 from benchmarks.conftest import DURATION_S, bench_once
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
+from repro.experiments.runner import build_experiment, run_built
 from repro.grid import SitePolicyEnforcementPoint
 from repro.metrics.report import format_table
 from repro.net import GT4C_PROFILE
@@ -53,20 +54,21 @@ def _config(name, dps):
     )
 
 
-def _hook(state):
-    def hook(sim, deployment, grid, **_):
-        # Publish the grid's USLAs to every decision point...
-        rules = parse_policy("\n".join(_policy_text(s)
-                                       for s in grid.site_names))
-        ag = Agreement("grid-policy", AgreementContext("grid", "everyone"),
-                       terms=[ServiceTerm(f"t{i}", r)
-                              for i, r in enumerate(rules)])
-        deployment.publish_usla(ag)
-        # ...and enforce them at the sites with S-PEPs.
-        policy = PolicyEngine(rules)
-        state["speps"] = [SitePolicyEnforcementPoint(site, policy)
-                          for site in grid.sites.values()]
-    return hook
+def _run_governed(config):
+    """One run under the grid's USLAs; returns it with its S-PEPs."""
+    built = build_experiment(config)
+    grid = built.grid
+    # Publish the grid's USLAs to every decision point...
+    rules = parse_policy("\n".join(_policy_text(s) for s in grid.site_names))
+    ag = Agreement("grid-policy", AgreementContext("grid", "everyone"),
+                   terms=[ServiceTerm(f"t{i}", r)
+                          for i, r in enumerate(rules)])
+    built.deployment.publish_usla(ag)
+    # ...and enforce them at the sites with S-PEPs.
+    policy = PolicyEngine(rules)
+    speps = [SitePolicyEnforcementPoint(site, policy)
+             for site in grid.sites.values()]
+    return run_built(built), speps
 
 
 def _delivered(result):
@@ -86,18 +88,14 @@ def _delivered(result):
 
 def test_fairness_across_vos_and_groups(benchmark):
     def sweep():
-        out = {}
-        for dps in (1, 3):
-            state = {}
-            out[dps] = (run_experiment(_config(f"fair-{dps}dp", dps),
-                                       deployment_hook=_hook(state)), state)
-        return out
+        return {dps: _run_governed(_config(f"fair-{dps}dp", dps))
+                for dps in (1, 3)}
 
     results = bench_once(benchmark, sweep)
 
     rows = []
     shares = {}
-    for dps, (result, state) in sorted(results.items()):
+    for dps, (result, speps) in sorted(results.items()):
         by_vo, by_group = _delivered(result)
         vo_total = sum(by_vo.values()) or 1.0
         g_total = sum(by_group.values()) or 1.0
@@ -110,7 +108,7 @@ def test_fairness_across_vos_and_groups(benchmark):
             round(100 * shares[dps][0].get("vo2", 0), 1),
             round(100 * shares[dps][1].get("vo0-g0", 0), 1),
             round(100 * shares[dps][1].get("vo0-g1", 0), 1),
-            sum(s.holds for s in state["speps"]),
+            sum(s.holds for s in speps),
         ])
     print("\n" + format_table(
         ["DPs", "vo0 %", "vo1 %", "vo2 %", "g0|vo0 %", "g1|vo0 %", "Holds"],

@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """Dynamic reconfiguration: growing the decision-point set under load.
 
-The paper's §5 proposes (but does not implement) a third-party observer
-that watches decision points for saturation signals and deploys new
-decision points on the fly.  This example runs that live: a deployment
-starts with ONE decision point, the client fleet ramps up, the
-saturation detector fires, and the observer adds decision points and
-rebalances clients — watch the throughput recover.
+The paper's §5.1 proposes (but does not implement) a third-party
+observer that watches decision points and deploys new ones when they
+saturate.  Here that observer is the autoscale control plane: a
+deployment starts with ONE decision point, the client fleet ramps up,
+and the planner adds decision points and moves clients onto them —
+watch the throughput recover.
 
 Run:  python examples/dynamic_reconfiguration.py
 """
 
 import numpy as np
 
-from repro.core import ReconfigurationObserver, SaturationDetector
+from repro.control import AutoscaleConfig
 from repro.experiments import smoke_config, run_experiment
 from repro.metrics import windowed_rate
 
@@ -25,33 +25,19 @@ def main() -> None:
         ramp_fraction=0.3,
     )
 
-    observers = {}
-
-    def install_observer(sim, deployment, **_):
-        detector = SaturationDetector(sim, deployment.decision_points.values(),
-                                      interval_s=60.0, queue_threshold=8)
-        detector.start()
-        observer = ReconfigurationObserver(sim, deployment, detector,
-                                           cooldown_s=180.0,
-                                           max_decision_points=5)
-        observers["detector"] = detector
-        observers["observer"] = observer
-
     print("Static run (1 decision point, no reconfiguration)...")
     static = run_experiment(config)
 
-    print("Adaptive run (observer may add decision points)...")
-    adaptive = run_experiment(config, deployment_hook=install_observer)
+    print("Adaptive run (the planner may add decision points)...")
+    adaptive = run_experiment(config.with_(
+        autoscale=AutoscaleConfig(max_dps=5)))
 
-    obs = observers["observer"]
-    det = observers["detector"]
-    print(f"\nSaturation signals raised: {len(det.signals)}")
-    print("Reconfiguration events:")
-    for e in obs.events:
-        print(f"  t={e.time:7.1f}s {e.action:>9}: {e.saturated_dp} -> "
-              f"{e.new_dp} ({e.clients_moved} clients moved)")
+    print("\nControl actions:")
+    for a in adaptive.planner.actuator.actions:
+        print(f"  t={a.time:7.1f}s {a.kind:>10}: {a.n_before} -> "
+              f"{a.n_after} DPs ({a.clients_moved} clients moved)")
     print(f"Final deployment size: "
-          f"{len(adaptive.deployment.decision_points)} decision points")
+          f"{len(adaptive.deployment.live_dp_ids)} decision points")
 
     for name, res in (("static", static), ("adaptive", adaptive)):
         d = res.diperf()

@@ -17,7 +17,8 @@ are printed next to the published rules.
 Run:  python examples/fair_share_brokering.py
 """
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig
+from repro.experiments.runner import build_experiment, run_built
 from repro.grid import SitePolicyEnforcementPoint
 from repro.net import GT4C_PROFILE
 from repro.usla import (
@@ -42,21 +43,20 @@ def main() -> None:
                            cpu_choices=(1, 2, 4), cpu_weights=(0.5, 0.3, 0.2)),
         seed=11,
     )
-    speps = []
-
-    def publish_shares(sim, deployment, grid, **_):
-        rules = parse_policy("\n".join(
-            f"{site}:{vo}={share}"
-            for site in grid.site_names for vo, share in SHARES.items()))
-        deployment.publish_usla(Agreement(
-            name="grid-shares",
-            context=AgreementContext(provider="grid", consumer="all-vos"),
-            terms=[ServiceTerm(f"t{i}", r) for i, r in enumerate(rules)]))
-        policy = PolicyEngine(rules)
-        speps.extend(SitePolicyEnforcementPoint(site, policy)
-                     for site in grid.sites.values())
-
-    result = run_experiment(config, deployment_hook=publish_shares)
+    # Build, publish the shares and attach the S-PEPs, then run.
+    built = build_experiment(config)
+    grid = built.grid
+    rules = parse_policy("\n".join(
+        f"{site}:{vo}={share}"
+        for site in grid.site_names for vo, share in SHARES.items()))
+    built.deployment.publish_usla(Agreement(
+        name="grid-shares",
+        context=AgreementContext(provider="grid", consumer="all-vos"),
+        terms=[ServiceTerm(f"t{i}", r) for i, r in enumerate(rules)]))
+    policy = PolicyEngine(rules)
+    speps = [SitePolicyEnforcementPoint(site, policy)
+             for site in grid.sites.values()]
+    result = run_built(built)
 
     delivered = {vo: sum(site.vo_cpu_seconds.get(vo, 0.0)
                          for site in result.grid.sites.values())

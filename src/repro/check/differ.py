@@ -119,15 +119,13 @@ def _diff_config(duration_s: float, seed: int, spans: bool = True):
 
 def _run_journaled(config) -> EventJournal:
     from repro.check.digest import install_probes
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import build_experiment, run_built
 
     journal = EventJournal()
-
-    def hook(sim=None, deployment=None, network=None, grid=None, rng=None):
-        install_probes(journal, deployment=deployment,
-                       sites=grid.sites.values(), sim=sim)
-
-    run_experiment(config, deployment_hook=hook)
+    built = build_experiment(config)
+    install_probes(journal, deployment=built.deployment,
+                   sites=built.grid.sites.values(), sim=built.sim)
+    run_built(built)
     return journal
 
 

@@ -4,19 +4,21 @@ Scale-up revives retired decision points first (the PR-2
 crash→restart/resync machinery: a revived broker pulls recent dispatch
 records from its new overlay neighbors) and only then deploys fresh
 ones; scale-down evacuates the victim's clients through the placement
-module and retires the service cleanly.  Every membership change flows
-through :class:`~repro.core.broker.TopologyEvent`, the same structured
-stream the :class:`~repro.core.rebalance.ReconfigurationObserver`
-emits on, and the actuator *listens* on that stream too — an
-observer-driven join/leave (or a chaos crash surfaced by the observer)
-marks the placement dirty so the next control window rebalances around
-it.
+module and retires the service cleanly.  Every membership change it
+makes is recorded as a :class:`~repro.core.broker.TopologyEvent` with
+``source="autoscale"``.
+
+A crash is not a membership change: the crashed decision point stays in
+the overlay and its clients degrade through the paper's timeout →
+random fallback.  Recovery is the placement step that ends every scale
+action: its forced moves evacuate every client bound to a decision
+point that is not live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from repro.control.placement import make_placement, migration_bound
 from repro.control.policy import AutoscaleConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.broker import DIGruberDeployment, TopologyEvent
+    from repro.core.broker import DIGruberDeployment
     from repro.sim.kernel import Simulator
 
 __all__ = ["ControlAction", "Actuator"]
@@ -35,7 +37,7 @@ class ControlAction:
     """One actuation the planner took (journaled, benched, asserted on)."""
 
     time: float
-    kind: str            # "scale_up" | "scale_down" | "rebalance"
+    kind: str            # "scale_up" | "scale_down"
     n_before: int
     n_after: int
     dps: tuple[str, ...] = ()      # joined/retired decision points
@@ -62,16 +64,6 @@ class Actuator:
                                         vnodes=config.vnodes)
         self.actions: list[ControlAction] = []
         self.clients_moved = 0
-        #: Set when membership changed under us (observer action, chaos
-        #: crash/restart surfaced as a topology event): the next control
-        #: window runs a placement fix-up even without a scale decision.
-        self.placement_dirty = False
-        deployment.on_topology_change.append(self._on_topology)
-
-    # -- membership stream -------------------------------------------------
-    def _on_topology(self, event: "TopologyEvent") -> None:
-        if event.source != "autoscale":
-            self.placement_dirty = True
 
     # -- helpers -------------------------------------------------------------
     def _assignment(self) -> dict[str, str]:
@@ -174,23 +166,6 @@ class Actuator:
         if len(ties) > 1:
             return ties[int(self.rng.integers(0, len(ties)))]
         return ties[0]
-
-    def fix_placement(self) -> Optional[ControlAction]:
-        """Heal the assignment after an external membership change."""
-        self.placement_dirty = False
-        live = self.deployment.live_dp_ids
-        if not live:
-            return None
-        before = len(live)
-        moved, deferred = self._rebalance_onto(live)
-        if moved == 0:
-            return None
-        action = ControlAction(
-            time=self.sim.now, kind="rebalance", n_before=before,
-            n_after=before, clients_moved=moved,
-            clients_deferred=deferred)
-        self._record(action)
-        return action
 
     def _rebalance_onto(self, live: list[str]) -> tuple[int, int]:
         if not live:

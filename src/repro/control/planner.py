@@ -71,6 +71,12 @@ class AutoscalePlanner:
 
     # -- the control loop --------------------------------------------------
     def tick(self) -> Optional[ControlAction]:
+        """One control window: sample, decide, act on a scale decision.
+
+        Nothing else triggers an action.  A crash is not a membership
+        change the planner hears about; its orphaned clients move at the
+        next scale action's placement step (see :mod:`.actuator`).
+        """
         cfg = self.config
         sample = self.bus.sample()
         current = len(self.deployment.live_dp_ids)
@@ -100,10 +106,6 @@ class AutoscalePlanner:
                 self._up_streak = 0
                 self._down_streak = 0
                 self._last_action_at = self.sim.now
-        if action is None and self.actuator.placement_dirty:
-            # External membership change (observer, chaos): heal the
-            # placement even though no scale decision fired.
-            action = self.actuator.fix_placement()
 
         if action is not None and self.journal is not None:
             self.journal.record(self.sim.now, "ctl.scale", action.detail())
@@ -147,7 +149,6 @@ class AutoscalePlanner:
         a = self.actuator
         ups = sum(1 for x in a.actions if x.kind == "scale_up")
         downs = sum(1 for x in a.actions if x.kind == "scale_down")
-        rebalances = sum(1 for x in a.actions if x.kind == "rebalance")
         deferred = sum(x.clients_deferred for x in a.actions)
         return {
             "policy": self.config.policy,
@@ -156,7 +157,6 @@ class AutoscalePlanner:
             "actions": len(a.actions),
             "scale_ups": ups,
             "scale_downs": downs,
-            "rebalances": rebalances,
             "clients_moved": a.clients_moved,
             "moves_deferred": deferred,
             "final_dps": len(self.deployment.live_dp_ids),

@@ -14,10 +14,9 @@
   three dissemination strategies;
 * :mod:`repro.core.client` — the submission-host client with the
   paper's timeout → random-fallback degradation;
-* :mod:`repro.core.broker` — deployment facade wiring everything up;
-* :mod:`repro.core.saturation` / :mod:`repro.core.rebalance` — §5's
-  dynamic evaluation: saturation signals and the third-party observer
-  that grows/rebalances the decision-point set.
+* :mod:`repro.core.broker` — deployment facade wiring everything up.
+
+§5's third-party observer is the control plane, :mod:`repro.control`.
 """
 
 from repro.core.broker import DIGruberDeployment, TopologyEvent
@@ -25,8 +24,6 @@ from repro.core.client import GruberClient
 from repro.core.decision_point import DecisionPoint
 from repro.core.engine import GruberEngine
 from repro.core.monitor import SiteMonitor
-from repro.core.rebalance import ReconfigurationObserver
-from repro.core.saturation import SaturationDetector, SaturationSignal
 from repro.core.selectors import (
     LeastRecentlyUsedSelector,
     LeastUsedSelector,
@@ -50,10 +47,7 @@ __all__ = [
     "LeastRecentlyUsedSelector",
     "LeastUsedSelector",
     "RandomSelector",
-    "ReconfigurationObserver",
     "RoundRobinSelector",
-    "SaturationDetector",
-    "SaturationSignal",
     "SiteMonitor",
     "SiteSelector",
     "SyncProtocol",

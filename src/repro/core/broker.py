@@ -9,7 +9,7 @@ enhancement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.client import GruberClient
 from repro.core.decision_point import DecisionPoint
@@ -29,19 +29,19 @@ __all__ = ["DIGruberDeployment", "TopologyEvent"]
 class TopologyEvent:
     """One structured decision-point join/leave on the overlay.
 
-    The single channel every membership change flows through — manual
-    ``add_decision_point``, the reconfiguration observer's actions, and
-    the autoscale actuator all emit here, so any consumer (placement,
-    tests, the planner) sees one ordered stream instead of scraping
-    trace lines.
+    The record of every membership change — manual
+    ``add_decision_point``/``retire``/``revive`` and the autoscale
+    actuator's — in order, so tests and reports read one stream instead
+    of scraping trace lines.  A crash is not a membership event: a
+    crashed decision point stays a member and goes silent (§2.2).
     """
 
     time: float
     action: str        # "join" | "leave"
     dp_id: str
     n_live: int        # live (online, non-retired) DPs after the change
-    source: str = ""   # "manual" | "observer" | "autoscale"
-    revived: bool = False  # join of a previously retired/crashed DP
+    source: str = ""   # "manual" | "autoscale"
+    revived: bool = False  # join of a previously retired DP
 
 
 class DIGruberDeployment:
@@ -86,11 +86,8 @@ class DIGruberDeployment:
         #: stay in ``decision_points`` (ids are never reused) but are
         #: excluded from the overlay until revived.
         self.retired: set[str] = set()
-        #: Structured membership stream + listeners (see
-        #: :class:`TopologyEvent`).  Listeners are invoked synchronously
-        #: on each join/leave, over a copy so they may deregister.
+        #: Structured membership record (see :class:`TopologyEvent`).
         self.topology_events: list[TopologyEvent] = []
-        self.on_topology_change: list[Callable[[TopologyEvent], None]] = []
         #: Set by :func:`repro.check.digest.install_probes` on journaled
         #: runs; :meth:`_create_dp` propagates it to decision points
         #: deployed mid-run so their records land in the same chain.
@@ -145,8 +142,6 @@ class DIGruberDeployment:
         if self.sim.trace.enabled:
             self.sim.trace.emit("topology.change", action=action, node=dp_id,
                                 n_live=event.n_live, source=source)
-        for listener in list(self.on_topology_change):
-            listener(event)
 
     @property
     def dp_ids(self) -> list[str]:
@@ -243,21 +238,3 @@ class DIGruberDeployment:
         dp.restart(resync=resync)
         self._emit_topology("join", dp_id, source, revived=True)
         return dp
-
-    def rebalance_clients(self, from_dp: str, to_dp: str,
-                          fraction: float = 0.5) -> int:
-        """Move a fraction of ``from_dp``'s clients to ``to_dp``.
-
-        New queries go to the new decision point; in-flight queries
-        finish against the old one (rebinding is a client-side pointer
-        swap, exactly as a real reconfiguration service would do it).
-        """
-        if not (0.0 < fraction <= 1.0):
-            raise ValueError("fraction must be in (0, 1]")
-        if to_dp not in self.decision_points:
-            raise KeyError(f"unknown decision point {to_dp!r}")
-        movable = self.clients_of(from_dp)
-        n_move = int(len(movable) * fraction)
-        for client in movable[:n_move]:
-            client.rebind(to_dp)
-        return n_move

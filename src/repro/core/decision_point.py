@@ -98,11 +98,6 @@ class DecisionPoint(Endpoint):
         self.restarts = 0
         self.resync_records = 0
         self.resync_failures = 0
-        #: Callbacks invoked after this decision point comes back up
-        #: (the reconfiguration observer re-arms saturation watches
-        #: here).  Invoked over a copy: callbacks may deregister
-        #: themselves.
-        self.on_restart: list = []
 
         # One-phase protocol: the configured policy, server-side.
         self._server_selector = make_selector(selector, rng)
@@ -192,8 +187,6 @@ class DecisionPoint(Endpoint):
         self.sim.metrics.counter("dp.restarts").inc()
         if self.sim.trace.enabled:
             self.sim.trace.emit("dp.restart", node=self.node_id, resync=resync)
-        for cb in list(self.on_restart):
-            cb()
         if resync and self.neighbors:
             self.sim.process(self._resync_from_peers(),
                              name=f"resync:{self.node_id}")
@@ -392,15 +385,4 @@ class DecisionPoint(Endpoint):
             "view": self.engine.view.snapshot_state(),
             "usla": self.engine.usla_store.snapshot_state(),
             "sync": self.sync.snapshot_state(),
-        }
-
-    def load_snapshot(self) -> dict:
-        """What the saturation detector samples."""
-        return {
-            "node": self.node_id,
-            "time": self.sim.now,
-            "queue_len": self.container.queue_len,
-            "in_service": self.container.in_service,
-            "ops_last_minute": self.container.ops_in_window(60.0),
-            "capacity_qps": self.profile.query_capacity_qps,
         }

@@ -226,7 +226,6 @@ class ExperimentResult(BuiltExperiment):
                 f"dps {self.config.decision_points}->{cs['final_dps']} "
                 f"(converged {cs['converged_dps']}), "
                 f"ups={cs['scale_ups']} downs={cs['scale_downs']} "
-                f"rebalances={cs['rebalances']} "
                 f"moved={cs['clients_moved']}")
         return "\n".join(lines)
 
@@ -459,25 +458,19 @@ def abort_experiment(built: BuiltExperiment,
     return path
 
 
-def run_experiment(config: ExperimentConfig,
-                   deployment_hook=None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Build and run one experiment to completion.
 
-    ``deployment_hook(sim, deployment, detector_args...)`` — optional
-    callable invoked after deployment construction and before the run;
-    the dynamic-reconfiguration benches attach observers through it.
+    To attach something to the deployment before the clock starts (the
+    S-PEP, journal probes), call :func:`build_experiment`, attach, then
+    :func:`run_built` — which is all this function does.
 
     Abnormal exits (crash, strict-check violation, SIGTERM-as-
     :class:`~repro.obs.flight.Terminated`, Ctrl-C) go through
     :func:`abort_experiment` — flight-recorder dump plus sink flushing
     — and then re-raise.
     """
-    built = build_experiment(config)
-    if deployment_hook is not None:
-        deployment_hook(sim=built.sim, deployment=built.deployment,
-                        network=built.network, grid=built.grid,
-                        rng=built.rng)
-    return run_built(built)
+    return run_built(build_experiment(config))
 
 
 def run_built(built: BuiltExperiment) -> ExperimentResult:

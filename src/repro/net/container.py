@@ -228,7 +228,7 @@ class ServiceContainer:
     request waits for a container slot, holds it for the drawn service
     time, and ``then()`` runs at the instant the service completes.
     The container also keeps an operations log (timestamps of completed
-    requests) that saturation detection samples.
+    requests) that the autoscale signal bus samples.
     """
 
     def __init__(self, sim: Simulator, profile: ContainerProfile,

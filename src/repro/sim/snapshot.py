@@ -467,6 +467,12 @@ def resume_experiment(snapshot: Union[str, dict],
     snapshot (:class:`SnapshotError` names the diverging subsystem on
     mismatch), and only then resumed to ``duration_s``.  Abnormal exits
     take the same :func:`abort_experiment` path as a fresh run.
+
+    ``deployment_hook(sim=, deployment=, network=, grid=, rng=)`` runs
+    after the rebuild and before the replay.  A fresh run needs no hook
+    (build, attach, run), but here the replay and the rest of the run
+    are one call, so a caller that must see the replayed events — the
+    ``resume`` diff pair installs journal probes — attaches through it.
     """
     from repro.experiments.runner import (abort_experiment, build_experiment,
                                           finalize_experiment)

@@ -4,10 +4,10 @@ import pytest
 
 from repro.check.differ import run_pair
 from repro.check.digest import EventJournal, install_probes
-from repro.control import AutoscaleConfig, AutoscalePlanner
+from repro.control import AutoscaleConfig
 from repro.core.broker import TopologyEvent
 from repro.experiments.configs import smoke_config
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_experiment, run_built, run_experiment
 
 
 def _autoscaled(n_clients=40, duration_s=600.0, dps=1, **cfg_kw):
@@ -18,6 +18,13 @@ def _autoscaled(n_clients=40, duration_s=600.0, dps=1, **cfg_kw):
         n_sites=30, total_cpus=1500,
         autoscale=AutoscaleConfig(**kw),
         check_enabled=True, check_strict=True)
+
+
+def _run_journaled(config, journal):
+    built = build_experiment(config)
+    install_probes(journal, deployment=built.deployment,
+                   sites=built.grid.sites.values(), sim=built.sim)
+    return run_built(built)
 
 
 def test_autoscale_grows_under_load():
@@ -52,6 +59,28 @@ def test_autoscale_sheds_idle_capacity():
     live = set(deployment.live_dp_ids)
     for client in deployment.clients:
         assert str(client.decision_point) in live
+
+
+@pytest.mark.parametrize("policy", ["model", "reactive"])
+def test_planner_stops_at_max_dps(policy):
+    """120 clients want more decision points than the cap allows: the
+    fleet grows to ``max_dps`` and no further."""
+    result = run_experiment(_autoscaled(n_clients=120, max_dps=2,
+                                        policy=policy))
+    planner = result.planner
+    assert result.control_stats()["scale_ups"] >= 1
+    assert max(n for _, n in planner.timeline) == 2
+    assert len(result.deployment.decision_points) == 2
+
+
+def test_planner_cooldown_spaces_actions():
+    """One DP at a time under heavy load: actions keep coming, but never
+    closer together than the cooldown."""
+    result = run_experiment(_autoscaled(
+        n_clients=120, max_step_up=1, up_consecutive=1, cooldown_s=90.0))
+    times = [a.time for a in result.planner.actuator.actions]
+    assert len(times) >= 2
+    assert all(b - a >= 90.0 for a, b in zip(times, times[1:]))
 
 
 def test_scale_down_then_up_revives_retired_dp():
@@ -102,13 +131,7 @@ def test_gauges_published_per_dp():
 def test_control_actions_are_journaled():
     """Planner actions land as ctl.scale entries in the event journal."""
     journal = EventJournal()
-    config = _autoscaled(duration_s=400.0)
-
-    def hook(sim=None, deployment=None, network=None, grid=None, rng=None):
-        install_probes(journal, deployment=deployment,
-                       sites=grid.sites.values(), sim=sim)
-
-    result = run_experiment(config, deployment_hook=hook)
+    result = _run_journaled(_autoscaled(duration_s=400.0), journal)
     ctl = [e for e in journal.entries if e.kind == "ctl.scale"]
     assert len(ctl) == len(result.planner.actuator.actions)
     assert any("scale_up|1->2" in e.detail for e in ctl)
@@ -118,13 +141,7 @@ def test_same_seed_runs_are_journal_identical():
     digests = []
     for _ in range(2):
         journal = EventJournal()
-
-        def hook(sim=None, deployment=None, network=None, grid=None,
-                 rng=None, journal=journal):
-            install_probes(journal, deployment=deployment,
-                           sites=grid.sites.values(), sim=sim)
-
-        run_experiment(_autoscaled(duration_s=400.0), deployment_hook=hook)
+        _run_journaled(_autoscaled(duration_s=400.0), journal)
         digests.append((len(journal), journal.digest))
     assert digests[0] == digests[1]
 
@@ -134,45 +151,54 @@ def test_frozen_pair_is_event_identical():
     assert report.identical, report.describe()
 
 
-def test_observer_crash_surfaces_structured_leave_and_join():
-    """The reconfiguration observer emits on the same topology stream."""
-    from repro.core.rebalance import ReconfigurationObserver
-    from repro.core.saturation import SaturationDetector
-    from repro.experiments.runner import build_experiment
-    from repro.resilience.policy import ResilienceConfig
-
-    config = smoke_config(
-        decision_points=2, n_clients=10, duration_s=600.0,
-        chaos_scenario="dp_crash_restart",
-        resilience=ResilienceConfig())
-    built = build_experiment(config)
-    detector = SaturationDetector(
-        built.sim, built.deployment.decision_points.values(),
-        interval_s=15.0)
-    ReconfigurationObserver(built.sim, built.deployment, detector,
-                            cooldown_s=120.0, max_decision_points=3)
-    detector.start()
-    built.sim.run(until=config.duration_s)
-    events = built.deployment.topology_events
-    observer_events = [e for e in events if e.source == "observer"]
-    leaves = [e for e in observer_events if e.action == "leave"]
-    joins = [e for e in observer_events
-             if e.action == "join" and e.revived]
-    assert leaves, "crash should surface a structured leave"
-    assert joins, "restart should surface a structured revived join"
-    assert leaves[0].time < joins[0].time
+#: ``dp_crash`` takes the first decision point down for good at T/3.
+CRASHED_DP = "dp0"
 
 
-def test_actuator_marks_placement_dirty_on_external_change():
-    result = run_experiment(_autoscaled(duration_s=300.0))
-    planner = result.planner
-    assert not planner.actuator.placement_dirty
-    # An out-of-band (manual/observer) membership change dirties the
-    # placement; the planner's own actions do not.
-    result.deployment.add_decision_point(source="manual")
-    assert planner.actuator.placement_dirty
-    planner.tick()
-    assert not planner.actuator.placement_dirty
+def _crashed(**kw):
+    """3 DPs, 60 clients, dp0 crashes at t=200 s and never returns."""
+    kw.setdefault("chaos_scenario", "dp_crash")
+    return smoke_config(
+        decision_points=3, n_clients=60, duration_s=600.0,
+        n_sites=30, total_cpus=1500, **kw)
+
+
+def test_autoscale_evacuates_crashed_dp():
+    """Crash recovery is scale-up's placement step: its forced moves
+    take every client off the dead broker, and the grown fleet handles
+    more placements than the same crash with no controller."""
+    static = run_experiment(_crashed())
+    scaled = run_experiment(_crashed(autoscale=AutoscaleConfig(
+        interval_s=30.0, cooldown_s=60.0, max_dps=6)))
+    assert not scaled.deployment.dp(CRASHED_DP).online
+    assert scaled.control_stats()["scale_ups"] >= 1
+    assert scaled.deployment.clients_of(CRASHED_DP) == []
+    assert scaled.n_requests("handled") > static.n_requests("handled")
+
+
+def test_frozen_planner_leaves_crashed_dp_clients_bound():
+    """A crash is not surfaced to the planner: with no scale action, the
+    dead broker's clients stay bound and degrade through the paper's
+    timeout → random fallback."""
+    result = run_experiment(_crashed(autoscale=AutoscaleConfig(
+        policy="frozen", interval_s=30.0)))
+    orphans = result.deployment.clients_of(CRASHED_DP)
+    assert orphans
+    assert all(c.n_fallback_timeout > 0 for c in orphans)
+    assert result.deployment.topology_events == []
+    assert result.planner.actuator.actions == []
+
+
+def test_autoscaled_chaos_records_only_autoscale_topology_events():
+    """Crash and restart are not membership events; every join/leave of
+    an autoscaled chaos run is the actuator's own."""
+    for scenario in ("dp_crash", "dp_crash_restart"):
+        result = run_experiment(_crashed(
+            chaos_scenario=scenario, autoscale=AutoscaleConfig(
+                interval_s=30.0, cooldown_s=60.0, max_dps=6)))
+        events = result.deployment.topology_events
+        assert events, scenario
+        assert {e.source for e in events} == {"autoscale"}, scenario
 
 
 def test_workload_profiles_shape_arrivals():

@@ -151,12 +151,6 @@ class TestDecisionPointHandlers:
         with pytest.raises(RuntimeError):
             dp.start()
 
-    def test_load_snapshot_fields(self, env):
-        dp = make_dp(env)
-        snap = dp.load_snapshot()
-        assert {"node", "time", "queue_len", "in_service",
-                "ops_last_minute", "capacity_qps"} <= set(snap)
-
 
 class TestSyncProtocol:
     def test_records_flow_between_peers(self, env):

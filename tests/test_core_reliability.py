@@ -1,14 +1,11 @@
-"""Tests for §2.2 reliability: outages, graceful degradation, failover."""
+"""Tests for §2.2 reliability: outages and graceful degradation."""
 
 import pytest
 
 from repro.core import (
-    DIGruberDeployment,
     DecisionPoint,
     GruberClient,
     LeastUsedSelector,
-    ReconfigurationObserver,
-    SaturationDetector,
 )
 from repro.grid import GridBuilder
 from repro.net import ConstantLatency, GT3_PROFILE, Network
@@ -105,70 +102,3 @@ class TestClientGracefulDegradation:
         assert all(j.site is not None for j in trace.live.values())
         q = trace.query_arrays()
         assert q["timed_out"].all()
-
-
-class TestFailover:
-    def _deployment(self, env, k=3):
-        sim, rng, net, grid = env
-        dep = DIGruberDeployment(sim, net, grid, GT3_PROFILE, rng,
-                                 n_decision_points=k)
-        dep.start()
-        return dep
-
-    class _FakeClient:
-        def __init__(self, dp):
-            self.decision_point = dp
-
-        def rebind(self, dp):
-            self.decision_point = dp
-
-    def test_detector_raises_down_signal(self, env):
-        sim, rng, net, grid = env
-        dep = self._deployment(env)
-        det = SaturationDetector(sim, dep.decision_points.values(),
-                                 interval_s=30.0)
-        det.start()
-        dep.dp("dp1").crash()
-        sim.run(until=35.0)
-        down = [s for s in det.signals if s.reason == "down"]
-        assert down and down[0].decision_point == "dp1"
-
-    def test_observer_evacuates_dead_dp(self, env):
-        sim, rng, net, grid = env
-        dep = self._deployment(env)
-        for _ in range(6):
-            dep.attach_client(self._FakeClient("dp1"))
-        det = SaturationDetector(sim, dep.decision_points.values(),
-                                 interval_s=30.0)
-        det.start()
-        ReconfigurationObserver(sim, dep, det, cooldown_s=1e9)
-        dep.dp("dp1").crash()
-        sim.run(until=35.0)
-        assert dep.clients_of("dp1") == []
-        # Evacuation bypassed the (infinite) cooldown.
-        assert len(dep.clients_of("dp0")) + len(dep.clients_of("dp2")) == 6
-
-    def test_failover_event_recorded(self, env):
-        sim, rng, net, grid = env
-        dep = self._deployment(env)
-        dep.attach_client(self._FakeClient("dp2"))
-        det = SaturationDetector(sim, dep.decision_points.values(),
-                                 interval_s=30.0)
-        det.start()
-        obs = ReconfigurationObserver(sim, dep, det)
-        dep.dp("dp2").crash()
-        sim.run(until=35.0)
-        assert any(e.action == "failover" for e in obs.events)
-
-    def test_no_live_target_keeps_clients(self, env):
-        sim, rng, net, grid = env
-        dep = self._deployment(env, k=1)
-        dep.attach_client(self._FakeClient("dp0"))
-        det = SaturationDetector(sim, dep.decision_points.values(),
-                                 interval_s=30.0)
-        det.start()
-        ReconfigurationObserver(sim, dep, det)
-        dep.dp("dp0").crash()
-        sim.run(until=65.0)
-        # Nowhere to fail over to; clients stay (degrading gracefully).
-        assert len(dep.clients_of("dp0")) == 1

@@ -10,7 +10,8 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 ALL_SCRIPTS = sorted(p.name for p in EXAMPLES.glob("*.py"))
-QUICK_SCRIPTS = ["quickstart.py", "fair_share_brokering.py"]
+QUICK_SCRIPTS = ["quickstart.py", "fair_share_brokering.py",
+                 "dynamic_reconfiguration.py"]
 
 
 class TestExamples:

@@ -99,16 +99,6 @@ class TestRunExperiment:
         text = smoke_result.summary()
         assert "requests=" in text and "accuracy" in text
 
-    def test_deployment_hook_invoked(self):
-        calls = []
-
-        def hook(**kw):
-            calls.append(set(kw))
-
-        run_experiment(smoke_config(duration_s=60.0), deployment_hook=hook)
-        assert calls and {"sim", "deployment", "network", "grid",
-                          "rng"} <= calls[0]
-
 
 class TestMoreDecisionPointsHelp:
     """The paper's core claim at smoke scale: k=3 beats k=1 under load."""

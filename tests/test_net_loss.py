@@ -8,6 +8,7 @@ The fault layer is the one way a message is lost: a
 import pytest
 
 from repro.experiments import smoke_config, run_experiment
+from repro.experiments.runner import build_experiment, run_built
 from repro.faults.netem import LinkFault, TransportFaultModel
 from repro.net import ConstantLatency, Endpoint, Network
 from repro.sim import RngRegistry, Simulator
@@ -80,11 +81,14 @@ class TestLossMechanics:
         assert net.stats.dropped == 20
 
 
-def _lossy_decision_points(sim, deployment, network, rng, **_):
-    """Deployment hook: 15 % of the messages touching any DP are lost."""
-    network.faults = TransportFaultModel(sim, rng.stream("loss"))
-    for dp_id in deployment.dp_ids:
-        network.faults.set_node(dp_id, LinkFault(loss=0.15))
+def _run_lossy(config):
+    """A run in which 15 % of the messages touching any DP are lost."""
+    built = build_experiment(config)
+    faults = TransportFaultModel(built.sim, built.rng.stream("loss"))
+    for dp_id in built.deployment.dp_ids:
+        faults.set_node(dp_id, LinkFault(loss=0.15))
+    built.network.faults = faults
+    return run_built(built)
 
 
 class TestEndToEndUnderLoss:
@@ -93,8 +97,7 @@ class TestEndToEndUnderLoss:
         queries become timeout fallbacks, not stuck clients."""
         config = smoke_config(n_clients=10, duration_s=400.0)
         clean = run_experiment(config)
-        lossy = run_experiment(config,
-                               deployment_hook=_lossy_decision_points)
+        lossy = _run_lossy(config)
         fb_clean = clean.client_fallbacks()
         fb_lossy = lossy.client_fallbacks()
         assert lossy.network.faults.dropped > 0

@@ -15,7 +15,7 @@ import pytest
 
 from repro.check.invariants import InvariantViolation
 from repro.experiments.configs import smoke_config
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_experiment, run_built, run_experiment
 from repro.obs.flight import (
     FlightRecorder,
     Terminated,
@@ -31,6 +31,14 @@ class TestAbortReason:
         assert abort_reason(Terminated("signal 15")) == "sigterm"
         assert abort_reason(KeyboardInterrupt()) == "interrupt"
         assert abort_reason(RuntimeError("boom")) == "crash"
+
+
+def _run_hooked(config, hook):
+    """Build, let ``hook`` schedule its fault, run: the fresh-run twin of
+    ``resume_experiment(..., deployment_hook=hook)``."""
+    built = build_experiment(config)
+    hook(sim=built.sim, grid=built.grid)
+    return run_built(built)
 
 
 def _corrupting_hook(at_t: float):
@@ -64,7 +72,7 @@ class TestDumpOnAbort:
     def test_strict_violation_dumps_and_postmortem_parses(self, tmp_path):
         config = self._strict_config(tmp_path)
         with pytest.raises(InvariantViolation):
-            run_experiment(config, deployment_hook=_corrupting_hook(100.0))
+            _run_hooked(config, _corrupting_hook(100.0))
         doc = load_flight(config.flight_path)
         assert doc["flight"] == 1
         assert doc["reason"] == "strict-check"
@@ -82,7 +90,7 @@ class TestDumpOnAbort:
     def test_crash_dump_includes_traceback_and_kernel_state(self, tmp_path):
         config = self._strict_config(tmp_path)
         with pytest.raises(RuntimeError, match="injected"):
-            run_experiment(config, deployment_hook=_crashing_hook(150.0))
+            _run_hooked(config, _crashing_hook(150.0))
         doc = load_flight(config.flight_path)
         assert doc["reason"] == "crash"
         assert "injected mid-run crash" in doc["exception"]["traceback"]
@@ -94,7 +102,7 @@ class TestDumpOnAbort:
         config = self._strict_config(tmp_path, telemetry_enabled=True,
                                      telemetry_interval_s=30.0)
         with pytest.raises(RuntimeError):
-            run_experiment(config, deployment_hook=_crashing_hook(200.0))
+            _run_hooked(config, _crashing_hook(200.0))
         doc = load_flight(config.flight_path)
         assert doc["snapshots"], "flight dump should embed telemetry tail"
         assert doc["snapshots"][-1]["t"] <= 200.0
@@ -117,7 +125,7 @@ class TestMidWriteKill:
                               trace_enabled=True,
                               trace_path=str(trace_path))
         with pytest.raises(RuntimeError):
-            run_experiment(config, deployment_hook=_crashing_hook(300.0))
+            _run_hooked(config, _crashing_hook(300.0))
         lines = trace_path.read_text().splitlines()
         assert lines, "sink saw no events before the crash"
         for line in lines:  # every line parses: no mid-line truncation
@@ -132,7 +140,7 @@ class TestMidWriteKill:
                               telemetry_interval_s=30.0,
                               telemetry_path=str(path))
         with pytest.raises(RuntimeError):
-            run_experiment(config, deployment_hook=_crashing_hook(200.0))
+            _run_hooked(config, _crashing_hook(200.0))
         meta, rows = load_timeline(str(path), tolerant=False)  # strict!
         assert meta["interval_s"] == 30.0
         assert rows and rows[-1]["t"] <= 200.0

@@ -14,9 +14,6 @@ Each test here failed against the pre-fix code:
 4. **Sync relay horizon** — the flood cutoff was a fixed
    ``now - 2*interval``, silently dropping records from multi-hop
    relays whenever jitter spaced consecutive ticks further apart.
-5. **Dead-DP watch churn** — failover left the dead decision point in
-   the saturation detector, re-raising "down" (and re-running
-   evacuation) on every sampling pass forever.
 """
 
 import pytest
@@ -25,8 +22,6 @@ from repro.core import (
     DIGruberDeployment,
     DecisionPoint,
     GruberEngine,
-    ReconfigurationObserver,
-    SaturationDetector,
 )
 from repro.grid import Cluster, GridBuilder, Job, JobState, Site
 from repro.net import ConstantLatency, GT3_PROFILE, Network
@@ -261,65 +256,3 @@ class TestSyncRelayHorizon:
         for dp_id, dp in dep.decision_points.items():
             assert ("dp0", 1) in dp.engine.view._live, \
                 f"{dp_id} never learned dp0's record"
-
-
-class TestDeadDpWatchChurn:
-    """Bug 5: failover unwatches the dead DP; restart re-arms the watch."""
-
-    def _setup(self, env, k=3):
-        sim, rng, net, grid = env
-        dep = DIGruberDeployment(sim, net, grid, GT3_PROFILE, rng,
-                                 n_decision_points=k,
-                                 monitor_interval_s=1e9,
-                                 sync_interval_s=1e9)
-        dep.start()
-        det = SaturationDetector(sim, dep.decision_points.values(),
-                                 interval_s=30.0)
-        det.start()
-        obs = ReconfigurationObserver(sim, dep, det, cooldown_s=1e9)
-        return sim, dep, det, obs
-
-    def test_down_signal_raised_once_not_every_pass(self, env):
-        sim, dep, det, obs = self._setup(env)
-        dep.dp("dp1").crash()
-        sim.run(until=400.0)  # ~13 sampling passes
-        downs = [s for s in det.signals
-                 if s.reason == "down" and s.decision_point == "dp1"]
-        # Pre-fix: one "down" per pass (13 of them), each re-running
-        # the failover path.
-        assert len(downs) == 1
-
-    def test_restart_rearms_the_watch(self, env):
-        sim, dep, det, obs = self._setup(env)
-        dep.dp("dp1").crash()
-        sim.run(until=100.0)
-        assert not any(str(d.node_id) == "dp1"
-                       for d in det.decision_points)
-        dep.dp("dp1").restart()
-        sim.run(until=130.0)
-        assert any(str(d.node_id) == "dp1" for d in det.decision_points)
-        # A second crash is detected again — the watch really is live.
-        dep.dp("dp1").crash()
-        sim.run(until=400.0)
-        downs = [s for s in det.signals
-                 if s.reason == "down" and s.decision_point == "dp1"]
-        assert len(downs) == 2
-
-    def test_restart_does_not_double_watch(self, env):
-        sim, dep, det, obs = self._setup(env)
-        dep.dp("dp1").crash()
-        sim.run(until=100.0)
-        dep.dp("dp1").restart()
-        dep.dp("dp1").restart()  # idempotent rewatch across restarts
-        watched = [d for d in det.decision_points
-                   if str(d.node_id) == "dp1"]
-        assert len(watched) == 1
-
-    def test_crash_without_restart_stays_quiet(self, env):
-        sim, dep, det, obs = self._setup(env)
-        dep.dp("dp2").crash()
-        sim.run(until=1000.0)
-        failovers = [e for e in obs.events if e.action == "failover"]
-        # Nothing attached to dp2, so no failover event either — and
-        # crucially no endless re-evacuation attempts.
-        assert len(failovers) <= 1
