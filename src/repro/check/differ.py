@@ -276,8 +276,8 @@ def _scripted_sync_run(duration_s: float, seed: int,
     for dp_id in sorted(deployment.decision_points):
         view = deployment.decision_points[dp_id].engine.view
         keys = ",".join(f"{o}:{s}" for o, s in sorted(view._live))
-        usage = ";".join(f"{site}={int(view._extra_busy[site])}"
-                         for site in sorted(view._extra_busy))
+        usage = ";".join(f"{site}={int(extra)}" for site, extra
+                         in sorted(zip(view.capacities, view._extra_busy)))
         journal.record(sim.now, "dp.final", f"{dp_id}|{keys}|{usage}")
     return journal
 

@@ -398,12 +398,12 @@ class InvariantChecker:
                 self._flag("usla.policy_coherence", name,
                            "cached policy engine disagrees with the "
                            "USLA store contents")
-        extra, tol = view._extra_busy, _ABS_TOL
+        extra, col, tol = view._extra_busy, view._col, _ABS_TOL
         for (site, consumer), busy in view._vo_busy.items():
-            if busy > extra[site] + tol:
+            if busy > extra[col[site]] + tol:
                 self._flag("usla.consumer_bound", name,
                            f"vo_busy[{site},{consumer}]={busy} exceeds "
-                           f"site estimate {extra[site]}")
+                           f"site estimate {extra[col[site]]}")
 
     # -- summary -----------------------------------------------------------
     def summary(self) -> str:

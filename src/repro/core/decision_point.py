@@ -76,9 +76,8 @@ class DecisionPoint(Endpoint):
         self.container = ServiceContainer(sim, profile, rng,
                                           name=f"{node_id}.container",
                                           max_queue=max_queue)
-        capacities = {s.name: s.total_cpus for s in grid.sites.values()}
         self.engine = GruberEngine(
-            owner=str(node_id), site_capacities=capacities,
+            owner=str(node_id), site_capacities=grid.site_index,
             usla_aware=usla_aware,
             assumed_job_lifetime_s=assumed_job_lifetime_s,
             tracer=sim.trace, metrics=sim.metrics)

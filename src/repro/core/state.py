@@ -28,9 +28,11 @@ import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
+
+from repro.grid.builder import SiteIndex
 
 __all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 
@@ -69,16 +71,18 @@ class AvailabilityView(Mapping):
     """The availability answer: estimated free CPUs per site, frozen.
 
     ``free`` is a float64 column labelled by the shared ``names`` tuple,
-    *copied* into an immutable buffer at construction: a reply in flight
-    must not see later dispatches (that staleness is what accuracy measures).
+    *copied* at construction (just the ``columns`` entries, when given)
+    and made read-only: a reply in flight must not see later dispatches
+    (that staleness is what accuracy measures).
     """
 
     __slots__ = ("names", "free", "_index")
 
-    def __init__(self, names: tuple, free: np.ndarray):
+    def __init__(self, names: tuple, free, columns=None):
         self.names = names
-        # bytes cannot be written through: a read-only float64 copy.
-        self.free = np.frombuffer(np.asarray(free, float).tobytes())
+        self.free = (np.array(free, float) if columns is None
+                     else np.asarray(free, float)[columns])
+        self.free.flags.writeable = False
         self._index: Optional[dict] = None  # built on first lookup
 
     def __getitem__(self, site: str) -> float:
@@ -107,40 +111,44 @@ class GridStateView:
     Parameters
     ----------
     site_capacities:
-        Static knowledge: total CPUs per site (complete, per the paper).
+        Static knowledge (complete, per the paper): a grid's shared
+        :class:`~repro.grid.builder.SiteIndex`, or ``{site: CPUs}``.
     assumed_job_lifetime_s:
         How long a dispatch record is presumed to occupy its CPUs.
         Calibrate to the workload's mean job runtime.
 
-    Three indexes keep the hot queries off the all-sites scan: a
-    grid-wide expiry heap (:meth:`expire` costs O(records expired)), the
-    live table's own insertion order (:meth:`pending_records` costs
-    O(records learned since the cutoff)), and an incrementally-maintained
-    free column (:meth:`free_map` is one array copy; see
+    Per-site usage is kept in lists by index column.  Three indexes keep
+    the hot queries off the all-sites scan: a grid-wide expiry heap
+    (:meth:`expire` costs O(records expired)), the live table's own
+    insertion order (:meth:`pending_records` costs O(records learned since
+    the cutoff)), and an incrementally-maintained free column
+    (:meth:`free_map` copies it once per version; see
     :class:`AvailabilityView`).  A live record is ONE entry tuple
     ``(dispatch time, learn_seq, record, monotonic learn time, exact learn
     time)`` shared by its site heap, the expiry heap and the live table.
     """
 
-    def __init__(self, site_capacities: dict[str, int],
+    def __init__(self, site_capacities: Union[SiteIndex, Mapping[str, int]],
                  assumed_job_lifetime_s: float = 900.0):
-        if not site_capacities:
+        index = (site_capacities if type(site_capacities) is SiteIndex
+                 else SiteIndex(site_capacities))
+        if not index.names:
             raise ValueError("need at least one site")
         if assumed_job_lifetime_s <= 0:
             raise ValueError("assumed_job_lifetime_s must be > 0")
-        self.capacities = dict(site_capacities)
+        self._index, self._col = index, index.col
+        self.capacities: Mapping[str, int] = index.capacities  # read-only
         self.assumed_job_lifetime_s = assumed_job_lifetime_s
+        n = len(index.names)
         # Base usage from the last monitor refresh.
-        self._base_busy: dict[str, float] = {s: 0.0 for s in site_capacities}
-        self._base_time: dict[str, float] = {s: -float("inf")
-                                             for s in site_capacities}
+        self._base_busy, self._base_time = [0.0] * n, [_NEG_INF] * n
         # Live records per site, as a min-heap on dispatch time so both
         # expiry and refresh absorption pop oldest-first (the unique
-        # learn_seq breaks ties, so later entry fields never compare).
-        self._records: dict[str, list[tuple]] = {
-            s: [] for s in site_capacities}
+        # learn_seq breaks ties, so later entry fields never compare);
+        # created by the site's first record.
+        self._records: list[Optional[list[tuple]]] = [None] * n
         # Incremental sums so estimates are O(1) per site per query.
-        self._extra_busy: dict[str, float] = {s: 0.0 for s in site_capacities}
+        self._extra_busy: list[float] = [0.0] * n
         # The live entry per key — the only keyed container: its key set
         # is the dedup set, and since a dict keeps insertion order its
         # values are the live records in learn order, newest last.  When
@@ -166,31 +174,32 @@ class GridStateView:
         # ("when did I last learn anything?" is the question asked).
         self._last_learn_time: float = _NEG_INF
         self._last_refresh_time: float = _NEG_INF
-        self._site_learn_time: dict[str, float] = {}
+        self._site_learn_time: list[float] = [_NEG_INF] * n
         # -- indexes ------------------------------------------------------
         # Grid-wide expiry heap of the same entries as the site heaps.
-        # Entries absorbed by a monitor refresh go stale here and are
-        # skipped (liveness check) when their time passes.
+        # Entries absorbed by a monitor refresh go stale here, counted by
+        # ``_absorbed``, until their time passes or refresh_all compacts.
         self._expiry_heap: list[tuple] = []
+        self._absorbed = 0
         # Records ever adopted: the delta-sync watermark.
         self._learn_count = 0
-        # Estimated free CPUs: one float64 column in ``capacities`` order,
-        # maintained on every mutation so free_map() is an array copy.
-        self._names: tuple = tuple(self.capacities)
-        self._col: dict[str, int] = {s: i for i, s in enumerate(self._names)}
-        self._free = np.fromiter(self.capacities.values(), float)
+        # Estimated free CPUs in index order, maintained on every mutation;
+        # each version is copied into at most one answer per query kind.
+        self._free = np.array(index.caps, float)
+        self._answer = self._subset_answer = None
         self._subset: tuple = ((), np.empty(0, np.intp))  # last free_subset()
 
-    def _update_free(self, site: str) -> None:
-        """Re-derive one site's column entry, bit-identically to
-        :meth:`estimated_busy` (same formula)."""
-        cap = self.capacities[site]
-        busy = self._base_busy[site] + self._extra_busy[site]
+    def _update_free(self, i: int) -> None:
+        """Re-derive column ``i``'s entry, bit-identically to
+        :meth:`estimated_busy` (same formula); retires the answers."""
+        cap = self._index.caps[i]
+        busy = self._base_busy[i] + self._extra_busy[i]
         if busy < 0.0:
             busy = 0.0
         elif busy > cap:
             busy = cap
-        self._free[self._col[site]] = cap - busy
+        self._free[i] = cap - busy
+        self._answer = self._subset_answer = None
 
     # -- internal removal ----------------------------------------------------
     def _forget(self, rec: DispatchRecord) -> None:
@@ -224,17 +233,20 @@ class GridStateView:
         # enough: entries absorbed by a monitor refresh go stale here,
         # and their key can be live again via a redelivered record.)
         g = self._expiry_heap
-        records = self._records
+        records, col = self._records, self._col
         while g and g[0][0] < cutoff:
             entry = heapq.heappop(g)
             rec = entry[2]
-            site_heap = records[rec.site]
+            i = col[rec.site]
+            site_heap = records[i]
             if site_heap and site_heap[0] is entry:
                 heapq.heappop(site_heap)
-                self._extra_busy[rec.site] -= rec.cpus
+                self._extra_busy[i] -= rec.cpus
                 self._forget(rec)
-                self._update_free(rec.site)
+                self._update_free(i)
                 dropped += 1
+            else:
+                self._absorbed -= 1
         return dropped
 
     # -- updates -------------------------------------------------------------
@@ -268,34 +280,37 @@ class GridStateView:
     def _adopt(self, rec: DispatchRecord, learn_time: float) -> bool:
         """Adopt one record whose key is not live; False if rejected."""
         site, time = rec.site, rec.time
-        absorbed_until = self._base_time.get(site)
-        if absorbed_until is None:
+        i = self._col.get(site)
+        if i is None:
             raise KeyError(f"dispatch record for unknown site {site!r}")
         if learn_time > self.latest_time:
             self.latest_time = learn_time
-        if time <= absorbed_until:
+        if time <= self._base_time[i]:
             return False  # already reflected in the monitor's ground truth
         if learn_time - time >= self.assumed_job_lifetime_s:
             return False  # arrived after its own expiry (very slow relay)
         if learn_time > self._last_learn_time:
             self._last_learn_time = learn_time
-        if learn_time > self._site_learn_time.get(site, _NEG_INF):
-            self._site_learn_time[site] = learn_time
+        if learn_time > self._site_learn_time[i]:
+            self._site_learn_time[i] = learn_time
         # The first learn time is clamped monotonic (the running maximum)
         # so reverse scans of the live table can stop early; the exact
         # one rides beside it.
         self._learn_count += 1
         entry = self._live[rec.key] = (time, self._learn_count, rec,
                                        self._last_learn_time, learn_time)
-        heapq.heappush(self._records[site], entry)
+        site_heap = self._records[i]
+        if site_heap is None:
+            site_heap = self._records[i] = []
+        heapq.heappush(site_heap, entry)
         heapq.heappush(self._expiry_heap, entry)
         cpus = rec.cpus
-        self._extra_busy[site] += cpus
+        self._extra_busy[i] += cpus
         vo_busy = self._vo_busy
         for consumer in rec.consumers:
             key = (site, consumer)
             vo_busy[key] = vo_busy.get(key, 0.0) + cpus
-        self._update_free(site)
+        self._update_free(i)
         return True
 
     def refresh_site(self, site: str, busy_cpus: float, now: float) -> None:
@@ -309,10 +324,12 @@ class GridStateView:
         effect (if the job is still running) is inside the ground-truth
         number now.  One pass: the horizons are stamped once and each
         site's absorbed CPUs leave ``_extra_busy`` as one (exact, integer)
-        sum.
+        sum.  Once absorbed entries outnumber live ones in the expiry
+        heap, it is rebuilt from the live table (amortized O(1) each).
         """
-        if not busy_by_site.keys() <= self.capacities.keys():
-            ghost = next(s for s in busy_by_site if s not in self.capacities)
+        col = self._col
+        if not busy_by_site.keys() <= col.keys():
+            ghost = next(s for s in busy_by_site if s not in col)
             raise KeyError(f"refresh for unknown site {ghost!r}")
         if not busy_by_site:
             return
@@ -324,18 +341,25 @@ class GridStateView:
         site_heaps, extra_busy = self._records, self._extra_busy
         heappop, forget, update_free = (heapq.heappop, self._forget,
                                         self._update_free)
+        n_live = len(self._live)
         for site, busy in busy_by_site.items():
-            base_busy[site] = busy
-            base_time[site] = now
-            heap = site_heaps[site]
+            i = col[site]
+            base_busy[i] = busy
+            base_time[i] = now
+            heap = site_heaps[i]
             absorbed = 0
             while heap and heap[0][0] <= now:
                 rec = heappop(heap)[2]
                 absorbed += rec.cpus
                 forget(rec)
             if absorbed:
-                extra_busy[site] -= absorbed
-            update_free(site)
+                extra_busy[i] -= absorbed
+            update_free(i)
+        self._absorbed += n_live - len(self._live)
+        if self._absorbed > len(self._live):
+            self._expiry_heap = list(self._live.values())
+            heapq.heapify(self._expiry_heap)
+            self._absorbed = 0
 
     def extend_capacities(self, site_capacities: dict[str, int]) -> None:
         """Add static knowledge of more sites (no usage yet).
@@ -344,28 +368,30 @@ class GridStateView:
         paper's "complete static knowledge about available resources"
         across the whole grid while its monitor only refreshes local
         sites; peer usage arrives as epoch-synced dispatch records.
-        Already-known sites are left untouched.
+        Known sites are left untouched; new ones are appended to an index
+        of the view's own, so answers already given keep names and copy.
         """
-        for site, cap in site_capacities.items():
-            if site in self.capacities:
-                continue
-            self._col[site] = len(self.capacities)
-            self.capacities[site] = cap
-            self._base_busy[site] = 0.0
-            self._base_time[site] = -float("inf")
-            self._records[site] = []
-            self._extra_busy[site] = 0.0
-        # Append-only: answers already given keep their names and copy.
-        self._names = tuple(self.capacities)
-        self._free = np.append(self._free, [
-            self.capacities[s] for s in self._names[len(self._free):]])
+        new = {s: cap for s, cap in site_capacities.items()
+               if s not in self._col}
+        if not new:
+            return
+        self._index = SiteIndex({**self.capacities, **new})
+        self._col, self.capacities = self._index.col, self._index.capacities
+        for column, fill in ((self._base_busy, 0.0), (self._extra_busy, 0.0),
+                             (self._base_time, _NEG_INF),
+                             (self._site_learn_time, _NEG_INF),
+                             (self._records, None)):
+            column.extend(repeat(fill, len(new)))
+        self._free = np.append(self._free, list(new.values()))
+        self._answer = self._subset_answer = None
 
     # -- queries ---------------------------------------------------------------
     def estimated_busy(self, site: str, now: Optional[float] = None) -> float:
         if now is not None:
             self.expire(now)
-        busy = self._base_busy[site] + self._extra_busy[site]
-        return min(max(busy, 0.0), self.capacities[site])
+        i = self._col[site]
+        busy = self._base_busy[i] + self._extra_busy[i]
+        return min(max(busy, 0.0), self._index.caps[i])
 
     def estimated_free(self, site: str, now: Optional[float] = None) -> float:
         return self.capacities[site] - self.estimated_busy(site, now)
@@ -383,10 +409,12 @@ class GridStateView:
         return max(self._vo_busy.get((site, vo), 0.0), 0.0)
 
     def free_map(self, now: Optional[float] = None) -> AvailabilityView:
-        """Estimated free CPUs for every site (the availability answer)."""
+        """Estimated free CPUs per site: one frozen answer per version."""
         if now is not None:
             self.expire(now)
-        return AvailabilityView(self._names, self._free)
+        if self._answer is None:
+            self._answer = AvailabilityView(self._index.names, self._free)
+        return self._answer
 
     def free_subset(self, sites, now: Optional[float] = None) -> AvailabilityView:
         """Like :meth:`free_map`, restricted to ``sites``, in their order.
@@ -394,15 +422,19 @@ class GridStateView:
         The sharded runtime's availability answers stay neighborhood-
         local even when the view carries grid-wide static knowledge.
         Values are bit-identical to the :meth:`free_map` entries; the
-        column indexes are kept for the next call with the same tuple.
+        column indexes, and the answer until the column is next written,
+        are kept for the next call with the same tuple.
         """
         if now is not None:
             self.expire(now)
         if sites is not self._subset[0]:
             sites = tuple(sites)
             self._subset = (sites, np.array([self._col[s] for s in sites], np.intp))
-        sites, idx = self._subset
-        return AvailabilityView(sites, self._free[idx])
+            self._subset_answer = None
+        if self._subset_answer is None:
+            names, idx = self._subset
+            self._subset_answer = AvailabilityView(names, self._free, idx)
+        return self._subset_answer
 
     def pending_records(self, newer_than: float) -> list[DispatchRecord]:
         """Live records this node *learned* after the cutoff.
@@ -455,9 +487,10 @@ class GridStateView:
         """
         if site is None:
             t = max(self._last_learn_time, self._last_refresh_time)
+        elif (i := self._col.get(site)) is None:
+            t = _NEG_INF
         else:
-            t = max(self._site_learn_time.get(site, _NEG_INF),
-                    self._base_time.get(site, _NEG_INF))
+            t = max(self._site_learn_time[i], self._base_time[i])
         if t == _NEG_INF:
             return None
         return max(now - t, 0.0)
@@ -482,44 +515,49 @@ class GridStateView:
                     f"non-positive vo_busy[{site},{consumer}]={busy}")
             if "." not in consumer:  # plain VO; groups mirror their VO
                 vo_sums[site] = vo_sums.get(site, 0.0) + busy
-        # Site dicts and the free column share capacities order.
-        names, n = self._names, len(self._names)
-        heap = np.array([sum(entry[2].cpus for entry in h)
-                         for h in self._records.values()], float)
-        extra = np.fromiter(self._extra_busy.values(), float, n)
+        # Per-site lists and the free column share the index's columns.
+        names, n = self._index.names, len(self._index.names)
+        heap = np.array([sum(entry[2].cpus for entry in h) if h else 0
+                         for h in self._records], float)
+        extra = np.array(self._extra_busy, float)
         vo = np.fromiter(map(vo_sums.get, names, repeat(0.0)), float, n)
-        base = np.fromiter(self._base_busy.values(), float, n)
-        cap = np.fromiter(self.capacities.values(), float, n)
+        base = np.array(self._base_busy, float)
+        cap = np.array(self._index.caps, float)
         used = np.minimum(np.maximum(base + extra, 0.0), cap)
         flagged = ((heap != extra) | (vo != extra) | ~(0.0 <= base)
                    | ~(base <= cap) | (self._free != cap - used))
         for i in np.flatnonzero(flagged).tolist():
-            self._audit_site(names[i], vo_sums.get(names[i], 0.0), problems)
+            self._audit_site(i, vo_sums.get(names[i], 0.0), problems)
         if len(self._live) != self.n_records:
             problems.append(
                 f"live table holds {len(self._live)} records but the site "
                 f"heaps hold {self.n_records}")
+        if len(self._expiry_heap) != len(self._live) + self._absorbed:
+            problems.append(
+                f"expiry heap holds {len(self._expiry_heap)} entries but "
+                f"live + absorbed = {len(self._live) + self._absorbed}")
         return problems
 
-    def _audit_site(self, site: str, vo_sum: float,
+    def _audit_site(self, i: int, vo_sum: float,
                     problems: list[str]) -> None:
-        """The per-site rules of :meth:`audit`, worded."""
-        extra = sum(entry[2].cpus for entry in self._records[site])
-        if extra != self._extra_busy[site]:
+        """The per-site rules of :meth:`audit` for column ``i``, worded."""
+        site = self._index.names[i]
+        extra = sum(entry[2].cpus for entry in self._records[i] or ())
+        if extra != self._extra_busy[i]:
             problems.append(
-                f"extra_busy[{site}]={self._extra_busy[site]} but site "
+                f"extra_busy[{site}]={self._extra_busy[i]} but site "
                 f"heap holds {extra} CPUs")
-        if vo_sum != self._extra_busy[site]:
+        if vo_sum != self._extra_busy[i]:
             problems.append(
                 f"vo_busy sum {vo_sum} != "
-                f"extra_busy[{site}]={self._extra_busy[site]}")
-        cap = self.capacities[site]
-        base = self._base_busy[site]
+                f"extra_busy[{site}]={self._extra_busy[i]}")
+        cap = self._index.caps[i]
+        base = self._base_busy[i]
         if not (0.0 <= base <= cap):
             problems.append(
                 f"base_busy[{site}]={base} outside [0, {cap}]")
-        busy = min(max(base + self._extra_busy[site], 0.0), cap)
-        free = float(self._free[self._col[site]])
+        busy = min(max(base + self._extra_busy[i], 0.0), cap)
+        free = float(self._free[i])
         if free != cap - busy:
             problems.append(
                 f"free[{site}]={free} != recomputed {cap - busy}")
@@ -535,17 +573,19 @@ class GridStateView:
         def _f(x: float):
             return None if x == _NEG_INF else x
 
+        names = self._index.names
         records = []
-        for site in sorted(self._records):
-            for entry in sorted(self._records[site]):
+        for _, heap in sorted(zip(names, self._records)):
+            for entry in sorted(heap or ()):
                 rec = entry[2]
                 records.append([rec.origin, rec.seq, rec.site, rec.vo,
                                 rec.cpus, rec.time, rec.group])
         return {
-            "base_busy": sorted(self._base_busy.items()),
-            "base_time": [[s, _f(t)] for s, t in sorted(self._base_time.items())],
+            "base_busy": sorted(zip(names, self._base_busy)),
+            "base_time": [[s, _f(t)]
+                          for s, t in sorted(zip(names, self._base_time))],
             "records": records,
-            "extra_busy": sorted(self._extra_busy.items()),
+            "extra_busy": sorted(zip(names, self._extra_busy)),
             "vo_busy": [[s, c, b] for (s, c), b in sorted(self._vo_busy.items())],
             "learn_count": self._learn_count,
             "latest_time": _f(self.latest_time),
@@ -556,8 +596,8 @@ class GridStateView:
 
     @property
     def n_sites(self) -> int:
-        return len(self.capacities)
+        return len(self._index.names)
 
     @property
     def n_records(self) -> int:
-        return sum(len(h) for h in self._records.values())
+        return sum(len(h) for h in self._records if h)

@@ -11,7 +11,9 @@ matches the few-big-many-small shape of Grid3's published site list.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -20,7 +22,27 @@ from repro.grid.site import Cluster, Site
 from repro.grid.vo import VORegistry
 from repro.sim.kernel import Simulator
 
-__all__ = ["Grid", "GridBuilder"]
+__all__ = ["Grid", "GridBuilder", "SiteIndex"]
+
+
+class SiteIndex:
+    """Static site knowledge: column order, name -> column, capacities.
+
+    The paper's dissemination model (§2.5) gives every decision point
+    "complete static knowledge about available resources", so a grid
+    builds this once and every decision point's view shares it; only
+    usage is per view.  Never mutated: a view that learns more sites
+    builds a new index.
+    """
+
+    __slots__ = ("names", "col", "caps", "capacities")
+
+    def __init__(self, capacities: Mapping[str, int]):
+        self.names: tuple[str, ...] = tuple(capacities)
+        self.col: dict[str, int] = {s: i for i, s in enumerate(self.names)}
+        self.caps: tuple[int, ...] = tuple(capacities.values())
+        #: Read-only ``{site: CPUs}``.
+        self.capacities = MappingProxyType(dict(capacities))
 
 
 @dataclass
@@ -36,15 +58,15 @@ class Grid:
     sites: dict[str, Site]
     vos: VORegistry
     name: str = "grid"
+    #: The static knowledge every decision point's view shares.
+    site_index: SiteIndex = field(init=False, repr=False)
     _site_list: list[Site] = field(default_factory=list, repr=False)
-    _site_index: dict[str, int] = field(default_factory=dict, repr=False)
     _free: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _names: tuple[str, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        self._names = tuple(self.sites)
         self._site_list = list(self.sites.values())
-        self._site_index = {s.name: i for i, s in enumerate(self._site_list)}
+        self.site_index = SiteIndex(
+            {s.name: s.total_cpus for s in self._site_list})
         self._free = np.array([s.total_cpus for s in self._site_list],
                               dtype=np.int64)
         for site in self._site_list:
@@ -52,19 +74,19 @@ class Grid:
             site.on_job_completed.append(self._on_job_ended)
 
     def _on_job_started(self, job) -> None:
-        self._free[self._site_index[job.site]] -= job.cpus
+        self._free[self.site_index.col[job.site]] -= job.cpus
 
     def _on_job_ended(self, job) -> None:
         # Fires for completions and failures; only jobs that actually
         # started had consumed CPUs (dispatch-time rejections did not).
         if job.started_at is not None:
-            self._free[self._site_index[job.site]] += job.cpus
+            self._free[self.site_index.col[job.site]] += job.cpus
 
     @property
     def site_names(self) -> tuple[str, ...]:
         """Site names in build order — one tuple every holder shares (a
         k=10 fleet is 1,200 clients over 3,000 sites)."""
-        return self._names
+        return self.site_index.names
 
     @property
     def total_cpus(self) -> int:
@@ -78,7 +100,7 @@ class Grid:
 
     def free_at(self, site: str) -> int:
         """Ground-truth free CPUs at one site (cached, O(1))."""
-        return int(self._free[self._site_index[site]])
+        return int(self._free[self.site_index.col[site]])
 
     def snapshot(self) -> dict[str, dict]:
         """Full monitoring snapshot (what a site monitor sweep returns)."""

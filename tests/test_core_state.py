@@ -1,11 +1,15 @@
 """Tests for the staleness-aware grid state view."""
 
+import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core import DispatchRecord, GridStateView
+from repro.core import DispatchRecord, GridStateView, GruberEngine
+from repro.grid.builder import GridBuilder
+from repro.sim.kernel import Simulator
 
 
 def rec(origin="dp0", seq=1, site="s0", vo="vo0", cpus=2, time=10.0):
@@ -200,13 +204,13 @@ class TestAuditCatchesSeededCorruption:
     """Each ``audit`` rule fires on the drift it names (and only then)."""
 
     @pytest.mark.parametrize("corrupt,problem", [
-        (lambda v: v._extra_busy.__setitem__("s0", 9.0),
+        (lambda v: v._extra_busy.__setitem__(v._col["s0"], 9.0),
          "extra_busy[s0]=9.0 but site heap holds 4 CPUs"),
         (lambda v: v._vo_busy.__setitem__(("s0", "atlas"), 5.0),
          "vo_busy sum 5.0 != extra_busy[s0]=4.0"),
         (lambda v: v._vo_busy.__setitem__(("s1", "cms"), 0.0),
          "non-positive vo_busy[s1,cms]=0.0"),
-        (lambda v: v._base_busy.__setitem__("s1", 51.0),
+        (lambda v: v._base_busy.__setitem__(v._col["s1"], 51.0),
          "base_busy[s1]=51.0 outside [0, 50]"),
         (lambda v: v._free.__setitem__(0, 97.0),
          "free[s0]=97.0 != recomputed 96.0"),
@@ -214,8 +218,11 @@ class TestAuditCatchesSeededCorruption:
          "live table holds 0 records but the site heaps hold 1"),
         (lambda v: v._live.__setitem__(("dp7", 7), v._live["dp0", 1]),
          "live table holds 2 records but the site heaps hold 1"),
+        (lambda v: v._expiry_heap.remove(v._live["dp0", 1]),
+         "expiry heap holds 0 entries but live + absorbed = 1"),
     ], ids=["extra_busy", "vo_busy-sum", "vo_busy-sign", "base_busy",
-            "free-column", "live-table-lost", "live-table-extra"])
+            "free-column", "live-table-lost", "live-table-extra",
+            "expiry-heap-lost"])
     def test_rule_fires(self, view, corrupt, problem):
         view.apply_record(rec(seq=1, vo="atlas", cpus=4))
         assert view.audit() == []
@@ -260,8 +267,80 @@ class TestAnswerSnapshotIsolation:
             reply["s0"] = 0.0
         assert view.free_map()["s0"] == 100.0
 
-    def test_answers_share_names_not_values(self, view):
-        a, b = view.free_map(), view.free_map()
-        assert a.names is b.names
-        assert not np.shares_memory(a.free, b.free)
+    @pytest.mark.parametrize("write", [
+        lambda v: v.apply_record(rec(seq=2, site="s0", cpus=8, time=11.0)),
+        lambda v: v.apply_records([rec(seq=2, site="s1", time=11.0)]),
+        lambda v: v.refresh_site("s1", 30.0, now=12.0),
+        lambda v: v.refresh_all({"s0": 5.0, "s1": 6.0}, now=12.0),
+        lambda v: v.expire(5000.0),
+        lambda v: v.extend_capacities({"s2": 10}),
+    ], ids=["apply_record", "apply_records", "refresh_site", "refresh_all",
+            "expire", "extend_capacities"])
+    def test_unchanged_view_answers_once(self, view, write):
+        """One frozen copy per column version: asking again without a
+        write in between hands back the same answer; any write retires
+        it, and the retired answer keeps its values."""
+        view.apply_record(rec(seq=1, site="s1", cpus=4))
+        subset = ("s1", "s0")
+        a, s = view.free_map(), view.free_subset(subset)
+        assert view.free_map() is a and view.free_subset(subset) is s
         assert not np.shares_memory(a.free, view._free)
+        assert not np.shares_memory(s.free, view._free)
+        a_values, s_values = a.free.tolist(), s.free.tolist()
+        write(view)
+        b, t = view.free_map(), view.free_subset(subset)
+        assert b is not a and t is not s
+        assert a.free.tolist() == a_values and s.free.tolist() == s_values
+        assert view.free_map() is b and view.free_subset(subset) is t
+
+
+def _traced_bytes(build):
+    """Bytes ``build()`` allocates and still holds (deterministic, unlike
+    RSS), plus what it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return size, held
+
+
+class TestRetainedBytes:
+    """A view pays per live record and per site of dynamic state: the
+    static half is the grid's, and absorbed records leave."""
+
+    def test_views_share_the_grids_static_knowledge(self):
+        """Ten decision points' views of a 3,000-site grid cost <= 128 B
+        per site per view (330 B when each view copied the static
+        tables; ~50 B is the six per-site columns)."""
+        grid = GridBuilder(Simulator(), np.random.default_rng(1)).build(
+            n_sites=3000, total_cpus=400_000)
+        n_views = 10
+        size, engines = _traced_bytes(lambda: [
+            GruberEngine(f"dp{k}", site_capacities=grid.site_index)
+            for k in range(n_views)])
+        assert all(e.view.capacities is grid.site_index.capacities
+                   for e in engines)
+        assert size / (n_views * 3000) <= 128.0
+
+    def test_absorbed_records_leave(self):
+        """After a monitor sweep absorbs 20,000 adopted records the view
+        retains <= 64 B per record (151 B while the expiry heap kept the
+        absorbed entries until their lifetime passed); what remains is
+        the live table's dict storage, which Python does not shrink."""
+        n_sites, n = 300, 20_000
+        view = GridStateView({f"s{i}": 1000 for i in range(n_sites)})
+        records = [rec(seq=i, site=f"s{i % n_sites}", cpus=1,
+                       time=float(i) * 0.01) for i in range(n)]
+        sweep = {f"s{i}": 0.0 for i in range(n_sites)}
+
+        def absorb():
+            assert len(view.apply_records(records, now=200.0)) == n
+            view.refresh_all(sweep, now=300.0)
+        size, _ = _traced_bytes(absorb)
+        assert view.n_records == 0 and view.audit() == []
+        assert len(view._expiry_heap) == 0
+        assert size / n <= 64.0

@@ -15,6 +15,12 @@ knows the per-record semantics, so every batch rule is a proof that the
 batch path equals the per-record one — duplicates and repeated keys
 inside a payload, replays of dropped keys, ``now=None``, an unknown site
 mid-batch — down to ``latest_time`` and ``info_age_s``.
+
+Every answer handed out is kept for the machine's lifetime: answers are
+shared until the column is next written, so after every step each one
+must still hold the values it was handed out with, and ``audit`` must
+find nothing — including the expiry heap's ``live + absorbed`` count,
+which a refresh must leave with absorbed entries no more than live ones.
 """
 
 import numpy as np
@@ -119,9 +125,20 @@ class StateViewMachine(RuleBasedStateMachine):
         # One tuple object reused for the machine's lifetime: the view
         # keeps its column indexes across mutations and appended columns.
         self.held_subset = ("s2", "s0")
+        #: ``(answer, its values at hand-out)`` for every answer given.
+        self.handed_out: list = []
+
+    def keep(self, answer):
+        self.handed_out.append((answer, answer.free.tolist()))
+        return answer
+
+    def assert_compacted(self):
+        """Right after a refresh: absorbed entries <= live ones."""
+        assert self.view._absorbed <= len(self.view._live)
 
     def assert_answer(self, answer, want):
         """An availability answer, read the way the selectors read it."""
+        self.keep(answer)
         assert answer.names == tuple(s for s, _ in want)
         assert answer.free.dtype == np.float64
         assert answer.free.tolist() == [f for _, f in want]
@@ -170,14 +187,14 @@ class StateViewMachine(RuleBasedStateMachine):
         rec = DispatchRecord(origin="dp0", seq=seq, site="s0", vo="vo0",
                              cpus=99, time=self.clock)
         known = rec.key in self.ref.records
-        before = self.view.free_map()
+        before = self.keep(self.view.free_map())
         applied = self.view.apply_record(rec, now=self.clock)
         # A dropped record's key is free again, so the redelivery may
         # be genuinely new — on both sides or on neither.
         assert applied == self.ref.apply(rec, learn_time=self.clock)
         if known:
             assert not applied
-            assert self.view.free_map() == before
+            assert self.keep(self.view.free_map()) == before
 
     @rule(data=st.data(), local=st.booleans(), ghost=st.booleans())
     def apply_payload(self, data, local, ghost):
@@ -229,6 +246,7 @@ class StateViewMachine(RuleBasedStateMachine):
         site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
         busy = min(busy, self.ref.capacities[site])
         self.view.refresh_site(site, busy, self.clock)
+        self.assert_compacted()
         self.ref.refresh(site, busy, self.clock)
 
     @rule(data=st.data())
@@ -237,6 +255,7 @@ class StateViewMachine(RuleBasedStateMachine):
             st.sampled_from(sorted(self.ref.capacities)),
             st.floats(0.0, 7.0)))  # the smallest capacity
         self.view.refresh_all(sweep, self.clock)
+        self.assert_compacted()
         for site, busy in sweep.items():
             self.ref.refresh(site, busy, self.clock)
         # Sites are validated before anything is stamped.
@@ -280,6 +299,12 @@ class StateViewMachine(RuleBasedStateMachine):
             assert self.view.records_since(mark) == \
                 (self.ref.learn_count,
                  [r for n, _, r in live if n > mark]), mark
+        assert self.view.audit() == []
+
+    @invariant()
+    def answers_handed_out_never_change(self):
+        for answer, values in self.handed_out:
+            assert answer.free.tolist() == values
         assert self.view.audit() == []
 
     @invariant()

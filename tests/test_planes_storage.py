@@ -177,22 +177,22 @@ def legacy_audit(view) -> list[str]:
                 f"non-positive vo_busy[{site},{consumer}]={busy}")
         if "." not in consumer:
             vo_sums[site] = vo_sums.get(site, 0.0) + busy
-    for site, heap in view._records.items():
-        extra = sum(entry[2].cpus for entry in heap)
-        if extra != view._extra_busy[site]:
+    for site, i in view._col.items():
+        extra = sum(entry[2].cpus for entry in view._records[i] or ())
+        if extra != view._extra_busy[i]:
             problems.append(
-                f"extra_busy[{site}]={view._extra_busy[site]} but site "
+                f"extra_busy[{site}]={view._extra_busy[i]} but site "
                 f"heap holds {extra} CPUs")
-        if vo_sums.get(site, 0.0) != view._extra_busy[site]:
+        if vo_sums.get(site, 0.0) != view._extra_busy[i]:
             problems.append(
                 f"vo_busy sum {vo_sums.get(site, 0.0)} != "
-                f"extra_busy[{site}]={view._extra_busy[site]}")
+                f"extra_busy[{site}]={view._extra_busy[i]}")
         cap = view.capacities[site]
-        base = view._base_busy[site]
+        base = view._base_busy[i]
         if not (0.0 <= base <= cap):
             problems.append(f"base_busy[{site}]={base} outside [0, {cap}]")
-        busy = min(max(base + view._extra_busy[site], 0.0), cap)
-        free = float(view._free[view._col[site]])
+        busy = min(max(base + view._extra_busy[i], 0.0), cap)
+        free = float(view._free[i])
         if free != cap - busy:
             problems.append(
                 f"free[{site}]={free} != recomputed {cap - busy}")
@@ -218,19 +218,20 @@ class TestAuditEquivalence:
         flagged = 0
         for step in range(120):
             site = rng.choice(sites)
+            i = view._col[site]
             kind = rng.randrange(5)
             if kind == 0:
-                view._extra_busy[site] += rng.choice((1.0, -1.0, 0.5))
+                view._extra_busy[i] += rng.choice((1.0, -1.0, 0.5))
             elif kind == 1:
-                view._base_busy[site] = rng.choice(
+                view._base_busy[i] = rng.choice(
                     values + (float(view.capacities[site]),))
             elif kind == 2:
-                view._free[view._col[site]] = rng.choice(values)
+                view._free[i] = rng.choice(values)
             elif kind == 3 and view._vo_busy:
                 key = rng.choice(list(view._vo_busy))
                 view._vo_busy[key] = rng.choice(values + (7.0,))
             else:
-                heaps = [h for h in view._records.values() if h]
+                heaps = [h for h in view._records if h]
                 heap = rng.choice(heaps)
                 i = rng.randrange(len(heap))
                 entry = heap[i]
