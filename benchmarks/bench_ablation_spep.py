@@ -20,6 +20,7 @@ from repro.experiments.runner import build_experiment, run_built
 from repro.grid import SitePolicyEnforcementPoint
 from repro.metrics.report import format_table
 from repro.usla import PolicyEngine, parse_policy
+from repro.workloads import HostWorkload
 
 GREEDY_VO = "vo0"
 CAP_PCT = 8.0
@@ -31,11 +32,17 @@ def _skewed_config(name):
 
 
 def _skew_workload(result_clients):
-    """Rewrite half of each client's jobs to the greedy VO (pre-run)."""
+    """Rewrite half of each client's jobs to the greedy VO (pre-run): the
+    host's generated stream, drawn whole into explicit columns, with
+    every other job's identity replaced."""
     for client in result_clients:
         wl = client.workload
-        wl.identity[::2] = wl.identities.index(
+        (identity, cpus, durations), _ = wl.source.redraw(wl.marks, len(wl))
+        identity[::2] = wl.identities.index(
             (GREEDY_VO, f"{GREEDY_VO}-g0", f"{GREEDY_VO}-g0-u0"))
+        client.workload = HostWorkload(
+            wl.host, wl.arrivals, identity, wl.identities, cpus, durations,
+            jid_base=wl.jid_base)
 
 
 def _delivered_shares(result):

@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.grid.job import JobState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -293,7 +291,7 @@ class InvariantChecker:
         # with nothing due.
         now = self.sim.now
         arrivals = client.workload.arrivals
-        due = int(np.searchsorted(arrivals, now, side="right"))
+        due = int(arrivals.searchsorted(now, "right"))
         job = client._job
         if not (0 <= cursor <= due):
             self._flag("client.arrival_cursor", name,

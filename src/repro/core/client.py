@@ -12,9 +12,9 @@ Implements the paper's client behaviour (§3.2, §4.3):
   queue in the host's backlog — "when timeouts occur, job submissions
   are delayed and thus the total number of job submissions is reduced
   during the time period" (§4.4.2).  The backlog is *derived*, not
-  stored: arrivals are a sorted array and the client keeps one cursor
-  into it, so an arrival costs a kernel event only when the channel is
-  idle and waiting for it;
+  stored: arrivals are sorted (a lattice at the steady cadence) and the
+  client keeps one cursor into them, so an arrival costs a kernel event
+  only when the channel is idle and waiting for it;
 * **timeout fallback**: "each client was configured to apply a [15] s
   timeout ...  If this timeout expires, the client's site selector then
   selects a site at random, without considering USLAs" — the original

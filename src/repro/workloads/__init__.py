@@ -6,8 +6,8 @@ submission host" by ~120 hosts over one hour.  Since we have no access
 to the original Grid3 traces, :mod:`repro.workloads.models` provides
 Grid3-era-shaped synthetic job attribute distributions (heavy-tailed
 durations, mostly single-CPU jobs), and
-:mod:`repro.workloads.generator` pre-generates deterministic per-host
-job streams with vectorized numpy draws.
+:mod:`repro.workloads.generator` keeps deterministic per-host job
+streams as cursors into vectorized numpy draws.
 
 :mod:`repro.workloads.trace` records query/job events into columnar
 tables — the input format shared by the metrics module and GRUB-SIM.

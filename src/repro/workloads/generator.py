@@ -1,18 +1,19 @@
 """Composite workload generation.
 
-One :class:`HostWorkload` is the deterministic job stream of one
-submission host: arrival times (the paper's fixed one-job-per-second
-cadence, optionally Poisson), and per-job VO/group/user assignments and
-attributes, all pre-drawn as numpy arrays (vectorized per the HPC
-guides) with :class:`~repro.grid.job.Job` objects materialized lazily
-as the simulation consumes them.  A job's VO/group/user is one small
-integer into an ``(vo, group, user)`` table the whole fleet shares.
+One :class:`HostWorkload` is one submission host's deterministic job
+stream: arrival times (a :class:`Lattice` at the paper's fixed cadence,
+else a sorted array) and per-job attributes, as a cursor, not columns:
+the build makes every draw on the shared ``workload`` stream in its
+historical order but keeps only the position before each attribute
+block; ``job_at`` redraws a window from there (a host brokers a few per
+cent of what it submits) and resolves ``(vo, group, user)`` in a table.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,89 +24,160 @@ from repro.workloads.models import JobModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.profiles import ArrivalProfile
 
-__all__ = ["HostWorkload", "WorkloadGenerator"]
+__all__ = ["HostWorkload", "Lattice", "WorkloadGenerator"]
 
 #: One job's ``(vo, group, user)``.
 Identity = tuple[str, str, str]
 
+#: A generated workload's attribute blocks, in stream order.
+_COLUMNS = ("identity", "cpus", "durations")
+#: Jobs redrawn on the first miss; each forward miss doubles it, to a cap.
+_WINDOW_FIRST, _WINDOW_CAP = 16, 64
 
-def _narrow(values: np.ndarray, largest: int) -> np.ndarray:
-    """``values`` (all in ``[0, largest]``) in the smallest unsigned dtype."""
-    return np.asarray(values).astype(np.min_scalar_type(max(largest, 0)))
+
+def _check_column(host: str, name: str, values, n: int, n_ids: int):
+    """A bad job attribute fails at construction, by host and column — not
+    mid-run in ``job_at`` or ``Job``, and not hidden by the narrowing."""
+    values = np.asarray(values)
+    if len(values) != n:
+        problem = f"has {len(values)} entries for {n} arrivals"
+    elif name != "durations" and values.dtype.kind not in "iu":
+        problem = f"entries must be integers, got {values.dtype}"
+    elif name == "identity" and not np.all((0 <= values) & (values < n_ids)):
+        problem = f"index out of range for a table of {n_ids}"
+    elif name == "cpus" and np.any(values < 1):
+        problem = "entries must be >= 1"
+    elif name == "durations" and not np.all((0 < values) & (values < np.inf)):
+        problem = "entries must be finite and > 0"
+    else:
+        return
+    raise ValueError(f"HostWorkload {host!r}: {name} {problem}")
 
 
-@dataclass
+class Lattice:
+    """Steady arrivals, ``start + i * step`` for ``i < n``: bit-identical
+    to ``start + np.arange(0.0, span, step)``, without the array."""
+
+    __slots__ = ("start", "step", "n")
+
+    def __init__(self, start: float, step: float, n: int):
+        self.start, self.step, self.n = float(start), float(step), int(n)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, stride = i.indices(self.n)
+            if lo or stride != 1:
+                raise IndexError("a Lattice slices only as a prefix")
+            return Lattice(self.start, self.step, max(hi, 0))
+        if not -self.n <= i < self.n:
+            raise IndexError(f"arrival {i} of {self.n}")
+        return self.start + (i % self.n) * self.step
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.start + np.arange(self.n) * self.step, dtype)
+
+    def searchsorted(self, t: float, side: str = "left") -> int:
+        """Exactly ``np.searchsorted``: an inverse estimate, then a fix-up."""
+        start, step, n = self.start, self.step, self.n
+        x = (t - start) / step
+        i = int(min(max(x, 0.0), n)) if x == x else n
+        before = operator.le if side == "right" else operator.lt
+        while i < n and before(start + i * step, t):
+            i += 1
+        while i > 0 and not before(start + (i - 1) * step, t):
+            i -= 1
+        return i
+
+
+@dataclass(eq=False)
 class HostWorkload:
-    """Pre-generated job stream for one submission host.
-
-    Job ``i`` is ``identities[identity[i]]``, ``cpus[i]``,
-    ``durations[i]``, submitted at ``arrivals[i]``.  ``identities`` is
-    shared by every workload of a fleet, so a host costs its columns
-    (``identity`` and ``cpus`` in their smallest unsigned dtype) and
-    nothing per job beyond them.
-    """
+    """One host's job stream: job ``i`` is ``identities[identity[i -
+    lo]]``, ``cpus[i - lo]``, ``durations[i - lo]``, arriving at
+    ``arrivals[i]``.  Explicit columns (tests, trace hosts) are one window
+    over the whole stream; a generated workload redraws its window from
+    ``source`` on a miss — from where it ended, or from ``marks``."""
 
     host: str
-    arrivals: np.ndarray       # absolute submission times, seconds
-    identity: np.ndarray       # per job: index into ``identities``
-    identities: tuple[Identity, ...]
+    arrivals: Union[Lattice, np.ndarray]  # absolute submission times, s
+    identity: np.ndarray        # per job: index into ``identities``
+    identities: tuple[Identity, ...]  # shared by every host of a fleet
     cpus: np.ndarray
     durations: np.ndarray
     #: When set, job ``index`` gets ``jid_base + index`` instead of the
     #: process-global counter — run-deterministic ids, so artifacts
     #: that embed jids (span exports) are byte-identical across runs.
     jid_base: Optional[int] = None
+    source: Optional["WorkloadGenerator"] = None
+    marks: tuple = ()
 
     def __post_init__(self) -> None:
-        # The client derives its backlog with ``searchsorted`` over this
-        # array, so an out-of-order arrival must fail here, by name.
-        if len(self.arrivals) > 1 and np.any(np.diff(self.arrivals) < 0):
-            raise ValueError(
-                f"HostWorkload {self.host!r}: arrivals must be "
-                f"non-decreasing (first drop at index "
-                f"{int(np.argmax(np.diff(self.arrivals) < 0)) + 1})")
-        n = len(self.arrivals)
-        for name in ("identity", "cpus", "durations"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(
-                    f"HostWorkload {self.host!r}: {name} has "
-                    f"{len(getattr(self, name))} entries for {n} arrivals")
-        if n and (int(self.identity.min()) < 0
-                  or int(self.identity.max()) >= len(self.identities)):
-            raise ValueError(
-                f"HostWorkload {self.host!r}: identity index out of range "
-                f"for a table of {len(self.identities)}")
-        # A bad job attribute fails here, by host — not mid-run in
-        # ``Job.__post_init__``, and not wrapped by the narrowing.
-        for name, low, ok in (("cpus", ">= 1", lambda v: v >= 1),
-                              ("durations", "> 0", lambda v: v > 0)):
-            if n and not ok(np.min(getattr(self, name))):
-                raise ValueError(f"HostWorkload {self.host!r}: {name} entries "
-                                 f"must be {low}")
-        self.cpus = _narrow(self.cpus, int(np.max(self.cpus)) if n else 0)
+        # The client's ``searchsorted`` needs sorted, finite arrivals.
+        a = () if isinstance(self.arrivals, Lattice) else self.arrivals
+        for what, bad in (("finite", ~np.isfinite(a)),
+                          ("non-decreasing", np.diff(a, prepend=a[:1]) < 0)):
+            if np.any(bad):
+                raise ValueError(f"HostWorkload {self.host!r}: arrivals must "
+                                 f"be {what} (first bad at index "
+                                 f"{int(np.argmax(bad))})")
+        self._lo, self._k, self._at = 0, _WINDOW_FIRST, self.marks
+        if self.source is not None:
+            return  # its drawn blocks were checked at build
+        for name in _COLUMNS:
+            _check_column(self.host, name, getattr(self, name),
+                          len(self.arrivals), len(self.identities))
+        # Stored in the smallest unsigned dtype, read back as ``int``.
+        self.cpus = np.asarray(self.cpus).astype(
+            np.min_scalar_type(int(np.max(self.cpus, initial=0))))
 
     def __len__(self) -> int:
         return len(self.arrivals)
 
     def job_at(self, index: int) -> Job:
         """Materialize the index-th job (lazily, at its arrival)."""
-        vo, group, user = self.identities[self.identity[index]]
+        j = index - self._lo
+        if not 0 <= j < len(self.durations):
+            j = self._refill(index)
+        vo, group, user = self.identities[self.identity[j]]
         job = Job(
             vo=vo,
             group=group,
             user=user,
-            cpus=int(self.cpus[index]),
-            duration_s=float(self.durations[index]),
+            cpus=int(self.cpus[j]),
+            duration_s=float(self.durations[j]),
             submission_host=self.host,
         )
         if self.jid_base is not None:
             job.jid = self.jid_base + index
         return job
 
+    def _refill(self, index: int) -> int:
+        """Redraw the window onto job ``index``; its offset in it."""
+        if self.source is None or not 0 <= index < len(self):
+            raise IndexError(f"HostWorkload {self.host!r}: no job {index}")
+        if index < self._lo:  # backward: restart from the build marks
+            self._lo, self._k, self._at = 0, _WINDOW_FIRST, self.marks
+            self.durations = ()
+        while index >= self._lo + len(self.durations):
+            self._lo += len(self.durations)
+            k = min(self._k, len(self) - self._lo)
+            (self.identity, self.cpus, self.durations), self._at = \
+                self.source.redraw(self._at, k)
+            self._k = min(2 * self._k, _WINDOW_CAP)
+        return index - self._lo
+
     def __iter__(self) -> Iterator[tuple[float, int]]:
         """Yield (arrival_time, index) pairs in time order."""
         for i, t in enumerate(self.arrivals):
             yield float(t), i
+
+
+def _tell(bit_generator) -> tuple[int, int]:
+    """A PCG64 position: its 128-bit state and 32-bit buffer (-1: none)."""
+    s = bit_generator.state
+    return s["state"]["state"], s["uinteger"] if s["has_uint32"] else -1
 
 
 class WorkloadGenerator:
@@ -120,7 +192,7 @@ class WorkloadGenerator:
     model:
         Job attribute distributions.
     rng:
-        Named stream from the experiment's :class:`RngRegistry`.
+        Named PCG64 stream from the experiment's :class:`RngRegistry`.
     """
 
     def __init__(self, vos: VORegistry, model: JobModel,
@@ -130,6 +202,13 @@ class WorkloadGenerator:
         self.vos = vos
         self.model = model
         self.rng = rng
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"WorkloadGenerator needs a PCG64 stream, got "
+                            f"{state['bit_generator']}")
+        # The stream's increment, and the one generator redraws run on.
+        self._inc = state["state"]["inc"]
+        self._scratch = np.random.Generator(np.random.PCG64(0))
         # Flatten the hierarchy once: the identity table every workload
         # this generator makes indexes into.
         triples: list[Identity] = []
@@ -194,28 +273,50 @@ class WorkloadGenerator:
             arrivals = start_s + np.cumsum(gaps)
             arrivals = arrivals[arrivals < start_s + duration_s]
         else:
-            arrivals = start_s + np.arange(0.0, duration_s, interarrival_s)
+            arrivals = Lattice(start_s, interarrival_s,
+                               np.ceil(duration_s / interarrival_s))
         if diurnal_amplitude > 0.0 and len(arrivals):
+            arrivals = np.asarray(arrivals)
             phase = 2.0 * np.pi * arrivals / diurnal_period_s
             drop_p = diurnal_amplitude * (1.0 - np.cos(phase)) / 2.0
             keep = self.rng.random(len(arrivals)) >= drop_p
             arrivals = arrivals[keep]
         if burst_factor > 1.0 and burst_period_s > 0 and len(arrivals):
+            arrivals = np.asarray(arrivals)
             in_burst = (arrivals % burst_period_s) < \
                 burst_duty * burst_period_s
             keep = in_burst | \
                 (self.rng.random(len(arrivals)) < 1.0 / burst_factor)
             arrivals = arrivals[keep]
-        n = len(arrivals)
-        picks = self.rng.integers(0, len(self.identities), size=n)
-        return HostWorkload(
-            host=host,
-            arrivals=arrivals,
-            identity=_narrow(picks, len(self.identities) - 1),
-            identities=self.identities,
-            cpus=self.model.draw_cpus(self.rng, n),
-            durations=self.model.draw_durations(self.rng, n),
-        )
+        # Each block is drawn whole, so the shared stream ends where later
+        # hosts and the ``rng`` snapshot expect; it is checked, then dropped.
+        marks, n = [], len(arrivals)
+        for name in _COLUMNS:
+            marks.append(_tell(self.rng.bit_generator))
+            block = self._block(name, self.rng, n)
+            _check_column(host, name, block, n, len(self.identities))
+        return HostWorkload(host, arrivals, (), self.identities, (), (),
+                            source=self, marks=tuple(marks))
+
+    def _block(self, name: str, rng, n: int) -> np.ndarray:
+        """``n`` draws of one attribute column, at build and on redraw."""
+        if name == "identity":
+            return rng.integers(0, len(self.identities), size=n)
+        return (self.model.draw_cpus if name == "cpus"
+                else self.model.draw_durations)(rng, n)
+
+    def redraw(self, marks, k: int) -> tuple[list[np.ndarray], tuple]:
+        """The ``k`` jobs' columns from ``marks`` on, and the marks after
+        them: bit for bit that stretch of the one-shot build draw."""
+        bit_generator, columns, after = self._scratch.bit_generator, [], []
+        for name, (state, buffered) in zip(_COLUMNS, marks):
+            bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": int(buffered >= 0),
+                "state": {"state": state, "inc": self._inc},
+                "uinteger": max(buffered, 0)}
+            columns.append(self._block(name, self._scratch, k))
+            after.append(_tell(bit_generator))
+        return columns, tuple(after)
 
     def fleet(self, hosts: Sequence[str], duration_s: float,
               interarrival_s: float = 1.0,

@@ -52,7 +52,8 @@ class JobModel:
             raise ValueError("cpu counts must be >= 1")
 
     def draw_durations(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized runtime draws with the requested *mean*."""
+        """Runtime draws with the requested *mean*, value by value like every
+        draw here, so a redraw from a saved stream position is exact."""
         mu = np.log(self.duration_mean_s) - 0.5 * self.duration_sigma ** 2
         d = rng.lognormal(mu, self.duration_sigma, size=n)
         return np.maximum(d, self.min_duration_s)

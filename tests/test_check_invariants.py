@@ -13,6 +13,7 @@ from repro.sim import RngRegistry, Simulator
 from repro.usla import Agreement, AgreementContext, ServiceTerm
 from repro.usla.fairshare import FairShareRule, ShareKind
 from repro.workloads import TraceRecorder
+from repro.workloads.generator import Lattice
 from tests.test_core_client import FAST_PROFILE, SLOW_PROFILE, build
 
 
@@ -303,6 +304,21 @@ class TestArrivalCursorRule:
         # A host with no arrivals at all: flagged, not an IndexError.
         client.workload.arrivals = client.workload.arrivals[:0]
         assert self._details(c) == want
+
+    def test_fires_on_a_lattice_host(self):
+        sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,
+                                       interarrival=1.0)
+        # A generator-built host keeps its steady arrivals as a lattice;
+        # the rule reads it through ``searchsorted`` and ``[i]`` alone.
+        assert isinstance(client.workload.arrivals, Lattice)
+        sim.run(until=5.5)
+        assert self._details(c) == []
+        client._next = 7  # seeded bug: the cursor runs ahead of the clock
+        assert self._details(c) == ["cursor 7, 6 arrivals due at t=5.5"]
+        client._next = 3  # seeded bug: it skips the job in flight
+        assert self._details(c) == [
+            f"job {client._job.jid} in flight created at 0.0, arrival 2 "
+            f"is at 2.0 (now=5.5)"]
 
     def test_timer_armed_while_busy_fires(self):
         sim, client, c = self._checked(SLOW_PROFILE, n_jobs=30,

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import repro.sim.sharded as sharded
+import repro.workloads.generator as generator_module
+import repro.workloads.models as models_module
 import repro.workloads.trace as trace_module
 from repro.experiments.configs import canonical_gt3, smoke_config
 from repro.experiments.runner import build_experiment, finalize_experiment
@@ -180,10 +182,10 @@ class TestQueryRows:
 
 
 def _retained(duration_s: float):
-    """Bytes allocated by the run phase (build excluded: arrivals are
-    pre-generated, O(horizon) by design) and still held when the run
-    reaches ``duration_s`` — by the recorder, and in total — plus the
-    jobs the fleet materialized."""
+    """Bytes allocated by the run phase (the build has its own gate,
+    ``test_workload_bytes_per_host_are_flat_in_horizon``) and still held
+    when the run reaches ``duration_s`` — by the recorder, and in total —
+    plus the jobs the fleet materialized."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -216,3 +218,36 @@ def test_retained_bytes_per_brokered_job():
     assert jobs > 3000
     assert (rec_b - rec_a) / jobs <= 200.0
     assert (run_b - run_a) / jobs <= 450.0
+
+
+def _workload_bytes_per_host(duration_s: float) -> tuple[float, float]:
+    """Bytes held once ``canonical_gt3(3)`` is built, per submission host
+    (tracemalloc, by allocating file): by ``workloads/generator.py``, and
+    by it and ``workloads/models.py`` together."""
+    generator = os.path.abspath(generator_module.__file__)
+    files = {generator, os.path.abspath(models_module.__file__)}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build_experiment(canonical_gt3(3, duration_s=duration_s))
+        gc.collect()
+        stats = tracemalloc.take_snapshot().statistics("filename")
+    finally:
+        tracemalloc.stop()
+    held = {os.path.abspath(s.traceback[0].filename): s.size for s in stats}
+    n = len(built.clients)
+    return held.get(generator, 0) / n, sum(held.get(f, 0) for f in files) / n
+
+
+def test_workload_bytes_per_host_are_flat_in_horizon():
+    """A host's job stream is a cursor: after build it keeps stream
+    positions and an arrival lattice (~1 KB), not columns (52 KB an
+    hour, 19 B a job, when they were drawn up front), so a 24-h build
+    holds what a 1-h one does.  The 5 % comparison reads the generator's
+    own bytes: numpy's ``choice`` now and then leaves ~100 small blocks
+    (held by no workload) on the model's draw line, ~6 % of the total."""
+    build_experiment(smoke_config(duration_s=60.0))  # imports, caches
+    hour_own, hour = _workload_bytes_per_host(3_600.0)
+    day_own, day = _workload_bytes_per_host(86_400.0)
+    assert hour <= 1536 and day <= 1536
+    assert abs(day_own - hour_own) <= 0.05 * hour_own

@@ -5,11 +5,60 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.grid import Job, VORegistry
 from repro.sim import RngRegistry
 from repro.workloads import (HostWorkload, JobModel, TraceRecorder,
-                             WorkloadGenerator)
+                             WorkloadGenerator, arrival_profile)
+from repro.workloads.generator import Lattice
+
+
+def eager_columns(gen, rng, duration_s, interarrival_s=1.0, start_s=0.0,
+                  poisson=False, diurnal_amplitude=0.0,
+                  diurnal_period_s=86400.0, profile=None):
+    """The oracle: ``host_workload`` as it was when every column was drawn
+    up front on ``rng`` — ``(arrivals, identity, cpus, durations)``."""
+    burst_factor, burst_period_s, burst_duty = 1.0, 0.0, 0.25
+    if profile is not None:
+        resolved = profile.resolve(duration_s)
+        poisson = resolved.poisson
+        interarrival_s = interarrival_s * resolved.interarrival_scale
+        diurnal_amplitude = resolved.diurnal_amplitude
+        if resolved.diurnal_period_s > 0:
+            diurnal_period_s = resolved.diurnal_period_s
+        burst_factor = resolved.burst_factor
+        burst_period_s = resolved.burst_period_s
+        burst_duty = resolved.burst_duty
+    if burst_factor > 1.0 and burst_period_s > 0:
+        interarrival_s = interarrival_s / burst_factor
+    if poisson:
+        est = int(duration_s / interarrival_s * 1.5) + 10
+        gaps = rng.exponential(interarrival_s, size=est)
+        arrivals = start_s + np.cumsum(gaps)
+        arrivals = arrivals[arrivals < start_s + duration_s]
+    else:
+        arrivals = start_s + np.arange(0.0, duration_s, interarrival_s)
+    if diurnal_amplitude > 0.0 and len(arrivals):
+        phase = 2.0 * np.pi * arrivals / diurnal_period_s
+        drop_p = diurnal_amplitude * (1.0 - np.cos(phase)) / 2.0
+        keep = rng.random(len(arrivals)) >= drop_p
+        arrivals = arrivals[keep]
+    if burst_factor > 1.0 and burst_period_s > 0 and len(arrivals):
+        in_burst = (arrivals % burst_period_s) < \
+            burst_duty * burst_period_s
+        keep = in_burst | (rng.random(len(arrivals)) < 1.0 / burst_factor)
+        arrivals = arrivals[keep]
+    n = len(arrivals)
+    return (arrivals, rng.integers(0, len(gen.identities), size=n),
+            gen.model.draw_cpus(rng, n), gen.model.draw_durations(rng, n))
+
+
+def rows(wl):
+    """Every job of ``wl`` as ``(vo, group, user, cpus, duration_s)``."""
+    return [(j.vo, j.group, j.user, j.cpus, j.duration_s)
+            for j in map(wl.job_at, range(len(wl)))]
 
 
 @pytest.fixture
@@ -17,12 +66,16 @@ def rng():
     return RngRegistry(0).stream("workload")
 
 
-@pytest.fixture
-def vos():
+def make_vos():
     reg = VORegistry()
     for v in range(3):
         reg.create(f"vo{v}", n_groups=2, users_per_group=2)
     return reg
+
+
+@pytest.fixture
+def vos():
+    return make_vos()
 
 
 class TestJobModel:
@@ -63,7 +116,8 @@ class TestWorkloadGenerator:
         gen = WorkloadGenerator(vos, JobModel(), rng)
         wl = gen.host_workload("h0", duration_s=10.0, interarrival_s=1.0)
         assert len(wl) == 10
-        assert wl.arrivals.tolist() == list(np.arange(0.0, 10.0, 1.0))
+        assert np.asarray(wl.arrivals).tolist() == \
+            list(np.arange(0.0, 10.0, 1.0))
 
     def test_start_offset(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
@@ -80,18 +134,18 @@ class TestWorkloadGenerator:
     def test_jobs_cover_all_vos(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
         wl = gen.host_workload("h0", duration_s=600.0)
-        assert {wl.identities[i][0] for i in wl.identity} == \
-            {"vo0", "vo1", "vo2"}
+        assert {row[0] for row in rows(wl)} == {"vo0", "vo1", "vo2"}
 
     def test_job_materialization(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
         wl = gen.host_workload("h7", duration_s=5.0)
+        _, identity, cpus, _ = eager_columns(
+            gen, RngRegistry(0).stream("workload"), duration_s=5.0)
         job = wl.job_at(2)
         assert isinstance(job, Job)
         assert job.submission_host == "h7"
-        assert (job.vo, job.group, job.user) == \
-            wl.identities[wl.identity[2]]
-        assert job.cpus == int(wl.cpus[2])
+        assert (job.vo, job.group, job.user) == wl.identities[identity[2]]
+        assert job.cpus == int(cpus[2])
 
     def test_iteration_order(self, vos, rng):
         gen = WorkloadGenerator(vos, JobModel(), rng)
@@ -111,9 +165,8 @@ class TestWorkloadGenerator:
                                     RngRegistry(3).stream("w"))
             return gen.host_workload("h", duration_s=50.0)
         w1, w2 = build(), build()
-        assert np.array_equal(w1.identity, w2.identity)
+        assert rows(w1) == rows(w2)
         assert w1.identities == w2.identities
-        assert np.array_equal(w1.durations, w2.durations)
 
     def test_empty_registry_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -129,7 +182,9 @@ class TestWorkloadGenerator:
         a = gen.host_workload("a", duration_s=50.0)
         b = gen.host_workload("b", duration_s=50.0)
         assert a.identities is b.identities is gen.identities
-        assert a.identity.dtype.itemsize == 1  # 12 identities fit a byte
+        # A generated host keeps stream positions, not a column.
+        assert a.source is gen and len(a.identity) == 0
+        assert {row[:3] for row in rows(a)} <= set(gen.identities)
 
 
 #: CRC32 over ``vo|group|user|cpus|duration_s`` of every job of the
@@ -196,6 +251,31 @@ class TestHostWorkloadValidation:
         with pytest.raises(ValueError, match="'h': durations entries must"):
             self._workload(durations=np.array([10.0, bad, 5.0]))
 
+    def test_nan_arrival_rejected_by_name(self):
+        # It used to pass, and the backlog then counted from a
+        # NaN-poisoned ``searchsorted``.
+        with pytest.raises(ValueError, match="'h': arrivals must be finite "
+                                             r"\(first bad at index 1\)"):
+            self._workload(arrivals=np.array([0.0, np.nan, 2.0]))
+
+    def test_fractional_cpus_rejected_by_name(self):
+        # It used to be narrowed to 1 without a word.
+        with pytest.raises(ValueError, match="'h': cpus entries must be "
+                                             "integers, got float64"):
+            self._workload(cpus=np.array([1.0, 1.5, 2.0]))
+
+    def test_infinite_duration_rejected_by_name(self):
+        # It used to give a job that never completes.
+        with pytest.raises(ValueError, match="'h': durations entries must "
+                                             "be finite"):
+            self._workload(durations=np.array([10.0, np.inf, 5.0]))
+
+    def test_float_identity_rejected_by_name(self):
+        # It used to pass construction and raise TypeError mid-run.
+        with pytest.raises(ValueError, match="'h': identity entries must be "
+                                             "integers, got float64"):
+            self._workload(identity=np.array([0.0, 1.0, 0.0]))
+
     def test_cpus_stored_narrow_read_as_int(self):
         wl = self._workload(cpus=np.array([1, 200, 3], dtype=np.int64))
         assert wl.cpus.dtype == np.uint8
@@ -246,3 +326,112 @@ class TestTraceRecorder:
         rec = TraceRecorder()
         assert len(rec.query_arrays()["sent_at"]) == 0
         assert len(rec.job_arrays()["jid"]) == 0
+
+
+class TestOnDemand:
+    """A generated workload keeps stream positions and redraws its jobs;
+    they must equal the up-front draw, in any access order."""
+
+    PROFILES = {
+        "steady": {},
+        "poisson": {"poisson": True},
+        "cadence-diurnal": {"diurnal_amplitude": 0.6,
+                            "diurnal_period_s": 97.0},
+        "diurnal": {"profile": arrival_profile("diurnal")},
+        "bursty": {"profile": arrival_profile("bursty")},
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hosts=st.integers(1, 4),
+           profile=st.sampled_from(sorted(PROFILES)),
+           interarrival=st.sampled_from([0.1, 0.7, 1.0, 3.0, 12.5]),
+           horizon=st.floats(0.5, 900.0),
+           order=st.sampled_from(["sequential", "backward", "random"]),
+           data=st.data())
+    def test_drawn_on_demand_equals_drawn_up_front(
+            self, seed, hosts, profile, interarrival, horizon, order, data):
+        kw = dict(self.PROFILES[profile], interarrival_s=interarrival)
+        lazy_rng = RngRegistry(seed).stream("workload")
+        eager_rng = RngRegistry(seed).stream("workload")
+        gen = WorkloadGenerator(make_vos(), JobModel(), lazy_rng)
+        built, oracle = [], []
+        for h in range(hosts):
+            start = 2.5 * h
+            built.append(gen.host_workload(f"h{h}", duration_s=horizon,
+                                           start_s=start, **kw))
+            oracle.append(eager_columns(gen, eager_rng, horizon,
+                                        start_s=start, **kw))
+        # The shared stream ends exactly where the up-front build left it.
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+        for wl, (arrivals, identity, cpus, durations) in zip(built, oracle):
+            n = len(arrivals)
+            assert len(wl) == n
+            assert np.array_equal(np.asarray(wl.arrivals), arrivals)
+            assert [wl.arrivals[i] for i in range(n)] == arrivals.tolist()
+            if order == "sequential":
+                indices = list(range(n))
+            elif order == "backward":
+                indices = list(range(n - 1, -1, -1))
+            else:
+                indices = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                             max_size=40)) if n else []
+            for i in indices:
+                job = wl.job_at(i)
+                assert (job.vo, job.group, job.user) == \
+                    gen.identities[identity[i]]
+                assert job.cpus == int(cpus[i])
+                assert job.duration_s == float(durations[i])
+        # Redraws touch only the scratch generator, never the stream.
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    # Starts far above the step collapse neighbouring arrivals onto one
+    # float, where the inverse estimate overshoots and must come down.
+    @example(start=4537200832423622.0, step=0.20768110708697435,
+             horizon=4.9, data=None)
+    @given(start=st.one_of(st.just(0.0), st.floats(0.0, 5e4),
+                           st.floats(1e12, 1e16)),
+           step=st.one_of(st.sampled_from([0.1, 1.0, 10.0]),
+                          st.floats(0.01, 60.0)),
+           horizon=st.floats(0.01, 5000.0), data=st.data())
+    def test_lattice_is_the_arange(self, start, step, horizon, data):
+        eager = start + np.arange(0.0, horizon, step)
+        lattice = Lattice(start, step, np.ceil(horizon / step))
+        assert len(lattice) == len(eager)
+        assert np.array_equal(np.asarray(lattice), eager)
+        n = len(eager)
+        if data is None:  # the explicit example: every arrival
+            points = list(eager)
+        else:
+            points = [eager[data.draw(st.integers(0, n - 1))]
+                      for _ in range(3)]
+            points += [data.draw(st.floats(start - 5, start + horizon + 5))
+                       for _ in range(3)]
+        points += [np.nextafter(p, d) for p in points for d in (-1, 1)
+                   ] + [-np.inf, np.inf]
+        for t in points:
+            for side in ("left", "right"):
+                assert lattice.searchsorted(t, side) == \
+                    np.searchsorted(eager, t, side=side), (t, side)
+        assert lattice[-1] == eager[-1] and lattice[n // 2] == eager[n // 2]
+        assert len(lattice[:0]) == 0 and len(lattice[: n // 2]) == n // 2
+        with pytest.raises(IndexError):
+            lattice[n]
+
+    def test_window_grows_then_restarts_backward(self, vos, rng):
+        gen = WorkloadGenerator(vos, JobModel(), rng)
+        wl = gen.host_workload("h", duration_s=300.0)
+        wl.job_at(10)
+        assert len(wl.durations) == 16  # one first window covers job 10
+        wl.job_at(299)
+        assert len(wl.durations) <= 64
+        before = [wl.job_at(i).duration_s for i in (3, 0, 1)]
+        assert wl._lo == 0
+        assert before == [wl.job_at(i).duration_s for i in (3, 0, 1)]
+        with pytest.raises(IndexError):
+            wl.job_at(300)
+
+    def test_non_pcg64_stream_rejected_by_name(self, vos):
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(TypeError, match="PCG64 stream, got MT19937"):
+            WorkloadGenerator(vos, JobModel(), rng)
