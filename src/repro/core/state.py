@@ -37,6 +37,8 @@ from repro.grid.builder import SiteIndex
 __all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 
 _NEG_INF = -float("inf")
+#: An answer shares the free column frozen in chunks of 64 sites.
+_CHUNK_BITS = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,20 +72,41 @@ class DispatchRecord:
 class AvailabilityView(Mapping):
     """The availability answer: estimated free CPUs per site, frozen.
 
-    ``free`` is a float64 column labelled by the shared ``names`` tuple,
-    *copied* at construction (just the ``columns`` entries, when given)
-    and made read-only: a reply in flight must not see later dispatches
-    (that staleness is what accuracy measures).
+    ``free`` is a read-only float64 column labelled by the shared
+    ``names`` tuple, taken when the answer is: a reply in flight must not
+    see later dispatches (that staleness is what accuracy measures).  An
+    array is *copied* at construction (just the ``columns`` entries, when
+    given); :meth:`of_chunks` shares frozen byte chunks instead and joins
+    them when ``free`` is first read, so a reply never read is never
+    joined.
     """
 
-    __slots__ = ("names", "free", "_index")
+    __slots__ = ("names", "_free", "_chunks", "_index")
 
     def __init__(self, names: tuple, free, columns=None):
-        self.names = names
-        self.free = (np.array(free, float) if columns is None
-                     else np.asarray(free, float)[columns])
-        self.free.flags.writeable = False
+        free = (np.array(free, float) if columns is None
+                else np.asarray(free, float)[columns])
+        if len(free) != len(names):
+            raise ValueError(
+                f"{len(names)} site names for {len(free)} free values")
+        free.flags.writeable = False
+        self.names, self._free, self._chunks = names, free, None
         self._index: Optional[dict] = None  # built on first lookup
+
+    @classmethod
+    def of_chunks(cls, names: tuple, chunks: tuple) -> "AvailabilityView":
+        """An answer over float64 ``bytes`` chunks, joined on first read."""
+        answer = cls.__new__(cls)
+        answer.names, answer._free, answer._chunks = names, None, chunks
+        answer._index = None
+        return answer
+
+    @property
+    def free(self) -> np.ndarray:
+        if self._free is None:  # read-only: a view of immutable bytes
+            self._free = np.frombuffer(b"".join(self._chunks))
+            self._chunks = None
+        return self._free
 
     def __getitem__(self, site: str) -> float:
         if self._index is None:
@@ -122,10 +145,11 @@ class GridStateView:
     (:meth:`expire` costs O(records expired)), the live table's own
     insertion order (:meth:`pending_records` costs O(records learned since
     the cutoff)), and an incrementally-maintained free column
-    (:meth:`free_map` copies it once per version; see
-    :class:`AvailabilityView`).  A live record is ONE entry tuple
-    ``(dispatch time, learn_seq, record, monotonic learn time, exact learn
-    time)`` shared by its site heap, the expiry heap and the live table.
+    (:meth:`free_map` re-freezes only the 64-site chunks written since its
+    last answer; see :class:`AvailabilityView`).  A live record is ONE
+    entry tuple ``(dispatch time, learn_seq, record, monotonic learn time,
+    exact learn time)`` shared by its site heap, the expiry heap and the
+    live table.
     """
 
     def __init__(self, site_capacities: Union[SiteIndex, Mapping[str, int]],
@@ -184,10 +208,18 @@ class GridStateView:
         # Records ever adopted: the delta-sync watermark.
         self._learn_count = 0
         # Estimated free CPUs in index order, maintained on every mutation;
-        # each version is copied into at most one answer per query kind.
+        # each version makes at most one answer per query kind.
         self._free = np.array(index.caps, float)
-        self._answer = self._subset_answer = None
+        self._thaw()
         self._subset: tuple = ((), np.empty(0, np.intp))  # last free_subset()
+
+    def _thaw(self) -> None:
+        """A new column: no chunk has a frozen copy (``_frozen``), so
+        every chunk is written since its last one (``_dirty``)."""
+        n = -(-len(self._free) >> _CHUNK_BITS)  # chunks, rounded up
+        self._frozen: list = [None] * n
+        self._dirty = set(range(n))
+        self._answer = self._subset_answer = None
 
     def _update_free(self, i: int) -> None:
         """Re-derive column ``i``'s entry, bit-identically to
@@ -199,6 +231,7 @@ class GridStateView:
         elif busy > cap:
             busy = cap
         self._free[i] = cap - busy
+        self._dirty.add(i >> _CHUNK_BITS)
         self._answer = self._subset_answer = None
 
     # -- internal removal ----------------------------------------------------
@@ -383,7 +416,7 @@ class GridStateView:
                              (self._records, None)):
             column.extend(repeat(fill, len(new)))
         self._free = np.append(self._free, list(new.values()))
-        self._answer = self._subset_answer = None
+        self._thaw()
 
     # -- queries ---------------------------------------------------------------
     def estimated_busy(self, site: str, now: Optional[float] = None) -> float:
@@ -409,11 +442,18 @@ class GridStateView:
         return max(self._vo_busy.get((site, vo), 0.0), 0.0)
 
     def free_map(self, now: Optional[float] = None) -> AvailabilityView:
-        """Estimated free CPUs per site: one frozen answer per version."""
+        """Estimated free CPUs per site: one frozen answer per version,
+        sharing every chunk not written since the last answer."""
         if now is not None:
             self.expire(now)
         if self._answer is None:
-            self._answer = AvailabilityView(self._index.names, self._free)
+            free, frozen = self._free, self._frozen
+            for c in self._dirty:
+                lo = c << _CHUNK_BITS
+                frozen[c] = free[lo:lo + (1 << _CHUNK_BITS)].tobytes()
+            self._dirty.clear()
+            self._answer = AvailabilityView.of_chunks(self._index.names,
+                                                      tuple(frozen))
         return self._answer
 
     def free_subset(self, sites, now: Optional[float] = None) -> AvailabilityView:

@@ -19,6 +19,20 @@ import numpy as np
 __all__ = ["RngRegistry"]
 
 
+class _SeedState:
+    """A ``SeedSequence``'s four PCG64 seed words, handed over once, so a
+    stream does not keep a ~1.7 KB ``SeedSequence`` for life."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        words, self._words = self._words, None
+        return words
+
+
 class RngRegistry:
     """Factory of named, independent ``numpy.random.Generator`` streams."""
 
@@ -27,6 +41,10 @@ class RngRegistry:
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
+        # Registered here, not at import: importing numpy.random costs
+        # ~2.5 MB in a process that never draws (a shard coordinator).
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(_SeedState)
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -40,7 +58,8 @@ class RngRegistry:
             # 4 x 32-bit words from the digest, plus the root seed.
             words = [int.from_bytes(digest[i:i + 4], "little") for i in (0, 4, 8, 12)]
             seq = np.random.SeedSequence([self.seed, *words])
-            gen = np.random.default_rng(seq)
+            gen = np.random.Generator(np.random.PCG64(
+                _SeedState(seq.generate_state(4, np.uint64))))
             self._streams[name] = gen
         return gen
 

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import DispatchRecord, GridStateView, GruberEngine
+from repro.core import (AvailabilityView, DispatchRecord, GridStateView,
+                        GruberEngine)
 from repro.grid.builder import GridBuilder
 from repro.sim.kernel import Simulator
 
@@ -293,6 +294,34 @@ class TestAnswerSnapshotIsolation:
         assert a.free.tolist() == a_values and s.free.tolist() == s_values
         assert view.free_map() is b and view.free_subset(subset) is t
 
+    @pytest.mark.parametrize("write", [
+        lambda v: v.apply_record(rec(seq=9, site="c063", time=11.0)),
+        lambda v: v.apply_record(rec(seq=9, site="c064", time=11.0)),
+        lambda v: v.apply_record(rec(seq=9, site="c199", time=11.0)),
+        lambda v: v.refresh_all(dict.fromkeys(v.capacities, 1.0), now=12.0),
+        lambda v: v.expire(5000.0),
+        lambda v: v.extend_capacities({f"n{i}": 10 for i in range(60)}),
+    ], ids=["last-of-chunk-0", "first-of-chunk-1", "last-partial-chunk",
+            "refresh_all", "expire", "extend-into-new-chunk"])
+    def test_chunked_answer_read_late(self, write):
+        """A ``free_map`` answer shares frozen 64-site chunks and joins
+        them when first read: read only after the next write, it still
+        holds the column as served, and the next answer holds the new
+        one.  200 sites: chunks of 64, 64, 64 and 8."""
+        view = GridStateView({f"c{i:03d}": 100 for i in range(200)},
+                             assumed_job_lifetime_s=600.0)
+        for seq, site in enumerate(("c000", "c063", "c064", "c199"), 1):
+            view.apply_record(rec(seq=seq, site=site, cpus=seq))
+        first_served, first = view._free.copy(), view.free_map()
+        view.apply_record(rec(seq=5, site="c130", cpus=5))
+        served, reply = view._free.copy(), view.free_map()
+        write(view)
+        fresh = view.free_map()
+        assert fresh is not reply
+        assert fresh.free.tolist() == view._free.tolist()
+        assert reply.free.tolist() == served.tolist()
+        assert first.free.tolist() == first_served.tolist()
+
 
 def _traced_bytes(build):
     """Bytes ``build()`` allocates and still holds (deterministic, unlike
@@ -306,6 +335,19 @@ def _traced_bytes(build):
     finally:
         tracemalloc.stop()
     return size, held
+
+
+class TestAnswerLabels:
+    """An array-built answer whose names and values disagree in length
+    is refused, naming both, with or without ``columns``."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: AvailabilityView(("s0", "s1"), [1.0, 2.0, 3.0]),
+        lambda: AvailabilityView(("s0", "s1"), [1.0, 2.0, 3.0], [2, 0, 1]),
+    ], ids=["array", "columns"])
+    def test_mislabelled_answer_refused(self, build):
+        with pytest.raises(ValueError, match="2 site names for 3 free"):
+            build()
 
 
 class TestRetainedBytes:
@@ -344,3 +386,25 @@ class TestRetainedBytes:
         assert view.n_records == 0 and view.audit() == []
         assert len(view._expiry_heap) == 0
         assert size / n <= 64.0
+
+    def test_answers_in_flight_keep_only_the_written_chunk(self):
+        """100 unread ``free_map`` answers of a 3,000-site view, one
+        adopted record apart, retain <= 2 KB each, the record included:
+        1,407 B measured (~380 B the record; the answer is one frozen
+        64-site chunk, the 47-chunk tuple and the view), 24,604 B when
+        every answer copied the whole column."""
+        n_sites, n = 3000, 100
+        view = GridStateView({f"s{i}": 100 for i in range(n_sites)})
+        records = [rec(seq=k, site=f"s{k * 29 % n_sites}", cpus=1,
+                       time=float(k)) for k in range(n)]
+        view.free_map()  # the first answer freezes every chunk
+
+        def answer():
+            answers = []
+            for r in records:
+                view.apply_record(r)
+                answers.append(view.free_map())
+            return answers
+        size, answers = _traced_bytes(answer)
+        assert len({id(a) for a in answers}) == n
+        assert size / n <= 2048.0

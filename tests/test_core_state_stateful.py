@@ -16,11 +16,18 @@ batch path equals the per-record one — duplicates and repeated keys
 inside a payload, replays of dropped keys, ``now=None``, an unknown site
 mid-batch — down to ``latest_time`` and ``info_age_s``.
 
-Every answer handed out is kept for the machine's lifetime: answers are
-shared until the column is next written, so after every step each one
-must still hold the values it was handed out with, and ``audit`` must
-find nothing — including the expiry heap's ``live + absorbed`` count,
-which a refresh must leave with absorbed entries no more than live ones.
+Every answer handed out is kept for the machine's lifetime with a copy
+of the live column taken when it was served: answers are shared until
+the column is next written, and a ``free_map`` answer shares the frozen
+64-site chunks nobody wrote since, so after every step each one must
+still equal its copy, and ``audit`` must find nothing — including the
+expiry heap's ``live + absorbed`` count, which a refresh must leave with
+absorbed entries no more than live ones.  The grid spans two chunks (the
+second partial) and grows into a third; the rules write at the chunk
+boundaries (columns 63 and 64), the last column, and every column at
+once.  Some answers are served between writes and read only later, the
+way a reply in flight is: a chunk the view froze by reference, or a
+write that left its chunk clean, shows up there.
 """
 
 import numpy as np
@@ -32,11 +39,17 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.state import DispatchRecord, GridStateView
 
-SITES = {"s0": 100, "s1": 50, "s2": 10}
+#: 127 sites: chunk 0 holds columns 0-63, the partial chunk 1 the rest.
+SITES = {"s0": 100, "s1": 50, "s2": 10,
+         **{f"p{i:03d}": 8 for i in range(3, 127)}}
 #: Static knowledge learned later (``extend_capacities``); "s1" is
 #: already known and must be left untouched.  Deliberately not in name
-#: order: column order is insertion order, not sorted order.
+#: order: column order is insertion order, not sorted order.  "s9" fills
+#: chunk 1 (column 127) and "s3" opens chunk 2.
 MORE_SITES = {"s9": 7, "s1": 999, "s3": 30}
+#: The sites the rules write: the first columns, both sides of the chunk
+#: boundary, the last initial column and the two appended ones.
+HOT = ("s0", "s1", "s2", "p063", "p064", "p126", "s9", "s3")
 LIFETIME = 100.0
 
 
@@ -125,11 +138,21 @@ class StateViewMachine(RuleBasedStateMachine):
         # One tuple object reused for the machine's lifetime: the view
         # keeps its column indexes across mutations and appended columns.
         self.held_subset = ("s2", "s0")
-        #: ``(answer, its values at hand-out)`` for every answer given.
+        #: ``(answer, the live column's values at hand-out)`` for every
+        #: answer given; ``unread`` ones have not had ``free`` read yet.
         self.handed_out: list = []
+        self.unread: list = []
+
+    def hot_sites(self):
+        return [s for s in HOT if s in self.ref.capacities]
+
+    def served(self, answer):
+        """``answer`` beside a copy of the live column taken now."""
+        col = self.view._col
+        return answer, self.view._free[[col[s] for s in answer.names]]
 
     def keep(self, answer):
-        self.handed_out.append((answer, answer.free.tolist()))
+        self.handed_out.append(self.served(answer))
         return answer
 
     def assert_compacted(self):
@@ -165,7 +188,7 @@ class StateViewMachine(RuleBasedStateMachine):
           local=st.booleans())
     def apply_fresh_record(self, data, cpus, origin, age, local):
         self.seq += 1
-        site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
+        site = data.draw(st.sampled_from(self.hot_sites()))
         rec = DispatchRecord(origin=origin, seq=self.seq, site=site,
                              vo="vo0", cpus=cpus,
                              time=max(self.clock - age, 0.0))
@@ -201,7 +224,7 @@ class StateViewMachine(RuleBasedStateMachine):
         """A sync payload: fresh records, echoes of live ones, replays of
         dropped keys and keys repeated inside the payload, in any order —
         optionally with a record for an unknown site somewhere in it."""
-        sites = sorted(self.ref.capacities) + ["ghost"] * ghost
+        sites = self.hot_sites() + ["ghost"] * ghost
         first = self.seq + 1
         self.seq += data.draw(st.integers(0, 3))
         payload = [
@@ -241,9 +264,30 @@ class StateViewMachine(RuleBasedStateMachine):
         assert self.view.apply_records(echoes, now=self.clock + 1e6) == []
         assert self.view.snapshot_state() == before
 
+    @rule(data=st.data())
+    def answer_between_writes(self, data):
+        """Answers served between dispatches, left unread (in flight)."""
+        for site in data.draw(st.lists(st.sampled_from(self.hot_sites()),
+                                       min_size=1, max_size=4)):
+            self.seq += 1
+            rec = DispatchRecord(origin="dp0", seq=self.seq, site=site,
+                                 vo="vo0", cpus=1, time=self.clock)
+            assert self.view.apply_record(rec, now=self.clock) == \
+                self.ref.apply(rec, learn_time=self.clock)
+            self.unread.append(self.served(self.view.free_map()))
+
+    @rule()
+    def read_answers_in_flight(self):
+        self.handed_out += self.unread
+        self.unread = []
+        self.answers_handed_out_never_change()
+
+    def teardown(self):
+        self.read_answers_in_flight()
+
     @rule(data=st.data(), busy=st.floats(0.0, 100.0))
     def monitor_refresh(self, data, busy):
-        site = data.draw(st.sampled_from(sorted(self.ref.capacities)))
+        site = data.draw(st.sampled_from(self.hot_sites()))
         busy = min(busy, self.ref.capacities[site])
         self.view.refresh_site(site, busy, self.clock)
         self.assert_compacted()
@@ -252,7 +296,7 @@ class StateViewMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def monitor_sweep(self, data):
         sweep = data.draw(st.dictionaries(
-            st.sampled_from(sorted(self.ref.capacities)),
+            st.sampled_from(self.hot_sites()),
             st.floats(0.0, 7.0)))  # the smallest capacity
         self.view.refresh_all(sweep, self.clock)
         self.assert_compacted()
@@ -263,6 +307,15 @@ class StateViewMachine(RuleBasedStateMachine):
         with pytest.raises(KeyError, match="ghost"):
             self.view.refresh_all({**sweep, "ghost": 1.0}, self.clock + 1e6)
         assert self.view.snapshot_state() == before
+
+    @rule(busy=st.floats(0.0, 7.0))
+    def monitor_sweep_every_site(self, busy):
+        """A full monitor sweep writes every chunk."""
+        self.view.refresh_all(dict.fromkeys(self.ref.capacities, busy),
+                              self.clock)
+        self.assert_compacted()
+        for site in self.ref.capacities:
+            self.ref.refresh(site, busy, self.clock)
 
     @rule(dt=st.floats(0.1, 60.0))
     def advance_time(self, dt):
@@ -304,7 +357,7 @@ class StateViewMachine(RuleBasedStateMachine):
     @invariant()
     def answers_handed_out_never_change(self):
         for answer, values in self.handed_out:
-            assert answer.free.tolist() == values
+            assert answer.free.tolist() == values.tolist()
         assert self.view.audit() == []
 
     @invariant()
