@@ -177,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "(repro.workloads.profiles); default steady")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="space-parallel run: partition the grid into "
-                     "one neighborhood per decision point and execute "
-                     "them on N kernel shards with conservative epoch "
-                     "sync (results are shard-count independent)")
+                     "one independent neighborhood per decision point "
+                     "and group them onto N shards (results are "
+                     "shard-count independent)")
     run.add_argument("--shard-workers", action="store_true",
                      help="with --shards, run each shard in its own OS "
                      "process instead of lockstep in-process")

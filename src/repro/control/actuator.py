@@ -91,7 +91,7 @@ class Actuator:
         self.actions.append(action)
         self.sim.metrics.counter(f"control.{action.kind}").inc()
         if self.sim.trace.enabled:
-            self.sim.trace.emit("control.action", kind=action.kind,
+            self.sim.trace.emit("control.action", action=action.kind,
                                 n_before=action.n_before,
                                 n_after=action.n_after,
                                 dps=",".join(action.dps),

@@ -50,13 +50,6 @@ class GruberEngine:
         #: ``install_probes`` for ``digruber diff`` runs.  One attribute
         #: check per dispatch/merge when unset.
         self.journal = None
-        #: When set (sharded runtime), availability answers are
-        #: restricted to these sites even though the view carries
-        #: grid-wide static knowledge — a decision point brokers only
-        #: into its own neighborhood.  An ordered tuple, NOT a set:
-        #: the answer's column order feeds tie-breaking in the site
-        #: selectors and must not depend on string hashing.
-        self.broker_sites: Optional[tuple] = None
 
     # -- policy ----------------------------------------------------------
     def _policy(self) -> PolicyEngine:
@@ -95,10 +88,7 @@ class GruberEngine:
         self.queries_served += 1
         if now is None:
             now = self.view.latest_time
-        if self.broker_sites is not None:
-            free = self.view.free_subset(self.broker_sites, now=now)
-        else:
-            free = self.view.free_map(now=now)
+        free = self.view.free_map(now=now)
         if not (self.usla_aware and vo):
             return free
         policy = self._policy()

@@ -75,17 +75,15 @@ class AvailabilityView(Mapping):
     ``free`` is a read-only float64 column labelled by the shared
     ``names`` tuple, taken when the answer is: a reply in flight must not
     see later dispatches (that staleness is what accuracy measures).  An
-    array is *copied* at construction (just the ``columns`` entries, when
-    given); :meth:`of_chunks` shares frozen byte chunks instead and joins
-    them when ``free`` is first read, so a reply never read is never
-    joined.
+    array is *copied* at construction; :meth:`of_chunks` shares frozen
+    byte chunks instead and joins them when ``free`` is first read, so a
+    reply never read is never joined.
     """
 
     __slots__ = ("names", "_free", "_chunks", "_index")
 
-    def __init__(self, names: tuple, free, columns=None):
-        free = (np.array(free, float) if columns is None
-                else np.asarray(free, float)[columns])
+    def __init__(self, names: tuple, free):
+        free = np.array(free, float)
         if len(free) != len(names):
             raise ValueError(
                 f"{len(names)} site names for {len(free)} free values")
@@ -208,22 +206,18 @@ class GridStateView:
         # Records ever adopted: the delta-sync watermark.
         self._learn_count = 0
         # Estimated free CPUs in index order, maintained on every mutation;
-        # each version makes at most one answer per query kind.
+        # each version makes at most one answer.  No chunk has a frozen
+        # copy yet (``_frozen``), so every chunk is written since its last
+        # one (``_dirty``).
         self._free = np.array(index.caps, float)
-        self._thaw()
-        self._subset: tuple = ((), np.empty(0, np.intp))  # last free_subset()
-
-    def _thaw(self) -> None:
-        """A new column: no chunk has a frozen copy (``_frozen``), so
-        every chunk is written since its last one (``_dirty``)."""
-        n = -(-len(self._free) >> _CHUNK_BITS)  # chunks, rounded up
-        self._frozen: list = [None] * n
-        self._dirty = set(range(n))
-        self._answer = self._subset_answer = None
+        n_chunks = -(-n >> _CHUNK_BITS)  # rounded up
+        self._frozen: list = [None] * n_chunks
+        self._dirty = set(range(n_chunks))
+        self._answer: Optional[AvailabilityView] = None
 
     def _update_free(self, i: int) -> None:
         """Re-derive column ``i``'s entry, bit-identically to
-        :meth:`estimated_busy` (same formula); retires the answers."""
+        :meth:`estimated_busy` (same formula); retires the answer."""
         cap = self._index.caps[i]
         busy = self._base_busy[i] + self._extra_busy[i]
         if busy < 0.0:
@@ -232,7 +226,7 @@ class GridStateView:
             busy = cap
         self._free[i] = cap - busy
         self._dirty.add(i >> _CHUNK_BITS)
-        self._answer = self._subset_answer = None
+        self._answer = None
 
     # -- internal removal ----------------------------------------------------
     def _forget(self, rec: DispatchRecord) -> None:
@@ -394,30 +388,6 @@ class GridStateView:
             heapq.heapify(self._expiry_heap)
             self._absorbed = 0
 
-    def extend_capacities(self, site_capacities: dict[str, int]) -> None:
-        """Add static knowledge of more sites (no usage yet).
-
-        The sharded runtime uses this to give every DP neighborhood the
-        paper's "complete static knowledge about available resources"
-        across the whole grid while its monitor only refreshes local
-        sites; peer usage arrives as epoch-synced dispatch records.
-        Known sites are left untouched; new ones are appended to an index
-        of the view's own, so answers already given keep names and copy.
-        """
-        new = {s: cap for s, cap in site_capacities.items()
-               if s not in self._col}
-        if not new:
-            return
-        self._index = SiteIndex({**self.capacities, **new})
-        self._col, self.capacities = self._index.col, self._index.capacities
-        for column, fill in ((self._base_busy, 0.0), (self._extra_busy, 0.0),
-                             (self._base_time, _NEG_INF),
-                             (self._site_learn_time, _NEG_INF),
-                             (self._records, None)):
-            column.extend(repeat(fill, len(new)))
-        self._free = np.append(self._free, list(new.values()))
-        self._thaw()
-
     # -- queries ---------------------------------------------------------------
     def estimated_busy(self, site: str, now: Optional[float] = None) -> float:
         if now is not None:
@@ -455,26 +425,6 @@ class GridStateView:
             self._answer = AvailabilityView.of_chunks(self._index.names,
                                                       tuple(frozen))
         return self._answer
-
-    def free_subset(self, sites, now: Optional[float] = None) -> AvailabilityView:
-        """Like :meth:`free_map`, restricted to ``sites``, in their order.
-
-        The sharded runtime's availability answers stay neighborhood-
-        local even when the view carries grid-wide static knowledge.
-        Values are bit-identical to the :meth:`free_map` entries; the
-        column indexes, and the answer until the column is next written,
-        are kept for the next call with the same tuple.
-        """
-        if now is not None:
-            self.expire(now)
-        if sites is not self._subset[0]:
-            sites = tuple(sites)
-            self._subset = (sites, np.array([self._col[s] for s in sites], np.intp))
-            self._subset_answer = None
-        if self._subset_answer is None:
-            names, idx = self._subset
-            self._subset_answer = AvailabilityView(names, self._free, idx)
-        return self._subset_answer
 
     def pending_records(self, newer_than: float) -> list[DispatchRecord]:
         """Live records this node *learned* after the cutoff.

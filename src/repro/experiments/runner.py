@@ -43,8 +43,8 @@ class BuiltExperiment:
     started (deployment, failover, clients) and zero simulated seconds
     elapsed; the caller decides how the clock advances.  The plain
     runner calls ``sim.run(until=duration)`` once; the sharded runtime
-    (:mod:`repro.sim.sharded`) advances many of these in lockstep epoch
-    windows on a shared simulator.
+    (:mod:`repro.sim.sharded`) advances one per neighborhood in epoch
+    windows.
     """
 
     config: ExperimentConfig
@@ -230,18 +230,9 @@ class ExperimentResult(BuiltExperiment):
         return "\n".join(lines)
 
 
-def build_experiment(config: ExperimentConfig,
-                     sim: Optional[Simulator] = None) -> BuiltExperiment:
-    """Construct and start one experiment without running the clock.
-
-    ``sim`` lets several experiments share one simulator (the sharded
-    lockstep executor builds every neighborhood of a shard on the same
-    event heap); sharing requires per-sim observability (trace/spans)
-    to stay off in ``config``, which the sharded config derivation
-    enforces.
-    """
-    if sim is None:
-        sim = Simulator()
+def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
+    """Construct and start one experiment without running the clock."""
+    sim = Simulator()
     rng = RngRegistry(config.seed)
 
     sinks = {}

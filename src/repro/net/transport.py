@@ -305,10 +305,6 @@ class Network:
         self._pending_rpcs[rpc_id] = pending
         self.stats.rpcs_started += 1
         self.stats.count(op)
-        trace = sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.send", node=src, dst=str(dst), op=op,
-                       rpc_id=rpc_id, size_kb=size_kb)
         self.stats.messages += 1
         self.stats.kb += size_kb
         delays = self._fault_delays(msg)
@@ -340,8 +336,7 @@ class Network:
     def _finish_span(self, pending: _PendingRpc, outcome: str) -> None:
         """Close one RPC span: latency histogram, ``rpc.<outcome>``
         counter and one compact ``rpc.span`` trace event (fields per
-        ``repro.obs.trace.SPAN_FIELDS``; the full chain under
-        ``tracer.verbose``)."""
+        ``repro.obs.trace.SPAN_FIELDS``)."""
         now, msg = self.sim.now, pending.msg
         latency = now - msg.sent_at
         metrics = self.sim.metrics
@@ -373,10 +368,6 @@ class Network:
             # without one the pending entry must not leak.
             self._abandon(msg.rpc_id, "endpoint_offline")
             return
-        trace = self.sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.handle", node=msg.dst, op=msg.op,
-                       rpc_id=msg.rpc_id, src=str(msg.src))
         handler = ep.handlers.get(msg.op)
         if handler is None:
             self._send_response(req, RpcError(f"no handler for {msg.op!r} on {msg.dst!r}"),
@@ -400,10 +391,6 @@ class Network:
                        sent_at=self.sim.now, rpc_id=request.rpc_id, ok=ok)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        trace = self.sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.respond", node=request.dst, op=request.op,
-                       rpc_id=request.rpc_id, ok=ok, size_kb=size_kb)
         delays = self._fault_delays(resp)
         if delays is None:
             # Dropped response: without a timeout nothing else would
@@ -419,10 +406,6 @@ class Network:
         if pending is None:
             # Caller timed out and went on; response discarded (paper §4.3).
             self.stats.responses_discarded += 1
-            trace = self.sim.trace
-            if trace.verbose and trace.enabled:
-                trace.emit("rpc.discard", node=resp.dst, op=resp.op,
-                           rpc_id=resp.rpc_id)
             return
         if pending.timeout_call is not None:
             # The RPC resolved first; don't leave the timeout ticking

@@ -254,13 +254,11 @@ def load_timeline(path: str, tolerant: bool = True
 def hood_row(built, hood: int, t: float) -> dict:
     """One DP neighborhood's barrier row, from hood-local state only.
 
-    Sharded runs cannot sample the shared per-shard registry — two
-    hoods on one shard would interleave their metrics and the result
-    would depend on the grouping.  Everything here reads the hood's own
-    deployment/grid/client objects, which are bit-identical across
-    shard groupings, so the merged timeline is too.  The row is in the
-    registry schema; the hood's one decision point is labelled
-    ``dp<hood>``, its monolithic counterpart's name.
+    Everything here reads the hood's own deployment/grid/client
+    objects, which are bit-identical across shard groupings, so the
+    merged timeline is too.  The row is in the registry schema; the
+    hood's one decision point is labelled ``dp<hood>``, its monolithic
+    counterpart's name.
     """
     dp = next(iter(built.deployment.decision_points.values()))
     busy, total, queued, _running, completed = _grid_totals(built.grid)

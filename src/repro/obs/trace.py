@@ -74,21 +74,14 @@ class Tracer:
         Off by default — the run summary and counters work without it.
     """
 
-    __slots__ = ("enabled", "verbose", "clock", "buffer", "sinks", "counts",
+    __slots__ = ("enabled", "clock", "buffer", "sinks", "counts",
                  "emitted")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 capacity: int = 65536, enabled: bool = False,
-                 verbose: bool = False):
+                 capacity: int = 65536, enabled: bool = False):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.enabled = enabled
-        #: With ``verbose`` the transport also emits the intermediate
-        #: RPC chain (send → handle → respond → discard) instead of
-        #: just the one-per-RPC ``rpc.span`` summary; that is several
-        #: times the emission cost, so it is off by default and
-        #: excluded from the <10% overhead budget.
-        self.verbose = verbose
         self.clock = clock if clock is not None else (lambda: 0.0)
         #: Ring of TraceEvent instances (or bare 4-tuples from
         #: :meth:`emit_compact`); read through :meth:`events`.

@@ -1,61 +1,52 @@
 """Space-parallel sharded simulation of a DI-GRUBER deployment.
 
 The monolithic runner simulates every decision point, site, and client
-on one event heap.  DI-GRUBER's own structure makes that unnecessary:
-decision points exchange state only at the periodic sync epoch (3
-minutes in the paper's §4.3 setup), so a *DP neighborhood* — one
-decision point plus its share of sites, CPUs, and submission hosts —
-only ever influences another neighborhood at epoch boundaries.  That
-epoch is a conservative lookahead in the classic Chandy–Misra–Bryant
-sense: within a window ``[t, t+E)`` no cross-neighborhood message can
-arrive, so every neighborhood can run the whole window to completion
-before any exchange happens.
+on one event heap.  This module partitions a configuration into
+``decision_points`` neighborhoods ("hoods") — one decision point plus a
+balanced share of the sites, CPUs and submission hosts — runs every
+hood as an independent experiment (:func:`hood_config`), and merges the
+per-hood results.
 
-This module partitions a configuration into ``decision_points``
-neighborhoods ("hoods"), groups hoods into shards, and advances the
-shards in lockstep epoch windows:
+Hoods exchange nothing.  A hood's decision point brokers only into its
+own sites, so a peer hood's dispatch records could never reach one of
+its availability answers: the paper's §4.3 record sync, which lets a
+decision point broker over the whole grid, has nothing to act on here.
+The outcome of every hood is therefore a function of its own
+configuration: a hood's summary equals
+``summarize(run_experiment(hood_config(config, hood)))``, and
+``run_sharded(config, n_shards)`` produces bit-identical per-hood
+summaries and (canonically merged) event journals for any shard count
+and either executor, which ``digruber diff --pair sharded-2/sharded-4``
+and the property tests gate on.
 
-1. run every shard's event heap to the barrier time ``t``;
-2. collect each hood's *own* dispatch records produced since the last
-   barrier (origin-filtered, learn-sequence watermarks);
-3. route every batch to every other hood with a deterministic ordering
-   key ``(destination hood, source hood)``;
-4. schedule the merges at ``t`` so they execute at the start of the
-   next window, then advance to the next barrier.
+The sync epoch survives only as a cadence: each hood pauses at every
+epoch multiple strictly inside the run (a "barrier") to record one
+telemetry row and, when checkpointing, its state digest.
 
-Because *all* cross-hood synchronization goes through the barrier —
-hoods never share a network, grid, RNG, or trace, even when they share
-a shard's event heap — the outcome of every hood is independent of how
-hoods are grouped into shards.  ``run_sharded(config, n_shards=1)``,
-``n_shards=2`` and ``n_shards=4`` therefore produce bit-identical
-per-hood summaries and (canonically merged) event journals, which
-``digruber diff --pair sharded-2/sharded-4`` and the property tests
-gate on.
+Two executors:
 
-Two executors share the same per-window protocol:
-
-* ``mode="lockstep"`` — every shard lives in this process; windows are
-  executed shard after shard.  This is the determinism reference and
-  the fastest option on a single core.
-* ``mode="workers"`` — one OS process per shard, exchanging record
-  batches over pipes at each barrier.  Same results, real parallelism
-  when cores are available.
+* ``mode="lockstep"`` — every hood runs in this process, one after
+  another.  The determinism reference; checkpoints and restores are
+  lockstep-only.
+* ``mode="workers"`` — one OS process per shard, each running its
+  block of hoods and sending back only their final outcomes.  Same
+  results, real parallelism when cores are available.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time as _walltime
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.check.digest import EventJournal, install_probes
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.parallel import RunSummary, summarize, summary_digest
 from repro.experiments.runner import (BuiltExperiment, build_experiment,
                                       finalize_experiment)
-from repro.sim.kernel import Simulator
 
 __all__ = ["ShardedRunResult", "hood_config", "plan_shards", "run_sharded"]
 
@@ -93,12 +84,11 @@ def hood_config(config: ExperimentConfig, hood: int) -> ExperimentConfig:
     The hood gets one decision point, a balanced share of the sites /
     CPUs / submission hosts, its own seed and a disjoint job-id block.
     Per-sim observability (trace, spans, telemetry, flight recorder) is
-    forced off — hoods may share a shard's simulator, where per-sim
-    samplers from different hoods would interleave — and the chaos
-    scenario, when present, strikes the first neighborhood only
-    (scenarios target ``dp_ids[0]`` of a deployment; hood 0 is its
-    sharded counterpart).  Sharded telemetry instead samples hood-local
-    state at every epoch barrier (see :meth:`_Hood.sample_timeline`).
+    forced off — every hood would write the one configured path — and
+    the chaos scenario, when present, strikes the first neighborhood
+    only (scenarios target ``dp_ids[0]`` of a deployment; hood 0 is its
+    sharded counterpart).  Sharded telemetry instead samples each hood
+    at every epoch barrier and merges the rows (see :func:`_run_hood`).
     """
     n_hoods = config.decision_points
     if not 0 <= hood < n_hoods:
@@ -122,155 +112,11 @@ def hood_config(config: ExperimentConfig, hood: int) -> ExperimentConfig:
         chaos_scenario=config.chaos_scenario if hood == 0 else "",
         # Checkpointing is a runner-level concern here: barrier
         # snapshots (below) replace per-sim Checkpointer ticks, which
-        # would collide across hoods sharing one directory and heap.
+        # would collide across hoods sharing one directory.
         checkpoint_every_s=0.0, checkpoint_dir="",
         trace_enabled=False, trace_path="",
         spans_enabled=False, spans_path="",
         telemetry_enabled=False, telemetry_path="", flight_path="")
-
-
-class _Hood:
-    """One built neighborhood plus its epoch-coupling state."""
-
-    def __init__(self, sim: Simulator, config: ExperimentConfig,
-                 hood: int, journal: bool, telemetry: bool = False):
-        self.hood = hood
-        self.built: BuiltExperiment = build_experiment(
-            hood_config(config, hood), sim=sim)
-        #: Barrier-sampled telemetry rows (hood-local state only), or
-        #: ``None`` when telemetry is off.
-        self.timeline: Optional[list[dict]] = [] if telemetry else None
-        self.dp = next(iter(self.built.deployment.decision_points.values()))
-        self._mark = 0  # learn-sequence watermark for barrier exports
-        #: Static knowledge this hood contributes to every peer's view.
-        self.capacities = {name: site.total_cpus
-                           for name, site in self.built.grid.sites.items()}
-        # Brokering stays neighborhood-local even once the view knows
-        # the whole grid (ordered: selector tie-breaking must not
-        # depend on set iteration order).
-        self.dp.engine.broker_sites = tuple(self.built.grid.sites)
-        self.journal: Optional[EventJournal] = None
-        if journal:
-            self.journal = EventJournal()
-            install_probes(self.journal, deployment=self.built.deployment,
-                           sites=self.built.grid.sites.values())
-
-    def extend_static_knowledge(self, site_capacities: dict) -> None:
-        """Adopt peer neighborhoods' static capacities (pre-run)."""
-        self.dp.engine.view.extend_capacities(site_capacities)
-
-    def collect(self) -> list:
-        """This hood's own records produced since the last barrier.
-
-        A crashed decision point exports nothing and keeps its
-        watermark — pre-crash records flow out at the first barrier
-        after its restart, mirroring how a monolithic run's crashed DP
-        stops flooding until it comes back.
-        """
-        if not self.dp.online:
-            return []
-        mark, records = self.dp.engine.view.records_since(self._mark)
-        self._mark = mark
-        owner = self.dp.engine.owner
-        out = [r for r in records if r.origin == owner]
-        out.sort(key=lambda r: r.seq)
-        return out
-
-    def deliver(self, batches: Sequence[tuple[int, Sequence]],
-                barrier_t: float) -> None:
-        """Schedule peer batches for adoption at the barrier instant.
-
-        The merges run at the start of the next window, in source-hood
-        order — a deterministic ordering key independent of shard
-        grouping.  A crashed decision point misses the epoch outright
-        (no replay), exactly as it misses sync floods in a monolithic
-        run; the monitor's ground-truth sweep reconciles after restart.
-        """
-        if not batches:
-            return
-        dp, engine = self.dp, self.dp.engine
-        def _adopt() -> None:
-            if not dp.online:
-                return
-            for _src, records in batches:
-                engine.merge_remote_records(records, now=barrier_t)
-        self.built.sim.schedule_at(barrier_t, _adopt)
-
-    def sample_timeline(self, t: float) -> None:
-        """Record one telemetry row at an epoch barrier.
-
-        Reads *hood-local* deployment/grid/client state only — never
-        the shard's shared metrics registry, where co-located hoods'
-        series would interleave and the result would depend on the
-        grouping.  Pure read, so sampling cannot perturb the run.
-        """
-        if self.timeline is None:
-            return
-        from repro.obs.timeline import hood_row
-        self.timeline.append(hood_row(self.built, self.hood, t))
-
-    def finalize(self) -> RunSummary:
-        return summarize(finalize_experiment(self.built))
-
-
-class _ShardRuntime:
-    """All of one shard's hoods on a shared event heap."""
-
-    def __init__(self, config: ExperimentConfig, hood_ids: Sequence[int],
-                 journal: bool):
-        # ``sim.run(until=t)`` honors ``until`` per timestamp and leaves
-        # the clock exactly at ``t``, so no instant straddles a barrier.
-        self.sim = Simulator()
-        telemetry = bool(config.telemetry_enabled or config.telemetry_path)
-        self.hoods = [_Hood(self.sim, config, h, journal, telemetry)
-                      for h in hood_ids]
-
-    def capacities(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for h in self.hoods:
-            out.update(h.capacities)
-        return out
-
-    def extend_static_knowledge(self, site_capacities: dict) -> None:
-        for h in self.hoods:
-            h.extend_static_knowledge(site_capacities)
-
-    def run_window(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def sample_timeline(self, t: float) -> None:
-        for h in self.hoods:
-            h.sample_timeline(t)
-
-    def collect(self) -> dict[int, list]:
-        return {h.hood: h.collect() for h in self.hoods}
-
-    def deliver(self, inbound: dict[int, list], barrier_t: float) -> None:
-        for h in self.hoods:
-            h.deliver(inbound.get(h.hood, []), barrier_t)
-
-    def finalize(self) -> dict[int, tuple[RunSummary, Optional[list],
-                                          Optional[list]]]:
-        out = {}
-        for h in self.hoods:
-            entries = None
-            if h.journal is not None:
-                entries = [(e.time, e.kind, e.detail) for e in h.journal.entries]
-            out[h.hood] = (h.finalize(), entries, h.timeline)
-        return out
-
-
-def _route(outbound: dict[int, list]) -> dict[int, list]:
-    """All-to-all exchange with deterministic ``(dest, src)`` ordering.
-
-    Every hood's batch goes to every *other* hood: one decision point
-    per hood makes the mesh exchange exactly the all-to-all flood, and
-    origin filtering in :meth:`_Hood.collect` already guarantees each
-    record crosses the barrier once.
-    """
-    sources = sorted(src for src, recs in outbound.items() if recs)
-    return {dest: [(src, outbound[src]) for src in sources if src != dest]
-            for dest in outbound}
 
 
 def _barriers(config: ExperimentConfig) -> list[float]:
@@ -281,6 +127,76 @@ def _barriers(config: ExperimentConfig) -> list[float]:
         out.append(i * epoch)
         i += 1
     return out
+
+
+def _hood_barrier_state(built: BuiltExperiment) -> dict:
+    """One neighborhood's state at a barrier, for its checkpoint digest.
+
+    Excludes the kernel section, so the digest covers what the hood
+    simulates rather than how its event heap is laid out.
+    """
+    dp = next(iter(built.deployment.decision_points.values()))
+    return {
+        "rng": built.rng.snapshot_state(),
+        "grid": [built.grid.sites[name].snapshot_state()
+                 for name in sorted(built.grid.sites)],
+        "dp": dp.snapshot_state(),
+        "clients": [c.snapshot_state() for c in built.clients],
+    }
+
+
+class _HoodOutcome(NamedTuple):
+    """Everything the parent keeps of one finished neighborhood."""
+
+    summary: RunSummary
+    journal: Optional[list]   # (time, kind, detail) entries, when probed
+    timeline: Optional[list]  # barrier telemetry rows, when sampled
+    digests: dict             # barrier instant -> state digest
+    events: int
+    heap_peak: int
+
+
+def _run_hood(config: ExperimentConfig, hood: int, journal: bool,
+              digest_at: frozenset = frozenset()) -> _HoodOutcome:
+    """Run one neighborhood start to finish on its own simulator.
+
+    At every barrier the hood records a telemetry row (when the config
+    has telemetry) and, at the instants in ``digest_at``, its state
+    digest.  Both are pure reads, so they cannot perturb the run.
+    """
+    from repro.obs.timeline import hood_row
+    from repro.sim.snapshot import state_digest
+
+    built = build_experiment(hood_config(config, hood))
+    probes = None
+    if journal:
+        probes = EventJournal()
+        install_probes(probes, deployment=built.deployment,
+                       sites=built.grid.sites.values())
+    timeline = ([] if config.telemetry_enabled or config.telemetry_path
+                else None)
+    digests = {}
+    sim = built.sim
+    # ``sim.run(until=t)`` leaves the clock exactly at ``t`` with every
+    # event of that instant done: the row and digest are the barrier's.
+    for t in (*_barriers(config), config.duration_s):
+        sim.run(until=t)
+        if timeline is not None:
+            timeline.append(hood_row(built, hood, t))
+        if t in digest_at:
+            digests[t] = state_digest(_hood_barrier_state(built))
+    entries = None
+    if probes is not None:
+        entries = [(e.time, e.kind, e.detail) for e in probes.entries]
+    return _HoodOutcome(summarize(finalize_experiment(built)), entries,
+                        timeline, digests, sim.events_executed,
+                        sim.heap_peak)
+
+
+def _run_hoods(config: ExperimentConfig, hood_ids: Sequence[int],
+               journal: bool, digest_at: frozenset = frozenset()
+               ) -> dict[int, _HoodOutcome]:
+    return {h: _run_hood(config, h, journal, digest_at) for h in hood_ids}
 
 
 @dataclass(frozen=True)
@@ -369,119 +285,68 @@ def _merge_journals(per_hood: dict[int, Optional[list]]) -> EventJournal:
     return merged
 
 
-def _hood_barrier_state(h: _Hood) -> dict:
-    """Grouping-independent state of one neighborhood at a barrier.
-
-    Deliberately excludes the kernel section — the event heap is shared
-    per shard, so its contents depend on how hoods are grouped;
-    everything captured here belongs to this hood alone, so the digest
-    is identical under any shard count.
-    """
-    built = h.built
-    return {
-        "rng": built.rng.snapshot_state(),
-        "grid": [built.grid.sites[name].snapshot_state()
-                 for name in sorted(built.grid.sites)],
-        "dp": h.dp.snapshot_state(),
-        "clients": [c.snapshot_state() for c in built.clients],
-        "mark": h._mark,
-    }
-
-
-def _run_lockstep(config: ExperimentConfig, plan: list[list[int]],
-                  journal: bool, restore_snapshot: Optional[dict] = None):
-    import os
-
-    from repro.sim.snapshot import (SnapshotError, checkpoint_filename,
-                                    encode_config, state_digest,
-                                    write_snapshot)
-
-    runtimes = [_ShardRuntime(config, hood_ids, journal)
-                for hood_ids in plan]
-    # Pre-run exchange of static knowledge: every view learns every
-    # site's capacity before the first event executes.
-    global_caps: dict[str, int] = {}
-    for rt in runtimes:
-        global_caps.update(rt.capacities())
-    for rt in runtimes:
-        rt.extend_static_knowledge(global_caps)
-    hoods = [h for rt in runtimes for h in rt.hoods]
-    ckpt_dir = (config.checkpoint_dir
-                if config.checkpoint_every_s > 0 else "")
-    next_due = config.checkpoint_every_s
-    restore_t = (restore_snapshot["barrier_t"]
-                 if restore_snapshot is not None else None)
-    verified = restore_snapshot is None
+def _checkpoint_barriers(config: ExperimentConfig) -> list[tuple[int, float]]:
+    """``(barrier index, instant)`` of every barrier that crosses the
+    checkpoint cadence."""
+    due, next_due = [], config.checkpoint_every_s
     for index, t in enumerate(_barriers(config)):
-        outbound: dict[int, list] = {}
-        for rt in runtimes:
-            rt.run_window(t)
-            rt.sample_timeline(t)
-            outbound.update(rt.collect())
-        # Barrier checkpoints/verification happen after collect (the
-        # watermark is part of the digest) and before deliver (the
-        # adoption events run in the *next* window on both sides).
-        due = bool(ckpt_dir) and t >= next_due
-        if due or t == restore_t:
-            digests = {str(h.hood): state_digest(_hood_barrier_state(h))
-                       for h in hoods}
-            if t == restore_t:
-                want = restore_snapshot["hood_digests"]
-                if digests != want:
-                    diverged = sorted(k for k in digests
-                                      if digests[k] != want.get(k))
-                    raise SnapshotError(
-                        f"lockstep rerun diverged from the barrier "
-                        f"checkpoint at t={t:g} in neighborhood(s): "
-                        f"{', '.join(diverged)}")
-                verified = True
-            if due:
-                try:
-                    os.makedirs(ckpt_dir, exist_ok=True)
-                except OSError as err:
-                    raise SnapshotError(f"cannot create checkpoint directory "
-                                        f"{ckpt_dir!r}: {err}") from err
-                write_snapshot(
-                    {"sharded": True, "barrier_t": t,
-                     "barrier_index": index,
-                     "config": encode_config(config),
-                     "hood_digests": digests},
-                    os.path.join(ckpt_dir, checkpoint_filename(t, index)))
-                while next_due <= t:
-                    next_due += config.checkpoint_every_s
-        inbound = _route(outbound)
-        for rt in runtimes:
-            rt.deliver(inbound, t)
-    if not verified:
-        raise SnapshotError(
-            f"restore checkpoint's barrier t={restore_t:g} was never "
-            f"reached (run has {len(_barriers(config))} barriers)")
-    outcomes: dict[int, tuple] = {}
-    for rt in runtimes:
-        rt.run_window(config.duration_s)
-        rt.sample_timeline(config.duration_s)
-        outcomes.update(rt.finalize())
-    events = sum(rt.sim.events_executed for rt in runtimes)
-    heap_peak = max(rt.sim.heap_peak for rt in runtimes)
-    return outcomes, events, heap_peak
+        if t >= next_due:
+            due.append((index, t))
+            while next_due <= t:
+                next_due += config.checkpoint_every_s
+    return due
+
+
+def _run_lockstep(config: ExperimentConfig, journal: bool,
+                  restore_snapshot: Optional[dict] = None):
+    """Every hood in this process, with barrier checkpoints and the
+    verified rerun of a restore."""
+    from repro.sim.snapshot import (SnapshotError, checkpoint_filename,
+                                    encode_config, write_snapshot)
+
+    due = (_checkpoint_barriers(config)
+           if config.checkpoint_every_s > 0 else [])
+    ckpt_dir = config.checkpoint_dir
+    if due:
+        try:
+            os.makedirs(ckpt_dir, exist_ok=True)
+        except OSError as err:
+            raise SnapshotError(f"cannot create checkpoint directory "
+                                f"{ckpt_dir!r}: {err}") from err
+    digest_at = {t for _, t in due}
+    if restore_snapshot is not None:
+        restore_t = restore_snapshot["barrier_t"]
+        if restore_t not in _barriers(config):
+            raise SnapshotError(
+                f"restore checkpoint's barrier t={restore_t:g} is never "
+                f"reached (run has {len(_barriers(config))} barriers)")
+        digest_at.add(restore_t)
+    outcomes = _run_hoods(config, range(config.decision_points), journal,
+                          frozenset(digest_at))
+
+    def digests(t: float) -> dict[str, str]:
+        return {str(h): o.digests[t] for h, o in outcomes.items()}
+
+    if restore_snapshot is not None:
+        got, want = digests(restore_t), restore_snapshot["hood_digests"]
+        diverged = sorted(k for k in got if got[k] != want.get(k))
+        if diverged:
+            raise SnapshotError(
+                f"lockstep rerun diverged from the barrier checkpoint at "
+                f"t={restore_t:g} in neighborhood(s): {', '.join(diverged)}")
+    for index, t in due:
+        write_snapshot(
+            {"sharded": True, "barrier_t": t, "barrier_index": index,
+             "config": encode_config(config), "hood_digests": digests(t)},
+            os.path.join(ckpt_dir, checkpoint_filename(t, index)))
+    return outcomes
 
 
 def _shard_worker(conn, config: ExperimentConfig, hood_ids: list[int],
                   journal: bool) -> None:
-    """One shard in its own process, barrier-stepped by the parent."""
+    """One shard in its own process: run its hoods, send the outcomes."""
     try:
-        rt = _ShardRuntime(config, hood_ids, journal)
-        conn.send(rt.capacities())
-        rt.extend_static_knowledge(conn.recv())
-        for t in _barriers(config):
-            rt.run_window(t)
-            rt.sample_timeline(t)
-            conn.send(rt.collect())
-            rt.deliver(conn.recv(), t)
-        rt.run_window(config.duration_s)
-        rt.sample_timeline(config.duration_s)
-        conn.send(("ok", rt.finalize(), rt.sim.events_executed,
-                   rt.sim.heap_peak))
+        conn.send(("ok", _run_hoods(config, hood_ids, journal)))
     except BaseException as err:  # surface, don't hang the parent
         conn.send(("error", f"{type(err).__name__}: {err}"))
         raise
@@ -490,7 +355,7 @@ def _shard_worker(conn, config: ExperimentConfig, hood_ids: list[int],
 
 
 def _run_workers(config: ExperimentConfig, plan: list[list[int]],
-                 journal: bool):
+                 journal: bool) -> dict[int, _HoodOutcome]:
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
@@ -504,28 +369,13 @@ def _run_workers(config: ExperimentConfig, plan: list[list[int]],
             child.close()
             pipes.append(parent)
             procs.append(proc)
-        global_caps: dict[str, int] = {}
-        for conn in pipes:
-            global_caps.update(conn.recv())
-        for conn in pipes:
-            conn.send(global_caps)
-        for t in _barriers(config):
-            outbound: dict[int, list] = {}
-            for conn in pipes:
-                outbound.update(conn.recv())
-            inbound = _route(outbound)
-            for hood_ids, conn in zip(plan, pipes):
-                conn.send({h: inbound.get(h, []) for h in hood_ids})
-        outcomes: dict[int, tuple] = {}
-        events = heap_peak = 0
+        outcomes: dict[int, _HoodOutcome] = {}
         for conn in pipes:
             msg = conn.recv()
             if msg[0] != "ok":
                 raise RuntimeError(f"shard worker failed: {msg[1]}")
             outcomes.update(msg[1])
-            events += msg[2]
-            heap_peak = max(heap_peak, msg[3])
-        return outcomes, events, heap_peak
+        return outcomes
     finally:
         for conn in pipes:
             conn.close()
@@ -542,9 +392,9 @@ def run_sharded(config: ExperimentConfig, n_shards: int = 1,
     """Run ``config`` space-partitioned into DP neighborhoods.
 
     ``n_shards`` groups the ``config.decision_points`` neighborhoods
-    onto that many event heaps (``mode="lockstep"``) or worker
-    processes (``mode="workers"``).  Results are independent of both
-    ``n_shards`` and ``mode`` — see the module docstring.  With
+    onto that many worker processes (``mode="workers"``); lockstep runs
+    every neighborhood in this process.  Results are independent of
+    both ``n_shards`` and ``mode`` — see the module docstring.  With
     ``journal=True`` every neighborhood runs fully probed and the
     result carries the canonical merged :class:`EventJournal`.
 
@@ -553,8 +403,8 @@ def run_sharded(config: ExperimentConfig, n_shards: int = 1,
     barrier — whenever a barrier crosses the cadence.  ``restore``
     names such a checkpoint: the run is a verified lockstep rerun that
     must re-derive every neighborhood's digest at that barrier
-    (:class:`~repro.sim.snapshot.SnapshotError` names diverging hoods)
-    before completing.  Both are lockstep-only.
+    (:class:`~repro.sim.snapshot.SnapshotError` names diverging hoods).
+    Both are lockstep-only.
     """
     if mode not in ("lockstep", "workers"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -575,25 +425,27 @@ def run_sharded(config: ExperimentConfig, n_shards: int = 1,
     plan = plan_shards(config.decision_points, n_shards)
     start = _walltime.perf_counter()
     if mode == "workers" and n_shards > 1:
-        outcomes, events, heap_peak = _run_workers(config, plan, journal)
+        outcomes = _run_workers(config, plan, journal)
     else:
-        outcomes, events, heap_peak = _run_lockstep(
-            config, plan, journal, restore_snapshot=restore_snapshot)
+        outcomes = _run_lockstep(config, journal,
+                                 restore_snapshot=restore_snapshot)
     wall = _walltime.perf_counter() - start
-    summaries = tuple(outcomes[h][0] for h in sorted(outcomes))
+    hoods = sorted(outcomes)
     merged = None
     if journal:
-        merged = _merge_journals({h: outcomes[h][1] for h in outcomes})
+        merged = _merge_journals({h: outcomes[h].journal for h in hoods})
     timeline = None
     if config.telemetry_enabled or config.telemetry_path:
         from repro.obs.jsonl import write_jsonl
         from repro.obs.timeline import merge_hood_timelines, timeline_meta
         timeline = merge_hood_timelines(
-            {h: outcomes[h][2] for h in outcomes})
+            {h: outcomes[h].timeline for h in hoods})
         if config.telemetry_path:
             write_jsonl(config.telemetry_path, timeline,
                         meta=timeline_meta(config, config.sync_interval_s))
-    return ShardedRunResult(config=config, n_shards=n_shards, mode=mode,
-                            summaries=summaries, total_events=events,
-                            heap_peak=heap_peak, wall_s=wall,
-                            journal=merged, timeline=timeline)
+    return ShardedRunResult(
+        config=config, n_shards=n_shards, mode=mode,
+        summaries=tuple(outcomes[h].summary for h in hoods),
+        total_events=sum(o.events for o in outcomes.values()),
+        heap_peak=max(o.heap_peak for o in outcomes.values()),
+        wall_s=wall, journal=merged, timeline=timeline)

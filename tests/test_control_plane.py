@@ -137,6 +137,23 @@ def test_control_actions_are_journaled():
     assert any("scale_up|1->2" in e.detail for e in ctl)
 
 
+def test_traced_scale_actions_complete_their_tick():
+    """A traced run scales exactly like an untraced one: every action
+    is one ``control.action`` row and no planner tick raises."""
+    def run(trace):
+        return run_experiment(smoke_config(
+            n_clients=40, duration_s=600.0, n_sites=30, total_cpus=1500,
+            autoscale=AutoscaleConfig(), trace_enabled=trace))
+
+    plain, traced = run(False), run(True)
+    assert traced.planner.timeline == plain.planner.timeline
+    assert traced.dropped_sync_chains() == 0
+    actions = traced.planner.actuator.actions
+    assert actions
+    assert traced.sim.trace.count("control.action") == len(actions)
+    assert traced.sim.trace.count("periodic.error") == 0
+
+
 def test_same_seed_runs_are_journal_identical():
     digests = []
     for _ in range(2):

@@ -237,10 +237,8 @@ class TestAnswerSnapshotIsolation:
     (Regression guard for the aliasing bug a columnar view makes
     possible — ``free_map`` handing out its live column.)"""
 
-    @pytest.mark.parametrize("ask", [
-        lambda v: v.free_map(now=10.0),
-        lambda v: v.free_subset(("s1", "s0"), now=10.0)],
-        ids=["free_map", "free_subset"])
+    @pytest.mark.parametrize("ask", [lambda v: v.free_map(now=10.0)],
+                             ids=["free_map"])
     def test_reply_unchanged_by_later_writes(self, view, ask):
         view.apply_record(rec(seq=1, site="s1", cpus=4))
         reply = ask(view)
@@ -249,15 +247,13 @@ class TestAnswerSnapshotIsolation:
 
         view.apply_record(rec(seq=2, site="s0", cpus=8, time=11.0))
         view.refresh_site("s1", 30.0, now=12.0)
-        view.extend_capacities({"s2": 10})
         view.expire(5000.0)
 
         assert reply.names is names and len(reply) == 2
         assert reply.free.tolist() == values
         assert dict(reply) == {"s0": 100.0, "s1": 46.0}
-        assert "s2" not in reply
         # ... while a fresh answer does see all of it.
-        assert dict(view.free_map()) == {"s0": 100.0, "s1": 20.0, "s2": 10.0}
+        assert dict(view.free_map()) == {"s0": 100.0, "s1": 20.0}
 
     def test_reply_refuses_writes(self, view):
         reply = view.free_map()
@@ -274,25 +270,22 @@ class TestAnswerSnapshotIsolation:
         lambda v: v.refresh_site("s1", 30.0, now=12.0),
         lambda v: v.refresh_all({"s0": 5.0, "s1": 6.0}, now=12.0),
         lambda v: v.expire(5000.0),
-        lambda v: v.extend_capacities({"s2": 10}),
     ], ids=["apply_record", "apply_records", "refresh_site", "refresh_all",
-            "expire", "extend_capacities"])
+            "expire"])
     def test_unchanged_view_answers_once(self, view, write):
         """One frozen copy per column version: asking again without a
         write in between hands back the same answer; any write retires
         it, and the retired answer keeps its values."""
         view.apply_record(rec(seq=1, site="s1", cpus=4))
-        subset = ("s1", "s0")
-        a, s = view.free_map(), view.free_subset(subset)
-        assert view.free_map() is a and view.free_subset(subset) is s
+        a = view.free_map()
+        assert view.free_map() is a
         assert not np.shares_memory(a.free, view._free)
-        assert not np.shares_memory(s.free, view._free)
-        a_values, s_values = a.free.tolist(), s.free.tolist()
+        a_values = a.free.tolist()
         write(view)
-        b, t = view.free_map(), view.free_subset(subset)
-        assert b is not a and t is not s
-        assert a.free.tolist() == a_values and s.free.tolist() == s_values
-        assert view.free_map() is b and view.free_subset(subset) is t
+        b = view.free_map()
+        assert b is not a
+        assert a.free.tolist() == a_values
+        assert view.free_map() is b
 
     @pytest.mark.parametrize("write", [
         lambda v: v.apply_record(rec(seq=9, site="c063", time=11.0)),
@@ -300,9 +293,8 @@ class TestAnswerSnapshotIsolation:
         lambda v: v.apply_record(rec(seq=9, site="c199", time=11.0)),
         lambda v: v.refresh_all(dict.fromkeys(v.capacities, 1.0), now=12.0),
         lambda v: v.expire(5000.0),
-        lambda v: v.extend_capacities({f"n{i}": 10 for i in range(60)}),
     ], ids=["last-of-chunk-0", "first-of-chunk-1", "last-partial-chunk",
-            "refresh_all", "expire", "extend-into-new-chunk"])
+            "refresh_all", "expire"])
     def test_chunked_answer_read_late(self, write):
         """A ``free_map`` answer shares frozen 64-site chunks and joins
         them when first read: read only after the next write, it still
@@ -339,12 +331,11 @@ def _traced_bytes(build):
 
 class TestAnswerLabels:
     """An array-built answer whose names and values disagree in length
-    is refused, naming both, with or without ``columns``."""
+    is refused, naming both."""
 
     @pytest.mark.parametrize("build", [
         lambda: AvailabilityView(("s0", "s1"), [1.0, 2.0, 3.0]),
-        lambda: AvailabilityView(("s0", "s1"), [1.0, 2.0, 3.0], [2, 0, 1]),
-    ], ids=["array", "columns"])
+    ], ids=["array"])
     def test_mislabelled_answer_refused(self, build):
         with pytest.raises(ValueError, match="2 site names for 3 free"):
             build()

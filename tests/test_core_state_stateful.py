@@ -3,11 +3,10 @@
 Hypothesis drives random interleavings of record application, monitor
 refreshes, expiry sweeps, and duplicate/out-of-order deliveries; after
 every step the view's incremental estimates and its indexed queries
-(``free_map``, ``free_subset``, ``pending_records``, ``records_since``)
-must match a reference model that recomputes everything from scratch.
-The availability answers are checked as the selectors read them: column
-order, float64 values and names — including after ``extend_capacities``
-appends columns and for ``free_subset`` over an arbitrary ordered subset.
+(``free_map``, ``pending_records``, ``records_since``) must match a
+reference model that recomputes everything from scratch.  The
+availability answers are checked as the selectors read them: column
+order, float64 values and names.
 
 The write side is driven both ways: one record / one site at a time and
 as batches (``apply_records``, ``refresh_all``).  The reference only
@@ -23,9 +22,8 @@ the column is next written, and a ``free_map`` answer shares the frozen
 still equal its copy, and ``audit`` must find nothing — including the
 expiry heap's ``live + absorbed`` count, which a refresh must leave with
 absorbed entries no more than live ones.  The grid spans two chunks (the
-second partial) and grows into a third; the rules write at the chunk
-boundaries (columns 63 and 64), the last column, and every column at
-once.  Some answers are served between writes and read only later, the
+second partial); the rules write at the chunk boundaries (columns 63 and
+64), the last column, and every column at once.  Some answers are served between writes and read only later, the
 way a reply in flight is: a chunk the view froze by reference, or a
 write that left its chunk clean, shows up there.
 """
@@ -42,14 +40,9 @@ from repro.core.state import DispatchRecord, GridStateView
 #: 127 sites: chunk 0 holds columns 0-63, the partial chunk 1 the rest.
 SITES = {"s0": 100, "s1": 50, "s2": 10,
          **{f"p{i:03d}": 8 for i in range(3, 127)}}
-#: Static knowledge learned later (``extend_capacities``); "s1" is
-#: already known and must be left untouched.  Deliberately not in name
-#: order: column order is insertion order, not sorted order.  "s9" fills
-#: chunk 1 (column 127) and "s3" opens chunk 2.
-MORE_SITES = {"s9": 7, "s1": 999, "s3": 30}
 #: The sites the rules write: the first columns, both sides of the chunk
-#: boundary, the last initial column and the two appended ones.
-HOT = ("s0", "s1", "s2", "p063", "p064", "p126", "s9", "s3")
+#: boundary and the last column.
+HOT = ("s0", "s1", "s2", "p063", "p064", "p126")
 LIFETIME = 100.0
 
 
@@ -107,21 +100,15 @@ class ReferenceView:
                 if site is None or s == site]
         return max(now - max(seen), 0.0) if seen else None
 
-    def extend(self, capacities):
-        for site, cap in capacities.items():
-            if site not in self.capacities:
-                self.capacities[site] = cap
-                self.base[site] = (0.0, -float("inf"))
-
     def estimated_busy(self, site):
         busy, _ = self.base[site]
         extra = sum(r.cpus for r in self.records.values() if r.site == site)
         return min(max(busy + extra, 0.0), self.capacities[site])
 
-    def free(self, sites=None):
-        """``[(site, free)]`` in the asked order (default: all columns)."""
+    def free(self):
+        """``[(site, free)]`` in column order."""
         return [(s, float(self.capacities[s] - self.estimated_busy(s)))
-                for s in (self.capacities if sites is None else sites)]
+                for s in self.capacities]
 
     def live_in_learn_order(self):
         """``(learn_seq, learn_time, record)`` of every live record."""
@@ -135,16 +122,10 @@ class StateViewMachine(RuleBasedStateMachine):
         self.ref = ReferenceView()
         self.clock = 0.0
         self.seq = 0
-        # One tuple object reused for the machine's lifetime: the view
-        # keeps its column indexes across mutations and appended columns.
-        self.held_subset = ("s2", "s0")
         #: ``(answer, the live column's values at hand-out)`` for every
         #: answer given; ``unread`` ones have not had ``free`` read yet.
         self.handed_out: list = []
         self.unread: list = []
-
-    def hot_sites(self):
-        return [s for s in HOT if s in self.ref.capacities]
 
     def served(self, answer):
         """``answer`` beside a copy of the live column taken now."""
@@ -168,19 +149,6 @@ class StateViewMachine(RuleBasedStateMachine):
         assert not answer.free.flags.writeable
         assert dict(answer) == dict(want) and len(answer) == len(want)
 
-    @rule()
-    def extend_static_knowledge(self):
-        self.view.extend_capacities(MORE_SITES)
-        self.ref.extend(MORE_SITES)
-
-    @rule(data=st.data())
-    def read_ordered_subset(self, data):
-        sites = data.draw(st.permutations(list(self.ref.capacities)))
-        sites = sites[:data.draw(st.integers(0, len(sites)))]
-        self.ref.expire(self.clock)
-        self.assert_answer(self.view.free_subset(sites, now=self.clock),
-                           self.ref.free(sites))
-
     @rule(data=st.data(),
           cpus=st.integers(1, 20),
           origin=st.sampled_from(["dp0", "dp1"]),
@@ -188,7 +156,7 @@ class StateViewMachine(RuleBasedStateMachine):
           local=st.booleans())
     def apply_fresh_record(self, data, cpus, origin, age, local):
         self.seq += 1
-        site = data.draw(st.sampled_from(self.hot_sites()))
+        site = data.draw(st.sampled_from(HOT))
         rec = DispatchRecord(origin=origin, seq=self.seq, site=site,
                              vo="vo0", cpus=cpus,
                              time=max(self.clock - age, 0.0))
@@ -224,7 +192,7 @@ class StateViewMachine(RuleBasedStateMachine):
         """A sync payload: fresh records, echoes of live ones, replays of
         dropped keys and keys repeated inside the payload, in any order —
         optionally with a record for an unknown site somewhere in it."""
-        sites = self.hot_sites() + ["ghost"] * ghost
+        sites = list(HOT) + ["ghost"] * ghost
         first = self.seq + 1
         self.seq += data.draw(st.integers(0, 3))
         payload = [
@@ -267,7 +235,7 @@ class StateViewMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def answer_between_writes(self, data):
         """Answers served between dispatches, left unread (in flight)."""
-        for site in data.draw(st.lists(st.sampled_from(self.hot_sites()),
+        for site in data.draw(st.lists(st.sampled_from(HOT),
                                        min_size=1, max_size=4)):
             self.seq += 1
             rec = DispatchRecord(origin="dp0", seq=self.seq, site=site,
@@ -287,7 +255,7 @@ class StateViewMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), busy=st.floats(0.0, 100.0))
     def monitor_refresh(self, data, busy):
-        site = data.draw(st.sampled_from(self.hot_sites()))
+        site = data.draw(st.sampled_from(HOT))
         busy = min(busy, self.ref.capacities[site])
         self.view.refresh_site(site, busy, self.clock)
         self.assert_compacted()
@@ -296,7 +264,7 @@ class StateViewMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def monitor_sweep(self, data):
         sweep = data.draw(st.dictionaries(
-            st.sampled_from(self.hot_sites()),
+            st.sampled_from(HOT),
             st.floats(0.0, 7.0)))  # the smallest capacity
         self.view.refresh_all(sweep, self.clock)
         self.assert_compacted()
@@ -340,8 +308,6 @@ class StateViewMachine(RuleBasedStateMachine):
         self.ref.expire(self.clock)
         self.assert_answer(self.view.free_map(now=self.clock),
                            self.ref.free())
-        self.assert_answer(self.view.free_subset(self.held_subset),
-                           self.ref.free(self.held_subset))
         live = self.ref.live_in_learn_order()
         # Every boundary a cutoff can straddle: each live learn time.
         cutoffs = {-float("inf"), self.clock, *(t for _, t, _ in live)}

@@ -1,21 +1,25 @@
 """Tests for the space-parallel sharded simulation (repro.sim.sharded).
 
-The load-bearing claim is *partition independence*: hoods only couple
-at epoch barriers, so grouping them onto 1, 2, or 4 shards — or onto
-worker processes — must produce bit-identical per-hood summaries and
-identical canonically merged event journals.  The property tests sweep
-seeds and shard counts; the chaos test repeats the claim with a DP
-crash/restart striking hood 0 while the strict invariant checker runs
-inside every neighborhood.
+The load-bearing claim is *partition independence*: hoods exchange
+nothing, so grouping them onto 1, 2, or 4 shards — or onto worker
+processes — must produce bit-identical per-hood summaries and identical
+canonically merged event journals, and each hood's summary must equal
+its standalone run's.  The property tests sweep seeds and shard counts;
+the chaos test repeats the claim with a DP crash/restart striking hood
+0 while the strict invariant checker runs inside every neighborhood.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.configs import smoke_config
+from repro.experiments.configs import canonical_gt3, smoke_config
+from repro.experiments.parallel import summarize, summary_digest
+from repro.experiments.runner import run_experiment
 from repro.sim.sharded import (ShardedRunResult, hood_config, plan_shards,
                                run_sharded)
+from repro.sim.snapshot import (SnapshotError, newest_checkpoint,
+                                read_snapshot, write_snapshot)
 
 
 def _config(seed=20050101, **overrides):
@@ -139,6 +143,64 @@ class TestPartitionIndependence:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             run_sharded(_config(), n_shards=2, mode="threads")
+
+
+class TestHoodIsStandaloneRun:
+    """A hood's summary is its own experiment's: nothing another hood
+    dispatches reaches it.  ``canonical_gt3(3)`` at 1,800 s is long
+    enough for peer records to have collided with a hood's own when
+    every hood's decision point was named ``dp0``."""
+
+    @pytest.mark.parametrize("config, n_shards", [
+        (canonical_gt3(3, duration_s=1800.0), 3),
+        (_config(), 2),
+    ], ids=["gt3-3dp-1800s", "smoke-4dp"])
+    def test_every_hood_matches_its_standalone_run(self, config, n_shards):
+        sharded = run_sharded(config, n_shards=n_shards)
+        standalone = tuple(
+            summary_digest(summarize(run_experiment(hood_config(config, h))))
+            for h in range(config.decision_points))
+        assert sharded.summary_digests == standalone
+
+
+class TestStaleBarrierCheckpoint:
+    """A barrier checkpoint whose hood digests no longer re-derive (one
+    written by an older build) is refused by name, never replayed."""
+
+    def _stale(self, tmp_path):
+        config = _config(decision_points=2, n_clients=8, n_sites=8,
+                         total_cpus=400, duration_s=200.0,
+                         sync_interval_s=30.0, checkpoint_every_s=60.0,
+                         checkpoint_dir=str(tmp_path))
+        run_sharded(config, n_shards=2)
+        path = newest_checkpoint(str(tmp_path))
+        snapshot = read_snapshot(path)
+        snapshot["hood_digests"]["1"] = "0" * 16
+        write_snapshot(snapshot, path)  # re-signed: the CRC still holds
+        return config, path
+
+    def test_restore_names_the_diverged_hood(self, tmp_path):
+        config, path = self._stale(tmp_path)
+        with pytest.raises(SnapshotError,
+                           match=r"neighborhood\(s\): 1$"):
+            run_sharded(config, n_shards=2, restore=path)
+
+    def test_restore_past_the_last_barrier_is_refused_up_front(self,
+                                                               tmp_path):
+        config, path = self._stale(tmp_path)
+        snapshot = read_snapshot(path)
+        snapshot["barrier_t"] = 10 * config.duration_s
+        write_snapshot(snapshot, path)
+        with pytest.raises(SnapshotError, match="is never reached"):
+            run_sharded(config, n_shards=2, restore=path)
+
+    def test_cli_restore_exits_2_with_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+        _, path = self._stale(tmp_path)
+        assert main(["run", "--restore", path, "--shards", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "neighborhood(s): 1" in err and "Traceback" not in err
 
 
 class TestResultSurface:
