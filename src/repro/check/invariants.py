@@ -37,6 +37,7 @@ events), matching how the rest of the observability plane reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.grid.job import JobState
@@ -53,6 +54,9 @@ __all__ = ["InvariantChecker", "InvariantViolation", "Violation",
 #: Relative tolerance for float integrals (CPU-second decompositions).
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
+_CLIENT_COUNTER_NAMES = ("n_handled", "n_fallback_timeout", "n_abandoned",
+                         "n_retries", "backlog_peak")
+_CLIENT_COUNTERS = attrgetter(*_CLIENT_COUNTER_NAMES)
 
 
 class InvariantViolation(AssertionError):
@@ -241,9 +245,8 @@ class InvariantChecker:
             self._flag("site.busy_sum", name,
                        f"busy={busy} but running jobs hold "
                        f"{running} CPUs")
-        pipeline = (site.jobs_completed + site.jobs_failed
-                    + site.running_jobs + site.queue_length)
-        if site.jobs_dispatched != pipeline:
+        if site.jobs_dispatched != (site.jobs_completed + site.jobs_failed
+                                    + len(site._running) + len(site._queue)):
             self._flag("site.job_conservation", name,
                        f"dispatched={site.jobs_dispatched} != completed="
                        f"{site.jobs_completed} + failed={site.jobs_failed}"
@@ -260,16 +263,21 @@ class InvariantChecker:
             self._flag("site.integral_monotone", name,
                        f"busy integral {integral} fell below {last}")
         self._last_integral[name] = integral
-        credited = sum(site.vo_cpu_seconds.values())
+        credited, negative = 0, False  # one walk: sum() and the sign
+        for secs in site.vo_cpu_seconds.values():
+            credited += secs
+            if secs < 0.0:
+                negative = True
         expected = credited + accruing
         if abs(integral - expected) > max(_ABS_TOL, _REL_TOL * integral):
             self._flag("site.cpu_seconds", name,
                        f"busy integral {integral:.6f} != credited "
                        f"{credited:.6f} + running {accruing:.6f}")
-        for vo, secs in site.vo_cpu_seconds.items():
-            if secs < 0.0:
-                self._flag("site.vo_cpu_seconds", name,
-                           f"negative CPU-seconds for {vo}: {secs}")
+        if negative:
+            for vo, secs in site.vo_cpu_seconds.items():
+                if secs < 0.0:
+                    self._flag("site.vo_cpu_seconds", name,
+                               f"negative CPU-seconds for {vo}: {secs}")
 
     # -- clients -----------------------------------------------------------
     def _check_client(self, client: "GruberClient") -> None:
@@ -308,12 +316,12 @@ class InvariantChecker:
             self._flag("client.arrival_cursor", name,
                        f"arrival timer armed with busy={client.busy}, "
                        f"backlog={due - cursor}")
-        for counter in ("n_handled", "n_fallback_timeout", "n_abandoned",
-                        "n_retries", "backlog_peak"):
-            value = getattr(client, counter)
-            if value < 0:
-                self._flag("client.counter_bounds", name,
-                           f"{counter}={value} < 0")
+        values = _CLIENT_COUNTERS(client)
+        if min(values) < 0:
+            for counter, value in zip(_CLIENT_COUNTER_NAMES, values):
+                if value < 0:
+                    self._flag("client.counter_bounds", name,
+                               f"{counter}={value} < 0")
 
     def _on_job_completed(self, job) -> None:
         """``client.job_duration``, once per job at COMPLETED (FAILED is
@@ -345,7 +353,10 @@ class InvariantChecker:
     def _check_dp(self, dp: "DecisionPoint") -> None:
         name = str(dp.node_id)
         view = dp.engine.view
-        for problem in view.audit():
+        # One walk of the per-consumer sums serves the audit and the
+        # consumer bound below.
+        problems, over = view._audit(bound_tol=_ABS_TOL)
+        for problem in problems:
             self._flag("view.audit", name, problem)
         # Learn-sequence monotonicity, and per-peer delta watermarks
         # bounded by (and never outrunning) the learn counter.
@@ -396,12 +407,10 @@ class InvariantChecker:
                 self._flag("usla.policy_coherence", name,
                            "cached policy engine disagrees with the "
                            "USLA store contents")
-        extra, col, tol = view._extra_busy, view._col, _ABS_TOL
-        for (site, consumer), busy in view._vo_busy.items():
-            if busy > extra[col[site]] + tol:
-                self._flag("usla.consumer_bound", name,
-                           f"vo_busy[{site},{consumer}]={busy} exceeds "
-                           f"site estimate {extra[col[site]]}")
+        for site, consumer, busy in over:
+            self._flag("usla.consumer_bound", name,
+                       f"vo_busy[{site},{consumer}]={busy} exceeds "
+                       f"site estimate {view._extra_busy[view._col[site]]}")
 
     # -- summary -----------------------------------------------------------
     def summary(self) -> str:

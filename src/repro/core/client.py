@@ -43,6 +43,10 @@ __all__ = ["GruberClient"]
 #: Wire size of a get_state request / report_dispatch message, in KB.
 REQUEST_KB = 0.4
 REPORT_KB = 0.3
+#: Span attr shapes (key tuples) of the client's spans.
+_ROOT_ATTRS = ("jid", "vo", "group", "cpus", "dp")
+_DISPATCH_ATTRS = ("jid", "site", "handled")
+_OUTCOME, _ATTEMPTS = ("outcome",), ("attempts",)
 
 
 class GruberClient(Endpoint):
@@ -223,12 +227,11 @@ class GruberClient(Endpoint):
         if not spans.next_root_sampled:
             spans.start_trace("submit", self.node_id)  # counts a drop
             return None, None
-        root = spans.start_trace("submit", self.node_id,
-                                 start=job.created_at, jid=job.jid,
-                                 vo=job.vo, group=job.group, cpus=job.cpus,
-                                 dp=str(self.decision_point))
-        return root, spans.start_span("brokering", self.node_id, root,
-                                      start=t0)
+        root = spans.start_trace("submit", self.node_id, job.created_at,
+                                 _ROOT_ATTRS,
+                                 (job.jid, job.vo, job.group, job.cpus,
+                                  str(self.decision_point)))
+        return root, spans.start_span("brokering", self.node_id, root, t0)
 
     def _query(self, job: Job, dp: Hashable, bspan,
                timeout: Optional[float] = None, then=None):
@@ -359,7 +362,7 @@ class GruberClient(Endpoint):
         exported as orphans, by design), free the channel, pump."""
         spans = self.sim.spans
         spans.finish(self._bspan)
-        spans.finish(self._root, outcome=outcome)
+        spans.finish(self._root, None, _OUTCOME, (outcome,))
         self._job = self._root = self._bspan = self._rpc = self._race = None
         self.busy = False
         self._pump()
@@ -480,8 +483,8 @@ class GruberClient(Endpoint):
             self._record_query(t0, None, True, self.decision_point)
             outcome = "timeout"
         finally:
-            spans.finish(bspan, attempts=attempts)
-            spans.finish(root, outcome=outcome)
+            spans.finish(bspan, None, _ATTEMPTS, (attempts,))
+            spans.finish(root, None, _OUTCOME, (outcome,))
             self.busy = False
             self._pump()
 
@@ -514,8 +517,9 @@ class GruberClient(Endpoint):
         spans = self.sim.spans
         dspan = None
         if spans.enabled and parent is not None:
-            dspan = spans.start_span("dispatch", self.node_id, parent,
-                                     jid=job.jid, site=site, handled=handled)
+            dspan = spans.start_span("dispatch", self.node_id, parent, None,
+                                     _DISPATCH_ATTRS,
+                                     (job.jid, site, handled))
         if dspan is None:
             self.sim.schedule(latency, lambda: site_obj.submit(job))
         else:

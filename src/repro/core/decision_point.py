@@ -39,6 +39,10 @@ __all__ = ["DecisionPoint"]
 RESYNC_RESPONSE_KB = 4.0
 #: Patience per peer during post-restart resync.
 RESYNC_TIMEOUT_S = 60.0
+#: Span attr shapes (key tuples) of the decide and record spans.
+_DECIDE_ATTRS, _RECORD_ATTRS = ("op", "vo"), ("site", "vo")
+_STALENESS, _SITE_STALENESS = ("staleness_s",), ("site_staleness_s",)
+_CHOSEN_STALENESS = ("site", "staleness_s")
 
 
 def _created(req: Request) -> dict:
@@ -236,11 +240,13 @@ class DecisionPoint(Endpoint):
     # The container-backed handlers are deferred: each is ``pre`` (parse,
     # open the span), the container's service station, then ``post``
     # (the answer), run at the instant the service completes.
-    def _open_span(self, req: Request, name: str, **attrs):
+    def _open_span(self, req: Request, name: str, keys: tuple,
+                   values: tuple):
         spans = self.sim.spans
         ctx = req.msg.trace_ctx
         if spans.enabled and ctx is not None:
-            req.span = spans.start_span(name, self.node_id, ctx, **attrs)
+            req.span = spans.start_span(name, self.node_id, ctx, None, keys,
+                                        values)
 
     def _handle_get_state(self, req: Request) -> None:
         """Availability query; the decide span is annotated with the
@@ -248,7 +254,7 @@ class DecisionPoint(Endpoint):
         information the answer rests on."""
         payload = req.msg.payload or {}
         req.args = vo, group = payload.get("vo"), payload.get("group")
-        self._open_span(req, "decide", op="get_state", vo=vo)
+        self._open_span(req, "decide", _DECIDE_ATTRS, ("get_state", vo))
         req.post = self._get_state_served
         self.container.serve_query(req.served)
 
@@ -258,8 +264,8 @@ class DecisionPoint(Endpoint):
         out = self.engine.availabilities(vo=vo, group=group, now=now)
         self._decide_hist.observe(now - req.arrived_at)
         if req.span is not None:
-            self.sim.spans.finish(
-                req.span, staleness_s=self.engine.view.info_age_s(now))
+            self.sim.spans.finish(req.span, None, _STALENESS,
+                                  (self.engine.view.info_age_s(now),))
         return out
 
     def _handle_report_dispatch(self, req: Request) -> None:
@@ -268,7 +274,7 @@ class DecisionPoint(Endpoint):
         req.args = site, vo, cpus, group = (
             payload["site"], payload["vo"], int(payload["cpus"]),
             payload.get("group", ""))
-        self._open_span(req, "record", site=site, vo=vo)
+        self._open_span(req, "record", _RECORD_ATTRS, (site, vo))
         req.post = self._report_served
         self.container.serve_report(req.served)
 
@@ -279,8 +285,8 @@ class DecisionPoint(Endpoint):
         # the site's learn time to now and hide what the client raced.
         if req.span is not None:
             self.sim.spans.finish(
-                req.span, site_staleness_s=self.engine.view.info_age_s(
-                    now, site=site))
+                req.span, None, _SITE_STALENESS,
+                (self.engine.view.info_age_s(now, site=site),))
         rec = self.engine.record_local_dispatch(site=site, vo=vo, cpus=cpus,
                                                 now=now, group=group)
         return {"ack": True, "seq": rec.seq}
@@ -297,7 +303,7 @@ class DecisionPoint(Endpoint):
         payload = req.msg.payload
         req.args = vo, cpus, group = (payload["vo"], int(payload["cpus"]),
                                       payload.get("group", ""))
-        self._open_span(req, "decide", op="broker_job", vo=vo)
+        self._open_span(req, "decide", _DECIDE_ATTRS, ("broker_job", vo))
         req.post = self._broker_job_served
         self.container.serve_query(req.served)
 
@@ -312,9 +318,9 @@ class DecisionPoint(Endpoint):
         self._decide_hist.observe(now - req.arrived_at)
         if req.span is not None:
             # Per-site staleness of the *chosen* site, pre-recording.
-            self.sim.spans.finish(req.span, site=site,
-                                  staleness_s=self.engine.view.info_age_s(
-                                      now, site=site))
+            self.sim.spans.finish(
+                req.span, None, _CHOSEN_STALENESS,
+                (site, self.engine.view.info_age_s(now, site=site)))
         self.engine.record_local_dispatch(site=site, vo=vo, cpus=cpus,
                                           now=now, group=group)
         return {"site": site}

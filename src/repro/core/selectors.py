@@ -116,7 +116,8 @@ class LeastUsedSelector(SiteSelector):
         best = free.max(initial=-np.inf)  # the best *fitting* value iff any fits
         if best < cpus:
             return None
-        top = np.flatnonzero((free >= cpus) & (free >= self.spread * best))
+        # One mask: ``free >= cpus and free >= spread * best`` is one bound.
+        top = np.flatnonzero(free >= max(cpus, self.spread * best))
         if len(top) == 1:  # no draw: the rng sequence is part of the contract
             return top[0]
         return top[int(self.rng.integers(0, len(top)))]

@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.grid.builder import SiteIndex
+from repro.sim.columns import StringTable, column
 
 __all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 
@@ -497,19 +498,31 @@ class GridStateView:
         compared as float64 columns (the scalar rules' IEEE operations);
         only a flagged site runs the scalar rules to word its problems.
         """
+        return self._audit()[0]
+
+    def _audit(self, bound_tol: Optional[float] = None
+               ) -> tuple[list[str], list[tuple]]:
+        """:meth:`audit`'s problems and, given ``bound_tol``, in the same
+        walk of the per-consumer sums, each ``(site, consumer, busy)``
+        whose busy exceeds its site's estimate by more than that."""
         problems: list[str] = []
+        over: list[tuple] = []
         vo_sums: dict[str, float] = {}
+        extra_busy, col = self._extra_busy, self._col
+        check_bound = bound_tol is not None
         for (site, consumer), busy in self._vo_busy.items():
             if busy <= 0.0:
                 problems.append(
                     f"non-positive vo_busy[{site},{consumer}]={busy}")
             if "." not in consumer:  # plain VO; groups mirror their VO
                 vo_sums[site] = vo_sums.get(site, 0.0) + busy
+            if check_bound and busy > extra_busy[col[site]] + bound_tol:
+                over.append((site, consumer, busy))
         # Per-site lists and the free column share the index's columns.
         names, n = self._index.names, len(self._index.names)
-        heap = np.array([sum(entry[2].cpus for entry in h) if h else 0
+        heap = np.array([sum([entry[2].cpus for entry in h]) if h else 0
                          for h in self._records], float)
-        extra = np.array(self._extra_busy, float)
+        extra = np.array(extra_busy, float)
         vo = np.fromiter(map(vo_sums.get, names, repeat(0.0)), float, n)
         base = np.array(self._base_busy, float)
         cap = np.array(self._index.caps, float)
@@ -526,7 +539,7 @@ class GridStateView:
             problems.append(
                 f"expiry heap holds {len(self._expiry_heap)} entries but "
                 f"live + absorbed = {len(self._live) + self._absorbed}")
-        return problems
+        return problems, over
 
     def _audit_site(self, i: int, vo_sum: float,
                     problems: list[str]) -> None:
@@ -555,28 +568,61 @@ class GridStateView:
     def snapshot_state(self) -> dict:
         """Canonical view state for snapshot digests (JSON-able).
 
-        Records are keyed by their wire identity ``(origin, seq)`` plus
-        dispatch facts; per-site heaps are flattened in sorted key order
-        so internal heap layout cannot leak into the digest.  ``-inf``
-        sentinels serialize as ``None``.
+        Per-site columns (in name order), the live records and the
+        per-consumer sums are packed tables (:mod:`repro.sim.columns`)
+        over one sorted string table.  A record is its wire identity
+        ``(origin, seq)``, its dispatch facts and its learn sequence, in
+        learn order — the live table's own order, which sync payloads
+        are cut from — so no heap layout reaches the digest.  ``-inf``
+        horizons serialize as ``None``.
         """
         def _f(x: float):
             return None if x == _NEG_INF else x
 
         names = self._index.names
-        records = []
-        for _, heap in sorted(zip(names, self._records)):
-            for entry in sorted(heap or ()):
-                rec = entry[2]
-                records.append([rec.origin, rec.seq, rec.site, rec.vo,
-                                rec.cpus, rec.time, rec.group])
+        entries = list(self._live.values())
+        n, n_recs, n_keys = len(names), len(entries), len(self._vo_busy)
+        recs = [entry[2] for entry in entries]
+        table = StringTable()
+        site = table.codes(names, n)
+        codes = {"origin": table.codes([r.origin for r in recs], n_recs),
+                 "site": table.codes([r.site for r in recs], n_recs),
+                 "vo": table.codes([r.vo for r in recs], n_recs),
+                 "group": table.codes([r.group for r in recs], n_recs)}
+        key_site = table.codes([k[0] for k in self._vo_busy], n_keys)
+        consumer = table.codes([k[1] for k in self._vo_busy], n_keys)
+        strings, rank = table.sort()
+        site, key_site, consumer = rank[site], rank[key_site], rank[consumer]
+        by_name = np.argsort(site)
+        by_key = np.lexsort((consumer, key_site))
+
+        def per_site(values):
+            return column(np.array(values, np.float64)[by_name], "f8")
+
         return {
-            "base_busy": sorted(zip(names, self._base_busy)),
-            "base_time": [[s, _f(t)]
-                          for s, t in sorted(zip(names, self._base_time))],
-            "records": records,
-            "extra_busy": sorted(zip(names, self._extra_busy)),
-            "vo_busy": [[s, c, b] for (s, c), b in sorted(self._vo_busy.items())],
+            "strings": strings,
+            "sites": {
+                "rows": n,
+                "name": column(site[by_name], "str"),
+                "base_busy": per_site(self._base_busy),
+                "base_time": per_site(self._base_time),
+                "extra_busy": per_site(self._extra_busy),
+            },
+            "records": {
+                "rows": n_recs,
+                **{attr: column(rank[c], "str") for attr, c in codes.items()},
+                "seq": column([r.seq for r in recs], "i8"),
+                "cpus": column([r.cpus for r in recs], "i8"),
+                "time": column([r.time for r in recs], "f8"),
+                "learn_seq": column([entry[1] for entry in entries], "i8"),
+            },
+            "vo_busy": {
+                "rows": n_keys,
+                "site": column(key_site[by_key], "str"),
+                "consumer": column(consumer[by_key], "str"),
+                "busy": column(np.fromiter(self._vo_busy.values(), np.float64,
+                                           n_keys)[by_key], "f8"),
+            },
             "learn_count": self._learn_count,
             "latest_time": _f(self.latest_time),
             "last_learn_time": _f(self._last_learn_time),

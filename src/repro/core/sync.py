@@ -38,6 +38,10 @@ __all__ = ["DisseminationStrategy", "SyncProtocol"]
 RECORD_KB = 0.05
 #: Approximate wire size of one USLA document, in KB.
 AGREEMENT_KB = 0.5
+#: Span attr shapes (key tuples) of the sync spans.
+_FLOOD_ATTRS, _NEIGHBORS = ("records", "neighbors"), ("neighbors",)
+_KB, _ROUND_ATTRS = ("kb",), ("records", "kb")
+_RECV_ATTRS = ("received", "adopted")
 
 
 class DisseminationStrategy(enum.Enum):
@@ -143,14 +147,14 @@ class SyncProtocol:
         sspan = None
         if spans.enabled:
             # Sync rounds are trace roots: nothing upstream causes them.
-            sspan = spans.start_trace("sync.flood", dp.node_id,
-                                      records=len(records),
-                                      neighbors=len(dp.neighbors))
+            sspan = spans.start_trace("sync.flood", dp.node_id, None,
+                                      _FLOOD_ATTRS,
+                                      (len(records), len(dp.neighbors)))
         ctx = spans.ctx_of(sspan)
         for peer in dp.neighbors:
             dp.network.send_oneway(dp.node_id, peer, "sync", payload,
                                    size_kb=size_kb, trace_ctx=ctx)
-        spans.finish(sspan, kb=size_kb * len(dp.neighbors))
+        spans.finish(sspan, None, _KB, (size_kb * len(dp.neighbors),))
         self.rounds_sent += 1
         self.records_sent += len(records) * len(dp.neighbors)
         self.kb_sent += size_kb * len(dp.neighbors)
@@ -181,8 +185,8 @@ class SyncProtocol:
         spans = dp.sim.spans
         sspan = None
         if spans.enabled:
-            sspan = spans.start_trace("sync.delta", dp.node_id,
-                                      neighbors=len(dp.neighbors))
+            sspan = spans.start_trace("sync.delta", dp.node_id, None,
+                                      _NEIGHBORS, (len(dp.neighbors),))
         ctx = spans.ctx_of(sspan)
         round_records = 0
         round_kb = 0.0
@@ -207,7 +211,7 @@ class SyncProtocol:
                                    size_kb=size_kb, trace_ctx=ctx)
             round_records += len(records)
             round_kb += size_kb
-        spans.finish(sspan, records=round_records, kb=round_kb)
+        spans.finish(sspan, None, _ROUND_ATTRS, (round_records, round_kb))
         self.rounds_sent += 1
         self.records_sent += round_records
         self.kb_sent += round_kb
@@ -232,9 +236,8 @@ class SyncProtocol:
         self.records_adopted += adopted
         spans = self.dp.sim.spans
         if spans.enabled and ctx is not None:
-            spans.record("sync.recv", self.dp.node_id, ctx,
-                         start=now, end=now,
-                         received=len(records), adopted=adopted)
+            spans.record("sync.recv", self.dp.node_id, ctx, now, now,
+                         _RECV_ATTRS, (len(records), adopted))
         if self.dp.sim.trace.enabled:
             self.dp.sim.trace.emit("sync.recv", node=self.dp.node_id,
                                    received=len(records), adopted=adopted)

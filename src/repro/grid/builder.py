@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.grid.site import Cluster, Site
+from repro.grid.site import Cluster, Site, snapshot_sites
 from repro.grid.vo import VORegistry
 from repro.sim.kernel import Simulator
 
@@ -105,6 +105,11 @@ class Grid:
     def snapshot(self) -> dict[str, dict]:
         """Full monitoring snapshot (what a site monitor sweep returns)."""
         return {s.name: s.snapshot() for s in self._site_list}
+
+    def snapshot_state(self) -> dict:
+        """Canonical site state for snapshot digests, sites in name
+        order (:func:`~repro.grid.site.snapshot_sites`)."""
+        return snapshot_sites(self.sites[name] for name in sorted(self.sites))
 
     def __len__(self) -> int:
         return len(self.sites)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Deque, Optional
+from itertools import chain, islice
+from typing import Callable, Deque, Iterable, Optional
 
 import numpy as np
 
 from repro.grid.job import Job, JobState
+from repro.sim.columns import StringTable, column
 from repro.sim.kernel import Simulator
 
 #: Below this queue depth the vectorized drain falls back to the scalar
@@ -25,8 +26,10 @@ from repro.sim.kernel import Simulator
 #: short queues.  Both paths compute the same FIFO prefix, so the
 #: threshold is a pure performance knob (results are bit-identical).
 _VECTORIZE_MIN_QUEUE = 16
+#: Span attr shape (key tuple) of a queue span.
+_QUEUE_ATTRS = ("jid", "vo")
 
-__all__ = ["Cluster", "Site"]
+__all__ = ["Cluster", "Site", "snapshot_sites"]
 
 
 @dataclass(frozen=True)
@@ -158,28 +161,6 @@ class Site:
             "running_jobs": self.running_jobs,
         }
 
-    def snapshot_state(self) -> dict:
-        """Canonical site state for snapshot digests (JSON-able).
-
-        Captures the FIFO queue (in order), the busy ledger, the
-        in-flight job set (completion timers live in the kernel heap,
-        which the kernel's own capture covers), and the conservation
-        counters.
-        """
-        return {
-            "name": self.name,
-            "busy_cpus": self.busy_cpus,
-            "queue": [[j.jid, j.cpus] for j in self._queue],
-            "running": sorted(self._running),
-            "busy_integral": self._busy_integral,
-            "last_change": self._last_change,
-            "vo_cpu_seconds": sorted(self.vo_cpu_seconds.items()),
-            "jobs_dispatched": self.jobs_dispatched,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "jobs_rejected": self.jobs_rejected,
-        }
-
     # -- internals ------------------------------------------------------------
     def _advance_integral(self) -> None:
         now = self.sim.now
@@ -280,8 +261,8 @@ class Site:
                 # Recorded retroactively: the wait is only known once
                 # the job starts, so the span covers [dispatch, start].
                 spans.record("queue", self.name, job.trace_ctx,
-                             start=job.dispatched_at, end=now,
-                             jid=job.jid, vo=job.vo)
+                             job.dispatched_at, now, _QUEUE_ATTRS,
+                             (job.jid, job.vo))
         self._running[job.jid] = job
         for cb in self.on_job_started:
             cb(job)
@@ -340,3 +321,57 @@ class Site:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Site {self.name} cpus={self.busy_cpus}/{self.total_cpus} "
                 f"queue={self.queue_length}>")
+
+
+_COUNTERS = ("jobs_dispatched", "jobs_completed", "jobs_failed",
+             "jobs_rejected")
+
+
+def snapshot_sites(sites: Iterable[Site]) -> dict:
+    """Canonical state of ``sites`` (in the given order) for snapshot
+    digests: per-site scalars as one table, and the FIFO queues (in
+    order), the in-flight job sets (by jid) and the per-VO CPU-seconds
+    (by VO) as tables grouped by site.  Completion timers live in the
+    kernel heap, which the kernel's own capture covers.
+    """
+    sites = list(sites)
+    n = len(sites)
+    n_queue = [len(s._queue) for s in sites]
+    n_running = [len(s._running) for s in sites]
+    vo_secs = [s.vo_cpu_seconds for s in sites]
+    n_vo = [len(d) for d in vo_secs]
+    table = StringTable()
+    name_codes = table.codes([s.name for s in sites], n)
+    vo_codes = table.codes(chain.from_iterable(vo_secs), sum(n_vo))
+    strings, rank = table.sort()
+    vos = rank[vo_codes]
+    queued = list(chain.from_iterable(s._queue for s in sites))
+    running = np.fromiter(chain.from_iterable(s._running for s in sites),
+                          np.int64, sum(n_running))
+    by_jid = np.lexsort((running, np.repeat(np.arange(n), n_running)))
+    secs = np.fromiter(chain.from_iterable(d.values() for d in vo_secs),
+                       np.float64, len(vos))
+    by_vo = np.lexsort((vos, np.repeat(np.arange(n), n_vo)))
+    return {
+        "strings": strings,
+        "sites": {
+            "rows": n,
+            "name": column(rank[name_codes], "str"),
+            "busy_cpus": column([s.busy_cpus for s in sites], "f8"),
+            "busy_integral": column([s._busy_integral for s in sites], "f8"),
+            "last_change": column([s._last_change for s in sites], "f8"),
+            **{name: column([getattr(s, name) for s in sites], "i8")
+               for name in _COUNTERS},
+            "n_queue": column(n_queue, "i4"),
+            "n_running": column(n_running, "i4"),
+            "n_vo": column(n_vo, "i4"),
+        },
+        "queue": {"rows": len(queued),
+                  "jid": column([j.jid for j in queued], "i8"),
+                  "cpus": column([j.cpus for j in queued], "i8")},
+        "running": {"rows": len(running),
+                    "jid": column(running[by_jid], "i8")},
+        "vo_cpu_seconds": {"rows": len(vos),
+                           "vo": column(vos[by_vo], "str"),
+                           "secs": column(secs[by_vo], "f8")},
+    }

@@ -25,6 +25,8 @@ __all__ = [
 
 #: Median base one-way WAN latency every experiment runs with.
 WAN_MEDIAN_MS = 60.0
+#: Standard normals :class:`PairwiseWanLatency` draws at a time.
+_BLOCK = 1024
 
 
 class LatencyModel(ABC):
@@ -37,6 +39,10 @@ class LatencyModel(ABC):
     def rtt(self, a: Hashable, b: Hashable) -> float:
         """One sampled round trip (two independent one-way draws)."""
         return self.sample(a, b) + self.sample(b, a)
+
+    def snapshot_state(self) -> dict:
+        """Draw state outside the RNG streams, for snapshot digests."""
+        return {}
 
 
 class ConstantLatency(LatencyModel):
@@ -90,6 +96,30 @@ class PairwiseWanLatency(LatencyModel):
         self.sigma = sigma
         self.jitter_sigma = jitter_sigma
         self._base: dict[tuple[Hashable, Hashable], float] = {}
+        # The stream's standard normals, ``_BLOCK`` at a time, with each
+        # one's jitter factor beside it; ``_pos`` is the next unread one.
+        # A scalar ``rng.normal(0, s)`` is ``s * z`` on the same ``z``,
+        # so every draw equals the one-at-a-time model's.
+        self._z: list[float] = []
+        self._jit: list[float] = []
+        self._pos = 0
+
+    def _refill(self) -> None:
+        z = self.rng.standard_normal(_BLOCK)
+        self._z, self._jit = z.tolist(), np.exp(self.jitter_sigma * z).tolist()
+        self._pos = 0
+
+    def _next(self) -> int:
+        """Index of the next unread normal, drawing a block when spent."""
+        if self._pos == len(self._z):
+            self._refill()
+        self._pos += 1
+        return self._pos - 1
+
+    def snapshot_state(self) -> dict:
+        """Where in its block of normals the model is (the stream's own
+        state is in the registry's capture, already past the block)."""
+        return {"block_pos": self._pos}
 
     def base_latency(self, src: Hashable, dst: Hashable) -> float:
         """The stable component for this pair, either direction: drawn
@@ -100,13 +130,20 @@ class PairwiseWanLatency(LatencyModel):
                 return 0.0
             base = self._base.get((dst, src))
             if base is None:
+                i = self._next()
                 base = self._base[src, dst] = self.median_s * float(
-                    np.exp(self.rng.normal(0.0, self.sigma)))
+                    np.exp(self.sigma * self._z[i]))
         return base
 
     def sample(self, src: Hashable, dst: Hashable) -> float:
-        base = self.base_latency(src, dst)
+        # Inline the common case (a known pair) and :meth:`_next`: this
+        # runs once per message.
+        base = self._base.get((src, dst)) or self.base_latency(src, dst)
         if base == 0.0:
             return 0.0
-        jitter = float(np.exp(self.rng.normal(0.0, self.jitter_sigma)))
-        return base * jitter
+        i = self._pos
+        if i == len(self._jit):
+            self._refill()
+            i = 0
+        self._pos = i + 1  # before the read: a refill replaces the list
+        return base * self._jit[i]

@@ -93,8 +93,10 @@ class SpanRecorder:
 
     One row per span, in start order (the deterministic total order):
     64-bit trace/span ids, the parent's row (-1 for a root), start/end
-    (NaN = open), shared name/node, an interned attr-key tuple per call
-    shape plus a value tuple, and :meth:`finish` attrs in a column pair.
+    (NaN = open), shared name/node, the call site's attr-key tuple (its
+    shape, one tuple shared by every row of that shape) plus a value
+    tuple, and :meth:`finish` attrs in a column pair.  No call builds a
+    ``**kwargs`` dict.
 
     Parameters
     ----------
@@ -109,7 +111,7 @@ class SpanRecorder:
 
     __slots__ = ("enabled", "clock", "sample_every", "_trace", "_sid",
                  "_parent", "_start", "_end", "_name", "_node", "_keys",
-                 "_vals", "_fkeys", "_fvals", "_shapes",
+                 "_vals", "_fkeys", "_fvals",
                  "_id_rng", "_id_pool", "_id_counter",
                  "roots_seen", "roots_sampled", "roots_dropped")
 
@@ -152,26 +154,29 @@ class SpanRecorder:
         return self.enabled and not self.roots_seen % self.sample_every
 
     def _open(self, trace_id: int, parent: int, name: str, node: Any,
-              start: Optional[float], attrs: dict) -> int:
+              start: Optional[float], keys: tuple, values: tuple,
+              end: float = _NAN) -> int:
         row = len(self._start)
         self._trace.append(trace_id)
         self._sid.append(self._new_id())
         self._parent.append(parent)
         self._start.append(self.clock() if start is None else start)
-        self._end.append(_NAN)
+        self._end.append(end)
         self._name.append(name)
         self._node.append(node)
-        keys = tuple(attrs)
-        self._keys.append(self._shapes.setdefault(keys, keys))
-        self._vals.append(tuple(attrs.values()))
+        self._keys.append(keys)
+        self._vals.append(values)
         self._fkeys.append(None)
         self._fvals.append(None)
         return row
 
     def start_trace(self, name: str, node: Any,
-                    start: Optional[float] = None,
-                    **attrs: Any) -> Optional[int]:
-        """Open a root span (a new trace); ``None`` when off/unsampled."""
+                    start: Optional[float] = None, keys: tuple = (),
+                    values: tuple = ()) -> Optional[int]:
+        """Open a root span (a new trace); ``None`` when off/unsampled.
+
+        Attrs are ``keys`` (the call site's shape: one module-level
+        tuple that every row of that shape shares) and ``values``."""
         if not self.enabled:
             return None
         self.roots_seen += 1
@@ -179,11 +184,12 @@ class SpanRecorder:
             self.roots_dropped += 1
             return None
         self.roots_sampled += 1
-        return self._open(self._new_id(), -1, name, node, start, attrs)
+        return self._open(self._new_id(), -1, name, node, start, keys,
+                          values)
 
     def start_span(self, name: str, node: Any,
                    parent: Optional[int], start: Optional[float] = None,
-                   **attrs: Any) -> Optional[int]:
+                   keys: tuple = (), values: tuple = ()) -> Optional[int]:
         """Open a child span under ``parent`` (a span handle).
 
         ``parent=None`` returns ``None`` — that is how an unsampled (or
@@ -193,27 +199,27 @@ class SpanRecorder:
         if not self.enabled or parent is None:
             return None
         return self._open(self._trace[parent], parent, name, node, start,
-                          attrs)
+                          keys, values)
 
     def record(self, name: str, node: Any, parent: Optional[int],
-               start: float, end: float, **attrs: Any) -> Optional[int]:
+               start: float, end: float, keys: tuple = (),
+               values: tuple = ()) -> Optional[int]:
         """One-shot retroactive span (e.g. a site queue wait whose start
         is only known in hindsight); opened and finished atomically."""
-        span = self.start_span(name, node, parent, start=start, **attrs)
-        if span is not None:
-            self._end[span] = end
-        return span
+        if not self.enabled or parent is None:
+            return None
+        return self._open(self._trace[parent], parent, name, node, start,
+                          keys, values, end)
 
     def finish(self, span: Optional[int], end: Optional[float] = None,
-               **attrs: Any) -> None:
+               keys: tuple = (), values: tuple = ()) -> None:
         """Close a span; tolerant of ``None`` so call sites stay flat."""
         if span is None or self._end[span] == self._end[span]:
             return  # off, or already closed (first close wins)
         self._end[span] = self.clock() if end is None else end
-        if attrs:
-            keys = tuple(attrs)
-            self._fkeys[span] = self._shapes.setdefault(keys, keys)
-            self._fvals[span] = tuple(attrs.values())
+        if keys:
+            self._fkeys[span] = keys
+            self._fvals[span] = values
 
     @staticmethod
     def ctx_of(span: Optional[int]) -> Optional[int]:
@@ -264,7 +270,7 @@ class SpanRecorder:
         self._parent = array("q")
         self._start, self._end = array("d"), array("d")
         self._name, self._node, self._keys, self._vals = [], [], [], []
-        self._fkeys, self._fvals, self._shapes = [], [], {}
+        self._fkeys, self._fvals = [], []
         self.roots_seen = self.roots_sampled = self.roots_dropped = 0
 
     # -- export ---------------------------------------------------------

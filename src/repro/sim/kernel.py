@@ -19,12 +19,16 @@ exception inside the generator, so brokering code can use ordinary
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional, Union
+
+import numpy as np
 
 from repro.obs.counters import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import Tracer
+from repro.sim.columns import StringTable, column
 
 __all__ = [
     "Event",
@@ -620,26 +624,38 @@ class Simulator:
         :meth:`_compact` rebuilds in place, and ``_dead`` is accounted
         per pop so a mid-instant cancel can never observe a stale count
         (``_note_cancelled`` asserts ``_dead <= len(heap)``).
+
+        Automatic cyclic collection is suspended while the loop runs and
+        the caller's setting restored on the way out, exception or not:
+        the simulator makes no reference cycles (refcounting frees what
+        a run discards, ``tests/test_refcount_clean.py``), so a collector
+        pass could only walk the live graph and find nothing.
         """
         heap = self._heap
         pop = heapq.heappop
         bounded = until is not None
         if bounded and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
-        while heap:
-            time = heap[0][0]
-            if bounded and time > until:
-                break
-            while heap and heap[0][0] == time:
-                call = pop(heap)[2]
-                if call.cancelled:
-                    self._pop_cancelled(call)
-                    continue
-                call._sim = None  # left the heap; late cancels don't count
-                fn, call.fn = call.fn, None
-                self.now = time
-                self._event_count += 1
-                fn()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                time = heap[0][0]
+                if bounded and time > until:
+                    break
+                while heap and heap[0][0] == time:
+                    call = pop(heap)[2]
+                    if call.cancelled:
+                        self._pop_cancelled(call)
+                        continue
+                    call._sim = None  # left the heap; late cancels don't count
+                    fn, call.fn = call.fn, None
+                    self.now = time
+                    self._event_count += 1
+                    fn()
+        finally:
+            if collecting:
+                gc.enable()
         if bounded:
             self.now = until
 
@@ -677,21 +693,37 @@ class Simulator:
 
         Heap entries are keyed by ``(time, seq, cancelled, qualname)`` —
         callback identity via ``__qualname__``, never ``repr`` (memory
-        addresses would poison the digest).  Sorted so the capture is
-        independent of the heap's internal layout.
+        addresses would poison the digest) — and packed as columns in
+        scheduling (``seq``, unique) order, so the capture is independent
+        of the heap's internal layout.
         """
-        entries = []
-        # seq is unique, so sorting the heap tuples never compares calls.
-        for time, seq, call in sorted(self._heap):
-            fn = call.fn
-            entries.append([time, seq, bool(call.cancelled),
-                            getattr(fn, "__qualname__", type(fn).__name__)])
+        heap = self._heap
+        n = len(heap)
+        times, seqs, calls = zip(*heap) if heap else ((), (), ())
+        seq = np.array(seqs, np.int64)
+        order = np.argsort(seq)
+        fns = [call.fn for call in calls]
+        try:
+            names = [fn.__qualname__ for fn in fns]
+        except AttributeError:
+            names = [getattr(fn, "__qualname__", type(fn).__name__)
+                     for fn in fns]
+        table = StringTable()
+        fn_codes = table.codes(names, n)
+        strings, rank = table.sort()
         return {
             "now": self.now,
             "event_count": self._event_count,
             "seq": self._seq,
             "dead": self._dead,
-            "heap_len": len(self._heap),
-            "heap": entries,
             "processes": len(self._processes),
+            "strings": strings,
+            "heap": {
+                "rows": n,
+                "time": column(np.array(times, np.float64)[order], "f8"),
+                "seq": column(seq[order], "i8"),
+                "cancelled": column(np.array(
+                    [call.cancelled for call in calls], bool)[order], "u1"),
+                "fn": column(rank[fn_codes[order]], "str"),
+            },
         }

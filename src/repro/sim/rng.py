@@ -16,7 +16,11 @@ import hashlib
 
 import numpy as np
 
+from repro.sim.columns import column
+
 __all__ = ["RngRegistry"]
+
+_MASK64 = (1 << 64) - 1
 
 
 class _SeedState:
@@ -66,21 +70,22 @@ class RngRegistry:
     def snapshot_state(self) -> dict:
         """Canonical RNG state for snapshot digests (JSON-able).
 
-        PCG64 exposes its state as a dict of plain Python ints, so each
-        stream's full bit-generator state serializes directly; stream
-        order is name-sorted for layout independence.
+        Every stream is a PCG64 (:meth:`stream` makes no other), whose
+        state is two 128-bit integers plus the buffered 32-bit half: one
+        table row per stream, in name order, each integer split into
+        little-endian 64-bit halves.
         """
-        streams = {}
-        for name in sorted(self._streams):
-            state = self._streams[name].bit_generator.state
-            streams[name] = {
-                "bit_generator": state["bit_generator"],
-                "state": int(state["state"]["state"]),
-                "inc": int(state["state"]["inc"]),
-                "has_uint32": int(state["has_uint32"]),
-                "uinteger": int(state["uinteger"]),
-            }
-        return {"seed": self.seed, "streams": streams}
+        names = sorted(self._streams)
+        states = [self._streams[name].bit_generator.state for name in names]
+        cols: dict = {"rows": len(names),
+                      "name": column(np.arange(len(names)), "str")}
+        for key in ("state", "inc"):
+            words = [int(st["state"][key]) for st in states]
+            cols[f"{key}_lo"] = column([w & _MASK64 for w in words], "u8")
+            cols[f"{key}_hi"] = column([w >> 64 for w in words], "u8")
+        cols["has_uint32"] = column([st["has_uint32"] for st in states], "u1")
+        cols["uinteger"] = column([st["uinteger"] for st in states], "u4")
+        return {"seed": self.seed, "strings": names, "streams": cols}
 
     def spawn(self, name: str) -> "RngRegistry":
         """A child registry whose streams are independent of the parent's."""

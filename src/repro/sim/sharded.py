@@ -135,11 +135,12 @@ def _hood_barrier_state(built: BuiltExperiment) -> dict:
     Excludes the kernel section, so the digest covers what the hood
     simulates rather than how its event heap is laid out.
     """
+    from repro.sim.snapshot import rng_state
+
     dp = next(iter(built.deployment.decision_points.values()))
     return {
-        "rng": built.rng.snapshot_state(),
-        "grid": [built.grid.sites[name].snapshot_state()
-                 for name in sorted(built.grid.sites)],
+        "rng": rng_state(built),
+        "grid": built.grid.snapshot_state(),
         "dp": dp.snapshot_state(),
         "clients": [c.snapshot_state() for c in built.clients],
     }

@@ -20,8 +20,16 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 5, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 7, "crc": ...},
      "snapshot": {...}}
+
+The bulk of the state — the kernel heap, each view's live records and
+per-site columns, the sites' queue/running/VO columns and the RNG
+states — is packed little-endian columns inside that canonical JSON
+(:mod:`repro.sim.columns`), one base64 string per column and one sorted
+string table per packed block.  :func:`read_snapshot` re-derives every
+section digest and decodes every table, so a damaged section is refused
+by name.
 
 ``crc`` covers the canonical (sorted-keys, compact) JSON of the snapshot
 body, and the body is written in exactly that form.  Canonical JSON is
@@ -43,6 +51,8 @@ import json
 import os
 import zlib
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+
+from repro.sim.columns import check_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.configs import ExperimentConfig
@@ -71,9 +81,12 @@ SNAPSHOT_FORMAT = "digruber-snapshot"
 #: three observability knobs left ``ExperimentConfig`` and ``sinks``
 #: lists only streams that have a file; v5: seven settings no
 #: experiment changed became constants; v6: brokering runs as callbacks,
-#: so a v5 count includes same-instant hops this build never executes).
-#: :func:`newest_checkpoint` skips such files; a restore refuses them.
-SNAPSHOT_VERSION = 6
+#: so a v5 count includes same-instant hops this build never executes;
+#: v7: the numeric sections are packed columns, and the WAN model draws
+#: its normals in blocks, so a v6 ``rng`` section is another stream
+#: position).  :func:`newest_checkpoint` skips such files; a restore
+#: refuses them.
+SNAPSHOT_VERSION = 7
 
 
 class SnapshotError(RuntimeError):
@@ -139,21 +152,30 @@ _CHUNK = 256
 
 def _sections(built: "BuiltExperiment") -> Iterator[tuple[str, object]]:
     """``(name, value)`` per state section, each captured as it is
-    reached; a list section's value is a lazy iterator of its elements.
+    reached; the ``dps`` section's value is a lazy iterator of its
+    elements (one decision point's capture in memory at a time).
 
     Every section comes from that subsystem's own ``snapshot_state()``;
     iteration orders are pinned (hosts in fleet order, sites and
     decision points name-sorted) so two captures of identical runs are
-    byte-identical.
+    byte-identical.  The four numeric sections (``dps`` views, ``grid``,
+    ``kernel``, ``rng``) arrive packed.
     """
-    dps, sites = built.deployment.decision_points, built.grid.sites
-    yield "clients", (c.snapshot_state() for c in built.clients)
+    dps = built.deployment.decision_points
+    yield "clients", [c.snapshot_state() for c in built.clients]
     yield "control", (built.planner.snapshot_state()
                       if built.planner is not None else None)
     yield "dps", (dps[k].snapshot_state() for k in sorted(dps, key=str))
-    yield "grid", (sites[name].snapshot_state() for name in sorted(sites))
+    yield "grid", built.grid.snapshot_state()
     yield "kernel", built.sim.snapshot_state()
-    yield "rng", built.rng.snapshot_state()
+    yield "rng", rng_state(built)
+
+
+def rng_state(built: "BuiltExperiment") -> dict:
+    """The ``rng`` section: every stream's state, plus the latency
+    model's position in the block of normals it has drawn ahead."""
+    return {**built.rng.snapshot_state(),
+            "latency": built.network.latency.snapshot_state()}
 
 
 def capture_state(built: "BuiltExperiment") -> dict:
@@ -177,29 +199,21 @@ def state_digest(state: dict) -> str:
 
 def _pieces(value) -> Iterator[str]:
     """Canonical JSON of ``value`` in bounded pieces: an iterator (a
-    lazily captured section) element by element, an object holding an
-    object or a long list member by member, a long list ``_CHUNK``
-    elements at a time."""
+    lazily captured section) one element at a time, a list ``_CHUNK``
+    elements at a time, anything else whole (a packed section's bulk is
+    a few long strings, which the C encoder copies)."""
     if isinstance(value, Iterator):
         sep = "["
         for item in value:
-            yield sep
-            yield from _pieces(item)
+            yield sep + _canonical(item)
             sep = ","
         yield "]" if sep == "," else "[]"
-    elif type(value) is dict and any(
-            type(v) is dict or type(v) is list and len(v) > _CHUNK
-            for v in value.values()) and all(type(k) is str for k in value):
-        sep = "{"
-        for key in sorted(value):
-            yield f"{sep}{json.dumps(key)}:"
-            yield from _pieces(value[key])
-            sep = ","
-        yield "}"
-    elif isinstance(value, list) and len(value) > _CHUNK:
+    elif isinstance(value, list):
+        sep = "["
         for i in range(0, len(value), _CHUNK):
-            yield "[,"[i > 0] + _canonical(value[i:i + _CHUNK])[1:-1]
-        yield "]"
+            yield sep + _canonical(value[i:i + _CHUNK])[1:-1]
+            sep = ","
+        yield "]" if sep == "," else "[]"
     else:
         yield _canonical(value)
 
@@ -317,7 +331,8 @@ def read_snapshot(path: str) -> dict:
     """Read and validate one snapshot file; returns the snapshot body.
 
     Raises :class:`SnapshotError` on unreadable JSON, a foreign or
-    future format, or a CRC mismatch (truncated/corrupt file).
+    future format, a CRC mismatch (truncated/corrupt file), or a state
+    section (named) that fails its digest or whose tables do not decode.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -339,7 +354,32 @@ def read_snapshot(path: str) -> dict:
         raise SnapshotError(
             f"{path!r} failed its CRC check "
             f"(stamped {meta.get('crc')!r}, recomputed {crc!r})")
+    _check_sections(snapshot, path)
     return snapshot
+
+
+def _check_sections(snapshot: dict, path: str) -> None:
+    """Refuse, by section name, a state section that does not re-derive
+    its stamped digest or whose packed tables do not decode (a file
+    re-signed after damage passes the CRC but not this)."""
+    state = snapshot.get("state")
+    if state is None:
+        return  # a sharded barrier file: per-hood digests only
+    digests = snapshot.get("digests")
+    if (type(state) is not dict or type(digests) is not dict
+            or sorted(state) != list(_SECTIONS)):
+        raise SnapshotError(f"{path!r} does not carry the state sections "
+                            f"{', '.join(_SECTIONS)}")
+    for name in _SECTIONS:
+        if state_digest(state[name]) != digests.get(name):
+            raise SnapshotError(f"{path!r}: state section {name!r} does not "
+                                f"match its digest")
+        try:
+            check_tables(state[name])
+        except ValueError as err:
+            raise SnapshotError(
+                f"{path!r}: state section {name!r} is damaged: {err}"
+            ) from None
 
 
 def checkpoint_filename(time: float, event_count: int) -> str:

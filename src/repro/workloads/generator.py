@@ -11,7 +11,6 @@ cent of what it submits) and resolves ``(vo, group, user)`` in a table.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
@@ -83,12 +82,17 @@ class Lattice:
         """Exactly ``np.searchsorted``: an inverse estimate, then a fix-up."""
         start, step, n = self.start, self.step, self.n
         x = (t - start) / step
-        i = int(min(max(x, 0.0), n)) if x == x else n
-        before = operator.le if side == "right" else operator.lt
-        while i < n and before(start + i * step, t):
-            i += 1
-        while i > 0 and not before(start + (i - 1) * step, t):
-            i -= 1
+        i = n if not x < n else int(x) if x > 0.0 else 0  # NaN: n
+        if side == "right":  # arrivals at or before t
+            while i < n and start + i * step <= t:
+                i += 1
+            while i > 0 and start + (i - 1) * step > t:
+                i -= 1
+        else:
+            while i < n and start + i * step < t:
+                i += 1
+            while i > 0 and start + (i - 1) * step >= t:
+                i -= 1
         return i
 
 

@@ -241,3 +241,47 @@ class TestArraySelectorsMatchDictScans:
             assert got == want, (k, avail, n)
             assert sel_rng.bit_generator.state == ref_rng.bit_generator.state
             assert fb_rng.bit_generator.state == ref_fb_rng.bit_generator.state
+
+
+class _TwoMaskLeastUsed(LeastUsedSelector):
+    """``_pick`` as it stood: two masks joined with ``&``."""
+
+    def _pick(self, view, cpus):
+        free = view.free
+        best = free.max(initial=-np.inf)
+        if best < cpus:
+            return None
+        top = np.flatnonzero((free >= cpus) & (free >= self.spread * best))
+        if len(top) == 1:
+            return top[0]
+        return top[int(self.rng.integers(0, len(top)))]
+
+
+@st.composite
+def free_columns(draw):
+    """1-3,000 sites of free CPUs: few distinct values (ties), sometimes
+    all equal, sometimes fractional."""
+    n = draw(st.integers(1, 3000))
+    levels = draw(st.lists(st.sampled_from(
+        [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 8.0, 16.0, 17.5, 64.0, 400.0]),
+        min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n,
+                          max_size=n))
+    return np.array([levels[i] for i in picks])
+
+
+class TestLeastUsedOneMask:
+    @settings(max_examples=80, deadline=None)
+    @given(free=free_columns(), spread=st.sampled_from([1.0, 0.85]),
+           cpus=st.lists(st.integers(1, 70), min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_picks_the_two_mask_site_with_the_same_draw(self, free, spread,
+                                                        cpus, seed):
+        one = LeastUsedSelector(np.random.default_rng(seed), spread)
+        two = _TwoMaskLeastUsed(np.random.default_rng(seed), spread)
+        view = AvailabilityView(tuple(f"s{i}" for i in range(len(free))),
+                                free)
+        for n in cpus:
+            assert one._pick(view, n) == two._pick(view, n)
+            assert (one.rng.bit_generator.state
+                    == two.rng.bit_generator.state)

@@ -69,7 +69,29 @@ class TestPairwiseWanLatency:
         assert all(model.sample("a", f"b{i}") > 0 for i in range(100))
 
 
-class _ReprKeyedWan(PairwiseWanLatency):
+class _ScalarWan(PairwiseWanLatency):
+    """The one-draw-at-a-time model the blocked one replaced: a scalar
+    ``np.exp(rng.normal(0, s))`` per base and per message."""
+
+    def base_latency(self, src, dst):
+        base = self._base.get((src, dst))
+        if base is None:
+            if src == dst:
+                return 0.0
+            base = self._base.get((dst, src))
+            if base is None:
+                base = self._base[src, dst] = self.median_s * float(
+                    np.exp(self.rng.normal(0.0, self.sigma)))
+        return base
+
+    def sample(self, src, dst):
+        base = self.base_latency(src, dst)
+        if base == 0.0:
+            return 0.0
+        return base * float(np.exp(self.rng.normal(0.0, self.jitter_sigma)))
+
+
+class _ReprKeyedWan(_ScalarWan):
     """The earlier key: one entry per pair under its ``repr``-canonical
     ordering, built (two ``repr`` calls) on every message."""
 
@@ -82,6 +104,39 @@ class _ReprKeyedWan(PairwiseWanLatency):
             base = self.median_s * float(np.exp(self.rng.normal(0.0, self.sigma)))
             self._base[key] = base
         return base
+
+
+@given(sigma=st.sampled_from([0.0, 0.15, 0.6, 1.7]),
+       jitter_sigma=st.sampled_from([0.0, 0.05, 0.15, 0.9]),
+       run=st.sampled_from([1, 1023, 1024, 1025, 2049]),
+       pairs=st.integers(1, 40), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_blocked_draws_equal_the_scalar_model(sigma, jitter_sigma, run,
+                                              pairs, seed):
+    """Every base and jitter draw of the blocked model equals the scalar
+    one, whatever the shape parameters, wherever first-message base
+    draws fall, and across block boundaries (1,023 / 1,024 / 1,025
+    draws into a block)."""
+    def draws(cls):
+        model = cls(RngRegistry(seed).stream("wan"), sigma=sigma,
+                    jitter_sigma=jitter_sigma)
+        out = [model.sample("h", f"s{i % pairs}") for i in range(run)]
+        out += [model.rtt(f"d{i}", "h") for i in range(pairs)]
+        return out
+
+    assert draws(PairwiseWanLatency) == draws(_ScalarWan)
+
+
+def test_block_position_is_snapshot_state():
+    """Two models whose streams are in the same place but whose blocks
+    are read to different depths are different states."""
+    a = PairwiseWanLatency(RngRegistry(5).stream("wan"))
+    b = PairwiseWanLatency(RngRegistry(5).stream("wan"))
+    a.sample("x", "y")
+    b.sample("x", "y")
+    b.sample("x", "y")
+    assert (a.rng.bit_generator.state == b.rng.bit_generator.state)
+    assert a.snapshot_state() != b.snapshot_state()
 
 
 _NODES = ["dp0", "dp1", "host000", "host001", "site-a", "site-b", 7]

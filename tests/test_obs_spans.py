@@ -36,7 +36,7 @@ class TestDisabled:
 class TestLinkage:
     def test_child_links_to_parent_span(self):
         rec, t = _recorder(enabled=True)
-        root = rec.start_trace("submit", "host0", jid=7)
+        root = rec.start_trace("submit", "host0", None, ("jid",), (7,))
         t[0] = 1.5
         child = rec[rec.start_span("brokering", "host0", root)]
         root = rec[root]
@@ -65,8 +65,8 @@ class TestLinkage:
         t[0] = 100.0
         root = rec.start_trace("submit", "h")
         # Queue wait known only in hindsight: start < now is legal.
-        q = rec[rec.record("queue", "site3", root, start=40.0, end=90.0,
-                           jid=1)]
+        q = rec[rec.record("queue", "site3", root, 40.0, 90.0, ("jid",),
+                           (1,))]
         assert q.start == 40.0 and q.end == 90.0
         assert q.duration_s == 50.0 and q.attrs["jid"] == 1
 
@@ -74,9 +74,9 @@ class TestLinkage:
         rec, t = _recorder(enabled=True)
         root = rec.start_trace("submit", "h")
         t[0] = 2.0
-        rec.finish(root, outcome="ok")
+        rec.finish(root, None, ("outcome",), ("ok",))
         t[0] = 9.0
-        rec.finish(root, outcome="late")  # idempotent: first close wins
+        rec.finish(root, None, ("outcome",), ("late",))  # idempotent: first close wins
         span = rec[root]
         assert span.end == 2.0 and span.attrs["outcome"] == "ok"
         assert span.duration_s == 2.0
@@ -98,7 +98,7 @@ class TestLinkage:
 class TestSampling:
     def test_every_nth_root_sampled(self):
         rec, _ = _recorder(enabled=True, sample_every=3)
-        roots = [rec.start_trace("submit", "h", i=i) for i in range(7)]
+        roots = [rec.start_trace("submit", "h", None, ("i",), (i,)) for i in range(7)]
         kept = [rec[r] for r in roots if r is not None]
         assert [r.attrs["i"] for r in kept] == [0, 3, 6]
         assert rec.roots_seen == 7
@@ -147,10 +147,10 @@ class TestExport:
         blobs = []
         for _ in range(2):
             rec, t = _recorder(enabled=True)
-            root = rec.start_trace("submit", "h", jid=5)
+            root = rec.start_trace("submit", "h", None, ("jid",), (5,))
             rec.start_span("brokering", "h", root)  # never finished
             t[0] = 3.0
-            rec.finish(root, outcome="ok")
+            rec.finish(root, None, ("outcome",), ("ok",))
             path = tmp_path / "spans.jsonl"
             assert rec.export_jsonl(str(path)) == 2
             blobs.append(path.read_bytes())
@@ -164,8 +164,8 @@ class TestExport:
     def test_attrs_coerced_to_json_native(self):
         np = pytest.importorskip("numpy")
         rec, _ = _recorder(enabled=True)
-        root = rec.start_trace("submit", "h", jid=np.int64(3),
-                               lat=np.float32(0.5), site=("a", 1))
+        root = rec.start_trace("submit", "h", None, ("jid", "lat", "site"),
+                               (np.int64(3), np.float32(0.5), ("a", 1)))
         d = rec[root].to_dict()
         json.dumps(d, allow_nan=False)  # must not raise
         assert d["attrs"]["jid"] == 3

@@ -10,8 +10,8 @@ import gc
 import pytest
 
 from repro.control import AutoscaleConfig
-from repro.experiments.configs import (canonical_gt3, chaos_smoke_config,
-                                       smoke_config)
+from repro.experiments.configs import (canonical_gt3, canonical_gt4,
+                                       chaos_smoke_config, smoke_config)
 from repro.experiments.runner import build_experiment
 from repro.sim.kernel import Simulator
 
@@ -32,6 +32,9 @@ def _configs(workdir):
             3, duration_s=600.0, spans_enabled=True, spans_sample=4,
             check_enabled=True, telemetry_enabled=True,
             checkpoint_every_s=300.0, checkpoint_dir=workdir),
+        # Delta sync over a 10-DP mesh: the biggest allocation stream.
+        "gt4-mesh-delta": canonical_gt4(10, duration_s=300.0,
+                                        sync_delta=True),
     }
 
 
@@ -47,7 +50,7 @@ def _drain() -> None:
 
 @pytest.mark.parametrize("name", ["gt3-3dp", "one-phase", "autoscale",
                                   "chaos-resilient", "chaos-flaky-resilient",
-                                  "planes-on"])
+                                  "planes-on", "gt4-mesh-delta"])
 def test_run_leaves_nothing_for_the_collector(name, tmp_path):
     config = _configs(str(tmp_path))[name]
     built = build_experiment(config)
@@ -115,3 +118,37 @@ class TestKernelDropsCallables:
         sim.schedule(1.0, lambda: ev.fail(ValueError("boom")))
         sim.run()
         assert caught and caught[0].__traceback__ is None
+
+
+class TestRunSuspendsCollection:
+    """``Simulator.run`` turns automatic collection off for the loop and
+    hands the caller's setting back however the loop ends."""
+
+    def test_off_inside_the_loop_and_restored_after(self):
+        sim = Simulator()
+        inside = []
+        sim.schedule(1.0, lambda: inside.append(gc.isenabled()))
+        assert gc.isenabled()
+        sim.run()
+        assert inside == [False] and gc.isenabled()
+
+    def test_restored_after_an_exception(self):
+        sim = Simulator()
+
+        def boom():
+            raise ValueError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=5.0)
+        assert gc.isenabled()
+
+    def test_a_caller_with_collection_off_keeps_it_off(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        gc.disable()
+        try:
+            sim.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

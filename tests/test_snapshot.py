@@ -4,6 +4,7 @@ import json
 import os
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.sim.snapshot import (
     state_digest,
     write_snapshot,
 )
+from repro.sim.columns import column, decode
 
 
 def _config(**overrides):
@@ -299,6 +301,20 @@ def _restamp_as_v2(path):
     _restamp(doc, path, version=2)
 
 
+def _restamp_as_v6(path):
+    """Rewrite a checkpoint the way the last v6 build wrote it: every
+    numeric section a JSON list of records (here, the kernel heap's),
+    and a CRC valid for that body."""
+    doc = json.loads(open(path).read())
+    kernel = doc["snapshot"]["state"]["kernel"]
+    heap = kernel.pop("heap")
+    kernel.update(heap_len=heap["rows"], heap=[
+        [t, int(q), False, "Simulator.every.<locals>.tick"]
+        for t, q in zip(decode(heap["time"]).tolist(),
+                        decode(heap["seq"]).tolist())])
+    _restamp(doc, path, version=6)
+
+
 class TestStaleCheckpoints:
     """Checkpoints written before a config field was retired must fail
     by name, never by traceback — and never be half-read."""
@@ -335,7 +351,7 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 6" in err
+        assert "snapshot version 1" in err and "reads version 7" in err
 
     def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
         """A v2 file's ``event_count`` includes one wake-up per arrival
@@ -346,7 +362,7 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v2(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 2.*reads version 6"):
+                           match="snapshot version 2.*reads version 7"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError, match="snapshot version 2"):
@@ -365,7 +381,7 @@ class TestStaleCheckpoints:
         _restamp_as_v3(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError,
-                           match="snapshot version 3.*reads version 6"):
+                           match="snapshot version 3.*reads version 7"):
             resume_experiment(path)
         assert main(["run", "--restore", path]) == 2
         config = json.loads(open(path).read())["snapshot"]["config"]
@@ -387,13 +403,34 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v5(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 5.*reads version 6"):
+                           match="snapshot version 5.*reads version 7"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 5" in err and "reads version 6" in err
+        assert "snapshot version 5" in err and "reads version 7" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
+                             ids=["monolithic", "sharded"])
+    def test_v6_checkpoint_of_json_records_is_refused_by_version(
+            self, tmp_path, capsys, extra):
+        """A v6 file holds its numeric sections as JSON record lists and
+        its ``wan`` stream one draw at a time: refused when read (naming
+        both versions), skipped when picking a restore candidate, one
+        ``error:`` line from ``run --restore`` (either runtime)."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0, 100)
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _restamp_as_v6(path)
+        with pytest.raises(SnapshotError,
+                           match="snapshot version 6.*reads version 7"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        assert main(["run", "--restore", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot version 6" in err and "reads version 7" in err
 
     @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
                              ids=["monolithic", "sharded"])
@@ -409,13 +446,13 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0, 200)
         _restamp_as_v4(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 4.*reads version 6"):
+                           match="snapshot version 4.*reads version 7"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 4" in err and "reads version 6" in err
+        assert "snapshot version 4" in err and "reads version 7" in err
         config = json.loads(open(path).read())["snapshot"]["config"]
         with pytest.raises(SnapshotError, match="unknown fields: "
                            + ", ".join(sorted(_RETIRED_V4))):
@@ -438,6 +475,81 @@ class TestStaleCheckpoints:
         resumed = run_campaign(cells, out, checkpoint_every_s=40.0,
                                max_workers=1)
         assert resumed == fresh and resumed["pass_campaign"]
+
+
+#: One packed column of each packed section, by its path in the section.
+_PACKED = {"dps": (0, "view", "records", "time"),
+           "grid": ("running", "jid"),
+           "kernel": ("heap", "time"),
+           "rng": ("streams", "state_lo")}
+
+
+def _damage(path, section, how, resign_digests):
+    """Truncate or bit-flip one packed column of ``section``, then re-sign
+    the file's CRC (and, with ``resign_digests``, the section digests)."""
+    doc = json.loads(open(path).read())
+    snap = doc["snapshot"]
+    *parents, leaf = _PACKED[section]
+    table = snap["state"][section]
+    for key in parents:
+        table = table[key]
+    (code, data), = table[leaf].items()
+    if how == "truncate":
+        table[leaf] = {code: data[:-8]}
+    else:
+        values = decode(table[leaf]).copy()
+        values.view(np.uint8)[0] ^= 1
+        table[leaf] = column(values, code)
+    if resign_digests:
+        snap["digests"] = {k: state_digest(v)
+                           for k, v in snap["state"].items()}
+        snap["digest"] = state_digest(snap["state"])
+    _restamp(doc, path, version=SNAPSHOT_VERSION)
+
+
+class TestDamagedColumns:
+    """A v7 file re-signed after one packed column was damaged is refused
+    by section name — when read, or when its replay is verified — and
+    the CLI says so in one ``error:`` line."""
+
+    @pytest.mark.parametrize("section", sorted(_PACKED))
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_stale_digest_is_refused_when_read(self, tmp_path, section, how):
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _damage(path, section, how, resign_digests=False)
+        with pytest.raises(SnapshotError, match=f"section '{section}' does "
+                           "not match its digest"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) is None
+
+    @pytest.mark.parametrize("section", sorted(_PACKED))
+    def test_truncated_column_is_refused_when_read(self, tmp_path, section,
+                                                   capsys):
+        from repro.cli import main
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _damage(path, section, "truncate", resign_digests=True)
+        with pytest.raises(SnapshotError,
+                           match=f"section '{section}' is damaged"):
+            read_snapshot(path)
+        assert main(["run", "--restore", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert section in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section", sorted(_PACKED))
+    def test_flipped_bit_is_refused_by_replay(self, tmp_path, section,
+                                              capsys):
+        from repro.cli import main
+        path = _write_checkpoint(tmp_path, 60.0, 200)
+        _damage(path, section, "bitflip", resign_digests=True)
+        read_snapshot(path)  # well-formed: only the replay can tell
+        with pytest.raises(SnapshotError,
+                           match=f"diverged .* subsystem\\(s\\): {section}$"):
+            resume_experiment(path)
+        assert main(["run", "--restore", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert section in err and "Traceback" not in err
 
 
 class TestSnapshotInvariants:

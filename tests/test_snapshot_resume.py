@@ -6,6 +6,7 @@ from repro.experiments.configs import smoke_config
 from repro.experiments.parallel import summarize, summary_digest
 from repro.experiments.runner import (abort_experiment, build_experiment,
                                       run_experiment)
+from repro.sim.columns import column, decode
 from repro.sim.snapshot import (
     SnapshotError,
     newest_checkpoint,
@@ -91,7 +92,9 @@ class TestRestoreVerification:
     def test_tampered_state_names_diverging_subsystem(self, tmp_path):
         path = self._checkpoint(tmp_path)
         snapshot = read_snapshot(path)
-        snapshot["state"]["grid"][0]["busy_cpus"] += 1
+        busy = decode(snapshot["state"]["grid"]["sites"]["busy_cpus"]).copy()
+        busy[0] += 1
+        snapshot["state"]["grid"]["sites"]["busy_cpus"] = column(busy, "f8")
         # Re-stamp the section digest so the divergence is discovered by
         # replay verification, not by the file CRC.
         from repro.sim.snapshot import state_digest
@@ -140,3 +143,43 @@ class TestRestoreVerification:
         sim.run(until=2.0)
         with pytest.raises(ValueError, match="backwards"):
             sim.run_to_event(0)
+
+
+class TestMidBlockCheckpoint:
+    """The WAN model reads its normals from blocks of 1,024; a checkpoint
+    falls inside one, and the block position is part of the state."""
+
+    def test_mid_block_checkpoint_restores_to_the_fresh_run(self, tmp_path):
+        config = smoke_config(n_clients=4, duration_s=200.0,
+                              checkpoint_every_s=60.0,
+                              checkpoint_dir=str(tmp_path / "fresh"))
+        fresh = _digest(run_experiment(config))
+        killed = config.with_(checkpoint_dir=str(tmp_path / "killed"))
+        built = build_experiment(killed)
+        built.sim.run(until=130.0)
+        abort_experiment(built, RuntimeError("simulated kill"))
+        path = newest_checkpoint(str(tmp_path / "killed"))
+        latency = read_snapshot(path)["state"]["rng"]["latency"]
+        assert 1 < latency["block_pos"] < 1024  # inside a block
+        assert _digest(resume_experiment(path)) == fresh
+
+    def test_resume_pair_reports_identical(self, capsys):
+        from repro.cli import main
+        assert main(["diff", "--pair", "resume", "--duration", "200"]) == 0
+        assert "IDENTICAL" in capsys.readouterr().out
+
+    def test_block_position_reaches_the_rng_digest(self):
+        from repro.sim.snapshot import snapshot_experiment
+        built = build_experiment(smoke_config(n_clients=4, duration_s=120.0))
+        built.sim.run(until=60.0)
+        model = built.network.latency
+        while not 0 < model._pos < len(model._z) - 1:
+            model._next()
+        before = snapshot_experiment(built)["digests"]
+        stream = model.rng.bit_generator.state
+        model._next()  # one more normal read from the block: no new draw
+        assert model.rng.bit_generator.state == stream
+        after = snapshot_experiment(built)["digests"]
+        assert after["rng"] != before["rng"]
+        assert {k: v for k, v in after.items() if k != "rng"} == \
+            {k: v for k, v in before.items() if k != "rng"}
