@@ -31,7 +31,8 @@ import numpy as np
 from repro.core.selectors import RandomSelector, SiteSelector
 from repro.grid.builder import Grid
 from repro.grid.job import Job
-from repro.net.container import ContainerProfile, lognormal_for_mean
+from repro.net.container import (ContainerProfile, lognormal_for_mean,
+                                 lognormal_mu)
 from repro.net.transport import Endpoint, Network, RpcError
 from repro.resilience.policy import CircuitBreaker, ResilienceConfig
 from repro.sim.kernel import ScheduledCall, Simulator
@@ -69,6 +70,8 @@ class GruberClient(Endpoint):
         self.selector = selector
         self.fallback = RandomSelector(rng)
         self.profile = profile
+        self._overhead_mu = lognormal_mu(profile.client_overhead_s,
+                                         profile.sigma)
         self.rng = rng
         self.trace = trace
         self.timeout_s = timeout_s
@@ -196,14 +199,15 @@ class GruberClient(Endpoint):
             return
         idx = self._next
         arrivals = self.workload.arrivals
-        if idx >= len(arrivals):
+        due = int(arrivals.searchsorted(self.sim.now, "right"))  # ``_due()``
+        if due <= idx:  # nothing due: wait for the next arrival, if any
+            if idx < len(arrivals):
+                assert self._timer is None, "second live arrival timer"
+                self._timer = self.sim.schedule_at(float(arrivals[idx]),
+                                                   self._on_arrival)
             return
+        self._peak = max(self._peak, due - idx)
         arrival = float(arrivals[idx])
-        if arrival > self.sim.now:
-            assert self._timer is None, "second live arrival timer"
-            self._timer = self.sim.schedule_at(arrival, self._on_arrival)
-            return
-        self._peak = max(self._peak, self.backlog_len)
         self._next = idx + 1
         job = self.workload.job_at(idx)
         job.mark_created(arrival)
@@ -224,6 +228,8 @@ class GruberClient(Endpoint):
         retroactively at arrival so host backlog wait is on it.
         """
         spans = self.sim.spans
+        if not spans.enabled:
+            return None, None
         if not spans.next_root_sampled:
             spans.start_trace("submit", self.node_id)  # counts a drop
             return None, None
@@ -242,9 +248,7 @@ class GruberClient(Endpoint):
                                 {"vo": job.vo, "group": job.group,
                                  "cpus": job.cpus},
                                 size_kb=REQUEST_KB, response_size_kb=reply_kb,
-                                timeout=timeout,
-                                trace_ctx=self.sim.spans.ctx_of(bspan),
-                                then=then)
+                                timeout=timeout, trace_ctx=bspan, then=then)
 
     def _place(self, job: Job, dp: Hashable, answer, root,
                timeout: Optional[float] = None, then=None):
@@ -264,8 +268,7 @@ class GruberClient(Endpoint):
                                 {"site": site, "vo": job.vo,
                                  "group": job.group, "cpus": job.cpus},
                                 size_kb=REPORT_KB, timeout=timeout,
-                                trace_ctx=self.sim.spans.ctx_of(root),
-                                then=then)
+                                trace_ctx=root, then=then)
 
     # -- the paper's brokering operation, as callbacks -----------------------
     def _broker_once(self, job: Job) -> None:
@@ -276,8 +279,9 @@ class GruberClient(Endpoint):
         self._job, self._t0 = job, self.sim.now
         self._root, self._bspan = self._open_spans(job, self._t0)
         # Client-side stack work (auth, marshalling) ...
-        overhead = lognormal_for_mean(self.rng, self.profile.client_overhead_s,
-                                      self.profile.sigma)
+        mu = self._overhead_mu
+        overhead = (0.0 if mu is None
+                    else float(self.rng.lognormal(mu, self.profile.sigma)))
         if overhead > 0:
             self.sim.schedule(overhead, self._after_overhead)
         else:
@@ -286,12 +290,12 @@ class GruberClient(Endpoint):
     def _after_overhead(self) -> None:
         # ... plus the protocol's extra round trips beyond the
         # request/response pair carried by the RPC itself.
-        extra_rtts = max(self.profile.query_rtts - 1, 0)
-        if extra_rtts:
-            rtt = self.network.latency.rtt
-            self.sim.schedule(sum(rtt(self.node_id, self.decision_point)
-                                  for _ in range(extra_rtts)),
-                              self._send_query)
+        extra_rtts = self.profile.query_rtts - 1
+        if extra_rtts > 0:
+            rtt, delay = self.network.latency.rtt, 0
+            for _ in range(extra_rtts):  # ``sum(..)``'s additions
+                delay += rtt(self.node_id, self.decision_point)
+            self.sim.schedule(delay, self._send_query)
         else:
             self._send_query()
 
@@ -360,9 +364,10 @@ class GruberClient(Endpoint):
     def _finish(self, outcome: str) -> None:
         """Close the spans (a run ending mid-operation leaves them open:
         exported as orphans, by design), free the channel, pump."""
-        spans = self.sim.spans
-        spans.finish(self._bspan)
-        spans.finish(self._root, None, _OUTCOME, (outcome,))
+        if self._root is not None:
+            spans = self.sim.spans
+            spans.finish(self._bspan)
+            spans.finish(self._root, None, _OUTCOME, (outcome,))
         self._job = self._root = self._bspan = self._rpc = self._race = None
         self.busy = False
         self._pump()

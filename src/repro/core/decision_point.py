@@ -243,18 +243,18 @@ class DecisionPoint(Endpoint):
     def _open_span(self, req: Request, name: str, keys: tuple,
                    values: tuple):
         spans = self.sim.spans
-        ctx = req.msg.trace_ctx
-        if spans.enabled and ctx is not None:
-            req.span = spans.start_span(name, self.node_id, ctx, None, keys,
-                                        values)
+        if spans.enabled:
+            req.span = spans.start_span(name, self.node_id, req.trace_ctx,
+                                        None, keys, values)
 
     def _handle_get_state(self, req: Request) -> None:
         """Availability query; the decide span is annotated with the
         view's *staleness* — the sim-time age of the freshest
         information the answer rests on."""
-        payload = req.msg.payload or {}
+        payload = req.payload or {}
         req.args = vo, group = payload.get("vo"), payload.get("group")
-        self._open_span(req, "decide", _DECIDE_ATTRS, ("get_state", vo))
+        if req.trace_ctx is not None:
+            self._open_span(req, "decide", _DECIDE_ATTRS, ("get_state", vo))
         req.post = self._get_state_served
         self.container.serve_query(req.served)
 
@@ -270,11 +270,12 @@ class DecisionPoint(Endpoint):
 
     def _handle_report_dispatch(self, req: Request) -> None:
         """Site-selection report; updates the view, feeds the sync flood."""
-        payload = req.msg.payload
+        payload = req.payload
         req.args = site, vo, cpus, group = (
             payload["site"], payload["vo"], int(payload["cpus"]),
             payload.get("group", ""))
-        self._open_span(req, "record", _RECORD_ATTRS, (site, vo))
+        if req.trace_ctx is not None:
+            self._open_span(req, "record", _RECORD_ATTRS, (site, vo))
         req.post = self._report_served
         self.container.serve_report(req.served)
 
@@ -300,10 +301,11 @@ class DecisionPoint(Endpoint):
         one layer": a single round trip, no per-site state on the wire,
         and one combined container service slot instead of two.
         """
-        payload = req.msg.payload
+        payload = req.payload
         req.args = vo, cpus, group = (payload["vo"], int(payload["cpus"]),
                                       payload.get("group", ""))
-        self._open_span(req, "decide", _DECIDE_ATTRS, ("broker_job", vo))
+        if req.trace_ctx is not None:
+            self._open_span(req, "decide", _DECIDE_ATTRS, ("broker_job", vo))
         req.post = self._broker_job_served
         self.container.serve_query(req.served)
 
@@ -345,7 +347,7 @@ class DecisionPoint(Endpoint):
         Serves a restarting peer; costs one report-sized container slot
         (cheap, but not free — resync competes with live traffic).
         """
-        req.args = float((req.msg.payload or {}).get("newer_than",
+        req.args = float((req.payload or {}).get("newer_than",
                                                      -float("inf")))
         req.post = self._pull_records_served
         self.container.serve_report(req.served)

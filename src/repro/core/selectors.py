@@ -22,6 +22,8 @@ import numpy as np
 
 from repro.core.state import as_view
 
+_max = np.maximum.reduce
+
 __all__ = [
     "SiteSelector",
     "RandomSelector",
@@ -113,11 +115,13 @@ class LeastUsedSelector(SiteSelector):
 
     def _pick(self, view, cpus: int) -> Optional[int]:
         free = view.free
-        best = free.max(initial=-np.inf)  # the best *fitting* value iff any fits
+        # The ufuncs themselves (``free.max`` and ``np.flatnonzero`` are
+        # Python wrappers around them): the same values, fewer frames.
+        best = _max(free, initial=-np.inf)  # best *fitting* value iff any fits
         if best < cpus:
             return None
         # One mask: ``free >= cpus and free >= spread * best`` is one bound.
-        top = np.flatnonzero(free >= max(cpus, self.spread * best))
+        top = (free >= max(cpus, self.spread * best)).nonzero()[0]
         if len(top) == 1:  # no draw: the rng sequence is part of the contract
             return top[0]
         return top[int(self.rng.integers(0, len(top)))]

@@ -39,7 +39,7 @@ class Job:
     user: str
     cpus: int = 1
     duration_s: float = 600.0
-    jid: int = field(default_factory=lambda: next(_job_ids))
+    jid: int = field(default_factory=_job_ids.__next__)
     state: JobState = JobState.CREATED
 
     # Lifecycle timestamps (simulated seconds); None until reached.
@@ -69,23 +69,28 @@ class Job:
             raise ValueError(f"job duration must be > 0, got {self.duration_s}")
 
     # -- transitions --------------------------------------------------------
+    # Each tests its state inline; :meth:`_expect` only raises.
     def mark_created(self, now: float) -> None:
-        self._expect(JobState.CREATED)
+        if self.state is not JobState.CREATED:
+            self._expect(JobState.CREATED)
         self.created_at = now
 
     def mark_dispatched(self, now: float, site: str) -> None:
-        self._expect(JobState.CREATED)
+        if self.state is not JobState.CREATED:
+            self._expect(JobState.CREATED)
         self.state = JobState.DISPATCHED
         self.dispatched_at = now
         self.site = site
 
     def mark_running(self, now: float) -> None:
-        self._expect(JobState.DISPATCHED)
+        if self.state is not JobState.DISPATCHED:
+            self._expect(JobState.DISPATCHED)
         self.state = JobState.RUNNING
         self.started_at = now
 
     def mark_completed(self, now: float) -> None:
-        self._expect(JobState.RUNNING)
+        if self.state is not JobState.RUNNING:
+            self._expect(JobState.RUNNING)
         self.state = JobState.COMPLETED
         self.completed_at = now
 

@@ -253,9 +253,12 @@ class Site:
         job.mark_running(now)
         if job.dispatched_at is not None:
             # Per-VO queue-wait attribution (QTime, sliced by VO) —
-            # always-on, like the other registry histograms.
-            self.sim.metrics.histogram(
-                "site.qwait_s." + job.vo).observe(now - job.dispatched_at)
+            # always-on, like the other registry histograms (read from
+            # the registry's own table; created on a VO's first start).
+            name = "site.qwait_s." + job.vo
+            hist = (self.sim.metrics.histograms.get(name)
+                    or self.sim.metrics.histogram(name))
+            hist.observe(now - job.dispatched_at)
             spans = self.sim.spans
             if spans.enabled and job.trace_ctx is not None:
                 # Recorded retroactively: the wait is only known once

@@ -25,9 +25,8 @@ under the canonical experiment (see DESIGN.md §5 and EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +34,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.resources import Server
 
 __all__ = ["ContainerProfile", "ServiceContainer", "OverloadShed",
-           "GT3_PROFILE", "GT4_PROFILE", "GT4C_PROFILE", "lognormal_for_mean"]
+           "GT3_PROFILE", "GT4_PROFILE", "GT4C_PROFILE", "lognormal_for_mean",
+           "lognormal_mu"]
 
 
 class OverloadShed(Exception):
@@ -49,11 +49,12 @@ class OverloadShed(Exception):
     """
 
 
-@functools.lru_cache(maxsize=64)
-def _lognormal_mu(mean: float, sigma: float) -> float:
-    """The location parameter giving mean ``mean``: a pure function of
-    profile constants, so computed once per pair, not once per draw."""
-    return float(np.log(mean) - 0.5 * sigma * sigma)
+def lognormal_mu(mean: float, sigma: float) -> Optional[float]:
+    """The location parameter giving mean ``mean`` (``None`` for a mean
+    <= 0, whose draw is 0.0 and takes nothing from the stream): a pure
+    function of profile constants, computed where a station or client
+    is built, not once per draw."""
+    return float(np.log(mean) - 0.5 * sigma * sigma) if mean > 0 else None
 
 
 def lognormal_for_mean(rng: np.random.Generator, mean: float, sigma: float) -> float:
@@ -62,9 +63,8 @@ def lognormal_for_mean(rng: np.random.Generator, mean: float, sigma: float) -> f
     Shared by the container (service times) and the clients (stack
     overheads) so both sides of the protocol use the same noise model.
     """
-    if mean <= 0:
-        return 0.0
-    return float(rng.lognormal(_lognormal_mu(mean, sigma), sigma))
+    mu = lognormal_mu(mean, sigma)
+    return 0.0 if mu is None else float(rng.lognormal(mu, sigma))
 
 
 @dataclass(frozen=True)
@@ -188,26 +188,29 @@ GT4C_PROFILE = ContainerProfile(
 
 class _Service:
     """One request's pass through a container station; its bound
-    methods are the continuations (the ``net.transport._PendingRpc``
+    methods are the continuations (the ``net.transport.Request``
     pattern).  :meth:`start` runs at the grant and draws the service
-    time; :meth:`finish` runs ``then`` *before* handing the slot on, so
-    post-service work (and its draws on the container's stream) precedes
-    the next waiter's service draw.
+    time (``mu``: the station's lognormal location, ``None`` = no
+    draw); :meth:`finish` runs ``then`` *before* handing the slot on,
+    so post-service work (and its draws on the container's stream)
+    precedes the next waiter's service draw.
     """
 
-    __slots__ = ("container", "server", "mean", "extra_s", "then")
+    __slots__ = ("container", "server", "mu", "extra_s", "then")
 
     def __init__(self, container: "ServiceContainer", server: Server,
-                 mean: float, extra_s: float, then: Callable[[], None]):
+                 mu: Optional[float], extra_s: float,
+                 then: Callable[[], None]):
         self.container = container
         self.server = server
-        self.mean = mean
+        self.mu = mu
         self.extra_s = extra_s
         self.then = then
 
     def start(self) -> None:
         c = self.container
-        svc = lognormal_for_mean(c.rng, self.mean, c.profile.sigma)
+        mu = self.mu
+        svc = 0.0 if mu is None else float(c.rng.lognormal(mu, c._sigma))
         c.sim.schedule((svc + self.extra_s) * c.degrade_factor, self.finish)
 
     def finish(self) -> None:
@@ -249,6 +252,11 @@ class ServiceContainer:
                                     name=f"{name}.query")
         self._instance_server = Server(sim, profile.instance_concurrency,
                                        name=f"{name}.create")
+        #: Each station's lognormal location, once per container.
+        self._sigma = sigma = profile.sigma
+        self._query_mu = lognormal_mu(profile.query_service_s, sigma)
+        self._report_mu = lognormal_mu(profile.report_service_s, sigma)
+        self._instance_mu = lognormal_mu(profile.instance_service_s, sigma)
         self.completed_ops: int = 0
         self.shed_ops: int = 0
         self.op_timestamps: list[float] = []
@@ -261,9 +269,9 @@ class ServiceContainer:
         self.degrade_factor = factor
 
     def _admit(self) -> None:
-        """Shed the request if the admission queue is full."""
-        if (self.max_queue is not None
-                and self._query_server.queue_len >= self.max_queue):
+        """Shed the request if the bounded admission queue is full
+        (called only when ``max_queue`` is set)."""
+        if self._query_server.queue_len >= self.max_queue:
             self.shed_ops += 1
             self.sim.metrics.counter("container.shed").inc()
             if self.sim.trace.enabled:
@@ -275,10 +283,6 @@ class ServiceContainer:
                 f">= bound {self.max_queue}")
 
     # -- service stations used by RPC handlers ------------------------------
-    def _serve(self, server: Server, mean: float, extra_s: float,
-               then: Callable[[], None]) -> None:
-        server.acquire(_Service(self, server, mean, extra_s, then).start)
-
     def serve_query(self, then: Callable[[], None],
                     extra_s: float = 0.0) -> None:
         """One brokering-query service slot, then ``then()``.
@@ -287,20 +291,25 @@ class ServiceContainer:
         marshalling proportional to grid size).  Raises
         :class:`OverloadShed` at once when the bounded queue is full.
         """
-        self._admit()
-        self._serve(self._query_server, self.profile.query_service_s,
-                    extra_s, then)
+        if self.max_queue is not None:
+            self._admit()
+        server = self._query_server
+        server.acquire(_Service(self, server, self._query_mu, extra_s,
+                                then).start)
 
     def serve_report(self, then: Callable[[], None]) -> None:
         """The dispatch-report share of a brokering operation."""
-        self._admit()
-        self._serve(self._query_server, self.profile.report_service_s,
-                    0.0, then)
+        if self.max_queue is not None:
+            self._admit()
+        server = self._query_server
+        server.acquire(_Service(self, server, self._report_mu, 0.0,
+                                then).start)
 
     def serve_instance_creation(self, then: Callable[[], None]) -> None:
         """One bare instance-creation slot (Fig 1 workload)."""
-        self._serve(self._instance_server, self.profile.instance_service_s,
-                    0.0, then)
+        server = self._instance_server
+        server.acquire(_Service(self, server, self._instance_mu, 0.0,
+                                then).start)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -87,10 +87,12 @@ class PairwiseWanLatency(LatencyModel):
     def __init__(self, rng: np.random.Generator,
                  median_ms: float = WAN_MEDIAN_MS,
                  sigma: float = 0.6, jitter_sigma: float = 0.15):
-        if median_ms <= 0:
+        # ``not x > 0`` / ``not x >= 0`` refuse NaN too.
+        if not median_ms > 0:
             raise ValueError(f"median_ms must be > 0, got {median_ms}")
-        if sigma < 0 or jitter_sigma < 0:
-            raise ValueError("sigma parameters must be >= 0")
+        for name, value in (("sigma", sigma), ("jitter_sigma", jitter_sigma)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.rng = rng
         self.median_s = median_ms / 1000.0
         self.sigma = sigma
@@ -136,9 +138,10 @@ class PairwiseWanLatency(LatencyModel):
         return base
 
     def sample(self, src: Hashable, dst: Hashable) -> float:
-        # Inline the common case (a known pair) and :meth:`_next`: this
-        # runs once per message.
-        base = self._base.get((src, dst)) or self.base_latency(src, dst)
+        # Inline the common case (a pair known under either direction)
+        # and :meth:`_next`: this runs once per message.
+        base = (self._base.get((src, dst)) or self._base.get((dst, src))
+                or self.base_latency(src, dst))
         if base == 0.0:
             return 0.0
         i = self._pos
@@ -147,3 +150,23 @@ class PairwiseWanLatency(LatencyModel):
             i = 0
         self._pos = i + 1  # before the read: a refill replaces the list
         return base * self._jit[i]
+
+    def rtt(self, a: Hashable, b: Hashable) -> float:
+        """``sample(a, b) + sample(b, a)`` in one frame: the pair's one
+        base, then the same two jitter draws in the same order."""
+        known = self._base
+        base = (known.get((a, b)) or known.get((b, a))
+                or self.base_latency(a, b))
+        if base == 0.0:
+            return 0.0
+        i = self._pos
+        if i == len(self._jit):
+            self._refill()
+            i = 0
+        there = base * self._jit[i]  # before a refill replaces the list
+        i += 1
+        if i == len(self._jit):
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return there + base * self._jit[i]

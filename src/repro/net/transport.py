@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
-from repro.sim.kernel import Event, ScheduledCall, Simulator
+from repro.sim.kernel import Event, Simulator
 
 from repro.net.latency import LatencyModel
 
@@ -35,24 +35,23 @@ class RpcTimeout(RpcError):
     """The caller stopped waiting before the response arrived."""
 
 
-@dataclass
 class Message:
-    """One simulated network message."""
+    """One simulated message: a one-way message, or a response the
+    fault layer judges.  (An RPC's request is its :class:`Request`.)"""
 
-    src: Hashable
-    dst: Hashable
-    kind: str                    # "request" | "response" | "oneway"
-    op: str
-    payload: Any
-    size_kb: float = 0.0
-    sent_at: float = 0.0
-    rpc_id: int = 0
-    ok: bool = True              # for responses: handler succeeded?
-    #: Causal span context (a ``repro.obs.spans.SpanRecorder`` row)
-    #: carried with the message so spans opened on the receiving node
-    #: link to the sender's — the DES equivalent of trace-header
-    #: propagation.  ``None`` = untraced (spans off, or unsampled).
-    trace_ctx: Any = None
+    __slots__ = ("src", "dst", "kind", "op", "payload", "size_kb",
+                 "sent_at", "rpc_id", "ok", "trace_ctx")
+
+    def __init__(self, src: Hashable, dst: Hashable, kind: str, op: str,
+                 payload: Any, size_kb: float = 0.0, sent_at: float = 0.0,
+                 rpc_id: int = 0, ok: bool = True, trace_ctx: Any = None):
+        self.src, self.dst, self.kind, self.op = src, dst, kind, op
+        self.payload, self.size_kb, self.sent_at = payload, size_kb, sent_at
+        self.rpc_id = rpc_id
+        self.ok = ok  # for responses: handler succeeded?
+        #: Causal span context (a ``SpanRecorder`` row) linking spans on
+        #: the receiver to the sender's; ``None`` = untraced.
+        self.trace_ctx = trace_ctx
 
 
 @dataclass
@@ -75,26 +74,38 @@ class NetworkStats:
     responses_discarded: int = 0
     per_op: dict = field(default_factory=dict)
 
-    def count(self, op: str) -> None:
-        self.per_op[op] = self.per_op.get(op, 0) + 1
 
+class Request:
+    """One RPC: its request message (what the fault layer judges), the
+    caller's pending handle and one delivered copy's server side; the
+    bound methods are the scheduled callables.  The caller hears once,
+    ``then(ok, value)`` (``then`` is ``None`` once it stopped listening).
+    A deferred handler sets ``post`` (``post(request)`` is the answer
+    once served), parsed ``args`` and server ``span``, and hands
+    :meth:`served` to its service station.  A duplicated copy is another
+    object with the same ``rpc_id``; the pending table names the caller's.
+    """
 
-class _PendingRpc:
-    """Caller-side bookkeeping for one in-flight RPC (its request ``msg``
-    names it); the bound :meth:`expire` is its timeout callback.  Every
-    outcome reaches the caller once, as ``then(ok, value)`` via
-    :meth:`done`; ``then`` is ``None`` once the caller stopped listening."""
+    __slots__ = ("network", "src", "dst", "op", "payload", "size_kb",
+                 "sent_at", "rpc_id", "trace_ctx", "response_size_kb",
+                 "then", "timeout_s", "timeout_call", "arrived_at", "post",
+                 "args", "span", "value", "ok")
+    kind = "request"
 
-    __slots__ = ("network", "msg", "then", "timeout_s", "timeout_call")
+    def __init__(self, network: "Network", src: Hashable, dst: Hashable,
+                 op: str, payload: Any, size_kb: float, rpc_id: int,
+                 trace_ctx: Any, response_size_kb: float,
+                 then: Optional[Callable[[bool, Any], None]]):
+        self.network, self.src, self.dst, self.op = network, src, dst, op
+        self.payload, self.size_kb, self.rpc_id = payload, size_kb, rpc_id
+        self.sent_at = network.sim.now
+        self.trace_ctx, self.response_size_kb = trace_ctx, response_size_kb
+        self.then = then
+        self.timeout_s, self.timeout_call, self.arrived_at = 0.0, None, 0.0
+        self.post = self.args = self.span = self.value = None
+        self.ok = True
 
-    def __init__(self, network: "Network", msg: Message,
-                 then: Callable[[bool, Any], None]):
-        self.network = network
-        self.msg = msg
-        self.then: Optional[Callable[[bool, Any], None]] = then
-        self.timeout_s = 0.0
-        self.timeout_call: Optional[ScheduledCall] = None
-
+    # -- caller side ------------------------------------------------------
     def done(self, ok: bool, value: Any) -> None:
         then, self.then = self.then, None
         if then is not None:
@@ -102,43 +113,73 @@ class _PendingRpc:
 
     def expire(self) -> None:
         """The caller's timeout fired before any response."""
-        net, msg = self.network, self.msg
+        net = self.network
         self.timeout_call = None
-        if net._pending_rpcs.pop(msg.rpc_id, None) is None:
+        if net._pending_rpcs.pop(self.rpc_id, None) is None:
             return
         net.stats.rpcs_failed += 1
         net.stats.rpcs_timed_out += 1
         net._finish_span(self, "timeout")
         self.done(False, RpcTimeout(
-            f"rpc {msg.op!r} to {msg.dst!r} after {self.timeout_s}s"))
+            f"rpc {self.op!r} to {self.dst!r} after {self.timeout_s}s"))
 
+    # Snapshots key heap entries by callable qualname; this is the name
+    # the timeout has always had there.
+    expire.__qualname__ = "_PendingRpc.expire"
 
-class Request:
-    """One delivered copy of an RPC request, server side; its bound
-    methods are the scheduled callables (the :class:`_PendingRpc`
-    pattern).  A deferred handler gets the request itself: it sets
-    ``post`` (called as ``post(request)`` once served; returns the
-    answer), its parsed ``args`` and server-side ``span``, and hands
-    :meth:`served` to its service station as the continuation.
-    """
+    def returned(self) -> None:
+        """This copy's response arrived back at the caller."""
+        net = self.network
+        pending = net._pending_rpcs.pop(self.rpc_id, None)
+        if pending is None:
+            # Caller timed out and went on; response discarded (paper §4.3).
+            net.stats.responses_discarded += 1
+            return
+        call = pending.timeout_call
+        if call is not None:
+            # The RPC resolved first; don't leave the timeout ticking
+            # in the heap (long-timeout storms used to bloat it).
+            call.cancel()
+            pending.timeout_call = None
+        if self.ok:
+            net.stats.rpcs_completed += 1
+            net._finish_span(pending, "ok")
+            pending.done(True, self.value)
+        else:
+            net.stats.rpcs_failed += 1
+            net._finish_span(pending, "error")
+            pending.done(False, self.value
+                         if isinstance(self.value, BaseException)
+                         else RpcError(str(self.value)))
 
-    __slots__ = ("network", "msg", "response_size_kb", "arrived_at",
-                 "post", "args", "span", "response")
-
-    def __init__(self, network: "Network", msg: Message,
-                 response_size_kb: float):
-        self.network = network
-        self.msg = msg
-        self.response_size_kb = response_size_kb
-        self.arrived_at = 0.0
-        self.post: Optional[Callable[["Request"], Any]] = None
-        self.args: Any = None
-        self.span = None
-        self.response: Optional[Message] = None
-
+    # -- server side --------------------------------------------------------
     def arrive(self) -> None:
-        self.arrived_at = self.network.sim.now
-        self.network._handle_request(self)
+        """This copy reached ``dst``: run its handler (a deferred one
+        answers later, through :meth:`served` or :meth:`fail`)."""
+        net = self.network
+        self.arrived_at = net.sim.now
+        ep = net._endpoints[self.dst]
+        if not ep.online:
+            # Crashed service: the request is simply never answered;
+            # the caller's timeout (if any) is its only signal — but
+            # without one the pending entry must not leak.
+            net._abandon(self.rpc_id, "endpoint_offline")
+            return
+        op = self.op
+        handler = ep.handlers.get(op)
+        if handler is None:
+            net._send_response(self, RpcError(
+                f"no handler for {op!r} on {self.dst!r}"), False, 0.0)
+            return
+        try:
+            if op in ep._deferred_ops:
+                handler(self)  # answers through ``self`` when served
+                return
+            outcome = handler(self.payload, self.src)
+        except Exception as err:
+            self.fail(err)
+            return
+        net._send_response(self, outcome, True, self.response_size_kb)
 
     def served(self) -> None:
         """Run the handler's post-service step and answer with its value."""
@@ -153,9 +194,6 @@ class Request:
         """Answer with the remote error ``err``."""
         self.network._send_response(
             self, RpcError(f"{type(err).__name__}: {err}"), False, 0.0)
-
-    def returned(self) -> None:
-        self.network._complete_rpc(self.response)
 
 
 class Endpoint:
@@ -215,22 +253,22 @@ class Network:
         self.stats = NetworkStats()
         self._endpoints: dict[Hashable, Endpoint] = {}
         self._rpc_seq = 0
-        self._pending_rpcs: dict[int, _PendingRpc] = {}
+        self._pending_rpcs: dict[int, Request] = {}
         #: ``rpc.<outcome>`` counters and the latency histogram, looked
         #: up once each on first use (the registry creates on lookup).
         self._outcome_counters: dict = {}
         self._latency_hist = None
 
-    def _fault_delays(self, msg: Message) -> Optional[tuple]:
-        """Per-copy extra delays from the fault layer; ``None`` = dropped
-        (tallied here; the fault model does its own counting/tracing)."""
-        if self.faults is None:
-            return (0.0,)
+    def _faulty_delays(self, msg) -> Optional[list]:
+        """One delivery delay per copy the fault layer lets through
+        (``sample + transfer + extra``); ``None``: dropped, tallied."""
         fate = self.faults.on_message(msg)
         if fate.drop:
             self.stats.dropped += 1
             return None
-        return fate.extra_delays
+        transfer = msg.size_kb * self.kb_transfer_s
+        return [self.latency.sample(msg.src, msg.dst) + transfer + extra
+                for extra in fate.extra_delays]
 
     # -- registry -------------------------------------------------------
     def _register(self, ep: Endpoint) -> None:
@@ -245,35 +283,32 @@ class Network:
         return node_id in self._endpoints
 
     # -- message delivery -------------------------------------------------
-    def _delivery_delay(self, msg: Message) -> float:
-        return self.latency.sample(msg.src, msg.dst) + msg.size_kb * self.kb_transfer_s
-
     def send_oneway(self, src: Hashable, dst: Hashable, op: str, payload: Any,
                     size_kb: float = 0.0, trace_ctx: Any = None) -> None:
         """Fire-and-forget message (used by the sync flooding protocol)."""
         if dst not in self._endpoints:
             raise KeyError(f"unknown destination endpoint {dst!r}")
-        msg = Message(src=src, dst=dst, kind="oneway", op=op, payload=payload,
-                      size_kb=size_kb, sent_at=self.sim.now,
-                      trace_ctx=trace_ctx)
+        msg = Message(src, dst, "oneway", op, payload, size_kb, self.sim.now,
+                      0, True, trace_ctx)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        delays = self._fault_delays(msg)
-        if delays is None:
-            return
 
         def deliver() -> None:
             ep = self._endpoints[dst]
             if ep.online:
                 ep.on_oneway(msg)
 
-        for extra in delays:
-            self.sim.schedule(self._delivery_delay(msg) + extra, deliver)
+        if self.faults is None:
+            self.sim.schedule(self.latency.sample(src, dst)
+                              + size_kb * self.kb_transfer_s, deliver)
+            return
+        for delay in self._faulty_delays(msg) or ():  # None: dropped
+            self.sim.schedule(delay, deliver)
 
     def rpc(self, src: Hashable, dst: Hashable, op: str, payload: Any = None,
             size_kb: float = 0.0, response_size_kb: float = 0.0,
             timeout: Optional[float] = None, trace_ctx: Any = None,
-            then: Optional[Callable] = None) -> Event | _PendingRpc:
+            then: Optional[Callable] = None) -> Event | Request:
         """Invoke ``op`` on ``dst``: ``then(ok, value)`` runs the instant
         the outcome is known — the handler's return value, else
         :class:`RpcError` (remote exception) or :class:`RpcTimeout`
@@ -290,37 +325,41 @@ class Network:
         """
         if dst not in self._endpoints:
             raise KeyError(f"unknown destination endpoint {dst!r}")
-        self._rpc_seq += 1
-        rpc_id = self._rpc_seq
+        self._rpc_seq = rpc_id = self._rpc_seq + 1
         sim = self.sim
         result = None
         if then is None:
             result = sim.event(name=f"rpc:{op}:{rpc_id}"
                                if sim.trace.enabled else "rpc")
             then = result.settle
-        msg = Message(src=src, dst=dst, kind="request", op=op, payload=payload,
-                      size_kb=size_kb, sent_at=sim.now, rpc_id=rpc_id,
-                      trace_ctx=trace_ctx)
-        pending = _PendingRpc(self, msg, then)
-        self._pending_rpcs[rpc_id] = pending
-        self.stats.rpcs_started += 1
-        self.stats.count(op)
-        self.stats.messages += 1
-        self.stats.kb += size_kb
-        delays = self._fault_delays(msg)
-        for extra in delays or ():  # None: the request was dropped
-            sim.schedule(self._delivery_delay(msg) + extra,
-                         Request(self, msg, response_size_kb).arrive)
-
+        req = Request(self, src, dst, op, payload, size_kb, rpc_id,
+                      trace_ctx, response_size_kb, then)
+        self._pending_rpcs[rpc_id] = req
+        stats = self.stats
+        stats.rpcs_started += 1
+        per_op = stats.per_op
+        per_op[op] = per_op.get(op, 0) + 1
+        stats.messages += 1
+        stats.kb += size_kb
+        if self.faults is None:
+            sim.schedule(self.latency.sample(src, dst)
+                         + size_kb * self.kb_transfer_s, req.arrive)
+            delays = ()
+        else:
+            delays = self._faulty_delays(req)
+            for i, delay in enumerate(delays or ()):  # a copy per duplicate
+                sim.schedule(delay, (req if i == 0 else Request(
+                    self, src, dst, op, payload, size_kb, rpc_id, trace_ctx,
+                    response_size_kb, None)).arrive)
         if timeout is not None:
-            pending.timeout_s = timeout
-            pending.timeout_call = sim.schedule(timeout, pending.expire)
+            req.timeout_s = timeout
+            req.timeout_call = sim.schedule(timeout, req.expire)
         elif delays is None:
             # No response will ever come and no timeout will reap the
             # entry — retire it now (the caller is never answered,
             # exactly like talking to a crashed peer).
             self._abandon(rpc_id, "request_dropped")
-        return pending if result is None else result
+        return req if result is None else result
 
     def _abandon(self, rpc_id: int, reason: str) -> None:
         """Retire a pending RPC that can never complete — unless an
@@ -333,12 +372,12 @@ class Network:
         self.stats.rpcs_lost += 1
         self._finish_span(pending, reason)
 
-    def _finish_span(self, pending: _PendingRpc, outcome: str) -> None:
+    def _finish_span(self, pending: Request, outcome: str) -> None:
         """Close one RPC span: latency histogram, ``rpc.<outcome>``
         counter and one compact ``rpc.span`` trace event (fields per
         ``repro.obs.trace.SPAN_FIELDS``)."""
-        now, msg = self.sim.now, pending.msg
-        latency = now - msg.sent_at
+        now = self.sim.now
+        latency = now - pending.sent_at
         metrics = self.sim.metrics
         if outcome in ("ok", "error", "timeout"):
             # Caller-perceived latency; lost/abandoned RPCs have none.
@@ -350,75 +389,31 @@ class Network:
         if counter is None:
             counter = self._outcome_counters[outcome] = metrics.counter(
                 f"rpc.{outcome}")
-        counter.inc()
+        counter.value += 1
         trace = self.sim.trace
         if trace.enabled:
             trace.emit_compact(
-                "rpc.span", msg.src,
-                (msg.op, msg.dst, msg.rpc_id, outcome, latency, msg.size_kb),
-                time=now)
+                "rpc.span", pending.src,
+                (pending.op, pending.dst, pending.rpc_id, outcome, latency,
+                 pending.size_kb), time=now)
 
     # -- server side --------------------------------------------------------
-    def _handle_request(self, req: Request) -> None:
-        msg = req.msg
-        ep = self._endpoints[msg.dst]
-        if not ep.online:
-            # Crashed service: the request is simply never answered;
-            # the caller's timeout (if any) is its only signal — but
-            # without one the pending entry must not leak.
-            self._abandon(msg.rpc_id, "endpoint_offline")
-            return
-        handler = ep.handlers.get(msg.op)
-        if handler is None:
-            self._send_response(req, RpcError(f"no handler for {msg.op!r} on {msg.dst!r}"),
-                                False, 0.0)
-            return
-        try:
-            if msg.op in ep._deferred_ops:
-                handler(req)  # answers through ``req`` when served
-                return
-            outcome = handler(msg.payload, msg.src)
-        except Exception as err:
-            req.fail(err)
-            return
-        self._send_response(req, outcome, True, req.response_size_kb)
-
     def _send_response(self, req: Request, value: Any, ok: bool,
                        size_kb: float) -> None:
-        request = req.msg
-        resp = Message(src=request.dst, dst=request.src, kind="response",
-                       op=request.op, payload=value, size_kb=size_kb,
-                       sent_at=self.sim.now, rpc_id=request.rpc_id, ok=ok)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        delays = self._fault_delays(resp)
+        req.value, req.ok = value, ok
+        if self.faults is None:
+            self.sim.schedule(self.latency.sample(req.dst, req.src)
+                              + size_kb * self.kb_transfer_s, req.returned)
+            return
+        delays = self._faulty_delays(Message(
+            req.dst, req.src, "response", req.op, value, size_kb,
+            self.sim.now, req.rpc_id, ok))
         if delays is None:
             # Dropped response: without a timeout nothing else would
             # ever reap the caller's pending entry.
-            self._abandon(resp.rpc_id, "response_dropped")
+            self._abandon(req.rpc_id, "response_dropped")
             return
-        req.response = resp
-        for extra in delays:
-            self.sim.schedule(self._delivery_delay(resp) + extra, req.returned)
-
-    def _complete_rpc(self, resp: Message) -> None:
-        pending = self._pending_rpcs.pop(resp.rpc_id, None)
-        if pending is None:
-            # Caller timed out and went on; response discarded (paper §4.3).
-            self.stats.responses_discarded += 1
-            return
-        if pending.timeout_call is not None:
-            # The RPC resolved first; don't leave the timeout ticking
-            # in the heap (long-timeout storms used to bloat it).
-            pending.timeout_call.cancel()
-            pending.timeout_call = None
-        if resp.ok:
-            self.stats.rpcs_completed += 1
-            self._finish_span(pending, "ok")
-            pending.done(True, resp.payload)
-        else:
-            self.stats.rpcs_failed += 1
-            self._finish_span(pending, "error")
-            pending.done(False, resp.payload
-                         if isinstance(resp.payload, BaseException)
-                         else RpcError(str(resp.payload)))
+        for delay in delays:
+            self.sim.schedule(delay, req.returned)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 import numpy as np
@@ -184,12 +185,13 @@ class ScheduledCall:
 
     Cancellation is lazy — the heap entry stays put and is skipped when
     popped — but each cancel is *accounted* so the simulator can compact
-    the heap once dead entries dominate (see
-    :meth:`Simulator._note_cancelled`).  ``_sim`` is cleared when the
-    entry leaves the heap so late cancels don't skew the accounting, and
-    so is ``fn``: a handle kept by the object its callable is bound to
-    (``_Timeout.call`` → ``_fire`` → the timeout) would otherwise be a
-    reference cycle only the cyclic collector can free.
+    the heap once dead entries dominate (see :meth:`cancel`).  ``_sim``
+    is cleared when the entry leaves the heap so late cancels don't
+    skew the accounting, and so is ``fn``: a handle kept by the object
+    its callable is bound to (``_Timeout.call`` → ``_fire`` → the
+    timeout) would otherwise be a reference cycle only the cyclic
+    collector can free.  :meth:`Simulator.schedule_at` fills the four
+    slots itself (no ``__init__`` frame per scheduled callback).
     """
 
     __slots__ = ("time", "fn", "cancelled", "_sim")
@@ -202,11 +204,31 @@ class ScheduledCall:
         self._sim = sim
 
     def cancel(self) -> None:
+        """Mark the entry dead; compact the heap once dead entries
+        dominate it.
+
+        Accounting contract: a cancel is noted iff its entry is still
+        *in the heap* (``_sim`` is cleared the moment an entry leaves —
+        popped or compacted away), so ``Simulator._dead`` counts a
+        subset of heap entries and can never exceed the heap size.  The
+        guard turns any double-note / late-note bug into a loud failure
+        instead of silently skewed compaction behaviour.
+        """
         if not self.cancelled:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
-                sim._note_cancelled()
+                sim._dead = dead = sim._dead + 1
+                size = len(sim._heap)
+                if dead > size:
+                    raise AssertionError(
+                        f"cancel accounting skewed: {dead} dead entries "
+                        f"noted for a heap of {size}")
+                if dead >= sim._compact_min and 2 * dead >= size:
+                    sim._compact()
+
+
+_new = object.__new__
 
 
 class _Timeout(Event):
@@ -359,7 +381,7 @@ class _Periodic:
     """The chain behind :meth:`Simulator.every`: one slotted object whose
     bound :meth:`tick` is the scheduled callable and whose :meth:`cancel`
     stops the chain — no class or closure per call (the house pattern of
-    ``net.transport._PendingRpc``).
+    ``net.transport.Request``).
     """
 
     __slots__ = ("sim", "interval", "fn", "jitter", "rng", "on_error",
@@ -459,43 +481,37 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Run ``fn()`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        """Run ``fn()`` after ``delay`` simulated seconds.
+
+        ``not delay >= 0`` refuses NaN too: a NaN entry would sit at the
+        heap head forever.  Every entry goes through :meth:`schedule_at`
+        (the ledger's tracer attributes a callback's time by wrapping it).
+        """
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule at delay={delay} "
+                             "(must be a number >= 0)")
         return self.schedule_at(self.now + delay, fn)
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> ScheduledCall:
-        """Run ``fn()`` at absolute simulated ``time``."""
-        if time < self.now:
+        """Run ``fn()`` at absolute simulated ``time`` (not before now,
+        and not NaN).  Fills the handle's slots and pushes the entry
+        itself: no ``ScheduledCall.__init__`` frame per callback."""
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule into the past (t={time} < now={self.now})")
-        call = ScheduledCall(time, fn, self)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, call))
-        if len(self._heap) > self.heap_peak:
-            self.heap_peak = len(self._heap)
+                f"cannot schedule at t={time} (now={self.now})")
+        call = _new(ScheduledCall)
+        call.time = time
+        call.fn = fn
+        call.cancelled = False
+        call._sim = self
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (time, seq, call))
+        if len(heap) > self.heap_peak:
+            self.heap_peak = len(heap)
         return call
 
     # -- heap hygiene -----------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """One live heap entry just went dead; compact when they dominate.
-
-        Accounting contract: a cancel is noted iff its entry is still
-        *in the heap* (``ScheduledCall._sim`` is cleared the moment an
-        entry leaves — popped or compacted away), so ``_dead`` counts a
-        subset of heap entries and can never exceed the heap size.  The
-        guard turns any double-note / late-note bug into a loud failure
-        instead of silently skewed compaction behaviour.
-        """
-        self._dead += 1
-        if self._dead > len(self._heap):
-            raise AssertionError(
-                f"cancel accounting skewed: {self._dead} dead entries "
-                f"noted for a heap of {len(self._heap)}")
-        if (self._dead >= self._compact_min
-                and 2 * self._dead >= len(self._heap)):
-            self._compact()
-
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries (order-preserving).
 
@@ -623,7 +639,7 @@ class Simulator:
         The local ``heap`` alias stays valid across callbacks because
         :meth:`_compact` rebuilds in place, and ``_dead`` is accounted
         per pop so a mid-instant cancel can never observe a stale count
-        (``_note_cancelled`` asserts ``_dead <= len(heap)``).
+        (:meth:`ScheduledCall.cancel` asserts ``_dead <= len(heap)``).
 
         Automatic cyclic collection is suspended while the loop runs and
         the caller's setting restored on the way out, exception or not:
@@ -634,7 +650,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         bounded = until is not None
-        if bounded and until < self.now:
+        if bounded and not until >= self.now:  # NaN too
             raise ValueError(f"until={until} is in the past (now={self.now})")
         collecting = gc.isenabled()
         gc.disable()
@@ -645,8 +661,13 @@ class Simulator:
                     break
                 while heap and heap[0][0] == time:
                     call = pop(heap)[2]
-                    if call.cancelled:
-                        self._pop_cancelled(call)
+                    if call.cancelled:  # ``_pop_cancelled``, inline
+                        call._sim = call.fn = None
+                        self._dead -= 1
+                        if self._dead < 0:
+                            raise AssertionError(
+                                "cancel accounting skewed: popped more "
+                                "cancelled entries than were ever noted")
                         continue
                     call._sim = None  # left the heap; late cancels don't count
                     fn, call.fn = call.fn, None

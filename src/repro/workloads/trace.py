@@ -45,15 +45,6 @@ def _columns(spec: dict) -> dict:
     return {name: array(code) if code else [] for name, code in spec.items()}
 
 
-def _add(appends: tuple, row: tuple) -> None:
-    for append, value in zip(appends, row):
-        append(value)
-
-
-def _or_nan(value: Optional[float]) -> float:
-    return _NAN if value is None else value
-
-
 class QueryRows:
     """The query table as row tuples, built on the fly from the columns
     (re-iterable and picklable; holds no second copy of the rows)."""
@@ -89,15 +80,20 @@ class TraceRecorder:
         """A recorder holding exactly these query rows (GRUB-SIM replay)."""
         rec = cls()
         for row in rows:
-            _add(rec._query_appends, row)
+            for append, value in zip(rec._query_appends, row):
+                append(value)
         return rec
 
     # -- recording ---------------------------------------------------------
     def record_query(self, sent_at: float, responded_at: Optional[float],
                      timed_out: bool, client: str, decision_point: str) -> None:
-        response = (responded_at - sent_at) if responded_at is not None else _NAN
-        _add(self._query_appends, (sent_at, _or_nan(responded_at), response,
-                                   timed_out, client, decision_point))
+        if responded_at is None:
+            row = (sent_at, _NAN, _NAN, timed_out, client, decision_point)
+        else:
+            row = (sent_at, responded_at, responded_at - sent_at, timed_out,
+                   client, decision_point)
+        for append, value in zip(self._query_appends, row):
+            append(value)
 
     def open_job(self, job: Job) -> None:
         """Take a just-materialized job into the live table."""
@@ -106,14 +102,21 @@ class TraceRecorder:
     def close_job(self, job: Job) -> None:
         """Record a job's row and release it from the live table."""
         self.live.pop(job.jid, None)
-        qt = job.queue_time_s
-        _add(self._job_appends, (
-            job.jid, job.vo, job.group, _or_nan(job.created_at),
-            _or_nan(job.dispatched_at), _or_nan(job.started_at),
-            _or_nan(job.completed_at), job.cpus, job.duration_s,
-            job.site or "", job.handled_by_gruber,
-            _or_nan(job.scheduling_accuracy), _or_nan(qt),
-            job.state is JobState.FAILED))
+        created, dispatched = job.created_at, job.dispatched_at
+        started, completed = job.started_at, job.completed_at
+        accuracy = job.scheduling_accuracy
+        row = (job.jid, job.vo, job.group,
+               _NAN if created is None else created,
+               _NAN if dispatched is None else dispatched,
+               _NAN if started is None else started,
+               _NAN if completed is None else completed,
+               job.cpus, job.duration_s, job.site or "",
+               job.handled_by_gruber, _NAN if accuracy is None else accuracy,
+               _NAN if started is None or dispatched is None  # queue_time_s
+               else started - dispatched,
+               job.state is JobState.FAILED)
+        for append, value in zip(self._job_appends, row):
+            append(value)
 
     def job_ended(self, job: Job) -> None:
         """Site observer: a live job that COMPLETED becomes a row.  A

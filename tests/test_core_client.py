@@ -1,5 +1,7 @@
 """Tests for the GRUBER client (timeout fallback, channel serialization)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,44 @@ class TestEventCensus:
         # its service completion, the answer's delivery, the job's
         # delivery to its site, the job's completion.
         assert events == 8
+
+
+class TestCallCensus:
+    """Python-level calls per brokered job over the run phase of
+    ``canonical_gt3(3)`` at 600 s: like :class:`TestEventCensus`, an
+    exact count, so a change that adds frames to a hop trips it on any
+    runner.  114.3 Python and 131.1 C calls a job when the budget was
+    set (DESIGN.md §6 prices a hop)."""
+
+    BUDGET = 120.0
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="call counts depend on the interpreter (3.12 inlines "
+               "comprehensions); the budget is CPython 3.11's")
+    def test_python_calls_per_brokered_job(self):
+        from repro.experiments.configs import canonical_gt3
+        from repro.experiments.runner import (build_experiment,
+                                              finalize_experiment)
+        built = build_experiment(canonical_gt3(3, duration_s=600.0,
+                                               seed=20050101))
+        calls = {"call": 0, "c_call": 0}
+
+        def count(frame, event, arg):
+            if event in calls:
+                calls[event] += 1
+
+        sys.setprofile(count)
+        try:
+            built.sim.run(until=600.0)
+        finally:
+            sys.setprofile(None)
+        n_jobs = finalize_experiment(built).trace.n_jobs
+        assert n_jobs == 3375
+        per_job = calls["call"] / n_jobs
+        print(f"{per_job:.1f} Python and {calls['c_call'] / n_jobs:.1f} C "
+              f"calls per brokered job (budget {self.BUDGET})")
+        assert per_job <= self.BUDGET
 
 
 class TestQueryRecordNamesTheQueriedDp:

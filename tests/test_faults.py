@@ -415,3 +415,39 @@ class TestScenarios:
         assert any(m.startswith("dp") for m in islands[1])
         assert any(m.startswith("h") for m in islands[0])
         assert any(m.startswith("h") for m in islands[1])
+
+
+class TestFaultFreePathIsTheFaultPath:
+    """The transport's fault-free send (one latency sample, one
+    schedule) and its fault-layer send are the same model: with a fault
+    layer installed that judges every message clean, a run is the run."""
+
+    @staticmethod
+    def _digest(install_empty_model: bool, **kw) -> str:
+        from repro.experiments.configs import canonical_gt3
+        from repro.experiments.parallel import summarize, summary_digest
+        from repro.experiments.runner import build_experiment, run_built
+        built = build_experiment(canonical_gt3(3, duration_s=600.0, **kw))
+        if install_empty_model:
+            model = TransportFaultModel(built.sim,
+                                        np.random.default_rng(0))
+            seen = []
+            judge = model.on_message
+            model.on_message = lambda msg: seen.append(msg.kind) or judge(msg)
+            built.network.faults = model
+        result = run_built(built)
+        if install_empty_model:
+            assert {"request", "response", "oneway"} <= set(seen)
+            assert model.dropped == model.duplicated == 0
+        return summary_digest(summarize(result))
+
+    def test_an_empty_fault_model_changes_nothing(self):
+        assert self._digest(True) == self._digest(False)
+
+    # Recorded before the fault-free path was split off: a crash, lossy
+    # links (drops) and duplicated, reordered copies.
+    @pytest.mark.parametrize("scenario,digest", [
+        ("dp_crash", "303e97b6"), ("flaky_dp", "42d576c8"),
+        ("dup_reorder", "e5ff95cd")])
+    def test_chaos_cell_keeps_its_digest(self, scenario, digest):
+        assert self._digest(False, chaos_scenario=scenario) == digest

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import ConstantLatency, LanLatency, PairwiseWanLatency
+from repro.net.latency import LatencyModel
 from repro.sim import RngRegistry
 
 
@@ -64,6 +65,14 @@ class TestPairwiseWanLatency:
         with pytest.raises(ValueError):
             PairwiseWanLatency(rng, sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["median_ms", "sigma", "jitter_sigma"])
+    def test_nan_parameters_refused_by_name(self, field):
+        # ``median_ms <= 0`` / ``sigma < 0`` are both false for NaN,
+        # which then poisoned every delay (and every heap time) after.
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PairwiseWanLatency(RngRegistry(0).stream("wan"),
+                               **{field: float("nan")})
+
     def test_all_samples_positive(self):
         model = PairwiseWanLatency(RngRegistry(3).stream("wan"))
         assert all(model.sample("a", f"b{i}") > 0 for i in range(100))
@@ -89,6 +98,9 @@ class _ScalarWan(PairwiseWanLatency):
         if base == 0.0:
             return 0.0
         return base * float(np.exp(self.rng.normal(0.0, self.jitter_sigma)))
+
+    # Two scalar samples, not the blocked model's one-frame round trip.
+    rtt = LatencyModel.rtt
 
 
 class _ReprKeyedWan(_ScalarWan):
@@ -123,6 +135,24 @@ def test_blocked_draws_equal_the_scalar_model(sigma, jitter_sigma, run,
         out = [model.sample("h", f"s{i % pairs}") for i in range(run)]
         out += [model.rtt(f"d{i}", "h") for i in range(pairs)]
         return out
+
+    assert draws(PairwiseWanLatency) == draws(_ScalarWan)
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(["sample", "rtt"]),
+                                st.integers(0, 5), st.integers(0, 5)),
+                      min_size=1, max_size=400),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_either_direction_and_rtt_equal_the_scalar_model(steps, seed):
+    """A pair first seen in one direction is found under the other (a
+    response, an RTT's back leg) with the same base; a one-frame
+    ``rtt`` draws what two samples draw, a node paired with itself
+    included.  Block boundaries fall anywhere in the mix."""
+    def draws(cls):
+        model = cls(RngRegistry(seed).stream("wan"))
+        return [getattr(model, op)(f"n{a}", f"n{b}")
+                for _ in range(4) for op, a, b in steps]
 
     assert draws(PairwiseWanLatency) == draws(_ScalarWan)
 

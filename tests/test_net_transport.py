@@ -62,7 +62,7 @@ class TestRpc:
         make_endpoint(net, "client")
         server = make_endpoint(net, "server")
         server.register_handler("double",
-                                deferred(sim, 2.0, lambda r: r.msg.payload * 2),
+                                deferred(sim, 2.0, lambda r: r.payload * 2),
                                 deferred=True)
         ev = net.rpc("client", "server", "double", 21)
         done = []

@@ -114,7 +114,67 @@ def _checked_ticks(monkeypatch, seen):
     monkeypatch.setattr(Checkpointer, "tick", checking)
 
 
+class _WriteOnly:
+    """A file being written that refuses every read."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        if name.startswith("read"):
+            raise AssertionError(f"{name}() on a file being written")
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _open_write_only(path, mode="r", *args, **kw):
+    fh = open(path, mode, *args, **kw)
+    return _WriteOnly(fh) if "w" in mode else fh
+
+
 class TestStreamedCheckpoints:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crc32_combine_over_random_splits(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            data = rng.randbytes(rng.randrange(0, 5000))
+            cuts = sorted(rng.randrange(0, len(data) + 1)
+                          for _ in range(rng.randrange(0, 8)))
+            crc = 0
+            for lo, hi in zip([0, *cuts], [*cuts, len(data)]):
+                piece = data[lo:hi]  # empty pieces included
+                crc = snapshot_module.crc32_combine(crc, zlib.crc32(piece),
+                                                    len(piece))
+            assert crc == zlib.crc32(data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stamped_crc_is_the_body_crc_without_reading_it_back(
+            self, tmp_path, monkeypatch, seed):
+        # Random piece splits (``_CHUNK``), and a tmp file that refuses
+        # reads: the CRC is combined from what was streamed.
+        monkeypatch.setattr(snapshot_module, "_CHUNK",
+                            random.Random(seed).randint(1, 300))
+        monkeypatch.setattr(snapshot_module, "open", _open_write_only,
+                            raising=False)
+        result = run_experiment(canonical_gt3(
+            3, duration_s=300.0, checkpoint_every_s=60.0,
+            checkpoint_dir=str(tmp_path / "ck")))
+        written = result.checkpointer.written
+        written.append(snapshot_module.write_snapshot(
+            {"x": [1.5, "y"]}, str(tmp_path / "s.json")))
+        for path in written:
+            raw = open(path, "rb").read()
+            body = raw[raw.index(b'"snapshot": ') + 12:-1]
+            stamped = json.loads(raw)["meta"]["crc"]
+            assert stamped == format(zlib.crc32(body), "08x")
+            read_snapshot(path)
+        assert len(written) == 6
+
     def test_every_tick_writes_the_canonical_snapshot(self, tmp_path,
                                                       monkeypatch):
         seen = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.kernel import ScheduledCall
 
 
 @pytest.fixture
@@ -68,6 +69,31 @@ class TestScheduling:
         sim.run(until=5.0)
         with pytest.raises(ValueError):
             sim.run(until=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_nan_delay_refused_by_name(self, sim, bad):
+        # NaN passed ``delay < 0`` and then sat at the heap head:
+        # ``run(until=10)`` spun forever and ``step()`` set the clock
+        # to NaN.  Refused at the door, heap untouched.
+        with pytest.raises(ValueError, match=f"delay={bad}"):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(ValueError, match=f"t={bad}"):
+            sim.schedule_at(bad, lambda: None)
+        assert sim._heap == [] and sim._seq == 0
+        sim.run(until=10.0)
+        assert sim.now == 10.0
+
+    def test_nan_until_refused(self, sim):
+        with pytest.raises(ValueError, match="until=nan"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+
+    def test_schedule_handle_matches_the_constructor(self, sim):
+        call = sim.schedule(2.0, print)
+        ref = ScheduledCall(2.0, print, sim)
+        assert [getattr(call, a) for a in ScheduledCall.__slots__] == \
+            [getattr(ref, a) for a in ScheduledCall.__slots__]
+        assert sim._heap == [(2.0, 1, call)] and sim.heap_peak == 1
 
     def test_nested_scheduling(self, sim):
         seen = []
