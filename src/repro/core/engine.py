@@ -45,6 +45,9 @@ class GruberEngine:
         #: wires in its simulator's instances.
         self.tracer = tracer
         self.metrics = metrics
+        #: ``engine.dispatches``, looked up once on first use (the
+        #: registry creates on lookup).
+        self._dispatch_counter = None
         #: Optional differential-replay journal
         #: (:class:`repro.check.digest.EventJournal`); installed by
         #: ``install_probes`` for ``digruber diff`` runs.  One attribute
@@ -124,7 +127,11 @@ class GruberEngine:
         self.view.apply_record(rec)
         self.dispatches_recorded += 1
         if self.metrics is not None:
-            self.metrics.counter("engine.dispatches").inc()
+            counter = self._dispatch_counter
+            if counter is None:
+                counter = self._dispatch_counter = self.metrics.counter(
+                    "engine.dispatches")
+            counter.value += 1
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit("engine.dispatch", node=self.owner, site=site,
                              vo=vo, cpus=cpus, seq=rec.seq)

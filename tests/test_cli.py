@@ -305,8 +305,8 @@ class TestRestoreFlightRecorder:
 
         replay = Simulator.run_to_event
 
-        def replay_then_sigterm(self, event_count):
-            replay(self, event_count)
+        def replay_then_sigterm(self, event_count, until):
+            replay(self, event_count, until)
             os.kill(os.getpid(), signal.SIGTERM)
 
         monkeypatch.setattr(Simulator, "run_to_event", replay_then_sigterm)

@@ -363,7 +363,8 @@ class TestCallCensus:
     ``canonical_gt3(3)`` at 600 s: like :class:`TestEventCensus`, an
     exact count, so a change that adds frames to a hop trips it on any
     runner.  114.3 Python and 131.1 C calls a job when the budget was
-    set (DESIGN.md §6 prices a hop)."""
+    set, 113.0 and 130.4 once the engine bound its dispatch counter
+    (DESIGN.md §6 prices a hop)."""
 
     BUDGET = 120.0
 
