@@ -26,14 +26,15 @@ Pair semantics:
   scripted dispatches, then quiescence, then every decision point's
   final live record set must match between the two modes.
 * ``sharded-2`` / ``sharded-4`` — the space-parallel kernel's
-  partition-independence claim: ``run_sharded`` over one shard vs two
-  (or four), comparing the canonically merged per-neighborhood event
-  journals.  Any shard grouping must replay to the same chained digest.
+  partition-independence claim: ``run_sharded`` on one shard in-process
+  vs two (or four) worker processes, comparing the canonically merged
+  per-neighborhood event journals.  Any shard grouping must replay to
+  the same chained digest.
 * ``resume`` / ``resume-sharded`` — checkpoint/restore equivalence: an
   uninterrupted run vs one killed mid-flight and restored from its
-  newest checkpoint (monolithic: verified replay with chaos and the
-  strict checker riding; sharded: epoch-barrier checkpoints verified
-  during a lockstep rerun).
+  newest checkpoint by verified replay, with chaos and the strict
+  checker riding; ``resume-sharded`` runs it on one neighborhood of a
+  sharded run.
 """
 
 from __future__ import annotations
@@ -174,23 +175,29 @@ def _pair_workers(duration_s: float, seed: int) -> DiffReport:
     return _report("workers", "1-worker", ja, "4-workers", jb)
 
 
+def _sharded_config(duration_s: float, seed: int, name: str):
+    """The 4-neighborhood config of the sharded pairs."""
+    from repro.experiments.configs import smoke_config
+    return smoke_config(
+        decision_points=4, n_clients=16, n_sites=16, total_cpus=800,
+        duration_s=duration_s, sync_interval_s=30.0,
+        monitor_interval_s=60.0, seed=seed, name=name)
+
+
 def _pair_sharded(n_shards: int, duration_s: float, seed: int) -> DiffReport:
-    """1 shard vs ``n_shards`` over the same 4-neighborhood config.
+    """1 shard in-process vs ``n_shards`` worker processes.
 
     ``run_sharded`` journals every neighborhood and merges the streams
     canonically (sorted by time, hood, per-hood index), so the chained
     digests must match entry-for-entry regardless of grouping.  Spans
     stay off: hood sub-configs force per-sim observability off anyway.
     """
-    from repro.experiments.configs import smoke_config
     from repro.sim.sharded import run_sharded
 
-    config = smoke_config(
-        decision_points=4, n_clients=16, n_sites=16, total_cpus=800,
-        duration_s=duration_s, sync_interval_s=30.0,
-        monitor_interval_s=60.0, seed=seed, name="diff-sharded")
+    config = _sharded_config(duration_s, seed, "diff-sharded")
     serial = run_sharded(config, n_shards=1, journal=True)
-    sharded = run_sharded(config, n_shards=n_shards, journal=True)
+    sharded = run_sharded(config, n_shards=n_shards, mode="workers",
+                          journal=True)
     return _report(f"sharded-{n_shards}",
                    "1-shard", serial.journal,
                    f"{n_shards}-shards", sharded.journal)
@@ -282,20 +289,19 @@ def _scripted_sync_run(duration_s: float, seed: int,
     return journal
 
 
-def _pair_resume(duration_s: float, seed: int) -> DiffReport:
-    """Uninterrupted run vs killed-and-restored run (the tentpole claim).
+def _pair_resume(base, pair: str) -> DiffReport:
+    """Uninterrupted run vs killed-and-restored run of ``base``.
 
     Both sides checkpoint on the same cadence — checkpoint ticks are
     simulation events, so event-identity requires identical scheduling.
     Side A runs to completion.  Side B runs just past the half-way
     point, is aborted as a mid-run kill would abort it, and is then
     restored from its newest on-disk checkpoint (verified deterministic
-    replay — see :mod:`repro.sim.snapshot`).  Chaos
-    (``dp_crash_restart``) and the strict invariant checker ride along,
-    so the equality claim covers fault injection and periodic checking
-    too.  The restored side's journal regenerates from t=0 during
-    replay, so the two journals must chain to the same digest
-    entry-for-entry.
+    replay — see :mod:`repro.sim.snapshot`).  The strict invariant
+    checker rides along, and so does ``base``'s chaos scenario, so the
+    equality claim covers fault injection and periodic checking too.
+    The restored side's journal regenerates from t=0 during replay, so
+    the two journals must chain to the same digest entry-for-entry.
     """
     import tempfile
 
@@ -303,19 +309,19 @@ def _pair_resume(duration_s: float, seed: int) -> DiffReport:
     from repro.experiments.runner import abort_experiment, build_experiment
     from repro.sim.snapshot import newest_checkpoint, resume_experiment
 
+    duration_s = base.duration_s
+
+    def checkpointed(directory):
+        return base.with_(check_enabled=True, check_strict=True,
+                          checkpoint_every_s=duration_s / 5,
+                          checkpoint_dir=directory)
+
     with tempfile.TemporaryDirectory() as dir_a, \
             tempfile.TemporaryDirectory() as dir_b:
-        base = _diff_config(duration_s, seed).with_(
-            seed=seed, chaos_scenario="dp_crash_restart",
-            check_enabled=True, check_strict=True, name="diff-resume")
-        every = duration_s / 5
-        ja = _run_journaled(base.with_(checkpoint_every_s=every,
-                                       checkpoint_dir=dir_a))
+        ja = _run_journaled(checkpointed(dir_a))
 
-        config_b = base.with_(checkpoint_every_s=every,
-                              checkpoint_dir=dir_b)
         partial = EventJournal()
-        built = build_experiment(config_b)
+        built = build_experiment(checkpointed(dir_b))
         install_probes(partial, deployment=built.deployment,
                        sites=built.grid.sites.values(), sim=built.sim)
         built.sim.run(until=duration_s * 0.55)
@@ -334,43 +340,25 @@ def _pair_resume(duration_s: float, seed: int) -> DiffReport:
                            sites=grid.sites.values(), sim=sim)
 
         resume_experiment(checkpoint, deployment_hook=hook)
-    return _report("resume", "uninterrupted", ja, "restored", jb)
+    return _report(pair, "uninterrupted", ja, "restored", jb)
+
+
+def _pair_resume_monolithic(duration_s: float, seed: int) -> DiffReport:
+    return _pair_resume(_diff_config(duration_s, seed).with_(
+        seed=seed, chaos_scenario="dp_crash_restart", name="diff-resume"),
+        "resume")
 
 
 def _pair_resume_sharded(duration_s: float, seed: int) -> DiffReport:
-    """Sharded (4 shards) uninterrupted vs barrier-checkpoint-restored.
+    """The ``resume`` pair on hood 0 of the sharded pairs' config: a hood
+    checkpoints and restores as the monolithic run it is, and hood 0
+    carries the config's chaos scenario."""
+    from repro.sim.sharded import hood_config
 
-    Sharded checkpoints land on epoch barriers (runner-level, never a
-    simulation event), so a checkpointing run journals identically to a
-    bare one; the restore is a lockstep rerun that must re-derive every
-    neighborhood's barrier digest before continuing (see
-    :func:`repro.sim.sharded.run_sharded`).
-    """
-    import tempfile
-
-    from repro.experiments.configs import smoke_config
-    from repro.sim.sharded import run_sharded
-    from repro.sim.snapshot import newest_checkpoint
-
-    config = smoke_config(
-        decision_points=4, n_clients=16, n_sites=16, total_cpus=800,
-        duration_s=duration_s, sync_interval_s=30.0,
-        monitor_interval_s=60.0, seed=seed, name="diff-resume-sharded")
-    reference = run_sharded(config, n_shards=4, journal=True)
-    with tempfile.TemporaryDirectory() as ckdir:
-        ckpt_config = config.with_(checkpoint_every_s=duration_s / 5,
-                                   checkpoint_dir=ckdir)
-        run_sharded(ckpt_config, n_shards=4, journal=True)
-        checkpoint = newest_checkpoint(ckdir)
-        if checkpoint is None:
-            raise RuntimeError(
-                "sharded resume pair wrote no barrier checkpoint; "
-                f"expected one in {ckdir}")
-        restored = run_sharded(ckpt_config, n_shards=4, journal=True,
-                               restore=checkpoint)
-    return _report("resume-sharded",
-                   "uninterrupted", reference.journal,
-                   "restored", restored.journal)
+    config = _sharded_config(duration_s, seed, "diff-resume-sharded")
+    return _pair_resume(
+        hood_config(config.with_(chaos_scenario="dp_crash_restart"), 0),
+        "resume-sharded")
 
 
 PAIRS: dict[str, Callable[[float, int], DiffReport]] = {
@@ -380,7 +368,7 @@ PAIRS: dict[str, Callable[[float, int], DiffReport]] = {
     "autoscale-frozen": _pair_autoscale_frozen,
     "sharded-2": lambda d, s: _pair_sharded(2, d, s),
     "sharded-4": lambda d, s: _pair_sharded(4, d, s),
-    "resume": _pair_resume,
+    "resume": _pair_resume_monolithic,
     "resume-sharded": _pair_resume_sharded,
 }
 

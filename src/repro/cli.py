@@ -178,11 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="space-parallel run: partition the grid into "
                      "one independent neighborhood per decision point "
-                     "and group them onto N shards (results are "
-                     "shard-count independent)")
-    run.add_argument("--shard-workers", action="store_true",
-                     help="with --shards, run each shard in its own OS "
-                     "process instead of lockstep in-process")
+                     "and run them on N worker processes (N=1: in this "
+                     "process; results are shard-count independent)")
     run.add_argument("--checkpoint-every", type=float, default=None,
                      metavar="S", help="write a restorable checkpoint "
                      "every S simulated seconds (needs --checkpoint-dir)")
@@ -191,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--restore", default=None, metavar="FILE",
                      help="restore a checkpointed run and finish it (the "
                      "run's config comes from the snapshot, so only "
-                     "--shards and --obs may accompany it)")
+                     "--obs may accompany it; a sharded run's hood h "
+                     "restores from DIR/h<h>/)")
     add_obs(run)
 
     camp = sub.add_parser(
@@ -456,7 +454,7 @@ def _run_flight_armed(config, run):
 
 #: What ``run --restore`` honours besides the file: the run's config
 #: comes from the snapshot.
-_RESTORE_DESTS = {"command", "restore", "shards", "obs"}
+_RESTORE_DESTS = {"command", "restore", "obs"}
 
 
 def _restore_ignored_flags(args) -> list[str]:
@@ -475,8 +473,6 @@ def _cmd_run(args) -> int:
         if ignored:
             raise _UsageError("--restore takes the run's config from the "
                               f"snapshot; drop {' '.join(ignored)}")
-        if args.shards is not None:
-            return _run_sharded_cmd(args, None, None)
         from repro.sim.snapshot import (decode_config, read_snapshot,
                                         resume_experiment)
         config = decode_config(read_snapshot(args.restore)["config"])
@@ -567,14 +563,7 @@ def _cmd_run(args) -> int:
 
 def _run_sharded_cmd(args, maker, overrides) -> int:
     """``digruber run --shards=N``: the space-parallel kernel path."""
-    from repro.sim.sharded import run_sharded
-    if args.restore is not None:
-        from repro.sim.snapshot import decode_config, read_snapshot
-        config = decode_config(read_snapshot(args.restore)["config"])
-        result = run_sharded(config, n_shards=args.shards,
-                             mode="lockstep", restore=args.restore)
-        print(result.describe())
-        return 0
+    from repro.sim.sharded import hood_config, plan_shards, run_sharded
     if (args.trace is not None or args.trace_spans is not None
             or args.obs):
         raise SystemExit(
@@ -584,14 +573,16 @@ def _run_sharded_cmd(args, maker, overrides) -> int:
         raise SystemExit(
             "error: --flight needs one live simulator; drop --flight "
             "(--telemetry FILE still writes the merged grid-wide "
-            "timeline, sampled at the epoch barriers)")
-    # Sharded telemetry works differently (hood-local barrier sampling,
-    # merged at the end) but flows through the same config fields.
+            "timeline)")
+    # Sharded telemetry works differently (hood-local rows, merged at
+    # the end) but flows through the same config fields.
     overrides.update(_obs_overrides(args, overrides["seed"]))
     with _bad_input():
         config = maker(args.dps, **overrides)
-    mode = "workers" if args.shard_workers else "lockstep"
-    result = run_sharded(config, n_shards=args.shards, mode=mode)
+        plan_shards(config.decision_points, args.shards)
+        hood_config(config, 0)  # a grid too small to partition
+    result = run_sharded(config, n_shards=args.shards,
+                         mode="workers" if args.shards > 1 else "lockstep")
     print(result.describe())
     if result.timeline is not None and config.telemetry_path:
         print(f"merged timeline ({len(result.timeline)} rows) written to "

@@ -43,8 +43,8 @@ class BuiltExperiment:
     started (deployment, failover, clients) and zero simulated seconds
     elapsed; the caller decides how the clock advances.  The plain
     runner calls ``sim.run(until=duration)`` once; the sharded runtime
-    (:mod:`repro.sim.sharded`) advances one per neighborhood in epoch
-    windows.
+    (:mod:`repro.sim.sharded`) advances one per neighborhood in
+    telemetry steps when its timeline is on.
     """
 
     config: ExperimentConfig

@@ -28,8 +28,8 @@ ad-hoc print statements:
   DES-clock :class:`~repro.obs.timeline.TimelineSampler` taking one
   unified :meth:`~repro.obs.counters.MetricsRegistry.collect` pass per
   tick into a bounded series and a timeline file (what ``digruber top``
-  replays or live-tails); sharded runs merge per-neighborhood barrier
-  rows into the same row schema.
+  replays or live-tails); sharded runs merge per-neighborhood rows
+  into the same row schema.
 * :mod:`repro.obs.flight` — the flight recorder: a bounded black box
   (trace tail, open spans, recent snapshots, kernel + checker state)
   dumped to ``flight-<seed>.json`` on crash, strict-check violation,

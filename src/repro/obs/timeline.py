@@ -23,11 +23,12 @@ telemetry plane:
   ``digruber top`` replays or live-tails them; :func:`load_timeline`
   reads them back.
 * :func:`hood_row` / :func:`merge_hood_timelines` — sharded runs sample
-  each DP neighborhood at its epoch barriers from *hood-local* state
-  only and merge the hoods into one registry-schema row per barrier, so
-  the grid-wide timeline is bit-identical regardless of how hoods are
-  grouped onto shards (the same partition-independence contract as the
-  event journals) and renders through the same dashboard path.
+  each DP neighborhood every ``telemetry_interval_s`` from *hood-local*
+  state only and merge the hoods into one registry-schema row per
+  instant, so the grid-wide timeline is bit-identical regardless of how
+  hoods are grouped onto shards (the same partition-independence
+  contract as the event journals) and renders through the same
+  dashboard path.
 
 Determinism is a hard invariant: a sampler tick is strictly read-only
 with respect to the simulation — no RNG draws, no semantic state
@@ -252,7 +253,7 @@ def load_timeline(path: str, tolerant: bool = True
 # -- sharded (per-neighborhood) timelines ------------------------------------
 
 def hood_row(built, hood: int, t: float) -> dict:
-    """One DP neighborhood's barrier row, from hood-local state only.
+    """One DP neighborhood's telemetry row, from hood-local state only.
 
     Everything here reads the hood's own deployment/grid/client
     objects, which are bit-identical across shard groupings, so the
@@ -277,7 +278,7 @@ def hood_row(built, hood: int, t: float) -> dict:
 
 
 def merge_hood_timelines(per_hood: dict[int, list[dict]]) -> list[dict]:
-    """Canonical grid-wide merge: one registry-schema row per barrier.
+    """Canonical grid-wide merge: one registry-schema row per instant.
 
     Per-DP gauges are carried over; every other gauge is a hood-local
     share of a grid-wide total and is summed — in hood order, so the

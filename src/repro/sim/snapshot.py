@@ -38,14 +38,14 @@ the same canonical JSON the state would have on disk.
 ``crc`` covers the canonical (sorted-keys, compact) JSON of the
 snapshot, and the snapshot is written in exactly that form.
 :func:`read_snapshot` checks the head field by field, so a damaged or
-hand-edited file is refused by name, never replayed wrong; a sharded
-barrier file is checked by its barrier fields and restores only through
-``run_sharded``.  A file
-written by a build that still stored the state body (a ``state`` member
-beside the head) restores the same way; the body is ignored.  Writes
-are atomic (tmp + ``os.rename``) so a SIGKILL mid-write never leaves a
-truncated restore candidate — ``newest_checkpoint`` validates every
-candidate and skips corrupt or partial files.
+hand-edited file is refused by name, never replayed wrong (so is a
+sharded "barrier" file of an older build: it has no ``event_count``).
+A file written by a build that still stored the state body (a
+``state`` member beside the head) restores the same way; the body is
+ignored.  Writes are atomic (tmp + ``os.rename``) so a SIGKILL
+mid-write never leaves a truncated restore candidate —
+``newest_checkpoint`` validates every candidate and skips corrupt or
+partial files.
 """
 
 from __future__ import annotations
@@ -326,34 +326,25 @@ def _check_head(snapshot: dict, path: str) -> None:
     """Refuse, naming the field, a head that cannot drive a replay (a
     file re-signed after an edit passes the CRC but not this): the
     replay cursor must be a count and an instant inside the run, and
-    the evidence exactly the six section digests and byte offsets.  A
-    sharded barrier file's cursor is its barrier."""
+    the evidence exactly the six section digests and byte offsets."""
     get = snapshot.get
     config = get("config")
-    checks = [("config", type(config) is dict, "an object")]
-    if get("sharded"):
-        checks += [
-            ("barrier_t", _instant(get("barrier_t")), "a finite time"),
-            ("barrier_index", _count(get("barrier_index")),
-             "an integer >= 0"),
-            ("hood_digests", type(get("hood_digests")) is dict,
-             "an object")]
-    else:
-        duration = config.get("duration_s") if type(config) is dict else None
-        digests, sinks = get("digests"), get("sinks")
-        checks += [
-            ("event_count", _count(get("event_count")), "an integer >= 0"),
-            ("time", _instant(get("time")) and _instant(duration)
-             and 0 <= get("time") <= duration,
-             f"a time in [0, duration_s={duration!r}]"),
-            ("digests", type(digests) is dict
-             and sorted(digests) == list(_SECTIONS)
-             and all(type(d) is str and _HEX8.fullmatch(d)
-                     for d in digests.values()),
-             f"8-hex digests of exactly {', '.join(_SECTIONS)}"),
-            ("sinks", type(sinks) is dict
-             and all(_count(offset) for offset in sinks.values()),
-             "sink name -> byte offset >= 0")]
+    duration = config.get("duration_s") if type(config) is dict else None
+    digests, sinks = get("digests"), get("sinks")
+    checks = [
+        ("config", type(config) is dict, "an object"),
+        ("event_count", _count(get("event_count")), "an integer >= 0"),
+        ("time", _instant(get("time")) and _instant(duration)
+         and 0 <= get("time") <= duration,
+         f"a time in [0, duration_s={duration!r}]"),
+        ("digests", type(digests) is dict
+         and sorted(digests) == list(_SECTIONS)
+         and all(type(d) is str and _HEX8.fullmatch(d)
+                 for d in digests.values()),
+         f"8-hex digests of exactly {', '.join(_SECTIONS)}"),
+        ("sinks", type(sinks) is dict
+         and all(_count(offset) for offset in sinks.values()),
+         "sink name -> byte offset >= 0")]
     for field, ok, want in checks:
         if not ok:
             raise SnapshotError(
@@ -386,10 +377,8 @@ def newest_checkpoint(directory: str) -> Optional[str]:
             snapshot = read_snapshot(path)
         except SnapshotError:
             continue
-        stamp = ((snapshot["barrier_t"], snapshot["barrier_index"])
-                 if snapshot.get("sharded")
-                 else (snapshot["time"], snapshot["event_count"]))
-        if name == checkpoint_filename(*stamp):
+        if name == checkpoint_filename(snapshot["time"],
+                                       snapshot["event_count"]):
             return path
     return None
 
@@ -504,10 +493,6 @@ def resume_experiment(snapshot: Union[str, dict],
     source = snapshot if isinstance(snapshot, str) else "<snapshot>"
     if isinstance(snapshot, str):
         snapshot = read_snapshot(snapshot)
-    if snapshot.get("sharded"):
-        raise SnapshotError(
-            f"{source!r} is a sharded barrier checkpoint; restore it "
-            "with --shards (run_sharded)")
     config = decode_config(snapshot["config"])
     try:
         built = build_experiment(config)

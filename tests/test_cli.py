@@ -236,7 +236,9 @@ class TestBadRunInput:
 
     @pytest.mark.parametrize("argv", [
         ["--sites", "0"], ["--dps", "0"], ["--clients", "0"],
-        ["--sync", "0"], ["--sites", "5", "--cpus", "3"]],
+        ["--sync", "0"], ["--sites", "5", "--cpus", "3"],
+        ["--dps", "3", "--shards", "4"],
+        ["--dps", "3", "--clients", "2", "--shards", "2"]],
         ids=" ".join)
     def test_exits_2_with_one_error_line(self, capsys, argv):
         assert main(["run", *argv]) == 2
@@ -254,8 +256,7 @@ class TestRestoreRefusesExperimentFlags:
 
     @pytest.mark.parametrize("extra,dropped", [
         ([], "--dps --chaos"),
-        (["--shards", "2", "--shard-workers"],
-         "--dps --chaos --shard-workers"),
+        (["--shards", "2"], "--dps --chaos --shards"),
     ], ids=["monolithic", "sharded"])
     def test_exits_2_naming_the_ignored_flags(self, tmp_path, capsys,
                                               extra, dropped):

@@ -8,7 +8,7 @@ The tentpole claims under test:
 * bounded in-memory series + JSONL export through the one sink;
 * telemetry-on is event-identical to telemetry-off (the ``observers``
   differ pair, exercised here at test duration);
-* sharded runs merge per-hood barrier rows into one grid-wide timeline
+* sharded runs merge per-hood rows into one grid-wide timeline
   in the same row schema, invariant in the shard count and mode.
 """
 
@@ -211,7 +211,7 @@ class TestShardedTimeline:
         path = tmp_path / "s2.jsonl"
         r = self._sharded(2, path)
         times = [row["t"] for row in r.timeline]
-        # One registry-schema row per barrier, plus end of run.
+        # One registry-schema row per telemetry interval, plus end of run.
         assert times == [30.0 * i for i in range(1, 11)]
         for row in r.timeline:
             assert set(row) == {"t", "counters", "gauges", "histograms"}

@@ -164,7 +164,7 @@ class TestTail:
         assert out.getvalue().count("digruber top") == 2
 
     def test_follow_groups_sharded_rows_by_barrier(self, tmp_path):
-        # A sharded timeline is one registry-schema row per barrier
+        # A sharded timeline is one registry-schema row per instant
         # (hoods merged at write time), so follow needs no batching:
         # every row is a complete grid-wide frame the moment it lands.
         from repro.obs.timeline import merge_hood_timelines

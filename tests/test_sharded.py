@@ -1,25 +1,31 @@
 """Tests for the space-parallel sharded simulation (repro.sim.sharded).
 
 The load-bearing claim is *partition independence*: hoods exchange
-nothing, so grouping them onto 1, 2, or 4 shards — or onto worker
-processes — must produce bit-identical per-hood summaries and identical
-canonically merged event journals, and each hood's summary must equal
-its standalone run's.  The property tests sweep seeds and shard counts;
-the chaos test repeats the claim with a DP crash/restart striking hood
-0 while the strict invariant checker runs inside every neighborhood.
+nothing, so running them in this process or on 2 or 4 worker processes
+must produce bit-identical per-hood summaries and identical canonically
+merged event journals, and each hood's summary must equal its
+standalone run's.  The property tests sweep seeds and shard counts; the
+chaos test repeats the claim with a DP crash/restart striking hood 0
+while the strict invariant checker runs inside every neighborhood.
 """
+
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.sharded as sharded
+from repro.cli import main
 from repro.experiments.configs import canonical_gt3, smoke_config
 from repro.experiments.parallel import summarize, summary_digest
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_experiment, run_experiment
 from repro.sim.sharded import (ShardedRunResult, hood_config, plan_shards,
                                run_sharded)
-from repro.sim.snapshot import (SnapshotError, newest_checkpoint,
-                                read_snapshot, write_snapshot)
+from repro.sim.snapshot import (checkpoint_filename, newest_checkpoint,
+                                resume_experiment, snapshot_experiment,
+                                write_snapshot)
 
 
 def _config(seed=20050101, **overrides):
@@ -88,7 +94,8 @@ class TestPartitionIndependence:
         assert isinstance(ref, ShardedRunResult)
         assert ref.n_hoods == 4 and ref.n_jobs > 0
         for n_shards in (2, 4):
-            other = run_sharded(config, n_shards=n_shards, journal=True)
+            other = run_sharded(config, n_shards=n_shards, mode="workers",
+                                journal=True)
             assert other.summary_digests == ref.summary_digests
             assert other.total_events == ref.total_events
             assert [(e.time, e.kind, e.detail)
@@ -116,7 +123,8 @@ class TestPartitionIndependence:
             ref = run_sharded(config, n_shards=1, journal=True)
             self._reference[seed] = (ref.summary_digests,
                                      ref.journal.digest)
-        result = run_sharded(config, n_shards=n_shards, journal=True)
+        result = run_sharded(config, n_shards=n_shards, mode="workers",
+                             journal=True)
         digests, journal_digest = self._reference[seed]
         assert result.summary_digests == digests
         assert result.journal.digest == journal_digest
@@ -135,7 +143,8 @@ class TestPartitionIndependence:
             ref = run_sharded(config, n_shards=1, journal=True)
             self._chaos_reference["ref"] = (ref.summary_digests,
                                             ref.journal.digest)
-        result = run_sharded(config, n_shards=n_shards, journal=True)
+        result = run_sharded(config, n_shards=n_shards, mode="workers",
+                             journal=True)
         digests, journal_digest = self._chaos_reference["ref"]
         assert result.summary_digests == digests
         assert result.journal.digest == journal_digest
@@ -163,70 +172,86 @@ class TestHoodIsStandaloneRun:
         assert sharded.summary_digests == standalone
 
 
-class TestStaleBarrierCheckpoint:
-    """A barrier checkpoint whose hood digests no longer re-derive (one
-    written by an older build) is refused by name, never replayed."""
+class TestHoodCheckpoints:
+    """A hood checkpoints as the monolithic run it is, into its own
+    ``h<k>/`` directory, in either executor."""
 
-    def _stale(self, tmp_path):
-        config = _config(decision_points=2, n_clients=8, n_sites=8,
-                         total_cpus=400, duration_s=200.0,
-                         sync_interval_s=30.0, checkpoint_every_s=60.0,
-                         checkpoint_dir=str(tmp_path))
-        run_sharded(config, n_shards=2)
-        path = newest_checkpoint(str(tmp_path))
-        snapshot = read_snapshot(path)
-        snapshot["hood_digests"]["1"] = "0" * 16
-        write_snapshot(snapshot, path)  # re-signed: the CRC still holds
-        return config, path
+    def test_workers_run_checkpoints_every_hood(self, tmp_path):
+        config = _config()
+        plain = run_sharded(config, n_shards=2, mode="workers")
+        checkpointed = run_sharded(
+            config.with_(checkpoint_every_s=60.0,
+                         checkpoint_dir=str(tmp_path)),
+            n_shards=2, mode="workers")
+        assert checkpointed.summary_digests == plain.summary_digests
+        assert sorted(os.listdir(tmp_path)) == ["h0", "h1", "h2", "h3"]
+        for h in range(config.decision_points):
+            names = os.listdir(tmp_path / f"h{h}")
+            assert names and all(n.startswith("ckpt-") for n in names)
+        newest = newest_checkpoint(str(tmp_path / "h1"))
+        restored = summarize(resume_experiment(newest))
+        assert summary_digest(restored) == plain.summary_digests[1]
 
-    def test_restore_names_the_diverged_hood(self, tmp_path):
-        config, path = self._stale(tmp_path)
-        with pytest.raises(SnapshotError,
-                           match=r"neighborhood\(s\): 1$"):
-            run_sharded(config, n_shards=2, restore=path)
 
-    def test_restore_past_the_last_barrier_is_refused_up_front(self,
-                                                               tmp_path):
-        config, path = self._stale(tmp_path)
-        snapshot = read_snapshot(path)
-        snapshot["barrier_t"] = 10 * config.duration_s
-        write_snapshot(snapshot, path)
-        with pytest.raises(SnapshotError, match="is never reached"):
-            run_sharded(config, n_shards=2, restore=path)
+class TestBarrierFilesFromOlderBuilds:
+    """Older builds wrote sharded "barrier" files (``sharded``,
+    ``barrier_t``, ``hood_digests`` and no ``event_count``).  They are
+    refused by name and skipped as restore candidates, and so is a
+    monolithic head re-signed with the barrier fields and a count past
+    the run's end."""
 
-    def test_cli_restore_exits_2_with_one_line(self, tmp_path, capsys):
-        from repro.cli import main
-        _, path = self._stale(tmp_path)
-        assert main(["run", "--restore", path, "--shards", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "neighborhood(s): 1" in err and "Traceback" not in err
-
-    def test_barrier_file_without_shards_exits_2(self, tmp_path, capsys):
-        from repro.cli import main
-        _, path = self._stale(tmp_path)
+    @pytest.mark.parametrize("resigned", [False, True],
+                             ids=["barrier-head", "resigned-monolithic"])
+    def test_refused_and_skipped(self, tmp_path, capsys, resigned):
+        built = build_experiment(smoke_config(n_clients=4, duration_s=120.0))
+        built.sim.run(until=60.0)
+        head = snapshot_experiment(built)
+        if resigned:
+            head["event_count"] = 10 ** 9
+        else:
+            for key in ("event_count", "time", "digests", "sinks"):
+                del head[key]
+        head.update(sharded=True, barrier_t=60.0, barrier_index=1,
+                    hood_digests={"0": "0" * 16, "1": "0" * 16})
+        path = write_snapshot(head, str(tmp_path / checkpoint_filename(
+            60.0, 1)))
+        assert newest_checkpoint(str(tmp_path)) is None
         assert main(["run", "--restore", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "sharded barrier checkpoint" in err
-        assert "Traceback" not in err
+        assert "event" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field,value", [
-        ("barrier_t", "x"), ("barrier_index", -1), ("hood_digests", ["0"])])
-    def test_hostile_barrier_head_is_refused_by_name(self, tmp_path, capsys,
-                                                     field, value):
-        from repro.cli import main
-        _, path = self._stale(tmp_path)
-        snapshot = read_snapshot(path)
-        snapshot[field] = value
-        write_snapshot(snapshot, path)
-        with pytest.raises(SnapshotError, match=f"{field} is .*, not "):
-            read_snapshot(path)
-        assert newest_checkpoint(str(tmp_path)) != path
-        assert main(["run", "--restore", path, "--shards", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err and "Traceback" not in err
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched build reaches workers by fork")
+class TestWorkerFailures:
+    """A hood that fails in a worker process fails the run, naming the
+    error or the hood, and leaves no worker process behind."""
+
+    def _fail_hood_1(self, monkeypatch, fail):
+        build = sharded.build_experiment
+
+        def build_or_fail(config):
+            if config.name.endswith("-h1"):
+                fail()
+            return build(config)
+
+        monkeypatch.setattr(sharded, "build_experiment", build_or_fail)
+
+    def test_raising_hood_raises_its_error(self, monkeypatch):
+        def fail():
+            raise RuntimeError("hood one exploded")
+
+        self._fail_hood_1(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="hood one exploded"):
+            run_sharded(_config(), n_shards=2, mode="workers")
+        assert multiprocessing.active_children() == []
+
+    def test_dying_worker_names_the_hood(self, monkeypatch):
+        self._fail_hood_1(monkeypatch, lambda: os._exit(1))
+        with pytest.raises(RuntimeError, match="neighborhood 1 "):
+            run_sharded(_config(), n_shards=2, mode="workers")
+        assert multiprocessing.active_children() == []
 
 
 class TestResultSurface:

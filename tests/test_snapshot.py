@@ -369,8 +369,8 @@ class TestStaleCheckpoints:
         _restamp_as_v1(older)
         assert newest_checkpoint(str(tmp_path)) is None
 
-    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
-                             ids=["monolithic", "sharded"])
+    @pytest.mark.parametrize("extra", [[], ["--obs"]],
+                             ids=["monolithic", "with-obs"])
     def test_cli_restore_exits_2_with_one_line_error(self, tmp_path, capsys,
                                                      extra):
         from repro.cli import main
@@ -417,15 +417,16 @@ class TestStaleCheckpoints:
                            + ", ".join(sorted(_RETIRED_V3))):
             decode_config(config)
 
-    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
-                             ids=["monolithic", "sharded"])
+    @pytest.mark.parametrize("extra", [[], ["--obs"]],
+                             ids=["monolithic", "with-obs"])
     def test_v5_checkpoint_counting_brokering_hops_is_refused_by_version(
             self, tmp_path, capsys, extra):
         """A v5 file's ``event_count`` includes the zero-delay kernel
         hops of generator brokering, which this build never executes:
         replaying to it would overshoot the checkpoint instant.  Refused
         when read, skipped when picking a restore candidate, one
-        ``error:`` line from ``run --restore`` (either runtime)."""
+        ``error:`` line from ``run --restore`` (with or without the one
+        flag it accepts)."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
         path = _write_checkpoint(tmp_path, 60.0, state=True)
@@ -439,14 +440,15 @@ class TestStaleCheckpoints:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "snapshot version 5" in err and "reads version 7" in err
 
-    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
-                             ids=["monolithic", "sharded"])
+    @pytest.mark.parametrize("extra", [[], ["--obs"]],
+                             ids=["monolithic", "with-obs"])
     def test_v6_checkpoint_of_json_records_is_refused_by_version(
             self, tmp_path, capsys, extra):
         """A v6 file holds its numeric sections as JSON record lists and
         its ``wan`` stream one draw at a time: refused when read (naming
         both versions), skipped when picking a restore candidate, one
-        ``error:`` line from ``run --restore`` (either runtime)."""
+        ``error:`` line from ``run --restore`` (with or without the one
+        flag it accepts)."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
         path = _write_checkpoint(tmp_path, 60.0, state=True)
@@ -460,15 +462,15 @@ class TestStaleCheckpoints:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "snapshot version 6" in err and "reads version 7" in err
 
-    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
-                             ids=["monolithic", "sharded"])
+    @pytest.mark.parametrize("extra", [[], ["--obs"]],
+                             ids=["monolithic", "with-obs"])
     def test_v4_checkpoint_with_retired_settings_is_refused_by_name(
             self, tmp_path, capsys, extra):
         """A v4 file embeds the seven settings that became constants:
         refused by version when read, skipped when picking a restore
-        candidate, one ``error:`` line from ``run --restore`` (either
-        runtime) — and, were the version check ever bypassed, refused
-        by field name."""
+        candidate, one ``error:`` line from ``run --restore`` (with or
+        without ``--obs``) — and, were the version check ever bypassed,
+        refused by field name."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
         path = _write_checkpoint(tmp_path, 60.0)
@@ -615,26 +617,6 @@ class TestHostileHeads:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "event" in err and "Traceback" not in err
-
-
-    def test_head_resigned_as_sharded_is_not_replayed(self, tmp_path,
-                                                      capsys):
-        """A monolithic head re-signed with the sharded flag and a valid
-        barrier passes the barrier checks, but only a sharded restore
-        reads a barrier file: the monolithic restore refuses it before
-        replaying its past-the-end count."""
-        from repro.cli import main
-        _, path = _hostile(tmp_path, "event_count", lambda _: 10 ** 9)
-        for field, value in [("sharded", True), ("barrier_t", 60.0),
-                             ("barrier_index", 1), ("hood_digests", {})]:
-            _resign(path, field, lambda _, v=value: v)
-        read_snapshot(path)
-        with pytest.raises(SnapshotError, match="sharded barrier checkpoint"):
-            resume_experiment(path)
-        assert main(["run", "--restore", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--shards" in err and "Traceback" not in err
 
 
 class TestSnapshotInvariants:

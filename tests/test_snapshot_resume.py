@@ -1,4 +1,4 @@
-"""Resume-equals-fresh equality, monolithic and sharded."""
+"""Resume-equals-fresh equality."""
 
 import pytest
 
@@ -52,32 +52,6 @@ class TestResumeEqualsFresh:
         checkpoint = newest_checkpoint(config.checkpoint_dir)
         assert checkpoint is not None
         assert _digest(resume_experiment(checkpoint)) == fresh
-
-    def test_sharded_2_barrier_restore_matches(self, tmp_path):
-        from repro.sim.sharded import run_sharded
-        config = smoke_config(decision_points=2, n_clients=8, n_sites=8,
-                              total_cpus=400, duration_s=200.0,
-                              sync_interval_s=30.0,
-                              monitor_interval_s=60.0, name="resume-sh")
-        reference = run_sharded(config, n_shards=2)
-        ckpt_config = config.with_(checkpoint_every_s=60.0,
-                                   checkpoint_dir=str(tmp_path))
-        writer = run_sharded(ckpt_config, n_shards=2)
-        assert writer.digest == reference.digest  # checkpointing is free
-        checkpoint = newest_checkpoint(str(tmp_path))
-        assert checkpoint is not None
-        restored = run_sharded(ckpt_config, n_shards=2,
-                               restore=checkpoint)
-        assert restored.digest == reference.digest
-
-    def test_sharded_restore_rejects_workers_mode(self, tmp_path):
-        from repro.sim.sharded import run_sharded
-        config = smoke_config(decision_points=2, n_clients=8, n_sites=8,
-                              total_cpus=400, duration_s=200.0,
-                              checkpoint_every_s=60.0,
-                              checkpoint_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="lockstep-only"):
-            run_sharded(config, n_shards=2, mode="workers")
 
 
 class TestRestoreVerification:
