@@ -427,35 +427,33 @@ class InvariantChecker:
 def check_snapshot_invariants(built) -> None:
     """Snapshot-plane invariants over a built (possibly mid-run) run.
 
-    * **read-only capture** — two back-to-back captures are
-      byte-identical as canonical JSON, so capturing mutates nothing
-      and draws no randomness (the precondition for checkpoint ticks
-      not perturbing the simulation they snapshot);
+    * **read-only capture** — two back-to-back captures digest alike,
+      section by section, so capturing mutates nothing and draws no
+      randomness (the precondition for checkpoint ticks not perturbing
+      the simulation they snapshot);
     * **digest recomputability** — every per-section digest the
-      checkpoint writes (captured and encoded piece by piece) equals
-      the digest of that section captured whole (no hidden
-      iteration-order or chunking dependence);
+      checkpoint writes equals the digest of that section captured
+      here (no hidden iteration-order dependence);
     * **clock agreement** — the snapshot's time/event stamps match the
       kernel's.
 
     Raises :class:`InvariantViolation` on any failure.
     """
-    import json
-
     from repro.sim.snapshot import (capture_state, snapshot_experiment,
                                     state_digest)
 
-    def canonical(state):
-        return json.dumps(state, sort_keys=True, separators=(",", ":"))
+    def digests():
+        return {section: state_digest(value)
+                for section, value in capture_state(built).items()}
 
-    state = capture_state(built)
-    if canonical(state) != canonical(capture_state(built)):
+    state = digests()
+    if state != digests():
         raise InvariantViolation(
             "state capture is not read-only/stable: two back-to-back "
             "captures of the same run differ")
     snap = snapshot_experiment(built)
-    for section, value in state.items():
-        if state_digest(value) != snap["digests"][section]:
+    for section, digest in state.items():
+        if digest != snap["digests"][section]:
             raise InvariantViolation(
                 f"snapshot digest for section {section!r} does not "
                 f"recompute from the captured state")

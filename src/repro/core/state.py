@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.grid.builder import SiteIndex
-from repro.sim.columns import StringTable, column
+from repro.sim.snapshot import utf8_array
 
 __all__ = ["AvailabilityView", "DispatchRecord", "GridStateView", "as_view"]
 
@@ -566,62 +566,50 @@ class GridStateView:
                 f"free[{site}]={free} != recomputed {cap - busy}")
 
     def snapshot_state(self) -> dict:
-        """Canonical view state for snapshot digests (JSON-able).
+        """Canonical view state for snapshot digests.
 
         Per-site columns (in name order), the live records and the
-        per-consumer sums are packed tables (:mod:`repro.sim.columns`)
-        over one sorted string table.  A record is its wire identity
-        ``(origin, seq)``, its dispatch facts and its learn sequence, in
-        learn order — the live table's own order, which sync payloads
-        are cut from — so no heap layout reaches the digest.  ``-inf``
-        horizons serialize as ``None``.
+        per-consumer sums (by ``(site, consumer)``) as little-endian
+        arrays.  A record is its wire identity ``(origin, seq)``, its
+        dispatch facts and its learn sequence, in learn order — the live
+        table's own order, which sync payloads are cut from — so no heap
+        layout reaches the digest.  ``-inf`` horizons serialize as
+        ``None``.
         """
         def _f(x: float):
             return None if x == _NEG_INF else x
 
-        names = self._index.names
+        names = utf8_array(self._index.names)
+        by_name = np.argsort(names)
         entries = list(self._live.values())
-        n, n_recs, n_keys = len(names), len(entries), len(self._vo_busy)
         recs = [entry[2] for entry in entries]
-        table = StringTable()
-        site = table.codes(names, n)
-        codes = {"origin": table.codes([r.origin for r in recs], n_recs),
-                 "site": table.codes([r.site for r in recs], n_recs),
-                 "vo": table.codes([r.vo for r in recs], n_recs),
-                 "group": table.codes([r.group for r in recs], n_recs)}
-        key_site = table.codes([k[0] for k in self._vo_busy], n_keys)
-        consumer = table.codes([k[1] for k in self._vo_busy], n_keys)
-        strings, rank = table.sort()
-        site, key_site, consumer = rank[site], rank[key_site], rank[consumer]
-        by_name = np.argsort(site)
+        key_site = utf8_array(key[0] for key in self._vo_busy)
+        consumer = utf8_array(key[1] for key in self._vo_busy)
         by_key = np.lexsort((consumer, key_site))
 
         def per_site(values):
-            return column(np.array(values, np.float64)[by_name], "f8")
+            return np.array(values, "<f8")[by_name]
 
         return {
-            "strings": strings,
             "sites": {
-                "rows": n,
-                "name": column(site[by_name], "str"),
+                "name": names[by_name],
                 "base_busy": per_site(self._base_busy),
                 "base_time": per_site(self._base_time),
                 "extra_busy": per_site(self._extra_busy),
             },
             "records": {
-                "rows": n_recs,
-                **{attr: column(rank[c], "str") for attr, c in codes.items()},
-                "seq": column([r.seq for r in recs], "i8"),
-                "cpus": column([r.cpus for r in recs], "i8"),
-                "time": column([r.time for r in recs], "f8"),
-                "learn_seq": column([entry[1] for entry in entries], "i8"),
+                **{attr: utf8_array(getattr(r, attr) for r in recs)
+                   for attr in ("origin", "site", "vo", "group")},
+                "seq": np.array([r.seq for r in recs], "<i8"),
+                "cpus": np.array([r.cpus for r in recs], "<i8"),
+                "time": np.array([r.time for r in recs], "<f8"),
+                "learn_seq": np.array([entry[1] for entry in entries], "<i8"),
             },
             "vo_busy": {
-                "rows": n_keys,
-                "site": column(key_site[by_key], "str"),
-                "consumer": column(consumer[by_key], "str"),
-                "busy": column(np.fromiter(self._vo_busy.values(), np.float64,
-                                           n_keys)[by_key], "f8"),
+                "site": key_site[by_key],
+                "consumer": consumer[by_key],
+                "busy": np.fromiter(self._vo_busy.values(), "<f8",
+                                    len(self._vo_busy))[by_key],
             },
             "learn_count": self._learn_count,
             "latest_time": _f(self.latest_time),

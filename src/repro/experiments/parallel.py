@@ -202,7 +202,9 @@ def _run_pool(configs_by_slot: dict[int, ExperimentConfig], workers: int,
     the whole :class:`ProcessPoolExecutor`: every outstanding future
     fails with :class:`BrokenProcessPool`, including cells that never
     ran.  Completed futures keep their results, so only the broken
-    remainder is handed back for the retry generation.
+    remainder is handed back for the retry generation.  Any other error
+    a cell raises cancels the cells still queued and is raised at once,
+    instead of after the pool has run them all.
     """
     lost: dict[int, ExperimentConfig] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -213,6 +215,9 @@ def _run_pool(configs_by_slot: dict[int, ExperimentConfig], workers: int,
                 results[slot] = future.result()
             except BrokenProcessPool:
                 lost[slot] = configs_by_slot[slot]
+            except BaseException:
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
     return lost
 
 

@@ -18,8 +18,8 @@ from typing import Callable, Deque, Iterable, Optional
 import numpy as np
 
 from repro.grid.job import Job, JobState
-from repro.sim.columns import StringTable, column
 from repro.sim.kernel import Simulator
+from repro.sim.snapshot import utf8_array
 
 #: Below this queue depth the vectorized drain falls back to the scalar
 #: loop: numpy call overhead beats the per-job bookkeeping it saves on
@@ -332,49 +332,33 @@ _COUNTERS = ("jobs_dispatched", "jobs_completed", "jobs_failed",
 
 def snapshot_sites(sites: Iterable[Site]) -> dict:
     """Canonical state of ``sites`` (in the given order) for snapshot
-    digests: per-site scalars as one table, and the FIFO queues (in
-    order), the in-flight job sets (by jid) and the per-VO CPU-seconds
-    (by VO) as tables grouped by site.  Completion timers live in the
-    kernel heap, which the kernel's own capture covers.
+    digests: per-site scalars as arrays, and the FIFO queues (in order),
+    the in-flight job sets (by jid) and the per-VO CPU-seconds (by VO)
+    grouped by site.  Completion timers live in the kernel heap, which
+    the kernel's own capture covers.
     """
     sites = list(sites)
-    n = len(sites)
-    n_queue = [len(s._queue) for s in sites]
-    n_running = [len(s._running) for s in sites]
-    vo_secs = [s.vo_cpu_seconds for s in sites]
-    n_vo = [len(d) for d in vo_secs]
-    table = StringTable()
-    name_codes = table.codes([s.name for s in sites], n)
-    vo_codes = table.codes(chain.from_iterable(vo_secs), sum(n_vo))
-    strings, rank = table.sort()
-    vos = rank[vo_codes]
     queued = list(chain.from_iterable(s._queue for s in sites))
-    running = np.fromiter(chain.from_iterable(s._running for s in sites),
-                          np.int64, sum(n_running))
-    by_jid = np.lexsort((running, np.repeat(np.arange(n), n_running)))
-    secs = np.fromiter(chain.from_iterable(d.values() for d in vo_secs),
-                       np.float64, len(vos))
-    by_vo = np.lexsort((vos, np.repeat(np.arange(n), n_vo)))
+    vo_secs = [sorted(s.vo_cpu_seconds.items()) for s in sites]
+    vo_items = list(chain.from_iterable(vo_secs))
     return {
-        "strings": strings,
         "sites": {
-            "rows": n,
-            "name": column(rank[name_codes], "str"),
-            "busy_cpus": column([s.busy_cpus for s in sites], "f8"),
-            "busy_integral": column([s._busy_integral for s in sites], "f8"),
-            "last_change": column([s._last_change for s in sites], "f8"),
-            **{name: column([getattr(s, name) for s in sites], "i8")
+            "name": utf8_array(s.name for s in sites),
+            "busy_cpus": np.array([s.busy_cpus for s in sites], "<f8"),
+            "busy_integral": np.array([s._busy_integral for s in sites],
+                                      "<f8"),
+            "last_change": np.array([s._last_change for s in sites], "<f8"),
+            **{name: np.array([getattr(s, name) for s in sites], "<i8")
                for name in _COUNTERS},
-            "n_queue": column(n_queue, "i4"),
-            "n_running": column(n_running, "i4"),
-            "n_vo": column(n_vo, "i4"),
+            "n_queue": np.array([len(s._queue) for s in sites], "<i4"),
+            "n_running": np.array([len(s._running) for s in sites], "<i4"),
+            "n_vo": np.array([len(d) for d in vo_secs], "<i4"),
         },
-        "queue": {"rows": len(queued),
-                  "jid": column([j.jid for j in queued], "i8"),
-                  "cpus": column([j.cpus for j in queued], "i8")},
-        "running": {"rows": len(running),
-                    "jid": column(running[by_jid], "i8")},
-        "vo_cpu_seconds": {"rows": len(vos),
-                           "vo": column(vos[by_vo], "str"),
-                           "secs": column(secs[by_vo], "f8")},
+        "queue": {"jid": np.array([j.jid for j in queued], "<i8"),
+                  "cpus": np.array([j.cpus for j in queued], "<i8")},
+        "running": {"jid": np.array(list(chain.from_iterable(
+            sorted(s._running) for s in sites)), "<i8")},
+        "vo_cpu_seconds": {"vo": utf8_array(vo for vo, _ in vo_items),
+                           "secs": np.array([sec for _, sec in vo_items],
+                                            "<f8")},
     }

@@ -30,7 +30,7 @@ import numpy as np
 from repro.obs.counters import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import Tracer
-from repro.sim.columns import StringTable, column
+from repro.sim.snapshot import utf8_array
 
 __all__ = [
     "Event",
@@ -713,41 +713,35 @@ class Simulator:
             self.step()
 
     def snapshot_state(self) -> dict:
-        """Canonical kernel state for snapshot digests (JSON-able).
+        """Canonical kernel state for snapshot digests.
 
         Heap entries are keyed by ``(time, seq, cancelled, qualname)`` —
         callback identity via ``__qualname__``, never ``repr`` (memory
-        addresses would poison the digest) — and packed as columns in
-        scheduling (``seq``, unique) order, so the capture is independent
-        of the heap's internal layout.
+        addresses would poison the digest) — as arrays in scheduling
+        (``seq``, unique) order, so the capture is independent of the
+        heap's internal layout.
         """
         heap = self._heap
-        n = len(heap)
         times, seqs, calls = zip(*heap) if heap else ((), (), ())
-        seq = np.array(seqs, np.int64)
+        seq = np.array(seqs, "<i8")
         order = np.argsort(seq)
-        fns = [call.fn for call in calls]
+        fns = [calls[i].fn for i in order.tolist()]
         try:
             names = [fn.__qualname__ for fn in fns]
         except AttributeError:
             names = [getattr(fn, "__qualname__", type(fn).__name__)
                      for fn in fns]
-        table = StringTable()
-        fn_codes = table.codes(names, n)
-        strings, rank = table.sort()
         return {
             "now": self.now,
             "event_count": self._event_count,
             "seq": self._seq,
             "dead": self._dead,
             "processes": len(self._processes),
-            "strings": strings,
             "heap": {
-                "rows": n,
-                "time": column(np.array(times, np.float64)[order], "f8"),
-                "seq": column(seq[order], "i8"),
-                "cancelled": column(np.array(
-                    [call.cancelled for call in calls], bool)[order], "u1"),
-                "fn": column(rank[fn_codes[order]], "str"),
+                "time": np.array(times, "<f8")[order],
+                "seq": seq[order],
+                "cancelled": np.array(
+                    [call.cancelled for call in calls], "u1")[order],
+                "fn": utf8_array(names),
             },
         }

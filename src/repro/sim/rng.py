@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-from repro.sim.columns import column
+from repro.sim.snapshot import utf8_array
 
 __all__ = ["RngRegistry"]
 
@@ -68,24 +68,24 @@ class RngRegistry:
         return gen
 
     def snapshot_state(self) -> dict:
-        """Canonical RNG state for snapshot digests (JSON-able).
+        """Canonical RNG state for snapshot digests.
 
         Every stream is a PCG64 (:meth:`stream` makes no other), whose
         state is two 128-bit integers plus the buffered 32-bit half: one
-        table row per stream, in name order, each integer split into
+        row per stream, in name order, each integer split into
         little-endian 64-bit halves.
         """
         names = sorted(self._streams)
         states = [self._streams[name].bit_generator.state for name in names]
-        cols: dict = {"rows": len(names),
-                      "name": column(np.arange(len(names)), "str")}
+        cols: dict = {"name": utf8_array(names)}
         for key in ("state", "inc"):
             words = [int(st["state"][key]) for st in states]
-            cols[f"{key}_lo"] = column([w & _MASK64 for w in words], "u8")
-            cols[f"{key}_hi"] = column([w >> 64 for w in words], "u8")
-        cols["has_uint32"] = column([st["has_uint32"] for st in states], "u1")
-        cols["uinteger"] = column([st["uinteger"] for st in states], "u4")
-        return {"seed": self.seed, "strings": names, "streams": cols}
+            cols[f"{key}_lo"] = np.array([w & _MASK64 for w in words], "<u8")
+            cols[f"{key}_hi"] = np.array([w >> 64 for w in words], "<u8")
+        cols["has_uint32"] = np.array([st["has_uint32"] for st in states],
+                                      "u1")
+        cols["uinteger"] = np.array([st["uinteger"] for st in states], "<u4")
+        return {"seed": self.seed, "streams": cols}
 
     def spawn(self, name: str) -> "RngRegistry":
         """A child registry whose streams are independent of the parent's."""

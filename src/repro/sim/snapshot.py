@@ -20,30 +20,26 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 7, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 8, "crc": ...},
      "snapshot": {"config": ..., "event_count": ..., "time": ...,
                   "digests": {...}, "sinks": {...}}}
 
 A file is a *replay cursor*: the config to rebuild from, the event count
 and instant to replay to, and the evidence the replay must match — the
 six section digests and the streaming sinks' byte offsets.  The state
-itself is never written: a tick captures it one bounded piece at a time
-(:func:`_section_digests`), CRCs the canonical JSON of each section as it
-goes, and keeps only the digests.  The bulk of the state — the kernel
-heap, each view's live records and per-site columns, the sites'
-queue/running/VO columns and the RNG states — is digested as packed
-little-endian columns (:mod:`repro.sim.columns`), so the digests hash
-the same canonical JSON the state would have on disk.
+itself is never written: a tick captures each section and keeps only its
+digest (:func:`state_digest`).  A section is JSON scalars plus
+little-endian numpy arrays (the kernel heap, each view's live records
+and per-site columns, the sites' queue/running/VO groups, the RNG
+states); one canonical encoder pass digests it, chaining each array's
+bytes into the CRC in sorted-key order.
 
 ``crc`` covers the canonical (sorted-keys, compact) JSON of the
 snapshot, and the snapshot is written in exactly that form.
-:func:`read_snapshot` checks the head field by field, so a damaged or
-hand-edited file is refused by name, never replayed wrong (so is a
-sharded "barrier" file of an older build: it has no ``event_count``).
-A file written by a build that still stored the state body (a
-``state`` member beside the head) restores the same way; the body is
-ignored.  Writes are atomic (tmp + ``os.rename``) so a SIGKILL
-mid-write never leaves a truncated restore candidate —
+:func:`read_snapshot` checks the version and then the head field by
+field, so a stale, damaged or hand-edited file is refused by name,
+never replayed wrong.  Writes are atomic (tmp + ``os.rename``) so a
+SIGKILL mid-write never leaves a truncated restore candidate —
 ``newest_checkpoint`` validates every candidate and skips corrupt or
 partial files.
 """
@@ -58,6 +54,8 @@ import os
 import re
 import zlib
 from typing import TYPE_CHECKING, Iterator, Optional, Union
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.configs import ExperimentConfig
@@ -89,9 +87,10 @@ SNAPSHOT_FORMAT = "digruber-snapshot"
 #: so a v5 count includes same-instant hops this build never executes;
 #: v7: the numeric sections are packed columns, and the WAN model draws
 #: its normals in blocks, so a v6 ``rng`` section is another stream
-#: position).  :func:`newest_checkpoint` skips such files; a restore
-#: refuses them.
-SNAPSHOT_VERSION = 7
+#: position; v8: a digest hashes the captured arrays' bytes, not their
+#: base64 text, so every v7 digest differs from its replay's).
+#: :func:`newest_checkpoint` skips such files; a restore refuses them.
+SNAPSHOT_VERSION = 8
 
 
 class SnapshotError(RuntimeError):
@@ -151,26 +150,23 @@ def decode_config(d: dict) -> "ExperimentConfig":
 #: State sections in canonical (sorted-key) order.
 _SECTIONS = ("clients", "control", "dps", "grid", "kernel", "rng")
 _HEX8 = re.compile("[0-9a-f]{8}")
-#: Longest list encoded in one piece (bounds the encoder's transient).
-_CHUNK = 256
 
 
 def _sections(built: "BuiltExperiment") -> Iterator[tuple[str, object]]:
     """``(name, value)`` per state section, each captured as it is
-    reached; the ``dps`` section's value is a lazy iterator of its
-    elements (one decision point's capture in memory at a time).
+    reached.
 
     Every section comes from that subsystem's own ``snapshot_state()``;
     iteration orders are pinned (hosts in fleet order, sites and
-    decision points name-sorted) so two captures of identical runs are
-    byte-identical.  The four numeric sections (``dps`` views, ``grid``,
-    ``kernel``, ``rng``) arrive packed.
+    decision points name-sorted) so two captures of identical runs
+    digest alike.  The four numeric sections (``dps`` views, ``grid``,
+    ``kernel``, ``rng``) hold their bulk as numpy arrays.
     """
     dps = built.deployment.decision_points
     yield "clients", [c.snapshot_state() for c in built.clients]
     yield "control", (built.planner.snapshot_state()
                       if built.planner is not None else None)
-    yield "dps", (dps[k].snapshot_state() for k in sorted(dps, key=str))
+    yield "dps", [dps[k].snapshot_state() for k in sorted(dps, key=str)]
     yield "grid", built.grid.snapshot_state()
     yield "kernel", built.sim.snapshot_state()
     yield "rng", rng_state(built)
@@ -184,9 +180,16 @@ def rng_state(built: "BuiltExperiment") -> dict:
 
 
 def capture_state(built: "BuiltExperiment") -> dict:
-    """Canonical per-subsystem state of a built run (JSON-able)."""
-    return {name: list(value) if isinstance(value, Iterator) else value
-            for name, value in _sections(built)}
+    """Per-subsystem state of a built run: JSON values and numpy arrays
+    (compare captures by :func:`state_digest`, not ``==``)."""
+    return dict(_sections(built))
+
+
+def utf8_array(strings) -> np.ndarray:
+    """A string column of a state section: each row's UTF-8 bytes as an
+    ``S`` array (a byte a character, where ``<U`` costs four and a
+    ``list[str]`` ~80 bytes an item in the encoder's transient)."""
+    return np.array(list(map(str.encode, strings)), "S")
 
 
 def _canonical(value) -> str:
@@ -197,43 +200,28 @@ def _crc(blob: str) -> str:
     return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def state_digest(state: dict) -> str:
-    """8-hex CRC32 over the canonical JSON of a state section."""
-    return _crc(_canonical(state))
+def state_digest(state) -> str:
+    """8-hex CRC32 of a state section: its canonical JSON, in which each
+    numpy array stands as ``[dtype, length]`` after its bytes have been
+    chained into the CRC (in the encoder's sorted-key order)."""
+    crc = 0
 
+    def chain(arr):
+        nonlocal crc
+        if type(arr) is not np.ndarray:
+            raise TypeError(f"{type(arr).__name__} {arr!r} is not state")
+        crc = zlib.crc32(arr, crc)
+        return [arr.dtype.str, len(arr)]
 
-def _pieces(value) -> Iterator[str]:
-    """Canonical JSON of ``value`` in bounded pieces: an iterator (a
-    lazily captured section) one element at a time, a list ``_CHUNK``
-    elements at a time, anything else whole (a packed section's bulk is
-    a few long strings, which the C encoder copies)."""
-    if isinstance(value, Iterator):
-        sep = "["
-        for item in value:
-            yield sep + _canonical(item)
-            sep = ","
-        yield "]" if sep == "," else "[]"
-    elif isinstance(value, list):
-        sep = "["
-        for i in range(0, len(value), _CHUNK):
-            yield sep + _canonical(value[i:i + _CHUNK])[1:-1]
-            sep = ","
-        yield "]" if sep == "," else "[]"
-    else:
-        yield _canonical(value)
+    text = json.dumps(state, sort_keys=True, separators=(",", ":"),
+                      default=chain)
+    return format(zlib.crc32(text.encode("utf-8"), crc), "08x")
 
 
 def _section_digests(built: "BuiltExperiment") -> dict[str, str]:
-    """:func:`state_digest` of each state section, captured and encoded
-    one bounded piece at a time (:func:`_pieces`): the digests of
-    :func:`capture_state`'s sections without ever holding the state."""
-    digests = {}
-    for name, value in _sections(built):
-        crc = 0
-        for piece in _pieces(value):
-            crc = zlib.crc32(piece.encode(), crc)
-        digests[name] = f"{crc:08x}"
-    return digests
+    """:func:`state_digest` of each state section, captured one section
+    at a time."""
+    return {name: state_digest(value) for name, value in _sections(built)}
 
 
 def _sink_offsets(built: "BuiltExperiment") -> dict:

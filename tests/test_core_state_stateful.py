@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.state import DispatchRecord, GridStateView
+from repro.sim.snapshot import state_digest
 
 #: 127 sites: chunk 0 holds columns 0-63, the partial chunk 1 the rest.
 SITES = {"s0": 100, "s1": 50, "s2": 10,
@@ -225,12 +226,12 @@ class StateViewMachine(RuleBasedStateMachine):
     @rule()
     def replay_everything_live(self):
         """An all-duplicate payload (a mesh echo) changes nothing."""
-        before = self.view.snapshot_state()
+        before = state_digest(self.view.snapshot_state())
         echoes = [DispatchRecord(origin=r.origin, seq=r.seq, site="ghost",
                                  vo="vo9", cpus=99, time=self.clock + 1e6)
                   for r in self.ref.records.values()]
         assert self.view.apply_records(echoes, now=self.clock + 1e6) == []
-        assert self.view.snapshot_state() == before
+        assert state_digest(self.view.snapshot_state()) == before
 
     @rule(data=st.data())
     def answer_between_writes(self, data):
@@ -271,10 +272,10 @@ class StateViewMachine(RuleBasedStateMachine):
         for site, busy in sweep.items():
             self.ref.refresh(site, busy, self.clock)
         # Sites are validated before anything is stamped.
-        before = self.view.snapshot_state()
+        before = state_digest(self.view.snapshot_state())
         with pytest.raises(KeyError, match="ghost"):
             self.view.refresh_all({**sweep, "ghost": 1.0}, self.clock + 1e6)
-        assert self.view.snapshot_state() == before
+        assert state_digest(self.view.snapshot_state()) == before
 
     @rule(busy=st.floats(0.0, 7.0))
     def monitor_sweep_every_site(self, busy):

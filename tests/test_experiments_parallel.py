@@ -1,5 +1,9 @@
 """Tests for parallel sweep execution."""
 
+import functools
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -195,3 +199,26 @@ class TestBrokenPool:
         out = run_parallel([base], max_workers=1)
         assert isinstance(out[0], RunSummary)
         assert not isinstance(out[0], FailedCell)
+
+
+def _marking_cell(directory, cell):
+    """A cell that leaves a marker file, takes a moment, and (cell 0)
+    raises."""
+    (directory / f"cell-{cell}").write_text("ran")
+    if cell == 0:
+        raise ValueError("cell 0 failed")
+    time.sleep(0.2)
+    return cell
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the test-module worker reaches the pool by fork")
+class TestCellErrorFailsFast:
+    def test_queued_cells_are_cancelled(self, tmp_path):
+        """A cell's own exception surfaces before the queued cells run:
+        of 8 cells on one worker, fewer than 8 have left a marker."""
+        from repro.experiments.parallel import _run_pool
+        with pytest.raises(ValueError, match="cell 0 failed"):
+            _run_pool(dict(enumerate(range(8))), 1, {},
+                      worker=functools.partial(_marking_cell, tmp_path))
+        assert len(list(tmp_path.iterdir())) < 8

@@ -149,12 +149,9 @@ class TestStreamedCheckpoints:
     @pytest.mark.parametrize("seed", range(3))
     def test_stamped_crc_is_the_body_crc_without_reading_it_back(
             self, tmp_path, monkeypatch, seed):
-        # Random piece splits of the digested sections (``_CHUNK``; the
-        # 120-entry clients list spans 1, 2 and 5 pieces over the seeds),
-        # and a tmp file that refuses reads.  Each tick's digests, hashed
-        # piece by piece, are those of its sections captured whole.
-        monkeypatch.setattr(snapshot_module, "_CHUNK",
-                            random.Random(seed).randint(1, 300))
+        # Three run seeds, and a tmp file that refuses reads.  Each
+        # tick's stamped digests are those of its sections captured
+        # again at the same instant.
         monkeypatch.setattr(snapshot_module, "open", _open_write_only,
                             raising=False)
         whole = {}
@@ -168,7 +165,7 @@ class TestStreamedCheckpoints:
 
         monkeypatch.setattr(Checkpointer, "tick", capturing)
         result = run_experiment(canonical_gt3(
-            3, duration_s=300.0, checkpoint_every_s=60.0,
+            3, duration_s=300.0, seed=seed, checkpoint_every_s=60.0,
             checkpoint_dir=str(tmp_path / "ck")))
         written = result.checkpointer.written
         written.append(snapshot_module.write_snapshot(

@@ -9,6 +9,7 @@ chaos test repeats the claim with a DP crash/restart striking hood 0
 while the strict invariant checker runs inside every neighborhood.
 """
 
+import json
 import multiprocessing
 import os
 
@@ -23,7 +24,8 @@ from repro.experiments.parallel import summarize, summary_digest
 from repro.experiments.runner import build_experiment, run_experiment
 from repro.sim.sharded import (ShardedRunResult, hood_config, plan_shards,
                                run_sharded)
-from repro.sim.snapshot import (checkpoint_filename, newest_checkpoint,
+from repro.sim.snapshot import (SnapshotError, checkpoint_filename,
+                                newest_checkpoint, read_snapshot,
                                 resume_experiment, snapshot_experiment,
                                 write_snapshot)
 
@@ -194,11 +196,13 @@ class TestHoodCheckpoints:
 
 
 class TestBarrierFilesFromOlderBuilds:
-    """Older builds wrote sharded "barrier" files (``sharded``,
-    ``barrier_t``, ``hood_digests`` and no ``event_count``).  They are
-    refused by name and skipped as restore candidates, and so is a
-    monolithic head re-signed with the barrier fields and a count past
-    the run's end."""
+    """Older builds (snapshot version 7 at the latest) wrote sharded
+    "barrier" files (``sharded``, ``barrier_t``, ``hood_digests`` and no
+    ``event_count``).  They are refused by version and skipped as
+    restore candidates; stamped with this build's version, the barrier
+    head is still refused naming ``event_count``.  A monolithic head
+    re-signed with the barrier fields and a count past the run's end is
+    refused by its replay."""
 
     @pytest.mark.parametrize("resigned", [False, True],
                              ids=["barrier-head", "resigned-monolithic"])
@@ -215,11 +219,18 @@ class TestBarrierFilesFromOlderBuilds:
                     hood_digests={"0": "0" * 16, "1": "0" * 16})
         path = write_snapshot(head, str(tmp_path / checkpoint_filename(
             60.0, 1)))
+        if not resigned:
+            with pytest.raises(SnapshotError, match="event_count is None"):
+                read_snapshot(path)
+            doc = json.loads(open(path).read())
+            doc["meta"]["version"] = 7
+            open(path, "w").write(json.dumps(doc))
         assert newest_checkpoint(str(tmp_path)) is None
         assert main(["run", "--restore", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "event" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        assert ("event" if resigned else "snapshot version 7") in err
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -4,6 +4,7 @@ import json
 import os
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,11 @@ from repro.sim.snapshot import (
     state_digest,
     write_snapshot,
 )
-from repro.sim.columns import column, decode
+
+
+#: How a refusal by version names this build's.
+_READS = f"reads version {SNAPSHOT_VERSION}"
+_SECTIONS = ("clients", "control", "dps", "grid", "kernel", "rng")
 
 
 def _config(**overrides):
@@ -129,14 +134,6 @@ def _legacy_crc_ok(path):
                   "08x") == doc["meta"]["crc"]
 
 
-def _parent_form(built):
-    """A snapshot as the builds that stored the state body wrote it: the
-    head, plus every section captured whole and the digest of them all."""
-    state = capture_state(built)
-    return {**snapshot_experiment(built), "state": state,
-            "digest": state_digest(state)}
-
-
 class TestEncodeOnce:
     def test_assembled_body_equals_one_canonical_encoding(self, tmp_path):
         built = build_experiment(_config(decision_points=2))
@@ -145,7 +142,7 @@ class TestEncodeOnce:
         text = open(write_snapshot(snap, str(tmp_path / "s.json"))).read()
         body = json.dumps(snap, sort_keys=True, separators=(",", ":"))
         assert text.endswith(f', "snapshot": {body}}}')
-        # Digested piece by piece, each equals the section captured whole.
+        # The stamped digests are those of the sections captured here.
         assert snap["digests"] == {k: state_digest(v)
                                    for k, v in capture_state(built).items()}
 
@@ -179,36 +176,12 @@ class TestEncodeOnce:
         restored = resume_experiment(path)
         assert summary_digest(summarize(restored)) == fresh
 
-    def test_parent_form_checkpoint_restores_ignoring_its_state(
-            self, tmp_path):
-        """A file that still carries the state body restores to the fresh
-        run's digest, and the body is never read: a damaged column in it
-        changes nothing."""
-        from repro.experiments.parallel import summarize, summary_digest
-        from repro.experiments.runner import run_experiment
-        config = _config()
-        fresh = summary_digest(summarize(run_experiment(config)))
-        built = build_experiment(config)
-        built.sim.run_to_event(300)
-        snap = _parent_form(built)
-        busy = decode(snap["state"]["grid"]["sites"]["busy_cpus"]).copy()
-        busy[0] += 1
-        snap["state"]["grid"]["sites"]["busy_cpus"] = column(busy, "f8")
-        path = write_snapshot(snap, str(
-            tmp_path / checkpoint_filename(built.sim.now, 300)))
-        assert read_snapshot(path)["state"] == snap["state"]
-        assert newest_checkpoint(str(tmp_path)) == path
-        restored = resume_experiment(path)
-        assert summary_digest(summarize(restored)) == fresh
 
-
-def _write_checkpoint(directory, t, state=False):
-    """A checkpoint of the smoke run at ``t``, named from its body; with
-    ``state``, in the form of the builds that stored the state body."""
+def _write_checkpoint(directory, t):
+    """A checkpoint of the smoke run at ``t``, named from its body."""
     built = build_experiment(_config())
     built.sim.run(until=t)
-    snap = _parent_form(built) if state else snapshot_experiment(built)
-    return write_snapshot(snap, os.path.join(
+    return write_snapshot(snapshot_experiment(built), os.path.join(
         str(directory), checkpoint_filename(t, built.sim.events_executed)))
 
 
@@ -298,49 +271,28 @@ def _restamp_as_v4(path):
     _restamp(doc, path, version=4)
 
 
-def _restamp_as_v5(path):
-    """Rewrite a checkpoint the way the last v5 build wrote it: an event
-    count that includes the same-instant hops of generator brokering
-    (the heap held ``Process`` resumes), and a CRC valid for the body."""
+def _restamp_as(path, version, **extra):
+    """Rewrite a checkpoint's head as a ``version`` build wrote it (plus
+    ``extra`` members), with a CRC valid for that body.  A version
+    refusal reads only the head, so no older state body is rebuilt."""
     doc = json.loads(open(path).read())
-    snap = doc["snapshot"]
-    snap["event_count"] *= 2
-    snap["state"]["kernel"]["event_count"] = snap["event_count"]
-    snap["digests"] = {k: state_digest(v) for k, v in snap["state"].items()}
-    snap["digest"] = state_digest(snap["state"])
-    _restamp(doc, path, version=5)
+    doc["snapshot"].update(extra)
+    _restamp(doc, path, version=version)
 
 
-def _restamp_as_v2(path):
-    """Rewrite a checkpoint the way the last v2 build wrote it: every
-    client section carries the backlog as a list of workload indices
-    (and ``n_jobs``/``active_from``) instead of the cursor, the event
-    count includes the per-arrival wake-ups, and the CRC is valid."""
+def _restamp_overcounted(path, version):
+    """Rewrite a checkpoint the way a v2 or v5 build wrote it: those
+    builds also counted kernel events this build never executes (v2: a
+    wake-up per arrival; v5: the same-instant hops of generator
+    brokering), so the count lies past this build's boundary."""
     doc = json.loads(open(path).read())
-    snap = doc["snapshot"]
-    for c in snap["state"]["clients"]:
-        nxt, due = c.pop("next"), c.pop("due")
-        del c["armed"]
-        c.update(backlog=list(range(nxt, due)), n_jobs=nxt, active_from=0.0)
-        snap["event_count"] += due
-    snap["state"]["kernel"]["event_count"] = snap["event_count"]
-    snap["digests"] = {k: state_digest(v) for k, v in snap["state"].items()}
-    snap["digest"] = state_digest(snap["state"])
-    _restamp(doc, path, version=2)
+    _restamp_as(path, version, event_count=2 * doc["snapshot"]["event_count"])
 
 
-def _restamp_as_v6(path):
-    """Rewrite a checkpoint the way the last v6 build wrote it: every
-    numeric section a JSON list of records (here, the kernel heap's),
-    and a CRC valid for that body."""
-    doc = json.loads(open(path).read())
-    kernel = doc["snapshot"]["state"]["kernel"]
-    heap = kernel.pop("heap")
-    kernel.update(heap_len=heap["rows"], heap=[
-        [t, int(q), False, "Simulator.every.<locals>.tick"]
-        for t, q in zip(decode(heap["time"]).tolist(),
-                        decode(heap["seq"]).tolist())])
-    _restamp(doc, path, version=6)
+#: The ``state`` body and whole-state ``digest`` a v7 file of the builds
+#: that still wrote the state carried beside its head (shape only).
+_V7_BODY = {"state": {section: {} for section in _SECTIONS},
+            "digest": "00000000"}
 
 
 class TestStaleCheckpoints:
@@ -379,7 +331,7 @@ class TestStaleCheckpoints:
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 1" in err and "reads version 7" in err
+        assert "snapshot version 1" in err and _READS in err
 
     def test_pre_cursor_v2_checkpoint_is_refused_by_version(self, tmp_path):
         """A v2 file's ``event_count`` includes one wake-up per arrival
@@ -387,10 +339,10 @@ class TestStaleCheckpoints:
         the checkpoint instant, so it is refused, not replayed."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
-        path = _write_checkpoint(tmp_path, 60.0, state=True)
-        _restamp_as_v2(path)
+        path = _write_checkpoint(tmp_path, 60.0)
+        _restamp_overcounted(path, 2)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 2.*reads version 7"):
+                           match=f"snapshot version 2.*{_READS}"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError, match="snapshot version 2"):
@@ -409,7 +361,7 @@ class TestStaleCheckpoints:
         _restamp_as_v3(path)
         assert newest_checkpoint(str(tmp_path)) == older
         with pytest.raises(SnapshotError,
-                           match="snapshot version 3.*reads version 7"):
+                           match=f"snapshot version 3.*{_READS}"):
             resume_experiment(path)
         assert main(["run", "--restore", path]) == 2
         config = json.loads(open(path).read())["snapshot"]["config"]
@@ -429,16 +381,16 @@ class TestStaleCheckpoints:
         flag it accepts)."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
-        path = _write_checkpoint(tmp_path, 60.0, state=True)
-        _restamp_as_v5(path)
+        path = _write_checkpoint(tmp_path, 60.0)
+        _restamp_overcounted(path, 5)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 5.*reads version 7"):
+                           match=f"snapshot version 5.*{_READS}"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 5" in err and "reads version 7" in err
+        assert "snapshot version 5" in err and _READS in err
 
     @pytest.mark.parametrize("extra", [[], ["--obs"]],
                              ids=["monolithic", "with-obs"])
@@ -451,16 +403,38 @@ class TestStaleCheckpoints:
         flag it accepts)."""
         from repro.cli import main
         older = _write_checkpoint(tmp_path, 30.0)
-        path = _write_checkpoint(tmp_path, 60.0, state=True)
-        _restamp_as_v6(path)
+        path = _write_checkpoint(tmp_path, 60.0)
+        _restamp_as(path, 6)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 6.*reads version 7"):
+                           match=f"snapshot version 6.*{_READS}"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 6" in err and "reads version 7" in err
+        assert "snapshot version 6" in err and _READS in err
+
+    @pytest.mark.parametrize("body", [{}, _V7_BODY],
+                             ids=["head", "state-body"])
+    def test_v7_checkpoint_is_refused_by_version(self, tmp_path, capsys,
+                                                 body):
+        """A v7 file's digests hash the base64 text of packed columns,
+        which no replay of this build re-derives; a v7 file that still
+        carries the state body is refused the same way, its body never
+        read.  Skipped when picking a restore candidate, one ``error:``
+        line naming both versions from ``run --restore``."""
+        from repro.cli import main
+        older = _write_checkpoint(tmp_path, 30.0)
+        path = _write_checkpoint(tmp_path, 60.0)
+        _restamp_as(path, 7, **body)
+        with pytest.raises(SnapshotError,
+                           match=f"snapshot version 7.*{_READS}"):
+            read_snapshot(path)
+        assert newest_checkpoint(str(tmp_path)) == older
+        assert main(["run", "--restore", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot version 7" in err and _READS in err
 
     @pytest.mark.parametrize("extra", [[], ["--obs"]],
                              ids=["monolithic", "with-obs"])
@@ -476,13 +450,13 @@ class TestStaleCheckpoints:
         path = _write_checkpoint(tmp_path, 60.0)
         _restamp_as_v4(path)
         with pytest.raises(SnapshotError,
-                           match="snapshot version 4.*reads version 7"):
+                           match=f"snapshot version 4.*{_READS}"):
             read_snapshot(path)
         assert newest_checkpoint(str(tmp_path)) == older
         assert main(["run", "--restore", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "snapshot version 4" in err and "reads version 7" in err
+        assert "snapshot version 4" in err and _READS in err
         config = json.loads(open(path).read())["snapshot"]["config"]
         with pytest.raises(SnapshotError, match="unknown fields: "
                            + ", ".join(sorted(_RETIRED_V4))):
@@ -521,11 +495,10 @@ def _resign(path, field, edit):
 
 
 _DROP = object()
-_SECTIONS = ("clients", "control", "dps", "grid", "kernel", "rng")
 
 
 class TestDamagedColumns:
-    """A v7 file re-signed after one section digest was altered is well
+    """A file re-signed after one section digest was altered is well
     formed, so only its replay can refuse it: by section name, and from
     the CLI in one ``error:`` line."""
 
@@ -544,6 +517,47 @@ class TestDamagedColumns:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert section in err and "Traceback" not in err
+
+
+def _bump_record_cpus(built):
+    view = built.deployment.decision_points["dp0"].engine.view
+    rec = next(iter(view._live.values()))[2]
+    object.__setattr__(rec, "cpus", rec.cpus + 1)
+
+
+def _bump_busy_cpus(built):
+    built.grid.sites[sorted(built.grid.sites)[0]].busy_cpus += 1
+
+
+def _bump_heap_time(built):
+    heap = built.sim._heap
+    time, seq, call = heap[-1]
+    heap[-1] = (time + 1.0, seq, call)
+
+
+def _flip_inc_word(built):
+    bit_generator = built.rng.stream("wan").bit_generator
+    state = bit_generator.state
+    state["state"]["inc"] ^= 2  # stays odd, as PCG64 requires
+    bit_generator.state = state
+
+
+class TestDigestCoversTheBytes:
+    """A digest hashes the captured values, not only their shape: one
+    bulk value changed in the live run moves exactly its section's
+    digest (a hook hashing ``[dtype, length]`` alone would not)."""
+
+    @pytest.mark.parametrize("section, perturb", [
+        ("dps", _bump_record_cpus), ("grid", _bump_busy_cpus),
+        ("kernel", _bump_heap_time), ("rng", _flip_inc_word),
+    ], ids=["dps", "grid", "kernel", "rng"])
+    def test_one_value_moves_its_section_only(self, section, perturb):
+        built = build_experiment(_config(decision_points=2))
+        built.sim.run(until=60.0)
+        before = _digests(built)
+        perturb(built)
+        after = _digests(built)
+        assert [s for s in _SECTIONS if after[s] != before[s]] == [section]
 
 
 def _hostile(tmp_path, field, edit):
@@ -631,6 +645,24 @@ class TestSnapshotInvariants:
         assert state_digest(state) == format(
             zlib.crc32(blob.encode()) & 0xFFFFFFFF, "08x")
 
+    def test_arrays_chain_their_bytes_in_key_order(self):
+        """An array stands in the JSON as ``[dtype, length]`` after its
+        bytes have been chained into the CRC, keys in sorted order; any
+        other non-JSON value (a numpy scalar) is refused."""
+        a, b = np.arange(3, dtype="<i8"), np.array([0.5], "<f8")
+        crc = zlib.crc32(a.tobytes())
+        crc = zlib.crc32(b.tobytes(), crc)
+        text = '{"a":["<i8",3],"b":{"c":["<f8",1]},"d":"x"}'
+        assert state_digest({"d": "x", "b": {"c": b}, "a": a}) == format(
+            zlib.crc32(text.encode(), crc), "08x")
+        with pytest.raises(TypeError, match="int64"):
+            state_digest({"n": np.int64(3)})
+
+
+def _digests(built):
+    return {section: state_digest(value)
+            for section, value in capture_state(built).items()}
+
 
 class TestRoundTripProperty:
     @settings(max_examples=8, deadline=None,
@@ -661,5 +693,4 @@ class TestRoundTripProperty:
         a.sim.run(until=t)
         b = build_experiment(config)
         b.sim.run(until=t)
-        assert state_digest(capture_state(a)) == \
-            state_digest(capture_state(b))
+        assert _digests(a) == _digests(b)
