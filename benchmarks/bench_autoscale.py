@@ -72,8 +72,8 @@ def run_cell(name: str, config) -> dict:
         "queries_answered": d.n_answered,
         "clients_moved": stats["clients_moved"],
         "moves_deferred": stats["moves_deferred"],
-        "client_rebinds": m.counter_value("client.rebinds"),
-        "check_violations": m.counter_value("check.violations"),
+        "client_rebinds": m.counter_value("client.rebind"),
+        "check_violations": m.counter_value("check.violation"),
         "unhandled_failures": m.counter_value("kernel.unhandled_failures"),
     }
 
@@ -109,7 +109,7 @@ def run_determinism(duration_s: float = 900.0) -> dict:
             name="autoscale-determinism")
         built = build_experiment(config)
         install_probes(journal, deployment=built.deployment,
-                       sites=built.grid.sites.values(), sim=built.sim)
+                       sites=built.grid.sites.values())
         run_built(built)
         ctl_entries = sum(1 for e in journal.entries
                           if e.kind == "ctl.scale")

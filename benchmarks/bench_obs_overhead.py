@@ -4,7 +4,7 @@ Three workloads, each run with tracing disabled (the default) and
 enabled, measuring kernel event throughput:
 
 * **callbacks** — bare scheduled callbacks; no trace points fire, so
-  this pins the cost of the ``if tracer.enabled`` guards themselves
+  this pins the cost of the ``if trace.enabled`` guards themselves
   (the "~0 when disabled" claim);
 * **processes** — generator processes with start/finish lifecycle
   events (the kernel's per-process trace points);
@@ -43,7 +43,8 @@ from repro.sim import Simulator
 def run_callbacks(n: int = 100_000, tracing: bool = False) -> float:
     """Schedule + dispatch ``n`` bare callbacks; returns events/sec."""
     sim = Simulator()
-    sim.trace.enabled = tracing
+    if tracing:
+        sim.trace.subscribe(sim.trace.ring)
     noop = lambda: None  # noqa: E731
     for i in range(n):
         sim.schedule(float(i % 977), noop)
@@ -58,7 +59,8 @@ def run_processes(n_procs: int = 1_000, yields: int = 100,
                   tracing: bool = False) -> float:
     """Drive generator processes; returns kernel events/sec."""
     sim = Simulator()
-    sim.trace.enabled = tracing
+    if tracing:
+        sim.trace.subscribe(sim.trace.ring)
     done = []
 
     def proc():
@@ -78,7 +80,8 @@ def run_processes(n_procs: int = 1_000, yields: int = 100,
 def run_rpcs(n: int = 5_000, tracing: bool = False) -> float:
     """Round-trip RPCs with per-RPC spans enabled; returns RPCs/sec."""
     sim = Simulator()
-    sim.trace.enabled = tracing
+    if tracing:
+        sim.trace.subscribe(sim.trace.ring)
     net = Network(sim, ConstantLatency(0.01))
     Endpoint(net, "client")
     server = Endpoint(net, "server")
@@ -282,4 +285,6 @@ def test_disabled_tracer_records_nothing():
 
     sim.process(proc())
     sim.run()
-    assert done and len(sim.trace) == 0 and sim.trace.counts == {}
+    # Tallies are always on; with nothing subscribed the ring stays empty.
+    assert done and len(sim.trace) == 0 and sim.trace.emitted == 0
+    assert sim.trace.count("process.start") == 1

@@ -12,11 +12,13 @@ context.
 
 Pair semantics:
 
-* ``observers`` — no observability at all vs every observer at once
-  (trace ring + sink file, span tracing, timeline sampler + file,
+* ``observers`` — no observer but the journal vs every observer at
+  once (trace ring + sink file, span tracing, timeline sampler + file,
   flight recorder armed): observing must be strictly read-only, so
   both sides replay event-for-event (span ctx rides outside the
-  digest, so equality is exact);
+  digest, so equality is exact).  The journal subscribes to the trace
+  stream, so side A ends with the summary digest of a probe-free,
+  tracing-off run and side B with the observed run's;
 * ``workers`` — ``run_parallel`` with 1 vs 4 workers over the same
   config batch, comparing per-run summary digests;
 * ``delta-sync`` — flood vs per-peer delta dissemination.  Delta
@@ -118,14 +120,22 @@ def _diff_config(duration_s: float, seed: int, spans: bool = True):
         spans_enabled=spans, seed=seed, name="diff")
 
 
-def _run_journaled(config) -> EventJournal:
+def _journaled_build(config):
+    """Build ``config`` with journal probes installed: (journal, built)."""
     from repro.check.digest import install_probes
-    from repro.experiments.runner import build_experiment, run_built
+    from repro.experiments.runner import build_experiment
 
     journal = EventJournal()
     built = build_experiment(config)
     install_probes(journal, deployment=built.deployment,
-                   sites=built.grid.sites.values(), sim=built.sim)
+                   sites=built.grid.sites.values())
+    return journal, built
+
+
+def _run_journaled(config) -> EventJournal:
+    from repro.experiments.runner import run_built
+
+    journal, built = _journaled_build(config)
     run_built(built)
     return journal
 
@@ -140,21 +150,36 @@ def _pair_observers(duration_s: float, seed: int) -> DiffReport:
     armed flight recorder schedule nothing — so a fully observed run
     must be event-identical to a bare one.  The trace and timeline
     stream to files on side B to cover the sink path too.
+
+    Journal probes subscribe to the trace stream, so both journaled
+    runs trace.  Side A's last entry is therefore the summary digest
+    (every job row) of a third, probe-free run of ``base``, which
+    traces nothing; side B's is the observed run's.
     """
     import os
     import tempfile
 
+    from repro.experiments.parallel import summarize, summary_digest
+    from repro.experiments.runner import build_experiment, run_built
+
+    def run_to_end(built) -> str:
+        return summary_digest(summarize(run_built(built)))
+
     base = _diff_config(duration_s, seed, spans=False).with_(seed=seed)
+    bare_end = run_to_end(build_experiment(base))
+    journal_a = _run_journaled(base)
+    journal_a.record(base.duration_s, "run.end", bare_end)
     with tempfile.TemporaryDirectory() as tmp:
         observed = base.with_(
             trace_path=os.path.join(tmp, "trace.jsonl"),
             spans_enabled=True,
             telemetry_path=os.path.join(tmp, "timeline.jsonl"),
             flight_path=os.path.join(tmp, "flight.json"))
-        return _report(
-            "observers",
-            "unobserved", _run_journaled(base),
-            "observed", _run_journaled(observed))
+        journal_b, built_b = _journaled_build(observed)
+        observed_end = run_to_end(built_b)
+    journal_b.record(observed.duration_s, "run.end", observed_end)
+    return _report("observers", "unobserved", journal_a,
+                   "observed", journal_b)
 
 
 def _pair_workers(duration_s: float, seed: int) -> DiffReport:
@@ -323,7 +348,7 @@ def _pair_resume(base, pair: str) -> DiffReport:
         partial = EventJournal()
         built = build_experiment(checkpointed(dir_b))
         install_probes(partial, deployment=built.deployment,
-                       sites=built.grid.sites.values(), sim=built.sim)
+                       sites=built.grid.sites.values())
         built.sim.run(until=duration_s * 0.55)
         abort_experiment(built, RuntimeError("simulated mid-run kill"))
         checkpoint = newest_checkpoint(dir_b)
@@ -337,7 +362,7 @@ def _pair_resume(base, pair: str) -> DiffReport:
         def hook(sim=None, deployment=None, network=None, grid=None,
                  rng=None):
             install_probes(jb, deployment=deployment,
-                           sites=grid.sites.values(), sim=sim)
+                           sites=grid.sites.values())
 
         resume_experiment(checkpoint, deployment_hook=hook)
     return _report(pair, "uninterrupted", ja, "restored", jb)

@@ -30,12 +30,8 @@ events, no query that mutates view state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.decision_point import DecisionPoint
-    from repro.grid.site import Site
+from dataclasses import dataclass
+from typing import Any, Optional
 
 __all__ = ["EventJournal", "JournalEntry", "first_divergence",
            "install_probes"]
@@ -141,31 +137,39 @@ def _fmt_cpu(x: Any) -> str:
     return str(int(x))
 
 
-def install_probes(journal: EventJournal, *, deployment=None,
-                   sites=None, sim=None) -> None:
+def install_probes(journal: EventJournal, *, deployment,
+                   sites=()) -> None:
     """Wire a journal into a constructed (not yet run) experiment.
 
-    Hooks installed:
-
-    * each decision point's engine gets ``engine.journal = journal`` —
-      the engine emits ``rec.local`` per local dispatch record and
-      ``rec.adopt`` per remote merge (sorted key sets);
-    * each site's lifecycle observer lists get start/complete probes
-      hashing the job id, VO, CPU delta, and resulting busy level.
+    The journal subscribes once to the simulator's event stream
+    (:class:`~repro.obs.trace.Tracer`) and formats the kinds it
+    journals: ``engine.dispatch`` as ``rec.local``, ``engine.adopt`` as
+    ``rec.adopt`` (the sorted adopted key set) and
+    ``control.scale_up``/``control.scale_down`` as ``ctl.scale`` — so a
+    decision point deployed mid-run journals like the first ones.  Each
+    site's lifecycle observer lists get start/complete probes hashing
+    the job id, VO, CPU delta, and resulting busy level.
 
     Probes never draw randomness and never schedule events, so an
     instrumented run executes the exact same event sequence as a bare
     one.
     """
-    if deployment is not None:
-        for dp in deployment.decision_points.values():
-            dp.engine.journal = journal
-        # Decision points created mid-run (observer growth, autoscale)
-        # pick the journal up from here — see ``_create_dp``.
-        deployment.journal = journal
-        controller = getattr(deployment, "controller", None)
-        if controller is not None:
-            controller.journal = journal
+    record = journal.record
+
+    def _on_event(ev) -> None:
+        kind, d = ev.kind, ev.detail
+        if kind == "engine.dispatch":
+            record(ev.time, "rec.local", f"{ev.node}|{d['site']}|{d['vo']}"
+                   f"|cpus={int(d['cpus'])}|seq={d['seq']}")
+        elif kind == "engine.adopt":
+            record(ev.time, "rec.adopt", f"{ev.node}|{d['keys']}")
+        elif kind in ("control.scale_up", "control.scale_down"):
+            record(ev.time, "ctl.scale",
+                   f"{kind[len('control.'):]}|{d['n_before']}->{d['n_after']}"
+                   f"|dps={d['dps']}|moved={d['moved']}"
+                   f"|deferred={d['deferred']}")
+
+    deployment.sim.trace.subscribe(_on_event)
 
     def _job_ctx(job, spans) -> str:
         # The dispatch span context the client stamped on the job, when
@@ -178,20 +182,18 @@ def install_probes(journal: EventJournal, *, deployment=None,
             return f"trace={span.trace_id} span={span.span_id}"
         return ""
 
-    for site in (sites or []):
+    for site in sites:
         def _on_started(job, *, _site=site):
-            journal.record(
-                _site.sim.now, "site.start",
-                f"{_site.name}|{job.jid}|{job.vo}|cpus={_fmt_cpu(job.cpus)}"
-                f"|busy={_fmt_cpu(_site.busy_cpus)}",
-                ctx=_job_ctx(job, _site.sim.spans))
+            record(_site.sim.now, "site.start",
+                   f"{_site.name}|{job.jid}|{job.vo}|cpus={_fmt_cpu(job.cpus)}"
+                   f"|busy={_fmt_cpu(_site.busy_cpus)}",
+                   ctx=_job_ctx(job, _site.sim.spans))
 
         def _on_completed(job, *, _site=site):
-            journal.record(
-                _site.sim.now, "site.done",
-                f"{_site.name}|{job.jid}|{job.state.name}"
-                f"|busy={_fmt_cpu(_site.busy_cpus)}",
-                ctx=_job_ctx(job, _site.sim.spans))
+            record(_site.sim.now, "site.done",
+                   f"{_site.name}|{job.jid}|{job.state.name}"
+                   f"|busy={_fmt_cpu(_site.busy_cpus)}",
+                   ctx=_job_ctx(job, _site.sim.spans))
 
         site.on_job_started.append(_on_started)
         site.on_job_completed.append(_on_completed)

@@ -29,9 +29,9 @@ making a checked run diverge from an unchecked one), never draws from
 any RNG, and schedules only its own checkpoint callbacks — so a run
 with the checker is the same run, plus checkpoints.
 
-Violations *raise* in tests (``strict=True``) and are counted + traced
-in runs (``check.violations`` counter, ``check.violation`` trace
-events), matching how the rest of the observability plane reports.
+Violations *raise* in tests (``strict=True``) and are one
+``check.violation`` event each in runs, matching how the rest of the
+observability plane reports.
 """
 
 from __future__ import annotations
@@ -149,10 +149,8 @@ class InvariantChecker:
         v = Violation(time=self.sim.now, rule=rule, subject=str(subject),
                       detail=detail)
         self.violations.append(v)
-        self.sim.metrics.counter("check.violations").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("check.violation", node=subject, rule=rule,
-                                detail=detail)
+        self.sim.trace.emit("check.violation", subject, rule=rule,
+                            detail=detail)
         if self.strict:
             raise InvariantViolation(str(v))
 

@@ -5,7 +5,7 @@ crash→restart/resync machinery: a revived broker pulls recent dispatch
 records from its new overlay neighbors) and only then deploys fresh
 ones; scale-down evacuates the victim's clients through the placement
 module and retires the service cleanly.  Every membership change it
-makes is recorded as a :class:`~repro.core.broker.TopologyEvent` with
+makes is a ``topology.join``/``topology.leave`` event with
 ``source="autoscale"``.
 
 A crash is not a membership change: the crashed decision point stays in
@@ -43,12 +43,6 @@ class ControlAction:
     dps: tuple[str, ...] = ()      # joined/retired decision points
     clients_moved: int = 0
     clients_deferred: int = 0
-
-    def detail(self) -> str:
-        """Deterministic journal payload (no floats beyond sim time)."""
-        return (f"{self.kind}|{self.n_before}->{self.n_after}"
-                f"|dps={','.join(self.dps)}|moved={self.clients_moved}"
-                f"|deferred={self.clients_deferred}")
 
 
 class Actuator:
@@ -89,13 +83,11 @@ class Actuator:
 
     def _record(self, action: ControlAction) -> None:
         self.actions.append(action)
-        self.sim.metrics.counter(f"control.{action.kind}").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("control.action", action=action.kind,
-                                n_before=action.n_before,
-                                n_after=action.n_after,
-                                dps=",".join(action.dps),
-                                moved=action.clients_moved)
+        self.sim.trace.emit(f"control.{action.kind}", "autoscale",
+                            n_before=action.n_before, n_after=action.n_after,
+                            dps=",".join(action.dps),
+                            moved=action.clients_moved,
+                            deferred=action.clients_deferred)
 
     # -- actuation -----------------------------------------------------------
     def scale_up(self, n: int) -> ControlAction:

@@ -7,8 +7,9 @@ The planner closes that loop at runtime on the DES clock:
 
     SignalBus.sample() → scale rule → hysteresis/cooldown → Actuator
 
-Every control action is journaled (``ctl.scale`` entries in the
-:class:`~repro.check.digest.EventJournal`) so ``digruber diff`` and the
+Every control action is one ``control.<kind>`` event, which a
+journaled run records as a ``ctl.scale`` entry of its
+:class:`~repro.check.digest.EventJournal`, so ``digruber diff`` and the
 online invariant checker gate the controller exactly like the
 brokering plane itself.  The tick itself draws no randomness — the
 actuator owns a dedicated seeded stream for placement tie-breaking —
@@ -47,16 +48,11 @@ class AutoscalePlanner:
         #: (time, n_live) after every control window — the convergence
         #: trace the autoscale bench asserts on.
         self.timeline: list[tuple[float, int]] = []
-        #: Set by :func:`repro.check.digest.install_probes` when the run
-        #: is journaled; every action lands as a ``ctl.scale`` record.
-        self.journal = None
         self.ticks = 0
         self._up_streak = 0
         self._down_streak = 0
         self._last_action_at = -float("inf")
         self._handle = None
-        # Let the journal prober find the controller on the deployment.
-        deployment.controller = self
 
     def start(self) -> None:
         if self._handle is not None:
@@ -107,8 +103,6 @@ class AutoscalePlanner:
                 self._down_streak = 0
                 self._last_action_at = self.sim.now
 
-        if action is not None and self.journal is not None:
-            self.journal.record(self.sim.now, "ctl.scale", action.detail())
         self.timeline.append((self.sim.now, len(self.deployment.live_dp_ids)))
         self.sim.metrics.gauge("control.desired_dps").set(
             desired, at=self.sim.now)

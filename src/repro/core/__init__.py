@@ -19,7 +19,7 @@
 §5's third-party observer is the control plane, :mod:`repro.control`.
 """
 
-from repro.core.broker import DIGruberDeployment, TopologyEvent
+from repro.core.broker import DIGruberDeployment
 from repro.core.client import GruberClient
 from repro.core.decision_point import DecisionPoint
 from repro.core.engine import GruberEngine
@@ -51,6 +51,5 @@ __all__ = [
     "SiteMonitor",
     "SiteSelector",
     "SyncProtocol",
-    "TopologyEvent",
     "make_selector",
 ]

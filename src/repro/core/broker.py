@@ -8,7 +8,6 @@ enhancement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.client import GruberClient
@@ -22,27 +21,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.usla.agreement import Agreement
 
-__all__ = ["DIGruberDeployment", "TopologyEvent"]
-
-
-@dataclass(frozen=True)
-class TopologyEvent:
-    """One structured decision-point join/leave on the overlay.
-
-    The record of every membership change — manual
-    ``add_decision_point``/``retire``/``revive`` and the autoscale
-    actuator's — in order, so tests and reports read one stream instead
-    of scraping trace lines.  A crash is not a membership event: a
-    crashed decision point stays a member and goes silent (§2.2).
-    """
-
-    time: float
-    action: str        # "join" | "leave"
-    dp_id: str
-    n_live: int        # live (online, non-retired) DPs after the change
-    source: str = ""   # "manual" | "autoscale"
-    revived: bool = False  # join of a previously retired DP
-
+__all__ = ["DIGruberDeployment"]
 
 class DIGruberDeployment:
     """All decision points of one DI-GRUBER installation."""
@@ -86,15 +65,6 @@ class DIGruberDeployment:
         #: stay in ``decision_points`` (ids are never reused) but are
         #: excluded from the overlay until revived.
         self.retired: set[str] = set()
-        #: Structured membership record (see :class:`TopologyEvent`).
-        self.topology_events: list[TopologyEvent] = []
-        #: Set by :func:`repro.check.digest.install_probes` on journaled
-        #: runs; :meth:`_create_dp` propagates it to decision points
-        #: deployed mid-run so their records land in the same chain.
-        self.journal = None
-        #: The :class:`~repro.control.planner.AutoscalePlanner` driving
-        #: this deployment, when one is attached.
-        self.controller = None
         self._started = False
         for _ in range(n_decision_points):
             self._create_dp()
@@ -115,8 +85,6 @@ class DIGruberDeployment:
             max_queue=self.dp_queue_bound,
             sync_delta=self.sync_delta, selector=self.selector)
         self.decision_points[dp_id] = dp
-        if self.journal is not None:
-            dp.engine.journal = self.journal
         return dp
 
     def _rewire(self) -> None:
@@ -134,14 +102,14 @@ class DIGruberDeployment:
 
     def _emit_topology(self, action: str, dp_id: str, source: str,
                        revived: bool = False) -> None:
-        event = TopologyEvent(time=self.sim.now, action=action, dp_id=dp_id,
-                              n_live=len(self.live_dp_ids), source=source,
-                              revived=revived)
-        self.topology_events.append(event)
-        self.sim.metrics.counter(f"topology.{action}").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("topology.change", action=action, node=dp_id,
-                                n_live=event.n_live, source=source)
+        """One membership change (``topology.join``/``topology.leave``):
+        manual ``add``/``retire``/``revive`` or the autoscale actuator's
+        (``source``), with the live count after it.  A crash is not a
+        membership event: a crashed decision point stays a member and
+        goes silent (§2.2)."""
+        self.sim.trace.emit(f"topology.{action}", dp_id,
+                            n_live=len(self.live_dp_ids), source=source,
+                            revived=revived)
 
     @property
     def dp_ids(self) -> list[str]:

@@ -147,10 +147,8 @@ class GruberClient(Endpoint):
         prior = self.decision_point
         self.decision_point = decision_point
         self.rebinds += 1
-        self.sim.metrics.counter("client.rebinds").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("client.rebind", node=self.node_id,
-                                prior=str(prior), new=str(decision_point))
+        self.sim.trace.emit("client.rebind", self.node_id, prior=str(prior),
+                            new=str(decision_point))
 
     # -- arrivals (derived from the cursor) -------------------------------
     def _due(self) -> int:
@@ -405,10 +403,8 @@ class GruberClient(Endpoint):
         if target is None:
             return False
         self.n_failovers += 1
-        self.sim.metrics.counter("client.failovers").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("client.failover", node=self.node_id,
-                                prior=str(current), new=str(target))
+        self.sim.trace.emit("client.failover", self.node_id,
+                            prior=str(current), new=str(target))
         self.rebind(target)
         return True
 
@@ -441,7 +437,8 @@ class GruberClient(Endpoint):
                 if not breaker.allow():
                     # Fail fast: no RPC, no timeout burned.
                     self.n_breaker_fastfail += 1
-                    self.sim.metrics.counter("client.breaker_fastfail").inc()
+                    self.sim.trace.emit("client.breaker_fastfail",
+                                        self.node_id, dp=str(dp))
                     moved = self._maybe_failover()
                     if not moved and attempt < policy.max_attempts:
                         yield policy.backoff_delay(attempt, self.rng)
@@ -457,15 +454,13 @@ class GruberClient(Endpoint):
                     yield ev
                 except RpcError:
                     breaker.on_failure()
-                    self.sim.metrics.counter("client.attempt_failures").inc()
-                    if self.sim.trace.enabled:
-                        self.sim.trace.emit("client.retry",
-                                            node=self.node_id, dp=str(dp),
-                                            attempt=attempt)
+                    self.sim.trace.emit("client.attempt_failures",
+                                        self.node_id, dp=str(dp),
+                                        attempt=attempt)
                     self._maybe_failover()
                     if attempt < policy.max_attempts:
                         self.n_retries += 1
-                        self.sim.metrics.counter("client.retries").inc()
+                        self.sim.trace.emit("client.retries", self.node_id)
                         yield policy.backoff_delay(attempt, self.rng)
                     continue
                 breaker.on_success()
@@ -483,7 +478,7 @@ class GruberClient(Endpoint):
             # Every attempt failed or was breaker-skipped: the paper's
             # USLA-blind fallback keeps the job stream moving.
             self.n_fallback_timeout += 1
-            self.sim.metrics.counter("client.resilient_fallbacks").inc()
+            self.sim.trace.emit("client.resilient_fallbacks", self.node_id)
             self._dispatch_random(job, parent=root)
             self._record_query(t0, None, True, self.decision_point)
             outcome = "timeout"

@@ -84,7 +84,7 @@ class DecisionPoint(Endpoint):
             owner=str(node_id), site_capacities=grid.site_index,
             usla_aware=usla_aware,
             assumed_job_lifetime_s=assumed_job_lifetime_s,
-            tracer=sim.trace, metrics=sim.metrics)
+            tracer=sim.trace)
         self.monitor = SiteMonitor(sim, grid, self.engine,
                                    interval_s=monitor_interval_s,
                                    jitter_s=monitor_interval_s * 0.05, rng=rng)
@@ -145,15 +145,13 @@ class DecisionPoint(Endpoint):
             self.sync.stop()
             self.started = False
         self.crashes += 1
-        self.sim.metrics.counter("dp.crashes").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("dp.crash", node=self.node_id)
+        self.sim.trace.emit("dp.crash", self.node_id)
 
     def retire(self) -> None:
         """Administrative scale-down: stop serving, keep state, revivable.
 
         Unlike :meth:`crash` this is a *planned* leave — it counts under
-        ``dp.retirements`` (not ``dp.crashes``) so chaos accounting and
+        ``dp.retire`` (not ``dp.crash``) so chaos accounting and
         control-plane accounting stay separable.  Idempotent; a crashed
         decision point can also be retired (it only marks the counter).
         :meth:`restart` revives either way.
@@ -167,9 +165,7 @@ class DecisionPoint(Endpoint):
         if not was_online:
             return
         self.retirements += 1
-        self.sim.metrics.counter("dp.retirements").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("dp.retire", node=self.node_id)
+        self.sim.trace.emit("dp.retire", self.node_id)
 
     def restart(self, resync: bool = True) -> None:
         """Bring the service back; optionally re-sync state from peers.
@@ -187,9 +183,7 @@ class DecisionPoint(Endpoint):
         self.sync.start()
         self.started = True
         self.restarts += 1
-        self.sim.metrics.counter("dp.restarts").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("dp.restart", node=self.node_id, resync=resync)
+        self.sim.trace.emit("dp.restart", self.node_id, resync=resync)
         if resync and self.neighbors:
             self.sim.process(self._resync_from_peers(),
                              name=f"resync:{self.node_id}")
@@ -218,7 +212,8 @@ class DecisionPoint(Endpoint):
                 yield ev
             except (RpcError, KeyError):
                 self.resync_failures += 1
-                self.sim.metrics.counter("dp.resync_failures").inc()
+                self.sim.trace.emit("dp.resync_failures", self.node_id,
+                                    peer=str(peer))
                 continue
             records = (ev.value or {}).get("records", [])
             adopted_total += self.engine.merge_remote_records(
@@ -226,11 +221,8 @@ class DecisionPoint(Endpoint):
             peers_ok += 1
         self.resync_records += adopted_total
         self.sim.metrics.counter("dp.resync_records").inc(adopted_total)
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("dp.resync", node=self.node_id,
-                                peers_ok=peers_ok,
-                                peers=len(self.neighbors),
-                                adopted=adopted_total)
+        self.sim.trace.emit("dp.resync", self.node_id, peers_ok=peers_ok,
+                            peers=len(self.neighbors), adopted=adopted_total)
 
     def set_neighbors(self, neighbors: list[Hashable]) -> None:
         """Rewire the overlay (used by dynamic reconfiguration)."""

@@ -29,7 +29,7 @@ class GruberEngine:
                  usla_store: Optional[UslaStore] = None,
                  usla_aware: bool = False,
                  assumed_job_lifetime_s: float = 900.0,
-                 tracer=None, metrics=None):
+                 tracer=None):
         self.owner = owner
         self.view = GridStateView(
             site_capacities, assumed_job_lifetime_s=assumed_job_lifetime_s)
@@ -40,19 +40,13 @@ class GruberEngine:
         self._seq = itertools.count(1)
         self.queries_served = 0
         self.dispatches_recorded = 0
-        #: Optional observability hooks (a :class:`~repro.obs.Tracer`
-        #: and :class:`~repro.obs.MetricsRegistry`); the decision point
-        #: wires in its simulator's instances.
+        #: Optional event stream (a :class:`~repro.obs.Tracer`, whose
+        #: ``metrics`` registry holds the tallies); the decision point
+        #: wires in its simulator's.
         self.tracer = tracer
-        self.metrics = metrics
-        #: ``engine.dispatches``, looked up once on first use (the
-        #: registry creates on lookup).
+        #: The ``engine.dispatch`` tally, looked up once on first use
+        #: (the registry creates on lookup).
         self._dispatch_counter = None
-        #: Optional differential-replay journal
-        #: (:class:`repro.check.digest.EventJournal`); installed by
-        #: ``install_probes`` for ``digruber diff`` runs.  One attribute
-        #: check per dispatch/merge when unset.
-        self.journal = None
 
     # -- policy ----------------------------------------------------------
     def _policy(self) -> PolicyEngine:
@@ -126,19 +120,18 @@ class GruberEngine:
                              group=group)
         self.view.apply_record(rec)
         self.dispatches_recorded += 1
-        if self.metrics is not None:
+        trace = self.tracer
+        if trace is not None:
+            # A per-job event: the tally stays inline (see repro.obs.trace).
             counter = self._dispatch_counter
             if counter is None:
-                counter = self._dispatch_counter = self.metrics.counter(
-                    "engine.dispatches")
+                counter = self._dispatch_counter = trace.metrics.counter(
+                    "engine.dispatch")
             counter.value += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit("engine.dispatch", node=self.owner, site=site,
-                             vo=vo, cpus=cpus, seq=rec.seq)
-        if self.journal is not None:
-            self.journal.record(
-                now, "rec.local",
-                f"{self.owner}|{site}|{vo}|cpus={int(cpus)}|seq={rec.seq}")
+            if trace.enabled:
+                trace.publish("engine.dispatch", self.owner,
+                              {"site": site, "vo": vo, "cpus": cpus,
+                               "seq": rec.seq}, now)
         return rec
 
     #: Sync-propagation lag buckets (seconds): 0.25 s … 8192 s.  Lag is
@@ -160,33 +153,31 @@ class GruberEngine:
         """
         adopted_records = self.view.apply_records(records, now=now)
         adopted = len(adopted_records)
-        if now is not None and self.metrics is not None:
-            observe_lag = self.metrics.histogram(
+        trace = self.tracer
+        if trace is None:
+            return adopted
+        metrics = trace.metrics
+        if now is not None:
+            observe_lag = metrics.histogram(
                 "sync.lag_s", bounds=self.SYNC_LAG_BOUNDS_S).observe
             for rec in adopted_records:
                 observe_lag(max(now - rec.time, 0.0))
-        if adopted and self.journal is not None:
-            # Sorted key set: the journal pins *which* records were
-            # adopted, not the payload's internal order.
-            keys = ",".join(f"{o}:{s}" for o, s in
-                            sorted(r.key for r in adopted_records))
-            self.journal.record(
-                now if now is not None else self.view.latest_time,
-                "rec.adopt", f"{self.owner}|{keys}")
-        if self.metrics is not None:
-            self.metrics.counter("engine.records_adopted").inc(adopted)
-            self.metrics.counter("engine.records_offered").inc(len(records))
-        if adopted and self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit("engine.adopt", node=self.owner,
-                             offered=len(records), adopted=adopted)
+        metrics.counter("engine.records_adopted").value += adopted
+        metrics.counter("engine.records_offered").value += len(records)
+        if adopted:
+            # ``keys`` (sorted: *which* records were adopted, not the
+            # payload's order) is built only for a subscriber to read.
+            trace.emit("engine.adopt", self.owner, offered=len(records),
+                       adopted=adopted,
+                       keys=",".join(f"{o}:{s}" for o, s in sorted(
+                           r.key for r in adopted_records))
+                       if trace.enabled else "")
         return adopted
 
     def on_monitor_refresh(self, busy_by_site: dict[str, float],
                            now: float) -> None:
         self.view.refresh_all(busy_by_site, now)
         expired = self.view.expire(now)
-        if self.metrics is not None:
-            self.metrics.counter("engine.monitor_refreshes").inc()
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit("engine.refresh", node=self.owner,
+        if self.tracer is not None:
+            self.tracer.emit("engine.refresh", self.owner,
                              sites=len(busy_by_site), expired=expired)

@@ -158,11 +158,8 @@ class SyncProtocol:
         self.rounds_sent += 1
         self.records_sent += len(records) * len(dp.neighbors)
         self.kb_sent += size_kb * len(dp.neighbors)
-        dp.sim.metrics.counter("sync.rounds").inc()
-        if dp.sim.trace.enabled:
-            dp.sim.trace.emit("sync.round", node=dp.node_id,
-                              records=len(records),
-                              neighbors=len(dp.neighbors), kb=size_kb)
+        dp.sim.trace.emit("sync.round", dp.node_id, records=len(records),
+                          neighbors=len(dp.neighbors), kb=size_kb)
 
     def _tick_delta(self) -> None:
         """Delta exchange round: each peer gets only what it has not
@@ -215,11 +212,9 @@ class SyncProtocol:
         self.rounds_sent += 1
         self.records_sent += round_records
         self.kb_sent += round_kb
-        dp.sim.metrics.counter("sync.rounds").inc()
-        if dp.sim.trace.enabled:
-            dp.sim.trace.emit("sync.round", node=dp.node_id,
-                              records=round_records, delta=True,
-                              neighbors=len(dp.neighbors), kb=round_kb)
+        dp.sim.trace.emit("sync.round", dp.node_id, records=round_records,
+                          delta=True, neighbors=len(dp.neighbors),
+                          kb=round_kb)
 
     # -- receive side -----------------------------------------------------------
     def on_sync(self, payload: dict, ctx=None) -> None:
@@ -238,9 +233,8 @@ class SyncProtocol:
         if spans.enabled and ctx is not None:
             spans.record("sync.recv", self.dp.node_id, ctx, now, now,
                          _RECV_ATTRS, (len(records), adopted))
-        if self.dp.sim.trace.enabled:
-            self.dp.sim.trace.emit("sync.recv", node=self.dp.node_id,
-                                   received=len(records), adopted=adopted)
+        self.dp.sim.trace.emit("sync.recv", self.dp.node_id,
+                               received=len(records), adopted=adopted)
         if (self.strategy is DisseminationStrategy.USAGE_AND_USLA
                 and "uslas" in payload):
             from repro.usla.store import UslaStore

@@ -14,6 +14,7 @@ numerals were lost to the OCR; see DESIGN.md for the derivation):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -161,8 +162,9 @@ class ExperimentConfig:
             raise ValueError("n_clients must be >= 1")
         if not (0.0 < self.ramp_fraction <= 1.0):
             raise ValueError("ramp_fraction must be in (0, 1]")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be finite and > 0, got {self.duration_s}")
         if self.chaos_scenario:
             from repro.faults.scenarios import scenario_names
             if self.chaos_scenario not in scenario_names():
@@ -178,12 +180,15 @@ class ExperimentConfig:
         if self.workload_profile:
             from repro.workloads.profiles import arrival_profile
             arrival_profile(self.workload_profile)  # raises on unknown
-        if self.spans_sample < 1:
-            raise ValueError("spans_sample must be >= 1")
-        if self.telemetry_interval_s <= 0:
-            raise ValueError("telemetry_interval_s must be > 0")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be > 0")
+        if not self.spans_sample >= 1:
+            raise ValueError(
+                f"spans_sample must be >= 1, got {self.spans_sample}")
+        if not self.telemetry_interval_s > 0:
+            raise ValueError(f"telemetry_interval_s must be > 0, "
+                             f"got {self.telemetry_interval_s}")
+        if not self.check_interval_s > 0:
+            raise ValueError(f"check_interval_s must be > 0, "
+                             f"got {self.check_interval_s}")
         if self.jid_offset < 0:
             raise ValueError("jid_offset must be >= 0")
         if self.checkpoint_every_s < 0:

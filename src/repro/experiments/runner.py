@@ -154,7 +154,7 @@ class ExperimentResult(BuiltExperiment):
 
     # -- observability ---------------------------------------------------------
     def obs_summary(self) -> str:
-        """Counters, latency histograms, and trace tallies for this run."""
+        """Event tallies, counters and latency histograms for this run."""
         from repro.metrics.report import render_obs_summary
         return render_obs_summary(
             self.sim.metrics, network_stats=self.network.stats,
@@ -237,10 +237,10 @@ def build_experiment(config: ExperimentConfig) -> BuiltExperiment:
 
     sinks = {}
     if config.trace_enabled or config.trace_path:
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         if config.trace_path:
             trace_file = sinks["trace"] = JsonlSink(config.trace_path)
-            sim.trace.add_sink(lambda ev: trace_file.write(ev.to_dict()))
+            sim.trace.subscribe(lambda ev: trace_file.write(ev.to_dict()))
 
     if config.spans_enabled or config.spans_path:
         sim.spans.enabled = True

@@ -168,12 +168,9 @@ class TransportFaultModel:
         for rule in rules:
             if rule.cut or (rule.loss > 0.0 and rng.random() < rule.loss):
                 self.dropped += 1
-                self.sim.metrics.counter("faults.msgs_dropped").inc()
-                if self.sim.trace.enabled:
-                    self.sim.trace.emit("fault.drop", node=msg.src,
-                                        dst=str(msg.dst), op=msg.op,
-                                        msg_kind=msg.kind,
-                                        cut=rule.cut)
+                self.sim.trace.emit("fault.drop", msg.src, dst=str(msg.dst),
+                                    op=msg.op, msg_kind=msg.kind,
+                                    cut=rule.cut)
                 return _DROPPED_FATE
 
         extra = 0.0
@@ -199,12 +196,12 @@ class TransportFaultModel:
         if copies > 1:
             self.duplicated += copies - 1
             self.sim.metrics.counter("faults.msgs_duplicated").inc(copies - 1)
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("fault.dup", node=msg.src,
-                                    dst=str(msg.dst), op=msg.op, copies=copies)
+            self.sim.trace.emit("fault.dup", msg.src, dst=str(msg.dst),
+                                op=msg.op, copies=copies)
         if extra > 0.0:
             self.delayed += 1
-            self.sim.metrics.counter("faults.msgs_delayed").inc()
+            self.sim.trace.emit("fault.delay", msg.src, dst=str(msg.dst),
+                                op=msg.op, extra_s=extra)
         return Fate(False, tuple(delays))
 
 

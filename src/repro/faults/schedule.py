@@ -137,8 +137,8 @@ class FaultInjector:
 
     The injector owns the transport fault model (installing it on
     ``network.faults`` if absent), resolves decision-point targets via
-    the deployment, and emits one ``fault.inject`` trace event plus
-    ``faults.injected`` / per-kind counters for every applied event.
+    the deployment, and emits one ``faults.apply.<kind>`` event for
+    every applied event.
     """
 
     def __init__(self, sim: "Simulator", network: "Network",
@@ -171,17 +171,11 @@ class FaultInjector:
         handler = getattr(self, "_apply_" + event.kind.replace(".", "_"))
         handler(event)
         self.applied.append(event)
-        metrics = self.sim.metrics
-        metrics.counter("faults.injected").inc()
-        metrics.counter(f"faults.apply.{event.kind}").inc()
-        if self.sim.trace.enabled:
-            # Detail keys are namespaced ("fault_kind", "arg_node", ...)
-            # so they can never collide with emit()'s own kind=/node=
-            # parameters.
-            self.sim.trace.emit("fault.inject", node="injector",
-                                fault_kind=event.kind,
-                                **{f"arg_{k}": _traceable(v)
-                                   for k, v in event.args.items()})
+        # Detail keys are namespaced ("arg_node", ...) so they can never
+        # collide with emit()'s own kind/node parameters.
+        self.sim.trace.emit(f"faults.apply.{event.kind}", "injector",
+                            **{f"arg_{k}": _traceable(v)
+                               for k, v in event.args.items()})
 
     def _dp(self, dp_id: str):
         if self.deployment is None:

@@ -80,15 +80,15 @@ def render_obs_summary(metrics, network_stats=None, tracer=None,
                        spans=None, title: str = "run summary") -> str:
     """Render one run's observability state as a text report.
 
-    Unifies the three collection layers introduced with ``repro.obs``:
-
-    * ``metrics`` — a :class:`~repro.obs.MetricsRegistry` (always-on
-      counters + fixed-bucket histograms, e.g. ``rpc.latency_s``);
+    * ``metrics`` — a :class:`~repro.obs.MetricsRegistry`: one counter
+      table (every event kind's tally, one name per event, plus the
+      counted quantities) and the fixed-bucket histograms, e.g.
+      ``rpc.latency_s``;
     * ``network_stats`` — the transport's
       :class:`~repro.net.transport.NetworkStats`, including the
       timeout/loss failure counts that used to go unreported;
-    * ``tracer`` — the (optional) structured trace; only its per-kind
-      tallies are shown here;
+    * ``tracer`` — the (optional) event stream; its ring's fill and
+      evictions are shown once it has taken an event;
     * ``spans`` — the (optional) :class:`~repro.obs.SpanRecorder`;
       shown as finished/open tallies plus the sampling ratio.
     """
@@ -120,10 +120,7 @@ def render_obs_summary(metrics, network_stats=None, tracer=None,
             ("histogram", "count", "mean", "p50", "p90", "p99", "max"),
             rows, col_width=14))
 
-    if tracer is not None and tracer.counts:
-        rows = sorted(tracer.counts.items())
-        lines.append(format_table(("trace event", "count"), rows,
-                                  col_width=28))
+    if tracer is not None and tracer.emitted:
         lines.append(f"trace: buffered={len(tracer)} evicted={tracer.evicted}")
 
     if spans is not None and (spans.enabled or len(spans)):

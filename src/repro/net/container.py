@@ -273,11 +273,9 @@ class ServiceContainer:
         (called only when ``max_queue`` is set)."""
         if self._query_server.queue_len >= self.max_queue:
             self.shed_ops += 1
-            self.sim.metrics.counter("container.shed").inc()
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("container.shed", node=self.name,
-                                    queue_len=self._query_server.queue_len,
-                                    max_queue=self.max_queue)
+            self.sim.trace.emit("container.shed", self.name,
+                                queue_len=self._query_server.queue_len,
+                                max_queue=self.max_queue)
             raise OverloadShed(
                 f"{self.name}: queue {self._query_server.queue_len} "
                 f">= bound {self.max_queue}")

@@ -373,9 +373,9 @@ class Network:
         self._finish_span(pending, reason)
 
     def _finish_span(self, pending: Request, outcome: str) -> None:
-        """Close one RPC span: latency histogram, ``rpc.<outcome>``
-        counter and one compact ``rpc.span`` trace event (fields per
-        ``repro.obs.trace.SPAN_FIELDS``)."""
+        """Close one RPC span: latency histogram and one ``rpc.<outcome>``
+        event — a per-job kind, so its tally is inline and subscribers
+        get a tuple detail (``repro.obs.trace.RPC_FIELDS``)."""
         now = self.sim.now
         latency = now - pending.sent_at
         metrics = self.sim.metrics
@@ -392,10 +392,9 @@ class Network:
         counter.value += 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit_compact(
-                "rpc.span", pending.src,
-                (pending.op, pending.dst, pending.rpc_id, outcome, latency,
-                 pending.size_kb), time=now)
+            trace.publish(counter.name, pending.src,
+                          (pending.op, pending.dst, pending.rpc_id, outcome,
+                           latency, pending.size_kb), now)
 
     # -- server side --------------------------------------------------------
     def _send_response(self, req: Request, value: Any, ok: bool,

@@ -12,12 +12,15 @@ ad-hoc print statements:
   line-decode loop (file or growing tail; tolerant skips bad lines,
   strict raises :class:`~repro.obs.jsonl.JsonlError` naming
   ``path:lineno``).
-* :mod:`repro.obs.trace` — a ring-buffered structured event trace
-  (sim-time, node, kind, detail) with pluggable sinks.  Disabled by
-  default; the hot layers guard every emission so the disabled cost is
-  one attribute check.
-* :mod:`repro.obs.counters` — always-on named counters and fixed-bucket
-  histograms (p50/p90/p99 without numpy) collected in a
+* :mod:`repro.obs.trace` — the model's one event stream: each event
+  is one :meth:`~repro.obs.trace.Tracer.emit` call that bumps the
+  kind's always-on tally and hands a
+  :class:`~repro.obs.trace.TraceEvent` to the subscribers registered at
+  build (the bounded ring, a ``--trace`` JSONL sink, the replay
+  journal).
+* :mod:`repro.obs.counters` — always-on named counters (the event
+  tallies among them), gauges and fixed-bucket histograms (p50/p90/p99
+  without numpy) collected in a
   :class:`~repro.obs.counters.MetricsRegistry`.
 * :mod:`repro.obs.spans` — causal span tracing (Dapper-style context
   propagation over the DES transport): per-job lifecycle spans, DP
@@ -37,10 +40,10 @@ ad-hoc print statements:
 
 One :class:`~repro.obs.trace.Tracer` and one
 :class:`~repro.obs.counters.MetricsRegistry` hang off every
-:class:`~repro.sim.kernel.Simulator`; the transport, engine, sync
-protocol, and monitor all emit through them, which is what makes the
-formerly *silent* failure paths (dead periodic chains, leaked RPCs,
-stale USLA usage) visible in the run summary.
+:class:`~repro.sim.kernel.Simulator`; every layer emits its events
+through them, which is what makes the formerly *silent* failure paths
+(dead periodic chains, leaked RPCs, stale USLA usage) visible in the
+run summary.
 """
 
 from repro.obs.counters import (

@@ -31,7 +31,7 @@ def jsonable(value: Any) -> Any:
     Numpy scalars are unwrapped via ``item()`` (``np.int64`` and
     ``np.float32`` are *not* ``int``/``float`` subclasses, so they
     would otherwise crash ``json.dumps``); other non-primitives — e.g.
-    a tuple-typed node id landing in a compact ``rpc.span`` ``dst``
+    a tuple-typed node id landing in a compact ``rpc.<outcome>`` ``dst``
     field — degrade to ``str``.
     """
     if isinstance(value, (str, bool)) or value is None:

@@ -1,16 +1,22 @@
-"""Structured event tracing for the simulation's hot layers.
+"""The model's one event stream.
 
-A :class:`Tracer` records :class:`TraceEvent` tuples into a bounded
-ring buffer (``collections.deque``) and fans them out to any attached
-sinks.  Tracing is **disabled by default**: every emitting call site
-guards with ``if tracer.enabled`` so a disabled tracer costs one
-attribute lookup per *potential* event — measured by
-``benchmarks/bench_obs_overhead.py`` and pinned in ``BENCH_kernel.json``.
+Every model event — a dispatch, a sync round, a crash, an RPC's outcome,
+a checker violation — is **one call** on the simulator's
+:class:`Tracer`: :meth:`Tracer.emit` bumps the event's always-on tally
+(a :class:`~repro.obs.counters.Counter` named by the event's kind, in
+the simulator's :class:`~repro.obs.counters.MetricsRegistry`, which is
+what ``--obs`` and timeline rows print) and, when anything subscribes,
+hands one :class:`TraceEvent` to each subscriber.  The subscribers are
+registered at build: the bounded ring (:meth:`Tracer.ring`, read by the
+flight recorder), a :class:`~repro.obs.jsonl.JsonlSink` for
+``--trace FILE``, and the differential-replay journal
+(:func:`repro.check.digest.install_probes`).
 
-Event kinds are dotted strings, coarse by design (per process
-lifecycle, per RPC span, per sync round — never per kernel step), which
-keeps the *enabled* overhead under the 10% budget the bench harness
-enforces.
+With nothing subscribed an event costs its tally.  The two per-job
+kinds — ``engine.dispatch`` and ``rpc.<outcome>`` — keep their tally
+inline at the call site and call :meth:`Tracer.publish` only behind
+``if trace.enabled``, so with nothing subscribed they pay one attribute
+check.
 """
 
 from __future__ import annotations
@@ -18,22 +24,21 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, NamedTuple, Optional
 
-from repro.obs.jsonl import jsonable, write_jsonl
+from repro.obs.counters import MetricsRegistry
+from repro.obs.jsonl import jsonable
 
-__all__ = ["TraceEvent", "Tracer", "SPAN_FIELDS"]
+__all__ = ["RPC_FIELDS", "TraceEvent", "Tracer"]
 
-#: Field names for compact (tuple-detail) events emitted through
-#: :meth:`Tracer.emit_compact` — the hot-path alternative to kwargs.
-SPAN_FIELDS: dict[str, tuple[str, ...]] = {
-    "rpc.span": ("op", "dst", "rpc_id", "outcome", "latency_s", "size_kb"),
-}
+#: Field names of an RPC's tuple detail; its kind is ``rpc.<outcome>``.
+RPC_FIELDS: tuple[str, ...] = ("op", "dst", "rpc_id", "outcome",
+                               "latency_s", "size_kb")
 
 
 class TraceEvent(NamedTuple):
-    """One trace record: when, where, what, and arbitrary detail.
+    """One event: when, where, what, and arbitrary detail.
 
-    ``detail`` is a dict for ordinary events; hot-path events (see
-    :data:`SPAN_FIELDS`) carry a plain tuple instead — use
+    ``detail`` is a dict, except for the transport's ``rpc.<outcome>``
+    events, which carry a plain tuple in :data:`RPC_FIELDS` order — use
     :meth:`detail_dict` for uniform access.
     """
 
@@ -45,22 +50,21 @@ class TraceEvent(NamedTuple):
     def detail_dict(self) -> dict:
         if isinstance(self.detail, dict):
             return self.detail
-        fields = SPAN_FIELDS.get(self.kind)
-        if fields is not None:
-            return dict(zip(fields, self.detail))
+        if self.kind.startswith("rpc."):
+            return dict(zip(RPC_FIELDS, self.detail))
         return {"detail": self.detail}
 
     def to_dict(self) -> dict:
         # ``float(...)`` guards the time field: a numpy scalar clock (or
-        # an ``emit_compact(..., time=np.float32(...))`` caller) used to
-        # hand json.dumps a non-serializable value and crash every sink.
+        # a ``publish(..., time=np.float32(...))`` caller) used to hand
+        # json.dumps a non-serializable value and crash every sink.
         return {"t": float(self.time), "node": str(self.node),
                 "kind": self.kind,
                 **{k: jsonable(v) for k, v in self.detail_dict().items()}}
 
 
 class Tracer:
-    """Ring-buffered structured trace with pluggable sinks.
+    """Tallies every event and fans it out to the subscribers.
 
     Parameters
     ----------
@@ -68,118 +72,85 @@ class Tracer:
         Zero-argument callable returning the current sim time; the
         :class:`~repro.sim.kernel.Simulator` wires in its own clock.
     capacity:
-        Ring-buffer size; older events are evicted (and counted in
-        :attr:`evicted`) once full.  Sinks see *every* event regardless.
-    enabled:
-        Off by default — the run summary and counters work without it.
+        Ring size; older events are evicted (and counted in
+        :attr:`evicted`) once full.  Other subscribers see every event.
+    metrics:
+        The registry the tallies live in (the simulator's own).
     """
 
-    __slots__ = ("enabled", "clock", "buffer", "sinks", "counts",
+    __slots__ = ("enabled", "clock", "metrics", "buffer", "subscribers",
                  "emitted")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 capacity: int = 65536, enabled: bool = False):
+                 capacity: int = 65536,
+                 metrics: Optional[MetricsRegistry] = None):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
-        self.enabled = enabled
         self.clock = clock if clock is not None else (lambda: 0.0)
-        #: Ring of TraceEvent instances (or bare 4-tuples from
-        #: :meth:`emit_compact`); read through :meth:`events`.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The ring's events, oldest first; read through :meth:`events`.
         self.buffer: deque = deque(maxlen=capacity)
-        self.sinks: list[Callable[[TraceEvent], None]] = []
-        #: Per-kind event tallies (kept even after ring eviction).
-        self.counts: dict[str, int] = {}
+        self.subscribers: list[Callable[[TraceEvent], None]] = []
+        #: ``bool(subscribers)``, kept by :meth:`subscribe` and
+        #: :meth:`unsubscribe`: the one check a hot call site pays.
+        self.enabled = False
+        #: Events the ring has taken, evicted ones included.
         self.emitted = 0
 
-    # -- emission -------------------------------------------------------
+    # -- recording --------------------------------------------------------
     def emit(self, kind: str, node: Any = "", **detail: Any) -> None:
-        """Record one event *if enabled*; call sites should pre-guard
-        with ``if tracer.enabled`` to avoid building kwargs for nothing.
+        """Record one event: tally it, then hand it to the subscribers."""
+        counter = self.metrics.counters.get(kind)
+        if counter is None:
+            counter = self.metrics.counter(kind)
+        counter.value += 1
+        if self.enabled:
+            self.publish(kind, node, detail)
+
+    def publish(self, kind: str, node: Any, detail: Any,
+                time: Optional[float] = None) -> None:
+        """Hand one event to every subscriber, without tallying it.
+
+        :meth:`emit` ends here; the hot call sites, which tally inline,
+        call it directly behind ``if trace.enabled``.  ``time`` skips
+        the clock call when the caller already knows the instant.
         """
-        if not self.enabled:
-            return
-        ev = TraceEvent(self.clock(), node, kind, detail)
+        ev = TraceEvent(self.clock() if time is None else time, node, kind,
+                        detail)
+        for fn in self.subscribers:
+            fn(ev)
+
+    def ring(self, ev: TraceEvent) -> None:
+        """The bounded-ring subscriber."""
         self.buffer.append(ev)
         self.emitted += 1
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self.sinks:
-            for sink in self.sinks:
-                sink(ev)
 
-    def emit_compact(self, kind: str, node: Any, detail: tuple,
-                     time: Optional[float] = None) -> None:
-        """Hot-path emission: positional tuple detail, no kwargs dict.
+    # -- subscribers ------------------------------------------------------
+    def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
+        self.subscribers.append(fn)
+        self.enabled = True
 
-        ``detail`` must match ``SPAN_FIELDS[kind]``; ``time`` skips the
-        clock call when the caller already knows the instant.  The ring
-        stores a bare 4-tuple (a :class:`TraceEvent` ctor alone costs
-        ~5x a tuple display); :meth:`events` and the sink fan-out
-        normalize on the way out, keeping this several times cheaper
-        than :meth:`emit` — the transport uses it for its one-per-RPC
-        span summary.
-        """
-        if not self.enabled:
-            return
-        ev = (self.clock() if time is None else time, node, kind, detail)
-        self.buffer.append(ev)
-        self.emitted += 1
-        counts = self.counts
-        try:
-            counts[kind] += 1
-        except KeyError:
-            counts[kind] = 1
-        if self.sinks:
-            named = TraceEvent._make(ev)
-            for sink in self.sinks:
-                sink(named)
+    def unsubscribe(self, fn: Callable[[TraceEvent], None]) -> None:
+        self.subscribers.remove(fn)
+        self.enabled = bool(self.subscribers)
 
-    # -- sinks ----------------------------------------------------------
-    def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        self.sinks.append(sink)
-
-    def remove_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        self.sinks.remove(sink)
-
-    # -- inspection -----------------------------------------------------
+    # -- inspection -------------------------------------------------------
     def events(self, kind: Optional[str] = None) -> list[TraceEvent]:
-        """Buffered events, optionally filtered by exact kind.
-
-        Normalizes the hot-path bare tuples (see :meth:`emit_compact`)
-        so callers always get :class:`TraceEvent` instances.
-        """
-        out = [ev if isinstance(ev, TraceEvent) else TraceEvent._make(ev)
-               for ev in self.buffer]
-        if kind is None:
-            return out
-        return [ev for ev in out if ev.kind == kind]
+        """The ring's events, optionally filtered by exact kind."""
+        return [ev for ev in self.buffer if kind is None or ev.kind == kind]
 
     def count(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
+        """The kind's tally (every event, whoever subscribes)."""
+        return self.metrics.counter_value(kind)
 
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring by newer ones."""
         return self.emitted - len(self.buffer)
 
-    def clear(self) -> None:
-        self.buffer.clear()
-        self.counts.clear()
-        self.emitted = 0
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the ring buffer, keeping the newest events."""
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        self.buffer = deque(self.buffer, maxlen=capacity)
-
-    # -- export ---------------------------------------------------------
-    def export_jsonl(self, path: str) -> int:
-        """Dump the buffered events to a JSONL file; returns the count."""
-        return write_jsonl(path, (ev.to_dict() for ev in self.events()))
-
     def __len__(self) -> int:
         return len(self.buffer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "on" if self.enabled else "off"
-        return f"<Tracer {state} buffered={len(self.buffer)} kinds={len(self.counts)}>"
+        return (f"<Tracer subscribers={len(self.subscribers)} "
+                f"buffered={len(self.buffer)}>")

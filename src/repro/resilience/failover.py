@@ -73,23 +73,20 @@ class FailoverManager:
             ev.add_callback(lambda e, d=dp_id: self._on_probe(d, e))
 
     def _on_probe(self, dp_id: str, ev) -> None:
+        trace = self.sim.trace
         if ev.ok:
             if self._misses.get(dp_id, 0) >= self.policy.probe_unhealthy_after:
-                self.sim.metrics.counter("failover.dp_recovered").inc()
-                if self.sim.trace.enabled:
-                    self.sim.trace.emit("failover.health", dp=dp_id,
-                                        healthy=True)
+                trace.emit("failover.dp_recovered", PROBER_ID, dp=dp_id)
             self._misses[dp_id] = 0
             return
         self.probes_failed += 1
-        self.sim.metrics.counter("failover.probe_failures").inc()
         misses = self._misses.get(dp_id, 0) + 1
         self._misses[dp_id] = misses
+        trace.emit("failover.probe_failures", PROBER_ID, dp=dp_id,
+                   misses=misses)
         if misses == self.policy.probe_unhealthy_after:
-            self.sim.metrics.counter("failover.dp_unhealthy").inc()
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("failover.health", dp=dp_id,
-                                    healthy=False, misses=misses)
+            trace.emit("failover.dp_unhealthy", PROBER_ID, dp=dp_id,
+                       misses=misses)
 
     # -- queries -----------------------------------------------------------
     def healthy(self, dp_id: str) -> bool:

@@ -142,19 +142,12 @@ class CircuitBreaker:
         self.opened_at = self.sim.now
         self.open_until = self.sim.now + self.open_s
         self.opened_count += 1
-        self.sim.metrics.counter("breaker.opened").inc()
         self._transition("open")
 
     def _transition(self, state: str) -> None:
         prior, self.state = self.state, state
-        if state == "closed":
-            self.sim.metrics.counter("breaker.closed").inc()
-        elif state == "half_open":
-            self.sim.metrics.counter("breaker.half_open").inc()
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("breaker.state", node=self.owner,
-                                dp=self.dp_id, state=state, prior=prior,
-                                failures=self.failures)
+        self.sim.trace.emit(f"breaker.{state}", self.owner, dp=self.dp_id,
+                            prior=prior, failures=self.failures)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CircuitBreaker {self.owner}->{self.dp_id} {self.state} "

@@ -282,8 +282,7 @@ class Process(Event):
         # would close the generator and run its ``finally`` blocks at an
         # arbitrary wall-clock-dependent instant, breaking determinism.
         sim._processes.add(self)
-        if sim.trace.enabled:
-            sim.trace.emit("process.start", node=self.name)
+        sim.trace.emit("process.start", self.name)
         sim._schedule_now(lambda: self._resume(None, None))
 
     # -- driving ------------------------------------------------------
@@ -297,12 +296,12 @@ class Process(Event):
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
-            if self.sim.trace.enabled:
-                self.sim.trace.emit("process.finish", node=self.name)
+            self.sim.trace.emit("process.finish", self.name)
             self.succeed(stop.value)
             return
         except Exception as err:
-            self._trace_fail(err)
+            self.sim.trace.emit("process.fail", self.name,
+                                error=f"{type(err).__name__}: {err}")
             self.fail(err)
             return
         self._wait_on(target)
@@ -322,11 +321,6 @@ class Process(Event):
             raise
         exc.__traceback__ = None
         return target
-
-    def _trace_fail(self, err: BaseException) -> None:
-        if self.sim.trace.enabled:
-            self.sim.trace.emit("process.fail", node=self.name,
-                                error=f"{type(err).__name__}: {err}")
 
     def _wait_on(self, target: Any) -> None:
         if isinstance(target, Event):
@@ -371,11 +365,9 @@ class Process(Event):
         super()._dispatch()
         self.sim._processes.discard(self)
         if self.ok is False and not had_watchers:
-            self.sim.metrics.counter("kernel.unhandled_failures").inc()
-            if self.sim.trace.enabled:
-                self.sim.trace.emit(
-                    "process.unhandled_failure", node=self.name,
-                    error=f"{type(self.value).__name__}: {self.value}")
+            self.sim.trace.emit(
+                "kernel.unhandled_failures", self.name,
+                error=f"{type(self.value).__name__}: {self.value}")
 
 
 class _Periodic:
@@ -413,11 +405,8 @@ class _Periodic:
         try:
             self.fn()
         except Exception as err:
-            sim = self.sim
-            sim.metrics.counter("kernel.periodic_errors").inc()
-            if sim.trace.enabled:
-                sim.trace.emit("periodic.error", node=self.name,
-                               error=f"{type(err).__name__}: {err}")
+            self.sim.trace.emit("kernel.periodic_errors", self.name,
+                                error=f"{type(err).__name__}: {err}")
             if self.on_error == "raise":
                 raise
             if callable(self.on_error):
@@ -469,11 +458,11 @@ class Simulator:
         #: instant — observed as run-to-run nondeterminism under fault
         #: injection.  Membership only; never iterated.
         self._processes: set["Process"] = set()
-        #: Observability: a disabled-by-default structured trace plus
-        #: always-on counters/histograms shared by everything running
-        #: on this simulator (transport, brokers, monitors).
-        self.trace = Tracer(clock=lambda: self.now)
+        #: Observability: always-on counters/histograms plus the event
+        #: stream whose tallies live among them, shared by everything
+        #: running on this simulator (transport, brokers, monitors).
         self.metrics = MetricsRegistry()
+        self.trace = Tracer(clock=lambda: self.now, metrics=self.metrics)
         #: Causal span recorder (off by default): per-job lifecycle and
         #: sync-round spans on the sim clock, linked across nodes via
         #: Message.trace_ctx.  Recording never schedules events, so
@@ -573,9 +562,9 @@ class Simulator:
 
         An exception in ``fn()`` no longer kills the chain: the next
         tick is rescheduled in a ``finally`` (one bad sync round used to
-        permanently desynchronize a decision point), the error is
-        counted (``kernel.periodic_errors``) and traced
-        (``periodic.error``), and then handled per ``on_error``:
+        permanently desynchronize a decision point), the error is one
+        ``kernel.periodic_errors`` event, and then handled per
+        ``on_error``:
 
         * ``"raise"`` (default) — re-raise out of the event loop;
         * ``"record"`` — swallow after counting/tracing (what the sync

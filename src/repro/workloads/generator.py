@@ -32,6 +32,10 @@ Identity = tuple[str, str, str]
 _COLUMNS = ("identity", "cpus", "durations")
 #: Jobs redrawn on the first miss; each forward miss doubles it, to a cap.
 _WINDOW_FIRST, _WINDOW_CAP = 16, 64
+#: Arrivals one host may draw: the build draws each attribute block
+#: whole (8 bytes a job), so 10M arrivals is 80 MB a block — 115 days
+#: of the paper's 1 job/s.
+MAX_ARRIVALS_PER_HOST = 10_000_000
 
 
 def _check_column(host: str, name: str, values, n: int, n_ids: int):
@@ -270,6 +274,11 @@ class WorkloadGenerator:
             # Dense draw at the in-burst rate; off-burst arrivals are
             # thinned back down to the base rate below.
             interarrival_s = interarrival_s / burst_factor
+        if duration_s / interarrival_s > MAX_ARRIVALS_PER_HOST:
+            raise ValueError(
+                f"duration_s={duration_s:g} asks host {host} for "
+                f"{duration_s / interarrival_s:.3g} arrivals; the bound is "
+                f"{MAX_ARRIVALS_PER_HOST:,} arrivals per host")
         if poisson:
             # Draw enough exponential gaps to cover the window.
             est = int(duration_s / interarrival_s * 1.5) + 10

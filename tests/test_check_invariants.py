@@ -452,7 +452,7 @@ class TestReporting:
         site.busy_cpus = -3
         c.check()
         assert len(c.violations) >= 1
-        assert sim.metrics.counter("check.violations").value >= 1
+        assert sim.metrics.counter("check.violation").value >= 1
 
     def test_summary_formats(self, sim):
         c = InvariantChecker(sim)

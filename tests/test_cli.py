@@ -72,8 +72,8 @@ class TestTraceCommand:
             build_parser().parse_args(["trace"])
 
     def test_trace_sample_validated(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--duration", "60", "--trace-sample", "0"])
+        # The config refuses it, so it exits 2 like every bad value.
+        assert main(["run", "--duration", "60", "--trace-sample", "0"]) == 2
 
     def test_analyze(self, capsys):
         rc = main(["trace", "analyze", FIXTURE])
@@ -246,6 +246,24 @@ class TestBadRunInput:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--duration", "nan"], "duration_s"),
+        (["--duration", "inf"], "duration_s"),
+        (["--check", "--check-interval", "nan"], "check_interval_s"),
+        (["--telemetry-interval", "nan"], "telemetry_interval_s"),
+        (["--telemetry-interval", "0"], "telemetry_interval_s"),
+        (["--trace-sample", "0"], "spans_sample"),
+        (["--duration", "1e12", "--dps", "1", "--clients", "1",
+          "--sites", "1"], "10,000,000 arrivals per host")],
+        ids=" ".join)
+    def test_hostile_value_exits_2_naming_it(self, capsys, argv, field):
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
         assert captured.out == ""
 
 

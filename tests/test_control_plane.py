@@ -5,7 +5,6 @@ import pytest
 from repro.check.differ import run_pair
 from repro.check.digest import EventJournal, install_probes
 from repro.control import AutoscaleConfig
-from repro.core.broker import TopologyEvent
 from repro.experiments.configs import smoke_config
 from repro.experiments.runner import build_experiment, run_built, run_experiment
 
@@ -20,10 +19,20 @@ def _autoscaled(n_clients=40, duration_s=600.0, dps=1, **cfg_kw):
         check_enabled=True, check_strict=True)
 
 
+def _run_membership(config):
+    """Run ``config`` -> (result, its ``topology.*`` events in order)."""
+    built = build_experiment(config)
+    events = []
+    built.sim.trace.subscribe(
+        lambda ev: events.append(ev) if ev.kind.startswith("topology.")
+        else None)
+    return run_built(built), events
+
+
 def _run_journaled(config, journal):
     built = build_experiment(config)
     install_probes(journal, deployment=built.deployment,
-                   sites=built.grid.sites.values(), sim=built.sim)
+                   sites=built.grid.sites.values())
     return run_built(built)
 
 
@@ -85,7 +94,7 @@ def test_planner_cooldown_spaces_actions():
 
 def test_scale_down_then_up_revives_retired_dp():
     """Scale-up prefers reviving a retired DP over deploying a new one."""
-    result = run_experiment(_autoscaled(
+    result, events = _run_membership(_autoscaled(
         n_clients=6, dps=3, down_consecutive=2, cooldown_s=30.0))
     planner = result.planner
     assert planner.actuator.actions  # it did shed
@@ -94,22 +103,20 @@ def test_scale_down_then_up_revives_retired_dp():
     assert action.kind == "scale_up"
     # Revived, not created: the dp dict did not grow.
     assert len(result.deployment.decision_points) == n_before
-    revives = [e for e in result.deployment.topology_events
-               if e.action == "join" and e.revived]
-    assert revives and revives[-1].source == "autoscale"
+    revives = [e for e in events
+               if e.kind == "topology.join" and e.detail["revived"]]
+    assert revives and revives[-1].detail["source"] == "autoscale"
 
 
 def test_topology_events_are_structured_and_sourced():
-    result = run_experiment(_autoscaled())
-    events = result.deployment.topology_events
+    result, events = _run_membership(_autoscaled())
     assert events, "expected at least one scale-up join"
     for e in events:
-        assert isinstance(e, TopologyEvent)
-        assert e.action in ("join", "leave")
-        assert e.source == "autoscale"
-        assert e.n_live >= 1
-    # The metrics plane counted them too.
-    joins = sum(1 for e in events if e.action == "join")
+        assert e.kind in ("topology.join", "topology.leave")
+        assert e.detail["source"] == "autoscale"
+        assert e.detail["n_live"] >= 1
+    # The tally counts what the subscriber saw.
+    joins = sum(1 for e in events if e.kind == "topology.join")
     assert result.sim.metrics.counter_value("topology.join") == joins
 
 
@@ -139,7 +146,7 @@ def test_control_actions_are_journaled():
 
 def test_traced_scale_actions_complete_their_tick():
     """A traced run scales exactly like an untraced one: every action
-    is one ``control.action`` row and no planner tick raises."""
+    is one ``control.<kind>`` row and no planner tick raises."""
     def run(trace):
         return run_experiment(smoke_config(
             n_clients=40, duration_s=600.0, n_sites=30, total_cpus=1500,
@@ -150,8 +157,9 @@ def test_traced_scale_actions_complete_their_tick():
     assert traced.dropped_sync_chains() == 0
     actions = traced.planner.actuator.actions
     assert actions
-    assert traced.sim.trace.count("control.action") == len(actions)
-    assert traced.sim.trace.count("periodic.error") == 0
+    assert len([e for e in traced.sim.trace.events()
+                if e.kind.startswith("control.")]) == len(actions)
+    assert traced.sim.trace.count("kernel.periodic_errors") == 0
 
 
 def test_same_seed_runs_are_journal_identical():
@@ -197,12 +205,12 @@ def test_frozen_planner_leaves_crashed_dp_clients_bound():
     """A crash is not surfaced to the planner: with no scale action, the
     dead broker's clients stay bound and degrade through the paper's
     timeout → random fallback."""
-    result = run_experiment(_crashed(autoscale=AutoscaleConfig(
+    result, events = _run_membership(_crashed(autoscale=AutoscaleConfig(
         policy="frozen", interval_s=30.0)))
     orphans = result.deployment.clients_of(CRASHED_DP)
     assert orphans
     assert all(c.n_fallback_timeout > 0 for c in orphans)
-    assert result.deployment.topology_events == []
+    assert events == []
     assert result.planner.actuator.actions == []
 
 
@@ -210,12 +218,12 @@ def test_autoscaled_chaos_records_only_autoscale_topology_events():
     """Crash and restart are not membership events; every join/leave of
     an autoscaled chaos run is the actuator's own."""
     for scenario in ("dp_crash", "dp_crash_restart"):
-        result = run_experiment(_crashed(
+        _, events = _run_membership(_crashed(
             chaos_scenario=scenario, autoscale=AutoscaleConfig(
                 interval_s=30.0, cooldown_s=60.0, max_dps=6)))
-        events = result.deployment.topology_events
         assert events, scenario
-        assert {e.source for e in events} == {"autoscale"}, scenario
+        assert {e.detail["source"] for e in events} == {"autoscale"}, \
+            scenario
 
 
 def test_workload_profiles_shape_arrivals():

@@ -60,7 +60,7 @@ class TestTransportFaultModel:
         fate = model.on_message(msg("a", "b"))
         assert fate.drop and fate.extra_delays == ()
         assert model.dropped == 1
-        assert sim.metrics.counter_value("faults.msgs_dropped") == 1
+        assert sim.metrics.counter_value("fault.drop") == 1
 
     def test_asymmetric_cut_is_one_way(self):
         sim, model = make_model()
@@ -312,7 +312,8 @@ class TestFaultInjector:
         sim.run(until=25.0)
         assert net.faults.link_fault("x", "y") is None
         assert len(inj.applied) == 2
-        assert sim.metrics.counter_value("faults.injected") == 2
+        assert sum(c.value for n, c in sim.metrics.counters.items()
+                   if n.startswith("faults.apply.")) == 2
 
     def test_arm_twice_rejected(self):
         sim, net, dps, inj = self._injector(FaultSchedule())
@@ -327,12 +328,13 @@ class TestFaultInjector:
                  .add(10.0, "node.fault", node="dp0", loss=0.5)
                  .add(20.0, "node.restore", node="dp0"))
         sim, net, dps, inj = self._injector(sched)
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         inj.arm()
         sim.run(until=30.0)
-        events = sim.trace.events("fault.inject")
-        assert [e.detail["fault_kind"] for e in events] == ["node.fault",
-                                                           "node.restore"]
+        events = [e for e in sim.trace.events()
+                  if e.kind.startswith("faults.apply.")]
+        assert [e.kind for e in events] == ["faults.apply.node.fault",
+                                            "faults.apply.node.restore"]
         assert events[0].detail["arg_node"] == "dp0"
         assert events[0].node == "injector"
 

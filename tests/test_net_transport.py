@@ -239,7 +239,7 @@ class TestRpcMetrics:
         make_endpoint(net, "c")
         make_endpoint(net, "s")
         assert net.rpc("c", "s", "op").name == "rpc"
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         assert net.rpc("c", "s", "op").name == "rpc:op:2"
 
 

@@ -24,7 +24,7 @@ class TestTracedRun:
         # The layers the tracer instruments all show up; brokering is
         # callbacks, so no process is started.
         assert tr.count("process.start") == 0
-        assert tr.count("rpc.span") > 0
+        assert tr.count("rpc.ok") > 0
         assert tr.count("sync.round") > 0
         assert tr.count("engine.dispatch") > 0
 
@@ -38,8 +38,8 @@ class TestTracedRun:
     def test_counters_and_histograms_populated(self, traced_result):
         result, _ = traced_result
         m = result.sim.metrics
-        assert m.counter_value("engine.dispatches") > 0
-        assert m.counter_value("sync.rounds") > 0
+        assert m.counter_value("engine.dispatch") > 0
+        assert m.counter_value("sync.round") > 0
         assert m.histogram("rpc.latency_s").count > 0
         assert m.counter_value("rpc.ok") == result.network.stats.rpcs_completed
 
@@ -53,7 +53,7 @@ class TestTracedRun:
         result, _ = traced_result
         text = result.obs_summary()
         assert "rpc.latency_s" in text
-        assert "engine.dispatches" in text
+        assert "engine.dispatch" in text
         assert "trace:" in text
 
 
@@ -61,5 +61,5 @@ class TestUntracedRun:
     def test_default_run_records_no_trace_but_keeps_metrics(self):
         result = run_experiment(smoke_config(duration_s=120.0))
         assert len(result.sim.trace) == 0  # tracing is opt-in
-        assert result.sim.metrics.counter_value("engine.dispatches") > 0
+        assert result.sim.metrics.counter_value("engine.dispatch") > 0
         assert result.obs_summary()  # summary works without tracing

@@ -157,8 +157,7 @@ class TestSignalBusDedup:
         # the same instant with the same detail, fleet size identical
         # at every control tick.
         assert off.planner.timeline == on.planner.timeline
-        assert ([x.detail() for x in off.planner.actuator.actions]
-                == [x.detail() for x in on.planner.actuator.actions])
+        assert off.planner.actuator.actions == on.planner.actuator.actions
 
     def test_planner_gauges_visible_in_sampler_rows(self):
         from repro.control import AutoscaleConfig

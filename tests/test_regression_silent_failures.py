@@ -68,14 +68,14 @@ class TestEveryErrorPolicy:
         assert len(calls) == 5
 
     def test_error_traced_with_timer_name(self, sim):
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
 
         def fn():
             raise ValueError("nope")
 
         sim.every(1.0, fn, on_error="record", name="sync:dp0")
         sim.run(until=2.5)
-        events = sim.trace.events("periodic.error")
+        events = sim.trace.events("kernel.periodic_errors")
         assert len(events) == 2
         assert events[0].node == "sync:dp0"
         assert "ValueError" in events[0].detail["error"]

@@ -126,7 +126,7 @@ class TestCircuitBreaker:
         assert br.state == "open"
         assert not br.allow()
         assert br.opened_count == 1
-        assert sim.metrics.counter_value("breaker.opened") == 1
+        assert sim.metrics.counter_value("breaker.open") == 1
 
     def test_half_open_after_cooldown(self):
         sim, br = self._breaker(threshold=1, open_s=60.0)
@@ -168,13 +168,15 @@ class TestCircuitBreaker:
 
     def test_state_transitions_traced(self):
         sim, br = self._breaker(threshold=1, open_s=5.0)
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         br.on_failure()
         advance(sim, 6.0)
         br.allow()
         br.on_success()
-        states = [e.detail["state"] for e in sim.trace.events("breaker.state")]
-        assert states == ["open", "half_open", "closed"]
+        states = [e.kind for e in sim.trace.events()
+                  if e.kind.startswith("breaker.")]
+        assert states == ["breaker.open", "breaker.half_open",
+                          "breaker.closed"]
 
 
 class _ContainerStub:
@@ -293,7 +295,7 @@ class TestDecisionPointCrashRestart:
         dp.crash()
         dp.crash()
         assert dp.crashes == 1
-        assert sim.metrics.counter_value("dp.crashes") == 1
+        assert sim.metrics.counter_value("dp.crash") == 1
 
     def test_restart_idempotent_single_count(self, env):
         sim, rng, net, grid = env
@@ -304,7 +306,7 @@ class TestDecisionPointCrashRestart:
         dp.restart(resync=False)
         assert dp.online and dp.started
         assert dp.restarts == 1
-        assert sim.metrics.counter_value("dp.restarts") == 1
+        assert sim.metrics.counter_value("dp.restart") == 1
 
     def test_restart_on_running_dp_is_noop(self, env):
         sim, rng, net, grid = env
@@ -315,7 +317,7 @@ class TestDecisionPointCrashRestart:
 
     def test_crash_restart_traced(self, env):
         sim, rng, net, grid = env
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         dp = self._dp(env)
         dp.start(neighbors=[])
         dp.crash()
@@ -399,7 +401,7 @@ class TestDecisionPointCrashRestart:
 class TestClientRebind:
     def test_rebind_counts_and_traces(self, env):
         sim, rng, net, grid = env
-        sim.trace.enabled = True
+        sim.trace.subscribe(sim.trace.ring)
         dp = DecisionPoint(sim, net, "dp0", grid, FAST_PROFILE,
                            rng.stream("dp"), monitor_interval_s=600.0)
         dp.start(neighbors=[])
@@ -407,7 +409,7 @@ class TestClientRebind:
         client.rebind("dp9")
         assert client.rebinds == 1
         assert client.decision_point == "dp9"
-        assert sim.metrics.counter_value("client.rebinds") == 1
+        assert sim.metrics.counter_value("client.rebind") == 1
         ev = sim.trace.events("client.rebind")[0]
         assert ev.detail["prior"] == "dp0" and ev.detail["new"] == "dp9"
 
@@ -476,7 +478,7 @@ class TestResilientClient:
         # Job 1 opens the breaker after 2 failures; its remaining 2
         # attempts and all 4 of job 2's fast-fail.
         assert client.n_breaker_fastfail == 6
-        assert sim.metrics.counter_value("breaker.opened") == 1
+        assert sim.metrics.counter_value("breaker.open") == 1
         assert sim.metrics.counter_value(
             "client.breaker_fastfail") == client.n_breaker_fastfail
         assert all(j.site is not None
@@ -508,7 +510,7 @@ class TestResilientClient:
         assert client.decision_point == "dp1"
         assert client.n_handled == 2
         assert client.n_fallback_timeout == 0
-        assert sim.metrics.counter_value("client.failovers") == 1
+        assert sim.metrics.counter_value("client.failover") == 1
 
 
 class TestLoadShedding:
